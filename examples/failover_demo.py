@@ -2,116 +2,30 @@
 """High availability: hot-standby replication and transparent failover.
 
 A single Cricket server is a single point of failure for every unikernel
-whose GPU lives behind it.  This demo shows the HA layer absorbing the
-failures the paper's deployment model must survive:
+whose GPU lives behind it.  The ``failover`` nemesis profile runs three
+clients against a replicated, witness-fenced primary/standby pair on the
+deterministic simulator while the nemesis draws from ``{kill_primary,
+gpu_fault}``: the primary dies -- half the time *after executing but
+before answering* a call, the worst window for at-most-once -- and sticky
+ECC/context faults poison GPUs until the workload fails over to the
+spare.  The history checker judges the run against a model GPU: no
+acknowledged write lost, no call executed twice (the standby answers the
+retransmission from its replicated reply cache), every byte accounted
+for, and the clients converged on the surviving leader.
 
-1. a primary ships every state-mutating RPC to a hot standby (full
-   checkpoint seed + sequence-numbered op-log); fingerprints prove the
-   two servers are state-identical while clients work;
-2. the primary is killed *after executing but before answering* a
-   ``cudaMalloc`` -- the worst window for at-most-once -- and the client
-   transparently fails over; the standby answers the retransmission from
-   its replicated reply cache, so the malloc happens exactly once;
-3. a sticky ECC fault poisons a GPU: every CUDA call on it keeps failing
-   with the same error until the server fails the workload over to a
-   healthy spare device -- same pointers, same handles, same data;
-4. the seeded failover chaos harness (the CI soak) re-runs the whole
-   story end to end: zero lost allocations, zero double executions.
+(The replication link, the dangerous kill window and device failover are
+walked through in docs/ARCHITECTURE.md section 7 and exercised one by one
+in tests/test_replication_failover.py.)
 
 Run:  python examples/failover_demo.py
-(CHAOS_SEED=<n> varies the schedule -- the CI soak loops over seeds.)
+(CHAOS_SEED=<n> varies the seed; ``python -m repro.resilience.simulation
+--profile <name>`` soaks one profile over its CI seeds, shrinking and
+saving a replayable trace if it ever fails.)
 """
 
-from repro.cricket import CricketServer
-from repro.cricket.client import CricketClient
-from repro.cricket.replication import make_ha_pair, state_fingerprint
-from repro.cuda.errors import CudaError
-from repro.gpu.catalog import A100
-from repro.gpu.device import GpuDevice
-from repro.net.simclock import SimClock
-from repro.resilience import FailoverChaosHarness, FailoverChaosPlan, chaos_seeds
-from repro.resilience.retry import RetryPolicy
-
-MiB = 1 << 20
-
-
-def replication_and_failover() -> None:
-    """Primary dies in the dangerous window; at-most-once survives."""
-    primary = CricketServer(clock=SimClock())
-    standby = CricketServer(clock=SimClock())
-    link, endpoints = make_ha_pair(primary, standby, unfenced=True)
-    client = CricketClient.failover(endpoints, retry_policy=RetryPolicy(max_attempts=8))
-
-    ptr = client.malloc(4 * MiB)
-    client.memcpy_h2d(ptr, b"\xab" * 256)
-    print(f"[ha]      replicated {primary.server_stats.replication_ops_shipped} ops, "
-          f"lag={link.lag}; fingerprints match: "
-          f"{state_fingerprint(primary) == state_fingerprint(standby)}")
-
-    # Crash after executing (and replicating) the next malloc, before the
-    # reply leaves -- the client must retransmit to whoever answers.
-    endpoints[0].kill_after_next_execute()
-    ptr2 = client.malloc(2 * MiB)
-    assert client.stats.failovers == 1
-    assert standby.server_stats.standby_promotions == 1
-    assert standby.server_stats.reply_cache_hits >= 1, "retransmit re-executed!"
-    used = standby.device.allocator.used_bytes
-    assert used == 6 * MiB, f"double execution: {used} bytes"
-    assert client.memcpy_d2h(ptr, 256) == b"\xab" * 256
-    print(f"[ha]      primary died before replying; failover -> standby, "
-          f"retransmitted malloc answered from replicated cache "
-          f"(ptr2=0x{ptr2:x}, used={used // MiB} MiB: exactly once)")
-
-
-def sticky_device_fault() -> None:
-    """ECC fault sticks until the workload moves to a spare device."""
-    server = CricketServer([GpuDevice(A100), GpuDevice(A100)], clock=SimClock())
-    client = CricketClient.loopback(server)
-    ptr = client.malloc(1 * MiB)
-    client.memcpy_h2d(ptr, b"\x5a" * 256)
-
-    server.inject_device_fault(0, "ecc")
-    failures = 0
-    for _ in range(3):  # sticky: every attempt fails the same way
-        try:
-            client.device_synchronize()
-        except CudaError as exc:
-            failures += 1
-            code = exc.code
-    assert failures == 3
-    print(f"[gpu]     ECC fault is sticky: 3/3 calls failed with code {code}")
-
-    spare = server.failover_device(0)
-    client.device_synchronize()  # healthy again
-    assert client.memcpy_d2h(ptr, 256) == b"\x5a" * 256
-    print(f"[gpu]     workload failed over to spare device {spare}: same "
-          f"pointer, same bytes, device healthy "
-          f"(device_failovers={server.server_stats.device_failovers})")
-
-
-def chaos_soak() -> None:
-    """Seeded primary-kill + GPU-poison schedule; nothing lost, nothing twice."""
-    seed = chaos_seeds(default=(2,))[0]
-    plan = FailoverChaosPlan(clients=3, rounds=4, seed=seed)
-    result = FailoverChaosHarness(plan).run()
-    assert result.clean, (
-        f"lost={result.lost_allocations} unaccounted={result.bytes_unaccounted}"
-    )
-    window = "after-execute-before-reply" if result.dangerous_window else "immediate"
-    print(f"[soak]    seed={seed}: primary killed in round {result.kill_round} "
-          f"({window}), GPU poisoned in round {result.poison_round}; "
-          f"{result.failovers} client failovers, "
-          f"{result.reply_cache_hits_after_failover} cache-answered retransmits, "
-          f"0 lost allocations, 0 double executions")
-
-
-def main() -> None:
-    replication_and_failover()
-    sticky_device_fault()
-    chaos_soak()
-    print("[done]    high availability holds: exactly-once effects across "
-          "server death and GPU faults")
-
+from repro.resilience import chaos_seeds, run_profile
 
 if __name__ == "__main__":
-    main()
+    result = run_profile("failover", chaos_seeds(default=(1,))[0])
+    print(result.story())
+    assert result.clean, result.violations

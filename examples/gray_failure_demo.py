@@ -1,227 +1,41 @@
 #!/usr/bin/env python3
 """Gray-failure detection: latency SLOs, outlier ejection and brownout.
 
-Every protection before this PR answers a binary question: is the
-endpoint connected, did the call error, did the kernel hang?  A *gray*
-failure passes all of them -- the limping NIC, the thermally throttled
-GPU, the disk whose fsync takes 20 ms -- while quietly destroying tail
-latency ("limplock": slow is the new down).  This demo walks the four
-detectors, all deterministic over virtual time:
+A *gray* failure passes every binary check -- the limping NIC, the
+thermally throttled GPU, the disk whose fsync takes 200 ms -- while
+quietly destroying tail latency ("limplock": slow is the new down).  The
+four ``limplock_*`` nemesis profiles inject one each into a simulated
+run whose every step is timed (baseline / faulted / recovery):
 
-1. one of three Cricket servers limps behind a seeded
-   ``SlowEndpoint``; hedged probe rounds feed per-endpoint latency
-   histograms into the Envoy-style ``OutlierEjector``, which removes
-   the statistical outlier from rotation (capped ejection fraction,
-   timed probation) -- the liveness probe alone would never notice;
-2. a GPU reports a thermal-throttle soft fault (still "healthy"!); the
-   recovery ladder's new rung 0 preemptively fails sessions over to
-   the clean spare before jobs crawl;
-3. the checkpoint disk stalls on fsync; the checkpoint-latency SLO
-   drives the server into staged *brownout* -- low-priority calls shed
-   with the typed, retryable ``RPC_BUSY``, checkpoint cadence
-   stretched, sanitizer sweeps suspended -- and hysteresis walks it
-   back out after repair, no flapping;
-4. the replication standby acknowledges slowly; the ship-RTT SLO
-   demotes the synchronous link to async-lagged (latency traded for
-   lag, never for correctness), and the seeded gray-failure chaos
-   harness re-runs all four limplocks end to end.
+1. ``limplock_endpoint`` -- one of three client->server paths limps;
+   hedged probe rounds feed the Envoy-style outlier ejector, which drops
+   the statistical outlier from rotation;
+2. ``limplock_gpu`` -- a throttled (still "healthy"!) GPU is preemptively
+   failed over to the clean spare by the recovery ladder's rung 0;
+3. ``limplock_fsync`` -- the checkpoint disk stalls twice in quick
+   succession; the checkpoint-latency SLO drives the server into staged
+   brownout, and hysteresis walks it back out once -- no flapping;
+4. ``limplock_standby`` -- the standby acknowledges slowly; the ship-RTT
+   SLO demotes the synchronous link to async-lagged (latency traded for
+   lag, never for state).
+
+Read ``detect_ns`` against ``detect_budget_ns`` and ``recovery_p99_ns``
+against ``baseline_p99_ns`` in each audit.  (docs/ARCHITECTURE.md section
+12; tests/test_health.py exercises each detector one by one.)
 
 Run:  python examples/gray_failure_demo.py
-(CHAOS_SEED=<n> varies the schedule -- the CI soak loops over seeds.)
+(CHAOS_SEED=<n> varies the seed; ``python -m repro.resilience.simulation
+--profile <name>`` soaks one profile over its CI seeds, shrinking and
+saving a replayable trace if it ever fails.)
 """
 
-import tempfile
-
-from repro.cricket import CricketClient, CricketServer, state_fingerprint
-from repro.cricket.ckptstore import CheckpointStore, FileStorage
-from repro.cricket.replication import ReplicationLink
-from repro.cubin import build_cubin_for_registry
-from repro.cubin.metadata import KernelMeta
-from repro.gpu.catalog import A100
-from repro.gpu.device import GpuDevice
-from repro.net.simclock import SimClock
-from repro.oncrpc.errors import RpcBusyError
-from repro.resilience import (
-    chaos_seeds,
-    GRAY_TOPOLOGIES,
-    FaultyStorage,
-    GrayFailureChaosHarness,
-    GrayFailureChaosPlan,
-    HealthTracker,
-    LatencySLO,
-    OutlierEjector,
-    SlowEndpoint,
-    SlowFaultPlan,
-    StorageFaultPlan,
-)
-from repro.resilience.failover import LoopbackEndpoint
-from repro.resilience.retry import RetryPolicy
-
-
-def outlier_ejection() -> None:
-    """Hedged probes statistically eject the limping endpoint."""
-    clock = SimClock()
-    servers = [CricketServer(clock=clock) for _ in range(3)]
-    endpoints = [
-        LoopbackEndpoint(s, name=f"server{i}") for i, s in enumerate(servers)
-    ]
-    slow = SlowEndpoint(
-        endpoints[1],
-        SlowFaultPlan(base_delay_s=0.02, jitter_s=0.005, seed=0),
-        clock=clock,
-    )
-    endpoints[1] = slow
-    ejector = OutlierEjector(clock=clock, probation_s=1.0)
-    client = CricketClient.failover(
-        endpoints, retry_policy=RetryPolicy(max_attempts=8), ejector=ejector
-    )
-    transport = client.failover_transport
-
-    rounds = 0
-    while not ejector.is_ejected("server1"):
-        client.get_device_count()
-        transport.probe_endpoints()
-        rounds += 1
-    p50s = {
-        name: transport.health[name].p50 / 1e3 for name in sorted(transport.health)
-    }
-    print(f"[eject]   server1 limps at ~20 ms; ejected after {rounds} hedged "
-          f"probe rounds (p50s [us]: " +
-          ", ".join(f"{k}={v:.0f}" for k, v in p50s.items()) + ")")
-
-    slow.set_active(False)  # repair the NIC
-    clock.advance_s(1.5)    # probation expires
-    transport.probe_endpoints()
-    print(f"[eject]   repaired + probation over: readmitted with fresh "
-          f"history ({client.stats.endpoints_ejected} ejection, "
-          f"{client.stats.endpoints_readmitted} readmission, 0 false ejections)")
-
-
-def preemptive_gpu_failover() -> None:
-    """Rung 0: a throttled-but-working device is vacated onto the spare."""
-    clock = SimClock()
-    server = CricketServer(
-        [GpuDevice(A100), GpuDevice(A100)], clock=clock, auto_recover=True
-    )
-    client = CricketClient.loopback(server)
-    cubin = build_cubin_for_registry(server.device.registry, ["vectorAdd"])
-    module = client.module_load(cubin)
-    meta = KernelMeta.from_kinds("vectorAdd", ("ptr", "ptr", "ptr", "i32"))
-    fn = client.get_function(module, "vectorAdd", meta)
-    n = 1 << 16
-    a, b, c = (client.malloc(4 * n) for _ in range(3))
-
-    def launch() -> int:
-        started = clock.now_ns
-        client.launch_kernel(fn, (n // 256, 1, 1), (256, 1, 1), (a, b, c, n))
-        client.device_synchronize()
-        return clock.now_ns - started
-
-    healthy_ns = launch()
-    server.devices[0].inject_soft_fault("throttle", 4.0)
-    after_ns = launch()  # rung 0 preempts at dispatch, before the crawl
-    assert server.server_stats.ladder_preemptive_failovers == 1
-    print(f"[rung0]   vectorAdd {healthy_ns / 1e3:.0f} us healthy; throttle 4x "
-          f"injected -> ladder preempted onto the spare at the next dispatch, "
-          f"launch stayed {after_ns / 1e3:.0f} us "
-          f"(preemptive_failovers="
-          f"{server.server_stats.ladder_preemptive_failovers}, the tenant "
-          f"never saw the crawl and the device never actually *failed*)")
-
-
-def brownout_on_slow_fsync() -> None:
-    """A limping checkpoint disk sheds low-priority load, then recovers."""
-    clock = SimClock()
-    slo = LatencySLO(target_p99_ns=int(0.005 * 1e9), min_samples=4)
-    server = CricketServer(clock=clock, brownout=True, checkpoint_slo=slo)
-    tracker = HealthTracker("checkpoint-write")
-    server.attach_checkpoint_health(tracker)
-    high = CricketClient.loopback(server, priority=3)
-    low = CricketClient.loopback(server, priority=0)
-
-    with tempfile.TemporaryDirectory() as root:
-        store = CheckpointStore(
-            storage=FaultyStorage(
-                FileStorage(root),
-                StorageFaultPlan(slow_fsync_rate=1.0, slow_fsync_s=0.02),
-                clock=clock,
-            ),
-            clock=clock,
-        )
-        for _ in range(8):
-            store.save_full(server)
-            tracker.record(store.write_latency.last_ns)
-    high.get_device_count()  # dispatch re-evaluates the brownout signals
-    assert server.brownout.active
-    shed = 0
-    for _ in range(4):
-        try:
-            low.get_device_count()
-        except RpcBusyError:
-            shed += 1
-    high.get_device_count()
-    print(f"[brownout] fsync p99 {tracker.p99 / 1e6:.0f} ms vs 5 ms SLO: "
-          f"stage {server.brownout.stage}; {shed}/4 low-priority calls shed "
-          f"as RPC_BUSY, high-priority served, checkpoint cadence x"
-          f"{server.checkpoint_interval_factor}")
-
-    tracker.reset()  # disk replaced: judge it on fresh samples
-    while server.brownout.active:
-        clock.advance_s(0.1)
-        high.get_device_count()
-    print(f"[brownout] repair + {server.brownout.config.min_dwell_s * 1e3:.0f} ms "
-          f"calm dwell: exited (entries="
-          f"{server.server_stats.brownout_entries}, "
-          f"exits={server.server_stats.brownout_exits} -- hysteresis, "
-          f"no flapping)")
-
-
-def standby_demotion() -> None:
-    """A limping standby is demoted to async-lagged, not dropped."""
-    primary = CricketServer(clock=SimClock())
-    standby = CricketServer(clock=SimClock())
-    link = ReplicationLink(
-        primary, standby, max_lag=0,
-        ship_slo=LatencySLO(target_p99_ns=int(0.002 * 1e9), min_samples=4),
-    )
-    client = CricketClient.loopback(primary)
-    ptr = client.malloc(1 << 20)
-
-    link.ship_delay_s = 0.02  # the standby's NIC starts to limp
-    for i in range(8):
-        client.memcpy_h2d(ptr, bytes([i]) * 256)
-    assert link.demoted
-    link.flush()
-    converged = state_fingerprint(primary) == state_fingerprint(standby)
-    print(f"[demote]  ship RTT ~20 ms vs 2 ms SLO: sync link demoted to "
-          f"async (max_lag 0 -> {link.max_lag}); after flush the pair "
-          f"{'converged' if converged else 'DIVERGED'} -- latency traded "
-          f"for lag, never correctness")
-
-
-def chaos_soak() -> None:
-    """Seeded limplocks across every topology; all detected, zero collateral."""
-    seed = chaos_seeds(default=(2,))[0]
-    for topology in GRAY_TOPOLOGIES:
-        result = GrayFailureChaosHarness(
-            GrayFailureChaosPlan(topology=topology, seed=seed)
-        ).run()
-        assert result.clean, result
-        print(f"[soak]    seed={seed} {topology}: detected in "
-              f"{result.detection_latency_ns / 1e6:.0f} ms, recovery p99 "
-              f"{result.recovery_p99_ns / 1e3:.1f} us vs baseline "
-              f"{result.baseline_p99_ns / 1e3:.1f} us, 0 false ejections")
-
-
-def main() -> None:
-    outlier_ejection()
-    preemptive_gpu_failover()
-    brownout_on_slow_fsync()
-    standby_demotion()
-    chaos_soak()
-    print("[done]    slow is the new down: limplocks are detected, ejected "
-          "and contained, not waited out")
-
+from repro.resilience import chaos_seeds, run_profile
 
 if __name__ == "__main__":
-    main()
+    for profile in (
+        "limplock_endpoint", "limplock_gpu",
+        "limplock_fsync", "limplock_standby",
+    ):
+        result = run_profile(profile, chaos_seeds(default=(2,))[0])
+        print(result.story())
+        assert result.clean, result.violations

@@ -3,91 +3,33 @@
 
 One Cricket server, three tenants, open-loop load at five times the
 server's capacity -- the regime where an unprotected server queues
-without bound and serves work nobody is still waiting for.  This demo
-runs the seeded overload chaos harness twice:
+without bound and serves work nobody is still waiting for.  Two overload
+nemesis profiles fire an ``overload_storm`` event inside an ordinary
+simulated run (real ``OverloadQueue``, real ``dispatch_record``):
 
-1. **equal weights, one hot tenant** -- tenant0 offers 3x everyone
+1. ``overload_hot_tenant`` -- equal weights, tenant0 offering 3x everyone
    else's load, yet per-client queue bounds + weighted fair dequeue hold
-   every tenant's goodput within 2x of each other.  The excess is shed
-   as typed, retryable ``RPC_BUSY`` refusals; calls whose deadline
-   lapses in queue are dropped *before* execution, never after.
-2. **a premium tenant** -- the same storm with tenant0 at weight 1.5:
-   it drains proportionally faster, still bounded, still clean.
+   every contended tenant's goodput within 2x of each other.  The excess
+   is shed as typed, retryable ``RPC_BUSY``; calls whose deadline lapses
+   in queue are dropped *before* execution, never after.
+2. ``overload_weighted`` -- tenant0 at weight 1.5 with the per-tenant
+   bound binding: it drains proportionally faster, still bounded.
 
-Both runs also probe the sharp edges: a saturated server answers with
-``RPC_BUSY`` (not a hang), a cancelled xid retransmitted later replays
-the cached ``CALL_CANCELLED`` reply (never re-executes), and a data
-channel reader that refuses to drain its window is throttled once and
-then disconnected.
+Read ``goodput`` against ``offered`` in the ``overload_storm`` facts; the
+checker judges ``executed-expired``, ``queue-unbounded`` and
+``unfair-share`` next to the usual properties of the clients working
+beside the storm.  (docs/ARCHITECTURE.md section 8; tests/test_overload.py.)
 
 Run:  python examples/overload_demo.py
-(CHAOS_SEED=<n> varies the schedule -- the CI soak loops over seeds.)
+(CHAOS_SEED=<n> varies the seed; ``python -m repro.resilience.simulation
+--profile <name>`` soaks one profile over its CI seeds, shrinking and
+saving a replayable trace if it ever fails.)
 """
 
-from repro.resilience import OverloadChaosHarness, OverloadChaosPlan, chaos_seeds
-
-
-def show(tag: str, result) -> None:
-    shares = ", ".join(
-        f"{name}={result.goodput[name]}/{result.offered[name]}"
-        for name in sorted(result.offered)
-    )
-    print(f"[{tag}] goodput/offered: {shares}")
-    print(
-        f"[{tag}] shed={result.shed_busy} (typed RPC_BUSY), "
-        f"expired-in-queue={result.expired_in_queue}, "
-        f"executed-expired={result.executed_expired} (must be 0)"
-    )
-    print(
-        f"[{tag}] peak queue depth {result.peak_queue_depth} <= "
-        f"{result.queue_bound}, worst accepted latency "
-        f"{result.max_accepted_latency_ns / 1e6:.1f} ms <= "
-        f"{result.latency_bound_ns / 1e6:.1f} ms, "
-        f"fairness ratio {result.fairness_ratio:.2f} <= 2.0"
-    )
-    print(
-        f"[{tag}] probes: busy-typed={result.busy_reply_typed}, "
-        f"cancel-replay={result.cancel_replay_ok}, "
-        f"slow readers disconnected={result.slow_reader_disconnects}"
-    )
-
-
-def main() -> None:
-    seed = chaos_seeds(default=(7,))[0]
-
-    hot = OverloadChaosPlan(load_factor=5.0, hot_tenant_factor=3.0, seed=seed)
-    result = OverloadChaosHarness(hot).run()
-    show("hot", result)
-    assert result.clean, "overload invariants violated under a hot tenant"
-    assert result.slow_reader_disconnects >= 1
-
-    # Weights govern goodput when the *per-client* bound is what binds: a
-    # premium tenant's queue drains faster, so it refills (and is served)
-    # proportionally more often.  With the shared bound binding instead,
-    # admission is arrival-order luck and weights only shape latency.
-    premium = OverloadChaosPlan(
-        load_factor=5.0,
-        weights={"tenant0": 1.5},
-        max_queue_depth=48,
-        max_queue_depth_per_client=6,
-        slow_readers=0,  # probed above; skip the real-socket wait here
-        seed=seed + 1,
-    )
-    weighted = OverloadChaosHarness(premium).run()
-    show("premium", weighted)
-    assert weighted.clean, "overload invariants violated under weighted shares"
-    others = max(weighted.goodput["tenant1"], weighted.goodput["tenant2"])
-    # seeded arrival jitter can nudge individual runs; the weight advantage
-    # must still be visible through it
-    assert weighted.goodput["tenant0"] >= 0.8 * others, (
-        "weight 1.5 should drain at least as fast as weight 1.0"
-    )
-
-    print(
-        "[done] overload control holds at 5x capacity: zero expired "
-        "executions, bounded queue and latency, fair goodput, typed sheds"
-    )
-
+from repro.resilience import chaos_seeds, run_profile
 
 if __name__ == "__main__":
-    main()
+    for profile in ("overload_hot_tenant", "overload_weighted"):
+        result = run_profile(profile, chaos_seeds(default=(7,))[0])
+        print(result.story())
+        assert result.clean, result.violations

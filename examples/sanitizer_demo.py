@@ -1,122 +1,33 @@
 #!/usr/bin/env python3
 """Device-memory sanitizer, kernel watchdog and the fault-recovery ladder.
 
-The Cricket server cannot trust the pointers and lengths tenants send, and
-a hung kernel must not wedge the device for everyone.  This demo runs a
-deliberately buggy tenant beside healthy neighbours on a sanitized,
-watchdog-armed server and shows:
+The Cricket server cannot trust the pointers and lengths tenants send,
+and a hung kernel must not wedge the device for everyone.  The
+``buggy_tenant`` nemesis profile runs one deliberately buggy tenant
+beside three healthy clients on a sanitized, watchdog-armed simulated
+server.  Seven ``tenant_bug`` events commit every bug class --
+out-of-bounds write and read, double free, use-after-free, a wild kernel
+write into a redzone, a hung kernel, a leaked allocation -- and each must
+draw its typed verdict (``bug_detected`` in the output): a sanitizer
+violation attributed to the tenant's allocation site, a watchdog hang the
+staged recovery ladder cancels, a leak report when the crashed tenant's
+session is reclaimed.  Meanwhile the healthy tenants must complete every
+call with their data intact and every device must end healthy -- no
+restart at any point (``cross-tenant-impact`` otherwise).
 
-1. every classic memory bug -- out-of-bounds write/read, double free,
-   use-after-free, a wild kernel write into a redzone -- caught with a
-   typed CUDA error and attributed to the offending tenant's allocation
-   site;
-2. a hung kernel flagged by the watchdog and cancelled by the staged
-   recovery ladder (cooperative cancel -> stream abort -> context reset ->
-   device failover -> session reclamation);
-3. leak reports naming owner and allocation site when a crashed tenant's
-   session is reclaimed;
-4. healthy co-tenants completing every call with their data intact -- no
-   server restart at any point.
+(docs/ARCHITECTURE.md section 10; tests/test_sanitizer.py and
+tests/test_sticky_faults.py exercise redzones, quarantine, the watchdog
+and every ladder rung one by one.)
 
 Run:  python examples/sanitizer_demo.py
+(CHAOS_SEED=<n> varies the seed; ``python -m repro.resilience.simulation
+--profile <name>`` soaks one profile over its CI seeds, shrinking and
+saving a replayable trace if it ever fails.)
 """
 
-from repro.cricket.client import CricketClient
-from repro.cricket.server import CricketServer
-from repro.cuda.errors import CudaError
-from repro.gpu.catalog import A100
-from repro.gpu.device import GpuDevice
-from repro.net.simclock import SimClock
-from repro.resilience.chaos import SanitizerChaosHarness, SanitizerChaosPlan
-
-MIB = 1 << 20
-
-
-def demo_detection() -> None:
-    print("=== 1. typed detection at the RPC boundary ===")
-    server = CricketServer(
-        [GpuDevice(A100, mem_bytes=64 * MIB), GpuDevice(A100, mem_bytes=64 * MIB)],
-        clock=SimClock(),
-        sanitizer=True,
-        watchdog=True,
-    )
-    buggy = CricketClient.loopback(server)
-    bystander = CricketClient.loopback(server)
-    keep = bystander.malloc(4096)
-    bystander.memcpy_h2d(keep, b"\x42" * 4096)
-
-    bugs = {
-        "out-of-bounds write": lambda p: buggy.memcpy_h2d(p, b"x" * 4097),
-        "out-of-bounds read": lambda p: buggy.memcpy_d2h(p, 4097),
-        "double free": lambda p: (buggy.free(p), buggy.free(p)),
-        "use-after-free": lambda p: (buggy.free(p), buggy.memcpy_h2d(p, b"x")),
-    }
-    for name, trigger in bugs.items():
-        ptr = buggy.malloc(4096)
-        try:
-            trigger(ptr)
-            print(f"  {name:<20} NOT DETECTED")
-        except CudaError as exc:
-            print(f"  {name:<20} -> {exc}")
-    kind, owner, site, _addr = server.violations[0]
-    print(f"  first violation attributed to {site} of tenant {owner[:18]}...")
-
-    # a wild kernel write lands in the canaries; the periodic sweep finds it
-    ptr = buggy.malloc(4096)
-    server.devices[0].allocator.wild_write(ptr + 4096, b"\xff" * 32)
-    server.sweep_now()
-    print(f"  wild kernel write     -> redzone sweep hit "
-          f"({server.server_stats.sanitizer_redzone_hits} corruption)")
-
-    # the ladder healed every sticky poison behind the scenes
-    bystander_data = bystander.memcpy_d2h(keep, 4096)
-    stats = server.server_stats
-    print(f"  ladder: {stats.ladder_context_resets} context resets, "
-          f"{stats.ladder_device_failovers} device failovers, "
-          f"{stats.ladder_session_reclaims} session reclaims")
-    assert bystander_data == b"\x42" * 4096, "bystander data corrupted!"
-    print("  bystander's 4 KiB read back intact; all devices healthy:",
-          all(d.healthy for d in server.devices))
-
-
-def demo_watchdog() -> None:
-    print("\n=== 2. kernel watchdog over virtual time ===")
-    server = CricketServer(
-        [GpuDevice(A100, mem_bytes=64 * MIB)],
-        clock=SimClock(),
-        sanitizer=True,
-        watchdog=True,
-    )
-    client = CricketClient.loopback(server)
-    client.malloc(64)
-    server.devices[0].inject_hang(kind="spin")
-    client.ping()  # any dispatched call lets the ladder act
-    stats = server.server_stats
-    print(f"  hung kernel flagged ({stats.watchdog_hangs}), cancelled "
-          f"cooperatively ({stats.ladder_cooperative_cancels}); "
-          f"device healthy: {server.devices[0].healthy}")
-
-
-def demo_chaos() -> None:
-    print("\n=== 3. seeded chaos: one buggy tenant, three healthy ===")
-    result = SanitizerChaosHarness(SanitizerChaosPlan(seed=7)).run()
-    print(f"  injected ({len(result.injected)}): {', '.join(result.injected)}")
-    for kind, caught in result.detected.items():
-        print(f"    {kind:<16} {'detected' if caught else 'MISSED'}")
-    print(f"  healthy tenants: {result.healthy_failed_calls} failed calls, "
-          f"{result.lost_allocations} lost allocations")
-    print(f"  leaks attributed to the buggy tenant: {result.leaks_attributed}")
-    print(f"  ladder rungs taken: {result.ladder_rungs_taken}; "
-          f"devices healthy: {result.devices_healthy}")
-    assert result.clean, "chaos run was not clean"
-    print("  clean: 100% detection, zero cross-tenant impact, no restart")
-
-
-def main() -> None:
-    demo_detection()
-    demo_watchdog()
-    demo_chaos()
-
+from repro.resilience import chaos_seeds, run_profile
 
 if __name__ == "__main__":
-    main()
+    result = run_profile("buggy_tenant", chaos_seeds(default=(7,))[0])
+    print(result.story())
+    assert result.clean, result.violations

@@ -1,115 +1,30 @@
 #!/usr/bin/env python3
-"""Session lifecycle: leases, orphan reclamation, admission control, drain.
+"""Session lifecycle: a crashed client leaks nothing.
 
-A Cricket server is a multi-tenant resource: unikernel clients come and go,
-and some of them go by crashing.  This demo shows the server-side
-governance layer keeping the GPU clean through all of it:
+A Cricket server is a multi-tenant resource: unikernel clients come and
+go, and some of them go by crashing.  The ``client_kill`` nemesis profile
+runs four clients on the deterministic simulator against a lease-enabled
+server; ``kill_client`` events crash two of them mid-stream -- no
+``cudaFree``, no goodbye.  The survivors heartbeat while the victims'
+lease and grace lapse, the reaper orphans and then reclaims only the
+dead, and the audit is judged: ``orphan-bytes`` if a dead session still
+owns a byte, ``bytes-unaccounted`` if a survivor lost one.  In the
+output, find the clients ``kill_client`` names and watch ``orphan_bytes``
+stay 0.
 
-1. a seeded chaos run kills clients mid-allocation loop across several
-   rounds; after their leases and grace periods lapse the reaper returns
-   every leaked byte, while surviving (heartbeating) clients keep theirs;
-2. admission control caps concurrent sessions and a per-client memory
-   quota turns greedy ``cudaMalloc`` calls into clean CUDA errors;
-3. a draining shutdown stops admitting new sessions, snapshots the
-   remaining ones, and the snapshot restores onto a replacement server
-   with device state intact;
-4. the session counters surface in the server stats next to the
-   reply-cache numbers.
+(Leases, reattach-within-grace, admission control, quotas and graceful
+drain are walked through in docs/ARCHITECTURE.md section 6 and exercised
+one by one in tests/test_session_lifecycle.py.)
 
 Run:  python examples/session_lifecycle_demo.py
-(CHAOS_SEED=<n> varies the kill schedule -- the CI soak loops over seeds.)
+(CHAOS_SEED=<n> varies the seed; ``python -m repro.resilience.simulation
+--profile <name>`` soaks one profile over its CI seeds, shrinking and
+saving a replayable trace if it ever fails.)
 """
 
-from repro.cricket import CricketServer
-from repro.cricket.client import CricketClient
-from repro.cuda.errors import CudaError
-from repro.resilience import ChaosHarness, ChaosPlan, chaos_seeds
-
-MiB = 1 << 20
-
-
-def chaos_round() -> None:
-    """Kill clients mid-malloc loop; the reaper must reclaim every byte."""
-    seed = chaos_seeds(default=(7,))[0]
-    plan = ChaosPlan(clients=5, rounds=3, kills=3, allocs_per_round=4, seed=seed)
-    harness = ChaosHarness(plan)
-    result = harness.run()
-    print(f"[chaos]   {len(result.killed)} clients killed mid-loop over "
-          f"{plan.rounds} rounds; they leaked "
-          f"{result.leaked_bytes_before_reap // MiB} MiB before the reap")
-    assert result.clean, "reaper left leaked bytes behind!"
-    print(f"[chaos]   after lease+grace lapsed: {result.leaked_bytes_after_reap} "
-          f"bytes owned by dead sessions; {len(result.survivors)} survivors "
-          f"kept {result.survivor_bytes // MiB} MiB "
-          f"(allocator agrees: {result.allocator_used_bytes // MiB} MiB)")
-    counters = result.counters
-    print(f"[chaos]   counters: opened={counters['server.sessions_opened']} "
-          f"expired={counters['server.sessions_expired']} "
-          f"reclaimed={counters['server.sessions_reclaimed']} "
-          f"bytes_reclaimed={counters['server.bytes_reclaimed'] // MiB} MiB")
-
-
-def governance() -> None:
-    """Admission control and per-client memory quotas."""
-    server = CricketServer(max_sessions=2, memory_quota_bytes=4 * MiB)
-    first = CricketClient.loopback(server)
-    second = CricketClient.loopback(server)
-    first.malloc(1 * MiB)
-    second.malloc(1 * MiB)
-
-    third = CricketClient.loopback(server)
-    try:
-        third.malloc(1 * MiB)
-    except CudaError as exc:
-        print(f"[admit]   third concurrent session denied: {exc} "
-              f"(code {exc.code})")
-    else:
-        raise AssertionError("admission control let a third session in")
-
-    try:
-        first.malloc(4 * MiB)  # 1 MiB already held; quota is 4 MiB
-    except CudaError as exc:
-        print(f"[quota]   over-quota cudaMalloc denied: {exc} (code {exc.code})")
-    else:
-        raise AssertionError("quota was not enforced")
-    # Freeing restores headroom -- the quota tracks live bytes, not history.
-    ptr = first.malloc(3 * MiB)
-    first.free(ptr)
-    print("[quota]   after freeing, the same client allocates again fine")
-
-
-def drain_and_handoff() -> None:
-    """Drain-mode shutdown snapshots live sessions for a replacement."""
-    server = CricketServer()
-    client = CricketClient.loopback(server)
-    ptr = client.malloc(64)
-    client.memcpy_h2d(ptr, b"\x5a" * 64)
-
-    server.shutdown(drain=True)
-    assert server.drain_checkpoint is not None
-    print(f"[drain]   drained with 1 live session; checkpoint "
-          f"({len(server.drain_checkpoint)} bytes) captured")
-
-    try:
-        CricketClient.loopback(server).malloc(64)
-    except CudaError as exc:
-        print(f"[drain]   new session refused while drained (code {exc.code})")
-    else:
-        raise AssertionError("draining server admitted a new session")
-
-    replacement = CricketServer()
-    client.recover(server.drain_checkpoint, server=replacement)
-    data = client.memcpy_d2h(ptr, 64)
-    assert data == b"\x5a" * 64, "device state lost across the handoff"
-    print("[drain]   session restored onto replacement; device bytes intact")
-
-
-def main() -> None:
-    chaos_round()
-    governance()
-    drain_and_handoff()
-    print("[done]    zero leaks, quotas enforced, drain handed off cleanly")
-
+from repro.resilience import chaos_seeds, run_profile
 
 if __name__ == "__main__":
-    main()
+    result = run_profile("client_kill", chaos_seeds(default=(7,))[0])
+    print(result.story())
+    assert result.clean, result.violations

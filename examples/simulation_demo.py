@@ -1,49 +1,45 @@
 #!/usr/bin/env python3
 """Deterministic cluster simulation: composed nemesis, checker, shrinker.
 
-Jepsen-style testing compressed into one process over virtual time.
-One seeded RNG drives everything, so a run is a *pure function* of
-``(topology, workload, seed)``:
+Jepsen-style testing compressed into one process over virtual time.  A
+run is a *pure function* of ``(topology, workload, seed)``:
 
 1. the composed nemesis interleaves every fault model in the repo --
    partitions, primary kills, GPU faults, limplocks, transport-fault
-   storms, torn checkpoint storage -- with operational events (drain/
-   restore, live migration) over one virtual-time horizon;
+   storms, torn checkpoint storage, drain/restore, live migration;
 2. a history recorder captures the client edge (typed outcomes: an
-   ``RPC_BUSY`` shed stays distinguishable from an ambiguous
-   disconnect) and the server edge (one ``execute`` event per handler
-   execution) of every operation;
-3. the checker replays the history against a model virtual GPU:
-   at-most-once execution, no lost acked writes, malloc/free lifetime
-   safety, read-your-writes per allocation, monotonic leader epochs,
-   byte accounting;
-4. the same run twice produces byte-identical normalized histories --
-   the SHA-256 fingerprint is the reproducibility proof;
-5. an intentionally armed double-execution bug is caught by the
-   checker and delta-debugged down to a minimal nemesis schedule,
-   saved as a replayable JSON trace, and replayed byte-for-byte.
-
-If a *benign* seed ever produces a violation, the failing schedule is
-shrunk and written to ``nemesis-repro-trace.json`` for the CI artifact
--- the repro ships with the failure.
+   ``RPC_BUSY`` shed stays distinguishable from an ambiguous disconnect)
+   and the server edge (one ``execute`` event per handler execution);
+3. the checker replays the history against a model virtual GPU
+   (at-most-once, no lost acked writes, lifetime safety, monotonic
+   epochs, byte accounting), and the same run twice leaves the same
+   SHA-256 history fingerprint;
+4. an intentionally armed double-execution bug is caught, delta-debugged
+   down to a minimal schedule, saved as a JSON trace and replayed
+   byte-for-byte;
+5. every named nemesis profile -- client kills, failover, overload
+   storms, migration, a buggy tenant, partitions, limplocks -- is the
+   same loop under a restricted alphabet or pinned schedule, with its
+   own fact-rule invariants judged by the same checker.
 
 Run:  python examples/simulation_demo.py
-(CHAOS_SEED=<n> varies the schedule -- the CI soak loops over seeds.)
+(CHAOS_SEED=<n> varies the seed; ``python -m repro.resilience.simulation
+--profile <name>`` soaks one profile over its CI seeds, shrinking and
+saving a replayable trace if it ever fails.)
 """
 
 import os
-import random
-import sys
 
 from repro.resilience import chaos_seeds
 from repro.resilience.simulation import (
     BUG_DOUBLE_EXECUTE,
     DOUBLE_EXECUTION,
+    PROFILES,
     TOPOLOGIES,
     NemesisEvent,
     SimulationPlan,
-    generate_schedule,
     replay_trace,
+    run_profile,
     run_simulation,
     save_trace,
     shrink_schedule,
@@ -52,75 +48,42 @@ from repro.resilience.simulation import (
 TRACE_PATH = "nemesis-repro-trace.json"
 
 
-def clean_seeded_runs(seed: int) -> None:
+def composed_runs(seed: int) -> None:
     """Both topologies survive the composed nemesis, reproducibly."""
     for topology in TOPOLOGIES:
         plan = SimulationPlan(topology=topology, seed=seed)
-        first = run_simulation(plan)
-        second = run_simulation(plan)
-        assert first.fingerprint == second.fingerprint, "nondeterminism!"
-        if not first.clean:
-            # Ship the repro with the failure: shrink, persist, bail.
-            minimal, result = shrink_schedule(plan, first.schedule)
-            save_trace(TRACE_PATH, plan, minimal, result)
-            print(f"[FAIL]    seed={seed} {topology}: "
-                  f"{first.violation_kinds()}; shrunk "
-                  f"{len(first.schedule)} -> {len(minimal)} events, "
-                  f"trace at {TRACE_PATH}")
-            sys.exit(1)
-        kinds = ",".join(sorted({e.kind for e in first.schedule}))
-        print(f"[clean]   seed={seed} {topology}: "
-              f"{len(first.schedule)} nemesis events ({kinds}), "
-              f"{first.outcomes.get('ok', 0)} ok ops, converged on "
-              f"{first.final_leader!r}, fingerprint "
-              f"{first.fingerprint[:16]}... twice")
+        result = run_simulation(plan)
+        print(result.story())
+        assert result.clean, result.violations
+        assert result.fingerprint == run_simulation(plan).fingerprint
 
 
 def catch_shrink_replay(seed: int) -> None:
     """The acceptance path: armed bug -> caught -> minimal -> replayed."""
     plan = SimulationPlan(topology="ha_pair", seed=seed)
-    schedule = generate_schedule(
-        random.Random(seed), topology=plan.topology, events=5,
-        clients=plan.clients, horizon_s=plan.horizon_s,
-    )
     # Arm the bug before the nemesis's first move (generated events start
-    # at 5% of the horizon): the leader is guaranteed alive and serving,
-    # so the doubled execution provably happens.
-    schedule.append(NemesisEvent(
-        at_s=plan.horizon_s * 0.02, kind=BUG_DOUBLE_EXECUTE,
-        params={"count": 2},
-    ))
-    schedule.sort(key=lambda event: event.at_s)
-    result = run_simulation(plan, schedule=schedule)
-    assert DOUBLE_EXECUTION in result.violation_kinds(), result.violations
-    print(f"[caught]  armed double-execution bug among "
-          f"{len(schedule)} events: {result.violation_kinds()}")
-
-    runs = [0]
-    minimal, shrunk = shrink_schedule(
-        plan, schedule, kinds=[DOUBLE_EXECUTION],
-        on_progress=lambda run, _size: runs.__setitem__(0, run),
-    )
-    assert [event.kind for event in minimal] == [BUG_DOUBLE_EXECUTE]
-    print(f"[shrunk]  {len(schedule)} -> {len(minimal)} event(s) in "
-          f"{runs[0]} re-runs: {[e.kind for e in minimal]}")
-
+    # at 5% of the horizon): the leader is alive, so the doubled
+    # execution provably happens.
+    bug = NemesisEvent(plan.horizon_s * 0.02, BUG_DOUBLE_EXECUTE, {"count": 2})
+    schedule = [bug, *run_simulation(plan).schedule]
+    minimal, shrunk = shrink_schedule(plan, schedule, kinds=[DOUBLE_EXECUTION])
+    assert minimal == [bug]
+    print(f"[shrunk]  armed double-execution bug among {len(schedule)} events "
+          f"caught and shrunk to {[e.kind for e in minimal]}")
     save_trace(TRACE_PATH, plan, minimal, shrunk)
-    replayed = replay_trace(TRACE_PATH)
-    assert replayed.fingerprint == shrunk.fingerprint
-    print(f"[replay]  trace {TRACE_PATH} reproduced byte-for-byte "
-          f"(fingerprint {replayed.fingerprint[:16]}...)")
+    assert replay_trace(TRACE_PATH).fingerprint == shrunk.fingerprint
+    os.remove(TRACE_PATH)  # a trace file means a failure; this was a drill
+    print(f"[replay]  trace reproduced byte-for-byte "
+          f"(fingerprint {shrunk.fingerprint[:16]}...)")
 
 
 def main() -> None:
     seed = chaos_seeds(default=(0,))[0]
-    clean_seeded_runs(seed)
+    composed_runs(seed)
     catch_shrink_replay(seed)
-    # The acceptance path wrote (and replayed) a trace; a clean run leaves
-    # no file behind, so the CI artifact exists only when something failed.
-    os.remove(TRACE_PATH)
-    print("[done]    a failing schedule is never a flake: it is a seed, "
-          "a trace, and a one-command repro")
+    for name in PROFILES:
+        assert run_profile(name, seed).clean, name
+    print(f"[profiles] all {len(PROFILES)} nemesis profiles clean at seed {seed}")
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from typing import Any, Iterator
 
 from repro.cricket import params as kparams
 from repro.cricket.errors import CheckpointError
-from repro.cricket.spec import CRICKET_PROG_NAME, CRICKET_SPEC, CRICKET_VERS
+from repro.cricket.spec import cricket_interface
 from repro.cubin.metadata import KernelMeta
 from repro.cuda.errors import CudaError
 from repro.net.link import LinkModel
@@ -41,22 +41,9 @@ from repro.resilience.faults import FaultInjectingTransport, FaultPlan
 from repro.resilience.reconnect import ReconnectingTransport, null_probe
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.stats import ResilienceStats
-from repro.rpcl.stubgen import ClientStub, ProgramInterface
+from repro.rpcl.stubgen import ClientStub
 from repro.unikernel.platform import Platform, PlatformMeter, RpcPathModel
 from repro.unikernel.presets import EVAL_LINK, NATIVE_STACK
-
-_INTERFACE: ProgramInterface | None = None
-
-
-def cricket_interface() -> ProgramInterface:
-    """The compiled Cricket program interface (cached)."""
-    global _INTERFACE
-    if _INTERFACE is None:
-        _INTERFACE = ProgramInterface.from_source(
-            CRICKET_SPEC, CRICKET_PROG_NAME, CRICKET_VERS
-        )
-    return _INTERFACE
-
 
 def _dim3(v: tuple[int, int, int]) -> dict[str, int]:
     return {"x": int(v[0]), "y": int(v[1]), "z": int(v[2])}
@@ -352,7 +339,7 @@ class CricketClient:
         """Name of the endpoint the failover transport currently targets.
 
         Empty for non-failover transports.  After a fenced failover this
-        converges on the new leader's endpoint name -- the chaos harness
+        converges on the new leader's endpoint name -- the simulation
         asserts exactly that.
         """
         sink = self.stub.client._leader_sink()

@@ -175,7 +175,7 @@ class ReplicationLink:
         self.max_lag = max_lag
         #: per-batch ship round-trip charged to the *primary's* clock (the
         #: synchronous link blocks the dispatching call for this long);
-        #: chaos harnesses raise it mid-run to simulate a limping standby
+        #: the ``limp_standby`` nemesis event raises it mid-run
         self.ship_delay_s = ship_delay_s
         #: round-trip latency tracker, one sample per shipped batch
         self.ship_health = HealthTracker("replication-ship")

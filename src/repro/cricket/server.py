@@ -34,7 +34,7 @@ from repro.cricket.scheduler import (
 )
 from repro.cricket.recovery import RecoveryLadder
 from repro.cricket.sessions import LEASE_FOREVER, SessionManager
-from repro.cricket.spec import CRICKET_PROG_NAME, CRICKET_SPEC, CRICKET_VERS
+from repro.cricket.spec import cricket_interface
 from repro.cuda import constants as C
 from repro.cuda.errors import code_for_exception
 from repro.cuda.cublas import CublasContext
@@ -52,7 +52,6 @@ from repro.net.simclock import SimClock
 from repro.oncrpc.server import RpcServer
 from repro.resilience.health import BrownoutConfig, BrownoutController, LatencySLO
 from repro.resilience.overload import CallCancelledError, OverloadConfig
-from repro.rpcl.stubgen import ProgramInterface
 from repro.unikernel.presets import CRICKET_SERVER_DISPATCH_S
 
 _OK_PROP = {
@@ -734,9 +733,7 @@ class CricketServer(RpcServer):
             if checkpoint_slo is not None:
                 controller.add_signal("checkpoint_fsync", self._ckpt_ratio)
             self.brownout = controller
-        self.interface = ProgramInterface.from_source(
-            CRICKET_SPEC, CRICKET_PROG_NAME, CRICKET_VERS
-        )
+        self.interface = cricket_interface()
         self.implementation = CricketImplementation(self)
         self.register_program(
             self.interface.prog_number,

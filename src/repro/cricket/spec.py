@@ -14,6 +14,7 @@ CUDA error code in a small result struct (``int_result``, ``ptr_result``,
 
 from __future__ import annotations
 
+import functools
 from importlib import resources
 
 CRICKET_PROG_NAME = "RPC_CD_PROG"
@@ -24,3 +25,16 @@ CRICKET_VERS = 1
 CRICKET_SPEC: str = (
     resources.files("repro.cricket").joinpath("cricket.x").read_text("utf-8")
 )
+
+
+@functools.lru_cache(maxsize=None)
+def cricket_interface():
+    """The compiled Cricket program interface, parsed once per process.
+
+    Clients and servers bind to the same
+    :class:`~repro.rpcl.stubgen.ProgramInterface`: it is read-only after
+    compilation (signatures and XDR types), so sharing it is safe.
+    """
+    from repro.rpcl.stubgen import ProgramInterface
+
+    return ProgramInterface.from_source(CRICKET_SPEC, CRICKET_PROG_NAME, CRICKET_VERS)

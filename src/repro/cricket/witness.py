@@ -28,7 +28,7 @@ advances, so every partition scenario -- including the window where a
 lease lapses *while* the witness is unreachable -- is deterministic and
 replayable from a seed.
 
-Safety argument, in two invariants the chaos harness checks directly:
+Safety argument, in two invariants the ``partition_*`` nemesis profiles check directly:
 
 1. **At most one server accepts mutations per epoch.**  A mutation is
    only executed while ``is_leader`` under an epoch the witness granted;
@@ -234,7 +234,7 @@ class LeadershipFence:
         #: lease expiry in *this server's* clock domain
         self.lease_expires_ns = 0
         #: every epoch under which this server actually executed a
-        #: mutation -- the chaos harness asserts these sets are disjoint
+        #: mutation -- the ``split-epoch`` invariant asserts these sets are disjoint
         #: across servers (at most one mutation-accepting server per epoch)
         self.epochs_served: set[int] = set()
         #: replication link to the standby while leading (set by

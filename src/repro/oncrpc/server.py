@@ -653,7 +653,7 @@ class RpcServer:
         Unlike :meth:`shutdown` this is abrupt -- no drain, no checkpoint,
         no goodbye to clients.  In-process (loopback) clients see a
         :class:`~repro.oncrpc.errors.RpcTransportError` exactly where a
-        TCP client would see a connection reset.  The chaos harness uses
+        TCP client would see a connection reset.  The simulation nemesis uses
         this to kill primaries mid-workload.
         """
         if self._killed:

@@ -20,7 +20,11 @@ makes that boundary survivable and, crucially, *measurable*:
   bounded admission queues with configurable shedding
   (:class:`OverloadConfig`), weighted fair queueing, per-client token
   buckets, deadline-aware dequeue and cooperative cancellation
-  (:class:`CancelToken` / :class:`CallCancelledError`).
+  (:class:`CancelToken` / :class:`CallCancelledError`),
+* :mod:`repro.resilience.simulation` -- the one reliability oracle: a
+  deterministic cluster simulation whose nemesis profiles
+  (:data:`PROFILES`, :func:`run_profile`) replay every failure story in
+  the repo against a model-GPU history checker, and shrink what fails.
 
 Safety depends on the server side too: :class:`~repro.oncrpc.server.RpcServer`
 keeps an at-most-once reply cache keyed by (client, xid), so a retried
@@ -28,31 +32,6 @@ non-idempotent call (``cuMemAlloc``, ``cuLaunchKernel``) is answered from
 the cache instead of being executed twice.
 """
 
-from repro.resilience.chaos import (
-    GRAY_TOPOLOGIES,
-    SANITIZER_BUG_KINDS,
-    ChaosHarness,
-    ChaosPlan,
-    ChaosResult,
-    FailoverChaosHarness,
-    FailoverChaosPlan,
-    FailoverChaosResult,
-    GrayFailureChaosHarness,
-    GrayFailureChaosPlan,
-    GrayFailureChaosResult,
-    MigrationChaosHarness,
-    MigrationChaosPlan,
-    MigrationChaosResult,
-    OverloadChaosHarness,
-    OverloadChaosPlan,
-    OverloadChaosResult,
-    PartitionChaosHarness,
-    PartitionChaosPlan,
-    PartitionChaosResult,
-    SanitizerChaosHarness,
-    SanitizerChaosPlan,
-    SanitizerChaosResult,
-)
 from repro.resilience.failover import (
     FailoverTransport,
     LoopbackEndpoint,
@@ -94,14 +73,6 @@ from repro.resilience.overload import (
 )
 from repro.resilience.reconnect import CircuitBreaker, ReconnectingTransport, null_probe
 from repro.resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy, is_retryable
-from repro.resilience.scaffold import (
-    PayloadPattern,
-    advance_past_grace,
-    aligned,
-    detection_window,
-    draw_free_candidate,
-    spread,
-)
 from repro.resilience.seeds import (
     CHAOS_SEED_ENV,
     CHAOS_SEEDS_ENV,
@@ -109,6 +80,7 @@ from repro.resilience.seeds import (
     parse_chaos_seeds,
 )
 from repro.resilience.simulation import (
+    PROFILES,
     HistoryChecker,
     HistoryEvent,
     HistoryRecorder,
@@ -120,6 +92,7 @@ from repro.resilience.simulation import (
     generate_schedule,
     load_trace,
     replay_trace,
+    run_profile,
     run_simulation,
     save_trace,
     shrink_schedule,
@@ -140,12 +113,6 @@ __all__ = [
     "TcpEndpoint",
     "ResilienceStats",
     "ServerStats",
-    "ChaosPlan",
-    "ChaosHarness",
-    "ChaosResult",
-    "FailoverChaosPlan",
-    "FailoverChaosHarness",
-    "FailoverChaosResult",
     "OverloadConfig",
     "OverloadQueue",
     "OverloadController",
@@ -156,15 +123,9 @@ __all__ = [
     "REJECT_NEWEST",
     "REJECT_OLDEST",
     "REJECT_LOWEST_PRIORITY",
-    "OverloadChaosPlan",
-    "OverloadChaosHarness",
-    "OverloadChaosResult",
     "PartitionWindow",
     "PartitionPlan",
     "PartitionState",
-    "PartitionChaosPlan",
-    "PartitionChaosHarness",
-    "PartitionChaosResult",
     "SlowFaultPlan",
     "SlowTransport",
     "SlowEndpoint",
@@ -177,25 +138,7 @@ __all__ = [
     "OutlierEjector",
     "BrownoutConfig",
     "BrownoutController",
-    "GRAY_TOPOLOGIES",
-    "GrayFailureChaosPlan",
-    "GrayFailureChaosHarness",
-    "GrayFailureChaosResult",
-    "MigrationChaosPlan",
-    "MigrationChaosHarness",
-    "MigrationChaosResult",
-    "SANITIZER_BUG_KINDS",
-    "SanitizerChaosPlan",
-    "SanitizerChaosHarness",
-    "SanitizerChaosResult",
     "FaultyEndpoint",
-    # shared harness scaffolding
-    "PayloadPattern",
-    "aligned",
-    "spread",
-    "draw_free_candidate",
-    "advance_past_grace",
-    "detection_window",
     # seed parsing
     "CHAOS_SEEDS_ENV",
     "CHAOS_SEED_ENV",
@@ -212,6 +155,8 @@ __all__ = [
     "SimulationPlan",
     "SimulationResult",
     "run_simulation",
+    "PROFILES",
+    "run_profile",
     "shrink_schedule",
     "save_trace",
     "load_trace",

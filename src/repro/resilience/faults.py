@@ -335,7 +335,7 @@ class SlowTransport:
 
     Like :class:`FaultInjectingTransport` this is itself a valid
     transport; unlike it, every record is delivered intact.  ``active``
-    can be flipped at runtime so a chaos harness can turn a healthy
+    can be flipped at runtime so a nemesis can turn a healthy
     endpoint into a limping one mid-run without reconnecting.
     """
 
@@ -617,6 +617,19 @@ class FaultyStorage:
         self._enospc_left = plan.enospc_next
         self._slow_left = plan.slow_fsync_next
 
+    def arm_torn(self, count: int = 1) -> None:
+        """Tear the next ``count`` writes (on top of any already armed)."""
+        self._torn_left += count
+
+    def arm_slow_fsync(self, count: int, delay_s: float) -> None:
+        """Stall ``count`` more writes for ``delay_s`` virtual seconds each.
+
+        ``count=0`` disarms whatever was still pending (the disk was
+        replaced).
+        """
+        self.plan = replace(self.plan, slow_fsync_s=delay_s)
+        self._slow_left = self._slow_left + count if count else 0
+
     def _hit(self, rate: float) -> bool:
         return self._rng.random() < rate
 
@@ -778,7 +791,7 @@ class PartitionWindow:
 class PartitionPlan:
     """A schedule of :class:`PartitionWindow` cuts over virtual time.
 
-    Purely scheduled -- no randomness.  Chaos harnesses that want random
+    Purely scheduled -- no randomness.  Nemesis schedules that want random
     partitions draw the window parameters from their own seeded RNG *up
     front* and hand the finished plan here, keeping the connectivity
     oracle itself trivially deterministic and replayable.

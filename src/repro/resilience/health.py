@@ -41,8 +41,8 @@ Nothing here imports oncrpc/cricket — the heavy layers import *us*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from dataclasses import dataclass
+from typing import Callable, Mapping
 
 __all__ = [
     "LatencyHistogram",
@@ -483,42 +483,3 @@ class BrownoutController:
             return None
         depth = int(base_depth * self.config.queue_depth_factor)
         return max(1, depth)
-
-
-def median_p50_ns(trackers: Iterable[HealthTracker]) -> float:
-    """Median of per-target p50s; helper for tests and demos."""
-    p50s = sorted(t.p50 for t in trackers if t.count)
-    if not p50s:
-        return 0.0
-    mid = len(p50s) // 2
-    if len(p50s) % 2:
-        return float(p50s[mid])
-    return (p50s[mid - 1] + p50s[mid]) / 2.0
-
-
-@dataclass
-class HealthRegistry:
-    """Named trackers for one process; cheap to attach anywhere."""
-
-    trackers: dict[str, HealthTracker] = field(default_factory=dict)
-
-    def tracker(self, name: str) -> HealthTracker:
-        t = self.trackers.get(name)
-        if t is None:
-            t = HealthTracker(name)
-            self.trackers[name] = t
-        return t
-
-    def record(self, name: str, latency_ns: int) -> None:
-        self.tracker(name).record(latency_ns)
-
-    def snapshot(self) -> dict[str, dict[str, int | float]]:
-        return {
-            name: {
-                "count": t.count,
-                "p50_ns": t.p50,
-                "p99_ns": t.p99,
-                "srtt_ns": t.srtt_ns,
-            }
-            for name, t in sorted(self.trackers.items())
-        }

@@ -12,9 +12,8 @@ and the threaded TCP server can share one implementation:
     admission: bounded per-server/per-client depth with a configurable shed
     policy, per-client token-bucket rate limiting, weighted fair queueing
     over client identities, and deadline-aware dequeue.  Deterministic given
-    a deterministic caller, which is what lets the
-    :class:`~repro.resilience.chaos.OverloadChaosHarness` replay schedules
-    bit-for-bit.
+    a deterministic caller, which is what lets the simulator's
+    ``overload_storm`` nemesis event replay schedules bit-for-bit.
 
 :class:`OverloadController`
     A small :class:`threading.Condition` wrapper around the queue providing
@@ -188,7 +187,7 @@ class OverloadQueue:
     """Deterministic admission queue: bounds, shedding, WFQ, rate limits.
 
     Not thread-safe by itself -- :class:`OverloadController` provides the
-    locking for threaded servers, and the chaos harness drives it from a
+    locking for threaded servers, and the ``overload_storm`` nemesis event drives it from a
     single virtual-time loop.
     """
 
@@ -224,7 +223,7 @@ class OverloadQueue:
         """Drain tickets evicted by the shed policy since the last call.
 
         Each owes its caller an RPC_BUSY reply; the threaded controller and
-        the chaos harness both poll this after every :meth:`offer`.
+        the ``overload_storm`` nemesis event both poll this after every :meth:`offer`.
         """
         evicted, self._evicted = self._evicted, []
         return evicted

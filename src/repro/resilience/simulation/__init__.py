@@ -12,6 +12,11 @@ Jepsen-style testing, compressed into one process over virtual time:
   lifetime safety, monotonic epochs, byte accounting);
 * :mod:`~repro.resilience.simulation.harness` runs the whole thing as
   a pure function of ``(topology, workload, seed)``;
+* :mod:`~repro.resilience.simulation.profiles` names the reliability
+  stories -- client kills, failover, overload storms, migration, a buggy
+  tenant, partitions, limplocks -- as restricted alphabets or pinned
+  schedules plus fact-rule invariants on that same run
+  (``python -m repro.resilience.simulation --profile P --seed N``);
 * :mod:`~repro.resilience.simulation.shrink` delta-debugs a failing
   schedule down to a minimal replayable repro trace.
 """
@@ -20,6 +25,7 @@ from repro.resilience.simulation.checker import (
     BYTES_UNACCOUNTED,
     DOUBLE_EXECUTION,
     EPOCH_REGRESSION,
+    FACT_RULES,
     LOST_ACKED_WRITE,
     POINTER_REUSE,
     USE_AFTER_FREE,
@@ -33,14 +39,19 @@ from repro.resilience.simulation.events import (
     GPU_FAULT,
     GPU_THROTTLE,
     HA_PAIR_KINDS,
+    KILL_CLIENT,
     KILL_PRIMARY,
     LIMP_ENDPOINT,
+    LIMP_STANDBY,
     MIGRATE,
+    OVERLOAD_STORM,
     PARTITION,
     PARTITION_SHAPES,
     SINGLE_KINDS,
     STORAGE_SLOW,
     STORAGE_TORN,
+    TENANT_BUG,
+    TENANT_BUG_KINDS,
     TRANSPORT_FAULTS,
     NemesisEvent,
     events_from_jsonable,
@@ -50,6 +61,8 @@ from repro.resilience.simulation.harness import (
     TOPOLOGIES,
     SimulationPlan,
     SimulationResult,
+    profile_plan,
+    run_profile,
     run_simulation,
 )
 from repro.resilience.simulation.history import (
@@ -66,6 +79,7 @@ from repro.resilience.simulation.history import (
     classify_outcome,
 )
 from repro.resilience.simulation.nemesis import generate_schedule
+from repro.resilience.simulation.profiles import COMPOSED, PROFILES, Profile
 from repro.resilience.simulation.shrink import (
     load_trace,
     replay_trace,
@@ -91,9 +105,14 @@ __all__ = [
     "DRAIN_RESTORE",
     "MIGRATE",
     "BUG_DOUBLE_EXECUTE",
+    "KILL_CLIENT",
+    "TENANT_BUG",
+    "OVERLOAD_STORM",
+    "LIMP_STANDBY",
     "HA_PAIR_KINDS",
     "SINGLE_KINDS",
     "PARTITION_SHAPES",
+    "TENANT_BUG_KINDS",
     # history
     "HistoryEvent",
     "HistoryRecorder",
@@ -110,6 +129,7 @@ __all__ = [
     "HistoryChecker",
     "Violation",
     "VIOLATION_KINDS",
+    "FACT_RULES",
     "DOUBLE_EXECUTION",
     "LOST_ACKED_WRITE",
     "USE_AFTER_FREE",
@@ -121,6 +141,12 @@ __all__ = [
     "SimulationResult",
     "run_simulation",
     "TOPOLOGIES",
+    # profiles
+    "Profile",
+    "PROFILES",
+    "COMPOSED",
+    "profile_plan",
+    "run_profile",
     # shrinking / traces
     "shrink_schedule",
     "save_trace",

@@ -31,6 +31,14 @@ Checked properties:
   the acknowledged live bytes, plus at most the bytes of ambiguous
   allocations/frees (the "maybe" set).
 
+Profile invariants: scenario events (an overload storm, a faulted
+migration, a tenant bug, a limplock under watch) leave ``observe``
+events carrying plain *facts*, and the end-of-run ``audit`` carries the
+cluster-wide ones.  :data:`FACT_RULES` is the one table that judges
+them -- each rule names the violation it raises and the predicate that
+must hold of the facts it reads -- so a profile failure is
+a :class:`Violation` like any other and shrinks and replays the same.
+
 Crash-coupled durability: the replication link trades durability for
 availability *deliberately* -- a witness-blessed primary that cannot
 reach its standby detaches and keeps acknowledging, and a demoted
@@ -48,7 +56,7 @@ scoped to the documented failure mode, nothing wider.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from repro.resilience.simulation.history import (
     OUTCOME_CUDA_ERROR,
@@ -65,6 +73,52 @@ POINTER_REUSE = "pointer-reuse"
 EPOCH_REGRESSION = "epoch-regression"
 BYTES_UNACCOUNTED = "bytes-unaccounted"
 
+
+
+def _fair_share(facts: dict[str, Any]) -> bool:
+    """Max/min goodput within 2x among tenants with materially unmet demand.
+
+    A tenant whose demand was (90 %) served cannot be a fairness victim
+    or culprit -- at 1x load a hot tenant *should* get its multiple.
+    """
+    contended = [
+        good
+        for tenant, good in facts["goodput"].items()
+        if good < 0.9 * facts["offered"][tenant]
+    ]
+    return len(contended) < 2 or max(contended) <= 2.0 * min(contended)
+
+
+#: ``(violation kind, what must hold of the facts)``; a rule applies to
+#: every event that carries the facts it reads
+FACT_RULES: tuple[tuple[str, Callable[[dict[str, Any]], bool]], ...] = (
+    ("orphan-bytes", lambda f: f["orphan_bytes"] == 0),
+    ("executed-expired", lambda f: f["executed_expired"] == 0),
+    ("queue-unbounded", lambda f: f["peak_depth"] <= f["depth_bound"]),
+    ("unfair-share", _fair_share),
+    ("bug-undetected", lambda f: f["bug_detected"]),
+    ("cross-tenant-impact", lambda f: f["healthy_errors"] == 0 and f["devices_healthy"]),
+    (
+        # resumed from the cursor to completion: BEGIN crossed the wire
+        # once and the receiver absorbed no redelivery of an acked chunk
+        "migration-restarted",
+        lambda f: f["completed"]
+        and f["begin_deliveries"] == 1
+        and f["duplicates"] == 0
+        and (f["faults"] == 0 or f["resumes"] > 0),
+    ),
+    ("pause-over-budget", lambda f: f["pause_ns"] <= f["pause_budget_ns"]),
+    ("torn-fallback", lambda f: f["fell_back"]),
+    ("split-epoch", lambda f: not f["split_epochs"]),
+    ("stale-primary-executed", lambda f: f["stale_executions"] == 0),
+    ("unconverged", lambda f: f["converged"]),
+    ("undetected-in-budget", lambda f: 0 <= f["detect_ns"] <= f["detect_budget_ns"]),
+    ("false-ejection", lambda f: not f["false_ejections"]),
+    ("brownout-flap", lambda f: f["brownout_entries"] <= 1 and f["brownout_exits"] <= 1),
+    ("tail-unrecovered", lambda f: f["recovery_p99_ns"] <= 2 * max(f["baseline_p99_ns"], 1)),
+    ("state-divergence", lambda f: not f["diverged"]),
+)
+
 VIOLATION_KINDS = (
     DOUBLE_EXECUTION,
     LOST_ACKED_WRITE,
@@ -72,6 +126,7 @@ VIOLATION_KINDS = (
     POINTER_REUSE,
     EPOCH_REGRESSION,
     BYTES_UNACCOUNTED,
+    *(kind for kind, _holds in FACT_RULES),
 )
 
 
@@ -102,6 +157,8 @@ class _Pointer:
     """Model state for one device allocation."""
 
     size: int
+    #: client node whose malloc this is (a crashed client's go with it)
+    owner: str
     #: acceptable readback payloads (hex); None = never written (any
     #: readback is acceptable until the first acked write)
     candidates: set[str] | None = None
@@ -112,9 +169,32 @@ class HistoryChecker:
 
     def __init__(self, *, alignment: int = 256) -> None:
         self.alignment = alignment
+        #: fact-rule violation kinds the last :meth:`check` had evidence
+        #: for -- a profile naming an invariant nothing evaluated is vacuous
+        self.evaluated: set[str] = set()
+
+    def _judge(self, event: HistoryEvent, violations: list[Violation]) -> None:
+        """Apply every fact rule the event's facts make applicable."""
+        facts = event.args
+        for kind, holds in FACT_RULES:
+            try:
+                held = holds(facts)
+            except KeyError:
+                continue  # not a fact of this event
+            self.evaluated.add(kind)
+            if not held:
+                violations.append(
+                    Violation(
+                        kind=kind,
+                        detail=f"{event.op or event.kind}: {facts}",
+                        node=event.node,
+                        index=event.index,
+                    )
+                )
 
     def check(self, events: list[HistoryEvent]) -> list[Violation]:
         violations: list[Violation] = []
+        self.evaluated = set()
         # (server, identity, xid) -> index of the first fresh execution
         executed: dict[tuple[str, str, int], int] = {}
         # pointer model, keyed by device address
@@ -228,8 +308,16 @@ class HistoryChecker:
                         ):
                             freed.discard(ptr)
                             limbo[ptr] = stash
+                # A crashed *client*'s allocations are the reaper's to
+                # reclaim: the model forgets them, and whatever the reaper
+                # leaves behind is the audit's ``orphan_bytes``.
+                for table in (live, limbo):
+                    for ptr in [p for p, e in table.items() if e.owner == event.node]:
+                        del table[ptr]
             elif event.kind == "audit":
-                used = int(event.args.get("used_bytes", 0))
+                used = int(event.args.get("used_bytes", 0)) - int(
+                    event.args.get("orphan_bytes", 0)
+                )
                 alignment = int(event.args.get("alignment", self.alignment))
                 certain = sum(
                     _aligned(p.size, alignment) for p in live.values()
@@ -249,6 +337,9 @@ class HistoryChecker:
                             index=event.index,
                         )
                     )
+                self._judge(event, violations)
+            elif event.kind == "observe":
+                self._judge(event, violations)
         return violations
 
     # -- per-pointer state machine ------------------------------------------
@@ -292,7 +383,7 @@ class HistoryChecker:
                 )
             limbo.pop(ptr, None)
             freed.discard(ptr)
-            live[ptr] = _Pointer(size=size)
+            live[ptr] = _Pointer(size=size, owner=event.node)
             effects.append(("malloc", ptr, live[ptr]))
             return
 

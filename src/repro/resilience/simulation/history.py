@@ -55,8 +55,9 @@ OUTCOME_AMBIGUOUS = "ambiguous"
 #: event kinds appearing in a history; ``crash`` marks a server process
 #: dying abruptly, the point after which its acknowledged-but-never-
 #: replicated effects may legitimately be lost (the sync -> async trade
-#: the replication link makes deliberately)
-EVENT_KINDS = ("invoke", "return", "execute", "audit", "crash")
+#: the replication link makes deliberately); ``observe`` carries the facts
+#: a scenario event established, for the checker's fact rules to judge
+EVENT_KINDS = ("invoke", "return", "execute", "audit", "crash", "observe")
 
 
 def classify_outcome(exc: BaseException | None) -> tuple[str, bool]:
@@ -214,7 +215,7 @@ class HistoryRecorder:
         return tap
 
     def crash(self, server_node: str) -> None:
-        """Record the abrupt death of ``server_node``.
+        """Record the abrupt death of ``server_node`` (or of a client).
 
         Wired to :attr:`repro.oncrpc.server.RpcServer.on_kill` so the
         event lands exactly when the process dies -- after the doomed
@@ -222,12 +223,22 @@ class HistoryRecorder:
         """
         self._append(kind="crash", node=server_node)
 
-    def audit(self, server_node: str, used_bytes: int, alignment: int = 256) -> None:
-        """Record an end-of-run allocator audit for ``server_node``."""
+    def observe(self, node: str, what: str, **facts: Any) -> None:
+        """Record the facts a scenario event established about ``node``."""
+        self._append(kind="observe", node=node, op=what, args=facts)
+
+    def audit(
+        self, server_node: str, used_bytes: int, alignment: int = 256, **facts: Any
+    ) -> None:
+        """Record an end-of-run allocator audit for ``server_node``.
+
+        ``facts`` are the cluster-wide end-of-run facts of a nemesis
+        profile (orphan bytes, epoch sets, convergence, ...).
+        """
         self._append(
             kind="audit",
             node=server_node,
-            args={"used_bytes": used_bytes, "alignment": alignment},
+            args={"used_bytes": used_bytes, "alignment": alignment, **facts},
         )
 
     # -- serialization ------------------------------------------------------

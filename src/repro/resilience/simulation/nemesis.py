@@ -18,6 +18,7 @@ from repro.resilience.simulation.events import (
     GPU_FAULT,
     GPU_THROTTLE,
     HA_PAIR_KINDS,
+    KILL_CLIENT,
     KILL_PRIMARY,
     LIMP_ENDPOINT,
     MIGRATE,
@@ -64,6 +65,8 @@ def _draw_params(
         return {}
     if kind == BUG_DOUBLE_EXECUTE:
         return {"count": 1}
+    if kind == KILL_CLIENT:
+        return {"client": rng.randrange(clients)}
     raise ValueError(f"unknown nemesis event kind {kind!r}")
 
 
@@ -74,15 +77,19 @@ def generate_schedule(
     events: int,
     clients: int,
     horizon_s: float,
+    kinds: tuple[str, ...] = (),
 ) -> list[NemesisEvent]:
     """Draw ``events`` nemesis events for ``topology`` over ``horizon_s``.
+
+    ``kinds`` restricts the alphabet (a nemesis profile's move); empty
+    means the topology's full composed alphabet.
 
     Every draw comes from ``rng`` in a fixed order (time, kind, params
     per event), so the schedule is a pure function of the RNG state --
     and the caller can keep drawing the workload from the same RNG
     afterwards without the two streams interleaving.
     """
-    kinds = {"ha_pair": HA_PAIR_KINDS, "single": SINGLE_KINDS}[topology]
+    kinds = kinds or {"ha_pair": HA_PAIR_KINDS, "single": SINGLE_KINDS}[topology]
     drawn = []
     for _ in range(events):
         at_s = round(rng.uniform(0.05 * horizon_s, 0.85 * horizon_s), 6)

@@ -115,7 +115,7 @@ class ServerStats:
     One instance is shared by an :class:`~repro.oncrpc.server.RpcServer`
     (reply-cache behaviour) and its
     :class:`~repro.cricket.sessions.SessionManager` (session lifecycle and
-    resource governance), so the chaos harness and the tracer see one
+    resource governance), so the simulation and the tracer see one
     coherent view of what the server did on behalf of all clients.
     Counters are prefixed ``server.`` in :meth:`as_dict` so they sit next
     to the client-side counters in a tracer summary without colliding.

@@ -341,6 +341,24 @@ class TestStorageFaults:
         assert 0 < len(torn) < 1000
         assert torn == b"A" * len(torn)
 
+    def test_arming_mid_run_faults_exactly_the_next_writes(self, tmp_path):
+        from repro.net.simclock import SimClock
+
+        clock = SimClock()
+        faulty = FaultyStorage(
+            FileStorage(str(tmp_path)), StorageFaultPlan(seed=3), clock=clock
+        )
+        faulty.arm_torn(1)
+        with pytest.raises(StorageCrashError):
+            faulty.write_atomic("f", b"B" * 100)
+        faulty.write_atomic("f", b"only the one write tore")
+        faulty.arm_slow_fsync(2, 0.25)
+        faulty.arm_slow_fsync(1, 0.25)  # arming adds up...
+        faulty.write_atomic("f", b"slow")
+        faulty.arm_slow_fsync(0, 0.0)  # ...until the disk is replaced
+        faulty.write_atomic("f", b"fast")
+        assert clock.now_ns == int(0.25e9)
+
     def test_crash_before_rename_keeps_old(self, tmp_path):
         faulty = FaultyStorage(FileStorage(str(tmp_path)), StorageFaultPlan(seed=3))
         faulty.write_atomic("f", b"old content")

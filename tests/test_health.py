@@ -27,14 +27,11 @@ from repro.oncrpc import (
     RpcRetryExhausted,
 )
 from repro.resilience import (
-    GRAY_TOPOLOGIES,
     BrownoutConfig,
     BrownoutController,
     CircuitBreaker,
     FaultPlan,
     FaultyStorage,
-    GrayFailureChaosHarness,
-    GrayFailureChaosPlan,
     HealthTracker,
     LatencyHistogram,
     LatencySLO,
@@ -48,6 +45,7 @@ from repro.resilience import (
     null_probe,
 )
 from repro.resilience.failover import LoopbackEndpoint
+from repro.resilience.simulation import SimulationPlan, run_profile
 
 US = 1_000
 MS = 1_000_000
@@ -678,35 +676,44 @@ class TestCheckpointWriteLatency:
 
 
 class TestGrayFailureChaos:
+    """The ``limplock_*`` nemesis profiles on the simulator."""
+
+    #: legacy topology name -> (profile, the defence's own counter)
+    LIMPLOCKS = {
+        "slow_endpoint": ("limplock_endpoint", None),
+        "throttled_gpu": ("limplock_gpu", "server.ladder_preemptive_failovers"),
+        "slow_fsync": ("limplock_fsync", "server.brownout_entries"),
+        "limping_standby": ("limplock_standby", "server.replication_demotions"),
+    }
+
     def test_plan_validation(self):
-        with pytest.raises(ValueError):
-            GrayFailureChaosPlan(topology="nope")
-        with pytest.raises(ValueError):
-            GrayFailureChaosPlan(limp_s=0.0)
-        with pytest.raises(ValueError):
-            GrayFailureChaosPlan(topology="throttled_gpu", throttle=1.0)
+        with pytest.raises(ValueError, match="unknown profile"):
+            SimulationPlan(profile="limplock_nope")
 
-    @pytest.mark.parametrize("topology", GRAY_TOPOLOGIES)
-    def test_topology_clean(self, topology):
-        result = GrayFailureChaosHarness(
-            GrayFailureChaosPlan(topology=topology, seed=0)
-        ).run()
-        assert result.detected
-        assert result.detection_latency_ns >= 0
-        assert result.false_ejections == ()
-        assert result.clean
+    @pytest.mark.parametrize("topology", sorted(LIMPLOCKS))
+    def test_topology_clean(self, profile_run, topology):
+        profile, counter = self.LIMPLOCKS[topology]
+        result = profile_run(profile, 0)
+        assert result.clean, result.violations
+        facts = result.facts()
+        assert 0 <= facts["detect_ns"] <= facts["detect_budget_ns"]
+        assert facts["false_ejections"] == []
+        assert facts["recovery_p99_ns"] <= 2 * facts["baseline_p99_ns"]
+        if counter is not None:
+            assert result.counters[counter] == 1
+        if topology == "slow_fsync":
+            assert result.counters["server.brownout_exits"] == 1
+        if topology == "limping_standby":
+            assert facts["diverged"] is False  # lag was traded, never state
 
-    def test_deterministic_across_runs(self):
-        plan = GrayFailureChaosPlan(topology="slow_endpoint", seed=7)
-        a = GrayFailureChaosHarness(plan).run()
-        b = GrayFailureChaosHarness(plan).run()
-        assert a == b
+    def test_deterministic_across_runs(self, profile_run):
+        again = run_profile("limplock_endpoint", 4)
+        assert again.fingerprint == profile_run("limplock_endpoint", 4).fingerprint
 
-    def test_seed_varies_victim(self):
+    def test_seed_varies_victim(self, profile_run):
+        # the seed moves which client's probes meet the limper when
         latencies = {
-            GrayFailureChaosHarness(
-                GrayFailureChaosPlan(topology="slow_endpoint", seed=s)
-            ).run().detection_latency_ns
+            profile_run("limplock_endpoint", s).facts()["detect_ns"]
             for s in range(4)
         }
         assert len(latencies) > 1

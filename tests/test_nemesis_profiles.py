@@ -1,0 +1,304 @@
+"""Nemesis profiles: clean on their CI seeds, and every guard they watch
+is watched for real.
+
+The profile matrix replaces the seven legacy chaos harnesses' soak
+tests; the mutation table is the proof no detection power was lost in
+the move -- each row breaks one guard (by ``monkeypatch``, in the test
+only) and names the profile and the violations that must catch it.
+"""
+
+import importlib
+import json
+from dataclasses import replace
+
+import pytest
+
+from repro.resilience.health import EjectionDecision
+from repro.resilience.simulation import (
+    BUG_DOUBLE_EXECUTE,
+    COMPOSED,
+    FACT_RULES,
+    KILL_CLIENT,
+    PROFILES,
+    NemesisEvent,
+    SimulationPlan,
+    load_trace,
+    profile_plan,
+    replay_trace,
+    run_profile,
+    run_simulation,
+    save_trace,
+    shrink_schedule,
+)
+
+pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
+
+NAMED = sorted(set(PROFILES) - {COMPOSED})
+
+
+class TestProfileTable:
+    def test_every_legacy_harness_has_its_profiles(self):
+        assert set(NAMED) == {
+            "client_kill", "failover", "migration", "buggy_tenant",
+            *(f"overload_{v}" for v in ("1x", "2x", "5x", "hot_tenant", "weighted")),
+            *(f"partition_{s}_isolated" for s in ("primary", "standby", "witness")),
+            "partition_heal_divergence",
+            *(f"limplock_{w}" for w in ("endpoint", "gpu", "fsync", "standby")),
+        }
+
+    @pytest.mark.parametrize("name", NAMED)
+    def test_profile_is_well_formed(self, name):
+        profile = PROFILES[name]
+        assert profile.topology in ("single", "ha_pair") and profile.seeds
+        # a restricted alphabet or a pinned schedule, never both
+        assert bool(profile.alphabet) != bool(profile.schedule)
+        assert set(profile.invariants) <= {kind for kind, _ in FACT_RULES}
+
+    def test_unknown_profile_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown profile"):
+            run_profile("limplock_moon")
+
+    def test_profile_fixes_its_topology(self):
+        with pytest.raises(ValueError, match="topology"):
+            SimulationPlan(profile="migration", topology="ha_pair")
+        assert profile_plan("migration", 3).topology == "single"
+
+    def test_plan_round_trips_and_old_traces_mean_composed(self):
+        plan = profile_plan("failover", 5)
+        data = json.loads(json.dumps(plan.to_jsonable()))
+        assert SimulationPlan.from_jsonable(data) == plan
+        del data["profile"]  # a trace written before profiles existed
+        assert SimulationPlan.from_jsonable(data).profile == COMPOSED
+
+
+# -- clean and reproducible on the historical CI seeds -------------------------
+
+
+def _matrix():
+    """Every profile x every seed the legacy CI soaks ran.  Tier-1 takes
+    the first seed of each list (the per-subsystem test files pin several
+    more); the rest carry the ``soak`` mark, which the CI soak step and
+    the nightly run."""
+    return [
+        pytest.param(
+            name, seed, marks=() if seed == seeds[0] else pytest.mark.soak
+        )
+        for name in NAMED
+        for seeds in [PROFILES[name].seeds]
+        for seed in seeds
+    ]
+
+
+@pytest.mark.parametrize("name,seed", _matrix())
+def test_clean_and_reproducible_on_historical_seed(profile_run, name, seed):
+    result = profile_run(name, seed)
+    assert result.clean, result.violations
+    assert result.applied, "the nemesis applied no event"
+    assert result.outcomes.get("ok", 0) > 0
+    # no vacuous pass: every invariant the profile names was judged
+    missing = set(PROFILES[name].invariants) - set(result.evaluated)
+    assert not missing, f"no evidence recorded for {sorted(missing)}"
+    assert run_profile(name, seed).fingerprint == result.fingerprint
+
+
+# -- the mutation table --------------------------------------------------------
+
+
+def _break(path, make):
+    """A mutant: ``module:Class.attr`` becomes ``make(the original)``."""
+    def mutate(mp):
+        module, _, dotted = path.partition(":")
+        owner = importlib.import_module(module)
+        *parents, attr = dotted.split(".")
+        for name in parents:
+            owner = getattr(owner, name)
+        mp.setattr(owner, attr, make(getattr(owner, attr)))
+    return mutate
+
+
+def _queue_config(**override):
+    return _break(
+        "repro.resilience.overload:OverloadQueue.__init__",
+        lambda real: lambda self, config, stats=None: real(
+            self, replace(config, **override), stats
+        ),
+    )
+
+
+def _regrant_old_epoch(real):
+    from repro.cricket.witness import LeadershipLease
+
+    def acquire(self, holder):
+        if real(self, holder).epoch > 1:  # a challenger won: no new epoch for it
+            self.epoch = 1
+            self.lease = LeadershipLease(holder, 1, self.clock.now_ns, self.lease_s)
+        return self.lease
+    return acquire
+
+
+def _pop_expired_too(_real):
+    def pop_next(self, now_ns):
+        if not self._queue:
+            return None, []
+        best = min(self._queue, key=lambda t: (t.vft, t.seq))
+        self._queue.remove(best)
+        return best, []
+    return pop_next
+
+
+def _fifo_tickets(real):
+    def make_ticket(self, *args, **kwargs):
+        ticket = real(self, *args, **kwargs)
+        ticket.vft = float(ticket.seq)  # arrival order, tenant-blind
+        return ticket
+    return make_ticket
+
+
+def _restart_from_begin(_real):
+    def resume(self, channel, *, receiver_acked=None):
+        self.report.resumes += 1
+        self._outbox.clear()  # forget the cursor: BEGIN goes out again
+        self.phase = "idle"
+        self.start(channel)
+    return resume
+
+
+def _eject_everything(_real):
+    def evaluate(self, trackers):
+        fresh = tuple(sorted(set(trackers) - set(self._ejected)))
+        for name in fresh:
+            self._ejected[name] = self.clock.now_ns + self.probation_ns
+        return EjectionDecision(ejected=fresh)
+    return evaluate
+
+
+def _no_hysteresis(_real):
+    def update(self):
+        target = 1 if self.score() >= self.config.enter_ratio else 0
+        self.stats.brownout_entries += bool(target and not self.stage)
+        self.stats.brownout_exits += bool(self.stage and not target)
+        self.stage = target
+        return target
+    return update
+
+
+def _lose_newest_lagged_ship(real):
+    def apply_pending(self):
+        if self.demoted and self._pending:
+            self._pending.pop()
+        real(self)
+    return apply_pending
+
+
+def _both(*mutants):
+    return lambda mp: [mutate(mp) for mutate in mutants]
+
+
+#: broken guard -> (the mutant, the profile that must catch it, the
+#: violations it must report -- exactly those)
+MUTATIONS = {
+    "reaper-noop": (
+        _break("repro.cricket.sessions:SessionManager.reap",
+               lambda _: lambda self, now_ns, release: 0),
+        "client_kill", {"orphan-bytes"}),
+    # (partition_heal_divergence would not notice: its clients ride with
+    # the cut-off primary, so no second leader is ever promoted)
+    "fence-open": (
+        _break("repro.cricket.witness:LeadershipFence.shed_stat",
+               lambda _: lambda self, proc, now_ns: None),
+        "partition_primary_isolated", {"stale-primary-executed"}),
+    "witness-regrants-epoch": (
+        _break("repro.cricket.witness:Witness.acquire", _regrant_old_epoch),
+        "partition_primary_isolated", {"split-epoch"}),
+    "dequeue-keeps-expired": (
+        _break("repro.resilience.overload:OverloadQueue.pop_next", _pop_expired_too),
+        "overload_5x", {"executed-expired"}),
+    "wfq-is-fifo": (  # ...and first come, first queued: no per-tenant bound
+        _both(_break("repro.resilience.overload:OverloadQueue._make_ticket",
+                     _fifo_tickets),
+              _queue_config(max_queue_depth_per_client=0)),
+        "overload_hot_tenant", {"unfair-share"}),
+    "queue-bound-ignored": (
+        _queue_config(max_queue_depth=10_000), "overload_5x", {"queue-unbounded"}),
+    "sanitizer-off": (
+        _break("repro.cricket.server:CricketServer.__init__",
+               lambda real: lambda self, *a, **kw: real(
+                   self, *a, **{**kw, "sanitizer": None})),
+        "buggy_tenant", {"bug-undetected"}),
+    # an unhealed poison also turns the tenant's later bugs into plain
+    # device errors, with no sanitizer verdict to their name
+    "ladder-off": (
+        _break("repro.cricket.recovery:RecoveryLadder.needs_heal",
+               lambda _: lambda self: False),
+        "buggy_tenant", {"cross-tenant-impact", "bug-undetected"}),
+    "resume-restarts": (
+        _break("repro.cricket.migration:MigrationSource.resume", _restart_from_begin),
+        "migration", {"migration-restarted"}),
+    # (skipping only the CRC is invisible: a torn write leaves a prefix,
+    # which the container's trailer magic already rejects)
+    "no-generation-fallback": (
+        _break("repro.cricket.ckptstore:CheckpointStore.generations",
+               lambda real: lambda self: real(self)[-1:]),
+        "migration", {"torn-fallback"}),
+    # (stop_and_copy aborts on an over-budget pause; remove that guard)
+    "pause-budget-unenforced": (
+        _break("repro.cricket.migration:MigrationConfig",
+               lambda real: lambda: real(bandwidth_bytes_per_s=1e3,
+                                         pause_budget_ns=10**18)),
+        "migration", {"pause-over-budget"}),
+    "ejector-never": (
+        _break("repro.resilience.health:OutlierEjector.evaluate",
+               lambda _: lambda self, trackers: EjectionDecision()),
+        "limplock_endpoint", {"undetected-in-budget"}),
+    "ejector-always": (
+        _break("repro.resilience.health:OutlierEjector.evaluate", _eject_everything),
+        "limplock_endpoint", {"false-ejection"}),
+    "brownout-no-hysteresis": (
+        _break("repro.resilience.health:BrownoutController.update", _no_hysteresis),
+        "limplock_fsync", {"brownout-flap"}),
+    "demoted-link-lossy": (
+        _break("repro.cricket.replication:ReplicationLink._apply_pending",
+               _lose_newest_lagged_ship),
+        "limplock_standby", {"state-divergence"}),
+}
+
+
+@pytest.mark.parametrize("row", MUTATIONS)
+def test_broken_guard_is_caught(monkeypatch, profile_run, row):
+    mutate, name, expected = MUTATIONS[row]
+    seed = PROFILES[name].seeds[0]
+    assert profile_run(name, seed).clean  # the control: unbroken, clean
+    mutate(monkeypatch)
+    result = run_profile(name, seed)
+    assert set(result.violation_kinds()) == expected, result.violations
+
+
+# -- a profile failure shrinks and replays like any other ----------------------
+
+
+def test_armed_bug_in_a_profile_shrinks_to_a_replayable_trace(tmp_path):
+    # at-most-once broken by the one hook src/ has: failover catches it
+    plan = profile_plan("failover", 1)
+    bug = NemesisEvent(0.3, BUG_DOUBLE_EXECUTE, {"count": 1})
+    schedule = [bug, *run_simulation(plan).schedule]
+    assert "double-execution" in run_simulation(plan, schedule).violation_kinds()
+    minimal, shrunk = shrink_schedule(plan, schedule, kinds=["double-execution"])
+    assert minimal == [bug]
+
+    trace = tmp_path / "repro.json"
+    save_trace(str(trace), plan, minimal, shrunk)
+    loaded_plan, loaded_schedule, _ = load_trace(str(trace))
+    assert loaded_plan.profile == "failover" and loaded_schedule == minimal
+    assert replay_trace(str(trace)).fingerprint == shrunk.fingerprint
+
+
+def test_fact_rule_violation_shrinks_too(monkeypatch):
+    # a fact-rule violation is a Violation like any other: ddmin keeps
+    # the one kill that leaked and drops the schedule around it
+    MUTATIONS["reaper-noop"][0](monkeypatch)
+    plan = profile_plan("client_kill", 1)
+    schedule = run_simulation(plan).schedule
+    assert len(schedule) == 2
+    minimal, shrunk = shrink_schedule(plan, schedule, kinds=["orphan-bytes"])
+    assert [event.kind for event in minimal] == [KILL_CLIENT]
+    assert shrunk.violation_kinds() == ("orphan-bytes",)

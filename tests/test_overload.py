@@ -1,7 +1,7 @@
 """Overload control: bounded queues, deadlines, fair shedding, cancellation.
 
-The deterministic pieces (queue policies, WFQ, token buckets, the chaos
-harness) run in virtual time; the threaded controller tests use real
+The deterministic pieces (queue policies, WFQ, token buckets, the
+overload nemesis profiles) run in virtual time; the threaded controller tests use real
 threads against a saturated server, bounded by short timeouts.
 """
 
@@ -24,11 +24,8 @@ from repro.oncrpc.errors import (
 from repro.oncrpc.server import CallContext, RpcServer
 from repro.resilience import (
     REJECT_LOWEST_PRIORITY,
-    REJECT_NEWEST,
     REJECT_OLDEST,
     CallCancelledError,
-    OverloadChaosHarness,
-    OverloadChaosPlan,
     OverloadConfig,
     OverloadController,
     OverloadQueue,
@@ -36,6 +33,14 @@ from repro.resilience import (
     RetryPolicy,
     TokenBucket,
     is_retryable,
+)
+
+from repro.resilience.simulation import (
+    OVERLOAD_STORM,
+    NemesisEvent,
+    profile_plan,
+    run_profile,
+    run_simulation,
 )
 
 PROG, VERS = 0x20000099, 3
@@ -486,38 +491,39 @@ class TestDeadlineAccounting:
 
 
 class TestOverloadChaos:
+    """The ``overload_*`` nemesis profiles: open-loop storms on the simulator."""
+
     @pytest.mark.parametrize("load", [1.0, 2.0, 5.0])
     def test_soak_is_clean(self, load):
-        plan = OverloadChaosPlan(
-            load_factor=load, seed=7, hot_tenant_factor=3.0, slow_readers=0
+        # a hot tenant (3x everyone else's offered load) at every load factor
+        result = run_simulation(
+            profile_plan("overload_hot_tenant", 7),
+            schedule=[NemesisEvent(1.0, OVERLOAD_STORM, {"load": load, "hot": 3.0})],
         )
-        result = OverloadChaosHarness(plan).run()
-        assert result.executed_expired == 0
-        assert result.peak_queue_depth <= result.queue_bound
-        assert result.max_accepted_latency_ns <= result.latency_bound_ns
-        assert result.fairness_ratio <= 2.0
-        assert result.busy_reply_typed and result.cancel_replay_ok
-        assert result.clean
-
-    def test_overload_actually_sheds_at_5x(self):
-        result = OverloadChaosHarness(
-            OverloadChaosPlan(load_factor=5.0, seed=0, slow_readers=0)
-        ).run()
-        assert result.shed_busy > 0
-        assert result.expired_in_queue > 0
-
-    def test_same_seed_same_outcome(self):
-        plan = OverloadChaosPlan(load_factor=2.0, seed=3, slow_readers=0)
-        a = OverloadChaosHarness(plan).run()
-        b = OverloadChaosHarness(plan).run()
-        assert a.goodput == b.goodput
-        assert a.shed_busy == b.shed_busy
-        assert a.counters == b.counters
-
-    def test_slow_reader_probe_disconnects(self):
-        plan = OverloadChaosPlan(
-            load_factor=1.0, calls_per_tenant=5, seed=0, slow_readers=1
+        assert result.clean, result.violations
+        assert {"executed-expired", "queue-unbounded", "unfair-share"} <= set(
+            result.evaluated
         )
-        result = OverloadChaosHarness(plan).run()
-        assert result.slow_reader_disconnects == 1
-        assert result.counters["server.slow_readers_disconnected"] >= 1
+        storm = result.facts("overload_storm")
+        assert storm["offered"]["tenant0"] == 3 * storm["offered"]["tenant1"]
+        if load == 1.0:  # capacity for everyone: nobody materially starved
+            assert all(
+                storm["goodput"][t] >= 0.9 * storm["offered"][t]
+                for t in ("tenant1", "tenant2")
+            )
+
+    def test_overload_actually_sheds_at_5x(self, profile_run):
+        result = profile_run("overload_5x", 0)
+        assert result.counters["server.overload_shed"] > 0
+        assert result.counters["server.deadline_expired_in_queue"] > 0
+        assert result.counters["server.queue_peak_depth"] == 16  # pinned at the bound
+
+    def test_same_seed_same_outcome(self, profile_run):
+        first, second = profile_run("overload_2x", 3), run_profile("overload_2x", 3)
+        assert first.fingerprint == second.fingerprint
+        assert first.counters == second.counters
+
+    def test_weight_buys_goodput_when_the_tenant_bound_binds(self, profile_run):
+        storm = profile_run("overload_weighted", 8).facts("overload_storm")
+        others = max(storm["goodput"]["tenant1"], storm["goodput"]["tenant2"])
+        assert storm["goodput"]["tenant0"] >= others  # weight 1.5 vs 1.0

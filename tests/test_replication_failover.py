@@ -34,13 +34,12 @@ from repro.net.simclock import SimClock
 from repro.oncrpc.errors import RpcError, RpcIntegrityError, RpcTransportError
 from repro.oncrpc.record import append_crc, verify_crc
 from repro.resilience import (
-    FailoverChaosHarness,
-    FailoverChaosPlan,
     FailoverTransport,
     FaultPlan,
     LoopbackEndpoint,
     RetryPolicy,
 )
+from repro.resilience.simulation import run_profile
 
 MB = 1 << 20
 
@@ -572,26 +571,27 @@ def test_oplog_replay_equals_checkpoint(ops):
     assert replayed == state_fingerprint(primary)
 
 
-# -- failover chaos soak --------------------------------------------------
+# -- failover chaos soak: the ``failover`` nemesis profile ------------------
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_failover_chaos_is_clean(seed):
-    result = FailoverChaosHarness(FailoverChaosPlan(seed=seed)).run()
-    assert result.clean
-    assert result.promotions == 1
-    assert result.failovers >= 1
-    if result.dangerous_window:
-        # the in-flight call was answered from the replicated cache
-        assert result.reply_cache_hits_after_failover >= 1
+def test_failover_chaos_is_clean(profile_run, seed):
+    result = profile_run("failover", seed)
+    assert result.clean, result.violations
+    assert set(result.applied) <= {"kill_primary", "gpu_fault"}
+    kills = [e for e in result.schedule if e.kind == "kill_primary"]
+    if kills:
+        assert result.final_leader == "standby"
+        assert result.counters["server.standby_promotions"] == 1
+        if kills[0].params["dangerous"]:
+            # the in-flight call was answered from the replicated cache
+            assert result.counters["server.reply_cache_hits"] >= 1
+    else:
+        assert result.final_leader == "primary"
+        assert result.counters["server.device_failovers"] >= 1
 
 
-def test_failover_chaos_deterministic():
-    a = FailoverChaosHarness(FailoverChaosPlan(seed=3)).run()
-    b = FailoverChaosHarness(FailoverChaosPlan(seed=3)).run()
-    assert (a.kill_round, a.poison_round, a.dangerous_window, a.failovers) == (
-        b.kill_round,
-        b.poison_round,
-        b.dangerous_window,
-        b.failovers,
-    )
+def test_failover_chaos_deterministic(profile_run):
+    first, second = profile_run("failover", 3), run_profile("failover", 3)
+    assert first.schedule == second.schedule
+    assert first.fingerprint == second.fingerprint

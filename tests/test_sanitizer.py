@@ -20,7 +20,7 @@ from repro.gpu.errors import (
     UseAfterFreeError,
 )
 from repro.gpu.memory import ALIGNMENT, DEBUG_ALLOCATOR_ENV, DeviceAllocator
-from repro.gpu.sanitizer import CANARY, POISON, SanitizerConfig
+from repro.gpu.sanitizer import POISON, SanitizerConfig
 from repro.gpu.watchdog import DEFAULT_BUDGET_NS, KernelWatchdog
 from repro.net import SimClock
 
@@ -600,27 +600,42 @@ class TestServerSanitizerIntegration:
 
 
 class TestSanitizerChaos:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_full_detection_and_containment(self, seed):
-        from repro.resilience.chaos import SanitizerChaosHarness, SanitizerChaosPlan
+    """The ``buggy_tenant`` nemesis profile on the simulator."""
 
-        harness = SanitizerChaosHarness(SanitizerChaosPlan(seed=seed))
-        result = harness.run()
-        assert result.clean, result
-        assert all(result.detected.values())
-        assert result.healthy_failed_calls == 0
-        assert result.lost_allocations == 0
-        assert result.devices_healthy
-        assert result.ladder_rungs_taken > 0
-        assert result.leaks_attributed > 0
-        # the ladder healed in place: same server object, no restart
-        assert harness.server.server_stats.standby_promotions == 0
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_full_detection_and_containment(self, profile_run, seed):
+        from repro.resilience.simulation import TENANT_BUG_KINDS
+
+        result = profile_run("buggy_tenant", seed)
+        assert result.clean, result.violations
+        bugs = {e.args["bug"]: e.args["bug_detected"]
+                for e in result.events if e.op == "tenant_bug"}
+        assert bugs == dict.fromkeys(TENANT_BUG_KINDS, True)
+        # healthy tenants never saw an error, and nothing they wrote was lost
+        assert "cuda_error" not in result.outcomes
+        counters = result.counters
+        assert counters["server.watchdog_hangs"] >= 1
+        assert sum(
+            counters[f"server.ladder_{rung}"]
+            for rung in ("cooperative_cancels", "stream_aborts", "context_resets",
+                         "device_failovers", "session_reclaims")
+        ) > 0
+        # the ladder healed in place: same server, no restart, no promotion
+        assert counters["server.standby_promotions"] == 0
 
     def test_plan_validates_bug_kinds(self):
-        from repro.resilience.chaos import SanitizerChaosPlan
+        from repro.resilience.simulation import (
+            TENANT_BUG,
+            NemesisEvent,
+            profile_plan,
+            run_simulation,
+        )
 
-        with pytest.raises(ValueError):
-            SanitizerChaosPlan(bugs=("segfault",))
+        with pytest.raises(ValueError, match="unknown tenant bug"):
+            run_simulation(
+                profile_plan("buggy_tenant", 0),
+                schedule=[NemesisEvent(1.0, TENANT_BUG, {"bug": "segfault"})],
+            )
 
     def test_sanitizer_error_str_carries_attribution(self):
         err = SanitizerError("boom", addr=0x100, owner="t", site="s")

@@ -22,14 +22,15 @@ from repro.cricket import (
 )
 from repro.cuda import constants as C
 from repro.cuda.errors import CudaError
-from repro.oncrpc import RpcServer, RpcTransportError, client_token_auth
+from repro.oncrpc import RpcTransportError, client_token_auth
 from repro.oncrpc import message as msg
-from repro.resilience import (
-    ChaosHarness,
-    ChaosPlan,
-    ReconnectingTransport,
-    ServerStats,
-    null_probe,
+from repro.resilience import ReconnectingTransport, ServerStats, null_probe
+from repro.resilience.simulation import (
+    KILL_CLIENT,
+    NemesisEvent,
+    profile_plan,
+    run_profile,
+    run_simulation,
 )
 
 MB = 1 << 20
@@ -430,29 +431,33 @@ class TestServerCounters:
 
 
 class TestChaos:
-    def test_seeded_chaos_run_is_leak_free(self):
-        result = ChaosHarness(ChaosPlan(clients=4, rounds=3, kills=2, seed=7)).run()
-        assert result.leaked_bytes_before_reap > 0  # the kills did leak...
-        assert result.leaked_bytes_after_reap == 0  # ...until the reaper ran
-        assert result.clean
-        assert len(result.killed) == 2
-        assert len(result.survivors) == 2
-        assert result.counters["server.sessions_reclaimed"] == 2
-        assert result.counters["server.bytes_reclaimed"] == (
-            result.leaked_bytes_before_reap
-        )
+    """The ``client_kill`` nemesis profile: crashed clients leak nothing."""
 
-    def test_chaos_is_deterministic(self):
-        plan = ChaosPlan(clients=5, rounds=4, kills=3, seed=123)
-        first = ChaosHarness(plan).run()
-        second = ChaosHarness(plan).run()
-        assert first.leaked_bytes_before_reap == second.leaked_bytes_before_reap
-        assert first.survivor_bytes == second.survivor_bytes
+    def test_seeded_chaos_run_is_leak_free(self, profile_run):
+        result = profile_run("client_kill", 1)
+        assert result.clean, result.violations
+        crashed = [e.node for e in result.events if e.kind == "crash"]
+        assert len(crashed) == 2  # both kills landed, on distinct clients
+        # the kills did leak -- until lease + grace lapsed and the reaper ran
+        assert result.counters["server.sessions_reclaimed"] >= 2
+        assert result.counters["server.bytes_reclaimed"] > 0
+        assert "orphan-bytes" in result.evaluated
+
+    def test_chaos_is_deterministic(self, profile_run):
+        first, second = profile_run("client_kill", 3), run_profile("client_kill", 3)
+        assert first.fingerprint == second.fingerprint
         assert first.counters == second.counters
 
     def test_chaos_plan_validation(self):
-        with pytest.raises(ValueError):
-            ChaosPlan(clients=2, kills=2)
+        # a schedule that tries to kill everybody still leaves a survivor
+        plan = profile_plan("client_kill", 0)
+        result = run_simulation(plan, schedule=[
+            NemesisEvent(1.0 + i, KILL_CLIENT, {"client": i})
+            for i in range(plan.clients)
+        ])
+        assert result.clean, result.violations
+        crashed = [e.node for e in result.events if e.kind == "crash"]
+        assert len(crashed) == plan.clients - 1
 
 
 class TestCheckpointCarriesSessions:

@@ -81,13 +81,15 @@ class DeviceBuffer:
     def write(self, data: bytes | np.ndarray, offset: int = 0) -> None:
         """Upload host bytes (or an array's contents) at ``offset``."""
         self._alive()
-        raw = data.tobytes() if isinstance(data, np.ndarray) else bytes(data)
-        if offset < 0 or offset + len(raw) > self._size:
+        if isinstance(data, np.ndarray):
+            data = np.ascontiguousarray(data)  # copies only a strided array
+        nbytes = memoryview(data).nbytes
+        if offset < 0 or offset + nbytes > self._size:
             raise ValueError(
-                f"write of {len(raw)} bytes at offset {offset} exceeds "
+                f"write of {nbytes} bytes at offset {offset} exceeds "
                 f"buffer of {self._size} bytes"
             )
-        self._session.client.memcpy_h2d(self._ptr + offset, raw)
+        self._session.client.memcpy_h2d(self._ptr + offset, data)
 
     def read(self, size: int | None = None, offset: int = 0) -> bytes:
         """Download ``size`` bytes starting at ``offset``."""

@@ -181,11 +181,21 @@ def attach_tracer(
     names = dict(proc_names or {})
     original = rpc_client.call_raw
 
-    def traced_call_raw(proc: int, args: bytes) -> bytes:
+    def traced_call_raw(proc: int, args):
+        args_bytes = 0 if callable(args) else len(args)
+
+        def measured(encoder) -> None:
+            # ``args`` is a writer packing straight into the record: its
+            # size is what it appends (the last attempt's, under retry).
+            nonlocal args_bytes
+            before = len(encoder)
+            args(encoder)
+            args_bytes = len(encoder) - before
+
         start = clock.now_ns
-        result = original(proc, args)
+        result = original(proc, measured if callable(args) else args)
         tracer.record(
-            names.get(proc, f"proc_{proc}"), start, clock.now_ns, len(args), len(result)
+            names.get(proc, f"proc_{proc}"), start, clock.now_ns, args_bytes, len(result)
         )
         return result
 

@@ -181,7 +181,9 @@ def decode_container(blob: bytes) -> Container:
                 f"section {name!r} payload truncated", offset=pos
             )
         try:
-            sections[name] = verify_crc(blob[pos : pos + payload_len])
+            sections[name] = bytes(
+                verify_crc(memoryview(blob)[pos : pos + payload_len])
+            )
         except RpcIntegrityError as exc:
             raise CheckpointFormatError(
                 f"section {name!r} CRC mismatch: {exc}", offset=pos

@@ -511,14 +511,23 @@ class CricketClient:
         self._check(self.stub.rpc_cudaFree(ptr), "cudaFree")
 
     def memcpy_h2d(self, dst: int, data: bytes) -> None:
-        """Forward a host-to-device ``cudaMemcpy`` (payload in the message)."""
-        self._check(self.stub.rpc_cudaMemcpyH2D(dst, bytes(data)), "cudaMemcpy H2D")
+        """Forward a host-to-device ``cudaMemcpy`` (payload in the message).
+
+        ``data`` is any C-contiguous buffer; it is copied once, into the
+        request record.
+        """
+        self._check(self.stub.rpc_cudaMemcpyH2D(dst, data), "cudaMemcpy H2D")
 
     def memcpy_d2h(self, src: int, size: int) -> bytes:
-        """Forward a device-to-host ``cudaMemcpy``; returns the payload."""
+        """Forward a device-to-host ``cudaMemcpy``; returns the payload.
+
+        The payload is copied out of the reply record as ``bytes`` -- one
+        copy, and what callers compare, hash and slice (a ``memoryview``
+        compares element by element, which costs more than the copy).
+        """
         res = self.stub.rpc_cudaMemcpyD2H(src, size)
         self._check(res["err"], "cudaMemcpy D2H")
-        return res["data"]
+        return bytes(res["data"])
 
     def memcpy_d2d(self, dst: int, src: int, size: int) -> None:
         """Forward a device-to-device ``cudaMemcpy``."""
@@ -527,7 +536,7 @@ class CricketClient:
     def memcpy_h2d_async(self, dst: int, data: bytes, stream: int) -> None:
         """Stream-ordered upload (cudaMemcpyAsync semantics)."""
         self._check(
-            self.stub.rpc_cudaMemcpyH2DAsync(dst, bytes(data), stream),
+            self.stub.rpc_cudaMemcpyH2DAsync(dst, data, stream),
             "cudaMemcpyAsync H2D",
         )
 
@@ -535,7 +544,7 @@ class CricketClient:
         """Stream-ordered download into (modelled) pinned host memory."""
         res = self.stub.rpc_cudaMemcpyD2HAsync(src, size, stream)
         self._check(res["err"], "cudaMemcpyAsync D2H")
-        return res["data"]
+        return bytes(res["data"])
 
     def memset(self, ptr: int, value: int, size: int) -> None:
         """Forward ``cudaMemset`` over RPC."""
@@ -589,7 +598,7 @@ class CricketClient:
 
     def module_load(self, image: bytes) -> int:
         """Ship a cubin to the server and load it (cuModuleLoadData)."""
-        res = self.stub.rpc_cuModuleLoadData(bytes(image))
+        res = self.stub.rpc_cuModuleLoadData(image)
         self._check(res["err"], "cuModuleLoadData")
         return res["value"]
 
@@ -768,8 +777,8 @@ class CricketClient:
         """
         res = self.stub.rpc_checkpoint()
         self._check(res["err"], "checkpoint")
-        self._last_checkpoint = res["data"]
-        return res["data"]
+        self._last_checkpoint = bytes(res["data"])
+        return self._last_checkpoint
 
     def restore(self, blob: bytes) -> None:
         """Restore a snapshot onto the (possibly new) server."""

@@ -120,7 +120,7 @@ def decode_chunk(blob: bytes) -> Chunk:
         raise ChunkRejectedError(f"bad chunk magic {magic!r}")
     if version != CHUNK_VERSION:
         raise ChunkRejectedError(f"unsupported chunk version {version}")
-    payload = framed[_CHUNK_HEADER.size :]
+    payload = bytes(framed[_CHUNK_HEADER.size :])  # the chunk outlives ``blob``
     if len(payload) != payload_len:
         raise ChunkRejectedError(
             f"chunk payload length mismatch ({len(payload)} != {payload_len})"
@@ -583,7 +583,7 @@ class MigrationSource:
         if self.storage is None or not self.storage.exists(self.cursor_name):
             return None
         try:
-            return json.loads(verify_crc(self.storage.read(self.cursor_name)))
+            return json.loads(bytes(verify_crc(self.storage.read(self.cursor_name))))
         except (RpcIntegrityError, ValueError, OSError):
             return None
 

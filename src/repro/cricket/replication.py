@@ -305,7 +305,11 @@ class ReplicationLink:
             self._pending.popleft()
             # on_executed observes the *verified* (CRC-stripped) record;
             # a checksumming standby expects the trailer back on.
-            wire = append_crc(record) if self.standby.crc_records else record
+            # (On a view, so the trailer goes on a copy: ``record`` is the
+            # primary's request buffer, which is never modified.)
+            wire = (
+                append_crc(memoryview(record)) if self.standby.crc_records else record
+            )
             self.standby.dispatch_record(
                 wire,
                 client_id=self.REPLICATION_CLIENT_ID,

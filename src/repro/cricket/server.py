@@ -369,7 +369,8 @@ class CricketImplementation:
         """Cricket procedure ``rpc_cuModuleLoadData`` (forwards to the CUDA executor)."""
         with self._lock:
             session, _ = self._charge_dispatch(ctx)
-            err, handle = self.driver.cuModuleLoadData(image)
+            # The loaded module outlives the request record: detach it.
+            err, handle = self.driver.cuModuleLoadData(bytes(image))
             if err == C.CUDA_SUCCESS and session is not None:
                 session.ledger.modules[int(handle)] = self._ordinal()
             return {"err": err, "value": handle}
@@ -556,7 +557,8 @@ class CricketImplementation:
             from repro.cricket.checkpoint import restore_server
 
             try:
-                restore_server(self._server, blob)
+                # Parsed and retained piecewise: detach it from the record.
+                restore_server(self._server, bytes(blob))
                 return 0
             except Exception as exc:
                 return code_for_exception(exc)

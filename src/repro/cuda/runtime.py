@@ -209,7 +209,7 @@ class CudaRuntime:
             if kind == C.cudaMemcpyHostToDevice:
                 if not isinstance(src, (bytes, bytearray, memoryview)):
                     return C.cudaErrorInvalidValue, None
-                payload = bytes(src[:count])
+                payload = memoryview(src)[:count]  # a view: the device write is the copy
                 if len(payload) != count:
                     return C.cudaErrorInvalidValue, None
                 self._advance(device.memcpy_h2d(int(dst), payload))
@@ -369,7 +369,7 @@ class CudaRuntime:
             if kind == C.cudaMemcpyHostToDevice:
                 if not isinstance(src, (bytes, bytearray, memoryview)):
                     return C.cudaErrorInvalidValue, None
-                payload = bytes(src[:count])
+                payload = memoryview(src)[:count]  # a view: the device write is the copy
                 if len(payload) != count:
                     return C.cudaErrorInvalidValue, None
                 seconds = device.memcpy_h2d(int(dst), payload)

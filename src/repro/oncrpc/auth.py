@@ -66,7 +66,9 @@ class OpaqueAuth:
     def decode(cls, decoder: XdrDecoder) -> "OpaqueAuth":
         """Unpack an auth structure."""
         flavor = decoder.unpack_enum()
-        body = decoder.unpack_opaque(MAX_AUTH_BYTES)
+        # At most 400 bytes, kept in contexts, cache keys and sessions that
+        # outlive the record: detach it from the record buffer.
+        body = bytes(decoder.unpack_opaque(MAX_AUTH_BYTES))
         return cls(flavor, body)
 
 

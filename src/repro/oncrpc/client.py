@@ -55,7 +55,7 @@ from repro.oncrpc.errors import (
 from repro.oncrpc.transport import Transport
 from repro.resilience.retry import RetryPolicy, is_retryable
 from repro.resilience.stats import ResilienceStats
-from repro.xdr import XdrDecoder, XdrEncoder
+from repro.xdr import XdrDecoder
 from repro.xdr.types import XdrType
 
 _xid_counter = itertools.count(0x10000000)
@@ -129,9 +129,13 @@ class RpcClient:
             self.xid_observer(xid)
 
     def _encode_call(
-        self, xid: int, proc: int, args: bytes, deadline_ns: int | None
-    ) -> bytes:
+        self, xid: int, proc: int, args: msg.Payload, deadline_ns: int | None
+    ) -> bytearray:
         """Encode one call attempt, stamping overload metadata in the verf.
+
+        Header and arguments go into one fresh buffer that nothing else
+        references: the transport stack below may extend it (the CRC
+        trailer) and owns it until ``send_record`` returns.
 
         Re-encoding per attempt (same xid!) is what makes deadline
         propagation honest: each retransmission carries the budget that
@@ -154,8 +158,14 @@ class RpcClient:
 
     # -- raw interface ------------------------------------------------------
 
-    def call_raw(self, proc: int, args: bytes) -> bytes:
-        """Invoke ``proc`` with pre-encoded ``args``; return raw result bytes."""
+    def call_raw(self, proc: int, args: msg.Payload) -> memoryview:
+        """Invoke ``proc``; return the raw result bytes.
+
+        ``args`` is pre-encoded XDR or a writer (see
+        :data:`repro.oncrpc.message.Payload`).  The result is a read-only
+        view of the reply record; each reply has its own buffer, so the
+        view stays valid for as long as it is referenced.
+        """
         xid = next(_xid_counter) & 0xFFFFFFFF
         self._note_xid(xid)
         try:
@@ -173,7 +183,7 @@ class RpcClient:
             self.outcome_observer(xid, proc, None)
         return result
 
-    def _call_once(self, xid: int, encoded: bytes) -> bytes:
+    def _call_once(self, xid: int, encoded: bytearray) -> memoryview:
         """The historical fail-fast path: one send, one receive."""
         with self._lock:
             if self._batched_xids:
@@ -188,7 +198,7 @@ class RpcClient:
             )
         return self._unwrap_reply(reply)
 
-    def _call_with_retry(self, xid: int, proc: int, args: bytes) -> bytes:
+    def _call_with_retry(self, xid: int, proc: int, args: msg.Payload) -> memoryview:
         """Retransmit with backoff until success, fatal error or deadline."""
         policy = self.retry_policy
         assert policy is not None
@@ -280,7 +290,7 @@ class RpcClient:
 
     # -- batching (classic ONC RPC latency optimization) -----------------------
 
-    def call_batched(self, proc: int, args: bytes) -> int:
+    def call_batched(self, proc: int, args: msg.Payload) -> int:
         """Send a call without waiting for its reply; return its xid.
 
         Replies accumulate on the connection and are collected -- and
@@ -304,7 +314,7 @@ class RpcClient:
         """Number of batched calls whose replies are still outstanding."""
         return len(self._batched_xids)
 
-    def flush_batch(self) -> list[bytes]:
+    def flush_batch(self) -> list[memoryview]:
         """Collect all outstanding batched replies.
 
         Raises on RPC-level errors; returns the raw result bytes of each
@@ -314,7 +324,7 @@ class RpcClient:
         with self._lock:
             return self._drain_batch_locked()
 
-    def _drain_batch_locked(self) -> list[bytes]:
+    def _drain_batch_locked(self) -> list[memoryview]:
         xids, self._batched_xids = self._batched_xids, []
         replies: list[msg.RpcMessage] = []
         for xid in xids:
@@ -346,7 +356,7 @@ class RpcClient:
             transport = getattr(transport, "inner", None)
         return None
 
-    def _unwrap_reply(self, reply: msg.RpcMessage) -> bytes:
+    def _unwrap_reply(self, reply: msg.RpcMessage) -> memoryview:
         if isinstance(reply.body, msg.RejectedReply):
             if reply.body.stat == msg.RPC_MISMATCH:
                 raise RpcDenied(
@@ -412,9 +422,7 @@ class RpcClient:
         arg_value: Any,
     ) -> Any:
         """Invoke ``proc`` encoding/decoding through XDR type descriptors."""
-        enc = XdrEncoder()
-        arg_type.encode(enc, arg_value)
-        raw = self.call_raw(proc, enc.getvalue())
+        raw = self.call_raw(proc, lambda enc: arg_type.encode(enc, arg_value))
         dec = XdrDecoder(raw)
         result = res_type.decode(dec)
         dec.assert_done()

@@ -2,17 +2,25 @@
 
 The ``rpc_msg`` union and its bodies are modelled as frozen dataclasses with
 explicit ``encode``/``decode`` methods.  Procedure arguments and results are
-carried as raw pre-encoded XDR bytes so the message layer stays independent
-of any particular program's interface definition.
+carried as raw pre-encoded XDR so the message layer stays independent of any
+particular program's interface definition.
+
+A message is encoded into **one** buffer, header first: a body's
+``args``/``results`` is either pre-encoded XDR (appended) or a *writer* -- a
+callable handed the encoder once the header is in it, which is how the
+generated stubs put a bulk payload into the record with a single copy.  A
+decoded message carries read-only views of the record it was parsed from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Union
 
 from repro.oncrpc.auth import NULL_AUTH, OpaqueAuth
 from repro.oncrpc.errors import RpcProtocolError
 from repro.xdr import XdrDecoder, XdrEncoder
+from repro.xdr.encoder import Buffer
 
 RPC_VERSION = 2
 
@@ -59,6 +67,18 @@ _ACCEPT_STAT_NAMES = {
 }
 
 
+#: a body's arguments/results: pre-encoded XDR bytes, or a writer that
+#: packs them into the encoder it is handed (after the RPC header)
+Payload = Union[Buffer, Callable[[XdrEncoder], object]]
+
+
+def _pack_payload(encoder: XdrEncoder, payload: Payload) -> None:
+    if callable(payload):
+        payload(encoder)
+    else:
+        encoder.append_raw(payload)
+
+
 def accept_stat_name(stat: int) -> str:
     """Human-readable name for an ``accept_stat`` value."""
     return _ACCEPT_STAT_NAMES.get(stat, f"accept_stat({stat})")
@@ -73,7 +93,7 @@ class CallBody:
     proc: int
     cred: OpaqueAuth = NULL_AUTH
     verf: OpaqueAuth = NULL_AUTH
-    args: bytes = b""
+    args: Payload = b""
 
     def encode(self, encoder: XdrEncoder) -> None:
         encoder.pack_uint(RPC_VERSION)
@@ -82,7 +102,7 @@ class CallBody:
         encoder.pack_uint(self.proc)
         self.cred.encode(encoder)
         self.verf.encode(encoder)
-        encoder.append_raw(self.args)
+        _pack_payload(encoder, self.args)
 
     @classmethod
     def decode(cls, decoder: XdrDecoder) -> "CallBody":
@@ -94,7 +114,7 @@ class CallBody:
         proc = decoder.unpack_uint()
         cred = OpaqueAuth.decode(decoder)
         verf = OpaqueAuth.decode(decoder)
-        args = bytes(decoder.unpack_fixed_opaque(decoder.remaining()))
+        args = decoder.unpack_fixed_opaque(decoder.remaining())
         return cls(prog, vers, proc, cred, verf, args)
 
 
@@ -104,7 +124,7 @@ class AcceptedReply:
 
     verf: OpaqueAuth = NULL_AUTH
     stat: int = SUCCESS
-    results: bytes = b""
+    results: Payload = b""
     mismatch_low: int = 0
     mismatch_high: int = 0
 
@@ -112,7 +132,7 @@ class AcceptedReply:
         self.verf.encode(encoder)
         encoder.pack_enum(self.stat)
         if self.stat == SUCCESS:
-            encoder.append_raw(self.results)
+            _pack_payload(encoder, self.results)
         elif self.stat == PROG_MISMATCH:
             encoder.pack_uint(self.mismatch_low)
             encoder.pack_uint(self.mismatch_high)
@@ -123,7 +143,7 @@ class AcceptedReply:
         verf = OpaqueAuth.decode(decoder)
         stat = decoder.unpack_enum()
         if stat == SUCCESS:
-            results = bytes(decoder.unpack_fixed_opaque(decoder.remaining()))
+            results = decoder.unpack_fixed_opaque(decoder.remaining())
             return cls(verf, stat, results)
         if stat == PROG_MISMATCH:
             low = decoder.unpack_uint()
@@ -178,8 +198,12 @@ class RpcMessage:
         """True when this message is a CALL."""
         return isinstance(self.body, CallBody)
 
-    def encode(self) -> bytes:
-        """Serialize to the XDR wire form (without record marking)."""
+    def encode(self) -> bytearray:
+        """Serialize to the XDR wire form (without record marking).
+
+        Returns the encoder's own buffer -- a fresh ``bytearray`` that
+        belongs to the caller.
+        """
         enc = XdrEncoder()
         enc.pack_uint(self.xid)
         if isinstance(self.body, CallBody):
@@ -195,11 +219,15 @@ class RpcMessage:
             self.body.encode(enc)
         else:  # pragma: no cover - type error guard
             raise RpcProtocolError(f"unknown message body {type(self.body)!r}")
-        return enc.getvalue()
+        return enc.buffer
 
     @classmethod
-    def decode(cls, data: bytes) -> "RpcMessage":
-        """Parse one record's payload into an :class:`RpcMessage`."""
+    def decode(cls, data: Buffer) -> "RpcMessage":
+        """Parse one record's payload into an :class:`RpcMessage`.
+
+        ``args``/``results`` of the parsed body are read-only views of
+        ``data``, which must stay unmodified while they are in use.
+        """
         dec = XdrDecoder(data)
         xid = dec.unpack_uint()
         mtype = dec.unpack_enum()

@@ -6,10 +6,13 @@ skeleton Cricket uses) or be driven in-process through
 :meth:`RpcServer.dispatch_record`, which is what
 :class:`~repro.oncrpc.transport.LoopbackTransport` calls.
 
-Handlers receive ``(proc_args: bytes, context: CallContext)`` and return the
-encoded result bytes.  RPC-level failures (unknown program/version/
-procedure, undecodable arguments, handler crash) are mapped onto the proper
-``accept_stat`` replies rather than tearing down the connection.
+Handlers receive ``(proc_args, context: CallContext)`` -- the arguments as a
+read-only view of the request record -- and return the encoded result bytes
+or a *writer* that packs them into the reply's encoder (see
+:data:`repro.oncrpc.message.Payload`).  RPC-level failures (unknown
+program/version/procedure, undecodable arguments, handler crash) are mapped
+onto the proper ``accept_stat`` replies rather than tearing down the
+connection.
 
 At-most-once semantics: the server keeps an LRU cache of recent replies
 keyed by (client identity, xid).  A retransmitted call -- same client,
@@ -46,11 +49,18 @@ from repro.oncrpc.auth import NULL_AUTH, OpaqueAuth, call_meta_from, client_toke
 from repro.oncrpc.errors import RpcIntegrityError, RpcProtocolError, RpcTransportError
 from repro.oncrpc.record import (
     DEFAULT_FRAGMENT_SIZE,
+    Buffer,
     RecordReader,
     append_crc,
-    encode_record,
+    gather_fragments,
+    sendmsg_all,
     verify_crc,
 )
+
+# The reference framing; connections send ``gather_fragments`` lists.  The
+# name stays importable from here because ``bench/trace.py`` rebinds it in
+# every module that imported it.
+from repro.oncrpc.record import encode_record  # noqa: F401
 from repro.resilience.health import HealthTracker
 from repro.resilience.overload import (
     CallCancelledError,
@@ -84,7 +94,7 @@ class CallContext:
     cancel: CancelToken = field(default_factory=CancelToken)
 
 
-Handler = Callable[[bytes, CallContext], bytes]
+Handler = Callable[[memoryview, CallContext], msg.Payload]
 
 _NULL_GUARD = contextlib.nullcontext()
 
@@ -141,7 +151,7 @@ class RpcServer:
         self.reply_cache_size = reply_cache_size
         self.reply_cache_bytes = reply_cache_bytes
         self.reply_cache_entry_bytes = reply_cache_entry_bytes
-        self._reply_cache: OrderedDict[tuple[str, int], bytes] = OrderedDict()
+        self._reply_cache: OrderedDict[tuple[str, int], Buffer] = OrderedDict()
         self._reply_cache_total = 0
         self._stats_lock = threading.Lock()
         #: server-side counters (reply cache + session lifecycle), shared
@@ -158,10 +168,12 @@ class RpcServer:
         self._draining = False
         #: observer called after each freshly executed call (not for reply-
         #: cache hits) with ``(record, call, reply)`` -- ``record`` is the
-        #: verified request bytes, ``call`` the decoded CallBody, ``reply``
-        #: the encoded (un-checksummed) reply.  The replication link uses
-        #: this to ship the op-log.
-        self.on_executed: Callable[[bytes, msg.CallBody, bytes], None] | None = None
+        #: verified request bytes, ``call`` the decoded CallBody (its
+        #: ``args`` a view of ``record``), ``reply`` the encoded
+        #: (un-checksummed) reply.  All three may be retained: neither
+        #: buffer is reused or modified afterwards.  The replication link
+        #: uses this to ship the op-log.
+        self.on_executed: Callable[[Buffer, msg.CallBody, Buffer], None] | None = None
         #: composable observers called once per *handler execution* (reply-
         #: cache hits and sheds never fire) with ``(identity, xid, proc,
         #: accept_stat, replica_apply)``.  Unlike :attr:`on_executed` --
@@ -248,13 +260,18 @@ class RpcServer:
 
     def dispatch_record(
         self,
-        record: bytes,
+        record: Buffer,
         *,
         client_id: str = "loopback",
         session: dict | None = None,
         replica_apply: bool = False,
-    ) -> bytes | None:
+    ) -> Buffer | None:
         """Process one request record and return the reply record payload.
+
+        ``record`` is only read, and must stay unmodified afterwards: the
+        decoded call and the op-log observer keep it, or views of it.  The
+        reply is a buffer of its own, shared with the reply cache and the
+        op-log observer -- callers send it, they do not modify it.
 
         Malformed records raise
         :class:`~repro.oncrpc.errors.RpcProtocolError`; RPC-level errors
@@ -295,7 +312,7 @@ class RpcServer:
                 self._reply_cache.move_to_end(cache_key)
                 self.duplicate_hits += 1
                 self.server_stats.reply_cache_hits += 1
-                return append_crc(cached) if self.crc_records else cached
+                return self._finish_reply(cached)
         ctx = CallContext(
             prog=call.prog,
             vers=call.vers,
@@ -392,9 +409,9 @@ class RpcServer:
         started_ns = self.clock.now_ns
         try:
             with guard:
-                reply_body = self._execute(call, ctx)
+                stat, reply = self._execute(request.xid, call, ctx)
                 self._fire_execution_taps(
-                    identity, request.xid, call.proc, reply_body.stat, replica_apply
+                    identity, request.xid, call.proc, stat, replica_apply
                 )
                 if (
                     self._double_execute_left > 0
@@ -407,13 +424,10 @@ class RpcServer:
                     # the history checker's at-most-once property exists
                     # to catch.
                     self._double_execute_left -= 1
-                    doubled = self._execute(call, ctx)
+                    doubled_stat, _ = self._execute(request.xid, call, ctx)
                     self._fire_execution_taps(
-                        identity, request.xid, call.proc, doubled.stat, replica_apply
+                        identity, request.xid, call.proc, doubled_stat, replica_apply
                     )
-                reply = msg.RpcMessage(
-                    request.xid, reply_body, msg.MSG_ACCEPTED
-                ).encode()
                 self._cache_reply(cache_key, reply)
                 if self.on_executed is not None:
                     self.on_executed(record, call, reply)
@@ -431,14 +445,14 @@ class RpcServer:
                 self._inflight_cv.notify_all()
         if (
             ctx.deadline_ns is not None
-            and reply_body.stat == msg.SUCCESS
+            and stat == msg.SUCCESS
             and self.clock.now_ns >= ctx.deadline_ns
         ):
             # The work finished, but after its caller's budget ran out: the
             # reply is almost certainly talking to a closed retry loop.
             with self._stats_lock:
                 self.server_stats.deadline_expired_in_execution += 1
-        return append_crc(reply) if self.crc_records else reply
+        return self._finish_reply(reply)
 
     def _fire_execution_taps(
         self, identity: str, xid: int, proc: int, stat: int, replica_apply: bool
@@ -455,14 +469,19 @@ class RpcServer:
         """
         self._double_execute_left = max(int(count), 0)
 
-    def _control_reply(self, xid: int, stat: int) -> bytes:
+    def _control_reply(self, xid: int, stat: int) -> bytearray:
         """Encode a void-body control reply (RPC_BUSY / CALL_EXPIRED)."""
         return msg.RpcMessage(
             xid, msg.AcceptedReply(self._reply_verf(), stat), msg.MSG_ACCEPTED
         ).encode()
 
-    def _finish_reply(self, reply: bytes) -> bytes:
-        return append_crc(reply) if self.crc_records else reply
+    def _finish_reply(self, reply: Buffer) -> Buffer:
+        """The reply as it goes on the wire (checksummed when configured).
+
+        The trailer goes on a copy (``append_crc`` of a view): the reply
+        cache and the op-log observer hold ``reply`` itself.
+        """
+        return append_crc(memoryview(reply)) if self.crc_records else reply
 
     def _reply_verf(self) -> OpaqueAuth:
         """Verifier stamped on accepted replies.
@@ -475,7 +494,7 @@ class RpcServer:
             return self.fencing.reply_verf()
         return NULL_AUTH
 
-    def record_cancelled(self, identity: str, xid: int) -> bytes:
+    def record_cancelled(self, identity: str, xid: int) -> bytearray:
         """Build and *cache* a CALL_CANCELLED reply for ``(identity, xid)``.
 
         Caching is the at-most-once contract for cancellation: if the
@@ -502,7 +521,7 @@ class RpcServer:
             return True
         return False
 
-    def _cache_reply(self, cache_key: tuple[str, int], reply: bytes) -> None:
+    def _cache_reply(self, cache_key: tuple[str, int], reply: Buffer) -> None:
         """Insert into the reply cache, honouring entry and byte budgets.
 
         Oversized replies (bulk-data reads like D2H memcpy or checkpoint
@@ -529,39 +548,51 @@ class RpcServer:
                 self.server_stats.reply_cache_evictions += 1
             self.server_stats.reply_cache_bytes = self._reply_cache_total
 
-    def _execute(self, call: msg.CallBody, ctx: CallContext) -> msg.AcceptedReply:
+    def _execute(
+        self, xid: int, call: msg.CallBody, ctx: CallContext
+    ) -> tuple[int, bytearray]:
+        """Run the call's handler; return ``(accept_stat, encoded reply)``.
+
+        The reply is encoded here, header first and the results after it
+        in the same buffer, because a result that cannot be encoded is a
+        failed call like any other the handler raises.
+        """
         if ctx.cancel.requested:
             # Cancelled in the window between admission and execution; the
             # handler never runs, and the cached CALL_CANCELLED reply
             # answers any later retransmission of this xid.
             with self._stats_lock:
                 self.server_stats.cancelled_in_flight += 1
-            return msg.AcceptedReply(self._reply_verf(), msg.CALL_CANCELLED)
+            return msg.CALL_CANCELLED, self._control_reply(xid, msg.CALL_CANCELLED)
         table = self._programs.get((call.prog, call.vers))
         if table is None:
             versions = self.supported_versions(call.prog)
             if versions is None:
-                return msg.AcceptedReply(self._reply_verf(), msg.PROG_UNAVAIL)
+                return msg.PROG_UNAVAIL, self._control_reply(xid, msg.PROG_UNAVAIL)
             low, high = versions
-            return msg.AcceptedReply(
+            mismatch = msg.AcceptedReply(
                 NULL_AUTH, msg.PROG_MISMATCH, mismatch_low=low, mismatch_high=high
             )
+            return msg.PROG_MISMATCH, msg.RpcMessage(xid, mismatch).encode()
         handler = table.get(call.proc)
         if handler is None:
-            return msg.AcceptedReply(self._reply_verf(), msg.PROC_UNAVAIL)
+            return msg.PROC_UNAVAIL, self._control_reply(xid, msg.PROC_UNAVAIL)
         try:
             results = handler(call.args, ctx)
+            reply = msg.RpcMessage(
+                xid, msg.AcceptedReply(self._reply_verf(), msg.SUCCESS, results)
+            ).encode()
         except CallCancelledError:
             with self._stats_lock:
                 self.server_stats.cancelled_in_flight += 1
-            return msg.AcceptedReply(self._reply_verf(), msg.CALL_CANCELLED)
+            return msg.CALL_CANCELLED, self._control_reply(xid, msg.CALL_CANCELLED)
         except (GarbageArgumentsError, XdrError):
-            return msg.AcceptedReply(self._reply_verf(), msg.GARBAGE_ARGS)
+            return msg.GARBAGE_ARGS, self._control_reply(xid, msg.GARBAGE_ARGS)
         except Exception:
-            return msg.AcceptedReply(self._reply_verf(), msg.SYSTEM_ERR)
+            return msg.SYSTEM_ERR, self._control_reply(xid, msg.SYSTEM_ERR)
         with self._stats_lock:
             self.calls_served += 1
-        return msg.AcceptedReply(self._reply_verf(), msg.SUCCESS, results)
+        return msg.SUCCESS, reply
 
     # -- TCP serving -------------------------------------------------------
 
@@ -610,7 +641,8 @@ class RpcServer:
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         session: dict = {}
         reader = RecordReader(
-            lambda n: self._recv(conn, n), max_record_size=self.max_record_size
+            recv_into=lambda view: self._recv(conn, view),
+            max_record_size=self.max_record_size,
         )
         try:
             while not self._shutdown.is_set():
@@ -628,9 +660,14 @@ class RpcServer:
                     break  # unparseable message: drop the connection
                 if reply is not None:
                     try:
-                        conn.sendall(encode_record(reply, self.fragment_size))
+                        sendmsg_all(conn, gather_fragments(reply, self.fragment_size))
                     except OSError:
                         break
+                # Let go of both buffers before reading on: held across
+                # read_record they would stay allocated while the next
+                # record is assembled (and while the connection idles), and
+                # the allocator could not hand their memory to it.
+                del record, reply
         finally:
             self._on_disconnect(client_id, session)
             with self._conn_lock:
@@ -641,11 +678,12 @@ class RpcServer:
                 pass
 
     @staticmethod
-    def _recv(conn: socket.socket, n: int) -> bytes:
+    def _recv(conn: socket.socket, view: memoryview) -> int:
+        """Block until the socket has put some bytes into ``view`` (0: closed)."""
         try:
-            return conn.recv(min(n, 1 << 20))
+            return conn.recv_into(view)
         except OSError:
-            return b""
+            return 0
 
     def kill(self) -> None:
         """Simulate a server crash: every subsequent dispatch fails.

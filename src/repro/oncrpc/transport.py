@@ -5,10 +5,17 @@ Two transports are provided:
 * :class:`TcpTransport` -- a real TCP connection, the same wire path
   RPC-Lib uses via the Rust standard library.
 * :class:`LoopbackTransport` -- an in-process connection to a server's
-  dispatcher.  It still performs full record framing and reassembly so the
-  byte-exact wire path is exercised, but without kernel sockets.  The
-  simulation harness uses it to run the paper's 100 000-call workloads
-  quickly and deterministically.
+  dispatcher.  It still frames each request and reassembles it through
+  :class:`~repro.oncrpc.record.RecordReader`, so the byte-exact wire path
+  is exercised, but without kernel sockets.  The simulation harness uses
+  it to run the paper's 100 000-call workloads quickly and
+  deterministically.
+
+A record is one contiguous ``bytes`` or ``bytearray``.  ``send_record``
+owns the record it is given until it returns (a
+:class:`ChecksummedTransport` appends its trailer to a ``bytearray`` in
+place); ``recv_record`` hands up a buffer that belongs to the caller and
+is never reused.
 
 Transports accept an optional :class:`TransportMeter`, the hook through
 which the platform timing models (:mod:`repro.unikernel`) charge simulated
@@ -19,16 +26,24 @@ from __future__ import annotations
 
 import socket
 import threading
+from collections import deque
 from typing import Callable, Protocol
 
 from repro.oncrpc.errors import RpcTimeoutError, RpcTransportError
 from repro.oncrpc.record import (
     DEFAULT_FRAGMENT_SIZE,
+    Buffer,
     RecordReader,
     append_crc,
-    encode_record,
+    gather_fragments,
+    sendmsg_all,
     verify_crc,
 )
+
+# The reference framing.  The transports send ``gather_fragments`` lists;
+# the name stays importable from here because ``bench/trace.py`` rebinds it
+# in every module that imported it.
+from repro.oncrpc.record import encode_record  # noqa: F401
 
 
 class TransportMeter(Protocol):
@@ -116,12 +131,13 @@ class TcpTransport:
             raise RpcTransportError(f"connect to {host}:{port} failed: {exc}") from exc
         self._sock.settimeout(self.io_timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._reader = RecordReader(self._recv)
+        self._reader = RecordReader(recv_into=self._recv)
         self._closed = False
 
-    def _recv(self, n: int) -> bytes:
+    def _recv(self, view: memoryview) -> int:
+        """Block until the socket has put some bytes into ``view``."""
         try:
-            return self._sock.recv(n)
+            return self._sock.recv_into(view)
         except socket.timeout as exc:
             raise RpcTimeoutError(
                 f"recv timed out after {self.io_timeout}s"
@@ -129,27 +145,29 @@ class TcpTransport:
         except OSError as exc:
             raise RpcTransportError(f"recv failed: {exc}") from exc
 
-    def send_record(self, record: bytes) -> None:
+    def send_record(self, record: Buffer) -> None:
         if self._closed:
             raise RpcTransportError("transport is closed")
-        framed = encode_record(record, self.fragment_size)
         try:
-            self._sock.sendall(framed)
+            sent = sendmsg_all(
+                self._sock, gather_fragments(record, self.fragment_size)
+            )
         except socket.timeout as exc:
             raise RpcTimeoutError(
                 f"send timed out after {self.io_timeout}s"
             ) from exc
         except OSError as exc:
             raise RpcTransportError(f"send failed: {exc}") from exc
-        self.meter.on_send(len(framed))
+        self.meter.on_send(sent)
 
-    def recv_record(self) -> bytes:
+    def recv_record(self) -> bytearray:
         if self._closed:
             raise RpcTransportError("transport is closed")
         record = self._reader.read_record()
         if record is None:
             raise RpcTransportError("connection closed by peer")
-        self.meter.on_recv(_framed_size(len(record), self.fragment_size))
+        # What the peer put on the wire: it fragments at *its* size.
+        self.meter.on_recv(self._reader.wire_bytes)
         return record
 
     def close(self) -> None:
@@ -182,12 +200,20 @@ class ChecksummedTransport:
         self.inner = inner
         self.stats = stats
 
-    def send_record(self, record: bytes) -> None:
-        """Send one record with its CRC32 trailer appended."""
+    def send_record(self, record: Buffer) -> None:
+        """Send one record with its CRC32 trailer appended.
+
+        A ``bytearray`` gets the trailer in place: the caller gave the
+        record up when it called ``send_record``.
+        """
         self.inner.send_record(append_crc(record))
 
-    def recv_record(self) -> bytes:
-        """Receive one record, verifying and stripping its trailer."""
+    def recv_record(self) -> memoryview:
+        """Receive one record, verifying and stripping its trailer.
+
+        The result is a read-only view of the record the inner transport
+        handed up (all of it but the trailer), not a copy.
+        """
         record = self.inner.recv_record()
         try:
             return verify_crc(record)
@@ -210,18 +236,45 @@ class ChecksummedTransport:
         self.inner.close()
 
 
+class _GatherStream:
+    """The loopback "socket": gather lists in, ``recv_into`` out."""
+
+    def __init__(self) -> None:
+        self._pending: deque[Buffer] = deque()
+
+    def feed(self, buffers: list[Buffer]) -> None:
+        self._pending.extend(buffers)
+
+    def recv_into(self, view: memoryview) -> int:
+        pending = self._pending
+        if not pending:
+            return 0
+        head = pending[0]
+        count = min(len(view), len(head))
+        view[:count] = head[:count]
+        if count == len(head):
+            pending.popleft()
+        else:
+            pending[0] = memoryview(head)[count:]
+        return count
+
+
 class LoopbackTransport:
     """In-process transport connected to a server dispatch function.
 
     ``dispatch`` receives one record's payload (an encoded ``rpc_msg``) and
     returns the reply record payload, or ``None`` for one-way calls.  The
-    transport frames and unframes both directions so the record-marking code
-    path is identical to TCP.
+    request is framed and reassembled exactly as over TCP -- same gather
+    list, same :class:`~repro.oncrpc.record.RecordReader` -- so the server
+    works on its own copy of the record, as it would behind a socket.  The
+    reply is handed back as the server encoded it and charged to the meter
+    at its framed size: this transport *is* the sender of both directions,
+    so both fragment at ``fragment_size``.
     """
 
     def __init__(
         self,
-        dispatch: Callable[[bytes], bytes | None],
+        dispatch: Callable[[Buffer], Buffer | None],
         *,
         fragment_size: int = DEFAULT_FRAGMENT_SIZE,
         meter: TransportMeter | None = None,
@@ -229,41 +282,33 @@ class LoopbackTransport:
         self._dispatch = dispatch
         self.fragment_size = fragment_size
         self.meter = meter or NullMeter()
-        self._pending: list[bytes] = []
+        self._pending: deque[Buffer] = deque()
+        self._wire = _GatherStream()
+        self._reader = RecordReader(recv_into=self._wire.recv_into)
         self._lock = threading.Lock()
         self._closed = False
 
-    def send_record(self, record: bytes) -> None:
+    def send_record(self, record: Buffer) -> None:
         if self._closed:
             raise RpcTransportError("transport is closed")
-        framed = memoryview(encode_record(record, self.fragment_size))
-        self.meter.on_send(len(framed))
-        # Reassemble through RecordReader so framing is genuinely exercised.
-        # A moving cursor over one memoryview keeps this O(n).
-        cursor = [0]
-
-        def read(n: int) -> bytes:
-            start = cursor[0]
-            if start >= len(framed):
-                return b""
-            chunk = framed[start : start + n]
-            cursor[0] = start + len(chunk)
-            return chunk.tobytes()
-
-        request = RecordReader(read).read_record()
+        with self._lock:
+            self._wire.feed(gather_fragments(record, self.fragment_size))
+            request = self._reader.read_record()
+            wire_bytes = self._reader.wire_bytes
         assert request is not None
+        self.meter.on_send(wire_bytes)
         reply = self._dispatch(request)
         if reply is not None:
             with self._lock:
                 self._pending.append(reply)
 
-    def recv_record(self) -> bytes:
+    def recv_record(self) -> Buffer:
         if self._closed:
             raise RpcTransportError("transport is closed")
         with self._lock:
             if not self._pending:
                 raise RpcTransportError("no reply pending on loopback transport")
-            record = self._pending.pop(0)
+            record = self._pending.popleft()
         self.meter.on_recv(_framed_size(len(record), self.fragment_size))
         return record
 

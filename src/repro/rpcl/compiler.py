@@ -36,7 +36,7 @@ from repro.xdr import (
     VarOpaque,
 )
 from repro.xdr.decoder import XdrDecoder
-from repro.xdr.encoder import XdrEncoder
+from repro.xdr.encoder import Buffer, XdrEncoder
 from repro.xdr.types import XdrType, _BaseType
 
 _PRIMITIVES: dict[str, XdrType] = {
@@ -93,33 +93,43 @@ class ProcedureSignature:
     arg_types: tuple[XdrType, ...]
     result_type: XdrType
 
-    def encode_args(self, values: tuple[Any, ...]) -> bytes:
-        """Encode positional argument values back-to-back."""
+    def encode_args(
+        self, values: tuple[Any, ...], encoder: XdrEncoder | None = None
+    ) -> bytearray:
+        """Encode positional argument values back-to-back.
+
+        With ``encoder`` they are appended to what it already holds -- the
+        RPC header, on the call path -- so a bulk argument is copied once,
+        into the record.  Returns the encoder's buffer (not a copy).
+        """
         if len(values) != len(self.arg_types):
             raise TypeError(
                 f"{self.name}() takes {len(self.arg_types)} argument(s), "
                 f"got {len(values)}"
             )
-        enc = XdrEncoder()
+        enc = XdrEncoder() if encoder is None else encoder
         for xdr_type, value in zip(self.arg_types, values):
             xdr_type.encode(enc, value)
-        return enc.getvalue()
+        return enc.buffer
 
-    def decode_args(self, data: bytes) -> tuple[Any, ...]:
-        """Decode positional argument values (server side)."""
+    def decode_args(self, data: Buffer) -> tuple[Any, ...]:
+        """Decode positional argument values (server side).
+
+        Opaque values come back as read-only views of ``data``.
+        """
         dec = XdrDecoder(data)
         values = tuple(t.decode(dec) for t in self.arg_types)
         dec.assert_done()
         return values
 
-    def encode_result(self, value: Any) -> bytes:
-        """Encode the procedure result (server side)."""
-        enc = XdrEncoder()
+    def encode_result(self, value: Any, encoder: XdrEncoder | None = None) -> bytearray:
+        """Encode the procedure result (server side); see :meth:`encode_args`."""
+        enc = XdrEncoder() if encoder is None else encoder
         self.result_type.encode(enc, value)
-        return enc.getvalue()
+        return enc.buffer
 
-    def decode_result(self, data: bytes) -> Any:
-        """Decode the procedure result (client side)."""
+    def decode_result(self, data: Buffer) -> Any:
+        """Decode the procedure result (client side); opaques are views of ``data``."""
         dec = XdrDecoder(data)
         value = self.result_type.decode(dec)
         dec.assert_done()

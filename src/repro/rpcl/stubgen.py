@@ -17,6 +17,7 @@ code -- the property the paper highlights for RPC-Lib.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Mapping
 
 from repro.oncrpc.client import RpcClient
@@ -59,7 +60,9 @@ class ClientStub:
             raise AttributeError(f"no procedure {name!r} in this program") from None
 
         def invoke(*args: Any) -> Any:
-            raw = self._client.call_raw(sig.number, sig.encode_args(args))
+            # The client packs the RPC header, then has the signature append
+            # the arguments to the same encoder: one buffer per record.
+            raw = self._client.call_raw(sig.number, partial(sig.encode_args, args))
             return sig.decode_result(raw)
 
         invoke.__name__ = name
@@ -81,7 +84,7 @@ class ClientStub:
             sig = self._signatures[name]
         except KeyError:
             raise AttributeError(f"no procedure {name!r} in this program") from None
-        return self._client.call_batched(sig.number, sig.encode_args(args))
+        return self._client.call_batched(sig.number, partial(sig.encode_args, args))
 
     def close(self) -> None:
         """Close the underlying RPC client."""
@@ -154,13 +157,15 @@ class ProgramInterface:
 def _make_handler(sig: ProcedureSignature, fn: Callable[..., Any]) -> Handler:
     wants_ctx = _accepts_ctx(fn)
 
-    def handler(args: bytes, ctx: CallContext) -> bytes:
+    def handler(args: bytes, ctx: CallContext) -> Callable[..., object]:
         try:
             values = sig.decode_args(args)
         except XdrError as exc:
             raise GarbageArgumentsError(str(exc)) from exc
         result = fn(*values, ctx=ctx) if wants_ctx else fn(*values)
-        return sig.encode_result(result)
+        # A writer: the server packs the reply header, then this appends
+        # the result to the same encoder.
+        return partial(sig.encode_result, result)
 
     handler.__name__ = f"handle_{sig.name}"
     return handler

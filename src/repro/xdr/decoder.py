@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import struct
 
+from repro.xdr.encoder import Buffer, flat_view
 from repro.xdr.errors import XdrDecodeError, XdrLimitError
 
 #: Hostile-input ceiling on a single declared string/opaque length when the
@@ -28,8 +29,11 @@ class XdrDecoder:
     Parameters
     ----------
     data:
-        The encoded bytes.  The buffer is not copied; a ``memoryview`` is
-        taken so slicing during decode is cheap.
+        The encoded bytes, as any C-contiguous buffer.  The buffer is not
+        copied: the decoder walks a read-only ``memoryview`` of it, and
+        opaque values are returned as slices of that view.  The caller
+        must therefore leave ``data`` unmodified for as long as a decoded
+        opaque is in use (``bytes(value)`` detaches one).
     strict_padding:
         When true (the default), non-zero padding bytes are rejected as the
         RFC requires of conforming decoders.
@@ -47,13 +51,13 @@ class XdrDecoder:
 
     def __init__(
         self,
-        data: bytes,
+        data: Buffer,
         *,
         strict_padding: bool = True,
         max_item_bytes: int | None = DEFAULT_MAX_ITEM_BYTES,
         max_array_items: int | None = DEFAULT_MAX_ARRAY_ITEMS,
     ) -> None:
-        self._mv = memoryview(bytes(data))
+        self._mv = flat_view(memoryview(data)).toreadonly()
         self._pos = 0
         self._strict = strict_padding
         self._max_item_bytes = max_item_bytes
@@ -138,14 +142,17 @@ class XdrDecoder:
 
     # -- opaque data and strings -------------------------------------------
 
-    def unpack_fixed_opaque(self, size: int) -> bytes:
-        """Unpack exactly ``size`` opaque bytes, consuming padding."""
-        data = bytes(self._take(size))
+    def unpack_fixed_opaque(self, size: int) -> memoryview:
+        """Unpack exactly ``size`` opaque bytes, consuming padding.
+
+        Returns a read-only view of the decoder's buffer, not a copy.
+        """
+        data = self._take(size)
         self._skip_padding(size)
         return data
 
-    def unpack_opaque(self, max_size: int | None = None) -> bytes:
-        """Unpack variable-length opaque data."""
+    def unpack_opaque(self, max_size: int | None = None) -> memoryview:
+        """Unpack variable-length opaque data (a read-only view, not a copy)."""
         length = self.unpack_uint()
         if max_size is not None and length > max_size:
             raise XdrDecodeError(
@@ -171,7 +178,7 @@ class XdrDecoder:
         """Unpack a UTF-8 string."""
         raw = self.unpack_opaque(max_size)
         try:
-            return raw.decode("utf-8")
+            return str(raw, "utf-8")
         except UnicodeDecodeError as exc:
             raise XdrDecodeError(f"invalid UTF-8 in XDR string: {exc}") from exc
 

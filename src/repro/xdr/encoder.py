@@ -1,14 +1,17 @@
 """Imperative XDR packing (RFC 4506 section 4).
 
 The encoder appends to an internal :class:`bytearray`; call
-:meth:`XdrEncoder.getvalue` to obtain the encoded bytes.  All multi-byte
-quantities are big-endian and every item is padded to a multiple of four
-bytes, as the standard mandates.
+:meth:`XdrEncoder.getvalue` to obtain a ``bytes`` copy of what was packed,
+or read :attr:`XdrEncoder.buffer` to be handed the ``bytearray`` itself -- what
+the RPC layers do, so that a bulk payload is copied once on its way into
+a record and never again.  All multi-byte quantities are big-endian and
+every item is padded to a multiple of four bytes, as the standard mandates.
 """
 
 from __future__ import annotations
 
 import struct
+from typing import Union
 
 from repro.xdr.errors import XdrEncodeError
 
@@ -20,6 +23,30 @@ _HYPER_MAX = 2**63 - 1
 _UHYPER_MAX = 2**64 - 1
 
 _PAD = (b"", b"\x00\x00\x00", b"\x00\x00", b"\x00")
+
+#: anything exposing the buffer protocol (``collections.abc.Buffer`` is 3.12+)
+Buffer = Union[bytes, bytearray, memoryview]
+
+
+def flat_view(view: memoryview) -> memoryview:
+    """A C-contiguous ``view`` as one dimension of bytes (nothing is copied)."""
+    if view.ndim != 1 or view.itemsize != 1:
+        # (a shape with a zero in it cannot be cast)
+        view = view.cast("B") if view.nbytes else memoryview(b"")
+    return view
+
+
+def _byte_view(value: Buffer) -> bytes | memoryview:
+    """``value`` as a flat run of bytes -- copied only if it is strided."""
+    if type(value) is bytes:
+        return value
+    try:
+        view = memoryview(value)
+    except TypeError as exc:
+        raise XdrEncodeError(
+            f"opaque data must be a bytes-like object, got {type(value).__name__}"
+        ) from exc
+    return flat_view(view) if view.c_contiguous else view.tobytes()
 
 
 class XdrEncoder:
@@ -38,6 +65,17 @@ class XdrEncoder:
     def getvalue(self) -> bytes:
         """Return everything packed so far as immutable bytes."""
         return bytes(self._buf)
+
+    @property
+    def buffer(self) -> bytearray:
+        """Everything packed so far as the encoder's own ``bytearray``, not a copy.
+
+        This is how a finished record leaves the encoder: whoever takes the
+        buffer drops the encoder and owns the bytes alone (see "Bulk data
+        path and buffer ownership" in ``docs/ARCHITECTURE.md``).  Packing
+        more afterwards grows the same object.
+        """
+        return self._buf
 
     def __len__(self) -> int:
         return len(self._buf)
@@ -108,26 +146,32 @@ class XdrEncoder:
 
     # -- opaque data and strings -------------------------------------------
 
-    def pack_fixed_opaque(self, value: bytes, size: int) -> None:
+    def pack_fixed_opaque(self, value: Buffer, size: int) -> None:
         """Pack exactly ``size`` opaque bytes plus alignment padding."""
-        data = bytes(value)
+        data = _byte_view(value)
         if len(data) != size:
             raise XdrEncodeError(
                 f"fixed opaque of size {size} expected, got {len(data)} bytes"
             )
         self._buf += data
-        self._buf += _PAD[len(data) % 4]
+        self._buf += _PAD[size % 4]
 
-    def pack_opaque(self, value: bytes, max_size: int | None = None) -> None:
-        """Pack variable-length opaque data: a length word then padded bytes."""
-        data = bytes(value)
-        if max_size is not None and len(data) > max_size:
+    def pack_opaque(self, value: Buffer, max_size: int | None = None) -> None:
+        """Pack variable-length opaque data: a length word then padded bytes.
+
+        ``value`` is any C-contiguous buffer (``bytes``, ``bytearray``, a
+        ``memoryview``, a numpy array); it is copied once, into the
+        encoder's buffer.
+        """
+        data = _byte_view(value)
+        size = len(data)
+        if max_size is not None and size > max_size:
             raise XdrEncodeError(
-                f"opaque longer than declared maximum ({len(data)} > {max_size})"
+                f"opaque longer than declared maximum ({size} > {max_size})"
             )
-        self.pack_uint(len(data))
+        self.pack_uint(size)
         self._buf += data
-        self._buf += _PAD[len(data) % 4]
+        self._buf += _PAD[size % 4]
 
     def pack_string(self, value: str, max_size: int | None = None) -> None:
         """Pack a string as UTF-8 encoded variable-length opaque data."""
@@ -151,7 +195,7 @@ class XdrEncoder:
         """Pack the presence flag of an XDR optional (``*``) value."""
         self.pack_bool(present)
 
-    def append_raw(self, data: bytes) -> None:
+    def append_raw(self, data: Buffer) -> None:
         """Append pre-encoded XDR bytes verbatim.
 
         ``data`` must already be 4-byte aligned; this is used to splice

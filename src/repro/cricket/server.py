@@ -23,15 +23,8 @@ only moves when work does.  See :mod:`repro.cricket.sessions`.
 from __future__ import annotations
 
 import threading
-from dataclasses import replace
 
 from repro.cricket import params as kparams
-from repro.cricket.scheduler import (
-    FairSharePolicy,
-    FifoPolicy,
-    GpuScheduler,
-    SchedulingPolicy,
-)
 from repro.cricket.recovery import RecoveryLadder
 from repro.cricket.sessions import LEASE_FOREVER, SessionManager
 from repro.cricket.spec import cricket_interface
@@ -410,8 +403,6 @@ class CricketImplementation:
                 values = kparams.unpack_params(meta, param_block)
             except Exception:
                 return C.CUDA_ERROR_INVALID_VALUE
-            client = ctx.client_id if ctx is not None else "anon"
-            self._server.scheduler.note_launch(client)
             return self.driver.cuLaunchKernel(
                 fhandle,
                 (grid["x"], grid["y"], grid["z"]),
@@ -608,8 +599,6 @@ class CricketServer(RpcServer):
         *,
         clock: SimClock | None = None,
         execute: bool = True,
-        dispatch_cost_s: float = CRICKET_SERVER_DISPATCH_S,
-        scheduling: SchedulingPolicy | None = None,
         lease_s: float | None = None,
         grace_s: float = 5.0,
         max_sessions: int | None = None,
@@ -619,21 +608,10 @@ class CricketServer(RpcServer):
         sanitizer: SanitizerConfig | bool | None = None,
         watchdog: KernelWatchdog | bool | None = None,
         auto_recover: bool | None = None,
-        sanitizer_sweep_every: int = 64,
         brownout: BrownoutConfig | bool | None = None,
-        dispatch_slo: LatencySLO | None = None,
         checkpoint_slo: LatencySLO | None = None,
     ) -> None:
         clock = clock if clock is not None else SimClock()
-        if (
-            overload is not None
-            and not overload.weights
-            and isinstance(scheduling, FairSharePolicy)
-            and scheduling.weights
-        ):
-            # One fairness config: the GPU scheduler's tenant weights double
-            # as the admission queue's WFQ weights unless overridden.
-            overload = replace(overload, weights=dict(scheduling.weights))
         super().__init__(crc_records=crc_records, clock=clock, overload=overload)
         # rpc_ping (62) is the idle-client lease heartbeat and rpc_cancel
         # (63) is how overloaded work gets *aborted* -- neither may queue
@@ -685,11 +663,11 @@ class CricketServer(RpcServer):
         self.violations: list[tuple[str, str, str, int]] = []
         #: leak reports from ledger releases: dicts with ptr/ordinal/size/owner/site
         self.leak_reports: list[dict] = []
-        self.sanitizer_sweep_every = max(int(sanitizer_sweep_every), 1)
         self._dispatches_since_sweep = 0
         for device in self.devices:
             device.on_violation = self._note_violation
-        self.dispatch_cost_s = dispatch_cost_s
+        #: server CPU charged to the virtual clock per dispatched call
+        self.dispatch_cost_s = CRICKET_SERVER_DISPATCH_S
         #: cumulative server CPU charged for RPC dispatch, nanoseconds
         self.dispatch_time_charged_ns = 0
         self.runtime = CudaRuntime(devices, self.clock)
@@ -697,7 +675,6 @@ class CricketServer(RpcServer):
         self._blas = [CublasContext(d, self.clock) for d in devices]
         self._solvers = [CusolverContext(d, self.clock) for d in devices]
         self._ffts = [CufftContext(d, self.clock) for d in devices]
-        self.scheduler = GpuScheduler(scheduling or FifoPolicy())
         self.sessions = SessionManager(
             lease_s=lease_s,
             grace_s=grace_s,
@@ -712,8 +689,6 @@ class CricketServer(RpcServer):
         self.brownout_config = (
             BrownoutConfig() if brownout is True else (brownout or None)
         )
-        #: SLO on the per-call dispatch latency tracker (optional signal)
-        self.dispatch_slo = dispatch_slo
         #: SLO on checkpoint write latency; needs a tracker attached via
         #: :meth:`attach_checkpoint_health`
         self.checkpoint_slo = checkpoint_slo
@@ -725,13 +700,11 @@ class CricketServer(RpcServer):
                 config=self.brownout_config,
                 server_stats=self.server_stats,
             )
-            # Worst-ratio-wins signals.  Throttle and queue depth are
-            # always available; latency SLOs join when configured.
+            # Worst-ratio-wins signals.  Throttle is always available; queue
+            # depth and the checkpoint SLO join when configured.
             controller.add_signal("device_throttle", self._throttle_ratio)
             if self.overload is not None:
                 controller.add_signal("queue_depth", self._queue_depth_ratio)
-            if dispatch_slo is not None:
-                controller.add_signal("dispatch_latency", self._dispatch_ratio)
             if checkpoint_slo is not None:
                 controller.add_signal("checkpoint_fsync", self._ckpt_ratio)
             self.brownout = controller
@@ -781,6 +754,9 @@ class CricketServer(RpcServer):
         return self._ffts[self.runtime._current]
 
     # -- sanitizer / watchdog / recovery ------------------------------------
+
+    #: dispatches between two periodic canary sweeps
+    sanitizer_sweep_every = 64
 
     _VIOLATION_COUNTERS = {
         "oob-write": "sanitizer_oob_writes",
@@ -850,22 +826,14 @@ class CricketServer(RpcServer):
 
     def _queue_depth_ratio(self) -> float:
         """Admission-queue occupancy as a fraction of the configured bound."""
-        if self.overload is None:
-            return 0.0
         cfg = self.overload.queue.config
         if cfg.max_queue_depth <= 0:
             return 0.0
         return len(self.overload.queue) / cfg.max_queue_depth
 
-    def _dispatch_ratio(self) -> float:
-        """Per-call dispatch latency p99 against the configured SLO."""
-        if self.dispatch_slo is None:
-            return 0.0
-        return self.dispatch_slo.ratio(self.call_health)
-
     def _ckpt_ratio(self) -> float:
         """Checkpoint write (fsync) p99 against the configured SLO."""
-        if self.checkpoint_slo is None or self.ckpt_health is None:
+        if self.ckpt_health is None:
             return 0.0
         return self.checkpoint_slo.ratio(self.ckpt_health)
 

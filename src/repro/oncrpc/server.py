@@ -36,6 +36,7 @@ GiB of payload.
 from __future__ import annotations
 
 import contextlib
+import operator
 import socket
 import threading
 import time
@@ -61,7 +62,6 @@ from repro.oncrpc.record import (
 # name stays importable from here because ``bench/trace.py`` rebinds it in
 # every module that imported it.
 from repro.oncrpc.record import encode_record  # noqa: F401
-from repro.resilience.health import HealthTracker
 from repro.resilience.overload import (
     CallCancelledError,
     CancelToken,
@@ -92,11 +92,36 @@ class CallContext:
     priority: int = 0
     #: cooperative cancellation latch; handlers check it at safe points
     cancel: CancelToken = field(default_factory=CancelToken)
+    #: transaction id of the call (with ``identity``, its at-most-once key)
+    xid: int = 0
+    #: the record arrived over a replication channel from the leader
+    replica_apply: bool = False
+    #: the call holds an overload concurrency slot until it has run
+    admitted: bool = False
 
 
 Handler = Callable[[memoryview, CallContext], msg.Payload]
 
 _NULL_GUARD = contextlib.nullcontext()
+
+#: what the overload queue's refusals look like on the wire
+_QUEUE_REFUSAL_STAT = {
+    OverloadController.BUSY: msg.RPC_BUSY,
+    OverloadController.EXPIRED: msg.CALL_EXPIRED,
+    OverloadController.CANCELLED: msg.CALL_CANCELLED,
+}
+
+
+def _plane(slot: str) -> property:
+    """An optional admission plane of :class:`RpcServer`: installing one
+    rebuilds the chain, so no call has to ask whether the plane is there.
+    """
+
+    def install(server: "RpcServer", plane: object | None) -> None:
+        setattr(server, slot, plane)
+        server._build_admission()
+
+    return property(operator.attrgetter(slot), install)
 
 
 class GarbageArgumentsError(Exception):
@@ -162,8 +187,10 @@ class RpcServer:
         self._conn_lock = threading.Lock()
         self._conns: set[socket.socket] = set()
         self._conn_threads: list[threading.Thread] = []
-        # in-flight handler executions (drain mode waits for these)
+        # in-flight handler executions (drain mode waits for these) and
+        # their cancel tokens, keyed (identity, xid); one lock for both
         self._inflight = 0
+        self._inflight_calls: dict[tuple[str, int], CancelToken] = {}
         self._inflight_cv = threading.Condition()
         self._draining = False
         #: observer called after each freshly executed call (not for reply-
@@ -175,20 +202,13 @@ class RpcServer:
         #: uses this to ship the op-log.
         self.on_executed: Callable[[Buffer, msg.CallBody, Buffer], None] | None = None
         #: composable observers called once per *handler execution* (reply-
-        #: cache hits and sheds never fire) with ``(identity, xid, proc,
+        #: cache hits and refusals never fire) with ``(identity, xid, proc,
         #: accept_stat, replica_apply)``.  Unlike :attr:`on_executed` --
         #: a single slot owned by the replication link -- any number of
         #: taps may be installed; the simulation history recorder uses
         #: them as its server-edge evidence stream for at-most-once
-        #: checking, so a deliberately doubled execution fires twice.
+        #: checking: a handler that ran twice fired them twice.
         self.execution_taps: list[Callable[[str, int, int, int, bool], None]] = []
-        # Test-only fault: while > 0, each fresh (non-replica) execution
-        # of a non-exempt procedure runs the handler a second time and
-        # discards the second reply -- the classic retransmit-reexecutes
-        # bug the reply cache exists to prevent.  Armed via
-        # :meth:`arm_double_execution` by the simulation nemesis so the
-        # checker/shrinker acceptance path has a real bug to catch.
-        self._double_execute_left = 0
         # Serializes execute+hook when an observer is installed so the
         # op-log order matches execution order; without an observer,
         # dispatches stay concurrent.
@@ -200,40 +220,37 @@ class RpcServer:
         #: checker knows which acknowledged-but-unreplicated effects may
         #: legitimately be lost
         self.on_kill: Callable[[], None] | None = None
-        #: overload admission (None = unbounded, the historical behaviour)
-        self.overload = (
-            OverloadController(
-                overload, now_ns=lambda: self.clock.now_ns, stats=self.server_stats
-            )
-            if overload is not None
-            else None
-        )
-        #: procedures that bypass overload admission: NULL (liveness probes
+        #: procedures that skip admission altogether: NULL (liveness probes
         #: must answer even under overload) -- subclasses add e.g. rpc_cancel
         self.overload_exempt_procs: set[int] = {0}
         #: when True, non-exempt calls are shed with RPC_BUSY -- the
         #: stop-and-copy window of a live migration.  Retransmits of calls
         #: executed before the pause still replay from the reply cache.
         self.serving_paused = False
-        #: leadership fence (duck-typed; see repro.cricket.witness).  When
-        #: set, its ``shed_stat(proc, now_ns)`` is consulted before
-        #: execution -- a non-leader sheds mutating procedures with
-        #: RPC_NOT_LEADER while reads drain -- and its ``reply_verf()``
-        #: stamps the leadership epoch on every reply.  Retransmits of
-        #: calls executed before a demotion still replay from the reply
-        #: cache (the cache lookup runs first), keeping at-most-once.
-        self.fencing: object | None = None
-        #: degraded-mode controller (duck-typed; see
-        #: repro.resilience.health.BrownoutController).  When set, its
-        #: ``shed_stat(priority)`` is consulted before admission -- a
-        #: browned-out server sheds low-priority work with RPC_BUSY before
-        #: it ever reaches the overload queue.
-        self.brownout: object | None = None
-        #: per-call execution latency (request decoded -> reply encoded),
-        #: the dispatch-path SLO signal for gray-failure detection
-        self.call_health = HealthTracker("dispatch")
-        #: executing calls' cancel tokens, keyed (identity, xid)
-        self._inflight_calls: dict[tuple[str, int], CancelToken] = {}
+        self._overload = (
+            OverloadController(
+                overload, now_ns=lambda: self.clock.now_ns, stats=self.server_stats
+            )
+            if overload is not None
+            else None
+        )
+        self._fencing = None
+        self._brownout = None
+        self._build_admission()
+
+    #: overload admission (None = unbounded, the historical behaviour)
+    overload = _plane("_overload")
+    #: leadership fence (duck-typed; see repro.cricket.witness): its
+    #: ``shed_stat(proc, now_ns)`` is consulted before execution -- a
+    #: non-leader sheds mutating procedures with RPC_NOT_LEADER while reads
+    #: drain -- and its ``reply_verf()`` stamps the leadership epoch on
+    #: every reply
+    fencing = _plane("_fencing")
+    #: degraded-mode controller (duck-typed; see
+    #: repro.resilience.health.BrownoutController): its
+    #: ``shed_stat(priority)`` sheds low-priority work with RPC_BUSY before
+    #: it ever reaches the overload queue
+    brownout = _plane("_brownout")
 
     # -- registration ---------------------------------------------------------
 
@@ -268,6 +285,10 @@ class RpcServer:
     ) -> Buffer | None:
         """Process one request record and return the reply record payload.
 
+        One path: decode, answer a retransmission from the reply cache --
+        even on a paused, fenced or browned-out server -- otherwise admit
+        (:meth:`_build_admission`) and run (:meth:`_run`), or refuse.
+
         ``record`` is only read, and must stay unmodified afterwards: the
         decoded call and the op-log observer keep it, or views of it.  The
         reply is a buffer of its own, shared with the reply cache and the
@@ -281,7 +302,7 @@ class RpcServer:
         request; the client's retry loop retransmits).
 
         ``replica_apply=True`` marks a record arriving over a replication
-        channel from the current leader: the leadership fence is skipped
+        channel from the current leader: fence and brownout are skipped
         (a follower *must* apply the leader's mutations -- the link's
         epoch check guards against stale leaders), while at-most-once
         and everything else behave exactly as for a client call.
@@ -307,12 +328,44 @@ class RpcServer:
         identity = f"token:{token.hex()}" if token is not None else client_id
         cache_key = (identity, request.xid)
         with self._stats_lock:
-            cached = self._reply_cache.get(cache_key)
-            if cached is not None:
+            reply = self._reply_cache.get(cache_key)
+            if reply is not None:
                 self._reply_cache.move_to_end(cache_key)
                 self.duplicate_hits += 1
                 self.server_stats.reply_cache_hits += 1
-                return self._finish_reply(cached)
+        if reply is None:
+            ctx = self._context(
+                call, identity, request.xid, client_id, session, replica_apply
+            )
+            refusal = None
+            if call.proc not in self.overload_exempt_procs:
+                for check in self._admission:
+                    refusal = check(call, ctx)
+                    if refusal is not None:
+                        break
+            if refusal is None:
+                reply = self._run(record, call, ctx)
+            elif refusal == msg.CALL_CANCELLED:
+                reply = self.record_cancelled(identity, request.xid)
+            else:
+                # Never cached: the same xid retransmitted to a later
+                # leader, after recovery or after the resume must be judged
+                # again (and nobody retransmits a fatal expiry).
+                reply = self._control_reply(request.xid, refusal)
+        # The CRC trailer goes on a copy (``append_crc`` of a view): the
+        # reply cache and the op-log observer hold ``reply`` itself.
+        return append_crc(memoryview(reply)) if self.crc_records else reply
+
+    def _context(
+        self,
+        call: msg.CallBody,
+        identity: str,
+        xid: int,
+        client_id: str,
+        session: dict | None,
+        replica_apply: bool,
+    ) -> CallContext:
+        """What the checks and the handler get to know about the call."""
         ctx = CallContext(
             prog=call.prog,
             vers=call.vers,
@@ -321,6 +374,8 @@ class RpcServer:
             client_id=client_id,
             session=session if session is not None else {},
             identity=identity,
+            xid=xid,
+            replica_apply=replica_apply,
         )
         # Remember which identities rode this connection, so a disconnect
         # can be attributed to their sessions (see _on_disconnect).
@@ -331,168 +386,92 @@ class RpcServer:
             ctx.priority = meta.priority
             if meta.remaining_ns is not None:
                 ctx.deadline_ns = self.clock.now_ns + meta.remaining_ns
-        exempt = call.proc in self.overload_exempt_procs
-        if self.serving_paused and not exempt:
-            # Paused for a migration's stop-and-copy: shed with RPC_BUSY so
-            # the client backs off and retries -- against the migrated-to
-            # server once cutover rotates its endpoint.
-            with self._stats_lock:
-                self.server_stats.paused_rejections += 1
-            return self._finish_reply(
-                self._control_reply(request.xid, msg.RPC_BUSY)
-            )
-        if self.fencing is not None and not exempt and not replica_apply:
-            fence_stat = self.fencing.shed_stat(call.proc, self.clock.now_ns)
-            if fence_stat is not None:
-                # A fenced (non-leader) server refuses mutations with
-                # RPC_NOT_LEADER; the reply verf carries the newest epoch
-                # and a redirect hint.  Never cached: a retransmission
-                # against a later leader must re-evaluate, and one against
-                # this server after a re-election must see the new state.
-                return self._finish_reply(
-                    self._control_reply(request.xid, fence_stat)
-                )
-        if self.brownout is not None and not exempt and not replica_apply:
-            shed = self.brownout.shed_stat(ctx.priority)
-            if shed is not None:
-                # Degraded mode: shed low-priority work with RPC_BUSY while
-                # the server digs itself out.  Never cached -- the same xid
-                # retransmitted after recovery must execute.
-                with self._stats_lock:
-                    self.server_stats.brownout_sheds += 1
-                return self._finish_reply(self._control_reply(request.xid, shed))
-        if (
-            not exempt
-            and ctx.deadline_ns is not None
-            and self.clock.now_ns >= ctx.deadline_ns
-        ):
-            # Expired before we even looked at it: executing would burn GPU
-            # time for a caller who already gave up.  Never cached -- the
-            # client will not retransmit a fatal expiry.
-            with self._stats_lock:
-                self.server_stats.deadline_expired_in_queue += 1
-            return self._finish_reply(
-                self._control_reply(request.xid, msg.CALL_EXPIRED)
-            )
-        admitted = False
-        if self.overload is not None and not exempt:
-            outcome, token = self.overload.acquire(
-                identity,
-                request.xid,
-                priority=ctx.priority,
-                expires_at_ns=ctx.deadline_ns,
-            )
-            if outcome == OverloadController.BUSY:
-                return self._finish_reply(
-                    self._control_reply(request.xid, msg.RPC_BUSY)
-                )
-            if outcome == OverloadController.EXPIRED:
-                return self._finish_reply(
-                    self._control_reply(request.xid, msg.CALL_EXPIRED)
-                )
-            if outcome == OverloadController.CANCELLED:
-                return self._finish_reply(
-                    self.record_cancelled(identity, request.xid)
-                )
-            admitted = True
-            assert token is not None
-            ctx.cancel = token
-        with self._inflight_cv:
-            self._inflight += 1
-        with self._stats_lock:
-            self._inflight_calls[cache_key] = ctx.cancel
-        # When a replication observer is installed, (execute, ship) must be
-        # atomic: if two concurrent mutating calls could execute in one
-        # order but enter the op-log in the other, the standby's replay
-        # would hand out different handles than the primary did.
-        guard = self._oplog_lock if self.on_executed is not None else _NULL_GUARD
-        started_ns = self.clock.now_ns
-        try:
-            with guard:
-                stat, reply = self._execute(request.xid, call, ctx)
-                self._fire_execution_taps(
-                    identity, request.xid, call.proc, stat, replica_apply
-                )
-                if (
-                    self._double_execute_left > 0
-                    and not replica_apply
-                    and not exempt
-                ):
-                    # Injected bug: run the handler again and throw the
-                    # second reply away.  The duplicated side effects (a
-                    # second allocation, a second write) are exactly what
-                    # the history checker's at-most-once property exists
-                    # to catch.
-                    self._double_execute_left -= 1
-                    doubled_stat, _ = self._execute(request.xid, call, ctx)
-                    self._fire_execution_taps(
-                        identity, request.xid, call.proc, doubled_stat, replica_apply
-                    )
-                self._cache_reply(cache_key, reply)
-                if self.on_executed is not None:
-                    self.on_executed(record, call, reply)
-        finally:
-            # Executed calls (only -- sheds and cache hits would dilute
-            # the signal) feed the dispatch-latency SLO tracker.
-            self.call_health.record(self.clock.now_ns - started_ns)
-            with self._stats_lock:
-                self._inflight_calls.pop(cache_key, None)
-            if admitted:
-                assert self.overload is not None
-                self.overload.release()
-            with self._inflight_cv:
-                self._inflight -= 1
-                self._inflight_cv.notify_all()
-        if (
-            ctx.deadline_ns is not None
-            and stat == msg.SUCCESS
-            and self.clock.now_ns >= ctx.deadline_ns
-        ):
-            # The work finished, but after its caller's budget ran out: the
-            # reply is almost certainly talking to a closed retry loop.
-            with self._stats_lock:
-                self.server_stats.deadline_expired_in_execution += 1
-        return self._finish_reply(reply)
+        return ctx
 
-    def _fire_execution_taps(
-        self, identity: str, xid: int, proc: int, stat: int, replica_apply: bool
-    ) -> None:
-        for tap in self.execution_taps:
-            tap(identity, xid, proc, stat, replica_apply)
+    # -- admission: may this call run? ---------------------------------------
 
-    def arm_double_execution(self, count: int = 1) -> None:
-        """Test-only: make the next ``count`` fresh executions run twice.
+    def _build_admission(self) -> None:
+        """Rebuild the admission chain from the planes installed right now.
 
-        Models a broken at-most-once layer (side effects duplicated, the
-        duplicate reply discarded).  Only meaningful to the simulation
-        checker -- never arm this outside a test.
+        Every non-exempt call walks ``_admission`` and the first check
+        ``(call, ctx)`` to return an ``accept_stat`` refuses it; a plane that
+        is not installed has no entry.  The order is behaviour: a paused server does not
+        consult its fence (``shed_stat`` renews leases and self-fences), a
+        fenced one says not-leader whatever the priority, and an expired
+        call is never offered to the overload queue.
         """
-        self._double_execute_left = max(int(count), 0)
+        checks = [self._check_paused]
+        if self._fencing is not None:
+            checks.append(self._check_fence)
+        if self._brownout is not None:
+            checks.append(self._check_brownout)
+        checks.append(self._check_expired)
+        if self._overload is not None:
+            checks.append(self._check_overload)
+        self._admission = tuple(checks)
+        #: verifier stamped on accepted replies: the fence's epoch, so
+        #: failover clients learn it from every reply, else ``NULL_AUTH``
+        self._reply_verf: Callable[[], OpaqueAuth] = (
+            self._fencing.reply_verf if self._fencing is not None else lambda: NULL_AUTH
+        )
+
+    def _check_paused(self, call: msg.CallBody, ctx: CallContext) -> int | None:
+        # A flag, not a plane: it toggles at run time.  RPC_BUSY makes the
+        # client back off and retry -- against the migrated-to server once
+        # cutover rotates its endpoint.
+        if not self.serving_paused:
+            return None
+        with self._stats_lock:
+            self.server_stats.paused_rejections += 1
+        return msg.RPC_BUSY
+
+    def _check_fence(self, call: msg.CallBody, ctx: CallContext) -> int | None:
+        # A follower must apply its leader's mutations (the link's epoch
+        # check guards against stale leaders); anyone else's are refused
+        # with RPC_NOT_LEADER, the reply verf carrying epoch and redirect.
+        if ctx.replica_apply:
+            return None
+        return self._fencing.shed_stat(call.proc, self.clock.now_ns)
+
+    def _check_brownout(self, call: msg.CallBody, ctx: CallContext) -> int | None:
+        # Degraded mode: shed low-priority work with RPC_BUSY while the
+        # server digs itself out.
+        if ctx.replica_apply:
+            return None
+        shed = self._brownout.shed_stat(ctx.priority)
+        if shed is not None:
+            with self._stats_lock:
+                self.server_stats.brownout_sheds += 1
+        return shed
+
+    def _check_expired(self, call: msg.CallBody, ctx: CallContext) -> int | None:
+        # Expired before we even looked at it: executing would burn GPU
+        # time for a caller who already gave up.
+        if ctx.deadline_ns is None or self.clock.now_ns < ctx.deadline_ns:
+            return None
+        with self._stats_lock:
+            self.server_stats.deadline_expired_in_queue += 1
+        return msg.CALL_EXPIRED
+
+    def _check_overload(self, call: msg.CallBody, ctx: CallContext) -> int | None:
+        outcome, token = self._overload.acquire(
+            ctx.identity,
+            ctx.xid,
+            priority=ctx.priority,
+            expires_at_ns=ctx.deadline_ns,
+        )
+        if outcome != OverloadController.ADMITTED:
+            return _QUEUE_REFUSAL_STAT[outcome]
+        assert token is not None
+        ctx.cancel = token  # the queue's: rpc_cancel reaches it either way
+        ctx.admitted = True
+        return None
 
     def _control_reply(self, xid: int, stat: int) -> bytearray:
         """Encode a void-body control reply (RPC_BUSY / CALL_EXPIRED)."""
         return msg.RpcMessage(
             xid, msg.AcceptedReply(self._reply_verf(), stat), msg.MSG_ACCEPTED
         ).encode()
-
-    def _finish_reply(self, reply: Buffer) -> Buffer:
-        """The reply as it goes on the wire (checksummed when configured).
-
-        The trailer goes on a copy (``append_crc`` of a view): the reply
-        cache and the op-log observer hold ``reply`` itself.
-        """
-        return append_crc(memoryview(reply)) if self.crc_records else reply
-
-    def _reply_verf(self) -> OpaqueAuth:
-        """Verifier stamped on accepted replies.
-
-        ``NULL_AUTH`` historically; a leadership fence (when installed)
-        rides the current epoch here so failover clients learn it from
-        every reply.  Unfenced servers keep byte-identical replies.
-        """
-        if self.fencing is not None:
-            return self.fencing.reply_verf()
-        return NULL_AUTH
 
     def record_cancelled(self, identity: str, xid: int) -> bytearray:
         """Build and *cache* a CALL_CANCELLED reply for ``(identity, xid)``.
@@ -512,14 +491,56 @@ class RpcServer:
         never start executing); in-flight calls get their token fired and
         abort at the handler's next safe point.
         """
-        if self.overload is not None and self.overload.cancel(identity, xid):
+        if self._overload is not None and self._overload.cancel(identity, xid):
             return True
-        with self._stats_lock:
+        with self._inflight_cv:
             token = self._inflight_calls.get((identity, xid))
         if token is not None:
             token.cancel()
             return True
         return False
+
+    # -- run: execute an admitted call, once ---------------------------------
+
+    def _run(self, record: Buffer, call: msg.CallBody, ctx: CallContext) -> Buffer:
+        """Execute an admitted call; returns its reply, cached and shipped.
+
+        Owns what brackets a handler: the in-flight accounting (drain waits
+        on it, ``rpc_cancel`` finds the token there), the op-log guard and
+        giving the overload slot back.
+        """
+        cache_key = (ctx.identity, ctx.xid)
+        with self._inflight_cv:
+            self._inflight += 1
+            self._inflight_calls[cache_key] = ctx.cancel
+        # When a replication observer is installed, (execute, ship) must be
+        # atomic: if two concurrent mutating calls could execute in one
+        # order but enter the op-log in the other, the standby's replay
+        # would hand out different handles than the primary did.
+        guard = self._oplog_lock if self.on_executed is not None else _NULL_GUARD
+        try:
+            with guard:
+                stat, reply = self._execute(call, ctx)
+                self._cache_reply(cache_key, reply)
+                if self.on_executed is not None:
+                    self.on_executed(record, call, reply)
+        finally:
+            if ctx.admitted:
+                self._overload.release()
+            with self._inflight_cv:
+                self._inflight_calls.pop(cache_key, None)
+                self._inflight -= 1
+                self._inflight_cv.notify_all()
+        if (
+            ctx.deadline_ns is not None
+            and stat == msg.SUCCESS
+            and self.clock.now_ns >= ctx.deadline_ns
+        ):
+            # The work finished, but after its caller's budget ran out: the
+            # reply is almost certainly talking to a closed retry loop.
+            with self._stats_lock:
+                self.server_stats.deadline_expired_in_execution += 1
+        return reply
 
     def _cache_reply(self, cache_key: tuple[str, int], reply: Buffer) -> None:
         """Insert into the reply cache, honouring entry and byte budgets.
@@ -548,51 +569,56 @@ class RpcServer:
                 self.server_stats.reply_cache_evictions += 1
             self.server_stats.reply_cache_bytes = self._reply_cache_total
 
-    def _execute(
-        self, xid: int, call: msg.CallBody, ctx: CallContext
-    ) -> tuple[int, bytearray]:
-        """Run the call's handler; return ``(accept_stat, encoded reply)``.
+    def _execute(self, call: msg.CallBody, ctx: CallContext) -> tuple[int, bytearray]:
+        """Run the call's handler once; return ``(accept_stat, encoded reply)``.
 
         The reply is encoded here, header first and the results after it
         in the same buffer, because a result that cannot be encoded is a
-        failed call like any other the handler raises.
+        failed call like any other the handler raises.  The taps fire here
+        too, where the handler ran, with this execution's own stat:
+        whatever calls ``_execute`` twice is seen to execute twice.
         """
+        xid, stat, reply = ctx.xid, msg.SUCCESS, None
+        table = self._programs.get((call.prog, call.vers))
         if ctx.cancel.requested:
             # Cancelled in the window between admission and execution; the
             # handler never runs, and the cached CALL_CANCELLED reply
             # answers any later retransmission of this xid.
-            with self._stats_lock:
-                self.server_stats.cancelled_in_flight += 1
-            return msg.CALL_CANCELLED, self._control_reply(xid, msg.CALL_CANCELLED)
-        table = self._programs.get((call.prog, call.vers))
-        if table is None:
+            stat = msg.CALL_CANCELLED
+        elif table is None:
             versions = self.supported_versions(call.prog)
             if versions is None:
-                return msg.PROG_UNAVAIL, self._control_reply(xid, msg.PROG_UNAVAIL)
-            low, high = versions
-            mismatch = msg.AcceptedReply(
-                NULL_AUTH, msg.PROG_MISMATCH, mismatch_low=low, mismatch_high=high
-            )
-            return msg.PROG_MISMATCH, msg.RpcMessage(xid, mismatch).encode()
-        handler = table.get(call.proc)
-        if handler is None:
-            return msg.PROC_UNAVAIL, self._control_reply(xid, msg.PROC_UNAVAIL)
-        try:
-            results = handler(call.args, ctx)
-            reply = msg.RpcMessage(
-                xid, msg.AcceptedReply(self._reply_verf(), msg.SUCCESS, results)
-            ).encode()
-        except CallCancelledError:
-            with self._stats_lock:
-                self.server_stats.cancelled_in_flight += 1
-            return msg.CALL_CANCELLED, self._control_reply(xid, msg.CALL_CANCELLED)
-        except (GarbageArgumentsError, XdrError):
-            return msg.GARBAGE_ARGS, self._control_reply(xid, msg.GARBAGE_ARGS)
-        except Exception:
-            return msg.SYSTEM_ERR, self._control_reply(xid, msg.SYSTEM_ERR)
+                stat = msg.PROG_UNAVAIL
+            else:
+                stat = msg.PROG_MISMATCH
+                mismatch = msg.AcceptedReply(
+                    NULL_AUTH, stat, mismatch_low=versions[0], mismatch_high=versions[1]
+                )
+                reply = msg.RpcMessage(xid, mismatch).encode()
+        elif call.proc not in table:
+            stat = msg.PROC_UNAVAIL
+        else:
+            try:
+                results = table[call.proc](call.args, ctx)
+                reply = msg.RpcMessage(
+                    xid, msg.AcceptedReply(self._reply_verf(), stat, results)
+                ).encode()
+            except CallCancelledError:
+                stat = msg.CALL_CANCELLED
+            except (GarbageArgumentsError, XdrError):
+                stat = msg.GARBAGE_ARGS
+            except Exception:
+                stat = msg.SYSTEM_ERR
         with self._stats_lock:
-            self.calls_served += 1
-        return msg.SUCCESS, reply
+            if stat == msg.SUCCESS:
+                self.calls_served += 1
+            elif stat == msg.CALL_CANCELLED:
+                self.server_stats.cancelled_in_flight += 1
+        if reply is None:
+            reply = self._control_reply(xid, stat)
+        for tap in self.execution_taps:
+            tap(ctx.identity, xid, call.proc, stat, ctx.replica_apply)
+        return stat, reply
 
     # -- TCP serving -------------------------------------------------------
 

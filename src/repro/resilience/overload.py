@@ -56,25 +56,29 @@ class CallCancelledError(Exception):
 
 
 class CancelToken:
-    """A one-way latch signalling that a call should abort at a safe point."""
+    """A one-way latch signalling that a call should abort at a safe point.
 
-    __slots__ = ("_event",)
+    Set once and polled, never waited on: a boolean (a store is atomic
+    under the GIL), because every call builds one.
+    """
+
+    __slots__ = ("_requested",)
 
     def __init__(self) -> None:
-        self._event = threading.Event()
+        self._requested = False
 
     def cancel(self) -> None:
         """Request cancellation (idempotent)."""
-        self._event.set()
+        self._requested = True
 
     @property
     def requested(self) -> bool:
         """True once :meth:`cancel` has been called."""
-        return self._event.is_set()
+        return self._requested
 
     def raise_if_requested(self) -> None:
         """Raise :class:`CallCancelledError` if cancellation was requested."""
-        if self._event.is_set():
+        if self._requested:
             raise CallCancelledError("call cancelled at safe point")
 
 

@@ -52,8 +52,9 @@ DRAIN_RESTORE = "drain_restore"
 #: migration must resume through; ``retransmit`` re-sends a pre-migration
 #: malloc, same xid, after cutover
 MIGRATE = "migrate"
-#: test-only: arm ``count`` double executions on the current leader --
-#: the intentional bug the checker/shrinker acceptance path catches
+#: test-only: the current leader's next ``count`` executions run twice (a
+#: wrapper the harness puts on its ``_execute``) -- the intentional bug
+#: the checker/shrinker acceptance path catches
 BUG_DOUBLE_EXECUTE = "bug_double_execute"
 #: a workload client crashes mid-stream (no free, no goodbye); survivors
 #: heartbeat while its lease and grace lapse, then the reaper runs

@@ -500,8 +500,28 @@ class _Cluster:
             self.watch(lambda: server.brownout.active, healed=False)
 
     def _apply_bug_double_execute(self, event: NemesisEvent) -> None:
+        """The injected bug: the leader's next ``count`` fresh executions
+        run their handler twice and throw the second reply away -- the
+        retransmit-reexecutes bug the reply cache exists to prevent.  The
+        duplicated side effects and the second tap are the checker's to catch.
+        """
         _, server = self.leader()
-        server.arm_double_execution(int(event.params.get("count", 1)))
+        left = int(event.params.get("count", 1))
+        execute = type(server)._execute
+
+        def doubled(call, ctx):
+            nonlocal left
+            result = execute(server, call, ctx)
+            if (
+                left > 0
+                and not ctx.replica_apply
+                and call.proc not in server.overload_exempt_procs
+            ):
+                left -= 1
+                execute(server, call, ctx)
+            return result
+
+        server._execute = doubled
 
     def _apply_limp_standby(self, event: NemesisEvent) -> None:
         link = self.link

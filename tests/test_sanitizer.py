@@ -553,7 +553,8 @@ class TestServerSanitizerIntegration:
         assert addr == ptr
 
     def test_periodic_sweep_catches_wild_write(self):
-        server, client = self.make(sanitizer_sweep_every=1)
+        server, client = self.make()
+        server.sanitizer_sweep_every = 1
         ptr = client.malloc(256)
         server.devices[0].allocator.wild_write(ptr + 256, b"\xff" * 8)
         client.ping()  # one dispatch is enough at sweep_every=1

@@ -7,12 +7,17 @@ credential path.  Opaque bodies are capped at 400 bytes as the RFC requires.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.xdr import XdrDecoder, XdrEncoder
 from repro.xdr.errors import XdrDecodeError, XdrEncodeError
 
 MAX_AUTH_BYTES = 400
+
+#: the two words before an ``opaque_auth`` body: flavor, body length
+AUTH_HEAD = struct.Struct(">iI")
 
 AUTH_NONE = 0
 AUTH_SYS = 1
@@ -52,6 +57,23 @@ class OpaqueAuth:
 
     flavor: int = AUTH_NONE
     body: bytes = b""
+
+    @cached_property
+    def wire(self) -> bytes | None:
+        """Flavor, length, body and padding as they go on the wire, built once.
+
+        A client sends the same credential with every call.  ``None`` when
+        :meth:`encode` would not simply pack this structure -- a flavor that
+        is no plain ``int``, a body that is not ``bytes`` or is over-long --
+        and must be asked to, for the bytes or the error.
+        """
+        flavor, body = self.flavor, self.body
+        if type(flavor) is not int or type(body) is not bytes or len(body) > MAX_AUTH_BYTES:
+            return None
+        try:
+            return AUTH_HEAD.pack(flavor, len(body)) + body + bytes(-len(body) & 3)
+        except struct.error:
+            return None
 
     def encode(self, encoder: XdrEncoder) -> None:
         """Pack this auth structure."""

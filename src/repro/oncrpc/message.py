@@ -10,17 +10,32 @@ A message is encoded into **one** buffer, header first: a body's
 callable handed the encoder once the header is in it, which is how the
 generated stubs put a bulk payload into the record with a single copy.  A
 decoded message carries read-only views of the record it was parsed from.
+
+:meth:`RpcMessage.encode` and :meth:`RpcMessage.decode` are compiled: the
+header of a call and of an accepted reply is a handful of fixed words around
+two ``opaque_auth`` bodies, packed and parsed by the module-level
+``struct.Struct``s below.  The field-by-field walk over the body classes is
+kept as :func:`encode_reference` / :func:`decode_reference`.  Whatever the
+compiled path cannot finish -- a field of the wrong type or range, a short
+record, non-zero padding, an over-long auth body, a rejected reply or any
+shape it does not know -- goes to that walk with the same input, which
+packs it or raises the typed error it always raised: the retry loop tells
+:class:`~repro.xdr.errors.XdrError` (retried) from
+:class:`~repro.oncrpc.errors.RpcProtocolError` (fatal), so which of the two a
+damaged record raises is behaviour.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from repro.oncrpc.auth import NULL_AUTH, OpaqueAuth
+from repro.oncrpc.auth import AUTH_HEAD, AUTH_NONE, MAX_AUTH_BYTES, NULL_AUTH, OpaqueAuth
 from repro.oncrpc.errors import RpcProtocolError
 from repro.xdr import XdrDecoder, XdrEncoder
-from repro.xdr.encoder import Buffer
+from repro.xdr.encoder import Buffer, flat_view
+from repro.xdr.plan import Defer
 
 RPC_VERSION = 2
 
@@ -185,6 +200,131 @@ class RejectedReply:
         raise RpcProtocolError(f"invalid reject_stat {stat}")
 
 
+# -- the compiled header -----------------------------------------------------
+
+_XID_TYPE = struct.Struct(">Ii")  # xid, msg_type
+_CALL_HEAD = struct.Struct(">IiIIII")  # xid, CALL, rpcvers, prog, vers, proc
+#: what follows xid and msg_type in a call, up to the credential's body:
+#: rpcvers, prog, vers, proc, cred flavor, cred length
+_CALL_REST = struct.Struct(">IIIIiI")
+_REPLY_HEAD = struct.Struct(">Iii")  # xid, REPLY, reply_stat
+_REPLY_REST = struct.Struct(">iiI")  # reply_stat, verf flavor, verf length
+_STAT = struct.Struct(">i")
+
+
+def _pack_header(buf: bytearray, xid: int, body: object) -> Payload:
+    """Append the header of a call or an accepted reply to ``buf``.
+
+    Returns the payload still to be packed behind it.  ``struct`` checks
+    every range; the ``type`` tests keep out the ``bool`` it would accept;
+    an ``opaque_auth`` that needs the walk has no ``wire`` (``None``), and
+    appending that raises.
+    """
+    if type(xid) is not int:
+        raise Defer
+    if type(body) is CallBody:
+        prog, vers, proc = body.prog, body.vers, body.proc
+        if not (type(prog) is int and type(vers) is int and type(proc) is int):
+            raise Defer
+        buf += _CALL_HEAD.pack(xid, CALL, RPC_VERSION, prog, vers, proc)
+        buf += body.cred.wire
+        buf += body.verf.wire
+        return body.args
+    if type(body) is AcceptedReply:
+        stat = body.stat
+        if type(stat) is not int or stat == PROG_MISMATCH:
+            raise Defer
+        buf += _REPLY_HEAD.pack(xid, REPLY, MSG_ACCEPTED)
+        buf += body.verf.wire
+        buf += _STAT.pack(stat)
+        return body.results if stat == SUCCESS else b""
+    raise Defer
+
+
+def _parse_auth(view: memoryview, pos: int, flavor: int, length: int) -> tuple[OpaqueAuth, int]:
+    """The ``opaque_auth`` whose body starts at ``pos``, and where it ends."""
+    if not length:
+        return (NULL_AUTH if flavor == AUTH_NONE else OpaqueAuth(flavor, b"")), pos
+    end = pos + length
+    stop = end + (-length & 3)
+    if length > MAX_AUTH_BYTES or stop > len(view) or (stop > end and any(view[end:stop])):
+        raise Defer
+    # Kept in contexts, cache keys and sessions that outlive the record:
+    # detached from the record buffer, as ``OpaqueAuth.decode`` does.
+    return OpaqueAuth(flavor, bytes(view[pos:end])), stop
+
+
+def _parse(data: Buffer) -> "RpcMessage":
+    """A well-formed call or accepted reply; anything else defers."""
+    view = flat_view(memoryview(data)).toreadonly()
+    xid, mtype = _XID_TYPE.unpack_from(view)
+    if mtype == CALL:
+        rpcvers, prog, vers, proc, flavor, length = _CALL_REST.unpack_from(view, 8)
+        if rpcvers != RPC_VERSION:
+            raise Defer
+        cred, pos = _parse_auth(view, 32, flavor, length)
+        flavor, length = AUTH_HEAD.unpack_from(view, pos)
+        verf, pos = _parse_auth(view, pos + 8, flavor, length)
+        if (len(view) - pos) & 3:
+            raise Defer
+        return RpcMessage(xid, CallBody(prog, vers, proc, cred, verf, view[pos:]))
+    if mtype != REPLY:
+        raise Defer
+    rstat, flavor, length = _REPLY_REST.unpack_from(view, 8)
+    if rstat != MSG_ACCEPTED:
+        raise Defer
+    verf, pos = _parse_auth(view, 20, flavor, length)
+    (stat,) = _STAT.unpack_from(view, pos)
+    if stat == SUCCESS:
+        pos += 4
+        if (len(view) - pos) & 3:
+            raise Defer
+        return RpcMessage(xid, AcceptedReply(verf, stat, view[pos:]), MSG_ACCEPTED)
+    if stat == PROG_MISMATCH or stat not in _ACCEPT_STAT_NAMES:
+        raise Defer
+    return RpcMessage(xid, AcceptedReply(verf, stat), MSG_ACCEPTED)
+
+
+# -- the reference walk ------------------------------------------------------
+
+
+def encode_reference(message: "RpcMessage") -> bytearray:
+    """Encode ``message`` field by field: the oracle, and the error reporter."""
+    enc = XdrEncoder()
+    enc.pack_uint(message.xid)
+    if isinstance(message.body, CallBody):
+        enc.pack_enum(CALL)
+        message.body.encode(enc)
+    elif isinstance(message.body, AcceptedReply):
+        enc.pack_enum(REPLY)
+        enc.pack_enum(MSG_ACCEPTED)
+        message.body.encode(enc)
+    elif isinstance(message.body, RejectedReply):
+        enc.pack_enum(REPLY)
+        enc.pack_enum(MSG_DENIED)
+        message.body.encode(enc)
+    else:  # pragma: no cover - type error guard
+        raise RpcProtocolError(f"unknown message body {type(message.body)!r}")
+    return enc.buffer
+
+
+def decode_reference(data: Buffer) -> "RpcMessage":
+    """Parse ``data`` field by field: the oracle, and the error reporter."""
+    dec = XdrDecoder(data)
+    xid = dec.unpack_uint()
+    mtype = dec.unpack_enum()
+    if mtype == CALL:
+        return RpcMessage(xid, CallBody.decode(dec))
+    if mtype == REPLY:
+        rstat = dec.unpack_enum()
+        if rstat == MSG_ACCEPTED:
+            return RpcMessage(xid, AcceptedReply.decode(dec), MSG_ACCEPTED)
+        if rstat == MSG_DENIED:
+            return RpcMessage(xid, RejectedReply.decode(dec), MSG_DENIED)
+        raise RpcProtocolError(f"invalid reply_stat {rstat}")
+    raise RpcProtocolError(f"invalid msg_type {mtype}")
+
+
 @dataclass(frozen=True)
 class RpcMessage:
     """A complete ``rpc_msg``: xid plus call or reply body."""
@@ -205,21 +345,14 @@ class RpcMessage:
         belongs to the caller.
         """
         enc = XdrEncoder()
-        enc.pack_uint(self.xid)
-        if isinstance(self.body, CallBody):
-            enc.pack_enum(CALL)
-            self.body.encode(enc)
-        elif isinstance(self.body, AcceptedReply):
-            enc.pack_enum(REPLY)
-            enc.pack_enum(MSG_ACCEPTED)
-            self.body.encode(enc)
-        elif isinstance(self.body, RejectedReply):
-            enc.pack_enum(REPLY)
-            enc.pack_enum(MSG_DENIED)
-            self.body.encode(enc)
-        else:  # pragma: no cover - type error guard
-            raise RpcProtocolError(f"unknown message body {type(self.body)!r}")
-        return enc.buffer
+        try:
+            payload = _pack_header(enc.buffer, self.xid, self.body)
+        except Exception:
+            pass
+        else:
+            _pack_payload(enc, payload)
+            return enc.buffer
+        return encode_reference(self)
 
     @classmethod
     def decode(cls, data: Buffer) -> "RpcMessage":
@@ -228,16 +361,8 @@ class RpcMessage:
         ``args``/``results`` of the parsed body are read-only views of
         ``data``, which must stay unmodified while they are in use.
         """
-        dec = XdrDecoder(data)
-        xid = dec.unpack_uint()
-        mtype = dec.unpack_enum()
-        if mtype == CALL:
-            return cls(xid, CallBody.decode(dec))
-        if mtype == REPLY:
-            rstat = dec.unpack_enum()
-            if rstat == MSG_ACCEPTED:
-                return cls(xid, AcceptedReply.decode(dec), MSG_ACCEPTED)
-            if rstat == MSG_DENIED:
-                return cls(xid, RejectedReply.decode(dec), MSG_DENIED)
-            raise RpcProtocolError(f"invalid reply_stat {rstat}")
-        raise RpcProtocolError(f"invalid msg_type {mtype}")
+        try:
+            return _parse(data)
+        except Exception:
+            pass
+        return decode_reference(data)

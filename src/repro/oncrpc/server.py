@@ -294,8 +294,14 @@ class RpcServer:
         reply is a buffer of its own, shared with the reply cache and the
         op-log observer -- callers send it, they do not modify it.
 
-        Malformed records raise
-        :class:`~repro.oncrpc.errors.RpcProtocolError`; RPC-level errors
+        A record whose RPC header cannot be parsed raises what
+        :meth:`RpcMessage.decode <repro.oncrpc.message.RpcMessage.decode>`
+        raises: :class:`~repro.xdr.errors.XdrError` when it is truncated or
+        its padding or auth length is wrong (a client's retry loop
+        retransmits on that class), and
+        :class:`~repro.oncrpc.errors.RpcProtocolError` for an unknown RPC
+        version, message type or status; a connection loop drops the
+        connection on either.  RPC-level errors
         produce error replies.  Returns ``None`` if the message was a
         reply (which a server ignores) or -- with ``crc_records`` -- if
         the record failed its integrity check (dropped like a lost
@@ -325,6 +331,9 @@ class RpcServer:
         # (stable across TCP reconnects, which change the source port and
         # therefore client_id) and fall back to the transport address.
         token = client_token_from(call.cred)
+        # A fresh string per call, on purpose: sessions and ledgers keep it,
+        # and ``pickle`` writes one shared object where it would write two
+        # equal ones, so a memoised identity changes migration payloads.
         identity = f"token:{token.hex()}" if token is not None else client_id
         cache_key = (identity, request.xid)
         with self._stats_lock:
@@ -379,7 +388,10 @@ class RpcServer:
         )
         # Remember which identities rode this connection, so a disconnect
         # can be attributed to their sessions (see _on_disconnect).
-        ctx.session.setdefault("identities", set()).add(identity)
+        identities = ctx.session.get("identities")
+        if identities is None:
+            identities = ctx.session["identities"] = set()
+        identities.add(identity)
         # Per-call overload metadata rides in the call's verifier.
         meta = call_meta_from(call.verf)
         if meta is not None:
@@ -682,7 +694,7 @@ class RpcServer:
                     reply = self.dispatch_record(
                         record, client_id=client_id, session=session
                     )
-                except RpcProtocolError:
+                except (RpcProtocolError, XdrError):
                     break  # unparseable message: drop the connection
                 if reply is not None:
                     try:

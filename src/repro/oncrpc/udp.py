@@ -19,6 +19,7 @@ import threading
 from repro.oncrpc.errors import RpcProtocolError, RpcTimeoutError, RpcTransportError
 from repro.oncrpc.server import RpcServer
 from repro.oncrpc.transport import NullMeter, TransportMeter
+from repro.xdr.errors import XdrError
 
 #: Practical maximum UDP payload (64 KiB minus IP/UDP headers).
 MAX_UDP_PAYLOAD = 65507
@@ -138,7 +139,7 @@ def serve_udp(
                 reply = server.dispatch_record(
                     data, client_id=f"udp:{addr[0]}:{addr[1]}", session=session
                 )
-            except RpcProtocolError:
+            except (RpcProtocolError, XdrError):
                 continue  # unparseable datagram: drop silently, as UDP does
             if reply is not None and len(reply) <= MAX_UDP_PAYLOAD:
                 try:

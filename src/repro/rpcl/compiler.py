@@ -9,7 +9,7 @@ rpcgen supports them, so we do too via lazy references).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.rpcl import ast
@@ -37,6 +37,7 @@ from repro.xdr import (
 )
 from repro.xdr.decoder import XdrDecoder
 from repro.xdr.encoder import Buffer, XdrEncoder
+from repro.xdr.plan import Plan, compile_plan
 from repro.xdr.types import XdrType, _BaseType
 
 _PRIMITIVES: dict[str, XdrType] = {
@@ -86,12 +87,30 @@ class LazyRef(_BaseType):
 
 @dataclass(frozen=True)
 class ProcedureSignature:
-    """The wire signature of one remote procedure."""
+    """The wire signature of one remote procedure.
+
+    The four codec methods run a compiled :class:`~repro.xdr.plan.Plan`,
+    generated from the descriptors when the signature is built; a plan that
+    cannot finish defers to the descriptors, which raise (see
+    :mod:`repro.xdr.plan`).  The plans are built here and not on first use
+    because a first use is a call: what is allocated then, for good, lands
+    in the heap beside that call's buffers, and after a 16 MiB copy it keeps
+    the allocator from reusing their pages (+15 MiB peak RSS on the
+    benchmark's ``bulk_copy`` server, measured).
+    """
 
     name: str
     number: int
     arg_types: tuple[XdrType, ...]
     result_type: XdrType
+    #: the compiled codec of the argument tuple
+    args_plan: Plan = field(init=False, repr=False, compare=False)
+    #: the compiled codec of the result
+    result_plan: Plan = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "args_plan", compile_plan(self.arg_types))
+        object.__setattr__(self, "result_plan", compile_plan((self.result_type,), single=True))
 
     def encode_args(
         self, values: tuple[Any, ...], encoder: XdrEncoder | None = None
@@ -107,33 +126,22 @@ class ProcedureSignature:
                 f"{self.name}() takes {len(self.arg_types)} argument(s), "
                 f"got {len(values)}"
             )
-        enc = XdrEncoder() if encoder is None else encoder
-        for xdr_type, value in zip(self.arg_types, values):
-            xdr_type.encode(enc, value)
-        return enc.buffer
+        return self.args_plan.encode(values, XdrEncoder() if encoder is None else encoder)
 
     def decode_args(self, data: Buffer) -> tuple[Any, ...]:
         """Decode positional argument values (server side).
 
         Opaque values come back as read-only views of ``data``.
         """
-        dec = XdrDecoder(data)
-        values = tuple(t.decode(dec) for t in self.arg_types)
-        dec.assert_done()
-        return values
+        return self.args_plan.decode(data)
 
     def encode_result(self, value: Any, encoder: XdrEncoder | None = None) -> bytearray:
         """Encode the procedure result (server side); see :meth:`encode_args`."""
-        enc = XdrEncoder() if encoder is None else encoder
-        self.result_type.encode(enc, value)
-        return enc.buffer
+        return self.result_plan.encode(value, XdrEncoder() if encoder is None else encoder)
 
     def decode_result(self, data: Buffer) -> Any:
         """Decode the procedure result (client side); opaques are views of ``data``."""
-        dec = XdrDecoder(data)
-        value = self.result_type.decode(dec)
-        dec.assert_done()
-        return value
+        return self.result_plan.decode(data)
 
 
 class SpecCompiler:

@@ -22,6 +22,11 @@ DEFAULT_MAX_ITEM_BYTES = 1 << 30
 #: caller passes no explicit ``max_size``.
 DEFAULT_MAX_ARRAY_ITEMS = 1 << 20
 
+_UNPACK_INT = struct.Struct(">i").unpack_from
+_UNPACK_UINT = struct.Struct(">I").unpack_from
+_UNPACK_HYPER = struct.Struct(">q").unpack_from
+_UNPACK_UHYPER = struct.Struct(">Q").unpack_from
+
 
 class XdrDecoder:
     """Unpacks Python values from an XDR byte stream.
@@ -47,7 +52,7 @@ class XdrDecoder:
         :data:`DEFAULT_MAX_ARRAY_ITEMS`; pass ``None`` to disable.
     """
 
-    __slots__ = ("_mv", "_pos", "_strict", "_max_item_bytes", "_max_array_items")
+    __slots__ = ("_mv", "_pos", "_end", "_strict", "_max_item_bytes", "_max_array_items")
 
     def __init__(
         self,
@@ -59,6 +64,7 @@ class XdrDecoder:
     ) -> None:
         self._mv = flat_view(memoryview(data)).toreadonly()
         self._pos = 0
+        self._end = len(self._mv)
         self._strict = strict_padding
         self._max_item_bytes = max_item_bytes
         self._max_array_items = max_array_items
@@ -70,11 +76,11 @@ class XdrDecoder:
 
     def remaining(self) -> int:
         """Number of not-yet-consumed bytes."""
-        return len(self._mv) - self._pos
+        return self._end - self._pos
 
     def done(self) -> bool:
         """True when the whole buffer has been consumed."""
-        return self._pos == len(self._mv)
+        return self._pos == self._end
 
     def assert_done(self) -> None:
         """Raise unless the buffer was fully consumed (trailing-bytes check)."""
@@ -84,13 +90,14 @@ class XdrDecoder:
             )
 
     def _take(self, n: int) -> memoryview:
-        if self.remaining() < n:
+        pos = self._pos
+        end = pos + n
+        if end > self._end:
             raise XdrDecodeError(
-                f"buffer exhausted: need {n} byte(s), have {self.remaining()}"
+                f"buffer exhausted: need {n} byte(s), have {self._end - pos}"
             )
-        chunk = self._mv[self._pos : self._pos + n]
-        self._pos += n
-        return chunk
+        self._pos = end
+        return self._mv[pos:end]
 
     def _skip_padding(self, data_len: int) -> None:
         pad = (4 - data_len % 4) % 4
@@ -101,21 +108,40 @@ class XdrDecoder:
 
     # -- integral types ---------------------------------------------------
 
+    # A precompiled ``Struct`` reads the word in place; a short buffer goes
+    # to ``_take``, which raises the exhaustion error.
+
     def unpack_int(self) -> int:
         """Unpack a 32-bit signed integer."""
-        return int.from_bytes(self._take(4), "big", signed=True)
+        pos = self._pos
+        if pos + 4 > self._end:
+            self._take(4)
+        self._pos = pos + 4
+        return _UNPACK_INT(self._mv, pos)[0]
 
     def unpack_uint(self) -> int:
         """Unpack a 32-bit unsigned integer."""
-        return int.from_bytes(self._take(4), "big")
+        pos = self._pos
+        if pos + 4 > self._end:
+            self._take(4)
+        self._pos = pos + 4
+        return _UNPACK_UINT(self._mv, pos)[0]
 
     def unpack_hyper(self) -> int:
         """Unpack a 64-bit signed integer."""
-        return int.from_bytes(self._take(8), "big", signed=True)
+        pos = self._pos
+        if pos + 8 > self._end:
+            self._take(8)
+        self._pos = pos + 8
+        return _UNPACK_HYPER(self._mv, pos)[0]
 
     def unpack_uhyper(self) -> int:
         """Unpack a 64-bit unsigned integer."""
-        return int.from_bytes(self._take(8), "big")
+        pos = self._pos
+        if pos + 8 > self._end:
+            self._take(8)
+        self._pos = pos + 8
+        return _UNPACK_UHYPER(self._mv, pos)[0]
 
     def unpack_bool(self) -> bool:
         """Unpack an XDR boolean, rejecting values other than 0 and 1."""

@@ -22,6 +22,11 @@ _HYPER_MIN = -(2**63)
 _HYPER_MAX = 2**63 - 1
 _UHYPER_MAX = 2**64 - 1
 
+_PACK_INT = struct.Struct(">i").pack
+_PACK_UINT = struct.Struct(">I").pack
+_PACK_HYPER = struct.Struct(">q").pack
+_PACK_UHYPER = struct.Struct(">Q").pack
+
 _PAD = (b"", b"\x00\x00\x00", b"\x00\x00", b"\x00")
 
 #: anything exposing the buffer protocol (``collections.abc.Buffer`` is 3.12+)
@@ -86,37 +91,58 @@ class XdrEncoder:
 
     # -- integral types ---------------------------------------------------
 
-    def pack_int(self, value: int) -> None:
-        """Pack a 32-bit signed integer."""
+    # Each integral packer tries its precompiled ``Struct`` on a plain
+    # ``int`` first: ``struct`` does the range check, and the ``type`` test
+    # keeps out the ``bool`` it would accept.  Only the failure branch works
+    # out which error the value deserves.
+
+    def _pack_checked(self, value: int, low: int, high: int, size: int, name: str) -> None:
+        """The type and range tests; packs an ``int`` subclass (an ``IntEnum``)."""
         if not isinstance(value, int) or isinstance(value, bool):
             raise XdrEncodeError(f"int expected, got {type(value).__name__}")
-        if not _INT_MIN <= value <= _INT_MAX:
-            raise XdrEncodeError(f"value {value} out of range for XDR int")
-        self._buf += value.to_bytes(4, "big", signed=True)
+        if not low <= value <= high:
+            raise XdrEncodeError(f"value {value} out of range for XDR {name}")
+        self._buf += value.to_bytes(size, "big", signed=low < 0)
+
+    def pack_int(self, value: int) -> None:
+        """Pack a 32-bit signed integer."""
+        if type(value) is int:
+            try:
+                self._buf += _PACK_INT(value)
+                return
+            except struct.error:
+                pass
+        self._pack_checked(value, _INT_MIN, _INT_MAX, 4, "int")
 
     def pack_uint(self, value: int) -> None:
         """Pack a 32-bit unsigned integer."""
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise XdrEncodeError(f"int expected, got {type(value).__name__}")
-        if not 0 <= value <= _UINT_MAX:
-            raise XdrEncodeError(f"value {value} out of range for XDR unsigned int")
-        self._buf += value.to_bytes(4, "big")
+        if type(value) is int:
+            try:
+                self._buf += _PACK_UINT(value)
+                return
+            except struct.error:
+                pass
+        self._pack_checked(value, 0, _UINT_MAX, 4, "unsigned int")
 
     def pack_hyper(self, value: int) -> None:
         """Pack a 64-bit signed integer (XDR ``hyper``)."""
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise XdrEncodeError(f"int expected, got {type(value).__name__}")
-        if not _HYPER_MIN <= value <= _HYPER_MAX:
-            raise XdrEncodeError(f"value {value} out of range for XDR hyper")
-        self._buf += value.to_bytes(8, "big", signed=True)
+        if type(value) is int:
+            try:
+                self._buf += _PACK_HYPER(value)
+                return
+            except struct.error:
+                pass
+        self._pack_checked(value, _HYPER_MIN, _HYPER_MAX, 8, "hyper")
 
     def pack_uhyper(self, value: int) -> None:
         """Pack a 64-bit unsigned integer (XDR ``unsigned hyper``)."""
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise XdrEncodeError(f"int expected, got {type(value).__name__}")
-        if not 0 <= value <= _UHYPER_MAX:
-            raise XdrEncodeError(f"value {value} out of range for XDR unsigned hyper")
-        self._buf += value.to_bytes(8, "big")
+        if type(value) is int:
+            try:
+                self._buf += _PACK_UHYPER(value)
+                return
+            except struct.error:
+                pass
+        self._pack_checked(value, 0, _UHYPER_MAX, 8, "unsigned hyper")
 
     def pack_bool(self, value: bool) -> None:
         """Pack an XDR boolean (encoded as int 0 or 1)."""

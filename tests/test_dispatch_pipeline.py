@@ -304,6 +304,20 @@ def test_fence_installed_after_construction_takes_effect_on_the_next_call():
     assert len(rig.executed) == 1
 
 
+def test_a_connection_builds_its_identities_set_once():
+    rig = Rig(planes=())
+    session: dict = {}
+    for _ in range(3):
+        _, record = rig.record()
+        rig.server.dispatch_record(record, client_id="10.0.0.1:4000", session=session)
+        identities = session["identities"]
+    assert identities is session["identities"] == {IDENTITY}
+    # a call without a token is still known by its address, on the same connection
+    bare = msg.RpcMessage(7, msg.CallBody(rig.server.interface.prog_number, 1, 0)).encode()
+    rig.server.dispatch_record(bare, client_id="10.0.0.1:4000", session=session)
+    assert identities == {IDENTITY, "10.0.0.1:4000"} and list(session) == ["identities"]
+
+
 # -- the injected bug lives in the simulator, not in the serve path ------------
 
 

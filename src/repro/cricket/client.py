@@ -21,7 +21,7 @@ Connection modes:
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.cricket import params as kparams
 from repro.cricket.errors import CheckpointError
@@ -34,9 +34,10 @@ from repro.oncrpc.auth import client_token_from
 from repro.oncrpc.transport import (
     ChecksummedTransport,
     LoopbackTransport,
-    TcpTransport,
     Transport,
+    reconnect_if_supported,
 )
+from repro.resilience.failover import FailoverTransport, TcpEndpoint
 from repro.resilience.faults import FaultInjectingTransport, FaultPlan
 from repro.resilience.reconnect import ReconnectingTransport, null_probe
 from repro.resilience.retry import RetryPolicy
@@ -146,27 +147,20 @@ class CricketClient:
             meter = PlatformMeter(path, clock)
         session: dict = {}
         server_ref = [server]
-        transport: Transport = LoopbackTransport(
-            lambda record: server_ref[0].dispatch_record(record, session=session),
-            fragment_size=fragment_size,
-            meter=meter,
-        )
-        stats = ResilienceStats()
-        if faults is not None:
-            transport = FaultInjectingTransport(
-                transport, faults, clock=clock, stats=stats
-            )
-        if crc is None:
-            crc = bool(getattr(server, "crc_records", False))
-        if crc:
-            transport = ChecksummedTransport(transport, stats=stats)
-        client = cls(
-            transport,
+
+        def dispatch(record):
+            return server_ref[0].dispatch_record(record, session=session)
+
+        client = cls._assemble(
+            lambda probe, stats: LoopbackTransport(
+                dispatch, fragment_size=fragment_size, meter=meter
+            ),
+            faults=faults,
+            crc=bool(getattr(server, "crc_records", False)) if crc is None else crc,
             platform=platform,
             clock=clock,
             meter=meter,
             retry_policy=retry_policy,
-            stats=stats,
             priority=priority,
         )
         client._server_ref = server_ref
@@ -203,42 +197,29 @@ class CricketClient:
         from rotation statistically, something the liveness probe alone
         can never see.
         """
-        from repro.resilience.failover import FailoverTransport
-
         endpoints = list(endpoints)
         if not endpoints:
             raise ValueError("need at least one endpoint")
         if clock is None:
             primary = getattr(endpoints[0], "server", None)
             clock = getattr(primary, "clock", None) or SimClock()
-        stats = ResilienceStats()
         if crc is None:
             crc = any(
                 bool(getattr(getattr(ep, "server", None), "crc_records", False))
                 for ep in endpoints
             )
-        iface = cricket_interface()
-        probe = null_probe(iface.prog_number, iface.vers_number)
-        if crc:
-            # probe below the checksum layer needs its own trailer
-            base_probe = probe
-            probe = lambda t: base_probe(ChecksummedTransport(t))  # noqa: E731
-        failover_transport = FailoverTransport(
-            endpoints, clock=clock, stats=stats, probe=probe, ejector=ejector
-        )
-        transport: Transport = failover_transport
-        if crc:
-            transport = ChecksummedTransport(transport, stats=stats)
-        client = cls(
-            transport,
+        client = cls._assemble(
+            lambda probe, stats: FailoverTransport(
+                endpoints, clock=clock, stats=stats, probe=probe, ejector=ejector
+            ),
+            crc=crc,
             clock=clock,
             retry_policy=retry_policy,
-            stats=stats,
             priority=priority,
         )
         #: the FailoverTransport itself (below any CRC layer) -- hedged
         #: probe rounds and endpoint health live here
-        client.failover_transport = failover_transport
+        client.failover_transport = client.stub.client.leader_sink
         return client
 
     @classmethod
@@ -268,33 +249,62 @@ class CricketClient:
         would make all three instantaneous against a dead server.)
         """
         clock = WallClock()
-        stats = ResilienceStats()
-
-        def factory() -> TcpTransport:
-            return TcpTransport(
-                host,
-                port,
-                fragment_size=fragment_size,
-                connect_timeout=connect_timeout,
-                io_timeout=io_timeout,
-            )
-
-        iface = cricket_interface()
-        probe = null_probe(iface.prog_number, iface.vers_number)
-        if crc:
-            # The probe runs on the raw transport below the checksum layer;
-            # a crc_records server would drop its unchecksummed NULL call.
-            base_probe = probe
-            probe = lambda t: base_probe(ChecksummedTransport(t))  # noqa: E731
-        transport: Transport = ReconnectingTransport(
-            factory,
-            clock=clock,
-            stats=stats,
-            probe=probe,
+        endpoint = TcpEndpoint(
+            host,
+            port,
+            fragment_size=fragment_size,
+            connect_timeout=connect_timeout,
+            io_timeout=io_timeout,
         )
+        return cls._assemble(
+            lambda probe, stats: ReconnectingTransport(
+                endpoint.connect, clock=clock, stats=stats, probe=probe
+            ),
+            crc=crc,
+            clock=clock,
+            retry_policy=retry_policy,
+        )
+
+    @classmethod
+    def _assemble(
+        cls,
+        make_base: Callable[[Callable[[Transport], None], ResilienceStats], Transport],
+        *,
+        crc: bool,
+        clock: SimClock | WallClock,
+        faults: FaultPlan | None = None,
+        **kwargs: Any,
+    ) -> "CricketClient":
+        """The client transport stack, in its only legal order.
+
+        base (``make_base(probe, stats)``) → [``FaultInjectingTransport``
+        when ``faults``] → [``ChecksummedTransport`` when ``crc``] → RPC
+        client.  The checksum layer sits above the fault injector so
+        injected corruption is caught and retransmitted.  ``probe`` is the
+        NULL liveness probe a reconnecting base runs on each fresh
+        connection -- *below* the checksum layer, so with ``crc`` it adds
+        its own trailer (a ``crc_records`` server drops an unchecksummed
+        call).  Every layer counts into one ``ResilienceStats``, and a
+        leader-aware base (a ``FailoverTransport``) is what the RPC client
+        feeds leadership epochs to.
+        """
+        stats = ResilienceStats()
+        iface = cricket_interface()
+        null = null_probe(iface.prog_number, iface.vers_number)
+
+        def probe(transport: Transport) -> None:
+            null(ChecksummedTransport(transport) if crc else transport)
+
+        base = make_base(probe, stats)
+        transport = base
+        if faults is not None:
+            transport = FaultInjectingTransport(transport, faults, clock=clock, stats=stats)
         if crc:
             transport = ChecksummedTransport(transport, stats=stats)
-        return cls(transport, clock=clock, retry_policy=retry_policy, stats=stats)
+        client = cls(transport, clock=clock, stats=stats, **kwargs)
+        if hasattr(base, "observe_leader"):
+            client.stub.client.leader_sink = base
+        return client
 
     # -- plumbing -----------------------------------------------------------
 
@@ -331,8 +341,8 @@ class CricketClient:
         failover transport records the running maximum.  Clients of plain
         (unfenced) servers report 0.
         """
-        sink = self.stub.client._leader_sink()
-        return getattr(sink, "known_epoch", 0) if sink is not None else 0
+        sink = self.stub.client.leader_sink
+        return sink.known_epoch if sink is not None else 0
 
     @property
     def active_endpoint_name(self) -> str:
@@ -342,9 +352,8 @@ class CricketClient:
         converges on the new leader's endpoint name -- the simulation
         asserts exactly that.
         """
-        sink = self.stub.client._leader_sink()
-        endpoint = getattr(sink, "active_endpoint", None)
-        return getattr(endpoint, "name", "") if endpoint is not None else ""
+        sink = self.stub.client.leader_sink
+        return getattr(sink.active_endpoint, "name", "") if sink is not None else ""
 
     def ping(self) -> None:
         """NULLPROC liveness check (and lease heartbeat, server-side).
@@ -423,13 +432,7 @@ class CricketClient:
         where it was.  Returns the renewed lease's remaining nanoseconds.
         Use :meth:`recover` instead once the grace period is gone.
         """
-        transport = self.stub.client.transport
-        reconnect = getattr(transport, "reconnect", None)
-        if reconnect is not None:
-            try:
-                reconnect(force=True)
-            except TypeError:
-                reconnect()
+        reconnect_if_supported(self.stub.client.transport, force=True)
         return self.renew_lease()
 
     def _check(self, err: int, what: str) -> None:
@@ -823,12 +826,6 @@ class CricketClient:
                     "server= redirection only applies to loopback clients"
                 )
             self._server_ref[0] = server
-        transport = self.stub.client.transport
-        reconnect = getattr(transport, "reconnect", None)
-        if reconnect is not None:
-            try:
-                reconnect(force=True)
-            except TypeError:
-                reconnect()
+        reconnect_if_supported(self.stub.client.transport, force=True)
         self.restore(blob)
         self.stats.recoveries += 1

@@ -80,6 +80,10 @@ class RpcClient:
         priority: int = 0,
     ) -> None:
         self.transport = transport
+        #: the leader-aware transport (a FailoverTransport) every epoch-stamped
+        #: reply is fed to: ``transport`` if it is one, else None; the
+        #: ``CricketClient`` constructors set it to the one under their wrappers
+        self.leader_sink = transport if hasattr(transport, "observe_leader") else None
         self.prog = prog
         self.vers = vers
         # A default (AUTH_NONE) client gets a generated session token so the
@@ -278,16 +282,6 @@ class RpcClient:
         except Exception:
             pass  # next attempt fails fast and consumes the retry budget
 
-    def replace_transport(self, transport: Transport) -> None:
-        """Swap in a new transport (used by session-level recovery)."""
-        with self._lock:
-            try:
-                self.transport.close()
-            except Exception:
-                pass
-            self.transport = transport
-            self._batched_xids.clear()
-
     # -- batching (classic ONC RPC latency optimization) -----------------------
 
     def call_batched(self, proc: int, args: msg.Payload) -> int:
@@ -340,22 +334,6 @@ class RpcClient:
             replies.append(reply)
         return [self._unwrap_reply(reply) for reply in replies]
 
-    def _leader_sink(self):
-        """Find the leader-aware transport under any wrapper layers.
-
-        Walks the ``inner`` chain (checksum/fault wrappers) looking for a
-        transport that understands leadership observations -- the
-        :class:`~repro.resilience.failover.FailoverTransport` of a fenced
-        HA deployment.  Returns ``None`` for plain transports.
-        """
-        transport, seen = self.transport, set()
-        while transport is not None and id(transport) not in seen:
-            if hasattr(transport, "observe_leader"):
-                return transport
-            seen.add(id(transport))
-            transport = getattr(transport, "inner", None)
-        return None
-
     def _unwrap_reply(self, reply: msg.RpcMessage) -> memoryview:
         if isinstance(reply.body, msg.RejectedReply):
             if reply.body.stat == msg.RPC_MISMATCH:
@@ -371,10 +349,8 @@ class RpcClient:
         # feed it to the failover transport so it learns the newest epoch
         # from every reply (and can refuse rotating back to a stale one).
         leader_info = leader_epoch_from(body.verf)
-        if leader_info is not None:
-            sink = self._leader_sink()
-            if sink is not None:
-                sink.observe_leader(leader_info)
+        if leader_info is not None and self.leader_sink is not None:
+            self.leader_sink.observe_leader(leader_info)
         if body.stat == msg.SUCCESS:
             return body.results
         if body.stat == msg.PROG_UNAVAIL:
@@ -399,9 +375,8 @@ class RpcClient:
             # The connection is alive but pointed at a non-leader; tell the
             # failover transport so the next reconnect rotates instead of
             # no-opping on the still-open connection.
-            sink = self._leader_sink()
-            if sink is not None:
-                sink.note_not_leader(leader_info)
+            if self.leader_sink is not None:
+                self.leader_sink.note_not_leader(leader_info)
             epoch = leader_info.epoch if leader_info is not None else 0
             hint = leader_info.hint if leader_info is not None else ""
             raise RpcNotLeaderError(

@@ -88,6 +88,13 @@ class Transport(Protocol):
         ...
 
 
+def reconnect_if_supported(transport: Transport, *, force: bool = False) -> None:
+    """``transport.reconnect(force=force)`` if it can reconnect; errors propagate."""
+    reconnect = getattr(transport, "reconnect", None)
+    if reconnect is not None:
+        reconnect(force=force)
+
+
 def _framed_size(record_len: int, fragment_size: int) -> int:
     """Bytes on the wire for a record: payload plus 4 bytes per fragment."""
     fragments = max(1, -(-record_len // fragment_size))
@@ -224,12 +231,7 @@ class ChecksummedTransport:
 
     def reconnect(self, *, force: bool = False) -> None:
         """Delegate reconnection to the wrapped transport (if supported)."""
-        inner_reconnect = getattr(self.inner, "reconnect", None)
-        if inner_reconnect is not None:
-            try:
-                inner_reconnect(force=force)
-            except TypeError:
-                inner_reconnect()
+        reconnect_if_supported(self.inner, force=force)
 
     def close(self) -> None:
         """Close the wrapped transport."""

@@ -7,13 +7,18 @@ makes that boundary survivable and, crucially, *measurable*:
 
 * :mod:`repro.resilience.faults` -- a deterministic, seed-driven
   :class:`FaultInjectingTransport` wrapping any transport with drop /
-  delay / truncate / disconnect / duplicate-reply faults,
+  delay / truncate / disconnect / duplicate-reply faults, the limplock
+  :class:`SlowTransport` (everything succeeds, slowly), and one
+  :class:`FaultyEndpoint` that hands out either kind per connection of a
+  failover endpoint behind a single fault-window switch,
 * :mod:`repro.resilience.retry` -- :class:`RetryPolicy`: exponential
   backoff with reproducible jitter and a per-call deadline budget, all
   charged to the experiment's :class:`~repro.net.simclock.SimClock` so
   resilience overhead shows up in the figures instead of being hand-waved,
 * :mod:`repro.resilience.reconnect` -- :class:`ReconnectingTransport`
-  with a :class:`CircuitBreaker` for real TCP connections,
+  with a :class:`CircuitBreaker` for real TCP connections, and
+  :mod:`repro.resilience.failover` -- :class:`FailoverTransport` rotating
+  it over an endpoint list (every ``reconnect`` takes ``force=``),
 * :mod:`repro.resilience.stats` -- :class:`ResilienceStats` counters
   surfaced through :mod:`repro.core.tracing`,
 * :mod:`repro.resilience.overload` -- server-side overload control:
@@ -45,7 +50,6 @@ from repro.resilience.faults import (
     PartitionPlan,
     PartitionState,
     PartitionWindow,
-    SlowEndpoint,
     SlowFaultPlan,
     SlowTransport,
     StorageFaultPlan,
@@ -128,7 +132,6 @@ __all__ = [
     "PartitionState",
     "SlowFaultPlan",
     "SlowTransport",
-    "SlowEndpoint",
     "StorageFaultPlan",
     "FaultyStorage",
     "LatencyHistogram",

@@ -23,6 +23,7 @@ worst case for at-most-once.
 
 from __future__ import annotations
 
+import contextlib
 from typing import Callable
 
 from repro.net.simclock import SimClock, WallClock
@@ -35,7 +36,7 @@ from repro.oncrpc.transport import (
     TransportMeter,
 )
 from repro.resilience.health import EjectionDecision, HealthTracker, OutlierEjector
-from repro.resilience.reconnect import CircuitBreaker, ReconnectingTransport
+from repro.resilience.reconnect import ReconnectingTransport
 from repro.resilience.stats import ResilienceStats
 
 
@@ -195,10 +196,8 @@ class FailoverTransport(ReconnectingTransport):
         self,
         endpoints,
         *,
-        breaker: CircuitBreaker | None = None,
         clock: SimClock | WallClock | None = None,
         stats: ResilienceStats | None = None,
-        connect_now: bool = True,
         probe: Callable[[Transport], None] | None = None,
         ejector: OutlierEjector | None = None,
     ) -> None:
@@ -218,15 +217,7 @@ class FailoverTransport(ReconnectingTransport):
         self.health: dict[str, HealthTracker] = {}
         #: statistical outlier ejection over :attr:`health`; None disables
         self.ejector = ejector
-        self._last_walk_exc: Exception | None = None
-        super().__init__(
-            self._connect_some_endpoint,
-            breaker=breaker,
-            clock=clock,
-            stats=stats,
-            connect_now=connect_now,
-            probe=None,
-        )
+        super().__init__(self._connect_some_endpoint, clock=clock, stats=stats)
 
     @property
     def active_endpoint(self):
@@ -260,12 +251,7 @@ class FailoverTransport(ReconnectingTransport):
             self.known_epoch = info.epoch
         self._stale[self._active] = self.known_epoch
         self.stats.leader_redirects += 1
-        if self._inner is not None:
-            try:
-                self._inner.close()
-            except Exception:
-                pass
-            self._inner = None
+        self._drop()
         hint = info.hint if info is not None else ""
         if hint:
             for idx, endpoint in enumerate(self.endpoints):
@@ -311,19 +297,11 @@ class FailoverTransport(ReconnectingTransport):
             tracker = self.endpoint_health(idx)
             started_ns = clock.now_ns
             try:
-                transport = endpoint.connect()
+                transport = self._open(endpoint.connect, self._endpoint_probe)
             except Exception:
                 continue
-            try:
-                if self._endpoint_probe is not None:
-                    self._endpoint_probe(transport)
-            except Exception:
-                continue
-            finally:
-                try:
-                    transport.close()
-                except Exception:
-                    pass
+            with contextlib.suppress(Exception):
+                transport.close()
             tracker.record(clock.now_ns - started_ns)
         if self.ejector is None:
             return None
@@ -333,60 +311,34 @@ class FailoverTransport(ReconnectingTransport):
         if decision.ejected and self._is_ejected(self._active):
             # Connected to a limper: drop the connection so the retry
             # loop's next reconnect() walks past the ejected endpoint.
-            if self._inner is not None:
-                try:
-                    self._inner.close()
-                except Exception:
-                    pass
-                self._inner = None
+            self._drop()
         return decision
 
     def _connect_some_endpoint(self) -> Transport:
-        transport = self._walk_endpoints(skip_stale=True, skip_ejected=True)
-        if transport is None and (
-            self._stale
-            or (self.ejector is not None and self.ejector.ejected_names)
-        ):
-            # Every non-stale, non-ejected endpoint is unreachable.
-            # Availability wins: a limping server beats no server, and a
-            # formerly fenced one may have re-acquired leadership (if it
-            # is still fenced its RPC_NOT_LEADER answer re-marks it).
-            transport = self._walk_endpoints(skip_stale=False, skip_ejected=False)
-        if transport is None:
-            raise RpcTransportError(
-                f"all {len(self.endpoints)} endpoint(s) unreachable"
-            ) from self._last_walk_exc
-        return transport
+        """Connect to the first endpoint, from the active one on, that answers.
 
-    def _walk_endpoints(
-        self, *, skip_stale: bool, skip_ejected: bool = False
-    ) -> Transport | None:
-        self._last_walk_exc = None
+        Stale and ejected endpoints are skipped unless every other one is
+        unreachable: availability wins then -- a limping server beats no
+        server, and a formerly fenced one may have re-acquired leadership
+        (if it is still fenced its RPC_NOT_LEADER answer re-marks it).
+        """
+        unfit = self._stale or (self.ejector is not None and self.ejector.ejected_names)
         count = len(self.endpoints)
-        for step in range(count):
-            idx = (self._active + step) % count
-            if skip_stale and idx in self._stale:
-                continue
-            if skip_ejected and self._is_ejected(idx):
-                continue
-            endpoint = self.endpoints[idx]
-            try:
-                transport = endpoint.connect()
-            except Exception as exc:
-                self._last_walk_exc = exc
-                continue
-            if self._endpoint_probe is not None:
-                try:
-                    self._endpoint_probe(transport)
-                except Exception as exc:
-                    self._last_walk_exc = exc
-                    try:
-                        transport.close()
-                    except Exception:
-                        pass
+        last_exc: Exception | None = None
+        for skip_unfit in (True, False) if unfit else (False,):
+            for step in range(count):
+                idx = (self._active + step) % count
+                if skip_unfit and (idx in self._stale or self._is_ejected(idx)):
                     continue
-            if idx != self._active:
-                self._active = idx
-                self.stats.failovers += 1
-            return transport
-        return None
+                try:
+                    transport = self._open(
+                        self.endpoints[idx].connect, self._endpoint_probe
+                    )
+                except Exception as exc:
+                    last_exc = exc
+                    continue
+                if idx != self._active:
+                    self._active = idx
+                    self.stats.failovers += 1
+                return transport
+        raise RpcTransportError(f"all {count} endpoint(s) unreachable") from last_exc

@@ -33,7 +33,8 @@ Fault taxonomy (the names used in counters and docs):
     record in front of a later call's reply.
 ``disconnect``
     The connection breaks: this operation raises and the transport stays
-    broken until :meth:`FaultInjectingTransport.reconnect`.
+    broken until :meth:`FaultInjectingTransport.reconnect` or until its
+    fault window closes (``active = False``).
 ``disconnect_after_bytes``
     One scripted disconnect once a cumulative byte count has crossed the
     wire -- the "server died mid-upload" scenario.
@@ -45,7 +46,7 @@ import random
 from dataclasses import dataclass, replace
 
 from repro.net.simclock import SimClock
-from repro.oncrpc.transport import Transport
+from repro.oncrpc.transport import Transport, reconnect_if_supported
 from repro.oncrpc.errors import RpcTransportError
 from repro.resilience.stats import ResilienceStats
 
@@ -110,6 +111,10 @@ class FaultPlan:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
+    def wrap(self, inner: Transport, **kwargs) -> "FaultInjectingTransport":
+        """``inner`` wrapped in the transport this plan drives."""
+        return FaultInjectingTransport(inner, self, **kwargs)
+
 
 class FaultInjectingTransport:
     """Wraps any transport, injecting faults per a :class:`FaultPlan`.
@@ -134,11 +139,7 @@ class FaultInjectingTransport:
         self.plan = plan
         self.clock = clock
         self.stats = stats if stats is not None else ResilienceStats()
-        #: when False the wrapper passes records through untouched but
-        #: still draws every decision, so (like :class:`SlowTransport`)
-        #: a nemesis can open and close a fault window mid-run without
-        #: shifting the decision stream of later operations
-        self.active = active
+        self._active = active
         self._rng = random.Random(plan.seed)
         # Corruption decisions come from their own stream: adding the
         # corrupt fault must not shift the draws (and therefore the fault
@@ -151,6 +152,25 @@ class FaultInjectingTransport:
         self._replies_seen = 0
         #: replies queued for re-delivery by the duplicate fault
         self._stash: list[bytes] = []
+
+    @property
+    def active(self) -> bool:
+        """Whether faults fire (the fault window is open).
+
+        When False the wrapper passes records through untouched but still
+        draws every decision, so (like :class:`SlowTransport`) a nemesis
+        can open and close a fault window mid-run without shifting the
+        decision stream of later operations.  Closing the window also
+        heals an injected disconnect, so the next retry gets through
+        without a reconnect round trip.
+        """
+        return self._active
+
+    @active.setter
+    def active(self, active: bool) -> None:
+        self._active = active
+        if not active:
+            self._broken = False
 
     # -- helpers -----------------------------------------------------------
 
@@ -198,7 +218,7 @@ class FaultInjectingTransport:
         disconnect_hit = self._hit(plan.disconnect_rate)
         drop_hit = self._hit(plan.drop_request_rate)
         corrupt_hit = self._corrupt_hit()
-        if self.active:
+        if self._active:
             if delay_hit:
                 self._charge_delay()
             if disconnect_hit:
@@ -240,7 +260,7 @@ class FaultInjectingTransport:
         truncate_hit = self._hit(plan.truncate_rate)
         duplicate_hit = self._hit(plan.duplicate_rate)
         corrupt_hit = self._corrupt_hit()
-        if self.active:
+        if self._active:
             if self._replies_seen <= plan.drop_reply_first or drop_hit:
                 self._fault("drop_reply")
                 # The reply is gone; behave like a loss the caller can retry.
@@ -258,12 +278,7 @@ class FaultInjectingTransport:
 
     def reconnect(self, *, force: bool = False) -> None:
         """Heal an injected disconnect (delegates if the inner can too)."""
-        inner_reconnect = getattr(self.inner, "reconnect", None)
-        if inner_reconnect is not None:
-            try:
-                inner_reconnect(force=force)
-            except TypeError:
-                inner_reconnect()
+        reconnect_if_supported(self.inner, force=force)
         self._broken = False
         self._stash.clear()
 
@@ -329,6 +344,10 @@ class SlowFaultPlan:
             delay += nbytes / self.throughput_Bps
         return delay
 
+    def wrap(self, inner: Transport, **kwargs) -> "SlowTransport":
+        """``inner`` wrapped in the transport this plan drives."""
+        return SlowTransport(inner, self, **kwargs)
+
 
 class SlowTransport:
     """Wraps any transport, charging a :class:`SlowFaultPlan`'s latency.
@@ -378,31 +397,30 @@ class SlowTransport:
         return record
 
     def reconnect(self, *, force: bool = False) -> None:
-        inner_reconnect = getattr(self.inner, "reconnect", None)
-        if inner_reconnect is not None:
-            try:
-                inner_reconnect(force=force)
-            except TypeError:
-                inner_reconnect()
+        reconnect_if_supported(self.inner, force=force)
 
     def close(self) -> None:
         self.inner.close()
 
 
-class SlowEndpoint:
-    """Wraps a failover endpoint so every connection it hands out limps.
+class FaultyEndpoint:
+    """Wraps a failover endpoint so every connection it hands out is faulty.
 
-    Delegates everything (``name``, ``kill``, partition links, ...) to
-    the wrapped endpoint; only ``connect`` is intercepted to wrap the
-    returned transport in a :class:`SlowTransport`.  All transports from
-    one ``SlowEndpoint`` share the ``active`` flag via the endpoint, so
-    a harness flips one switch to start (or heal) the limplock.
+    ``plan`` builds the transport each connection is wrapped in: a
+    :class:`FaultPlan` a :class:`FaultInjectingTransport` (drops, duplicate
+    replies, disconnects), a :class:`SlowFaultPlan` a :class:`SlowTransport`
+    (limplock).  Connection ``n`` draws from its own stream, seeded
+    ``plan.seed + n``, and one :meth:`set_active` switch opens or heals the
+    fault window on the endpoint and every transport it has handed out --
+    how the simulation nemesis turns faults on and off over virtual time.
+    Everything else (``name``, ``kill``, partition links, ...) is delegated
+    to the wrapped endpoint.
     """
 
     def __init__(
         self,
         inner,
-        plan: SlowFaultPlan,
+        plan: FaultPlan | SlowFaultPlan,
         *,
         clock: SimClock | None = None,
         stats: ResilienceStats | None = None,
@@ -413,73 +431,15 @@ class SlowEndpoint:
         self.clock = clock
         self.stats = stats
         self.active = active
-        self._transports: list[SlowTransport] = []
+        self._transports: list[FaultInjectingTransport | SlowTransport] = []
         self._next_seed = plan.seed
 
-    def connect(self) -> SlowTransport:
-        transport = self.inner.connect()
-        # Each connection gets its own decision stream, deterministically
-        # derived from the plan seed and the connection ordinal.
-        plan = SlowFaultPlan(
-            base_delay_s=self.plan.base_delay_s,
-            jitter_s=self.plan.jitter_s,
-            spike_rate=self.plan.spike_rate,
-            spike_s=self.plan.spike_s,
-            throughput_Bps=self.plan.throughput_Bps,
-            seed=self._next_seed,
-        )
-        self._next_seed += 1
-        slow = SlowTransport(
-            transport, plan, clock=self.clock, stats=self.stats, active=self.active
-        )
-        self._transports.append(slow)
-        return slow
-
-    def set_active(self, active: bool) -> None:
-        """Start or heal the limplock on this endpoint and all its pipes."""
-        self.active = active
-        for transport in self._transports:
-            transport.active = active
-
-    def __getattr__(self, name: str):
-        return getattr(self.inner, name)
-
-
-class FaultyEndpoint:
-    """Wraps a failover endpoint so its connections inject transport faults.
-
-    The :class:`SlowEndpoint` pattern applied to :class:`FaultPlan`:
-    ``connect`` wraps the returned transport in a
-    :class:`FaultInjectingTransport` with a per-connection derived seed,
-    and one ``set_active`` switch opens or heals the fault window on the
-    endpoint and every transport it has handed out.  This is how the
-    simulation nemesis turns ``FaultPlan``-family faults (drops, dup
-    replies, disconnects) on and off over virtual time.
-    """
-
-    def __init__(
-        self,
-        inner,
-        plan: FaultPlan,
-        *,
-        clock: SimClock | None = None,
-        stats: ResilienceStats | None = None,
-        active: bool = False,
-    ) -> None:
-        self.inner = inner
-        self.plan = plan
-        self.clock = clock
-        self.stats = stats
-        self.active = active
-        self._transports: list[FaultInjectingTransport] = []
-        self._next_seed = plan.seed
-
-    def connect(self) -> FaultInjectingTransport:
+    def connect(self) -> FaultInjectingTransport | SlowTransport:
         transport = self.inner.connect()
         plan = replace(self.plan, seed=self._next_seed)
         self._next_seed += 1
-        faulty = FaultInjectingTransport(
-            transport, plan, clock=self.clock, stats=self.stats, active=self.active
+        faulty = plan.wrap(
+            transport, clock=self.clock, stats=self.stats, active=self.active
         )
         self._transports.append(faulty)
         return faulty
@@ -489,10 +449,6 @@ class FaultyEndpoint:
         self.active = active
         for transport in self._transports:
             transport.active = active
-            if not active:
-                # Healing also mends any injected disconnect so the next
-                # retry gets through without a reconnect round-trip.
-                transport._broken = False
 
     def __getattr__(self, name: str):
         return getattr(self.inner, name)

@@ -17,6 +17,7 @@ and deadlines) is enforced in real elapsed time.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from typing import Callable
 
@@ -171,14 +172,32 @@ class ReconnectingTransport:
             raise RpcTransportError("not connected (reconnect required)")
         return self._inner
 
+    def _drop(self) -> None:
+        """Close and forget the live connection, if any."""
+        if self._inner is not None:
+            with contextlib.suppress(Exception):
+                self._inner.close()
+            self._inner = None
+
     def _mark_dead(self) -> None:
         self.breaker.record_failure()
-        if self._inner is not None:
+        self._drop()
+
+    def _open(self, connect: Callable[[], Transport], probe) -> Transport:
+        """Connect, then ``probe`` the fresh transport (closed if that fails).
+
+        The one connect-then-probe sequence of reconnects, endpoint walks
+        and hedged probe rounds; errors propagate unchanged.
+        """
+        transport = connect()
+        if probe is not None:
             try:
-                self._inner.close()
+                probe(transport)
             except Exception:
-                pass
-            self._inner = None
+                with contextlib.suppress(Exception):
+                    transport.close()
+                raise
+        return transport
 
     def send_record(self, record: bytes) -> None:
         """Send via the live connection; a failure kills the connection."""
@@ -211,46 +230,41 @@ class ReconnectingTransport:
         if self._inner is not None:
             if not force:
                 return  # still connected; nothing to do
-            try:
-                self._inner.close()
-            except Exception:
-                pass
-            self._inner = None
+            self._drop()
         if not force and not self.breaker.allow():
             raise RpcCircuitOpenError(
                 "circuit breaker open: refusing to reconnect "
                 f"(state {self.breaker.state!r})"
             )
         try:
-            inner = self._factory()
+            inner = self._open(self._factory, self._checked_probe)
         except RpcTransportError:
             self.breaker.record_failure()
             raise
-        if self._probe is not None:
-            started_ns = self.breaker.clock.now_ns
-            try:
-                self._probe(inner)
-            except Exception as exc:
-                # Connected but not answering RPCs: that is a failure for
-                # breaker purposes, and the half-open trial stays cheap
-                # instead of sacrificing a real (non-idempotent) call.
-                self.breaker.record_failure()
-                try:
-                    inner.close()
-                except Exception:
-                    pass
-                raise RpcTransportError(f"reconnect probe failed: {exc}") from exc
-            # A successful probe still carries information: its RTT.
-            # Feed it to the breaker and stats so a breaker that closed
-            # on a crawling probe is distinguishable from a healthy one.
-            rtt_ns = self.breaker.clock.now_ns - started_ns
-            self.breaker.note_probe_rtt(rtt_ns)
-            self.stats.probe_rtt_last_ns = rtt_ns
-            if self.breaker.suspect:
-                self.stats.slow_probes += 1
         self._inner = inner
         self.breaker.record_success()
         self.stats.reconnects += 1
+
+    def _checked_probe(self, transport: Transport) -> None:
+        """The half-open trial of :meth:`reconnect` (if a probe is set)."""
+        if self._probe is None:
+            return
+        started_ns = self.breaker.clock.now_ns
+        try:
+            self._probe(transport)
+        except Exception as exc:
+            # Connected but not answering RPCs: that is a failure for
+            # breaker purposes, and the half-open trial stays cheap
+            # instead of sacrificing a real (non-idempotent) call.
+            raise RpcTransportError(f"reconnect probe failed: {exc}") from exc
+        # A successful probe still carries information: its RTT.
+        # Feed it to the breaker and stats so a breaker that closed
+        # on a crawling probe is distinguishable from a healthy one.
+        rtt_ns = self.breaker.clock.now_ns - started_ns
+        self.breaker.note_probe_rtt(rtt_ns)
+        self.stats.probe_rtt_last_ns = rtt_ns
+        if self.breaker.suspect:
+            self.stats.slow_probes += 1
 
     def close(self) -> None:
         """Close the live connection, if any."""

@@ -236,9 +236,9 @@ class _Cluster:
         self.client_names: list[str] = []
         #: per client: innermost LoopbackEndpoints (for server swaps)
         self.loopbacks: dict[str, list[Any]] = {}
-        #: per client: FaultyEndpoint wrappers (transport-fault windows)
+        #: per client: FaultPlan FaultyEndpoints (transport-fault windows)
         self.faulty: dict[str, list[Any]] = {}
-        #: per client: SlowEndpoint wrappers (limplock windows)
+        #: per client: SlowFaultPlan FaultyEndpoints (limplock windows)
         self.slow: dict[str, list[Any]] = {}
         self.servers: dict[str, Any] = {}
         self.state = None  # PartitionState (ha_pair)
@@ -724,7 +724,6 @@ def _build_cluster(
         FaultyStorage,
         PartitionPlan,
         PartitionState,
-        SlowEndpoint,
         SlowFaultPlan,
         StorageFaultPlan,
     )
@@ -819,7 +818,7 @@ def _build_cluster(
                 on_connect=on_connect,
             )
             loopbacks.append(loopback)
-            slow = SlowEndpoint(
+            slow = FaultyEndpoint(
                 loopback,
                 SlowFaultPlan(
                     base_delay_s=0.005,

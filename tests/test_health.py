@@ -31,6 +31,7 @@ from repro.resilience import (
     BrownoutController,
     CircuitBreaker,
     FaultPlan,
+    FaultyEndpoint,
     FaultyStorage,
     HealthTracker,
     LatencyHistogram,
@@ -38,7 +39,6 @@ from repro.resilience import (
     OutlierEjector,
     ReconnectingTransport,
     RetryPolicy,
-    SlowEndpoint,
     SlowFaultPlan,
     SlowTransport,
     StorageFaultPlan,
@@ -454,7 +454,7 @@ class TestFailoverEjection:
         endpoints = [
             LoopbackEndpoint(s, name=f"server{i}") for i, s in enumerate(servers)
         ]
-        slow = SlowEndpoint(
+        slow = FaultyEndpoint(
             endpoints[2],
             SlowFaultPlan(base_delay_s=limp_s, seed=0),
             clock=clock,

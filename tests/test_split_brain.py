@@ -551,7 +551,7 @@ class TestClientEpochAwareness:
         ptr = client.malloc(4096)  # NOT_LEADER from primary, redirected
         assert ptr > 0
         assert client.active_endpoint_name == "standby"
-        transport = client.stub.client._leader_sink()
+        transport = client.stub.client.leader_sink
         assert 0 in transport._stale  # the old primary is marked stale
         # further mutations stay on the standby even though the primary
         # still answers connects

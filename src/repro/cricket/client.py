@@ -516,8 +516,9 @@ class CricketClient:
     def memcpy_h2d(self, dst: int, data: bytes) -> None:
         """Forward a host-to-device ``cudaMemcpy`` (payload in the message).
 
-        ``data`` is any C-contiguous buffer; it is copied once, into the
-        request record.
+        ``data`` is any C-contiguous buffer.  A bulk one is not copied: the
+        request record references it and the socket gathers it from where
+        it lives, so it must not change until the call returns.
         """
         self._check(self.stub.rpc_cudaMemcpyH2D(dst, data), "cudaMemcpy H2D")
 

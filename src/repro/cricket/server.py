@@ -250,11 +250,16 @@ class CricketImplementation:
             return err
 
     def rpc_cudaMemcpyD2H(self, src, size, ctx=None):
-        """Cricket procedure ``rpc_cudaMemcpyD2H`` (forwards to the CUDA executor)."""
+        """Cricket procedure ``rpc_cudaMemcpyD2H`` (forwards to the CUDA executor).
+
+        The payload is a pinned span of device memory, not a copy: the
+        reply references it and is sent from it, and the pin goes with the
+        reply (see :class:`~repro.gpu.memory.PinnedSpan`).
+        """
         with self._lock:
             self._charge_dispatch(ctx)
-            err, data = self.runtime.cudaMemcpy(0, src, size, C.cudaMemcpyDeviceToHost)
-            return {"err": err, "data": data if data is not None else b""}
+            err, span = self.runtime.memcpy_d2h_pinned(src, size)
+            return {"err": err, "data": span if span is not None else b""}
 
     def rpc_cudaMemcpyD2D(self, dst, src, size, ctx=None):
         """Cricket procedure ``rpc_cudaMemcpyD2D`` (forwards to the CUDA executor)."""
@@ -273,13 +278,12 @@ class CricketImplementation:
             return err
 
     def rpc_cudaMemcpyD2HAsync(self, src, size, stream, ctx=None):
-        """Cricket procedure ``rpc_cudaMemcpyD2HAsync`` (forwards to the CUDA executor)."""
+        """Cricket procedure ``rpc_cudaMemcpyD2HAsync``: as ``rpc_cudaMemcpyD2H``,
+        queued on ``stream``."""
         with self._lock:
             self._charge_dispatch(ctx)
-            err, data = self.runtime.cudaMemcpyAsync(
-                0, src, size, C.cudaMemcpyDeviceToHost, stream
-            )
-            return {"err": err, "data": data if data is not None else b""}
+            err, span = self.runtime.memcpy_d2h_pinned(src, size, stream)
+            return {"err": err, "data": span if span is not None else b""}
 
     def rpc_cudaMemset(self, ptr, value, size, ctx=None):
         """Cricket procedure ``rpc_cudaMemset`` (forwards to the CUDA executor)."""

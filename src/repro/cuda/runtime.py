@@ -22,8 +22,24 @@ from dataclasses import dataclass
 from repro.cuda import constants as C
 from repro.cuda.errors import CudaError, code_for_exception
 from repro.gpu.device import GpuDevice
+from repro.gpu.memory import PinnedSpan
 from repro.gpu.stream import DEFAULT_STREAM
 from repro.net.simclock import SimClock
+from repro.xdr.encoder import Buffer, flat_view
+
+
+def _host_bytes(src: object, count: int) -> memoryview | None:
+    """The first ``count`` bytes of the host buffer ``src``, as a flat view
+    (the device write is the copy); None unless ``src`` is a C-contiguous
+    buffer holding at least ``count`` bytes."""
+    try:
+        view = memoryview(src)
+    except TypeError:
+        return None
+    if not view.c_contiguous:
+        return None
+    payload = flat_view(view)[:count]
+    return payload if len(payload) == count else None
 
 
 @dataclass(frozen=True)
@@ -187,16 +203,53 @@ class CudaRuntime:
         except Exception as exc:
             return self._record(code_for_exception(exc))
 
+    def memcpy_d2h_pinned(
+        self, src: int, count: int, stream: int | None = None
+    ) -> tuple[int, PinnedSpan | None]:
+        """The one device-to-host copy: ``(err, span)``, ``span`` pinned device memory.
+
+        With ``stream`` None it is ``cudaMemcpy``: default-stream semantics,
+        so the copy waits for all launched work (a hung stream times it out
+        before any data moves) and the clock advances by the copy.  With a
+        stream it is ``cudaMemcpyAsync``: queued on that stream, the clock
+        left alone.  Every check -- sticky fault, hung stream, bounds and
+        sanitizer -- and every charge -- the API call, virtual time -- is
+        made here, once, before the span exists.  :meth:`cudaMemcpy` and
+        :meth:`cudaMemcpyAsync` copy the span out for in-process callers;
+        the Cricket server sends it as it is.
+        """
+        self._count()
+        device = self._device()
+        if stream is None:
+            if device.streams.hung_streams():
+                return self._record(C.cudaErrorLaunchTimeout), None
+            self._advance_to(device.synchronize_ns())
+        try:
+            submit_ns = self.clock.now_ns
+            if not isinstance(src, int):
+                return C.cudaErrorInvalidValue, None
+            span, seconds = device.memcpy_d2h_pinned(int(src), int(count))
+            if stream is None:
+                self._advance(seconds)
+            else:
+                device.streams.stream(int(stream)).submit(submit_ns, seconds * 1e9)
+            return C.cudaSuccess, span
+        except Exception as exc:
+            return self._record(code_for_exception(exc)), None
+
     def cudaMemcpy(
-        self, dst: int, src: int | bytes, count: int, kind: int
+        self, dst: int, src: int | Buffer, count: int, kind: int
     ) -> tuple[int, bytes | None]:
         """Synchronous memcpy.
 
-        For H2D, ``src`` is the host payload bytes; for D2H the return
-        carries the payload.  D2D copies between device pointers.  This is
-        exactly the shape of Cricket's memcpy RPCs, where host memory lives
-        on the client and travels inside the message.
+        For H2D, ``src`` is the host payload, any C-contiguous buffer; for
+        D2H the return carries the payload.  D2D copies between device
+        pointers.  This is exactly the shape of Cricket's memcpy RPCs, where
+        host memory lives on the client and travels inside the message.
         """
+        if kind == C.cudaMemcpyDeviceToHost:
+            err, span = self.memcpy_d2h_pinned(src, count)
+            return err, None if span is None else span.take()
         self._count()
         device = self._device()
         # Default-stream semantics: a synchronous memcpy waits for all
@@ -207,19 +260,11 @@ class CudaRuntime:
         self._advance_to(device.synchronize_ns())
         try:
             if kind == C.cudaMemcpyHostToDevice:
-                if not isinstance(src, (bytes, bytearray, memoryview)):
-                    return C.cudaErrorInvalidValue, None
-                payload = memoryview(src)[:count]  # a view: the device write is the copy
-                if len(payload) != count:
+                payload = _host_bytes(src, count)
+                if payload is None:
                     return C.cudaErrorInvalidValue, None
                 self._advance(device.memcpy_h2d(int(dst), payload))
                 return C.cudaSuccess, None
-            if kind == C.cudaMemcpyDeviceToHost:
-                if not isinstance(src, int):
-                    return C.cudaErrorInvalidValue, None
-                data, seconds = device.memcpy_d2h(int(src), int(count))
-                self._advance(seconds)
-                return C.cudaSuccess, data
             if kind == C.cudaMemcpyDeviceToDevice:
                 if not isinstance(src, int):
                     return C.cudaErrorInvalidValue, None
@@ -352,7 +397,7 @@ class CudaRuntime:
     # -- asynchronous memcpy ------------------------------------------------------
 
     def cudaMemcpyAsync(
-        self, dst: int, src: int | bytes, count: int, kind: int, stream: int
+        self, dst: int, src: int | Buffer, count: int, kind: int, stream: int
     ) -> tuple[int, bytes | None]:
         """Stream-ordered memcpy: the copy is queued on ``stream`` and the
         caller does not wait (the clock is not advanced).
@@ -362,25 +407,20 @@ class CudaRuntime:
         payload is returned immediately, modelling a copy into pinned host
         memory that the application will not touch before synchronizing.
         """
+        if kind == C.cudaMemcpyDeviceToHost:
+            err, span = self.memcpy_d2h_pinned(src, count, stream)
+            return err, None if span is None else span.take()
         self._count()
         device = self._device()
         try:
             submit_ns = self.clock.now_ns
             if kind == C.cudaMemcpyHostToDevice:
-                if not isinstance(src, (bytes, bytearray, memoryview)):
-                    return C.cudaErrorInvalidValue, None
-                payload = memoryview(src)[:count]  # a view: the device write is the copy
-                if len(payload) != count:
+                payload = _host_bytes(src, count)
+                if payload is None:
                     return C.cudaErrorInvalidValue, None
                 seconds = device.memcpy_h2d(int(dst), payload)
                 device.streams.stream(int(stream)).submit(submit_ns, seconds * 1e9)
                 return C.cudaSuccess, None
-            if kind == C.cudaMemcpyDeviceToHost:
-                if not isinstance(src, int):
-                    return C.cudaErrorInvalidValue, None
-                data, seconds = device.memcpy_d2h(int(src), int(count))
-                device.streams.stream(int(stream)).submit(submit_ns, seconds * 1e9)
-                return C.cudaSuccess, data
             if kind == C.cudaMemcpyDeviceToDevice:
                 if not isinstance(src, int):
                     return C.cudaErrorInvalidValue, None

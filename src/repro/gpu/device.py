@@ -26,7 +26,7 @@ from repro.gpu.kernels import (
     KernelRegistry,
     LaunchContext,
 )
-from repro.gpu.memory import DeviceAllocator
+from repro.gpu.memory import DeviceAllocator, PinnedSpan
 from repro.gpu.sanitizer import SanitizerConfig
 from repro.gpu.stream import DEFAULT_STREAM, StreamTable
 from repro.gpu.timing import GpuTimingModel
@@ -248,9 +248,18 @@ class GpuDevice:
 
     def memcpy_d2h(self, src: int, size: int) -> tuple[bytes, float]:
         """Copy device bytes to host; returns (data, simulated seconds)."""
+        span, seconds = self.memcpy_d2h_pinned(src, size)
+        return span.take(), seconds
+
+    def memcpy_d2h_pinned(self, src: int, size: int) -> tuple[PinnedSpan, float]:
+        """:meth:`memcpy_d2h` without the copy: (pinned span, simulated seconds).
+
+        The span is sent, or copied out
+        (:meth:`~repro.gpu.memory.PinnedSpan.take`), from device memory.
+        """
         self._check_fault()
-        data = self.allocator.read(src, size)
-        return data, self.timing.memcpy_time_s(size)
+        span = self.allocator.pin(src, size)
+        return span, self.timing.memcpy_time_s(size)
 
     def memcpy_d2d(self, dst: int, src: int, size: int) -> float:
         """Copy device-to-device; returns simulated seconds."""

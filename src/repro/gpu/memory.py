@@ -10,12 +10,20 @@ device pointers.
 The allocator detects the error classes the paper's Rust lifetime wrappers
 eliminate by construction -- double frees, use-after-free, out-of-bounds
 accesses -- and reports them as typed exceptions.
+
+A device-to-host copy does not copy: :meth:`DeviceAllocator.pin` hands out a
+read-only :class:`PinnedSpan` of the allocation, which is sent from where it
+lives.  While an allocation is pinned it is copy-on-write: whatever would
+change its bytes in place first swaps a private copy of the array in, so the
+span keeps reading the bytes as of the copy and no writer (or free) ever
+waits for the span's reader.
 """
 
 from __future__ import annotations
 
 import bisect
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,10 +67,46 @@ class Allocation:
     addr: int
     size: int
     data: np.ndarray = field(repr=False)
+    #: live pinned spans of ``data`` (a copy swapped in has none)
+    pins: int = 0
 
     def contains(self, addr: int, size: int) -> bool:
         """True when [addr, addr+size) lies inside this allocation."""
         return self.addr <= addr and addr + size <= self.addr + self.size
+
+
+class PinnedSpan(np.ndarray):
+    """A read-only span of one allocation that pins it: a D2H copy's result.
+
+    It is a ``uint8`` view of device memory, so it goes into a reply record
+    as a buffer the socket gathers from (see
+    :class:`~repro.xdr.encoder.GatherRecord`, which calls :meth:`unpin` once
+    the record is sent).  While pinned, the allocation is copy-on-write
+    (:meth:`DeviceAllocator._unshare`): the span reads the bytes as of the
+    copy, however long its reader takes.  The pin goes with :meth:`unpin`,
+    :meth:`take`, or when the span is freed, whichever comes first.
+    """
+
+    # Set on the span :meth:`DeviceAllocator.pin` hands out, cleared by the
+    # unpin; numpy views of the span are plain views that pin nothing.
+    _allocator: DeviceAllocator | None = None
+    _allocation: Allocation | None = None
+    _array: np.ndarray | None = None
+
+    def unpin(self) -> None:
+        """Let go of the pin (idempotent): from then on the bytes under the span may change."""
+        allocator = self._allocator
+        if allocator is not None:
+            allocator._unpin(self)
+
+    def take(self) -> bytes:
+        """The bytes, copied out, and the pin let go: what an in-process caller gets."""
+        data = self.tobytes()
+        self.unpin()
+        return data
+
+    def __del__(self) -> None:
+        self.unpin()
 
 
 class DeviceAllocator:
@@ -97,6 +141,14 @@ class DeviceAllocator:
         #: compute-sanitizer state, or None when running unsanitized
         self.sanitizer = Sanitizer(sanitizer) if sanitizer is not None else None
         self._debug_invariants = os.environ.get(DEBUG_ALLOCATOR_ENV, "") not in ("", "0")
+        #: pins are taken under the server's dispatch lock and let go from
+        #: whichever thread sent the reply; this orders the two against
+        #: the copy-on-write swap
+        self._pin_lock = threading.RLock()
+        #: spans handed out by :meth:`pin` and not yet let go
+        self.pinned_spans = 0
+        #: allocations copied aside because a writer met a pin (instrumentation)
+        self.cow_copies = 0
 
     def _debug_check(self) -> None:
         if self._debug_invariants:
@@ -252,6 +304,8 @@ class DeviceAllocator:
         # Complete the free even when the guard bands are corrupt: the
         # allocator must stay consistent for the co-tenants that the
         # recovery ladder is about to protect.
+        if allocation.pins:
+            self._unshare(allocation)
         allocation.data[:] = POISON
         self.used_bytes -= guard.span
         for entry in self.sanitizer.quarantine(guard):
@@ -331,9 +385,12 @@ class DeviceAllocator:
         ``memset``, ``copy_within`` and kernel bodies (via
         :meth:`~repro.gpu.kernels.LaunchContext.view`) -- goes through
         here, so the dirty set is a sound overapproximation of what
-        changed since the last :meth:`clear_dirty`.
+        changed since the last :meth:`clear_dirty`.  For the same reason a
+        pinned allocation is unshared here (:meth:`_unshare`).
         """
         allocation, offset = self._find(addr, size, mode="write")
+        if allocation.pins:
+            self._unshare(allocation)
         self._mark_dirty(addr, size)
         self._debug_check()
         return allocation.data[offset : offset + size]
@@ -342,6 +399,51 @@ class DeviceAllocator:
         """Copy ``size`` bytes out of device memory (does not mark dirty)."""
         allocation, offset = self._find(addr, size, mode="read")
         return allocation.data[offset : offset + size].tobytes()
+
+    def pin(self, addr: int, size: int) -> PinnedSpan:
+        """``size`` bytes of device memory at ``addr`` as a :class:`PinnedSpan`.
+
+        Checked like :meth:`read` -- bounds, and under the sanitizer
+        out-of-bounds and use-after-free reads -- but nothing is copied:
+        until the span is unpinned, the allocation is copy-on-write.
+        """
+        allocation, offset = self._find(addr, size, mode="read")
+        with self._pin_lock:
+            array = allocation.data
+            allocation.pins += 1
+            self.pinned_spans += 1
+        span = array[offset : offset + size].view(PinnedSpan)
+        span.flags.writeable = False
+        span._allocation, span._array = allocation, array
+        span._allocator = self
+        return span
+
+    def _unpin(self, span: PinnedSpan) -> None:
+        with self._pin_lock:
+            if span._allocator is None:
+                return  # let go already
+            allocation, array = span._allocation, span._array
+            span._allocator = span._allocation = span._array = None
+            self.pinned_spans -= 1
+            if allocation.data is array:  # else a copy was swapped in: no pins
+                allocation.pins -= 1
+
+    def _unshare(self, allocation: Allocation) -> None:
+        """Swap a private copy of a pinned allocation's array in, before
+        anything changes the allocation in place.
+
+        The pinned spans keep the old array, which nothing writes again; the
+        copy starts with no pins.  Every in-place mutation -- :meth:`view`
+        (so writes, memsets, device-to-device copies, kernels and the
+        libraries), a sanitized :meth:`free`'s poison, :meth:`wild_write` --
+        calls this first when the allocation is pinned.  A reset, restore or
+        failover needs nothing: it builds new allocators and arrays.
+        """
+        with self._pin_lock:
+            if allocation.pins:
+                allocation.data = allocation.data.copy()
+                allocation.pins = 0
+                self.cow_copies += 1
 
     def write(self, addr: int, data: bytes | np.ndarray) -> None:
         """Copy ``data`` into device memory at ``addr``."""
@@ -375,10 +477,13 @@ class DeviceAllocator:
             lo = max(addr, allocation.addr)
             hi = min(end, allocation.addr + allocation.size)
             if lo < hi:
+                if allocation.pins:
+                    self._unshare(allocation)
                 allocation.data[lo - allocation.addr : hi - allocation.addr] = (
                     buf[lo - addr : hi - addr]
                 )
                 self._mark_dirty(lo, hi - lo)
+        self._debug_check()
         if self.sanitizer is None:
             return 0
         return self.sanitizer.corrupt_guards(addr, buf)
@@ -547,3 +652,11 @@ class DeviceAllocator:
                 raise AssertionError("free list overlap")
             if a1 + s1 == a2:
                 raise AssertionError("free list not coalesced")
+        with self._pin_lock:  # spans are let go from other threads
+            pins = 0
+            for a in self._allocs.values():
+                if a.pins < 0:
+                    raise AssertionError(f"allocation {a.addr:#x} unpinned more than pinned")
+                pins += a.pins
+            if pins > self.pinned_spans:
+                raise AssertionError("more pins on live allocations than spans handed out")

@@ -5,11 +5,12 @@ explicit ``encode``/``decode`` methods.  Procedure arguments and results are
 carried as raw pre-encoded XDR so the message layer stays independent of any
 particular program's interface definition.
 
-A message is encoded into **one** buffer, header first: a body's
+A message is encoded into **one** record, header first: a body's
 ``args``/``results`` is either pre-encoded XDR (appended) or a *writer* -- a
 callable handed the encoder once the header is in it, which is how the
-generated stubs put a bulk payload into the record with a single copy.  A
-decoded message carries read-only views of the record it was parsed from.
+generated stubs put a bulk payload into the record without copying it (the
+record is then a :class:`~repro.xdr.encoder.GatherRecord`).  A decoded
+message carries read-only views of the record it was parsed from.
 
 :meth:`RpcMessage.encode` and :meth:`RpcMessage.decode` are compiled: the
 header of a call and of an accepted reply is a handful of fixed words around
@@ -34,7 +35,7 @@ from typing import Callable, Union
 from repro.oncrpc.auth import AUTH_HEAD, AUTH_NONE, MAX_AUTH_BYTES, NULL_AUTH, OpaqueAuth
 from repro.oncrpc.errors import RpcProtocolError
 from repro.xdr import XdrDecoder, XdrEncoder
-from repro.xdr.encoder import Buffer, flat_view
+from repro.xdr.encoder import Buffer, GatherRecord, flat_view, flatten
 from repro.xdr.plan import Defer
 
 RPC_VERSION = 2
@@ -288,7 +289,7 @@ def _parse(data: Buffer) -> "RpcMessage":
 # -- the reference walk ------------------------------------------------------
 
 
-def encode_reference(message: "RpcMessage") -> bytearray:
+def encode_reference(message: "RpcMessage") -> bytearray | GatherRecord:
     """Encode ``message`` field by field: the oracle, and the error reporter."""
     enc = XdrEncoder()
     enc.pack_uint(message.xid)
@@ -338,11 +339,12 @@ class RpcMessage:
         """True when this message is a CALL."""
         return isinstance(self.body, CallBody)
 
-    def encode(self) -> bytearray:
+    def encode(self) -> bytearray | GatherRecord:
         """Serialize to the XDR wire form (without record marking).
 
-        Returns the encoder's own buffer -- a fresh ``bytearray`` that
-        belongs to the caller.
+        Returns the encoder's own record, which belongs to the caller: a
+        fresh ``bytearray``, or a :class:`~repro.xdr.encoder.GatherRecord`
+        when the body referenced a bulk opaque.
         """
         enc = XdrEncoder()
         try:
@@ -355,12 +357,15 @@ class RpcMessage:
         return encode_reference(self)
 
     @classmethod
-    def decode(cls, data: Buffer) -> "RpcMessage":
+    def decode(cls, data: Buffer | GatherRecord) -> "RpcMessage":
         """Parse one record's payload into an :class:`RpcMessage`.
 
         ``args``/``results`` of the parsed body are read-only views of
-        ``data``, which must stay unmodified while they are in use.
+        ``data``, which must stay unmodified while they are in use.  A
+        gather record is flattened first (and so released).
         """
+        if type(data) is GatherRecord:
+            data = flatten(data)
         try:
             return _parse(data)
         except Exception:

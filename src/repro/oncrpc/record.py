@@ -12,13 +12,14 @@ bounded fragments on send and reassembling on receive.
 
 Neither direction stages the record a second time.  Sending,
 :func:`gather_fragments` lays the fragment headers *between slices of the
-record buffer itself* and :func:`sendmsg_all` hands that list to the
-socket's scatter-gather ``sendmsg``.  Receiving, :class:`RecordReader` has
-the stream fill one ``bytearray`` per record in place (``recv_into``),
-growing it a fragment at a time.  :func:`encode_record` -- which does
-build the framed copy -- is the reference implementation the differential
-tests compare the wire bytes against; so is
-:func:`read_record_reference` for the reader.
+record buffers themselves* -- one buffer, or each segment of a
+:class:`~repro.xdr.encoder.GatherRecord` -- and :func:`sendmsg_all` hands
+that list to the socket's scatter-gather ``sendmsg``.  Receiving,
+:class:`RecordReader` has the stream fill one ``bytearray`` per record in
+place (``recv_into``), growing it a fragment at a time.
+:func:`encode_record` -- which does build the framed copy, of the flattened
+record -- is the reference implementation the differential tests compare
+the wire bytes against; so is :func:`read_record_reference` for the reader.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import zlib
 from typing import Callable, Iterator
 
 from repro.oncrpc.errors import RpcIntegrityError, RpcProtocolError, RpcTransportError
-from repro.xdr.encoder import Buffer
+from repro.xdr.encoder import Buffer, GatherRecord, flatten
 
 LAST_FRAGMENT = 0x80000000
 MAX_FRAGMENT_PAYLOAD = 0x7FFFFFFF
@@ -93,25 +94,32 @@ def iter_fragments(
             return
 
 
-def encode_record(record: Buffer, fragment_size: int = DEFAULT_FRAGMENT_SIZE) -> bytes:
+def encode_record(
+    record: Buffer | GatherRecord, fragment_size: int = DEFAULT_FRAGMENT_SIZE
+) -> bytes:
     """Return ``record`` framed as one or more record-marking fragments.
 
-    The reference framing: it copies the record into a second, framed
-    buffer, which the transports no longer do (:func:`gather_fragments`).
+    The reference framing: it copies the record (flattened, if it is a
+    gather record) into a second, framed buffer, which the transports no
+    longer do (:func:`gather_fragments`).
     """
-    return b"".join(iter_fragments(record, fragment_size))
+    return b"".join(iter_fragments(flatten(record), fragment_size))
 
 
 def gather_fragments(
-    record: Buffer, fragment_size: int = DEFAULT_FRAGMENT_SIZE
+    record: Buffer | GatherRecord, fragment_size: int = DEFAULT_FRAGMENT_SIZE
 ) -> list[Buffer]:
     """Frame ``record`` as a gather list: headers and views of ``record``.
 
     Concatenated, the list is byte for byte :func:`encode_record`; nothing
-    of the record is copied to build it.  The views pin ``record`` (a
-    ``bytearray`` cannot be resized) until the list is dropped.
+    of the record is copied to build it.  A gather record is cut at the
+    offsets its flattening would be cut at, a fragment taking a view of
+    each segment it spans.  The views pin what they view (a ``bytearray``
+    cannot be resized) until the list is dropped.
     """
     _check_fragment_size(fragment_size)
+    if type(record) is GatherRecord:
+        return _gather_segments(record, fragment_size)
     view = memoryview(record)
     total = len(view)
     buffers: list[Buffer] = []
@@ -123,6 +131,29 @@ def gather_fragments(
         buffers.append((len(chunk) | (LAST_FRAGMENT if last else 0)).to_bytes(4, "big"))
         if chunk:  # only a zero-length record has an empty fragment
             buffers.append(chunk)
+        if last:
+            return buffers
+
+
+def _gather_segments(record: GatherRecord, fragment_size: int) -> list[Buffer]:
+    """:func:`gather_fragments` of a gather record."""
+    segments = iter(record.segments)
+    total = len(record)
+    buffers: list[Buffer] = []
+    view, pos, offset = memoryview(b""), 0, 0  # the segment being cut, and where
+    while True:
+        size = min(fragment_size, total - offset)
+        offset += size
+        last = offset >= total
+        buffers.append((size | (LAST_FRAGMENT if last else 0)).to_bytes(4, "big"))
+        while size:
+            if pos == len(view):
+                view, pos = memoryview(next(segments)), 0
+                continue
+            take = min(size, len(view) - pos)
+            buffers.append(view[pos : pos + take])
+            pos += take
+            size -= take
         if last:
             return buffers
 
@@ -150,7 +181,7 @@ def sendmsg_all(sock: socket.socket, buffers: list[Buffer]) -> int:
     return total
 
 
-def append_crc(record: Buffer) -> Buffer:
+def append_crc(record: Buffer | GatherRecord) -> Buffer | GatherRecord:
     """Append a big-endian CRC32 trailer covering ``record``.
 
     The trailer travels *inside* the record payload (before fragmentation),
@@ -164,8 +195,18 @@ def append_crc(record: Buffer) -> Buffer:
     (immutable ``bytes``; a ``memoryview``, which is how to pass a buffer
     that others still hold) is left untouched and a new ``bytes`` returned.
     So is a ``bytearray`` with live views: it cannot be resized, and the
-    views are exactly the readers that must not see it change.
+    views are exactly the readers that must not see it change.  A gather
+    record is checksummed segment by segment and returned as a new gather
+    record, the trailer its last segment and its pins the same.
     """
+    if type(record) is GatherRecord:
+        crc = 0
+        for segment in record.segments:
+            crc = zlib.crc32(segment, crc)
+        trailer = (crc & 0xFFFFFFFF).to_bytes(CRC_TRAILER_BYTES, "big")
+        return GatherRecord(
+            record.segments + (trailer,), record.pins, len(record) + CRC_TRAILER_BYTES
+        )
     trailer = (zlib.crc32(record) & 0xFFFFFFFF).to_bytes(CRC_TRAILER_BYTES, "big")
     if isinstance(record, bytearray):
         try:
@@ -176,13 +217,15 @@ def append_crc(record: Buffer) -> Buffer:
     return b"".join((record, trailer))
 
 
-def verify_crc(record: Buffer) -> memoryview:
+def verify_crc(record: Buffer | GatherRecord) -> memoryview:
     """Verify and strip a trailer added by :func:`append_crc`.
 
     Returns the original payload as a read-only view of ``record`` (no
-    copy); raises :class:`~repro.oncrpc.errors.RpcIntegrityError`
-    (retryable) when the trailer is missing or does not match.
+    copy; a gather record is flattened first); raises
+    :class:`~repro.oncrpc.errors.RpcIntegrityError` (retryable) when the
+    trailer is missing or does not match.
     """
+    record = flatten(record)
     if len(record) < CRC_TRAILER_BYTES:
         raise RpcIntegrityError(
             f"record too short for CRC32 trailer ({len(record)} bytes)"

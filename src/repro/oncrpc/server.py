@@ -9,10 +9,14 @@ skeleton Cricket uses) or be driven in-process through
 Handlers receive ``(proc_args, context: CallContext)`` -- the arguments as a
 read-only view of the request record -- and return the encoded result bytes
 or a *writer* that packs them into the reply's encoder (see
-:data:`repro.oncrpc.message.Payload`).  RPC-level failures (unknown
-program/version/procedure, undecodable arguments, handler crash) are mapped
-onto the proper ``accept_stat`` replies rather than tearing down the
-connection.
+:data:`repro.oncrpc.message.Payload`).  A writer may reference a bulk
+result where it lives -- a pinned span of device memory -- and the reply is
+then a :class:`~repro.xdr.encoder.GatherRecord` that is sent from there and
+released once sent; whatever the server keeps beyond the send (the reply
+cache, the op-log observer's reply) is flattened into bytes it owns first.
+RPC-level failures (unknown program/version/procedure, undecodable
+arguments, handler crash) are mapped onto the proper ``accept_stat`` replies
+rather than tearing down the connection.
 
 At-most-once semantics: the server keeps an LRU cache of recent replies
 keyed by (client identity, xid).  A retransmitted call -- same client,
@@ -69,6 +73,7 @@ from repro.resilience.overload import (
     OverloadController,
 )
 from repro.resilience.stats import ServerStats
+from repro.xdr.encoder import GatherRecord, flatten
 from repro.xdr.errors import XdrError
 
 
@@ -197,9 +202,11 @@ class RpcServer:
         #: cache hits) with ``(record, call, reply)`` -- ``record`` is the
         #: verified request bytes, ``call`` the decoded CallBody (its
         #: ``args`` a view of ``record``), ``reply`` the encoded
-        #: (un-checksummed) reply.  All three may be retained: neither
-        #: buffer is reused or modified afterwards.  The replication link
-        #: uses this to ship the op-log.
+        #: (un-checksummed) reply, always contiguous bytes the server owns:
+        #: a gather reply is flattened before the observer sees it, so it
+        #: never holds a view of device memory.  All three may be retained:
+        #: neither buffer is reused or modified afterwards.  The replication
+        #: link uses this to ship the op-log.
         self.on_executed: Callable[[Buffer, msg.CallBody, Buffer], None] | None = None
         #: composable observers called once per *handler execution* (reply-
         #: cache hits and refusals never fire) with ``(identity, xid, proc,
@@ -282,7 +289,7 @@ class RpcServer:
         client_id: str = "loopback",
         session: dict | None = None,
         replica_apply: bool = False,
-    ) -> Buffer | None:
+    ) -> Buffer | GatherRecord | None:
         """Process one request record and return the reply record payload.
 
         One path: decode, answer a retransmission from the reply cache --
@@ -292,7 +299,11 @@ class RpcServer:
         ``record`` is only read, and must stay unmodified afterwards: the
         decoded call and the op-log observer keep it, or views of it.  The
         reply is a buffer of its own, shared with the reply cache and the
-        op-log observer -- callers send it, they do not modify it.
+        op-log observer -- callers send it, they do not modify it.  Or it
+        is a :class:`~repro.xdr.encoder.GatherRecord` that nobody else
+        holds, referencing pinned device memory: callers send it and then
+        release it, or flatten it; one dropped unsent lets go of its pins
+        when it is freed.
 
         A record whose RPC header cannot be parsed raises what
         :meth:`RpcMessage.decode <repro.oncrpc.message.RpcMessage.decode>`
@@ -361,9 +372,12 @@ class RpcServer:
                 # leader, after recovery or after the resume must be judged
                 # again (and nobody retransmits a fatal expiry).
                 reply = self._control_reply(request.xid, refusal)
+        if not self.crc_records:
+            return reply
         # The CRC trailer goes on a copy (``append_crc`` of a view): the
-        # reply cache and the op-log observer hold ``reply`` itself.
-        return append_crc(memoryview(reply)) if self.crc_records else reply
+        # reply cache and the op-log observer hold ``reply`` itself.  A
+        # gather reply is held by nobody else and gets it as a segment.
+        return append_crc(reply if type(reply) is GatherRecord else memoryview(reply))
 
     def _context(
         self,
@@ -514,7 +528,9 @@ class RpcServer:
 
     # -- run: execute an admitted call, once ---------------------------------
 
-    def _run(self, record: Buffer, call: msg.CallBody, ctx: CallContext) -> Buffer:
+    def _run(
+        self, record: Buffer, call: msg.CallBody, ctx: CallContext
+    ) -> Buffer | GatherRecord:
         """Execute an admitted call; returns its reply, cached and shipped.
 
         Owns what brackets a handler: the in-flight accounting (drain waits
@@ -533,8 +549,10 @@ class RpcServer:
         try:
             with guard:
                 stat, reply = self._execute(call, ctx)
-                self._cache_reply(cache_key, reply)
+                reply = self._cache_reply(cache_key, reply)
                 if self.on_executed is not None:
+                    # The observer may keep it: bytes of its own.
+                    reply = flatten(reply)
                     self.on_executed(record, call, reply)
         finally:
             if ctx.admitted:
@@ -554,18 +572,23 @@ class RpcServer:
                 self.server_stats.deadline_expired_in_execution += 1
         return reply
 
-    def _cache_reply(self, cache_key: tuple[str, int], reply: Buffer) -> None:
-        """Insert into the reply cache, honouring entry and byte budgets.
+    def _cache_reply(
+        self, cache_key: tuple[str, int], reply: Buffer | GatherRecord
+    ) -> Buffer | GatherRecord:
+        """Insert into the reply cache, honouring entry and byte budgets;
+        returns the reply to send.
 
         Oversized replies (bulk-data reads like D2H memcpy or checkpoint
         blobs) are skipped entirely rather than letting one reply evict the
         whole cache -- re-executing a read on retry is harmless, pinning
-        its payload is not.
+        its payload is not.  A gather reply that is cached is flattened
+        first: the cache keeps bytes of its own, and the pin on device
+        memory goes now.
         """
-        if self.reply_cache_size <= 0:
-            return
-        if len(reply) > self.reply_cache_entry_bytes:
-            return
+        if self.reply_cache_size <= 0 or len(reply) > self.reply_cache_entry_bytes:
+            return reply
+        if type(reply) is GatherRecord:
+            reply = flatten(reply)
         with self._stats_lock:
             old = self._reply_cache.pop(cache_key, None)
             if old is not None:
@@ -580,8 +603,11 @@ class RpcServer:
                 self._reply_cache_total -= len(evicted)
                 self.server_stats.reply_cache_evictions += 1
             self.server_stats.reply_cache_bytes = self._reply_cache_total
+        return reply
 
-    def _execute(self, call: msg.CallBody, ctx: CallContext) -> tuple[int, bytearray]:
+    def _execute(
+        self, call: msg.CallBody, ctx: CallContext
+    ) -> tuple[int, bytearray | GatherRecord]:
         """Run the call's handler once; return ``(accept_stat, encoded reply)``.
 
         The reply is encoded here, header first and the results after it
@@ -701,6 +727,9 @@ class RpcServer:
                         sendmsg_all(conn, gather_fragments(reply, self.fragment_size))
                     except OSError:
                         break
+                    finally:
+                        if type(reply) is GatherRecord:
+                            reply.release()  # sent or not: device memory unpinned
                 # Let go of both buffers before reading on: held across
                 # read_record they would stay allocated while the next
                 # record is assembled (and while the connection idles), and

@@ -11,11 +11,13 @@ Two transports are provided:
   it to run the paper's 100 000-call workloads quickly and
   deterministically.
 
-A record is one contiguous ``bytes`` or ``bytearray``.  ``send_record``
-owns the record it is given until it returns (a
+A record to send is one contiguous ``bytes`` or ``bytearray``, or a
+:class:`~repro.xdr.encoder.GatherRecord` that references its bulk payload
+where it lives; every transport puts the same bytes on the wire for both.
+``send_record`` owns the record it is given until it returns (a
 :class:`ChecksummedTransport` appends its trailer to a ``bytearray`` in
-place); ``recv_record`` hands up a buffer that belongs to the caller and
-is never reused.
+place); ``recv_record`` hands up a contiguous buffer that belongs to the
+caller and is never reused.
 
 Transports accept an optional :class:`TransportMeter`, the hook through
 which the platform timing models (:mod:`repro.unikernel`) charge simulated
@@ -39,6 +41,7 @@ from repro.oncrpc.record import (
     sendmsg_all,
     verify_crc,
 )
+from repro.xdr.encoder import GatherRecord, flatten
 
 # The reference framing.  The transports send ``gather_fragments`` lists;
 # the name stays importable from here because ``bench/trace.py`` rebinds it
@@ -75,7 +78,7 @@ class NullMeter:
 class Transport(Protocol):
     """Minimal transport interface used by :class:`~repro.oncrpc.client.RpcClient`."""
 
-    def send_record(self, record: bytes) -> None:
+    def send_record(self, record: Buffer | GatherRecord) -> None:
         """Send one complete RPC record."""
         ...
 
@@ -152,7 +155,7 @@ class TcpTransport:
         except OSError as exc:
             raise RpcTransportError(f"recv failed: {exc}") from exc
 
-    def send_record(self, record: Buffer) -> None:
+    def send_record(self, record: Buffer | GatherRecord) -> None:
         if self._closed:
             raise RpcTransportError("transport is closed")
         try:
@@ -207,11 +210,12 @@ class ChecksummedTransport:
         self.inner = inner
         self.stats = stats
 
-    def send_record(self, record: Buffer) -> None:
+    def send_record(self, record: Buffer | GatherRecord) -> None:
         """Send one record with its CRC32 trailer appended.
 
         A ``bytearray`` gets the trailer in place: the caller gave the
-        record up when it called ``send_record``.
+        record up when it called ``send_record``.  A gather record gets it
+        as one more segment.
         """
         self.inner.send_record(append_crc(record))
 
@@ -269,14 +273,16 @@ class LoopbackTransport:
     request is framed and reassembled exactly as over TCP -- same gather
     list, same :class:`~repro.oncrpc.record.RecordReader` -- so the server
     works on its own copy of the record, as it would behind a socket.  The
-    reply is handed back as the server encoded it and charged to the meter
-    at its framed size: this transport *is* the sender of both directions,
-    so both fragment at ``fragment_size``.
+    reply is queued flattened: a gather reply is copied out once (the copy
+    a socket makes) and released, so what waits here owns its bytes and
+    pins nothing; a plain reply is queued as the server encoded it.  It is
+    charged to the meter at its framed size: this transport *is* the
+    sender of both directions, so both fragment at ``fragment_size``.
     """
 
     def __init__(
         self,
-        dispatch: Callable[[Buffer], Buffer | None],
+        dispatch: Callable[[Buffer], Buffer | GatherRecord | None],
         *,
         fragment_size: int = DEFAULT_FRAGMENT_SIZE,
         meter: TransportMeter | None = None,
@@ -290,7 +296,7 @@ class LoopbackTransport:
         self._lock = threading.Lock()
         self._closed = False
 
-    def send_record(self, record: Buffer) -> None:
+    def send_record(self, record: Buffer | GatherRecord) -> None:
         if self._closed:
             raise RpcTransportError("transport is closed")
         with self._lock:
@@ -301,6 +307,7 @@ class LoopbackTransport:
         self.meter.on_send(wire_bytes)
         reply = self._dispatch(request)
         if reply is not None:
+            reply = flatten(reply)
             with self._lock:
                 self._pending.append(reply)
 

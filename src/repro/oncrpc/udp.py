@@ -19,6 +19,7 @@ import threading
 from repro.oncrpc.errors import RpcProtocolError, RpcTimeoutError, RpcTransportError
 from repro.oncrpc.server import RpcServer
 from repro.oncrpc.transport import NullMeter, TransportMeter
+from repro.xdr.encoder import Buffer, GatherRecord, flatten
 from repro.xdr.errors import XdrError
 
 #: Practical maximum UDP payload (64 KiB minus IP/UDP headers).
@@ -56,7 +57,7 @@ class UdpTransport:
         #: total datagrams retransmitted (instrumentation)
         self.retransmissions = 0
 
-    def send_record(self, record: bytes) -> None:
+    def send_record(self, record: Buffer | GatherRecord) -> None:
         if self._closed:
             raise RpcTransportError("transport is closed")
         if len(record) > self.max_payload:
@@ -65,6 +66,8 @@ class UdpTransport:
                 f"limit ({self.max_payload}); use TCP with record marking "
                 "for large arguments"
             )
+        # One datagram, kept for retransmission: contiguous bytes of its own.
+        record = flatten(record)
         try:
             self._sock.sendto(record, self._addr)
         except OSError as exc:
@@ -143,7 +146,7 @@ def serve_udp(
                 continue  # unparseable datagram: drop silently, as UDP does
             if reply is not None and len(reply) <= MAX_UDP_PAYLOAD:
                 try:
-                    sock.sendto(reply, addr)
+                    sock.sendto(flatten(reply), addr)
                 except OSError:
                     continue
         sock.close()

@@ -49,6 +49,7 @@ from repro.net.simclock import SimClock
 from repro.oncrpc.transport import Transport, reconnect_if_supported
 from repro.oncrpc.errors import RpcTransportError
 from repro.resilience.stats import ResilienceStats
+from repro.xdr.encoder import Buffer, GatherRecord, flatten
 
 
 @dataclass(frozen=True)
@@ -182,10 +183,15 @@ class FaultInjectingTransport:
         """Draw one corruption decision from the dedicated stream."""
         return self._corrupt_rng.random() < self.plan.corrupt_rate
 
-    def _flip_byte(self, record: bytes) -> bytes:
-        """Flip one byte of ``record`` (position from the corrupt stream)."""
-        if not record:
+    def _flip_byte(self, record: Buffer | GatherRecord) -> Buffer:
+        """Flip one byte of ``record`` (position from the corrupt stream).
+
+        The result is a new buffer; a gather record is flattened first,
+        which draws the same position (it has the same length).
+        """
+        if not len(record):
             return record
+        record = flatten(record)
         idx = self._corrupt_rng.randrange(len(record))
         return record[:idx] + bytes([record[idx] ^ 0x5A]) + record[idx + 1 :]
 
@@ -203,7 +209,7 @@ class FaultInjectingTransport:
 
     # -- Transport interface -----------------------------------------------
 
-    def send_record(self, record: bytes) -> None:
+    def send_record(self, record: Buffer | GatherRecord) -> None:
         """Send one record, possibly delaying, dropping or disconnecting.
 
         All rate decisions are drawn up front, in a fixed order, before any

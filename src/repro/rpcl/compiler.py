@@ -36,7 +36,7 @@ from repro.xdr import (
     VarOpaque,
 )
 from repro.xdr.decoder import XdrDecoder
-from repro.xdr.encoder import Buffer, XdrEncoder
+from repro.xdr.encoder import Buffer, GatherRecord, XdrEncoder
 from repro.xdr.plan import Plan, compile_plan
 from repro.xdr.types import XdrType, _BaseType
 
@@ -114,12 +114,13 @@ class ProcedureSignature:
 
     def encode_args(
         self, values: tuple[Any, ...], encoder: XdrEncoder | None = None
-    ) -> bytearray:
+    ) -> bytearray | GatherRecord:
         """Encode positional argument values back-to-back.
 
         With ``encoder`` they are appended to what it already holds -- the
-        RPC header, on the call path -- so a bulk argument is copied once,
-        into the record.  Returns the encoder's buffer (not a copy).
+        RPC header, on the call path -- so the arguments land in the record
+        itself, and a bulk argument is referenced, not copied.  Returns the
+        encoder's :attr:`~repro.xdr.encoder.XdrEncoder.buffer` (not a copy).
         """
         if len(values) != len(self.arg_types):
             raise TypeError(
@@ -135,7 +136,9 @@ class ProcedureSignature:
         """
         return self.args_plan.decode(data)
 
-    def encode_result(self, value: Any, encoder: XdrEncoder | None = None) -> bytearray:
+    def encode_result(
+        self, value: Any, encoder: XdrEncoder | None = None
+    ) -> bytearray | GatherRecord:
         """Encode the procedure result (server side); see :meth:`encode_args`."""
         return self.result_plan.encode(value, XdrEncoder() if encoder is None else encoder)
 

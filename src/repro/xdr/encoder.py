@@ -2,16 +2,19 @@
 
 The encoder appends to an internal :class:`bytearray`; call
 :meth:`XdrEncoder.getvalue` to obtain a ``bytes`` copy of what was packed,
-or read :attr:`XdrEncoder.buffer` to be handed the ``bytearray`` itself -- what
-the RPC layers do, so that a bulk payload is copied once on its way into
-a record and never again.  All multi-byte quantities are big-endian and
-every item is padded to a multiple of four bytes, as the standard mandates.
+or read :attr:`XdrEncoder.buffer` to be handed the record itself -- what
+the RPC layers do.  A variable-length opaque of :data:`BY_REFERENCE_BYTES`
+or more is not copied at all: the encoder keeps a reference to it, and the
+record it yields is then a :class:`GatherRecord`, the packed bytes around
+that buffer and the buffer itself, which the socket gathers from where it
+lives.  All multi-byte quantities are big-endian and every item is padded
+to a multiple of four bytes, as the standard mandates.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Union
+from typing import Callable, Union
 
 from repro.xdr.errors import XdrEncodeError
 
@@ -31,6 +34,71 @@ _PAD = (b"", b"\x00\x00\x00", b"\x00\x00", b"\x00")
 
 #: anything exposing the buffer protocol (``collections.abc.Buffer`` is 3.12+)
 Buffer = Union[bytes, bytearray, memoryview]
+
+#: A variable-length opaque this long or longer is referenced by the record,
+#: not copied into it.  Below it the copy is cheaper than what a reference
+#: costs: a :class:`GatherRecord`, its pieces cut out, and more buffers for
+#: every layer that frames, checksums or sends the record -- about 2.5 us.
+#: The crossover, measured as encode + frame + ``sendmsg`` of one
+#: ``rpc_cudaMemcpyH2D`` call to a thread draining a socketpair (10th
+#: percentile of 100-400 sends, best of three rounds, twice; Python 3.11 on
+#: a shared 2-vCPU x86-64 VM): copying wins by 2.0-2.3 us at 32 KiB,
+#: 1.2 us at 64 KiB and 0.3-0.4 us at 96 KiB; referencing wins by
+#: 0.2-3.2 us at 128 KiB, 4 us at 256 KiB and 50 us at 1 MiB.
+BY_REFERENCE_BYTES = 128 * 1024
+
+
+class GatherRecord:
+    """An outgoing record as the buffers it is made of, in order.
+
+    What an :class:`XdrEncoder` yields once it has referenced an opaque: the
+    packed bytes around each referenced buffer, and each buffer where its
+    bytes belong.  ``len()`` is the length of the record and ``bytes()``
+    copies it out.  Every layer that sends a record takes this form as well
+    as a plain buffer and puts the same bytes on the wire; the reference and
+    diagnostic paths :func:`flatten` it.
+
+    ``pins`` are the ``unpin`` methods of referenced buffers that hold
+    something until the record has gone -- a pinned span of device memory
+    (:class:`repro.gpu.memory.PinnedSpan`).  :meth:`release` calls them,
+    once the record is sent or flattened; a record dropped unsent lets go
+    when its buffers are freed.
+    """
+
+    __slots__ = ("segments", "pins", "_size")
+
+    def __init__(
+        self,
+        segments: tuple[Buffer, ...],
+        pins: tuple[Callable[[], None], ...] = (),
+        size: int | None = None,
+    ) -> None:
+        self.segments = segments
+        self.pins = pins
+        #: the total of the segments' lengths (given by callers who know it)
+        self._size = sum(map(len, segments)) if size is None else size
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __bytes__(self) -> bytes:
+        return b"".join(self.segments)
+
+    def release(self) -> None:
+        """Let go of every pin (once the record is sent): from then on the
+        device memory a segment views may change under it."""
+        for unpin in self.pins:
+            unpin()
+
+
+def flatten(record: Buffer | GatherRecord) -> Buffer:
+    """``record`` as one contiguous buffer: a gather record is copied out into
+    a new ``bytearray`` and released, a plain buffer returned as it is."""
+    if type(record) is not GatherRecord:
+        return record
+    flat = bytearray().join(record.segments)
+    record.release()
+    return flat
 
 
 def flat_view(view: memoryview) -> memoryview:
@@ -62,32 +130,61 @@ class XdrEncoder:
     :mod:`repro.xdr.types`.
     """
 
-    __slots__ = ("_buf",)
+    __slots__ = ("_buf", "_refs")
 
     def __init__(self) -> None:
         self._buf = bytearray()
+        #: opaques referenced instead of copied, in order: (offset in
+        #: ``_buf`` where the bytes belong, the bytes, their ``unpin``)
+        self._refs: list[tuple[int, Buffer, Callable[[], None] | None]] | None = None
 
     def getvalue(self) -> bytes:
         """Return everything packed so far as immutable bytes."""
-        return bytes(self._buf)
+        return bytes(self.buffer)
 
     @property
-    def buffer(self) -> bytearray:
-        """Everything packed so far as the encoder's own ``bytearray``, not a copy.
+    def buffer(self) -> bytearray | GatherRecord:
+        """Everything packed so far, as the record itself.
 
-        This is how a finished record leaves the encoder: whoever takes the
-        buffer drops the encoder and owns the bytes alone (see "Bulk data
-        path and buffer ownership" in ``docs/ARCHITECTURE.md``).  Packing
-        more afterwards grows the same object.
+        With nothing referenced that is the encoder's own ``bytearray``, not
+        a copy; otherwise a :class:`GatherRecord` of its pieces and the
+        referenced buffers.  This is how a finished record leaves the
+        encoder: whoever takes it drops the encoder and owns the bytes alone
+        (see "Bulk data path and buffer ownership" in
+        ``docs/ARCHITECTURE.md``).
         """
-        return self._buf
+        refs = self._refs
+        if refs is None:
+            return self._buf
+        buf, segments, pins, start = self._buf, [], [], 0
+        size = len(buf)
+        for offset, data, unpin in refs:
+            segments.append(buf[start:offset])
+            segments.append(data)
+            size += len(data)
+            if unpin is not None:
+                pins.append(unpin)
+            start = offset
+        segments.append(buf[start:])
+        return GatherRecord(tuple(segments), tuple(pins), size)
 
     def __len__(self) -> int:
-        return len(self._buf)
+        size = len(self._buf)
+        if self._refs is not None:
+            size += sum(len(data) for _, data, _ in self._refs)
+        return size
 
     def reset(self) -> None:
         """Discard all packed data, making the encoder reusable."""
         self._buf.clear()
+        self._refs = None
+
+    def _rollback(self, size: int) -> None:
+        """Drop what was packed after the first ``size`` bytes of ``_buf``
+        (a compiled plan that cannot finish, before the interpreter redoes it)."""
+        del self._buf[size:]
+        if self._refs is not None:
+            self._refs = [ref for ref in self._refs if ref[0] <= size] or None
 
     # -- integral types ---------------------------------------------------
 
@@ -186,8 +283,10 @@ class XdrEncoder:
         """Pack variable-length opaque data: a length word then padded bytes.
 
         ``value`` is any C-contiguous buffer (``bytes``, ``bytearray``, a
-        ``memoryview``, a numpy array); it is copied once, into the
-        encoder's buffer.
+        ``memoryview``, a numpy array).  Under :data:`BY_REFERENCE_BYTES` it
+        is copied into the encoder's buffer; from there on it is referenced
+        -- the length word and the padding still go in -- and must stay
+        unmodified until the record has been sent.
         """
         data = _byte_view(value)
         size = len(data)
@@ -196,7 +295,12 @@ class XdrEncoder:
                 f"opaque longer than declared maximum ({size} > {max_size})"
             )
         self.pack_uint(size)
-        self._buf += data
+        if size < BY_REFERENCE_BYTES:
+            self._buf += data
+        else:
+            if self._refs is None:
+                self._refs = []
+            self._refs.append((len(self._buf), data, getattr(value, "unpin", None)))
         self._buf += _PAD[size % 4]
 
     def pack_string(self, value: str, max_size: int | None = None) -> None:

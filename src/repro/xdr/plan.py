@@ -29,7 +29,7 @@ import struct
 from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.xdr.decoder import XdrDecoder
-from repro.xdr.encoder import Buffer, XdrEncoder
+from repro.xdr.encoder import Buffer, GatherRecord, XdrEncoder
 from repro.xdr.types import DOUBLE, FLOAT, HYPER, INT, UHYPER, UINT, StructType, XdrType
 
 #: ``struct`` format of each fixed-width primitive, by descriptor identity
@@ -71,12 +71,12 @@ class Plan(NamedTuple):
     """The compiled codec of one sequence of types.
 
     ``encode(value, encoder)`` appends to the encoder and returns its
-    buffer; ``decode(data)`` returns the value with opaques as read-only
-    views of ``data``.  The value is the tuple of all members, or with
-    ``single`` the one member bare.
+    :attr:`~repro.xdr.encoder.XdrEncoder.buffer`; ``decode(data)`` returns
+    the value with opaques as read-only views of ``data``.  The value is the
+    tuple of all members, or with ``single`` the one member bare.
     """
 
-    encode: Callable[[Any, XdrEncoder], bytearray]
+    encode: Callable[[Any, XdrEncoder], bytearray | GatherRecord]
     decode: Callable[[Buffer], Any]
     shape: str
     #: the generated module, for the curious and for the documentation
@@ -156,11 +156,11 @@ def encode(v, enc):
     start = len(buf)
     try:
         {encode}
-        return buf
+        return buf if enc._refs is None else enc.buffer
     except Exception:
-        del buf[start:]
+        enc._rollback(start)
     encode_each(TYPES, {values}, enc)
-    return buf
+    return enc.buffer
 
 def decode(data):
     try:

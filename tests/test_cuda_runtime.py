@@ -120,6 +120,56 @@ class TestMemory:
         assert data == b"\x5a" * 32
 
 
+def _float_sources():
+    """1 KiB of float32s as every contiguous host buffer a caller may hold."""
+    values = np.arange(256, dtype=np.float32)
+    return {
+        "memoryview": memoryview(values),
+        "2-D memoryview": memoryview(values.reshape(16, 16)),
+        "ndarray": values,
+        "2-D ndarray": values.reshape(16, 16),
+    }
+
+
+class TestH2DTakesAnyContiguousBuffer:
+    """``count`` is bytes, whatever the buffer's item size or shape."""
+
+    @pytest.mark.parametrize("name", sorted(_float_sources()))
+    def test_sync(self, rt, name):
+        _, ptr = rt.cudaMalloc(1024)
+        err, _ = rt.cudaMemcpy(ptr, _float_sources()[name], 1024, C.cudaMemcpyHostToDevice)
+        assert err == C.cudaSuccess
+        _, data = rt.cudaMemcpy(0, ptr, 1024, C.cudaMemcpyDeviceToHost)
+        assert data == np.arange(256, dtype=np.float32).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(_float_sources()))
+    def test_async(self, rt, name):
+        _, ptr = rt.cudaMalloc(1024)
+        _, stream = rt.cudaStreamCreate()
+        err, _ = rt.cudaMemcpyAsync(
+            ptr, _float_sources()[name], 1024, C.cudaMemcpyHostToDevice, stream
+        )
+        assert err == C.cudaSuccess
+        err, data = rt.cudaMemcpyAsync(0, ptr, 1024, C.cudaMemcpyDeviceToHost, stream)
+        assert (err, data) == (C.cudaSuccess, np.arange(256, dtype=np.float32).tobytes())
+
+    def test_a_prefix_of_a_longer_buffer(self, rt):
+        _, ptr = rt.cudaMalloc(8)
+        values = np.arange(4, dtype=np.float32)
+        assert rt.cudaMemcpy(ptr, values, 8, C.cudaMemcpyHostToDevice)[0] == C.cudaSuccess
+        assert rt.cudaMemcpy(0, ptr, 8, C.cudaMemcpyDeviceToHost)[1] == values[:2].tobytes()
+
+    def test_non_contiguous_and_short_buffers_are_invalid(self, rt):
+        _, ptr = rt.cudaMalloc(1024)
+        strided = np.arange(512, dtype=np.float32)[::2]
+        for src, count in ((strided, 1024), (memoryview(strided), 1024), (np.zeros(4), 64)):
+            for err in (
+                rt.cudaMemcpy(ptr, src, count, C.cudaMemcpyHostToDevice)[0],
+                rt.cudaMemcpyAsync(ptr, src, count, C.cudaMemcpyHostToDevice, 0)[0],
+            ):
+                assert err == C.cudaErrorInvalidValue
+
+
 class TestStreamsEvents:
     def test_stream_lifecycle(self, rt):
         err, stream = rt.cudaStreamCreate()

@@ -40,7 +40,6 @@ from repro.cricket.migration import (
     migrate_live,
 )
 from repro.cricket.replication import (
-    MUTATING_PROC_NAMES,
     ReplicationLink,
     make_ha_pair,
     promote,
@@ -81,7 +80,12 @@ from repro.cricket.sessions import (
     Session,
     SessionManager,
 )
-from repro.cricket.spec import CRICKET_PROG_NAME, CRICKET_SPEC, CRICKET_VERS
+from repro.cricket.spec import (
+    CRICKET_PROG_NAME,
+    CRICKET_SPEC,
+    CRICKET_VERS,
+    MUTATING_PROC_NAMES,
+)
 from repro.cricket.transfer import (
     TransferEngine,
     TransferMethod,

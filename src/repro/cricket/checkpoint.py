@@ -174,9 +174,14 @@ def restore_server_state(server: "CricketServer", state: dict) -> None:
 
     driver._next_module = itertools.count(state["next_module"])
     driver._next_function = itertools.count(state["next_function"])
-    # Library handle tables.
-    server.blas._handles = set(state["blas_handles"])
-    server.solver._handles = set(state["solver_handles"])
+    # Library handle tables; like streams and events below, the counter
+    # restarts after the largest restored handle, never at a live one.
+    for context, handles in (
+        (server.blas, state["blas_handles"]),
+        (server.solver, state["solver_handles"]),
+    ):
+        context._handles = set(handles)
+        context._next = itertools.count(max(handles, default=0) + 1)
     # Streams and events (virtual-time tails survive the checkpoint).
     streams = server.device.streams
     streams._streams.clear()

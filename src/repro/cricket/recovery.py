@@ -222,30 +222,15 @@ class RecoveryLadder:
 
     def _owners_on(self, ordinal: int) -> set[str]:
         """Identities holding any ledger resource on device ``ordinal``."""
-        owners: set[str] = set()
-        for session in self._server.sessions.sessions():
-            ledger = session.ledger
-            tables = (
-                ledger.allocations,
-                ledger.streams,
-                ledger.events,
-                ledger.modules,
-                ledger.blas_handles,
-                ledger.solver_handles,
-                ledger.fft_plans,
-            )
-            for table in tables:
-                if any(
-                    (value[0] if isinstance(value, tuple) else value) == ordinal
-                    for value in table.values()
-                ):
-                    owners.add(session.identity)
-                    break
-        return owners
+        return {
+            session.identity
+            for session in self._server.sessions.sessions()
+            if session.ledger.entries_on(ordinal)
+        }
 
     def _stream_owner(self, ordinal: int, handle: int) -> str:
         """Identity owning stream ``handle`` on ``ordinal`` ("" if unknown)."""
         for session in self._server.sessions.sessions():
-            if session.ledger.streams.get(handle) == ordinal:
+            if session.ledger.tables["streams"].get(handle) == ordinal:
                 return session.identity
         return ""

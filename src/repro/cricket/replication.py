@@ -22,7 +22,8 @@ Read-only procedures (``cudaGetDeviceProperties``, D2H memcpy,
 ``cudaPeekAtLastError``, synchronize/elapsed-time queries, ...) are not
 shipped: they do not change server state, and re-executing them after a
 failover is harmless.  ``cudaGetLastError`` *is* shipped -- it reads and
-clears the sticky error, so it mutates.
+clears the sticky error, so it mutates.  Which is which is the procedure
+table's ``mutating`` fact (:data:`~repro.cricket.spec.PROCEDURES`).
 
 Sequence numbers and lag: each shipped op gets a monotonically increasing
 ``primary_seq``; the standby acknowledges ``applied_seq`` after replay.
@@ -48,6 +49,7 @@ from typing import TYPE_CHECKING
 
 from repro.oncrpc import message as msg
 from repro.oncrpc.record import append_crc
+from repro.cricket.spec import MUTATING_PROCS
 from repro.cricket.witness import StaleEpochError
 from repro.resilience.health import HealthTracker, LatencySLO
 
@@ -59,72 +61,6 @@ def _fence_epoch(server) -> int:
     """A server's current leadership epoch (0 when unfenced)."""
     fencing = getattr(server, "fencing", None)
     return getattr(fencing, "epoch", 0) if fencing is not None else 0
-
-#: Procedures that change server-side state and must be shipped to the
-#: standby.  Everything else is a pure read (or touches only virtual
-#: time) and is safe to re-execute after failover.
-MUTATING_PROC_NAMES = frozenset(
-    {
-        # device management: selection and reset change runtime state;
-        # GetLastError reads *and clears* the sticky error code
-        "rpc_cudaSetDevice",
-        "rpc_cudaDeviceReset",
-        "rpc_cudaGetLastError",
-        # memory
-        "rpc_cudaMalloc",
-        "rpc_cudaFree",
-        "rpc_cudaMemcpyH2D",
-        "rpc_cudaMemcpyD2D",
-        "rpc_cudaMemset",
-        "rpc_cudaMemcpyH2DAsync",
-        # streams / events (create/destroy allocate handles; record and
-        # wait-event mutate stream/event virtual-time state)
-        "rpc_cudaStreamCreate",
-        "rpc_cudaStreamDestroy",
-        "rpc_cudaEventCreate",
-        "rpc_cudaEventDestroy",
-        "rpc_cudaEventRecord",
-        "rpc_cudaStreamWaitEvent",
-        # modules / launch (GetFunction allocates a fresh handle per call)
-        "rpc_cuModuleLoadData",
-        "rpc_cuModuleUnload",
-        "rpc_cuModuleGetFunction",
-        "rpc_cuLaunchKernel",
-        # cuBLAS / cuFFT / cuSOLVER handles and compute (compute writes
-        # result matrices into device memory)
-        "rpc_cublasCreate",
-        "rpc_cublasDestroy",
-        "rpc_cublasSgemm",
-        "rpc_cublasDgemm",
-        "rpc_cufftPlan1d",
-        "rpc_cufftDestroy",
-        "rpc_cufftExecC2C",
-        "rpc_cufftExecR2C",
-        "rpc_cusolverDnCreate",
-        "rpc_cusolverDnDestroy",
-        "rpc_cusolverDnDgetrf",
-        "rpc_cusolverDnDgetrs",
-        # restoring a checkpoint rewrites everything
-        "rpc_restore",
-    }
-)
-
-
-def mutating_proc_numbers(interface) -> frozenset[int]:
-    """Resolve :data:`MUTATING_PROC_NAMES` to procedure numbers.
-
-    Resolving by *name* against the compiled interface keeps the set in
-    lock-step with ``cricket.x``: renumbering procedures cannot silently
-    turn a mutating call into an unshipped one, and a name that vanishes
-    from the spec fails loudly here.
-    """
-    numbers = set()
-    for name in MUTATING_PROC_NAMES:
-        sig = interface.signatures.get(name)
-        if sig is None:
-            raise ValueError(f"mutating procedure {name!r} not in interface")
-        numbers.add(sig.number)
-    return frozenset(numbers)
 
 
 class ReplicationLink:
@@ -198,7 +134,6 @@ class ReplicationLink:
         #: sequence number of the last op replayed on the standby
         self.applied_seq = 0
         self._pending: deque[tuple[int, int, bytes]] = deque()
-        self._mutating = mutating_proc_numbers(primary.interface)
         self._prog = primary.interface.prog_number
         self._lock = threading.RLock()
         # per-link dispatch session on the standby (one logical connection)
@@ -237,7 +172,7 @@ class ReplicationLink:
     def _on_executed(self, record: bytes, call: msg.CallBody, reply: bytes) -> None:
         # Called from inside the primary's dispatch path, under its
         # op-log lock: ship order == execution order.
-        if call.prog != self._prog or call.proc not in self._mutating:
+        if call.prog != self._prog or call.proc not in MUTATING_PROCS:
             return
         with self._lock:
             self.primary_seq += 1
@@ -458,14 +393,11 @@ def make_ha_pair(
 
     if witness is None:
         witness = Witness(primary.clock, lease_s=lease_s)
-    mutating = mutating_proc_numbers(primary.interface)
     primary_fence = LeadershipFence(
-        primary, witness, name="primary", mutating_procs=mutating,
-        peer_hint="standby",
+        primary, witness, name="primary", peer_hint="standby"
     )
     standby_fence = LeadershipFence(
-        standby, witness, name="standby", mutating_procs=mutating,
-        peer_hint="primary",
+        standby, witness, name="standby", peer_hint="primary"
     )
     primary_fence.lead()  # epoch 1
     link = ReplicationLink(

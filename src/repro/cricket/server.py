@@ -22,12 +22,13 @@ only moves when work does.  See :mod:`repro.cricket.sessions`.
 
 from __future__ import annotations
 
+import functools
 import threading
 
 from repro.cricket import params as kparams
 from repro.cricket.recovery import RecoveryLadder
 from repro.cricket.sessions import LEASE_FOREVER, SessionManager
-from repro.cricket.spec import cricket_interface
+from repro.cricket.spec import OVERLOAD_EXEMPT_PROCS, PROCEDURES, Procedure, cricket_interface
 from repro.cuda import constants as C
 from repro.cuda.errors import code_for_exception
 from repro.cuda.cublas import CublasContext
@@ -55,8 +56,49 @@ _OK_PROP = {
 }
 
 
+def _serialised(body, proc: Procedure | None = None):
+    """``body`` as a dispatched procedure: one call at a time, each charged.
+
+    The wrapper takes the dispatch lock and runs
+    :meth:`CricketImplementation._charge_dispatch`, leaving the caller's
+    ``ctx``, session and admission verdict in ``_ctx`` / ``_session`` /
+    ``_deny`` (and the procedure's table entry in ``_proc``) for the body,
+    which keeps only the executor call.
+    """
+
+    def procedure(self, *args, ctx=None):
+        with self._lock:
+            self._session, self._deny = self._charge_dispatch(ctx)
+            self._ctx, self._proc = ctx, proc
+            return body(self, *args)
+
+    functools.update_wrapper(procedure, body)
+    # stubgen hands ``ctx`` only to callables whose signature names it, and
+    # inspect.signature would follow __wrapped__ to the body, which does not.
+    del procedure.__wrapped__
+    return procedure
+
+
+def _serialise_procedures(cls):
+    """Apply :func:`_serialised` to every procedure the table does not
+    mark ``unlocked``."""
+    for name, proc in PROCEDURES.items():
+        if not proc.unlocked:
+            setattr(cls, name, _serialised(vars(cls)[name], proc))
+    return cls
+
+
+@_serialise_procedures
 class CricketImplementation:
-    """Procedure implementations for the Cricket program."""
+    """Procedure implementations for the Cricket program.
+
+    Each ``rpc_*`` body is just the executor call: the lock, the dispatch
+    charge and the caller's session come from :func:`_serialised`.
+    Driver and library contexts follow the runtime's current device
+    (``self._server.driver`` and friends), so a client that calls
+    cudaSetDevice(1) loads modules onto / launches on that device (the
+    paper's GPU node hosts A100 + 2x T4 + P40).
+    """
 
     def __init__(self, server: "CricketServer") -> None:
         self._server = server
@@ -64,39 +106,16 @@ class CricketImplementation:
         self.clock = server.clock
         self.sessions = server.sessions
         self._lock = threading.Lock()
-
-    # Driver and library contexts follow the runtime's current device, so a
-    # client that calls cudaSetDevice(1) loads modules onto / launches on
-    # that device (the paper's GPU node hosts A100 + 2x T4 + P40).
-
-    @property
-    def driver(self):
-        """Driver context of the current device (follows cudaSetDevice)."""
-        return self._server.driver
-
-    @property
-    def blas(self):
-        """cuBLAS context of the current device."""
-        return self._server.blas
-
-    @property
-    def solver(self):
-        """cuSOLVER context of the current device."""
-        return self._server.solver
-
-    @property
-    def fft(self):
-        """cuFFT context of the current device."""
-        return self._server.fft
+        # the call in progress, set by _serialised under the lock
+        self._ctx = self._session = self._proc = None
+        self._deny = 0
 
     def _charge_dispatch(self, ctx=None):
         """Charge dispatch CPU, heartbeat the caller's lease, run the reaper.
 
         Returns ``(session, deny_error)``: the caller's session (opened on
         first contact, lease renewed on every call) or ``None`` with the
-        CUDA error admission control wants surfaced.  Procedures that do
-        not create resources may ignore the return value -- the heartbeat
-        and reap side effects are what keep the lifecycle moving.
+        CUDA error admission control wants surfaced.
 
         Besides the reaper, every dispatch opportunistically runs the
         sanitizer's periodic canary sweep and the recovery ladder, so a
@@ -123,444 +142,364 @@ class CricketImplementation:
         """Index of the current device (where a resource is being created)."""
         return self.runtime._current
 
+    def _track(self, err, key, size=None) -> None:
+        """Record (create) or forget (destroy) this call's ledger entry.
+
+        The kind is the procedure table's; a failed call tracks nothing.
+        A destroy forgets the key in every session's ledger, so a later
+        reclaim does not double-free it.
+        """
+        if err != 0:
+            return
+        proc = self._proc
+        if proc.destroys:
+            self.sessions.forget(proc.destroys, int(key))
+        elif self._session is not None:
+            ordinal = self._ordinal()
+            self._session.ledger.tables[proc.creates][int(key)] = (
+                ordinal if size is None else (ordinal, int(size))
+            )
+
+    @_serialised
+    def heartbeat(self):
+        """NULLPROC: the dispatch charge is the whole call (a lease heartbeat)."""
+        return b""
+
     # -- runtime: device management ---------------------------------------------
 
-    def rpc_cudaGetDeviceCount(self, ctx=None):
+    def rpc_cudaGetDeviceCount(self):
         """Cricket procedure ``rpc_cudaGetDeviceCount`` (forwards to the CUDA executor)."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            err, value = self.runtime.cudaGetDeviceCount()
-            return {"err": err, "value": value}
+        err, value = self.runtime.cudaGetDeviceCount()
+        return {"err": err, "value": value}
 
-    def rpc_cudaSetDevice(self, ordinal, ctx=None):
+    def rpc_cudaSetDevice(self, ordinal):
         """Cricket procedure ``rpc_cudaSetDevice`` (forwards to the CUDA executor)."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            return self.runtime.cudaSetDevice(ordinal)
+        return self.runtime.cudaSetDevice(ordinal)
 
-    def rpc_cudaGetDevice(self, ctx=None):
+    def rpc_cudaGetDevice(self):
         """Cricket procedure ``rpc_cudaGetDevice`` (forwards to the CUDA executor)."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            err, value = self.runtime.cudaGetDevice()
-            return {"err": err, "value": value}
+        err, value = self.runtime.cudaGetDevice()
+        return {"err": err, "value": value}
 
-    def rpc_cudaDeviceSynchronize(self, ctx=None):
+    def rpc_cudaDeviceSynchronize(self):
         """Cricket procedure ``rpc_cudaDeviceSynchronize`` (forwards to the CUDA executor)."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            return self.runtime.cudaDeviceSynchronize()
+        return self.runtime.cudaDeviceSynchronize()
 
-    def rpc_cudaDeviceReset(self, ctx=None):
+    def rpc_cudaDeviceReset(self):
         """Cricket procedure ``rpc_cudaDeviceReset`` (forwards to the CUDA executor)."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            ordinal = self._ordinal()
-            err = self.runtime.cudaDeviceReset()
-            if err == C.cudaSuccess:
-                # Every ledger entry on this device is now dangling.
-                self.sessions.drop_device(ordinal)
-            return err
+        ordinal = self._ordinal()
+        err = self.runtime.cudaDeviceReset()
+        if err == C.cudaSuccess:
+            # Every ledger entry on this device is now dangling.
+            self.sessions.drop_device(ordinal)
+        return err
 
-    def rpc_cudaGetDeviceProperties(self, ordinal, ctx=None):
+    def rpc_cudaGetDeviceProperties(self, ordinal):
         """Cricket procedure ``rpc_cudaGetDeviceProperties`` (forwards to the CUDA executor)."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            err, props = self.runtime.cudaGetDeviceProperties(ordinal)
-            if err != C.cudaSuccess or props is None:
-                return {"err": err, "prop": dict(_OK_PROP)}
-            return {
-                "err": err,
-                "prop": {
-                    "name": props.name,
-                    "total_global_mem": props.total_global_mem,
-                    "multi_processor_count": props.multi_processor_count,
-                    "clock_rate_khz": props.clock_rate_khz,
-                },
-            }
+        err, props = self.runtime.cudaGetDeviceProperties(ordinal)
+        if err != C.cudaSuccess or props is None:
+            return {"err": err, "prop": dict(_OK_PROP)}
+        return {
+            "err": err,
+            "prop": {
+                "name": props.name,
+                "total_global_mem": props.total_global_mem,
+                "multi_processor_count": props.multi_processor_count,
+                "clock_rate_khz": props.clock_rate_khz,
+            },
+        }
 
-    def rpc_cudaGetLastError(self, ctx=None):
+    def rpc_cudaGetLastError(self):
         """Cricket procedure ``rpc_cudaGetLastError`` (forwards to the CUDA executor)."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            return self.runtime.cudaGetLastError()
+        return self.runtime.cudaGetLastError()
 
-    def rpc_cudaPeekAtLastError(self, ctx=None):
+    def rpc_cudaPeekAtLastError(self):
         """Cricket procedure ``rpc_cudaPeekAtLastError`` (forwards to the CUDA executor)."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            return self.runtime.cudaPeekAtLastError()
+        return self.runtime.cudaPeekAtLastError()
 
     # -- runtime: memory ------------------------------------------------------
 
-    def rpc_cudaMalloc(self, size, ctx=None):
+    def rpc_cudaMalloc(self, size):
         """Cricket procedure ``rpc_cudaMalloc`` (forwards to the CUDA executor).
 
         Admission control and the per-client memory quota are enforced
         here: a refused tenant sees a proper CUDA error on its own call
         instead of silently exhausting the device for everyone else.
         """
-        with self._lock:
-            session, deny = self._charge_dispatch(ctx)
-            if deny != 0:
-                return {"err": deny, "ptr": 0}
-            quota_err = self.sessions.check_quota(session, size)
-            if quota_err != 0:
-                return {"err": quota_err, "ptr": 0}
-            err, ptr = self.runtime.cudaMalloc(size)
-            if (
-                err == C.cudaSuccess
-                and ctx is not None
-                and getattr(ctx, "cancel", None) is not None
-                and ctx.cancel.requested
-            ):
-                # Cooperative cancellation safe point: the allocation has
-                # not been recorded in the ledger or revealed to the client
-                # yet, so undoing it leaves no trace to reclaim later.
-                self.runtime.cudaFree(ptr)
-                raise CallCancelledError("rpc_cudaMalloc cancelled; allocation undone")
-            if err == C.cudaSuccess and session is not None:
-                session.ledger.allocations[int(ptr)] = (self._ordinal(), int(size))
-            if err == C.cudaSuccess:
-                # Allocation-site attribution for the sanitizer: every
-                # later violation or leak involving this memory names the
-                # tenant and the call that created it.
-                owner = (ctx.identity or ctx.client_id) if ctx is not None else ""
-                self._server.devices[self._ordinal()].allocator.annotate(
-                    int(ptr),
-                    owner=owner,
-                    site=f"cudaMalloc#{self.runtime.api_call_count}",
-                )
+        if self._deny != 0:
+            return {"err": self._deny, "ptr": 0}
+        quota_err = self.sessions.check_quota(self._session, size)
+        if quota_err != 0:
+            return {"err": quota_err, "ptr": 0}
+        err, ptr = self.runtime.cudaMalloc(size)
+        if err != C.cudaSuccess:
             return {"err": err, "ptr": ptr}
+        ctx = self._ctx
+        if ctx is not None and ctx.cancel.requested:
+            # Cooperative cancellation safe point: the allocation has
+            # not been recorded in the ledger or revealed to the client
+            # yet, so undoing it leaves no trace to reclaim later.
+            self.runtime.cudaFree(ptr)
+            raise CallCancelledError("rpc_cudaMalloc cancelled; allocation undone")
+        self._track(err, ptr, size)
+        # Allocation-site attribution for the sanitizer: every later
+        # violation or leak involving this memory names the tenant and
+        # the call that created it.
+        owner = (ctx.identity or ctx.client_id) if ctx is not None else ""
+        self._server.devices[self._ordinal()].allocator.annotate(
+            int(ptr),
+            owner=owner,
+            site=f"cudaMalloc#{self.runtime.api_call_count}",
+        )
+        return {"err": err, "ptr": ptr}
 
-    def rpc_cudaFree(self, ptr, ctx=None):
+    def rpc_cudaFree(self, ptr):
         """Cricket procedure ``rpc_cudaFree`` (forwards to the CUDA executor)."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            err = self.runtime.cudaFree(ptr)
-            if err == C.cudaSuccess:
-                self.sessions.forget("allocations", int(ptr))
-            return err
+        err = self.runtime.cudaFree(ptr)
+        self._track(err, ptr)
+        return err
 
-    def rpc_cudaMemcpyH2D(self, dst, data, ctx=None):
+    def rpc_cudaMemcpyH2D(self, dst, data):
         """Cricket procedure ``rpc_cudaMemcpyH2D`` (forwards to the CUDA executor)."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            err, _ = self.runtime.cudaMemcpy(dst, data, len(data), C.cudaMemcpyHostToDevice)
-            return err
+        err, _ = self.runtime.cudaMemcpy(dst, data, len(data), C.cudaMemcpyHostToDevice)
+        return err
 
-    def rpc_cudaMemcpyD2H(self, src, size, ctx=None):
+    def rpc_cudaMemcpyD2H(self, src, size):
         """Cricket procedure ``rpc_cudaMemcpyD2H`` (forwards to the CUDA executor).
 
         The payload is a pinned span of device memory, not a copy: the
         reply references it and is sent from it, and the pin goes with the
         reply (see :class:`~repro.gpu.memory.PinnedSpan`).
         """
-        with self._lock:
-            self._charge_dispatch(ctx)
-            err, span = self.runtime.memcpy_d2h_pinned(src, size)
-            return {"err": err, "data": span if span is not None else b""}
+        err, span = self.runtime.memcpy_d2h_pinned(src, size)
+        return {"err": err, "data": span if span is not None else b""}
 
-    def rpc_cudaMemcpyD2D(self, dst, src, size, ctx=None):
+    def rpc_cudaMemcpyD2D(self, dst, src, size):
         """Cricket procedure ``rpc_cudaMemcpyD2D`` (forwards to the CUDA executor)."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            err, _ = self.runtime.cudaMemcpy(dst, src, size, C.cudaMemcpyDeviceToDevice)
-            return err
+        err, _ = self.runtime.cudaMemcpy(dst, src, size, C.cudaMemcpyDeviceToDevice)
+        return err
 
-    def rpc_cudaMemcpyH2DAsync(self, dst, data, stream, ctx=None):
+    def rpc_cudaMemcpyH2DAsync(self, dst, data, stream):
         """Cricket procedure ``rpc_cudaMemcpyH2DAsync`` (forwards to the CUDA executor)."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            err, _ = self.runtime.cudaMemcpyAsync(
-                dst, data, len(data), C.cudaMemcpyHostToDevice, stream
-            )
-            return err
+        err, _ = self.runtime.cudaMemcpyAsync(
+            dst, data, len(data), C.cudaMemcpyHostToDevice, stream
+        )
+        return err
 
-    def rpc_cudaMemcpyD2HAsync(self, src, size, stream, ctx=None):
+    def rpc_cudaMemcpyD2HAsync(self, src, size, stream):
         """Cricket procedure ``rpc_cudaMemcpyD2HAsync``: as ``rpc_cudaMemcpyD2H``,
         queued on ``stream``."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            err, span = self.runtime.memcpy_d2h_pinned(src, size, stream)
-            return {"err": err, "data": span if span is not None else b""}
+        err, span = self.runtime.memcpy_d2h_pinned(src, size, stream)
+        return {"err": err, "data": span if span is not None else b""}
 
-    def rpc_cudaMemset(self, ptr, value, size, ctx=None):
+    def rpc_cudaMemset(self, ptr, value, size):
         """Cricket procedure ``rpc_cudaMemset`` (forwards to the CUDA executor)."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            return self.runtime.cudaMemset(ptr, value, size)
+        return self.runtime.cudaMemset(ptr, value, size)
 
     # -- runtime: streams and events ----------------------------------------------
 
-    def rpc_cudaStreamCreate(self, ctx=None):
+    def rpc_cudaStreamCreate(self):
         """Cricket procedure ``rpc_cudaStreamCreate`` (forwards to the CUDA executor)."""
-        with self._lock:
-            session, _ = self._charge_dispatch(ctx)
-            err, handle = self.runtime.cudaStreamCreate()
-            if err == C.cudaSuccess and session is not None:
-                session.ledger.streams[int(handle)] = self._ordinal()
-            return {"err": err, "value": handle}
+        err, handle = self.runtime.cudaStreamCreate()
+        self._track(err, handle)
+        return {"err": err, "value": handle}
 
-    def rpc_cudaStreamDestroy(self, handle, ctx=None):
+    def rpc_cudaStreamDestroy(self, handle):
         """Cricket procedure ``rpc_cudaStreamDestroy`` (forwards to the CUDA executor)."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            err = self.runtime.cudaStreamDestroy(handle)
-            if err == C.cudaSuccess:
-                self.sessions.forget("streams", int(handle))
-            return err
+        err = self.runtime.cudaStreamDestroy(handle)
+        self._track(err, handle)
+        return err
 
-    def rpc_cudaStreamSynchronize(self, handle, ctx=None):
+    def rpc_cudaStreamSynchronize(self, handle):
         """Cricket procedure ``rpc_cudaStreamSynchronize`` (forwards to the CUDA executor)."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            return self.runtime.cudaStreamSynchronize(handle)
+        return self.runtime.cudaStreamSynchronize(handle)
 
-    def rpc_cudaEventCreate(self, ctx=None):
+    def rpc_cudaEventCreate(self):
         """Cricket procedure ``rpc_cudaEventCreate`` (forwards to the CUDA executor)."""
-        with self._lock:
-            session, _ = self._charge_dispatch(ctx)
-            err, handle = self.runtime.cudaEventCreate()
-            if err == C.cudaSuccess and session is not None:
-                session.ledger.events[int(handle)] = self._ordinal()
-            return {"err": err, "value": handle}
+        err, handle = self.runtime.cudaEventCreate()
+        self._track(err, handle)
+        return {"err": err, "value": handle}
 
-    def rpc_cudaEventDestroy(self, handle, ctx=None):
+    def rpc_cudaEventDestroy(self, handle):
         """Cricket procedure ``rpc_cudaEventDestroy`` (forwards to the CUDA executor)."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            err = self.runtime.cudaEventDestroy(handle)
-            if err == C.cudaSuccess:
-                self.sessions.forget("events", int(handle))
-            return err
+        err = self.runtime.cudaEventDestroy(handle)
+        self._track(err, handle)
+        return err
 
-    def rpc_cudaEventRecord(self, event, stream, ctx=None):
+    def rpc_cudaEventRecord(self, event, stream):
         """Cricket procedure ``rpc_cudaEventRecord`` (forwards to the CUDA executor)."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            return self.runtime.cudaEventRecord(event, stream)
+        return self.runtime.cudaEventRecord(event, stream)
 
-    def rpc_cudaEventSynchronize(self, event, ctx=None):
+    def rpc_cudaEventSynchronize(self, event):
         """Cricket procedure ``rpc_cudaEventSynchronize`` (forwards to the CUDA executor)."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            return self.runtime.cudaEventSynchronize(event)
+        return self.runtime.cudaEventSynchronize(event)
 
-    def rpc_cudaStreamWaitEvent(self, stream, event, ctx=None):
+    def rpc_cudaStreamWaitEvent(self, stream, event):
         """Cricket procedure ``rpc_cudaStreamWaitEvent`` (forwards to the CUDA executor)."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            return self.runtime.cudaStreamWaitEvent(stream, event)
+        return self.runtime.cudaStreamWaitEvent(stream, event)
 
-    def rpc_cudaEventElapsedTime(self, start, stop, ctx=None):
+    def rpc_cudaEventElapsedTime(self, start, stop):
         """Cricket procedure ``rpc_cudaEventElapsedTime`` (forwards to the CUDA executor)."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            err, ms = self.runtime.cudaEventElapsedTime(start, stop)
-            return {"err": err, "value": ms}
+        err, ms = self.runtime.cudaEventElapsedTime(start, stop)
+        return {"err": err, "value": ms}
 
     # -- driver: modules and launches ----------------------------------------------
 
-    def rpc_cuModuleLoadData(self, image, ctx=None):
+    def rpc_cuModuleLoadData(self, image):
         """Cricket procedure ``rpc_cuModuleLoadData`` (forwards to the CUDA executor)."""
-        with self._lock:
-            session, _ = self._charge_dispatch(ctx)
-            # The loaded module outlives the request record: detach it.
-            err, handle = self.driver.cuModuleLoadData(bytes(image))
-            if err == C.CUDA_SUCCESS and session is not None:
-                session.ledger.modules[int(handle)] = self._ordinal()
-            return {"err": err, "value": handle}
+        # The loaded module outlives the request record: detach it.
+        err, handle = self._server.driver.cuModuleLoadData(bytes(image))
+        self._track(err, handle)
+        return {"err": err, "value": handle}
 
-    def rpc_cuModuleUnload(self, handle, ctx=None):
+    def rpc_cuModuleUnload(self, handle):
         """Cricket procedure ``rpc_cuModuleUnload`` (forwards to the CUDA executor)."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            err = self.driver.cuModuleUnload(handle)
-            if err == C.CUDA_SUCCESS:
-                self.sessions.forget("modules", int(handle))
-            return err
+        err = self._server.driver.cuModuleUnload(handle)
+        self._track(err, handle)
+        return err
 
-    def rpc_cuModuleGetFunction(self, module, name, ctx=None):
+    def rpc_cuModuleGetFunction(self, module, name):
         """Cricket procedure ``rpc_cuModuleGetFunction`` (forwards to the CUDA executor)."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            err, handle = self.driver.cuModuleGetFunction(module, name)
-            return {"err": err, "value": handle}
+        err, handle = self._server.driver.cuModuleGetFunction(module, name)
+        return {"err": err, "value": handle}
 
-    def rpc_cuModuleGetGlobal(self, module, name, ctx=None):
+    def rpc_cuModuleGetGlobal(self, module, name):
         """Cricket procedure ``rpc_cuModuleGetGlobal`` (forwards to the CUDA executor)."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            err, ptr, size = self.driver.cuModuleGetGlobal(module, name)
-            return {"err": err, "ptr": ptr, "size": size}
+        err, ptr, size = self._server.driver.cuModuleGetGlobal(module, name)
+        return {"err": err, "ptr": ptr, "size": size}
 
-    def rpc_cuLaunchKernel(self, fhandle, grid, block, param_block, shared_mem, stream, ctx=None):
+    def rpc_cuLaunchKernel(self, fhandle, grid, block, param_block, shared_mem, stream):
         """Cricket procedure ``rpc_cuLaunchKernel`` (forwards to the CUDA executor)."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            entry = self.driver._functions.get(int(fhandle))
-            if entry is None:
-                return C.CUDA_ERROR_INVALID_HANDLE
-            _module, meta = entry
-            try:
-                values = kparams.unpack_params(meta, param_block)
-            except Exception:
-                return C.CUDA_ERROR_INVALID_VALUE
-            return self.driver.cuLaunchKernel(
-                fhandle,
-                (grid["x"], grid["y"], grid["z"]),
-                (block["x"], block["y"], block["z"]),
-                values,
-                shared_mem=shared_mem,
-                stream=stream,
-            )
+        driver = self._server.driver
+        entry = driver._functions.get(int(fhandle))
+        if entry is None:
+            return C.CUDA_ERROR_INVALID_HANDLE
+        _module, meta = entry
+        try:
+            values = kparams.unpack_params(meta, param_block)
+        except Exception:
+            return C.CUDA_ERROR_INVALID_VALUE
+        return driver.cuLaunchKernel(
+            fhandle,
+            (grid["x"], grid["y"], grid["z"]),
+            (block["x"], block["y"], block["z"]),
+            values,
+            shared_mem=shared_mem,
+            stream=stream,
+        )
 
     # -- cuBLAS ------------------------------------------------------------
 
-    def rpc_cublasCreate(self, ctx=None):
+    def rpc_cublasCreate(self):
         """Cricket procedure ``rpc_cublasCreate`` (forwards to the CUDA executor)."""
-        with self._lock:
-            session, _ = self._charge_dispatch(ctx)
-            err, handle = self.blas.cublasCreate()
-            if err == C.CUBLAS_STATUS_SUCCESS and session is not None:
-                session.ledger.blas_handles[int(handle)] = self._ordinal()
-            return {"err": err, "value": handle}
+        err, handle = self._server.blas.cublasCreate()
+        self._track(err, handle)
+        return {"err": err, "value": handle}
 
-    def rpc_cublasDestroy(self, handle, ctx=None):
+    def rpc_cublasDestroy(self, handle):
         """Cricket procedure ``rpc_cublasDestroy`` (forwards to the CUDA executor)."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            err = self.blas.cublasDestroy(handle)
-            if err == C.CUBLAS_STATUS_SUCCESS:
-                self.sessions.forget("blas_handles", int(handle))
-            return err
+        err = self._server.blas.cublasDestroy(handle)
+        self._track(err, handle)
+        return err
 
-    def _gemm(self, fn, a, ctx=None):
-        with self._lock:
-            self._charge_dispatch(ctx)
-            return fn(
-                a["handle"], a["transa"], a["transb"], a["m"], a["n"], a["k"],
-                a["alpha"], a["a_ptr"], a["lda"], a["b_ptr"], a["ldb"],
-                a["beta"], a["c_ptr"], a["ldc"],
-            )
+    @staticmethod
+    def _gemm(fn, a):
+        return fn(
+            a["handle"], a["transa"], a["transb"], a["m"], a["n"], a["k"],
+            a["alpha"], a["a_ptr"], a["lda"], a["b_ptr"], a["ldb"],
+            a["beta"], a["c_ptr"], a["ldc"],
+        )
 
-    def rpc_cublasSgemm(self, args, ctx=None):
+    def rpc_cublasSgemm(self, args):
         """Cricket procedure ``rpc_cublasSgemm`` (forwards to the CUDA executor)."""
-        return self._gemm(self.blas.cublasSgemm, args, ctx)
+        return self._gemm(self._server.blas.cublasSgemm, args)
 
-    def rpc_cublasDgemm(self, args, ctx=None):
+    def rpc_cublasDgemm(self, args):
         """Cricket procedure ``rpc_cublasDgemm`` (forwards to the CUDA executor)."""
-        return self._gemm(self.blas.cublasDgemm, args, ctx)
+        return self._gemm(self._server.blas.cublasDgemm, args)
 
     # -- cuFFT ------------------------------------------------------------
 
-    def rpc_cufftPlan1d(self, nx, fft_type, batch, ctx=None):
+    def rpc_cufftPlan1d(self, nx, fft_type, batch):
         """Cricket procedure ``rpc_cufftPlan1d`` (forwards to the CUDA executor)."""
-        with self._lock:
-            session, _ = self._charge_dispatch(ctx)
-            err, handle = self.fft.cufftPlan1d(nx, fft_type, batch)
-            if err == 0 and session is not None:
-                session.ledger.fft_plans[int(handle)] = self._ordinal()
-            return {"err": err, "value": handle}
+        err, handle = self._server.fft.cufftPlan1d(nx, fft_type, batch)
+        self._track(err, handle)
+        return {"err": err, "value": handle}
 
-    def rpc_cufftDestroy(self, handle, ctx=None):
+    def rpc_cufftDestroy(self, handle):
         """Cricket procedure ``rpc_cufftDestroy`` (forwards to the CUDA executor)."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            err = self.fft.cufftDestroy(handle)
-            if err == 0:
-                self.sessions.forget("fft_plans", int(handle))
-            return err
+        err = self._server.fft.cufftDestroy(handle)
+        self._track(err, handle)
+        return err
 
-    def rpc_cufftExecC2C(self, handle, idata, odata, direction, ctx=None):
+    def rpc_cufftExecC2C(self, handle, idata, odata, direction):
         """Cricket procedure ``rpc_cufftExecC2C`` (forwards to the CUDA executor)."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            return self.fft.cufftExecC2C(handle, idata, odata, direction)
+        return self._server.fft.cufftExecC2C(handle, idata, odata, direction)
 
-    def rpc_cufftExecR2C(self, handle, idata, odata, ctx=None):
+    def rpc_cufftExecR2C(self, handle, idata, odata):
         """Cricket procedure ``rpc_cufftExecR2C`` (forwards to the CUDA executor)."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            return self.fft.cufftExecR2C(handle, idata, odata)
+        return self._server.fft.cufftExecR2C(handle, idata, odata)
 
     # -- cuSOLVER ------------------------------------------------------------
 
-    def rpc_cusolverDnCreate(self, ctx=None):
+    def rpc_cusolverDnCreate(self):
         """Cricket procedure ``rpc_cusolverDnCreate`` (forwards to the CUDA executor)."""
-        with self._lock:
-            session, _ = self._charge_dispatch(ctx)
-            err, handle = self.solver.cusolverDnCreate()
-            if err == C.CUSOLVER_STATUS_SUCCESS and session is not None:
-                session.ledger.solver_handles[int(handle)] = self._ordinal()
-            return {"err": err, "value": handle}
+        err, handle = self._server.solver.cusolverDnCreate()
+        self._track(err, handle)
+        return {"err": err, "value": handle}
 
-    def rpc_cusolverDnDestroy(self, handle, ctx=None):
+    def rpc_cusolverDnDestroy(self, handle):
         """Cricket procedure ``rpc_cusolverDnDestroy`` (forwards to the CUDA executor)."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            err = self.solver.cusolverDnDestroy(handle)
-            if err == C.CUSOLVER_STATUS_SUCCESS:
-                self.sessions.forget("solver_handles", int(handle))
-            return err
+        err = self._server.solver.cusolverDnDestroy(handle)
+        self._track(err, handle)
+        return err
 
-    def rpc_cusolverDnDgetrfBufferSize(self, handle, n, a_ptr, lda, ctx=None):
+    def rpc_cusolverDnDgetrfBufferSize(self, handle, n, a_ptr, lda):
         """Cricket procedure ``rpc_cusolverDnDgetrfBufferSize`` (forwards to the CUDA executor)."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            err, lwork = self.solver.cusolverDnDgetrf_bufferSize(handle, n, n, a_ptr, lda)
-            return {"err": err, "value": lwork}
+        err, lwork = self._server.solver.cusolverDnDgetrf_bufferSize(handle, n, n, a_ptr, lda)
+        return {"err": err, "value": lwork}
 
-    def rpc_cusolverDnDgetrf(self, a, ctx=None):
+    def rpc_cusolverDnDgetrf(self, a):
         """Cricket procedure ``rpc_cusolverDnDgetrf`` (forwards to the CUDA executor)."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            return self.solver.cusolverDnDgetrf(
-                a["handle"], a["n"], a["n"], a["a_ptr"], a["lda"],
-                a["workspace"], a["ipiv"], a["info"],
-            )
+        return self._server.solver.cusolverDnDgetrf(
+            a["handle"], a["n"], a["n"], a["a_ptr"], a["lda"],
+            a["workspace"], a["ipiv"], a["info"],
+        )
 
-    def rpc_cusolverDnDgetrs(self, a, ctx=None):
+    def rpc_cusolverDnDgetrs(self, a):
         """Cricket procedure ``rpc_cusolverDnDgetrs`` (forwards to the CUDA executor)."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            return self.solver.cusolverDnDgetrs(
-                a["handle"], a["trans"], a["n"], a["nrhs"], a["a_ptr"], a["lda"],
-                a["ipiv"], a["b_ptr"], a["ldb"], a["info"],
-            )
+        return self._server.solver.cusolverDnDgetrs(
+            a["handle"], a["trans"], a["n"], a["nrhs"], a["a_ptr"], a["lda"],
+            a["ipiv"], a["b_ptr"], a["ldb"], a["info"],
+        )
 
     # -- checkpoint / restart ------------------------------------------------------
 
-    def rpc_checkpoint(self, ctx=None):
+    def rpc_checkpoint(self):
         """Cricket procedure ``rpc_checkpoint`` (forwards to the CUDA executor)."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            from repro.cricket.checkpoint import snapshot_server
+        from repro.cricket.checkpoint import snapshot_server
 
-            try:
-                return {"err": 0, "data": snapshot_server(self._server)}
-            except Exception as exc:
-                # A canary failure at snapshot time surfaces as its typed
-                # CUDA error (illegal address), not a generic unknown.
-                return {"err": code_for_exception(exc), "data": b""}
+        try:
+            return {"err": 0, "data": snapshot_server(self._server)}
+        except Exception as exc:
+            # A canary failure at snapshot time surfaces as its typed
+            # CUDA error (illegal address), not a generic unknown.
+            return {"err": code_for_exception(exc), "data": b""}
 
-    def rpc_restore(self, blob, ctx=None):
+    def rpc_restore(self, blob):
         """Cricket procedure ``rpc_restore`` (forwards to the CUDA executor)."""
-        with self._lock:
-            self._charge_dispatch(ctx)
-            from repro.cricket.checkpoint import restore_server
+        from repro.cricket.checkpoint import restore_server
 
-            try:
-                # Parsed and retained piecewise: detach it from the record.
-                restore_server(self._server, bytes(blob))
-                return 0
-            except Exception as exc:
-                return code_for_exception(exc)
+        try:
+            # Parsed and retained piecewise: detach it from the record.
+            restore_server(self._server, bytes(blob))
+            return 0
+        except Exception as exc:
+            return code_for_exception(exc)
 
     # -- session lifecycle -----------------------------------------------------
 
-    def rpc_ping(self, ctx=None):
+    def rpc_ping(self):
         """Cricket procedure ``rpc_ping``: lease heartbeat.
 
         Returns the remaining lease in nanoseconds (``LEASE_FOREVER`` when
@@ -569,25 +508,23 @@ class CricketImplementation:
         that is busy with real calls never needs to ping; this procedure
         exists for *idle* clients and for cheap liveness probes.
         """
-        with self._lock:
-            session, deny = self._charge_dispatch(ctx)
-            if deny != 0:
-                return {"err": deny, "value": 0}
-            if session is None:
-                return {"err": 0, "value": LEASE_FOREVER}
-            return {"err": 0, "value": session.lease_remaining_ns(self.clock.now_ns)}
+        if self._deny != 0:
+            return {"err": self._deny, "value": 0}
+        if self._session is None:
+            return {"err": 0, "value": LEASE_FOREVER}
+        return {"err": 0, "value": self._session.lease_remaining_ns(self.clock.now_ns)}
 
     # -- overload control -------------------------------------------------------
 
     def rpc_cancel(self, xid, ctx=None):
         """Cricket procedure ``rpc_cancel``: abort a queued/in-flight call.
 
-        Deliberately does NOT take ``self._lock`` or charge dispatch: the
-        call being cancelled may be executing right now *holding that
-        lock*, and a cancel that queued behind its target would be useless
-        (and, under overload admission, could deadlock).  Cancellation is
-        keyed on the caller's own identity, so one tenant cannot cancel
-        another's work.
+        The one ``unlocked`` procedure: it neither takes ``self._lock`` nor
+        charges dispatch, because the call being cancelled may be executing
+        right now *holding that lock*, and a cancel that queued behind its
+        target would be useless (and, under overload admission, could
+        deadlock).  Cancellation is keyed on the caller's own identity, so
+        one tenant cannot cancel another's work.
         """
         identity = ctx.identity if ctx is not None else ""
         ok = self._server.cancel_call(identity, int(xid))
@@ -617,10 +554,7 @@ class CricketServer(RpcServer):
     ) -> None:
         clock = clock if clock is not None else SimClock()
         super().__init__(crc_records=crc_records, clock=clock, overload=overload)
-        # rpc_ping (62) is the idle-client lease heartbeat and rpc_cancel
-        # (63) is how overloaded work gets *aborted* -- neither may queue
-        # behind the very backlog they exist to manage.
-        self.overload_exempt_procs |= {62, 63}
+        self.overload_exempt_procs |= OVERLOAD_EXEMPT_PROCS
         #: sanitizer configuration (None = unsanitized, the historical default)
         self.sanitizer_config = (
             SanitizerConfig() if sanitizer is True else (sanitizer or None)
@@ -727,10 +661,7 @@ class CricketServer(RpcServer):
         ][0] = self._null_heartbeat
 
     def _null_heartbeat(self, args: bytes, ctx) -> bytes:
-        impl = self.implementation
-        with impl._lock:
-            impl._charge_dispatch(ctx)
-        return b""
+        return self.implementation.heartbeat(ctx=ctx)
 
     @property
     def device(self) -> GpuDevice:
@@ -895,56 +826,33 @@ class CricketServer(RpcServer):
                 }
             )
             self.server_stats.sanitizer_leaks_reported += 1
-        # Modules first: unloading frees their globals' device memory too.
-        for handle, ordinal in list(ledger.modules.items()):
-            try:
-                self._drivers[ordinal].cuModuleUnload(handle)
-            except Exception:
-                pass
-        for handle, ordinal in list(ledger.blas_handles.items()):
-            try:
-                self._blas[ordinal].cublasDestroy(handle)
-            except Exception:
-                pass
-        for handle, ordinal in list(ledger.solver_handles.items()):
-            try:
-                self._solvers[ordinal].cusolverDnDestroy(handle)
-            except Exception:
-                pass
-        for handle, ordinal in list(ledger.fft_plans.items()):
-            try:
-                self._ffts[ordinal].cufftDestroy(handle)
-            except Exception:
-                pass
-        for handle, ordinal in list(ledger.streams.items()):
-            try:
-                self.devices[ordinal].streams.destroy_stream(int(handle))
-            except Exception:
-                pass
-        for handle, ordinal in list(ledger.events.items()):
-            try:
-                self.devices[ordinal].streams.destroy_event(int(handle))
-            except Exception:
-                pass
-        for ptr, (ordinal, _size) in list(ledger.allocations.items()):
-            allocator = self.devices[ordinal].allocator
-            if allocator.is_live(int(ptr)):
+        for kind, release in self._RELEASE.items():
+            for key, entry in list(ledger.tables[kind].items()):
                 try:
-                    allocator.free(int(ptr))
+                    release(self, key, entry)
                 except Exception:
                     pass
-        for table in (
-            ledger.allocations,
-            ledger.streams,
-            ledger.events,
-            ledger.modules,
-            ledger.blas_handles,
-            ledger.solver_handles,
-            ledger.fft_plans,
-        ):
-            table.clear()
+        ledger.clear()
         after = sum(d.allocator.used_bytes for d in self.devices)
         return max(before - after, 0)
+
+    def _free_if_live(self, ptr: int, ordinal: int) -> None:
+        allocator = self.devices[ordinal].allocator
+        if allocator.is_live(ptr):
+            allocator.free(ptr)
+
+    #: How :meth:`release_ledger` frees one entry ``(key, ordinal)`` of each
+    #: ledger kind, in release order: modules first (unloading frees their
+    #: globals' device memory too), allocations last.
+    _RELEASE = {
+        "modules": lambda s, h, o: s._drivers[o].cuModuleUnload(h),
+        "blas_handles": lambda s, h, o: s._blas[o].cublasDestroy(h),
+        "solver_handles": lambda s, h, o: s._solvers[o].cusolverDnDestroy(h),
+        "fft_plans": lambda s, h, o: s._ffts[o].cufftDestroy(h),
+        "streams": lambda s, h, o: s.devices[o].streams.destroy_stream(int(h)),
+        "events": lambda s, h, o: s.devices[o].streams.destroy_event(int(h)),
+        "allocations": lambda s, ptr, entry: s._free_if_live(int(ptr), entry[0]),
+    }
 
     def bytes_owned_by(self, identity: str) -> int:
         """Live device bytes attributed to ``identity``'s session (0 if gone)."""

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
+from repro.cricket.spec import LEDGER_KINDS
 from repro.cuda import constants as C
 from repro.resilience.stats import ServerStats
 
@@ -44,30 +45,26 @@ RECLAIMED = "reclaimed"  # terminal; reclaimed sessions leave the table
 LEASE_FOREVER = 0xFFFF_FFFF_FFFF_FFFF
 
 
-@dataclass
 class ResourceLedger:
-    """Everything one session owns on the server, by resource class.
+    """Everything one session owns on the server, one table per kind.
 
-    Each entry maps a handle (or device pointer) to the ordinal of the
-    device it lives on -- resources are per-device, and a client may have
-    called ``cudaSetDevice`` between creations.  Allocations additionally
-    remember their requested size for quota accounting.
+    ``tables[kind]`` (kinds: :data:`~repro.cricket.spec.LEDGER_KINDS`)
+    maps a handle or device pointer to the ordinal of the device it lives
+    on -- resources are per-device, and a client may have called
+    ``cudaSetDevice`` between creations.  Allocations map to
+    ``(ordinal, requested size)`` instead, for quota accounting.
     """
 
-    #: device pointer -> (device ordinal, requested size)
-    allocations: dict[int, tuple[int, int]] = field(default_factory=dict)
-    #: stream handle -> device ordinal
-    streams: dict[int, int] = field(default_factory=dict)
-    #: event handle -> device ordinal
-    events: dict[int, int] = field(default_factory=dict)
-    #: module handle -> device ordinal
-    modules: dict[int, int] = field(default_factory=dict)
-    #: cuBLAS handle -> device ordinal
-    blas_handles: dict[int, int] = field(default_factory=dict)
-    #: cuSOLVER handle -> device ordinal
-    solver_handles: dict[int, int] = field(default_factory=dict)
-    #: cuFFT plan handle -> device ordinal
-    fft_plans: dict[int, int] = field(default_factory=dict)
+    def __init__(self, state: dict[str, Any] | None = None) -> None:
+        state = state or {}
+        self.tables: dict[str, dict] = {
+            kind: dict(state.get(kind, {})) for kind in LEDGER_KINDS
+        }
+
+    @property
+    def allocations(self) -> dict[int, tuple[int, int]]:
+        """Device pointer -> (device ordinal, requested size)."""
+        return self.tables["allocations"]
 
     @property
     def allocated_bytes(self) -> int:
@@ -76,60 +73,32 @@ class ResourceLedger:
 
     @property
     def total_entries(self) -> int:
-        """Number of resources of any class in the ledger."""
-        return (
-            len(self.allocations)
-            + len(self.streams)
-            + len(self.events)
-            + len(self.modules)
-            + len(self.blas_handles)
-            + len(self.solver_handles)
-            + len(self.fft_plans)
-        )
+        """Number of resources of any kind in the ledger."""
+        return sum(map(len, self.tables.values()))
+
+    def entries_on(self, ordinal: int) -> list[tuple[str, int]]:
+        """``(kind, key)`` of every entry on device ``ordinal``."""
+        return [
+            (kind, key)
+            for kind, table in self.tables.items()
+            for key, value in table.items()
+            if (value[0] if isinstance(value, tuple) else value) == ordinal
+        ]
 
     def drop_device(self, ordinal: int) -> None:
         """Forget every entry on ``ordinal`` (after ``cudaDeviceReset``)."""
-        for table in (
-            self.allocations,
-            self.streams,
-            self.events,
-            self.modules,
-            self.blas_handles,
-            self.solver_handles,
-            self.fft_plans,
-        ):
-            stale = [k for k, v in table.items() if _ordinal_of(v) == ordinal]
-            for key in stale:
-                del table[key]
+        for kind, key in self.entries_on(ordinal):
+            del self.tables[kind][key]
+
+    def clear(self) -> None:
+        """Forget every entry (the resources were released)."""
+        for table in self.tables.values():
+            table.clear()
 
     def as_state(self) -> dict[str, Any]:
-        """Plain-dict form for the checkpoint blob."""
-        return {
-            "allocations": dict(self.allocations),
-            "streams": dict(self.streams),
-            "events": dict(self.events),
-            "modules": dict(self.modules),
-            "blas_handles": dict(self.blas_handles),
-            "solver_handles": dict(self.solver_handles),
-            "fft_plans": dict(self.fft_plans),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict[str, Any]) -> "ResourceLedger":
-        """Rebuild a ledger from :meth:`as_state` output."""
-        return cls(
-            allocations=dict(state.get("allocations", {})),
-            streams=dict(state.get("streams", {})),
-            events=dict(state.get("events", {})),
-            modules=dict(state.get("modules", {})),
-            blas_handles=dict(state.get("blas_handles", {})),
-            solver_handles=dict(state.get("solver_handles", {})),
-            fft_plans=dict(state.get("fft_plans", {})),
-        )
-
-
-def _ordinal_of(value: int | tuple[int, int]) -> int:
-    return value[0] if isinstance(value, tuple) else value
+        """Plain-dict form for the checkpoint blob; ``ResourceLedger(state)``
+        rebuilds the ledger."""
+        return {kind: dict(table) for kind, table in self.tables.items()}
 
 
 @dataclass
@@ -354,7 +323,7 @@ class SessionManager:
         clients share handles out of band.
         """
         for session in self._sessions.values():
-            getattr(session.ledger, kind).pop(key, None)
+            session.ledger.tables[kind].pop(key, None)
 
     def drop_device(self, ordinal: int) -> None:
         """Purge every ledger's entries for one device (device reset)."""
@@ -387,7 +356,7 @@ class SessionManager:
             self._sessions[identity] = Session(
                 identity=identity,
                 state=ACTIVE,
-                ledger=ResourceLedger.from_state(entry.get("ledger", {})),
+                ledger=ResourceLedger(entry.get("ledger")),
                 created_ns=entry.get("created_ns", now_ns),
                 renewed_ns=now_ns,
                 lease_expires_ns=self._lease_expiry(now_ns),

@@ -48,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.cricket.spec import MUTATING_PROCS
 from repro.oncrpc import message as msg
 from repro.oncrpc.auth import OpaqueAuth, leader_epoch_auth
 
@@ -204,12 +205,9 @@ class LeadershipFence:
     (reads drain, retransmits of already-executed calls still replay from
     the at-most-once reply cache), session reaping is paused so client
     resources survive the migration window, and every reply verf
-    advertises the newest known epoch plus a redirect hint.
-
-    ``mutating_procs`` is passed in by the caller (computed via
-    :func:`~repro.cricket.replication.mutating_proc_numbers`) rather than
-    derived here, keeping this module free of any dependency on the
-    replication layer.
+    advertises the newest known epoch plus a redirect hint.  Which
+    procedures mutate is the procedure table's
+    (:data:`~repro.cricket.spec.MUTATING_PROCS`).
     """
 
     def __init__(
@@ -218,7 +216,6 @@ class LeadershipFence:
         witness: Witness,
         *,
         name: str,
-        mutating_procs,
         peer_hint: str = "",
     ) -> None:
         self.server = server
@@ -227,7 +224,6 @@ class LeadershipFence:
         #: endpoint name of the peer believed to lead (redirect hint in
         #: replies while this server is fenced)
         self.peer_hint = peer_hint
-        self.mutating_procs = frozenset(mutating_procs)
         #: newest epoch this server knows about (its own while leading)
         self.epoch = 0
         self.is_leader = False
@@ -347,7 +343,7 @@ class LeadershipFence:
                 # may already have granted our epoch away.  Self-fence.
                 self._count("fencing_leases_expired")
                 self.fence("lease expired and witness unreachable")
-        if proc not in self.mutating_procs:
+        if proc not in MUTATING_PROCS:
             return None  # reads drain on a fenced server
         if not self.is_leader:
             self._count("fencing_not_leader_sheds")

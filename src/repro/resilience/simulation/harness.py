@@ -710,11 +710,7 @@ def _build_cluster(
 ) -> _Cluster:
     from repro.cricket.ckptstore import CheckpointStore, FileStorage
     from repro.cricket.client import CricketClient
-    from repro.cricket.replication import (
-        ReplicationLink,
-        mutating_proc_numbers,
-        promote_with_witness,
-    )
+    from repro.cricket.replication import ReplicationLink, promote_with_witness
     from repro.cricket.witness import LeadershipFence, Witness
     from repro.oncrpc.auth import client_token_auth
     from repro.resilience.failover import LoopbackEndpoint
@@ -741,14 +737,11 @@ def _build_cluster(
         witness = Witness(clock, lease_s=plan.lease_s)
         state = PartitionState(PartitionPlan(), clock)
         witness.link_filter = state.link_filter()
-        mutating = mutating_proc_numbers(primary.interface)
         primary_fence = LeadershipFence(
-            primary, witness, name="primary",
-            mutating_procs=mutating, peer_hint="standby",
+            primary, witness, name="primary", peer_hint="standby"
         )
         standby_fence = LeadershipFence(
-            standby, witness, name="standby",
-            mutating_procs=mutating, peer_hint="primary",
+            standby, witness, name="standby", peer_hint="primary"
         )
         primary_fence.lead()  # epoch 1
         link = ReplicationLink(

@@ -10,12 +10,16 @@ from repro.cricket import (
     TransferMethod,
     TransferTimingModel,
     load_checkpoint,
+    make_ha_pair,
     save_checkpoint,
     supported_on,
 )
 from repro.cubin import build_cubin_for_registry
 from repro.cubin.metadata import KernelMeta
+from repro.cuda.cufft import CUFFT_C2C
 from repro.gpu import A100, GpuDevice
+from repro.net.simclock import SimClock
+from repro.resilience import RetryPolicy
 from repro.unikernel import EVAL_LINK, linux_vm, native_c, native_rust, rustyhermit, unikraft
 
 MIB = 1 << 20
@@ -107,6 +111,65 @@ class TestCheckpointRestart:
 
         with pytest.raises(CudaError):
             client.restore(b"not a checkpoint")
+
+    def test_library_handles_after_restore_dont_collide(self):
+        server = small_server()
+        client = CricketClient.loopback(server)
+        blas, solver = client.cublas_create(), client.cusolver_create()
+        blob = client.checkpoint()
+
+        server2 = small_server()
+        client2 = CricketClient.loopback(server2)
+        client2.restore(blob)
+        assert client2.cublas_create() != blas
+        assert client2.cusolver_create() != solver
+        client2.cublas_destroy(blas)  # the restored handles stay live
+        client2.cusolver_destroy(solver)
+
+    def test_full_sync_standby_continues_handle_counters(self):
+        primary, standby = CricketServer(clock=SimClock()), CricketServer(clock=SimClock())
+        CricketClient.loopback(primary).cublas_create()  # before the pair exists
+        _link, endpoints = make_ha_pair(primary, standby, unfenced=True)
+        client = CricketClient.failover(endpoints, retry_policy=RetryPolicy(max_attempts=8))
+        handle = client.cublas_create()  # replayed on the standby
+        assert sorted(standby.blas._handles) == sorted(primary.blas._handles) == [1, 2]
+        primary.kill()
+        client.cublas_destroy(handle)  # served by the promoted standby
+
+
+class TestCheckpointHoles:
+    """What a checkpoint does not carry yet (ROADMAP item 3's typed state)."""
+
+    @pytest.mark.xfail(strict=True, reason="cuFFT plans are not captured (ROADMAP item 3)")
+    def test_fft_plans_survive(self):
+        server = small_server()
+        client = CricketClient.loopback(server)
+        plan = client.cufft_plan1d(64, CUFFT_C2C, 1)
+        blob = client.checkpoint()
+        server2 = small_server()
+        client2 = CricketClient.loopback(server2)
+        client2.restore(blob)
+        client2.cufft_destroy(plan)
+
+    @pytest.mark.xfail(
+        strict=True, reason="only the current device is captured (ROADMAP item 3)"
+    )
+    def test_every_device_survives(self):
+        def two_devices():
+            return CricketServer([GpuDevice(A100, mem_bytes=64 * MIB) for _ in range(2)])
+
+        server = two_devices()
+        client = CricketClient.loopback(server)
+        on0 = client.malloc(4096)
+        client.set_device(1)
+        on1 = client.malloc(8192)
+        blob = client.checkpoint()
+        server2 = two_devices()
+        CricketClient.loopback(server2).restore(blob)
+        assert [
+            [(a.addr, a.size) for a in device.allocator.live_allocations()]
+            for device in server2.devices
+        ] == [[(on0, 4096)], [(on1, 8192)]]
 
 
 class TestSupportMatrix:

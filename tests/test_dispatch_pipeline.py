@@ -15,7 +15,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.cricket.replication import mutating_proc_numbers
 from repro.cricket.server import CricketServer
 from repro.cricket.witness import LeadershipFence, Witness
 from repro.gpu.catalog import A100
@@ -68,7 +67,6 @@ class Rig:
             self.server,
             Witness(self.clock, lease_s=LEASE_S),
             name="primary",
-            mutating_procs=mutating_proc_numbers(self.server.interface),
             peer_hint="standby",
         )
         return self.fence

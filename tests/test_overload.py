@@ -433,7 +433,7 @@ class TestCancellation:
         )
         ctx.cancel.cancel()  # fires before the handler runs
         with pytest.raises(CallCancelledError):
-            impl.rpc_cudaMalloc(4096, ctx)
+            impl.rpc_cudaMalloc(4096, ctx=ctx)
         assert sum(d.allocator.used_bytes for d in server.devices) == 0
 
     def test_client_cancel_scope_cancels_on_error(self):

@@ -18,13 +18,12 @@ from hypothesis import strategies as st
 from repro.cricket import CricketClient, CricketServer, restore_server, snapshot_server
 from repro.cricket.data_channel import DataChannelClient, DataChannelServer
 from repro.cricket.replication import (
-    MUTATING_PROC_NAMES,
     ReplicationLink,
     make_ha_pair,
-    mutating_proc_numbers,
     promote,
     state_fingerprint,
 )
+from repro.cricket.spec import MUTATING_PROC_NAMES, MUTATING_PROCS
 from repro.cuda import constants as C
 from repro.cuda.errors import CudaError
 from repro.gpu.catalog import A100, V100
@@ -245,7 +244,7 @@ class TestDataChannelCrc:
 class TestReplication:
     def test_mutating_procs_resolve(self):
         primary = CricketServer(clock=SimClock())
-        numbers = mutating_proc_numbers(primary.interface)
+        numbers = MUTATING_PROCS
         assert len(numbers) == len(MUTATING_PROC_NAMES)
         sigs = primary.interface.signatures
         assert sigs["rpc_cudaMalloc"].number in numbers

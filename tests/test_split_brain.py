@@ -17,7 +17,6 @@ from repro.cricket.checkpoint import capture_server_state, restore_server_state
 from repro.cricket.replication import (
     ReplicationLink,
     make_ha_pair,
-    mutating_proc_numbers,
     promote_with_witness,
 )
 from repro.cricket.witness import (
@@ -144,7 +143,6 @@ class TestLeadershipFence:
             server,
             witness,
             name="primary",
-            mutating_procs=mutating_proc_numbers(server.interface),
             peer_hint="standby",
         )
         return clock, server, witness, fence
@@ -420,9 +418,8 @@ class TestEpochFencedReplication:
         primary = CricketServer(clock=clock)
         standby = CricketServer(clock=clock)
         witness = Witness(clock)
-        mutating = mutating_proc_numbers(primary.interface)
-        pf = LeadershipFence(primary, witness, name="p", mutating_procs=mutating)
-        sf = LeadershipFence(standby, witness, name="s", mutating_procs=mutating)
+        pf = LeadershipFence(primary, witness, name="p")
+        sf = LeadershipFence(standby, witness, name="s")
         pf.lead()
         sf.observe_epoch(9)
         with pytest.raises(StaleEpochError):
@@ -459,12 +456,7 @@ class TestEpochPersistence:
         clock2 = SimClock()
         target = CricketServer(clock=clock2)
         witness2 = Witness(clock2)
-        LeadershipFence(
-            target,
-            witness2,
-            name="restored",
-            mutating_procs=mutating_proc_numbers(target.interface),
-        )
+        LeadershipFence(target, witness2, name="restored")
         restore_server_state(target, state)
         assert target.fencing.epoch == 1
         assert not target.fencing.is_leader

@@ -166,9 +166,7 @@ def restore_server_state(server: "CricketServer", state: dict) -> None:
         module = LoadedModule(entry["handle"], image)
         module.globals = dict(entry["globals"])
         for fhandle, kernel_name in entry["functions"].items():
-            meta = metadata.kernel(kernel_name)
-            module.functions[fhandle] = meta
-            driver._functions[fhandle] = (module, meta)
+            driver._bind(fhandle, module, metadata.kernel(kernel_name))
         driver._modules[module.handle] = module
     import itertools
 

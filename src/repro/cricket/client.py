@@ -21,6 +21,7 @@ Connection modes:
 from __future__ import annotations
 
 import contextlib
+import functools
 from typing import Any, Callable, Iterator
 
 from repro.cricket import params as kparams
@@ -45,8 +46,12 @@ from repro.resilience.stats import ResilienceStats
 from repro.rpcl.stubgen import ClientStub
 from repro.unikernel.platform import Platform, PlatformMeter, RpcPathModel
 from repro.unikernel.presets import EVAL_LINK, NATIVE_STACK
+from repro.xdr import INT
 
+
+@functools.lru_cache(maxsize=64)
 def _dim3(v: tuple[int, int, int]) -> dict[str, int]:
+    # Shared between launches of the same geometry: the encoder only reads it.
     return {"x": int(v[0]), "y": int(v[1]), "z": int(v[2])}
 
 
@@ -104,6 +109,10 @@ class CricketClient:
             stats=self.stats,
             priority=priority,
         )
+        #: first failed CUDA status among the batched replies a synchronous
+        #: call drained off the wire; :meth:`flush` raises it
+        self._drained_error: int | None = None
+        self.stub.client.drain_observer = self._note_drained
         #: kernel-function metadata by function handle (for param packing)
         self._function_meta: dict[int, KernelMeta] = {}
         #: most recent checkpoint blob (taken by :meth:`checkpoint`)
@@ -649,7 +658,7 @@ class CricketClient:
             self._charge_client_cpu(self.platform.language.launch_extra_s)
         self._check(
             self.stub.rpc_cuLaunchKernel(
-                function, _dim3(grid), _dim3(block), block_bytes, shared_mem, stream
+                function, _dim3(tuple(grid)), _dim3(tuple(block)), block_bytes, shared_mem, stream
             ),
             "cuLaunchKernel",
         )
@@ -683,29 +692,40 @@ class CricketClient:
             self.meter.mark_batched(sends=1, recvs=1)
         return self.stub.call_batched(
             "rpc_cuLaunchKernel",
-            function, _dim3(grid), _dim3(block), block_bytes, shared_mem, stream,
+            function, _dim3(tuple(grid)), _dim3(tuple(block)), block_bytes, shared_mem, stream,
         )
 
     def flush(self) -> None:
         """Collect outstanding batched replies and check every CUDA status.
 
         Charges one pipeline-drain delay (link round trip plus server
-        dispatch) for the final reply to arrive.
+        dispatch) for the final reply to arrive, when one is outstanding.
+        A batched launch whose reply a synchronous call already drained off
+        the wire fails here too: the first such failure is raised first.
         """
         pending = self.stub.client.pending_batched
-        if pending == 0:
-            return
         results = self.stub.client.flush_batch()
-        if self.meter is not None:
+        if pending and self.meter is not None:
             from repro.unikernel.presets import CRICKET_SERVER_DISPATCH_S
 
             self.clock.advance_s(
                 2 * self.meter.path.link.latency_s + CRICKET_SERVER_DISPATCH_S
             )
-        from repro.xdr import INT
-
+        failed, self._drained_error = self._drained_error, None
+        if failed is not None:
+            self._check(failed, "batched cuLaunchKernel")
         for raw in results:
             self._check(INT.from_bytes(raw), "batched cuLaunchKernel")
+
+    def _note_drained(self, results: list[memoryview]) -> None:
+        """Keep the first failed status of replies drained before a call."""
+        if self._drained_error is not None:
+            return
+        for raw in results:
+            err = INT.from_bytes(raw)
+            if err != 0:
+                self._drained_error = err
+                return
 
     # -- cuBLAS / cuSOLVER ----------------------------------------------------
 

@@ -369,14 +369,17 @@ class CricketImplementation:
         return {"err": err, "ptr": ptr, "size": size}
 
     def rpc_cuLaunchKernel(self, fhandle, grid, block, param_block, shared_mem, stream):
-        """Cricket procedure ``rpc_cuLaunchKernel`` (forwards to the CUDA executor)."""
+        """Cricket procedure ``rpc_cuLaunchKernel`` (forwards to the CUDA executor).
+
+        The handle's :class:`~repro.cuda.driver.LaunchPlan` unpacks the
+        parameter block; the driver launches what it resolved.
+        """
         driver = self._server.driver
-        entry = driver._functions.get(int(fhandle))
-        if entry is None:
+        plan = driver._functions.get(fhandle)
+        if plan is None:
             return C.CUDA_ERROR_INVALID_HANDLE
-        _module, meta = entry
         try:
-            values = kparams.unpack_params(meta, param_block)
+            values = kparams.unpack_params(plan.meta, param_block)
         except Exception:
             return C.CUDA_ERROR_INVALID_VALUE
         return driver.cuLaunchKernel(

@@ -8,6 +8,7 @@ into the ``.nv.info`` section of the container.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 from repro.cubin.errors import CorruptImageError
@@ -35,13 +36,26 @@ class ParamInfo:
     offset: int
 
 
+#: ``struct`` code of each parameter kind; the CUDA ABI lays parameters out
+#: little-endian, each at its own offset
+PARAM_CODES = {"ptr": "Q", "u64": "Q", "u32": "I", "i32": "i", "f32": "f", "f64": "d"}
+
+
 @dataclass(frozen=True)
 class KernelMeta:
-    """Metadata of one kernel entry point."""
+    """Metadata of one kernel entry point.
+
+    ``param_struct`` (not a field) is the parameter block compiled to one
+    ``struct.Struct``, or ``None`` (see :func:`_compile_params`).
+    """
 
     name: str
     params: tuple[ParamInfo, ...] = ()
     shared_mem: int = 0
+
+    def __post_init__(self) -> None:
+        # Compiled once, here, not on a launch: see param_struct.
+        object.__setattr__(self, "param_struct", _compile_params(self))
 
     @classmethod
     def from_kinds(cls, name: str, kinds: tuple[str, ...], shared_mem: int = 0) -> "KernelMeta":
@@ -70,6 +84,33 @@ class KernelMeta:
             return 0
         last = self.params[-1]
         return last.offset + last.size
+
+
+def _compile_params(meta: KernelMeta) -> struct.Struct | None:
+    """The kernel's whole parameter block as one ``struct.Struct``, or ``None``.
+
+    Each parameter is packed at its offset; the gaps between parameters
+    (alignment padding) and after the last, up to ``param_block_size``, are
+    pad bytes.  ``None`` when the layout is not one run of parameters in
+    offset order -- overlapping, out of order, or an unknown kind -- which
+    only the parameter-by-parameter walk
+    (:func:`repro.cricket.params.pack_params_reference`) lays out.
+    """
+    fmt = ["<"]
+    cursor = 0
+    for info in meta.params:
+        code = PARAM_CODES.get(info.kind)
+        if code is None or info.offset < cursor:
+            return None
+        if info.offset > cursor:
+            fmt.append(f"{info.offset - cursor}x")
+        fmt.append(code)
+        cursor = info.offset + struct.calcsize("<" + code)
+    if meta.param_block_size < cursor:
+        return None
+    if meta.param_block_size > cursor:
+        fmt.append(f"{meta.param_block_size - cursor}x")
+    return struct.Struct("".join(fmt))
 
 
 @dataclass(frozen=True)

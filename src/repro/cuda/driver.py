@@ -19,6 +19,7 @@ from repro.cuda import constants as C
 from repro.cuda.errors import code_for_exception
 from repro.gpu.device import GpuDevice
 from repro.gpu.errors import KernelParamError, UnknownKernelError
+from repro.gpu.kernels import Kernel
 from repro.gpu.stream import DEFAULT_STREAM
 from repro.net.simclock import SimClock
 
@@ -35,6 +36,23 @@ class LoadedModule:
     globals: dict[str, tuple[int, int]] = field(default_factory=dict)
 
 
+class LaunchPlan:
+    """What a function handle launches, resolved once at ``cuModuleGetFunction``.
+
+    ``kernel`` is the device code the metadata names, taken from the
+    device's registry when the handle is made -- as a real ``CUfunction``
+    is bound to the code its module loaded.  (If the registry has no such
+    kernel any more, ``kernel`` is the name, and the launch fails as it
+    always did.)  ``meta.param_struct`` is the parameter block compiled.
+    """
+
+    __slots__ = ("meta", "kernel")
+
+    def __init__(self, meta: KernelMeta, kernel: Kernel | str) -> None:
+        self.meta = meta
+        self.kernel = kernel
+
+
 class CudaDriver:
     """Driver-API executor bound to one device."""
 
@@ -42,7 +60,7 @@ class CudaDriver:
         self.device = device
         self.clock = clock if clock is not None else SimClock()
         self._modules: dict[int, LoadedModule] = {}
-        self._functions: dict[int, tuple[LoadedModule, KernelMeta]] = {}
+        self._functions: dict[int, LaunchPlan] = {}
         self._next_module = count(1)
         self._next_function = count(1)
         self.api_call_count = 0
@@ -124,9 +142,19 @@ class CudaDriver:
         except KeyError:
             return C.CUDA_ERROR_NOT_FOUND, 0
         fhandle = next(self._next_function)
-        module.functions[fhandle] = meta
-        self._functions[fhandle] = (module, meta)
+        self._bind(fhandle, module, meta)
         return C.CUDA_SUCCESS, fhandle
+
+    def _bind(self, fhandle: int, module: LoadedModule, meta: KernelMeta) -> None:
+        """Make ``fhandle`` launch ``meta``'s kernel of ``module`` (its :class:`LaunchPlan`).
+
+        What ``cuModuleGetFunction`` does with a new handle, and what a
+        checkpoint restore does with each restored one.
+        """
+        module.functions[fhandle] = meta
+        registry = self.device.registry
+        kernel = registry.get(meta.name) if meta.name in registry else meta.name
+        self._functions[fhandle] = LaunchPlan(meta, kernel)
 
     def cuModuleGetGlobal(self, handle: int, name: str) -> tuple[int, int, int]:
         """Return (err, device pointer, size) of a module global."""
@@ -152,17 +180,16 @@ class CudaDriver:
         stream: int = DEFAULT_STREAM,
     ) -> int:
         """Launch a function handle (asynchronous)."""
-        self._count()
-        entry = self._functions.get(int(fhandle))
-        if entry is None:
+        self.api_call_count += 1
+        plan = self._functions.get(int(fhandle))
+        if plan is None:
             return C.CUDA_ERROR_INVALID_HANDLE
-        _module, meta = entry
         try:
             self.device.launch(
-                meta.name,
+                plan.kernel,
                 grid,
                 block,
-                tuple(params),
+                params,
                 shared_mem=shared_mem,
                 stream=int(stream),
                 submit_ns=self.clock.now_ns,

@@ -10,6 +10,7 @@ from repro.gpu.errors import (
     DoubleFreeError,
     GpuError,
     InvalidDevicePointerError,
+    InvalidSizeError,
     InvalidStreamError,
     KernelHangError,
     KernelParamError,
@@ -51,7 +52,7 @@ def code_for_exception(exc: BaseException) -> int:
         return C.cudaErrorInvalidResourceHandle
     if isinstance(exc, (UnknownKernelError, CubinError)):
         return C.cudaErrorInvalidKernelImage
-    if isinstance(exc, KernelParamError):
+    if isinstance(exc, (KernelParamError, InvalidSizeError)):
         return C.cudaErrorInvalidValue
     if isinstance(exc, (ValueError, TypeError)):
         return C.cudaErrorInvalidValue

@@ -30,6 +30,7 @@ from repro.gpu.errors import (
     DoubleFreeError,
     GpuError,
     InvalidDevicePointerError,
+    InvalidSizeError,
     InvalidStreamError,
     KernelHangError,
     KernelParamError,
@@ -87,6 +88,7 @@ __all__ = [
     "GpuError",
     "OutOfMemoryError",
     "InvalidDevicePointerError",
+    "InvalidSizeError",
     "DoubleFreeError",
     "AllocationOverlapError",
     "UnknownKernelError",

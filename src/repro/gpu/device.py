@@ -15,8 +15,7 @@ both modes.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.gpu.catalog import A100, GpuSpec
 from repro.gpu.errors import DeviceFaultError, GpuError, SanitizerError
@@ -33,8 +32,7 @@ from repro.gpu.timing import GpuTimingModel
 from repro.gpu.watchdog import KernelWatchdog
 
 
-@dataclass(frozen=True)
-class LaunchResult:
+class LaunchResult(NamedTuple):
     """Outcome of one kernel launch."""
 
     #: virtual completion time on the stream, ns
@@ -290,21 +288,21 @@ class GpuDevice:
         """Launch a kernel on a stream.
 
         ``submit_ns`` is the caller's current virtual time; the launch is
-        queued behind earlier work on the stream.
+        queued behind earlier work on the stream.  ``kernel`` is a
+        :class:`~repro.gpu.kernels.Kernel` or its name in the registry.
+        Every one of the six grid and block dimensions must be at least 1.
         """
-        self._check_fault()
+        if self.fault is not None:
+            raise self.fault
         if isinstance(kernel, str):
             kernel = self.registry.get(kernel)
-        kernel.check_params(tuple(params))
-        ctx = LaunchContext(
-            device=self,
-            grid=tuple(int(g) for g in grid),
-            block=tuple(int(b) for b in block),
-            shared_mem=shared_mem,
-            params=tuple(params),
-        )
-        if ctx.total_threads <= 0:
+        params = tuple(params)
+        kernel.check_params(params)
+        gx, gy, gz = grid_dims = tuple(map(int, grid))
+        bx, by, bz = block_dims = tuple(map(int, block))
+        if min(gx, gy, gz, bx, by, bz) < 1:
             raise GpuError(f"degenerate launch geometry {grid}x{block}")
+        ctx = LaunchContext(self, grid_dims, block_dims, shared_mem, params)
         if self.execute:
             kernel.body(ctx)
         # Soft degradation: a throttled part runs the same kernel to the
@@ -326,7 +324,7 @@ class GpuDevice:
             # Launches stay asynchronous even when over budget: the flag is
             # raised here, the timeout surfaces at the next sync point.
             self.watchdog.observe_launch(stream_obj, duration_ns)
-        return LaunchResult(done_ns=done_ns, duration_ns=duration_ns)
+        return LaunchResult(done_ns, duration_ns)
 
     def synchronize_ns(self) -> int:
         """Virtual time at which all outstanding device work completes."""

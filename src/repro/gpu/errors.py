@@ -32,6 +32,10 @@ class KernelParamError(GpuError):
     """Launch parameters do not match the kernel's parameter specification."""
 
 
+class InvalidSizeError(GpuError):
+    """A device-memory access asked for a negative number of bytes."""
+
+
 class InvalidStreamError(GpuError):
     """Operation names a stream handle that does not exist."""
 

@@ -19,7 +19,7 @@ GPU time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -30,10 +30,21 @@ PARAM_KINDS = ("ptr", "u32", "i32", "u64", "f32", "f64")
 
 _PARAM_SIZES = {"ptr": 8, "u64": 8, "f64": 8, "u32": 4, "i32": 4, "f32": 4}
 
+_INTEGER = (int, np.integer)
+_NUMBER = (int, float, np.floating)
+#: what a launch value of each kind must be an instance of
+_ACCEPTED = {
+    "ptr": _INTEGER, "u32": _INTEGER, "i32": _INTEGER, "u64": _INTEGER,
+    "f32": _NUMBER, "f64": _NUMBER,
+}
 
-@dataclass(frozen=True)
-class KernelCost:
-    """Work performed by one kernel launch."""
+
+class KernelCost(NamedTuple):
+    """Work performed by one kernel launch.
+
+    Every launch's cost function builds one, so it is a named tuple: about
+    half what constructing a frozen dataclass costs.
+    """
 
     flops: float = 0.0
     bytes_read: float = 0.0
@@ -45,22 +56,32 @@ class KernelCost:
         return self.bytes_read + self.bytes_written
 
 
-@dataclass(frozen=True)
 class LaunchContext:
-    """Everything a kernel body receives at launch time."""
+    """Everything a kernel body receives at launch time (read-only by contract).
 
-    device: Any  # GpuDevice; untyped to avoid a circular import
-    grid: tuple[int, int, int]
-    block: tuple[int, int, int]
-    shared_mem: int
-    params: tuple[Any, ...]
+    One is built per launch, so it is a plain ``__slots__`` object whose
+    ``total_threads`` is computed once, here.
+    """
 
-    @property
-    def total_threads(self) -> int:
-        """Total threads of the launch (grid x block)."""
-        gx, gy, gz = self.grid
-        bx, by, bz = self.block
-        return gx * gy * gz * bx * by * bz
+    __slots__ = ("device", "grid", "block", "shared_mem", "params", "total_threads")
+
+    def __init__(
+        self,
+        device: Any,  # GpuDevice; untyped to avoid a circular import
+        grid: tuple[int, int, int],
+        block: tuple[int, int, int],
+        shared_mem: int,
+        params: tuple[Any, ...],
+    ) -> None:
+        self.device = device
+        self.grid = grid
+        self.block = block
+        self.shared_mem = shared_mem
+        self.params = params
+        gx, gy, gz = grid
+        bx, by, bz = block
+        #: total threads of the launch (grid x block)
+        self.total_threads = gx * gy * gz * bx * by * bz
 
     def view(self, ptr: int, nbytes: int, dtype=np.uint8) -> np.ndarray:
         """Typed view of device memory (convenience for kernel bodies)."""
@@ -91,6 +112,10 @@ class Kernel:
         for kind in self.param_kinds:
             if kind not in PARAM_KINDS:
                 raise ValueError(f"unknown param kind {kind!r} in kernel {self.name}")
+        # What each parameter must be an instance of, for check_params.
+        object.__setattr__(
+            self, "_accepted", tuple(_ACCEPTED[kind] for kind in self.param_kinds)
+        )
 
     @property
     def param_sizes(self) -> tuple[int, ...]:
@@ -98,7 +123,18 @@ class Kernel:
         return tuple(_PARAM_SIZES[k] for k in self.param_kinds)
 
     def check_params(self, params: tuple[Any, ...]) -> None:
-        """Validate launch parameters against the specification."""
+        """Validate launch parameters against the specification.
+
+        One ``isinstance`` per parameter; a launch that fails it is handed
+        to :meth:`check_params_reference`, which words the error.
+        """
+        accepted = self._accepted
+        if len(params) == len(accepted) and all(map(isinstance, params, accepted)):
+            return
+        self.check_params_reference(params)
+
+    def check_params_reference(self, params: tuple[Any, ...]) -> None:
+        """The kind-by-kind check: the reference, and the error reporter."""
         if len(params) != len(self.param_kinds):
             raise KernelParamError(
                 f"kernel {self.name} takes {len(self.param_kinds)} parameter(s), "

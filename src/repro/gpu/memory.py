@@ -32,6 +32,7 @@ from repro.gpu.errors import (
     AllocationOverlapError,
     DoubleFreeError,
     InvalidDevicePointerError,
+    InvalidSizeError,
     OutOfBoundsError,
     OutOfMemoryError,
     QuarantineDoubleFreeError,
@@ -69,10 +70,6 @@ class Allocation:
     data: np.ndarray = field(repr=False)
     #: live pinned spans of ``data`` (a copy swapped in has none)
     pins: int = 0
-
-    def contains(self, addr: int, size: int) -> bool:
-        """True when [addr, addr+size) lies inside this allocation."""
-        return self.addr <= addr and addr + size <= self.addr + self.size
 
 
 class PinnedSpan(np.ndarray):
@@ -336,13 +333,18 @@ class DeviceAllocator:
         """Locate the allocation containing [addr, addr+size).
 
         ``mode`` classifies the failed access for the sanitizer's typed
-        errors (``"read"`` or ``"write"``); it does not affect lookup.
+        errors (``"read"`` or ``"write"``); it does not affect lookup.  A
+        negative ``size`` is refused first: sliced, it would read as a
+        Python negative index, most of the allocation.
         """
+        if size < 0:
+            raise InvalidSizeError(f"{mode} of {size} bytes at {addr:#x}")
         index = bisect.bisect_right(self._sorted_addrs, addr) - 1
         if index >= 0:
             allocation = self._allocs[self._sorted_addrs[index]]
-            if allocation.contains(addr, size):
-                return allocation, addr - allocation.addr
+            start = allocation.addr
+            if start <= addr and addr + size <= start + allocation.size:
+                return allocation, addr - start
             guard = self.sanitizer.guard(allocation.addr) if self.sanitizer else None
             crosses_end = allocation.addr <= addr < allocation.addr + allocation.size
             # Under the sanitizer the back redzone (and alignment slack)
@@ -392,7 +394,8 @@ class DeviceAllocator:
         if allocation.pins:
             self._unshare(allocation)
         self._mark_dirty(addr, size)
-        self._debug_check()
+        if self._debug_invariants:
+            self.check_invariants()
         return allocation.data[offset : offset + size]
 
     def read(self, addr: int, size: int) -> bytes:
@@ -495,7 +498,10 @@ class DeviceAllocator:
             return
         first = (addr - DEVICE_VA_BASE) // PAGE_BYTES
         last = (addr + size - 1 - DEVICE_VA_BASE) // PAGE_BYTES
-        self._dirty.update(range(first, last + 1))
+        if first == last:
+            self._dirty.add(first)
+        else:
+            self._dirty.update(range(first, last + 1))
         self.dirty_marks += 1
 
     def dirty_pages(self) -> frozenset[int]:

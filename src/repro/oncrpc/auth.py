@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
+from operator import itemgetter
 
 from repro.xdr import XdrDecoder, XdrEncoder
 from repro.xdr.errors import XdrDecodeError, XdrEncodeError
@@ -51,29 +51,72 @@ AUTH_REJECTEDVERF = 4
 AUTH_TOOWEAK = 5
 
 
-@dataclass(frozen=True)
-class OpaqueAuth:
-    """An ``opaque_auth``: flavor discriminant plus opaque body."""
+class WireStruct:
+    """Equality of a frozen dataclass for the structures an RPC builds per call.
 
-    flavor: int = AUTH_NONE
-    body: bytes = b""
+    :class:`OpaqueAuth` and the message bodies of :mod:`repro.oncrpc.message`
+    are tuples underneath (a ``namedtuple``, or a ``tuple`` subclass): building
+    one costs a tuple, a fraction of a frozen dataclass's ``__init__``, and
+    it is immutable and hashable as a tuple is.  Mixed in first, this makes
+    one equal only to another of its own class, as a dataclass is -- never
+    to a plain tuple or to another structure with the same fields.
+    """
 
-    @cached_property
-    def wire(self) -> bytes | None:
-        """Flavor, length, body and padding as they go on the wire, built once.
+    __slots__ = ()
 
-        A client sends the same credential with every call.  ``None`` when
-        :meth:`encode` would not simply pack this structure -- a flavor that
-        is no plain ``int``, a body that is not ``bytes`` or is over-long --
-        and must be asked to, for the bytes or the error.
-        """
-        flavor, body = self.flavor, self.body
-        if type(flavor) is not int or type(body) is not bytes or len(body) > MAX_AUTH_BYTES:
-            return None
-        try:
-            return AUTH_HEAD.pack(flavor, len(body)) + body + bytes(-len(body) & 3)
-        except struct.error:
-            return None
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
+
+
+def _wire_of(flavor: object, body: object) -> bytes | None:
+    """Flavor, length, body and padding as they go on the wire, or ``None``
+    when :meth:`OpaqueAuth.encode` would not simply pack them -- a flavor
+    that is no plain ``int``, a body that is not ``bytes`` or is over-long --
+    and must be asked to, for the bytes or the error."""
+    if type(flavor) is not int or type(body) is not bytes or len(body) > MAX_AUTH_BYTES:
+        return None
+    try:
+        return AUTH_HEAD.pack(flavor, len(body)) + body + bytes(-len(body) & 3)
+    except struct.error:
+        return None
+
+
+class OpaqueAuth(WireStruct, tuple):
+    """An ``opaque_auth``: flavor discriminant plus opaque body.
+
+    It also carries ``wire``, the structure as it goes on the wire, built
+    with it: a client sends the same credential with every call, and a
+    decoded one is built from the bytes it was read from.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, flavor: int = AUTH_NONE, body: bytes = b"") -> "OpaqueAuth":
+        return tuple.__new__(cls, (flavor, body, _wire_of(flavor, body)))
+
+    @classmethod
+    def _from_wire(cls, flavor: int, body: bytes, wire: bytes) -> "OpaqueAuth":
+        """The auth whose well-formed wire form (header, body, zero padding) is ``wire``."""
+        return tuple.__new__(cls, (flavor, body, wire))
+
+    flavor = property(itemgetter(0), doc="The flavor discriminant.")
+    body = property(itemgetter(1), doc="The opaque body (at most 400 bytes on the wire).")
+    wire = property(
+        itemgetter(2),
+        doc="Flavor, length, body and padding as they go on the wire, or ``None`` "
+        "when :meth:`encode` must be asked (see :func:`_wire_of`).",
+    )
+
+    def __repr__(self) -> str:
+        return f"OpaqueAuth(flavor={self.flavor!r}, body={self.body!r})"
+
+    def __getnewargs__(self) -> tuple[object, object]:
+        return self.flavor, self.body
 
     def encode(self, encoder: XdrEncoder) -> None:
         """Pack this auth structure."""

@@ -105,6 +105,11 @@ class RpcClient:
         self.calls_made = 0
         #: xids of batched calls whose replies have not been collected yet
         self._batched_xids: list[int] = []
+        #: called, under the client lock, with the results of the batched
+        #: calls a synchronous call drained off the wire before it was sent
+        #: (:meth:`flush_batch` never sees those); without one they are
+        #: dropped.  The Cricket client checks their CUDA statuses here.
+        self.drain_observer: Callable[[list[memoryview]], None] | None = None
         #: priority stamped into every call's AUTH_CALL_META verifier
         self.priority = priority
         #: xid of the most recently issued call (sync or batched)
@@ -154,10 +159,7 @@ class RpcClient:
             )
             verf = call_meta_auth(remaining, self.priority)
         return msg.RpcMessage(
-            xid,
-            msg.CallBody(
-                self.prog, self.vers, proc, cred=self.cred, verf=verf, args=args
-            ),
+            xid, msg.CallBody(self.prog, self.vers, proc, self.cred, verf, args)
         ).encode()
 
     # -- raw interface ------------------------------------------------------
@@ -191,7 +193,7 @@ class RpcClient:
         """The historical fail-fast path: one send, one receive."""
         with self._lock:
             if self._batched_xids:
-                self._drain_batch_locked()
+                self._drain_before_call_locked()
             self.transport.send_record(encoded)
             reply_bytes = self.transport.recv_record()
             self.calls_made += 1
@@ -227,7 +229,7 @@ class RpcClient:
             try:
                 with self._lock:
                     if self._batched_xids:
-                        self._drain_batch_locked()
+                        self._drain_before_call_locked()
                     self.transport.send_record(encoded)
                     reply = self._recv_matching_locked(xid)
                     self.calls_made += 1
@@ -288,8 +290,9 @@ class RpcClient:
         """Send a call without waiting for its reply; return its xid.
 
         Replies accumulate on the connection and are collected -- and
-        checked for errors -- by :meth:`flush_batch` or implicitly by the
-        next synchronous call.  This is the classic ONC RPC batching
+        checked for RPC-level errors -- by :meth:`flush_batch`, or
+        implicitly by the next synchronous call, which hands their results
+        to :attr:`drain_observer`.  This is the classic ONC RPC batching
         technique: for a stream of kernel launches the client stops paying
         a full round trip per call.  The returned xid is the handle
         ``rpc_cancel`` takes to abort the call before its reply is drained.
@@ -317,6 +320,11 @@ class RpcClient:
         """
         with self._lock:
             return self._drain_batch_locked()
+
+    def _drain_before_call_locked(self) -> None:
+        results = self._drain_batch_locked()
+        if self.drain_observer is not None:
+            self.drain_observer(results)
 
     def _drain_batch_locked(self) -> list[memoryview]:
         xids, self._batched_xids = self._batched_xids, []

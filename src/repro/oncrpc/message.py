@@ -1,9 +1,11 @@
 """ONC RPC message structures (RFC 5531 section 9).
 
-The ``rpc_msg`` union and its bodies are modelled as frozen dataclasses with
-explicit ``encode``/``decode`` methods.  Procedure arguments and results are
-carried as raw pre-encoded XDR so the message layer stays independent of any
-particular program's interface definition.
+The ``rpc_msg`` union and its bodies are modelled as immutable values --
+named tuples with a frozen dataclass's equality
+(:class:`~repro.oncrpc.auth.WireStruct`), cheap to build once per call --
+with explicit ``encode``/``decode`` methods.  Procedure arguments and
+results are carried as raw pre-encoded XDR so the message layer stays
+independent of any particular program's interface definition.
 
 A message is encoded into **one** record, header first: a body's
 ``args``/``results`` is either pre-encoded XDR (appended) or a *writer* -- a
@@ -29,10 +31,17 @@ damaged record raises is behaviour.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Union
 
-from repro.oncrpc.auth import AUTH_HEAD, AUTH_NONE, MAX_AUTH_BYTES, NULL_AUTH, OpaqueAuth
+from repro.oncrpc.auth import (
+    AUTH_HEAD,
+    AUTH_NONE,
+    MAX_AUTH_BYTES,
+    NULL_AUTH,
+    OpaqueAuth,
+    WireStruct,
+)
 from repro.oncrpc.errors import RpcProtocolError
 from repro.xdr import XdrDecoder, XdrEncoder
 from repro.xdr.encoder import Buffer, GatherRecord, flat_view, flatten
@@ -100,16 +109,16 @@ def accept_stat_name(stat: int) -> str:
     return _ACCEPT_STAT_NAMES.get(stat, f"accept_stat({stat})")
 
 
-@dataclass(frozen=True)
-class CallBody:
-    """``call_body``: which remote procedure to invoke, with credentials."""
+class CallBody(
+    WireStruct,
+    namedtuple("CallBody", "prog vers proc cred verf args", defaults=(NULL_AUTH, NULL_AUTH, b"")),
+):
+    """``call_body``: which remote procedure to invoke, with credentials.
 
-    prog: int
-    vers: int
-    proc: int
-    cred: OpaqueAuth = NULL_AUTH
-    verf: OpaqueAuth = NULL_AUTH
-    args: Payload = b""
+    ``args`` is the procedure's arguments (a :data:`Payload`).
+    """
+
+    __slots__ = ()
 
     def encode(self, encoder: XdrEncoder) -> None:
         encoder.pack_uint(RPC_VERSION)
@@ -134,15 +143,21 @@ class CallBody:
         return cls(prog, vers, proc, cred, verf, args)
 
 
-@dataclass(frozen=True)
-class AcceptedReply:
-    """``accepted_reply``: server processed the call (possibly with error)."""
+class AcceptedReply(
+    WireStruct,
+    namedtuple(
+        "AcceptedReply",
+        "verf stat results mismatch_low mismatch_high",
+        defaults=(NULL_AUTH, SUCCESS, b"", 0, 0),
+    ),
+):
+    """``accepted_reply``: server processed the call (possibly with error).
 
-    verf: OpaqueAuth = NULL_AUTH
-    stat: int = SUCCESS
-    results: Payload = b""
-    mismatch_low: int = 0
-    mismatch_high: int = 0
+    ``results`` (a :data:`Payload`) belongs to ``SUCCESS``, the mismatch
+    range to ``PROG_MISMATCH``; every other stat carries a void body.
+    """
+
+    __slots__ = ()
 
     def encode(self, encoder: XdrEncoder) -> None:
         self.verf.encode(encoder)
@@ -170,14 +185,17 @@ class AcceptedReply:
         raise RpcProtocolError(f"invalid accept_stat {stat}")
 
 
-@dataclass(frozen=True)
-class RejectedReply:
+class RejectedReply(
+    WireStruct,
+    namedtuple(
+        "RejectedReply",
+        "stat auth_stat mismatch_low mismatch_high",
+        defaults=(AUTH_ERROR, 0, RPC_VERSION, RPC_VERSION),
+    ),
+):
     """``rejected_reply``: RPC version mismatch or authentication failure."""
 
-    stat: int = AUTH_ERROR
-    auth_stat: int = 0
-    mismatch_low: int = RPC_VERSION
-    mismatch_high: int = RPC_VERSION
+    __slots__ = ()
 
     def encode(self, encoder: XdrEncoder) -> None:
         encoder.pack_enum(self.stat)
@@ -252,7 +270,13 @@ def _parse_auth(view: memoryview, pos: int, flavor: int, length: int) -> tuple[O
         raise Defer
     # Kept in contexts, cache keys and sessions that outlive the record:
     # detached from the record buffer, as ``OpaqueAuth.decode`` does.
-    return OpaqueAuth(flavor, bytes(view[pos:end])), stop
+    wire = bytes(view[pos - 8 : stop])
+    return OpaqueAuth._from_wire(flavor, wire[8 : 8 + length], wire), stop
+
+
+#: builds a message structure from all of its fields, skipping the Python
+#: frame of its ``__new__`` (the parser fills every field)
+_build = tuple.__new__
 
 
 def _parse(data: Buffer) -> "RpcMessage":
@@ -268,7 +292,8 @@ def _parse(data: Buffer) -> "RpcMessage":
         verf, pos = _parse_auth(view, pos + 8, flavor, length)
         if (len(view) - pos) & 3:
             raise Defer
-        return RpcMessage(xid, CallBody(prog, vers, proc, cred, verf, view[pos:]))
+        body = _build(CallBody, (prog, vers, proc, cred, verf, view[pos:]))
+        return _build(RpcMessage, (xid, body, MSG_ACCEPTED))
     if mtype != REPLY:
         raise Defer
     rstat, flavor, length = _REPLY_REST.unpack_from(view, 8)
@@ -280,7 +305,8 @@ def _parse(data: Buffer) -> "RpcMessage":
         pos += 4
         if (len(view) - pos) & 3:
             raise Defer
-        return RpcMessage(xid, AcceptedReply(verf, stat, view[pos:]), MSG_ACCEPTED)
+        body = _build(AcceptedReply, (verf, stat, view[pos:], 0, 0))
+        return _build(RpcMessage, (xid, body, MSG_ACCEPTED))
     if stat == PROG_MISMATCH or stat not in _ACCEPT_STAT_NAMES:
         raise Defer
     return RpcMessage(xid, AcceptedReply(verf, stat), MSG_ACCEPTED)
@@ -326,13 +352,16 @@ def decode_reference(data: Buffer) -> "RpcMessage":
     raise RpcProtocolError(f"invalid msg_type {mtype}")
 
 
-@dataclass(frozen=True)
-class RpcMessage:
-    """A complete ``rpc_msg``: xid plus call or reply body."""
+class RpcMessage(
+    WireStruct, namedtuple("RpcMessage", "xid body reply_stat", defaults=(MSG_ACCEPTED,))
+):
+    """A complete ``rpc_msg``: xid plus call or reply body.
 
-    xid: int
-    body: CallBody | AcceptedReply | RejectedReply
-    reply_stat: int = MSG_ACCEPTED  # meaningful only for replies
+    ``body`` is a :class:`CallBody`, :class:`AcceptedReply` or
+    :class:`RejectedReply`; ``reply_stat`` is meaningful only for replies.
+    """
+
+    __slots__ = ()
 
     @property
     def is_call(self) -> bool:

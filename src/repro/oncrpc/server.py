@@ -39,13 +39,11 @@ GiB of payload.
 
 from __future__ import annotations
 
-import contextlib
 import operator
 import socket
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from repro.net.simclock import SimClock, WallClock
@@ -77,37 +75,58 @@ from repro.xdr.encoder import GatherRecord, flatten
 from repro.xdr.errors import XdrError
 
 
-@dataclass
 class CallContext:
-    """Per-call context passed to procedure handlers."""
+    """Per-call context passed to procedure handlers.
 
-    prog: int
-    vers: int
-    proc: int
-    cred: OpaqueAuth
-    #: opaque identifier of the client connection (address or loopback tag)
-    client_id: str = "loopback"
-    #: scratch space shared by all calls on one connection
-    session: dict = field(default_factory=dict)
-    #: at-most-once client identity (session token, or ``client_id`` fallback)
-    identity: str = ""
-    #: absolute expiry in the server clock domain (from AUTH_CALL_META)
-    deadline_ns: int | None = None
-    #: call priority from AUTH_CALL_META (higher = more important)
-    priority: int = 0
-    #: cooperative cancellation latch; handlers check it at safe points
-    cancel: CancelToken = field(default_factory=CancelToken)
-    #: transaction id of the call (with ``identity``, its at-most-once key)
-    xid: int = 0
-    #: the record arrived over a replication channel from the leader
-    replica_apply: bool = False
-    #: the call holds an overload concurrency slot until it has run
-    admitted: bool = False
+    One is built for every call, so it is a plain ``__slots__`` object.
+    """
+
+    __slots__ = (
+        "prog", "vers", "proc", "cred", "client_id", "session", "identity",
+        "deadline_ns", "priority", "cancel", "xid", "replica_apply", "admitted",
+    )
+
+    def __init__(
+        self,
+        prog: int,
+        vers: int,
+        proc: int,
+        cred: OpaqueAuth,
+        client_id: str = "loopback",
+        session: dict | None = None,
+        identity: str = "",
+        deadline_ns: int | None = None,
+        priority: int = 0,
+        cancel: CancelToken | None = None,
+        xid: int = 0,
+        replica_apply: bool = False,
+        admitted: bool = False,
+    ) -> None:
+        self.prog = prog
+        self.vers = vers
+        self.proc = proc
+        self.cred = cred
+        #: opaque identifier of the client connection (address or loopback tag)
+        self.client_id = client_id
+        #: scratch space shared by all calls on one connection
+        self.session = {} if session is None else session
+        #: at-most-once client identity (session token, or ``client_id`` fallback)
+        self.identity = identity
+        #: absolute expiry in the server clock domain (from AUTH_CALL_META)
+        self.deadline_ns = deadline_ns
+        #: call priority from AUTH_CALL_META (higher = more important)
+        self.priority = priority
+        #: cooperative cancellation latch; handlers check it at safe points
+        self.cancel = CancelToken() if cancel is None else cancel
+        #: transaction id of the call (with ``identity``, its at-most-once key)
+        self.xid = xid
+        #: the record arrived over a replication channel from the leader
+        self.replica_apply = replica_apply
+        #: the call holds an overload concurrency slot until it has run
+        self.admitted = admitted
 
 
 Handler = Callable[[memoryview, CallContext], msg.Payload]
-
-_NULL_GUARD = contextlib.nullcontext()
 
 #: what the overload queue's refusals look like on the wire
 _QUEUE_REFUSAL_STAT = {
@@ -193,10 +212,12 @@ class RpcServer:
         self._conns: set[socket.socket] = set()
         self._conn_threads: list[threading.Thread] = []
         # in-flight handler executions (drain mode waits for these) and
-        # their cancel tokens, keyed (identity, xid); one lock for both
+        # their cancel tokens, keyed (identity, xid); one lock for both,
+        # taken bare on the call path and through the condition by a drain
         self._inflight = 0
         self._inflight_calls: dict[tuple[str, int], CancelToken] = {}
-        self._inflight_cv = threading.Condition()
+        self._inflight_lock = threading.Lock()
+        self._inflight_cv = threading.Condition(self._inflight_lock)
         self._draining = False
         #: observer called after each freshly executed call (not for reply-
         #: cache hits) with ``(record, call, reply)`` -- ``record`` is the
@@ -334,10 +355,9 @@ class RpcServer:
                     self.server_stats.crc_rejected += 1
                 return None
         request = msg.RpcMessage.decode(record)
-        if not request.is_call:
-            return None
         call = request.body
-        assert isinstance(call, msg.CallBody)
+        if type(call) is not msg.CallBody:
+            return None
         # At-most-once identity: prefer the client-chosen session token
         # (stable across TCP reconnects, which change the source port and
         # therefore client_id) and fall back to the transport address.
@@ -347,12 +367,17 @@ class RpcServer:
         # equal ones, so a memoised identity changes migration payloads.
         identity = f"token:{token.hex()}" if token is not None else client_id
         cache_key = (identity, request.xid)
-        with self._stats_lock:
-            reply = self._reply_cache.get(cache_key)
-            if reply is not None:
-                self._reply_cache.move_to_end(cache_key)
-                self.duplicate_hits += 1
-                self.server_stats.reply_cache_hits += 1
+        reply = None
+        # A miss, the common case, takes no lock: the membership test is one
+        # atomic step, and a duplicate arriving while the first copy runs
+        # misses here as it missed a lookup under the lock.
+        if cache_key in self._reply_cache:
+            with self._stats_lock:
+                reply = self._reply_cache.get(cache_key)
+                if reply is not None:
+                    self._reply_cache.move_to_end(cache_key)
+                    self.duplicate_hits += 1
+                    self.server_stats.reply_cache_hits += 1
         if reply is None:
             ctx = self._context(
                 call, identity, request.xid, client_id, session, replica_apply
@@ -390,12 +415,12 @@ class RpcServer:
     ) -> CallContext:
         """What the checks and the handler get to know about the call."""
         ctx = CallContext(
-            prog=call.prog,
-            vers=call.vers,
-            proc=call.proc,
-            cred=call.cred,
+            call.prog,
+            call.vers,
+            call.proc,
+            call.cred,
             client_id=client_id,
-            session=session if session is not None else {},
+            session=session,
             identity=identity,
             xid=xid,
             replica_apply=replica_apply,
@@ -519,7 +544,7 @@ class RpcServer:
         """
         if self._overload is not None and self._overload.cancel(identity, xid):
             return True
-        with self._inflight_cv:
+        with self._inflight_lock:
             token = self._inflight_calls.get((identity, xid))
         if token is not None:
             token.cancel()
@@ -535,32 +560,36 @@ class RpcServer:
 
         Owns what brackets a handler: the in-flight accounting (drain waits
         on it, ``rpc_cancel`` finds the token there), the op-log guard and
-        giving the overload slot back.
+        giving the overload slot back.  Three lock round trips: into the
+        in-flight table, the reply cache (which counts the call too), out.
         """
         cache_key = (ctx.identity, ctx.xid)
-        with self._inflight_cv:
+        with self._inflight_lock:
             self._inflight += 1
             self._inflight_calls[cache_key] = ctx.cancel
-        # When a replication observer is installed, (execute, ship) must be
-        # atomic: if two concurrent mutating calls could execute in one
-        # order but enter the op-log in the other, the standby's replay
-        # would hand out different handles than the primary did.
-        guard = self._oplog_lock if self.on_executed is not None else _NULL_GUARD
+        observer = self.on_executed
         try:
-            with guard:
+            if observer is None:
                 stat, reply = self._execute(call, ctx)
-                reply = self._cache_reply(cache_key, reply)
-                if self.on_executed is not None:
+                reply = self._cache_reply(cache_key, reply, stat)
+            else:
+                # With a replication observer, (execute, ship) is atomic: if
+                # two concurrent mutating calls could execute in one order
+                # but enter the op-log in the other, the standby's replay
+                # would hand out different handles than the primary did.
+                with self._oplog_lock:
+                    stat, reply = self._execute(call, ctx)
                     # The observer may keep it: bytes of its own.
-                    reply = flatten(reply)
-                    self.on_executed(record, call, reply)
+                    reply = flatten(self._cache_reply(cache_key, reply, stat))
+                    observer(record, call, reply)
         finally:
             if ctx.admitted:
                 self._overload.release()
-            with self._inflight_cv:
+            with self._inflight_lock:
                 self._inflight_calls.pop(cache_key, None)
                 self._inflight -= 1
-                self._inflight_cv.notify_all()
+                if self._draining:
+                    self._inflight_cv.notify_all()
         if (
             ctx.deadline_ns is not None
             and stat == msg.SUCCESS
@@ -573,10 +602,14 @@ class RpcServer:
         return reply
 
     def _cache_reply(
-        self, cache_key: tuple[str, int], reply: Buffer | GatherRecord
+        self,
+        cache_key: tuple[str, int],
+        reply: Buffer | GatherRecord,
+        stat: int | None = None,
     ) -> Buffer | GatherRecord:
         """Insert into the reply cache, honouring entry and byte budgets;
-        returns the reply to send.
+        returns the reply to send.  ``stat``, the accept_stat of a fresh
+        execution, is counted under the same lock.
 
         Oversized replies (bulk-data reads like D2H memcpy or checkpoint
         blobs) are skipped entirely rather than letting one reply evict the
@@ -585,11 +618,18 @@ class RpcServer:
         first: the cache keeps bytes of its own, and the pin on device
         memory goes now.
         """
-        if self.reply_cache_size <= 0 or len(reply) > self.reply_cache_entry_bytes:
-            return reply
-        if type(reply) is GatherRecord:
+        cacheable = self.reply_cache_size > 0 and len(reply) <= self.reply_cache_entry_bytes
+        if cacheable and type(reply) is GatherRecord:
             reply = flatten(reply)
+        elif not cacheable and stat is None:
+            return reply
         with self._stats_lock:
+            if stat == msg.SUCCESS:
+                self.calls_served += 1
+            elif stat == msg.CALL_CANCELLED:
+                self.server_stats.cancelled_in_flight += 1
+            if not cacheable:
+                return reply
             old = self._reply_cache.pop(cache_key, None)
             if old is not None:
                 self._reply_cache_total -= len(old)
@@ -647,11 +687,6 @@ class RpcServer:
                 stat = msg.GARBAGE_ARGS
             except Exception:
                 stat = msg.SYSTEM_ERR
-        with self._stats_lock:
-            if stat == msg.SUCCESS:
-                self.calls_served += 1
-            elif stat == msg.CALL_CANCELLED:
-                self.server_stats.cancelled_in_flight += 1
         if reply is None:
             reply = self._control_reply(xid, stat)
         for tap in self.execution_taps:

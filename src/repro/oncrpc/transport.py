@@ -252,17 +252,20 @@ class _GatherStream:
         self._pending.extend(buffers)
 
     def recv_into(self, view: memoryview) -> int:
+        """Fill ``view`` from the queued buffers, as far as they reach (a
+        socket hands over whatever has arrived, across sends)."""
         pending = self._pending
-        if not pending:
-            return 0
-        head = pending[0]
-        count = min(len(view), len(head))
-        view[:count] = head[:count]
-        if count == len(head):
-            pending.popleft()
-        else:
-            pending[0] = memoryview(head)[count:]
-        return count
+        filled, room = 0, len(view)
+        while pending and filled < room:
+            head = pending[0]
+            count = min(room - filled, len(head))
+            view[filled : filled + count] = head[:count]
+            filled += count
+            if count == len(head):
+                pending.popleft()
+            else:
+                pending[0] = memoryview(head)[count:]
+        return filled
 
 
 class LoopbackTransport:

@@ -54,19 +54,22 @@ class ClientStub:
         return tuple(self._signatures)
 
     def __getattr__(self, name: str) -> Callable[..., Any]:
+        """Build a procedure's method on first use; it stays on the instance."""
         try:
             sig = self._signatures[name]
         except KeyError:
             raise AttributeError(f"no procedure {name!r} in this program") from None
+        client = self._client
 
         def invoke(*args: Any) -> Any:
             # The client packs the RPC header, then has the signature append
             # the arguments to the same encoder: one buffer per record.
-            raw = self._client.call_raw(sig.number, partial(sig.encode_args, args))
+            raw = client.call_raw(sig.number, partial(sig.encode_args, args))
             return sig.decode_result(raw)
 
         invoke.__name__ = name
         invoke.__doc__ = f"Remote procedure {name} (proc {sig.number})."
+        setattr(self, name, invoke)
         return invoke
 
     def call(self, name: str, *args: Any) -> Any:
@@ -77,7 +80,8 @@ class ClientStub:
         """Issue a procedure call without waiting for its reply; return its xid.
 
         Collect (and error-check) outstanding replies with
-        ``stub.client.flush_batch()``; any synchronous call flushes first.
+        ``stub.client.flush_batch()``.  Any synchronous call drains them
+        first and hands their results to ``stub.client.drain_observer``.
         The xid is the handle ``rpc_cancel`` takes to abort the call.
         """
         try:

@@ -135,6 +135,48 @@ class TestBatchedLaunches:
         with pytest.raises(CudaError):
             client.flush()
 
+    def test_flush_checks_replies_a_synchronous_call_drained(self):
+        """A synchronous call drains the batched replies off the wire before
+        it is sent; their statuses still reach flush()."""
+        server, client, fn = self._setup()
+        n = 128
+        a, b, c = (client.malloc(4 * n) for _ in range(3))
+        client.launch_kernel_batched(fn, (1, 1, 1), (128, 1, 1), (a, b, c, 1 << 20))
+        assert client.get_device_count() == 1  # drains the failed launch's reply
+        assert client.stub.client.pending_batched == 0
+        with pytest.raises(CudaError, match="batched cuLaunchKernel"):
+            client.flush()
+        client.flush()  # checked once: nothing left
+        client.device_synchronize()
+
+    def test_drained_replies_are_not_kept(self):
+        """Batched launches each followed by a synchronous call, and never a
+        flush(): the clients keep one failed status, not the replies, however
+        long that runs."""
+        _server, client, fn = self._setup()
+        n = 16
+        a, b, c = (client.malloc(4 * n) for _ in range(3))
+        rpc = client.stub.client
+
+        def held() -> int:
+            return sum(
+                len(value)
+                for obj in (client, client.stub, rpc)
+                for value in vars(obj).values()
+                if isinstance(value, (list, dict, set, tuple))
+            )
+
+        client.launch_kernel_batched(fn, (1, 1, 1), (16, 1, 1), (a, b, c, 1 << 20))
+        client.get_device_count()
+        before = held()
+        for _ in range(10_000):
+            client.launch_kernel_batched(fn, (1, 1, 1), (16, 1, 1), (a, b, c, n))
+            client.get_device_count()
+        assert held() == before
+        with pytest.raises(CudaError, match="batched cuLaunchKernel"):
+            client.flush()
+        client.flush()
+
     def test_flush_noop_without_pending(self):
         _server, client, _fn = self._setup()
         client.flush()  # nothing batched: no error

@@ -133,6 +133,21 @@ class TestModulesOverRpc:
         np.testing.assert_allclose(out, 7.0)
         client.module_unload(module)
 
+    def test_a_negative_count_is_refused_and_writes_nothing(self, client, server):
+        """saxpy with n = -5 once rewrote 251 of y's 256 floats: its views
+        of 4 * n bytes sliced from the end of the allocations."""
+        cubin = build_cubin_for_registry(server.device.registry, ["saxpy"])
+        meta = KernelMeta.from_kinds("saxpy", ("ptr", "ptr", "f32", "i32"))
+        fn = client.get_function(client.module_load(cubin), "saxpy", meta)
+        x, y = client.malloc(1024), client.malloc(1024)
+        client.memcpy_h2d(x, np.ones(256, np.float32).tobytes())
+        before = np.arange(256, dtype=np.float32).tobytes()
+        client.memcpy_h2d(y, before)
+        with pytest.raises(CudaError):
+            client.launch_kernel(fn, (1, 1, 1), (256, 1, 1), (y, x, 1.0, -5))
+        client.device_synchronize()
+        assert client.memcpy_d2h(y, 1024) == before
+
     def test_launch_without_module_meta(self, client):
         with pytest.raises(CudaError):
             client.launch_kernel(999, (1, 1, 1), (1, 1, 1), ())

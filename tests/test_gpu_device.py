@@ -122,6 +122,26 @@ class TestKernelExecution:
         with pytest.raises(GpuError):
             device.launch("_Z9nopKernelv", (0, 1, 1), (1, 1, 1), ())
 
+    @pytest.mark.parametrize(
+        "grid, block",
+        [((-1, -1, 1), (256, 1, 1)), ((1, 1, 1), (-2, -3, 1)), ((2, -1, -1), (-1, 1, 1))],
+    )
+    def test_negative_dimensions_are_degenerate_too(self, device, grid, block):
+        """Each of the six dimensions is checked, not only their product
+        (positive here: two negatives cancel)."""
+        with pytest.raises(GpuError, match="degenerate launch geometry"):
+            device.launch("_Z9nopKernelv", grid, block, ())
+        assert device.launch_count == 0
+
+    def test_negative_dimensions_through_the_runtime(self, device):
+        from repro.cuda import constants as C
+        from repro.cuda.runtime import CudaRuntime
+
+        runtime = CudaRuntime([device])
+        code = runtime.cudaLaunchKernel("_Z9nopKernelv", (-1, -1, 1), (256, 1, 1), ())
+        assert code != C.cudaSuccess
+        assert device.launch_count == 0
+
     def test_execute_false_skips_numerics_but_charges_time(self):
         device = GpuDevice(A100, execute=False, mem_bytes=MIB)
         n = 64
@@ -255,3 +275,31 @@ class TestCheckpoint:
         target.allocator.write(ptr, b"k" * 4096)
         assert target.allocator.read(ptr, 4096) == b"k" * 4096
         target.allocator.check_invariants()
+
+
+class TestNegativeSizes:
+    """A negative size once read as a Python negative slice: most of the
+    allocation, from the end."""
+
+    @pytest.fixture()
+    def buffer(self, device):
+        ptr = device.alloc(1024)
+        device.allocator.write(ptr, bytes(range(256)) * 4)
+        return ptr
+
+    @pytest.mark.parametrize("access", ["view", "read", "pin"])
+    def test_every_access_refuses_it(self, device, buffer, access):
+        from repro.gpu.errors import InvalidSizeError
+
+        with pytest.raises(InvalidSizeError):
+            getattr(device.allocator, access)(buffer, -8)
+        assert device.allocator.read(buffer, 1024) == bytes(range(256)) * 4
+        assert device.allocator.pinned_spans == 0
+
+    def test_it_maps_to_invalid_value(self):
+        from repro.cuda import constants as C
+        from repro.cuda.errors import code_for_exception
+        from repro.gpu.errors import InvalidSizeError
+
+        assert code_for_exception(InvalidSizeError("x")) == C.cudaErrorInvalidValue
+

@@ -72,12 +72,10 @@ class GpuSession:
         return DeviceBuffer(self, ptr, size)
 
     def upload(self, data: bytes | Any) -> DeviceBuffer:
-        """Allocate a buffer sized to ``data`` and upload it."""
-        import numpy as np
-
-        raw = data.tobytes() if isinstance(data, np.ndarray) else bytes(data)
-        buffer = self.alloc(len(raw))
-        buffer.write(raw)
+        """Allocate a buffer sized to ``data``, any buffer, and upload its
+        bytes (from where they are, unless the buffer is strided)."""
+        buffer = self.alloc(memoryview(data).nbytes)
+        buffer.write(data)
         return buffer
 
     def load_module(self, cubin_bytes: bytes) -> Module:

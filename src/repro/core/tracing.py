@@ -181,7 +181,7 @@ def attach_tracer(
     names = dict(proc_names or {})
     original = rpc_client.call_raw
 
-    def traced_call_raw(proc: int, args):
+    def traced_call_raw(proc: int, args, land=None):
         args_bytes = 0 if callable(args) else len(args)
 
         def measured(encoder) -> None:
@@ -193,7 +193,7 @@ def attach_tracer(
             args_bytes = len(encoder) - before
 
         start = clock.now_ns
-        result = original(proc, measured if callable(args) else args)
+        result = original(proc, measured if callable(args) else args, land)
         tracer.record(
             names.get(proc, f"proc_{proc}"), start, clock.now_ns, args_bytes, len(result)
         )

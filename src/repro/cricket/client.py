@@ -160,9 +160,12 @@ class CricketClient:
         def dispatch(record):
             return server_ref[0].dispatch_record(record, session=session)
 
+        def land(prefix):
+            return server_ref[0].land(prefix)
+
         client = cls._assemble(
             lambda probe, stats: LoopbackTransport(
-                dispatch, fragment_size=fragment_size, meter=meter
+                dispatch, fragment_size=fragment_size, meter=meter, land=land
             ),
             faults=faults,
             crc=bool(getattr(server, "crc_records", False)) if crc is None else crc,
@@ -534,11 +537,14 @@ class CricketClient:
     def memcpy_d2h(self, src: int, size: int) -> bytes:
         """Forward a device-to-host ``cudaMemcpy``; returns the payload.
 
-        The payload is copied out of the reply record as ``bytes`` -- one
-        copy, and what callers compare, hash and slice (a ``memoryview``
-        compares element by element, which costs more than the copy).
+        The payload is copied out of the reply as ``bytes`` -- one copy,
+        and what callers compare, hash and slice (a ``memoryview`` compares
+        element by element, which costs more than the copy).  Over TCP a
+        bulk payload is received in place, into the transport's arena
+        (:meth:`~repro.rpcl.stubgen.ClientStub.call_landing`), and copied
+        from there.
         """
-        res = self.stub.rpc_cudaMemcpyD2H(src, size)
+        res = self.stub.call_landing("rpc_cudaMemcpyD2H", size, src, size)
         self._check(res["err"], "cudaMemcpy D2H")
         return bytes(res["data"])
 
@@ -555,7 +561,7 @@ class CricketClient:
 
     def memcpy_d2h_async(self, src: int, size: int, stream: int) -> bytes:
         """Stream-ordered download into (modelled) pinned host memory."""
-        res = self.stub.rpc_cudaMemcpyD2HAsync(src, size, stream)
+        res = self.stub.call_landing("rpc_cudaMemcpyD2HAsync", size, src, size, stream)
         self._check(res["err"], "cudaMemcpyAsync D2H")
         return bytes(res["data"])
 

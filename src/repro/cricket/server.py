@@ -46,7 +46,9 @@ from repro.net.simclock import SimClock
 from repro.oncrpc.server import RpcServer
 from repro.resilience.health import BrownoutConfig, BrownoutController, LatencySLO
 from repro.resilience.overload import CallCancelledError, OverloadConfig
+from repro.rpcl.compiler import OpaqueSplit
 from repro.unikernel.presets import CRICKET_SERVER_DISPATCH_S
+from repro.xdr.encoder import BY_REFERENCE_BYTES
 
 _OK_PROP = {
     "name": "",
@@ -651,11 +653,16 @@ class CricketServer(RpcServer):
             self.brownout = controller
         self.interface = cricket_interface()
         self.implementation = CricketImplementation(self)
+        prog, vers = self.interface.prog_number, self.interface.vers_number
         self.register_program(
-            self.interface.prog_number,
-            self.interface.vers_number,
-            self.interface.make_server_dispatch(self.implementation),
+            prog, vers, self.interface.make_server_dispatch(self.implementation)
         )
+        for name, proc in PROCEDURES.items():
+            if proc.lands:
+                sig = self.interface.signatures[name]
+                self.landers[(prog, vers, sig.number)] = functools.partial(
+                    self._land_upload, sig.args_split
+                )
         # NULLPROC doubles as a lease heartbeat: the reconnect path probes
         # with it (cheap, idempotent), and an idle client keeping its lease
         # alive should not pay for a full procedure.
@@ -665,6 +672,18 @@ class CricketServer(RpcServer):
 
     def _null_heartbeat(self, args: bytes, ctx) -> bytes:
         return self.implementation.heartbeat(ctx=ctx)
+
+    def _land_upload(self, split: OpaqueSplit, args: memoryview):
+        """Lander of the procedures the table marks ``lands``: a bulk
+        payload is received into a landing sized against the allocation at
+        its destination on the current device, or staged when there is
+        none (and the call fails as it always did)."""
+        declared = split.declared(args)
+        if declared is None or declared[1] < BY_REFERENCE_BYTES:
+            return None
+        (dst, *_), size = declared
+        landing = self.devices[self.runtime._current].allocator._landing(dst, size)
+        return None if landing is None else (split.offset, landing)
 
     @property
     def device(self) -> GpuDevice:

@@ -13,7 +13,8 @@ CUDA error code in a small result struct (``int_result``, ``ptr_result``,
 
 What the ``.x`` file cannot say about a procedure -- does it change server
 state, may it skip the overload queue, does it run under the dispatch
-lock, which ledger entry does it create or destroy -- is said once, in
+lock, which ledger entry does it create or destroy, does its bulk argument
+go to device memory -- is said once, in
 :data:`PROCEDURES`.  The server, replication and the leadership fence read
 it from there; importing this module checks that the table and the
 compiled interface name exactly the same procedures.
@@ -61,10 +62,15 @@ class Procedure:
     #: ledger kind of the resource a successful call creates / destroys
     creates: str | None = None
     destroys: str | None = None
+    #: its bulk opaque is written to device memory at the pointer its first
+    #: argument names, so the server receives it into a landing sized
+    #: against that allocation (:class:`repro.gpu.memory.Landing`)
+    lands: bool = False
 
 
 _READ = Procedure()
 _WRITE = Procedure(mutating=True)
+_UPLOAD = Procedure(mutating=True, lands=True)
 
 
 def _creates(kind: str) -> Procedure:
@@ -91,11 +97,11 @@ PROCEDURES: dict[str, Procedure] = {
     # memory
     "rpc_cudaMalloc": _creates("allocations"),
     "rpc_cudaFree": _destroys("allocations"),
-    "rpc_cudaMemcpyH2D": _WRITE,
+    "rpc_cudaMemcpyH2D": _UPLOAD,
     "rpc_cudaMemcpyD2H": _READ,
     "rpc_cudaMemcpyD2D": _WRITE,
     "rpc_cudaMemset": _WRITE,
-    "rpc_cudaMemcpyH2DAsync": _WRITE,
+    "rpc_cudaMemcpyH2DAsync": _UPLOAD,
     "rpc_cudaMemcpyD2HAsync": _READ,
     # streams and events: record and wait-event mutate virtual-time state
     "rpc_cudaStreamCreate": _creates("streams"),
@@ -166,6 +172,10 @@ def _check_table(signatures) -> None:
         kinds = sorted(getattr(p, side) for p in PROCEDURES.values() if getattr(p, side))
         if kinds != sorted(LEDGER_KINDS):
             raise RuntimeError(f"procedure table {side} {kinds}, ledger kinds {LEDGER_KINDS}")
+    for name, proc in PROCEDURES.items():
+        split = signatures[name].args_split
+        if proc.lands and (split is None or split.prefix.format[:2] != ">Q"):
+            raise RuntimeError(f"{name} lands, but its arguments do not open with a pointer")
 
 
 _SIGNATURES = cricket_interface().signatures

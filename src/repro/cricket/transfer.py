@@ -29,6 +29,7 @@ from repro.gpu.device import GpuDevice
 from repro.net.link import LinkModel
 from repro.net.simclock import SimClock
 from repro.unikernel.platform import Platform
+from repro.xdr.encoder import Buffer
 
 
 class TransferMethod(enum.Enum):
@@ -125,11 +126,12 @@ class TransferEngine:
         self,
         method: TransferMethod,
         dst: int,
-        data: bytes,
+        data: Buffer,
         *,
         threads: int = 4,
     ) -> None:
-        """Host-to-device transfer with the chosen method."""
+        """Host-to-device transfer of the bytes of ``data`` (any buffer)
+        with the chosen method."""
         platform = self.client.platform
         if platform is not None and not supported_on(method, platform):
             raise NotImplementedError(
@@ -138,14 +140,13 @@ class TransferEngine:
         if method is TransferMethod.RPC_ARGS:
             self.client.memcpy_h2d(dst, data)
             return
+        nbytes = memoryview(data).nbytes
         if method is TransferMethod.PARALLEL_SOCKETS:
-            seconds = self.timing.parallel_sockets_s(
-                len(data), self.client_rate_Bps, threads
-            )
+            seconds = self.timing.parallel_sockets_s(nbytes, self.client_rate_Bps, threads)
         elif method is TransferMethod.IB_GPUDIRECT:
-            seconds = self.timing.ib_gpudirect_s(len(data))
+            seconds = self.timing.ib_gpudirect_s(nbytes)
         else:
-            seconds = self.timing.shared_memory_s(len(data))
+            seconds = self.timing.shared_memory_s(nbytes)
         self.device.allocator.write(dst, data)
         self.clock.advance_s(seconds)
 

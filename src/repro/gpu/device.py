@@ -30,6 +30,7 @@ from repro.gpu.sanitizer import SanitizerConfig
 from repro.gpu.stream import DEFAULT_STREAM, StreamTable
 from repro.gpu.timing import GpuTimingModel
 from repro.gpu.watchdog import KernelWatchdog
+from repro.xdr.encoder import Buffer
 
 
 class LaunchResult(NamedTuple):
@@ -238,11 +239,12 @@ class GpuDevice:
         self._check_fault()
         self.allocator.free(ptr)
 
-    def memcpy_h2d(self, dst: int, data: bytes) -> float:
-        """Copy host bytes to device; returns simulated seconds (PCIe)."""
+    def memcpy_h2d(self, dst: int, data: Buffer) -> float:
+        """Copy the bytes of a host buffer to the device; returns simulated
+        seconds (PCIe), charged for its ``nbytes``."""
         self._check_fault()
         self.allocator.write(dst, data)
-        return self.timing.memcpy_time_s(len(data))
+        return self.timing.memcpy_time_s(memoryview(data).nbytes)
 
     def memcpy_d2h(self, src: int, size: int) -> tuple[bytes, float]:
         """Copy device bytes to host; returns (data, simulated seconds)."""

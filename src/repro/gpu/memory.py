@@ -17,6 +17,10 @@ lives.  While an allocation is pinned it is copy-on-write: whatever would
 change its bytes in place first swaps a private copy of the array in, so the
 span keeps reading the bytes as of the copy and no writer (or free) ever
 waits for the span's reader.
+
+A host-to-device copy of a whole allocation does not copy either, when its
+payload was received into a :class:`Landing`: :meth:`DeviceAllocator.write`
+adopts the landing's array as the allocation's, by the same swap.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from repro.gpu.errors import (
     UseAfterFreeError,
 )
 from repro.gpu.sanitizer import POISON, Sanitizer, SanitizerConfig
+from repro.xdr.encoder import Buffer, flat_view
 
 #: env flag: verify allocator invariants after every mutating operation
 #: (expensive; CI soak jobs set it, production paths leave it unset)
@@ -106,6 +111,24 @@ class PinnedSpan(np.ndarray):
         self.unpin()
 
 
+class Landing(np.ndarray):
+    """A buffer a host-to-device payload is received into, before the call runs.
+
+    :meth:`DeviceAllocator._landing` sizes one against the allocation the
+    payload is for, and :meth:`DeviceAllocator.write` **adopts** its array
+    as that allocation's -- no copy -- when the write covers the whole
+    allocation and the allocation is still the one it was sized against;
+    otherwise the write copies from it, as from any buffer.  Until then it
+    is nobody's device memory: a call refused, deduplicated or dropped just
+    drops its landing.  Once adopted it *is* device memory, so whatever
+    keeps a request beyond its call copies the request out first.
+    """
+
+    # Set on the landing :meth:`DeviceAllocator._landing` hands out;
+    # cleared when it is adopted (a landing is adopted once at most).
+    _allocation: Allocation | None = None
+
+
 class DeviceAllocator:
     """First-fit free-list allocator over a bounded device memory.
 
@@ -138,14 +161,21 @@ class DeviceAllocator:
         #: compute-sanitizer state, or None when running unsanitized
         self.sanitizer = Sanitizer(sanitizer) if sanitizer is not None else None
         self._debug_invariants = os.environ.get(DEBUG_ALLOCATOR_ENV, "") not in ("", "0")
-        #: pins are taken under the server's dispatch lock and let go from
-        #: whichever thread sent the reply; this orders the two against
-        #: the copy-on-write swap
-        self._pin_lock = threading.RLock()
+        #: the allocator's lock.  Pins are taken under the server's dispatch
+        #: lock and let go from whichever thread sent the reply, and a
+        #: landing is sized on the thread receiving the request: this
+        #: orders all three against the array swaps (copy-on-write,
+        #: adoption) and against alloc and free
+        self._lock = threading.RLock()
         #: spans handed out by :meth:`pin` and not yet let go
         self.pinned_spans = 0
         #: allocations copied aside because a writer met a pin (instrumentation)
         self.cow_copies = 0
+        #: landings adopted as an allocation's array (instrumentation)
+        self.landings_adopted = 0
+        #: the array the last adoption swapped out, if nothing pinned it:
+        #: the next landing of its size (one per allocator, so per device)
+        self._spare: np.ndarray | None = None
 
     def _debug_check(self) -> None:
         if self._debug_invariants:
@@ -168,6 +198,10 @@ class DeviceAllocator:
         """
         if size < 0:
             raise ValueError("allocation size cannot be negative")
+        with self._lock:
+            return self._alloc(size)
+
+    def _alloc(self, size: int) -> int:
         span = _align_up(max(size, 1))
         redzone = self.sanitizer.config.redzone_bytes if self.sanitizer else 0
         total = span + 2 * redzone
@@ -218,6 +252,10 @@ class DeviceAllocator:
         """
         if size < 0:
             raise ValueError("allocation size cannot be negative")
+        with self._lock:
+            return self._alloc_at(addr, size)
+
+    def _alloc_at(self, addr: int, size: int) -> int:
         if addr in self._allocs:
             raise AllocationOverlapError(f"address {addr:#x} is already live")
         span = _align_up(max(size, 1))
@@ -267,6 +305,10 @@ class DeviceAllocator:
         """
         if addr == 0:
             return
+        with self._lock:
+            self._free_at(addr)
+
+    def _free_at(self, addr: int) -> None:
         allocation = self._allocs.pop(addr, None)
         if allocation is None:
             if self.sanitizer is not None:
@@ -411,7 +453,7 @@ class DeviceAllocator:
         until the span is unpinned, the allocation is copy-on-write.
         """
         allocation, offset = self._find(addr, size, mode="read")
-        with self._pin_lock:
+        with self._lock:
             array = allocation.data
             allocation.pins += 1
             self.pinned_spans += 1
@@ -422,7 +464,7 @@ class DeviceAllocator:
         return span
 
     def _unpin(self, span: PinnedSpan) -> None:
-        with self._pin_lock:
+        with self._lock:
             if span._allocator is None:
                 return  # let go already
             allocation, array = span._allocation, span._array
@@ -442,16 +484,88 @@ class DeviceAllocator:
         calls this first when the allocation is pinned.  A reset, restore or
         failover needs nothing: it builds new allocators and arrays.
         """
-        with self._pin_lock:
+        with self._lock:
             if allocation.pins:
                 allocation.data = allocation.data.copy()
                 allocation.pins = 0
                 self.cow_copies += 1
 
-    def write(self, addr: int, data: bytes | np.ndarray) -> None:
-        """Copy ``data`` into device memory at ``addr``."""
-        buf = np.frombuffer(data, dtype=np.uint8) if isinstance(data, (bytes, bytearray, memoryview)) else np.asarray(data, dtype=np.uint8).reshape(-1)
-        self.view(addr, buf.size)[:] = buf
+    def write(self, addr: int, data: Buffer) -> None:
+        """Copy the bytes of ``data`` into device memory at ``addr``.
+
+        ``data`` is any buffer -- its bytes, not its values: a ``float32``
+        array writes four bytes per element.  A view of a whole
+        :class:`Landing` whose write covers the whole allocation it was
+        sized against is adopted instead of copied (:meth:`_adopt`).
+        """
+        view = memoryview(data)
+        if not view.c_contiguous:  # its bytes in C order
+            view = memoryview(view.tobytes())
+        view = flat_view(view)
+        landing = view.obj
+        if type(landing) is Landing and landing._allocation is not None:
+            allocation, offset = self._find(addr, len(view), mode="write")
+            if (
+                allocation is landing._allocation
+                and not offset
+                and len(view) == len(landing) == allocation.size
+            ):
+                self._adopt(allocation, landing)
+                self._mark_dirty(addr, len(view))
+                self._debug_check()
+                return
+        self.view(addr, len(view))[:] = np.frombuffer(view, dtype=np.uint8)
+
+    def _landing(self, addr: int, size: int) -> Landing | None:
+        """A :class:`Landing` for ``size`` bytes to be written at ``addr``.
+
+        ``None`` unless ``[addr, addr + size)`` lies in one live
+        allocation: a write that cannot succeed is received as any other
+        record and fails in the call, as ever.  This only looks -- no
+        sanitizer verdict, no dirty page, nothing counted -- and takes the
+        allocator's lock, as alloc and free do, so it may run beside the
+        dispatch of other calls.  The landing is the spare array when that
+        has the size, else a fresh, uninitialised one.
+        """
+        with self._lock:
+            index = bisect.bisect_right(self._sorted_addrs, addr) - 1
+            if index < 0:
+                return None
+            allocation = self._allocs[self._sorted_addrs[index]]
+            if addr + size > allocation.addr + allocation.size:
+                return None
+            array = self._spare
+            if array is not None and array.size == size:
+                self._spare = None
+            else:
+                array = None
+        if array is None:
+            array = np.empty(size, dtype=np.uint8)
+        landing = array.view(Landing)
+        landing._allocation = allocation
+        return landing
+
+    def _adopt(self, allocation: Allocation, landing: Landing) -> None:
+        """Swap the landing's array in as ``allocation``'s, as
+        :meth:`_unshare` swaps a copy in: pinned spans keep the old array,
+        which nothing writes again, and the new one starts with no pins.
+        An old array nothing pinned becomes the spare.
+
+        That is sound because pins are the only holders of an allocation's
+        array beyond a call: every other user -- :meth:`view` (writes,
+        memsets, kernels, the libraries), :meth:`read`,
+        :meth:`copy_within`, checkpoints and dirty fragments -- slices or
+        copies it within the call that asked.
+        """
+        with self._lock:
+            old = allocation.data
+            allocation.data = landing.base
+            landing._allocation = None
+            self.landings_adopted += 1
+            if allocation.pins:
+                allocation.pins = 0
+            else:
+                self._spare = old
 
     def memset(self, addr: int, value: int, size: int) -> None:
         """Fill ``size`` bytes at ``addr`` with ``value``."""
@@ -658,7 +772,7 @@ class DeviceAllocator:
                 raise AssertionError("free list overlap")
             if a1 + s1 == a2:
                 raise AssertionError("free list not coalesced")
-        with self._pin_lock:  # spans are let go from other threads
+        with self._lock:  # spans are let go from other threads
             pins = 0
             for a in self._allocs.values():
                 if a.pins < 0:

@@ -52,10 +52,11 @@ from repro.oncrpc.errors import (
     RpcSystemError,
     RpcTimeoutError,
 )
-from repro.oncrpc.transport import Transport
+from repro.oncrpc.transport import Transport, awaiting
 from repro.resilience.retry import RetryPolicy, is_retryable
 from repro.resilience.stats import ResilienceStats
 from repro.xdr import XdrDecoder
+from repro.xdr.encoder import LandedRecord
 from repro.xdr.types import XdrType
 
 _xid_counter = itertools.count(0x10000000)
@@ -164,23 +165,31 @@ class RpcClient:
 
     # -- raw interface ------------------------------------------------------
 
-    def call_raw(self, proc: int, args: msg.Payload) -> memoryview:
+    def call_raw(
+        self, proc: int, args: msg.Payload, land: tuple[Any, int] | None = None
+    ) -> memoryview | LandedRecord:
         """Invoke ``proc``; return the raw result bytes.
 
         ``args`` is pre-encoded XDR or a writer (see
         :data:`repro.oncrpc.message.Payload`).  The result is a read-only
         view of the reply record; each reply has its own buffer, so the
         view stays valid for as long as it is referenced.
+
+        ``land`` -- ``(split, bound)``, the result's
+        :class:`~repro.rpcl.compiler.OpaqueSplit` and the most bytes its
+        opaque may have -- lets a TCP transport receive a bulk result in
+        place (:func:`~repro.oncrpc.transport.awaiting`); the result is then
+        a :class:`~repro.xdr.encoder.LandedRecord` the signature decodes.
         """
         xid = next(_xid_counter) & 0xFFFFFFFF
         self._note_xid(xid)
         try:
             if self.retry_policy is None:
                 result = self._call_once(
-                    xid, self._encode_call(xid, proc, args, None)
+                    xid, self._encode_call(xid, proc, args, None), land
                 )
             else:
-                result = self._call_with_retry(xid, proc, args)
+                result = self._call_with_retry(xid, proc, args, land)
         except BaseException as exc:
             if self.outcome_observer is not None:
                 self.outcome_observer(xid, proc, exc)
@@ -189,13 +198,19 @@ class RpcClient:
             self.outcome_observer(xid, proc, None)
         return result
 
-    def _call_once(self, xid: int, encoded: bytearray) -> memoryview:
+    def _call_once(
+        self, xid: int, encoded: bytearray, land: tuple[Any, int] | None = None
+    ) -> memoryview | LandedRecord:
         """The historical fail-fast path: one send, one receive."""
         with self._lock:
             if self._batched_xids:
                 self._drain_before_call_locked()
             self.transport.send_record(encoded)
-            reply_bytes = self.transport.recv_record()
+            if land is None:
+                reply_bytes = self.transport.recv_record()
+            else:
+                with awaiting(xid, *land):
+                    reply_bytes = self.transport.recv_record()
             self.calls_made += 1
         reply = msg.RpcMessage.decode(reply_bytes)
         if reply.xid != xid:
@@ -204,7 +219,9 @@ class RpcClient:
             )
         return self._unwrap_reply(reply)
 
-    def _call_with_retry(self, xid: int, proc: int, args: msg.Payload) -> memoryview:
+    def _call_with_retry(
+        self, xid: int, proc: int, args: msg.Payload, land: tuple[Any, int] | None = None
+    ) -> memoryview | LandedRecord:
         """Retransmit with backoff until success, fatal error or deadline."""
         policy = self.retry_policy
         assert policy is not None
@@ -231,7 +248,11 @@ class RpcClient:
                     if self._batched_xids:
                         self._drain_before_call_locked()
                     self.transport.send_record(encoded)
-                    reply = self._recv_matching_locked(xid)
+                    if land is None:
+                        reply = self._recv_matching_locked(xid)
+                    else:
+                        with awaiting(xid, *land):
+                            reply = self._recv_matching_locked(xid)
                     self.calls_made += 1
                 return self._unwrap_reply(reply)
             except Exception as exc:

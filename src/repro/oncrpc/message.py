@@ -44,7 +44,7 @@ from repro.oncrpc.auth import (
 )
 from repro.oncrpc.errors import RpcProtocolError
 from repro.xdr import XdrDecoder, XdrEncoder
-from repro.xdr.encoder import Buffer, GatherRecord, flat_view, flatten
+from repro.xdr.encoder import Buffer, GatherRecord, LandedRecord, flat_view, flatten
 from repro.xdr.plan import Defer
 
 RPC_VERSION = 2
@@ -312,6 +312,36 @@ def _parse(data: Buffer) -> "RpcMessage":
     return RpcMessage(xid, AcceptedReply(verf, stat), MSG_ACCEPTED)
 
 
+def peek(prefix: memoryview) -> "RpcMessage | None":
+    """The call or accepted reply whose header opens ``prefix``, the first
+    bytes of a record still being received: its ``args``/``results`` are
+    the buffered part, cut to whole words.  ``None`` when the compiled
+    parse cannot read it (the record is then staged and decoded in full).
+
+    The landing providers decide from this where a bulk opaque goes.  It
+    is :func:`_parse`, so a record is peeked with the header code that
+    decodes it.
+    """
+    try:
+        return _parse(prefix[: len(prefix) & ~3])
+    except Exception:
+        return None
+
+
+def _parse_landed(record: LandedRecord) -> "RpcMessage":
+    """:func:`_parse` of a landed record: the header from its head, and
+    ``args``/``results`` a landed record of what follows the header."""
+    message = _parse(record.head)
+    body = message.body
+    if type(body) is CallBody:
+        args = LandedRecord(body.args, record.landing, record.tail)
+        return _build(RpcMessage, (message.xid, body._replace(args=args), MSG_ACCEPTED))
+    if body.stat != SUCCESS:  # a landed reply has results
+        raise Defer
+    results = LandedRecord(body.results, record.landing, record.tail)
+    return _build(RpcMessage, (message.xid, body._replace(results=results), MSG_ACCEPTED))
+
+
 # -- the reference walk ------------------------------------------------------
 
 
@@ -386,12 +416,15 @@ class RpcMessage(
         return encode_reference(self)
 
     @classmethod
-    def decode(cls, data: Buffer | GatherRecord) -> "RpcMessage":
+    def decode(cls, data: Buffer | GatherRecord | LandedRecord) -> "RpcMessage":
         """Parse one record's payload into an :class:`RpcMessage`.
 
         ``args``/``results`` of the parsed body are read-only views of
         ``data``, which must stay unmodified while they are in use.  A
-        gather record is flattened first (and so released).
+        gather record is flattened first (and so released).  A landed
+        record keeps its landing: ``args``/``results`` are then a landed
+        record as well (see :class:`~repro.xdr.encoder.LandedRecord`), and
+        whatever the compiled parse cannot read of one is walked flattened.
         """
         if type(data) is GatherRecord:
             data = flatten(data)
@@ -399,4 +432,12 @@ class RpcMessage(
             return _parse(data)
         except Exception:
             pass
+        # A landed record is no buffer, so the compiled parse above failed
+        # on it; parsed here, it only costs the bulk path that exception.
+        if type(data) is LandedRecord:
+            try:
+                return _parse_landed(data)
+            except Exception:
+                pass
+            data = flatten(data)
         return decode_reference(data)

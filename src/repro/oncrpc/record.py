@@ -18,7 +18,9 @@ that list to the socket's scatter-gather ``sendmsg``.  Receiving,
 :class:`RecordReader` reads ahead into a small buffer of its own, so a
 small record and its mark arrive in one ``recv_into`` and are copied out,
 and has the stream fill a longer record in place, one ``bytearray`` per
-record grown a fragment at a time.
+record grown a fragment at a time -- or, when a landing provider says where
+the record's bulk payload is used, the payload straight into that buffer
+(a :class:`~repro.xdr.encoder.LandedRecord`).
 :func:`encode_record` -- which does build the framed copy, of the flattened
 record -- is the reference implementation the differential tests compare
 the wire bytes against; so is :func:`read_record_reference` for the reader.
@@ -33,7 +35,7 @@ import zlib
 from typing import Callable, Iterator
 
 from repro.oncrpc.errors import RpcIntegrityError, RpcProtocolError, RpcTransportError
-from repro.xdr.encoder import Buffer, GatherRecord, flatten
+from repro.xdr.encoder import Buffer, GatherRecord, LandedRecord, flatten
 
 LAST_FRAGMENT = 0x80000000
 MAX_FRAGMENT_PAYLOAD = 0x7FFFFFFF
@@ -232,14 +234,22 @@ def append_crc(record: Buffer | GatherRecord) -> Buffer | GatherRecord:
     return b"".join((record, trailer))
 
 
-def verify_crc(record: Buffer | GatherRecord) -> memoryview:
+def verify_crc(record: Buffer | GatherRecord | LandedRecord) -> memoryview | LandedRecord:
     """Verify and strip a trailer added by :func:`append_crc`.
 
     Returns the original payload as a read-only view of ``record`` (no
     copy; a gather record is flattened first); raises
     :class:`~repro.oncrpc.errors.RpcIntegrityError` (retryable) when the
-    trailer is missing or does not match.
+    trailer is missing or does not match.  A landed record whose tail holds
+    the trailer is checked segment by segment and comes back a landed
+    record, its tail a view that stops before the trailer.
     """
+    if type(record) is LandedRecord and len(record.tail) >= CRC_TRAILER_BYTES:
+        tail = memoryview(record.tail).toreadonly()
+        crc = zlib.crc32(record.head)
+        crc = zlib.crc32(record.landing, crc)
+        _check_crc(zlib.crc32(tail[:-CRC_TRAILER_BYTES], crc), tail)
+        return LandedRecord(record.head, record.landing, tail[:-CRC_TRAILER_BYTES])
     record = flatten(record)
     if len(record) < CRC_TRAILER_BYTES:
         raise RpcIntegrityError(
@@ -247,13 +257,34 @@ def verify_crc(record: Buffer | GatherRecord) -> memoryview:
         )
     view = memoryview(record).toreadonly()
     payload = view[:-CRC_TRAILER_BYTES]
+    _check_crc(zlib.crc32(payload), view)
+    return payload
+
+
+def _check_crc(crc: int, view: memoryview) -> None:
+    """Raise unless ``crc`` is the trailer that ends ``view``."""
+    actual = crc & 0xFFFFFFFF
     expected = int.from_bytes(view[-CRC_TRAILER_BYTES:], "big")
-    actual = zlib.crc32(payload) & 0xFFFFFFFF
     if actual != expected:
         raise RpcIntegrityError(
             f"CRC32 mismatch: computed {actual:#010x}, trailer {expected:#010x}"
         )
-    return payload
+
+
+#: What a :class:`RecordReader` asks before it receives a long record in
+#: place: handed the buffered start of a record whose first fragment
+#: outruns the read-ahead buffer (a read-only view, valid during the call),
+#: it answers ``None`` -- stage the record -- or ``(offset, buffer)``: the
+#: record's ``len(buffer)`` bytes from ``offset`` on go straight into
+#: ``buffer`` (a writable one-dimensional byte buffer), and ``offset`` lies
+#: within the bytes it was handed.
+LandingProvider = Callable[[memoryview], "tuple[int, Buffer] | None"]
+
+
+def _grow(record: bytearray, length: int) -> None:
+    """Extend ``record`` by ``length`` bytes of room for a fragment, no further."""
+    for room in range(length, 0, -len(_ZEROS)):
+        record += _ZEROS[:room]
 
 
 class RecordReader:
@@ -272,6 +303,14 @@ class RecordReader:
     rest filled in place by the stream.  Bytes read ahead belong to the
     reader: they are the next record's, and go with the reader (a transport
     that reconnects builds a new one).
+
+    With a landing provider (``land``), a record whose first fragment
+    outruns the read-ahead buffer is first offered to it, and one it lands
+    is received in three pieces across any fragmentation -- its head, the
+    landed payload straight into the provider's buffer, the tail -- and
+    handed up as a :class:`~repro.xdr.encoder.LandedRecord` whose
+    flattening is the record the reader would have staged.  A record that
+    ends before the payload does is handed up flat, as staged.
 
     Parameters
     ----------
@@ -294,6 +333,8 @@ class RecordReader:
         is treated as hostile and rejected before any payload is buffered.
         The record grows by one declared fragment at a time, so this is
         also the most a forged header can make the reader allocate.
+    land:
+        The :data:`LandingProvider`, or ``None`` to stage every record.
     """
 
     def __init__(
@@ -303,6 +344,7 @@ class RecordReader:
         recv_into: Callable[[memoryview], int] | None = None,
         max_record_size: int = 1 << 31,
         max_fragment_size: int = DEFAULT_MAX_FRAGMENT,
+        land: LandingProvider | None = None,
     ) -> None:
         if (read is None) == (recv_into is None):
             raise TypeError("RecordReader takes exactly one of read and recv_into")
@@ -310,6 +352,7 @@ class RecordReader:
         self._recv_into = recv_into if recv_into is not None else self._read_into
         self._max_record_size = max_record_size
         self._max_fragment_size = max_fragment_size
+        self._land = land
         # The read-ahead buffer, allocated now (never mid-call, where it
         # would pin heap pages beside a call's bulk buffers); the bytes
         # read and not yet handed up are _ahead[_pos:_end].
@@ -326,7 +369,23 @@ class RecordReader:
         view[: len(chunk)] = chunk
         return len(chunk)
 
-    def read_record(self) -> bytearray | None:
+    def _refusal(self, length: int, start: int) -> RpcProtocolError:
+        """Why a fragment of ``length`` bytes, after ``start`` bytes of its
+        record, cannot be read."""
+        if length > self._max_fragment_size:
+            return RpcProtocolError(
+                f"fragment declares {length} bytes, above the "
+                f"{self._max_fragment_size}-byte limit"
+            )
+        if start + length > self._max_record_size:
+            return RpcProtocolError(
+                f"record exceeds maximum size ({start + length} > {self._max_record_size})"
+            )
+        # A zero-length non-terminal fragment makes no progress; treat it
+        # as a protocol violation to avoid spinning forever.
+        return RpcProtocolError("zero-length non-terminal fragment")
+
+    def read_record(self) -> bytearray | LandedRecord | None:
         """Read and reassemble the next record.
 
         Returns ``None`` on a clean end-of-stream *between* records; raises
@@ -355,21 +414,13 @@ class RecordReader:
                 pos += 4
                 last = word & LAST_FRAGMENT
                 length = word & MAX_FRAGMENT_PAYLOAD
-                if length > self._max_fragment_size:
-                    raise RpcProtocolError(
-                        f"fragment declares {length} bytes, above the "
-                        f"{self._max_fragment_size}-byte limit"
-                    )
                 start = 0 if record is None else len(record)
-                if start + length > self._max_record_size:
-                    raise RpcProtocolError(
-                        "record exceeds maximum size "
-                        f"({start + length} > {self._max_record_size})"
-                    )
-                if not (length or last):
-                    # A zero-length non-terminal fragment makes no progress;
-                    # treat it as a protocol violation to avoid spinning forever.
-                    raise RpcProtocolError("zero-length non-terminal fragment")
+                if (
+                    length > self._max_fragment_size
+                    or start + length > self._max_record_size
+                    or not (length or last)
+                ):
+                    raise self._refusal(length, start)
                 wire_bytes += 4 + length
                 buffered = min(length, end - pos)
                 if record is None and buffered == length:  # all buffered: one copy
@@ -377,9 +428,12 @@ class RecordReader:
                     pos += length
                 elif length:
                     if record is None:
+                        if self._land is not None:
+                            landing = self._land(ahead_view[pos : pos + buffered].toreadonly())
+                            if landing is not None and landing[0] <= buffered:
+                                break  # received in place, below
                         record = bytearray()
-                    for room in range(length, 0, -len(_ZEROS)):
-                        record += _ZEROS[:room]  # room for this fragment, no further
+                    _grow(record, length)
                     # The view pins the record only while it is filled: a
                     # bytearray with a live view cannot grow again.
                     with memoryview(record) as view:
@@ -399,6 +453,90 @@ class RecordReader:
                     return record
         finally:
             self._pos, self._end = (pos, end) if pos < end else (0, 0)
+        return self._read_landed(landing, length, last, wire_bytes)
+
+    def _read_landed(
+        self, landing: tuple[int, Buffer], length: int, last: int, wire_bytes: int
+    ) -> bytearray | LandedRecord:
+        """The rest of :meth:`read_record` for a record the provider landed.
+
+        The record's first fragment, ``length`` bytes, starts at the
+        read-ahead position, and the provider saw all of the head there.
+        Every later mark is read and checked as :meth:`read_record` does.
+        """
+        offset, buffer = landing
+        payload = memoryview(buffer)
+        stop = offset + len(payload)  # where the payload ends in the record
+        pos = self._pos
+        head = self._ahead[pos : pos + offset]
+        self._pos, self._end = (pos + offset, self._end) if pos + offset < self._end else (0, 0)
+        tail = bytearray()
+        at, first = offset, 0  # record bytes received; where this fragment began
+        while True:
+            fragment_end = first + length
+            if at < stop:
+                count = min(fragment_end, stop) - at
+                self._fill(payload[at - offset : at - offset + count], at - first, length)
+                at += count
+            if at < fragment_end:
+                start = len(tail)
+                _grow(tail, fragment_end - at)
+                with memoryview(tail) as view:
+                    self._fill(view[start:], at - first, length)
+                at = fragment_end
+            if last:
+                break
+            last, length = self._next_mark(at)
+            wire_bytes += 4 + length
+            first = at
+        self.wire_bytes = wire_bytes
+        if at < stop:  # the record ended inside the payload: staged after all
+            return bytearray().join((head, payload[: at - offset]))
+        return LandedRecord(head, buffer, tail)
+
+    def _fill(self, view: memoryview, done: int, length: int) -> None:
+        """Fill ``view`` with the record's next bytes: those read ahead, then
+        straight from the stream.  ``done`` of the current fragment's
+        ``length`` bytes came before (for the error)."""
+        pos, end = self._pos, self._end
+        filled = min(len(view), end - pos)
+        view[:filled] = self._ahead_view[pos : pos + filled]
+        pos += filled
+        self._pos, self._end = (pos, end) if pos < end else (0, 0)
+        while filled < len(view):
+            count = self._recv_into(view[filled:])
+            if not count:
+                raise RpcTransportError(
+                    f"connection closed mid-record ({done + filled}/{length} bytes)"
+                )
+            filled += count
+
+    def _next_mark(self, start: int) -> tuple[int, int]:
+        """``(last, length)`` of the next fragment of a record that has
+        ``start`` bytes so far, read and checked as :meth:`read_record` does."""
+        ahead, pos, end = self._ahead, self._pos, self._end
+        if end - pos < 4:
+            kept = end - pos
+            ahead[:kept] = ahead[pos:end]
+            pos, end = 0, kept
+            while end < 4:
+                got = self._recv_into(self._ahead_view[end:])
+                if not got:
+                    self._pos, self._end = pos, end
+                    raise RpcTransportError("connection closed mid-fragment-header")
+                end += got
+        (word,) = _MARK.unpack_from(ahead, pos)
+        pos += 4
+        self._pos, self._end = (pos, end) if pos < end else (0, 0)
+        last = word & LAST_FRAGMENT
+        length = word & MAX_FRAGMENT_PAYLOAD
+        if (
+            length > self._max_fragment_size
+            or start + length > self._max_record_size
+            or not (length or last)
+        ):
+            raise self._refusal(length, start)
+        return last, length
 
 
 def read_record_reference(

@@ -14,6 +14,10 @@ result where it lives -- a pinned span of device memory -- and the reply is
 then a :class:`~repro.xdr.encoder.GatherRecord` that is sent from there and
 released once sent; whatever the server keeps beyond the send (the reply
 cache, the op-log observer's reply) is flattened into bytes it owns first.
+The readers feeding a server ask :meth:`RpcServer.land` where a bulk
+argument goes, so a request may arrive as a
+:class:`~repro.xdr.encoder.LandedRecord`, its payload already in a buffer
+the handler can adopt; it takes the same path as any record.
 RPC-level failures (unknown program/version/procedure, undecodable
 arguments, handler crash) are mapped onto the proper ``accept_stat`` replies
 rather than tearing down the connection.
@@ -71,7 +75,7 @@ from repro.resilience.overload import (
     OverloadController,
 )
 from repro.resilience.stats import ServerStats
-from repro.xdr.encoder import GatherRecord, flatten
+from repro.xdr.encoder import GatherRecord, LandedRecord, flatten
 from repro.xdr.errors import XdrError
 
 
@@ -128,6 +132,13 @@ class CallContext:
 
 Handler = Callable[[memoryview, CallContext], msg.Payload]
 
+#: Where one procedure's bulk opaque may land: handed the buffered start of
+#: a call's arguments, it answers ``None`` or ``(offset, buffer)`` -- the
+#: arguments' bytes from ``offset`` on, ``len(buffer)`` of them, are the
+#: opaque's, to be received into ``buffer`` (see
+#: :data:`repro.oncrpc.record.LandingProvider`).
+Lander = Callable[[memoryview], "tuple[int, Buffer] | None"]
+
 #: what the overload queue's refusals look like on the wire
 _QUEUE_REFUSAL_STAT = {
     OverloadController.BUSY: msg.RPC_BUSY,
@@ -182,6 +193,8 @@ class RpcServer:
         overload: OverloadConfig | None = None,
     ) -> None:
         self._programs: dict[tuple[int, int], dict[int, Handler]] = {}
+        #: landers by (prog, vers, proc), consulted by :meth:`land`
+        self.landers: dict[tuple[int, int, int], Lander] = {}
         self.fragment_size = fragment_size
         self.max_record_size = max_record_size
         #: server clock domain: propagated deadlines (relative budgets in
@@ -301,6 +314,29 @@ class RpcServer:
             return None
         return min(versions), max(versions)
 
+    # -- landing: where a bulk argument is received -------------------------
+
+    def land(self, prefix: memoryview) -> tuple[int, Buffer] | None:
+        """The landing provider of the readers that feed this server.
+
+        Peeks at the call header in ``prefix`` with the header code that
+        decodes calls (:func:`repro.oncrpc.message.peek`) and asks the
+        procedure's lander, if it has one, where the rest goes.  Nothing is
+        decided here that :meth:`dispatch_record` does not decide again:
+        the landed record is verified, deduplicated, admitted and decoded
+        like any other, and a landing nobody writes is just dropped.
+        """
+        message = msg.peek(prefix)
+        if message is None or type(message.body) is not msg.CallBody:
+            return None
+        call = message.body
+        lander = self.landers.get((call.prog, call.vers, call.proc))
+        landing = None if lander is None else lander(call.args)
+        if landing is None:
+            return None
+        offset, buffer = landing
+        return (len(prefix) & ~3) - len(call.args) + offset, buffer
+
     # -- dispatch ---------------------------------------------------------
 
     def dispatch_record(
@@ -318,7 +354,9 @@ class RpcServer:
         (:meth:`_build_admission`) and run (:meth:`_run`), or refuse.
 
         ``record`` is only read, and must stay unmodified afterwards: the
-        decoded call and the op-log observer keep it, or views of it.  The
+        decoded call and the op-log observer keep it, or views of it.  A
+        :class:`~repro.xdr.encoder.LandedRecord` (a reader's, see
+        :meth:`land`) takes the same path; the observer gets it flattened.  The
         reply is a buffer of its own, shared with the reply cache and the
         op-log observer -- callers send it, they do not modify it.  Or it
         is a :class:`~repro.xdr.encoder.GatherRecord` that nobody else
@@ -578,10 +616,16 @@ class RpcServer:
                 # but enter the op-log in the other, the standby's replay
                 # would hand out different handles than the primary did.
                 with self._oplog_lock:
+                    kept = call
+                    if type(record) is LandedRecord:
+                        # The observer keeps the request, and once the call
+                        # has run a landing may be device memory: copy first.
+                        record = flatten(record)
+                        kept = msg.RpcMessage.decode(record).body
                     stat, reply = self._execute(call, ctx)
                     # The observer may keep it: bytes of its own.
                     reply = flatten(self._cache_reply(cache_key, reply, stat))
-                    observer(record, call, reply)
+                    observer(record, kept, reply)
         finally:
             if ctx.admitted:
                 self._overload.release()
@@ -742,6 +786,7 @@ class RpcServer:
         reader = RecordReader(
             recv_into=lambda view: self._recv(conn, view),
             max_record_size=self.max_record_size,
+            land=self.land,
         )
         try:
             while not self._shutdown.is_set():

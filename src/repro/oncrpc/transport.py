@@ -17,7 +17,10 @@ where it lives; every transport puts the same bytes on the wire for both.
 ``send_record`` owns the record it is given until it returns (a
 :class:`ChecksummedTransport` appends its trailer to a ``bytearray`` in
 place); ``recv_record`` hands up a contiguous buffer that belongs to the
-caller and is never reused.
+caller and is never reused -- or, for the reply a client awaits with a
+bulk result (:func:`awaiting`), a :class:`~repro.xdr.encoder.LandedRecord`
+whose payload was received into the transport's arena, reused only once
+nothing views it any more.
 
 Transports accept an optional :class:`TransportMeter`, the hook through
 which the platform timing models (:mod:`repro.unikernel`) charge simulated
@@ -26,22 +29,25 @@ time for every byte crossing the virtual network.
 
 from __future__ import annotations
 
+import contextlib
 import socket
 import threading
 from collections import deque
-from typing import Callable, Protocol
+from typing import Any, Callable, Iterator, Protocol
 
+from repro.oncrpc import message as msg
 from repro.oncrpc.errors import RpcTimeoutError, RpcTransportError
 from repro.oncrpc.record import (
     DEFAULT_FRAGMENT_SIZE,
     Buffer,
+    LandingProvider,
     RecordReader,
     append_crc,
     gather_fragments,
     sendmsg_all,
     verify_crc,
 )
-from repro.xdr.encoder import GatherRecord, flatten
+from repro.xdr.encoder import BY_REFERENCE_BYTES, GatherRecord, LandedRecord, flatten
 
 # The reference framing.  The transports send ``gather_fragments`` lists;
 # the name stays importable from here because ``bench/trace.py`` rebinds it
@@ -89,6 +95,26 @@ class Transport(Protocol):
     def close(self) -> None:
         """Release transport resources."""
         ...
+
+
+#: The reply the calling thread's RPC client awaits and may land, set by
+#: :func:`awaiting` around that call: ``(xid, split, bound)``.  A client
+#: receives on its own thread, through whatever wrappers its stack has, so
+#: the expectation reaches the :class:`TcpTransport` at the bottom this way.
+_awaited = threading.local()
+
+
+@contextlib.contextmanager
+def awaiting(xid: int, split: Any, bound: int) -> Iterator[None]:
+    """While the calling thread receives the reply to ``xid``, its result's
+    bulk opaque -- where ``split`` (a
+    :class:`~repro.rpcl.compiler.OpaqueSplit`) says, at most ``bound``
+    bytes -- may land in the receiving transport's arena."""
+    _awaited.reply = (xid, split, bound)
+    try:
+        yield
+    finally:
+        _awaited.reply = None
 
 
 def reconnect_if_supported(transport: Transport, *, force: bool = False) -> None:
@@ -141,8 +167,47 @@ class TcpTransport:
             raise RpcTransportError(f"connect to {host}:{port} failed: {exc}") from exc
         self._sock.settimeout(self.io_timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._reader = RecordReader(recv_into=self._recv)
+        self._reader = RecordReader(recv_into=self._recv, land=self._land)
         self._closed = False
+        #: where awaited bulk results land, sized to the largest so far
+        self._arena: bytearray | None = None
+
+    def _land(self, prefix: memoryview) -> tuple[int, memoryview] | None:
+        """The reader's landing provider: the awaited reply's bulk result
+        goes into the arena (see :func:`awaiting`)."""
+        awaited = getattr(_awaited, "reply", None)
+        if awaited is None:
+            return None
+        xid, split, bound = awaited
+        message = msg.peek(prefix)
+        if (
+            message is None
+            or message.xid != xid
+            or type(message.body) is not msg.AcceptedReply
+            or message.body.stat != msg.SUCCESS
+        ):
+            return None
+        results = message.body.results
+        declared = split.declared(results)
+        if declared is None or not BY_REFERENCE_BYTES <= declared[1] <= bound:
+            return None
+        offset = (len(prefix) & ~3) - len(results) + split.offset
+        return offset, self._arena_view(declared[1])
+
+    def _arena_view(self, size: int) -> memoryview:
+        """``size`` bytes of the arena.  The arena is reused only if it can
+        be resized, which is exactly when nothing views it -- every earlier
+        result handed up from it is gone; else a new one is made."""
+        arena = self._arena
+        if arena is not None:
+            try:
+                arena.append(0)
+                del arena[-1]
+            except BufferError:
+                arena = None
+        if arena is None or len(arena) < size:
+            arena = self._arena = bytearray(size)
+        return memoryview(arena)[:size]
 
     def _recv(self, view: memoryview) -> int:
         """Block until the socket has put some bytes into ``view``."""
@@ -170,7 +235,7 @@ class TcpTransport:
             raise RpcTransportError(f"send failed: {exc}") from exc
         self.meter.on_send(sent)
 
-    def recv_record(self) -> bytearray:
+    def recv_record(self) -> bytearray | LandedRecord:
         if self._closed:
             raise RpcTransportError("transport is closed")
         record = self._reader.read_record()
@@ -219,11 +284,12 @@ class ChecksummedTransport:
         """
         self.inner.send_record(append_crc(record))
 
-    def recv_record(self) -> memoryview:
+    def recv_record(self) -> memoryview | LandedRecord:
         """Receive one record, verifying and stripping its trailer.
 
         The result is a read-only view of the record the inner transport
-        handed up (all of it but the trailer), not a copy.
+        handed up (all of it but the trailer), not a copy -- of a landed
+        record, a landed record again (:func:`verify_crc`).
         """
         record = self.inner.recv_record()
         try:
@@ -274,8 +340,10 @@ class LoopbackTransport:
     ``dispatch`` receives one record's payload (an encoded ``rpc_msg``) and
     returns the reply record payload, or ``None`` for one-way calls.  The
     request is framed and reassembled exactly as over TCP -- same gather
-    list, same :class:`~repro.oncrpc.record.RecordReader` -- so the server
-    works on its own copy of the record, as it would behind a socket.  The
+    list, same :class:`~repro.oncrpc.record.RecordReader`, given the
+    server's landing provider as ``land`` (:meth:`RpcServer.land
+    <repro.oncrpc.server.RpcServer.land>`) -- so the server works on its
+    own copy of the record, as it would behind a socket.  The
     reply is queued flattened: a gather reply is copied out once (the copy
     a socket makes) and released, so what waits here owns its bytes and
     pins nothing; a plain reply is queued as the server encoded it.  It is
@@ -289,13 +357,14 @@ class LoopbackTransport:
         *,
         fragment_size: int = DEFAULT_FRAGMENT_SIZE,
         meter: TransportMeter | None = None,
+        land: LandingProvider | None = None,
     ) -> None:
         self._dispatch = dispatch
         self.fragment_size = fragment_size
         self.meter = meter or NullMeter()
         self._pending: deque[Buffer] = deque()
         self._wire = _GatherStream()
-        self._reader = RecordReader(recv_into=self._wire.recv_into)
+        self._reader = RecordReader(recv_into=self._wire.recv_into, land=land)
         self._lock = threading.Lock()
         self._closed = False
 

@@ -133,7 +133,8 @@ class LoopbackEndpoint:
             return reply
 
         return LoopbackTransport(
-            dispatch, fragment_size=self.fragment_size, meter=self.meter
+            dispatch, fragment_size=self.fragment_size, meter=self.meter,
+            land=self.server.land,
         )
 
 

@@ -255,6 +255,8 @@ class FaultInjectingTransport:
         As in :meth:`send_record`, every rate is drawn before any fault is
         applied, so drop/truncate outcomes (including scripted
         ``drop_reply_first`` triggers) never shift the decision stream.
+        A record that is cut, changed or stashed is flattened first: a
+        landed one is a view of its transport's arena.
         """
         self._check_broken()
         plan = self.plan
@@ -273,12 +275,13 @@ class FaultInjectingTransport:
                 raise RpcTransportError("injected reply loss")
             if truncate_hit and len(record) > 4:
                 self._fault("truncate")
-                return record[: len(record) // 2]
+                return flatten(record)[: len(record) // 2]
             if self._replies_seen <= plan.corrupt_reply_first or corrupt_hit:
                 self._fault("corrupt")
                 record = self._flip_byte(record)
             if duplicate_hit:
                 self._fault("duplicate")
+                record = flatten(record)
                 self._stash.append(record)
         return record
 

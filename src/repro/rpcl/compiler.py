@@ -9,8 +9,9 @@ rpcgen supports them, so we do too via lazy references).
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.rpcl import ast
 from repro.rpcl.errors import RpclSemanticError
@@ -35,9 +36,9 @@ from repro.xdr import (
     VarArray,
     VarOpaque,
 )
-from repro.xdr.decoder import XdrDecoder
-from repro.xdr.encoder import Buffer, GatherRecord, XdrEncoder
-from repro.xdr.plan import Plan, compile_plan
+from repro.xdr.decoder import DEFAULT_MAX_ITEM_BYTES, XdrDecoder
+from repro.xdr.encoder import Buffer, GatherRecord, LandedRecord, XdrEncoder, flatten
+from repro.xdr.plan import Plan, compile_plan, fixed_format
 from repro.xdr.types import XdrType, _BaseType
 
 _PRIMITIVES: dict[str, XdrType] = {
@@ -85,6 +86,108 @@ class LazyRef(_BaseType):
         return self._target().decode(decoder)
 
 
+class OpaqueSplit(NamedTuple):
+    """Where a signature's bulk opaque sits, when it can be landed.
+
+    A run of members whose first variable-length field is a
+    variable-length opaque preceded only by fixed-width fields (``int``,
+    ``unsigned``, ``hyper``, ``unsigned hyper``, ``float``, ``double`` and
+    structs of them) has the opaque's bytes at a fixed ``offset``: after
+    those fields (``prefix``) and the opaque's length word.  A receiver can
+    then tell from a record's first bytes how long the opaque is and have
+    its bytes received straight into a buffer of its choosing (a
+    :class:`~repro.xdr.encoder.LandedRecord`).
+    """
+
+    #: the fixed-width fields before the opaque, in wire order
+    prefix: struct.Struct
+    #: bytes before the opaque's bytes: ``prefix`` and the length word
+    offset: int
+    #: where the opaque sits in the decoded value: indexes and field names
+    path: tuple[Any, ...]
+    #: the longest opaque a decoder accepts (its declared bound, else the
+    #: decoder's ceiling)
+    limit: int
+
+    def declared(self, data: Buffer) -> tuple[tuple[Any, ...], int] | None:
+        """``(fixed field values, opaque length)`` read from the start of
+        ``data``, or ``None`` if it is too short or the length is over
+        :attr:`limit` (a record a decoder refuses is not landed)."""
+        if len(data) < self.offset:
+            return None
+        values = self.prefix.unpack_from(data)
+        size = int.from_bytes(data[self.offset - 4 : self.offset], "big")
+        return (values, size) if size <= self.limit else None
+
+    def decode(self, plan: Plan, record: LandedRecord) -> Any:
+        """``plan.decode(flatten(record))``, with the opaque a read-only
+        view of ``record.landing`` instead of a copy.
+
+        The fields around it are decoded by ``plan`` from head and tail
+        with the opaque's bytes left out -- padding checked, every byte
+        consumed.  Anything that is not a well-formed split of this shape
+        is decoded flattened, which raises what the record deserves.
+        """
+        head, tail = record.head, record.tail
+        size = len(record.landing)
+        pad = -size & 3
+        if (
+            len(head) == self.offset
+            and int.from_bytes(head[-4:], "big") == size <= self.limit
+            and len(tail) >= pad
+            and not any(tail[:pad])
+        ):
+            around = bytearray(head)
+            around[-4:] = bytes(4)  # an empty opaque in the landed one's place
+            around += tail[pad:]
+            value = plan.decode(around)
+            return _placed(value, self.path, memoryview(record.landing).toreadonly())
+        return plan.decode(flatten(record))
+
+
+def _placed(value: Any, path: tuple[Any, ...], opaque: memoryview) -> Any:
+    """``value`` with the member at ``path`` replaced by ``opaque``."""
+    if not path:
+        return opaque
+    key, rest = path[0], path[1:]
+    if type(value) is tuple:
+        return value[:key] + (_placed(value[key], rest, opaque),) + value[key + 1 :]
+    value[key] = _placed(value[key], rest, opaque)  # a struct's dict
+    return value
+
+
+def opaque_split(types: tuple[XdrType, ...], *, single: bool = False) -> OpaqueSplit | None:
+    """The :class:`OpaqueSplit` of ``types`` (one bare value with
+    ``single``), or ``None`` when its first variable-length field is not an
+    opaque or something else precedes it."""
+    formats: list[str] = []
+
+    def walk(xdr_type: XdrType, path: tuple[Any, ...]) -> OpaqueSplit | bool:
+        """The split, once the opaque is found; True to walk on, False to give up."""
+        fmt = fixed_format(xdr_type)
+        if fmt is not None:
+            formats.append(fmt)
+            return True
+        if type(xdr_type) is StructType:
+            for member in xdr_type.fields:
+                found = walk(member.type, path + (member.name,))
+                if found is not True:
+                    return found
+            return True
+        if type(xdr_type) is not VarOpaque:
+            return False
+        prefix = struct.Struct(">" + "".join(formats))
+        bound = xdr_type.max_size
+        limit = DEFAULT_MAX_ITEM_BYTES if bound is None else bound
+        return OpaqueSplit(prefix, prefix.size + 4, path, limit)
+
+    for index, xdr_type in enumerate(types):
+        found = walk(xdr_type, () if single else (index,))
+        if found is not True:
+            return found or None
+    return None
+
+
 @dataclass(frozen=True)
 class ProcedureSignature:
     """The wire signature of one remote procedure.
@@ -107,10 +210,18 @@ class ProcedureSignature:
     args_plan: Plan = field(init=False, repr=False, compare=False)
     #: the compiled codec of the result
     result_plan: Plan = field(init=False, repr=False, compare=False)
+    #: where a bulk opaque of the arguments / the result can be landed
+    #: (:class:`OpaqueSplit`), or None
+    args_split: OpaqueSplit | None = field(init=False, repr=False, compare=False)
+    result_split: OpaqueSplit | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "args_plan", compile_plan(self.arg_types))
         object.__setattr__(self, "result_plan", compile_plan((self.result_type,), single=True))
+        object.__setattr__(self, "args_split", opaque_split(self.arg_types))
+        object.__setattr__(
+            self, "result_split", opaque_split((self.result_type,), single=True)
+        )
 
     def encode_args(
         self, values: tuple[Any, ...], encoder: XdrEncoder | None = None
@@ -129,11 +240,15 @@ class ProcedureSignature:
             )
         return self.args_plan.encode(values, XdrEncoder() if encoder is None else encoder)
 
-    def decode_args(self, data: Buffer) -> tuple[Any, ...]:
+    def decode_args(self, data: Buffer | LandedRecord) -> tuple[Any, ...]:
         """Decode positional argument values (server side).
 
-        Opaque values come back as read-only views of ``data``.
+        Opaque values come back as read-only views of ``data`` -- the
+        landed one of a :class:`~repro.xdr.encoder.LandedRecord` a view of
+        its landing (:meth:`OpaqueSplit.decode`).
         """
+        if type(data) is LandedRecord:
+            return self.args_split.decode(self.args_plan, data)
         return self.args_plan.decode(data)
 
     def encode_result(
@@ -142,8 +257,11 @@ class ProcedureSignature:
         """Encode the procedure result (server side); see :meth:`encode_args`."""
         return self.result_plan.encode(value, XdrEncoder() if encoder is None else encoder)
 
-    def decode_result(self, data: Buffer) -> Any:
-        """Decode the procedure result (client side); opaques are views of ``data``."""
+    def decode_result(self, data: Buffer | LandedRecord) -> Any:
+        """Decode the procedure result (client side); opaques are views of
+        ``data``, as in :meth:`decode_args`."""
+        if type(data) is LandedRecord:
+            return self.result_split.decode(self.result_plan, data)
         return self.result_plan.decode(data)
 
 

@@ -76,6 +76,24 @@ class ClientStub:
         """Invoke a procedure by name (explicit form of attribute access)."""
         return getattr(self, name)(*args)
 
+    def call_landing(self, name: str, bound: int, *args: Any) -> Any:
+        """Invoke a procedure whose result carries a bulk opaque of at most
+        ``bound`` bytes, letting the transport receive it in place.
+
+        Over TCP the opaque then comes back a read-only view of the
+        transport's arena (see :meth:`RpcClient.call_raw
+        <repro.oncrpc.client.RpcClient.call_raw>`): it stays valid while it
+        is referenced, and the arena is not reused until it is dropped.
+        Without a split in the result's signature this is :meth:`call`.
+        """
+        sig = self._signatures[name]
+        if sig.result_split is None:
+            return self.call(name, *args)
+        raw = self._client.call_raw(
+            sig.number, partial(sig.encode_args, args), (sig.result_split, bound)
+        )
+        return sig.decode_result(raw)
+
     def call_batched(self, name: str, *args: Any) -> int:
         """Issue a procedure call without waiting for its reply; return its xid.
 

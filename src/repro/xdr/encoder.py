@@ -91,14 +91,59 @@ class GatherRecord:
             unpin()
 
 
-def flatten(record: Buffer | GatherRecord) -> Buffer:
+class LandedRecord:
+    """An incoming record as the three buffers it was received into.
+
+    What a :class:`~repro.oncrpc.record.RecordReader` hands up when its
+    landing provider placed a bulk opaque's bytes straight into a buffer
+    of the consumer's (``landing``): the bytes before it (``head``), the
+    opaque's bytes, and the bytes after it (``tail`` -- XDR padding, later
+    fields, a CRC trailer).  Its flattening is byte for byte the record the
+    reader would have staged.  The RPC header is parsed from ``head``; the
+    arguments or results of a landed message are a landed record too, its
+    head cut to what follows the RPC header, and the signature decodes the
+    opaque as a read-only view of ``landing`` (see
+    :class:`~repro.rpcl.compiler.OpaqueSplit`).
+    """
+
+    __slots__ = ("head", "landing", "tail")
+
+    def __init__(self, head: Buffer, landing: Buffer, tail: Buffer) -> None:
+        self.head = head
+        self.landing = landing
+        self.tail = tail
+
+    @property
+    def segments(self) -> tuple[Buffer, Buffer, Buffer]:
+        return self.head, self.landing, self.tail
+
+    def __len__(self) -> int:
+        return len(self.head) + len(self.landing) + len(self.tail)
+
+    def __bytes__(self) -> bytes:
+        return b"".join(self.segments)
+
+    def __getitem__(self, key: slice) -> Buffer:
+        """A slice of the record: of ``head`` if it lies there, else of a copy."""
+        if type(key) is slice and key.step is None and 0 <= (key.start or 0):
+            stop = key.stop
+            if stop is not None and 0 <= stop <= len(self.head):
+                return memoryview(self.head)[key]
+        return flatten(self)[key]
+
+
+def flatten(record: Buffer | GatherRecord | LandedRecord) -> Buffer:
     """``record`` as one contiguous buffer: a gather record is copied out into
-    a new ``bytearray`` and released, a plain buffer returned as it is."""
-    if type(record) is not GatherRecord:
-        return record
-    flat = bytearray().join(record.segments)
-    record.release()
-    return flat
+    a new ``bytearray`` and released, a landed record copied out, a plain
+    buffer returned as it is."""
+    kind = type(record)
+    if kind is GatherRecord:
+        flat = bytearray().join(record.segments)
+        record.release()
+        return flat
+    if kind is LandedRecord:
+        return bytearray().join(record.segments)
+    return record
 
 
 def flat_view(view: memoryview) -> memoryview:

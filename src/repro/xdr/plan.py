@@ -44,6 +44,11 @@ _INTEGRAL = frozenset("iIqQ")
 ALL_FIXED, MIXED, INTERPRETER_ONLY = "all-fixed", "mixed", "interpreter-only"
 
 
+def fixed_format(xdr_type: XdrType) -> str | None:
+    """The ``struct`` format of a fixed-width primitive descriptor, else None."""
+    return _FORMATS.get(id(xdr_type))
+
+
 class Defer(Exception):
     """Raised inside compiled code to leave the input to the interpreter.
 
@@ -100,7 +105,7 @@ class _Builder:
     def walk(self, xdr_type: XdrType, source: str) -> str:
         """Emit the code for one member read from the expression ``source``;
         returns the expression of its decoded value."""
-        fmt = _FORMATS.get(id(xdr_type))
+        fmt = fixed_format(xdr_type)
         if fmt is not None:
             local = self.name("f")
             self.encode_lines.append(f"{local} = {source}")

@@ -234,6 +234,18 @@ class TestTransferEngine:
         assert server.device.allocator.read(dst, 1024) == b"\x77" * 1024
         assert engine.d2h(TransferMethod.SHARED_MEMORY, dst, 1024) == b"\x77" * 1024
 
+    def test_a_typed_array_moves_and_is_charged_as_bytes(self):
+        engine, server, client = self.make_engine(native_rust())
+        values = np.arange(1024, dtype=np.float32)
+        dst = client.malloc(values.nbytes)
+        t0 = server.clock.now_ns
+        engine.h2d(TransferMethod.IB_GPUDIRECT, dst, values)
+        charged = server.clock.now_ns - t0
+        assert server.device.allocator.read(dst, values.nbytes) == values.tobytes()
+        t0 = server.clock.now_ns
+        engine.h2d(TransferMethod.IB_GPUDIRECT, dst, values.tobytes())
+        assert server.clock.now_ns - t0 == charged
+
     def test_unsupported_method_raises_on_unikernel(self):
         engine, _server, client = self.make_engine(rustyhermit())
         dst = client.malloc(1024)

@@ -172,15 +172,19 @@ class TestRaceTable:
         allocation = allocator._allocs[buffer]
         reader = StalledReader(address, buffer, SIZE)
         wait_for(lambda: allocator.pinned_spans == 1, "the reply to pin the buffer")
+        adopted = allocator.landings_adopted
 
         # returns while the reader is stalled, with 16 MiB still to drain
         took_effect = MUTATIONS[mutation](server, helper, buffer)
         assert allocator.pinned_spans == 1
         # Whatever writes in place swaps a copy in first; a plain free and a
-        # failover write nothing the reply reads.
-        writes = mutation != "failover" and (mutation != "free" or sanitized)
+        # failover write nothing the reply reads.  A whole-allocation
+        # upload swaps the array it was received into in: no copy either.
+        uploads = mutation == "h2d-overwrite"
+        writes = not uploads and mutation != "failover" and (mutation != "free" or sanitized)
         assert allocator.cow_copies == (1 if writes else 0)
-        assert allocation.pins == (0 if writes else 1)
+        assert allocator.landings_adopted - adopted == (1 if uploads else 0)
+        assert allocation.pins == (0 if writes or uploads else 1)
 
         assert reader.drain() == payload_of(SIZE, 1)
         wait_for(lambda: allocator.pinned_spans == 0, "the pin to go")

@@ -223,6 +223,16 @@ class TestMemcpy:
         assert data == payload
         assert seconds2 > 0
 
+    def test_h2d_writes_and_charges_the_bytes_of_any_buffer(self, device):
+        """A float32 array is its bytes, not its values cast to uint8."""
+        values = np.float32([1.5, 2.5, 3.0, 300.0])
+        ptr = device.alloc(16)
+        seconds = device.memcpy_h2d(ptr, values)
+        assert device.allocator.read(ptr, 16) == values.tobytes()
+        assert seconds == device.timing.memcpy_time_s(16)
+        device.allocator.write(ptr, memoryview(values[::-1].copy()).cast("B", (4, 4)))
+        assert device.allocator.read(ptr, 16) == values[::-1].tobytes()
+
     def test_d2d(self, device):
         a = device.alloc(128)
         b = device.alloc(128)

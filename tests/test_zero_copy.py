@@ -882,12 +882,13 @@ class TestCopyBudget:
 
     Client and server share the process over ``LoopbackTransport`` (same
     framing and reassembly as TCP), so the allocation sequence repeats
-    exactly.  H2D: the server's reassembled copy of the request (its
-    ``bytearray`` over-allocates about 5 %) and nothing else -- the request
-    references the caller's buffer, and the device write allocates nothing.
-    D2H: the reply references pinned device memory; the loopback "socket"
-    copies it out once, and the client the ``bytes`` handed to the caller.
-    Each side alone, the two sends copy nothing.
+    exactly.  H2D, warm: nothing -- the request references the caller's
+    buffer, the server receives the payload into the array the previous
+    upload swapped out of the allocation (the allocator's spare), and the
+    device write adopts it.  D2H: the reply references pinned device
+    memory; the loopback "socket" copies it out once, and the client the
+    ``bytes`` handed to the caller.  Each side alone, the two sends copy
+    nothing.
     """
 
     SIZE = 16 * MIB
@@ -915,9 +916,11 @@ class TestCopyBudget:
             tracemalloc.stop()
 
     def test_h2d(self, rig):
-        _, client, buffer, payload = rig
+        server, client, buffer, payload = rig
+        adopted = server.devices[0].allocator.landings_adopted
         ratio = self._peak_ratio(lambda: client.memcpy_h2d(buffer, payload))
-        assert 0.9 < ratio <= 1.1
+        assert ratio < self.SIDE_BUDGET
+        assert server.devices[0].allocator.landings_adopted == adopted + 1
 
     def test_d2h(self, rig):
         _, client, buffer, _ = rig

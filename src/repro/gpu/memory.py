@@ -174,7 +174,8 @@ class DeviceAllocator:
         #: landings adopted as an allocation's array (instrumentation)
         self.landings_adopted = 0
         #: the array the last adoption swapped out, if nothing pinned it:
-        #: the next landing of its size (one per allocator, so per device)
+        #: the next landing of its size (one per allocator, so per device);
+        #: any free drops it
         self._spare: np.ndarray | None = None
 
     def _debug_check(self) -> None:
@@ -331,6 +332,9 @@ class DeviceAllocator:
                 )
             raise DoubleFreeError(f"free of unallocated address {addr:#x}")
         self._sorted_addrs.remove(addr)
+        # A free gives memory back, the spare's too: it would otherwise stay
+        # behind for as long as the allocator lives.
+        self._spare = None
         span = _align_up(max(allocation.size, 1))
         self.free_count += 1
         if self.sanitizer is None:

@@ -225,6 +225,17 @@ class TestServerTwins:
         assert allocator._allocs[ptr].data is spare  # received into the spare
         assert twin.on_both("rpc_cudaMemcpyD2H", ptr, SIZE)["data"] == payload_of(SIZE, 2)
 
+    def test_a_free_drops_the_spare(self):
+        """The spare does not outlive the frees: a session whose allocator
+        lingers until the cycle collector runs holds no array beyond them."""
+        twin = Twin()
+        ptr = twin.on_both("rpc_cudaMalloc", SIZE)["ptr"]
+        assert status(twin.upload(ptr, payload_of(SIZE, 1))) == 0
+        allocator = twin.landed.devices[0].allocator
+        assert allocator._spare is not None
+        twin.on_both("rpc_cudaFree", ptr)
+        assert allocator._spare is None
+
     @pytest.mark.parametrize("where", ["offset", "shorter"])
     def test_a_partial_write_is_copied(self, where):
         twin = Twin()

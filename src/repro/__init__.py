@@ -28,27 +28,17 @@ Quickstart::
         print("GPUs visible from the unikernel:", session.client.get_device_count())
 """
 
-from repro.core import (
-    DeviceBuffer,
-    DoubleFreeClientError,
-    Function,
-    GpuSession,
-    LifetimeError,
-    Module,
-    SessionConfig,
-    UseAfterFreeError,
-)
+from repro._lazy import lazy_namespace
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "GpuSession",
-    "SessionConfig",
-    "DeviceBuffer",
-    "Module",
-    "Function",
-    "LifetimeError",
-    "UseAfterFreeError",
-    "DoubleFreeClientError",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(
+    __name__,
+    {
+        "core": (
+            "GpuSession", "SessionConfig", "DeviceBuffer", "Module", "Function", "LifetimeError",
+            "UseAfterFreeError", "DoubleFreeClientError",
+        ),
+    },
+)
+__all__.append("__version__")

@@ -13,16 +13,13 @@ way the authors' Rust ports drive RPC-Lib:
   evaluation).
 """
 
-from repro.apps import bandwidth, histogram, linearsolver, matrixmul, nbody
-from repro.apps.bandwidth import BandwidthResult
-from repro.apps.common import AppResult
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "matrixmul",
-    "nbody",
-    "linearsolver",
-    "histogram",
-    "bandwidth",
-    "AppResult",
-    "BandwidthResult",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(
+    __name__,
+    {
+        "common": ("AppResult",),
+        "bandwidth": ("BandwidthResult",),
+    },
+    submodules=("matrixmul", "nbody", "linearsolver", "histogram", "bandwidth"),
+)

@@ -6,19 +6,15 @@ Unikraft, Linux VM or native) and uses GPUs through RPC-Lib-style safe
 wrappers over the Cricket RPC interface.
 """
 
-from repro.core.buffer import DeviceBuffer
-from repro.core.config import SessionConfig
-from repro.core.errors import DoubleFreeClientError, LifetimeError, UseAfterFreeError
-from repro.core.module import Function, Module
-from repro.core.session import GpuSession
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "GpuSession",
-    "SessionConfig",
-    "DeviceBuffer",
-    "Module",
-    "Function",
-    "LifetimeError",
-    "UseAfterFreeError",
-    "DoubleFreeClientError",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(
+    __name__,
+    {
+        "session": ("GpuSession",),
+        "config": ("SessionConfig",),
+        "buffer": ("DeviceBuffer",),
+        "module": ("Module", "Function"),
+        "errors": ("LifetimeError", "UseAfterFreeError", "DoubleFreeClientError"),
+    },
+)

@@ -19,138 +19,43 @@
   migration over CRC'd chunks with a persistent cursor.
 """
 
-from repro.cricket.checkpoint import (
-    capture_server_state,
-    load_checkpoint,
-    restore_server,
-    restore_server_state,
-    save_checkpoint,
-    snapshot_server,
-)
-from repro.cricket.ckptstore import CheckpointStore, FileStorage
-from repro.cricket.client import CricketClient, cricket_interface
-from repro.cricket.migration import (
-    FaultyMigrationChannel,
-    LoopbackMigrationChannel,
-    MigrationConfig,
-    MigrationReport,
-    MigrationSource,
-    MigrationTarget,
-    SocketMigrationChannel,
-    migrate_live,
-)
-from repro.cricket.replication import (
-    ReplicationLink,
-    make_ha_pair,
-    promote,
-    promote_with_witness,
-    state_fingerprint,
-)
-from repro.cricket.witness import (
-    LeadershipFence,
-    LeadershipLease,
-    LeadershipRefused,
-    StaleEpochError,
-    Witness,
-    WitnessUnreachableError,
-)
-from repro.cricket.data_channel import DataChannelClient, DataChannelServer
-from repro.cricket.errors import (
-    CheckpointError,
-    CheckpointFormatError,
-    ChunkRejectedError,
-    CricketError,
-    MigrationChannelError,
-    MigrationError,
-    TransferUnsupportedError,
-)
-from repro.cricket.params import pack_params, unpack_params
-from repro.cricket.scheduler import (
-    FairSharePolicy,
-    FifoPolicy,
-    GpuScheduler,
-    RoundRobinPolicy,
-    ScheduledItem,
-    WorkItem,
-)
-from repro.cricket.server import CricketServer
-from repro.cricket.sessions import (
-    LEASE_FOREVER,
-    ResourceLedger,
-    Session,
-    SessionManager,
-)
-from repro.cricket.spec import (
-    CRICKET_PROG_NAME,
-    CRICKET_SPEC,
-    CRICKET_VERS,
-    MUTATING_PROC_NAMES,
-)
-from repro.cricket.transfer import (
-    TransferEngine,
-    TransferMethod,
-    TransferTimingModel,
-    supported_on,
-)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "CricketServer",
-    "CricketClient",
-    "cricket_interface",
-    "CRICKET_SPEC",
-    "CRICKET_PROG_NAME",
-    "CRICKET_VERS",
-    "pack_params",
-    "unpack_params",
-    "TransferMethod",
-    "DataChannelServer",
-    "DataChannelClient",
-    "TransferEngine",
-    "TransferTimingModel",
-    "supported_on",
-    "snapshot_server",
-    "restore_server",
-    "capture_server_state",
-    "restore_server_state",
-    "CheckpointStore",
-    "FileStorage",
-    "MigrationSource",
-    "MigrationTarget",
-    "MigrationConfig",
-    "MigrationReport",
-    "LoopbackMigrationChannel",
-    "FaultyMigrationChannel",
-    "SocketMigrationChannel",
-    "migrate_live",
-    "ReplicationLink",
-    "MUTATING_PROC_NAMES",
-    "make_ha_pair",
-    "promote",
-    "promote_with_witness",
-    "Witness",
-    "LeadershipFence",
-    "LeadershipLease",
-    "LeadershipRefused",
-    "WitnessUnreachableError",
-    "StaleEpochError",
-    "state_fingerprint",
-    "save_checkpoint",
-    "load_checkpoint",
-    "GpuScheduler",
-    "FifoPolicy",
-    "RoundRobinPolicy",
-    "FairSharePolicy",
-    "WorkItem",
-    "ScheduledItem",
-    "SessionManager",
-    "Session",
-    "ResourceLedger",
-    "LEASE_FOREVER",
-    "CricketError",
-    "CheckpointError",
-    "CheckpointFormatError",
-    "MigrationError",
-    "MigrationChannelError",
-    "ChunkRejectedError",
-    "TransferUnsupportedError",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(
+    __name__,
+    {
+        "server": ("CricketServer",),
+        "client": ("CricketClient", "cricket_interface"),
+        "spec": ("CRICKET_SPEC", "CRICKET_PROG_NAME", "CRICKET_VERS", "MUTATING_PROC_NAMES"),
+        "params": ("pack_params", "unpack_params"),
+        "transfer": ("TransferMethod", "TransferEngine", "TransferTimingModel", "supported_on"),
+        "data_channel": ("DataChannelServer", "DataChannelClient"),
+        "checkpoint": (
+            "snapshot_server", "restore_server", "capture_server_state", "restore_server_state",
+            "save_checkpoint", "load_checkpoint",
+        ),
+        "ckptstore": ("CheckpointStore", "FileStorage"),
+        "migration": (
+            "MigrationSource", "MigrationTarget", "MigrationConfig", "MigrationReport",
+            "LoopbackMigrationChannel", "FaultyMigrationChannel", "SocketMigrationChannel",
+            "migrate_live",
+        ),
+        "replication": (
+            "ReplicationLink", "make_ha_pair", "promote", "promote_with_witness",
+            "state_fingerprint",
+        ),
+        "witness": (
+            "Witness", "LeadershipFence", "LeadershipLease", "LeadershipRefused",
+            "WitnessUnreachableError", "StaleEpochError",
+        ),
+        "scheduler": (
+            "GpuScheduler", "FifoPolicy", "RoundRobinPolicy", "FairSharePolicy", "WorkItem",
+            "ScheduledItem",
+        ),
+        "sessions": ("SessionManager", "Session", "ResourceLedger", "LEASE_FOREVER"),
+        "errors": (
+            "CricketError", "CheckpointError", "CheckpointFormatError", "MigrationError",
+            "MigrationChannelError", "ChunkRejectedError", "TransferUnsupportedError",
+        ),
+    },
+)

@@ -8,66 +8,26 @@ from *compressed* cubins via the from-scratch decompressor in
 ``cuda-fatbin-decompression`` reverse-engineering work).
 """
 
-from repro.cubin.compression import compress, decompress, is_compressed
-from repro.cubin.elf import SHF_COMPRESSED, CubinElf, Section
-from repro.cubin.errors import (
-    BadMagicError,
-    CorruptImageError,
-    CubinError,
-    DecompressionError,
-    UnknownSectionError,
-)
-from repro.cubin.format import (
-    FATBIN_MAGIC,
-    FLAG_COMPRESSED,
-    KIND_CUBIN,
-    KIND_PTX,
-    FatBinary,
-    FatbinEntry,
-)
-from repro.cubin.loader import (
-    CubinImage,
-    build_cubin,
-    build_cubin_for_registry,
-    load_cubin,
-    load_fatbin,
-)
-from repro.cubin.metadata import (
-    CubinMetadata,
-    GlobalMeta,
-    KernelMeta,
-    ParamInfo,
-    decode_metadata,
-    encode_metadata,
-)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "compress",
-    "decompress",
-    "is_compressed",
-    "CubinElf",
-    "Section",
-    "SHF_COMPRESSED",
-    "FatBinary",
-    "FatbinEntry",
-    "FATBIN_MAGIC",
-    "KIND_PTX",
-    "KIND_CUBIN",
-    "FLAG_COMPRESSED",
-    "CubinImage",
-    "build_cubin",
-    "build_cubin_for_registry",
-    "load_cubin",
-    "load_fatbin",
-    "CubinMetadata",
-    "KernelMeta",
-    "GlobalMeta",
-    "ParamInfo",
-    "encode_metadata",
-    "decode_metadata",
-    "CubinError",
-    "BadMagicError",
-    "CorruptImageError",
-    "DecompressionError",
-    "UnknownSectionError",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(
+    __name__,
+    {
+        "compression": ("compress", "decompress", "is_compressed"),
+        "elf": ("CubinElf", "Section", "SHF_COMPRESSED"),
+        "format": (
+            "FatBinary", "FatbinEntry", "FATBIN_MAGIC", "KIND_PTX", "KIND_CUBIN", "FLAG_COMPRESSED",
+        ),
+        "loader": (
+            "CubinImage", "build_cubin", "build_cubin_for_registry", "load_cubin", "load_fatbin",
+        ),
+        "metadata": (
+            "CubinMetadata", "KernelMeta", "GlobalMeta", "ParamInfo", "encode_metadata",
+            "decode_metadata",
+        ),
+        "errors": (
+            "CubinError", "BadMagicError", "CorruptImageError", "DecompressionError",
+            "UnknownSectionError",
+        ),
+    },
+)

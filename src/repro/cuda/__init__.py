@@ -11,23 +11,17 @@ All calls keep C semantics -- status codes, out-parameters, sticky device
 state -- because the Cricket RPC layer forwards exactly those.
 """
 
-from repro.cuda import constants
-from repro.cuda.cublas import CublasContext
-from repro.cuda.cufft import CufftContext
-from repro.cuda.cusolver import CusolverContext
-from repro.cuda.driver import CudaDriver, LoadedModule
-from repro.cuda.errors import CudaError, code_for_exception
-from repro.cuda.runtime import CudaRuntime, DeviceProperties
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "constants",
-    "CudaRuntime",
-    "DeviceProperties",
-    "CudaDriver",
-    "LoadedModule",
-    "CublasContext",
-    "CufftContext",
-    "CusolverContext",
-    "CudaError",
-    "code_for_exception",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(
+    __name__,
+    {
+        "runtime": ("CudaRuntime", "DeviceProperties"),
+        "driver": ("CudaDriver", "LoadedModule"),
+        "cublas": ("CublasContext",),
+        "cufft": ("CufftContext",),
+        "cusolver": ("CusolverContext",),
+        "errors": ("CudaError", "code_for_exception"),
+    },
+    submodules=("constants",),
+)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from itertools import count
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from repro.cuda import constants as C
 from repro.gpu.device import GpuDevice
@@ -89,6 +88,8 @@ class CusolverContext:
             ipiv = self.device.allocator.view(int(ipiv_ptr), 4 * n).view(np.int32)
             info = self.device.allocator.view(int(info_ptr), 4).view(np.int32)
             if self.device.execute:
+                from scipy.linalg import lu_factor  # SciPy loads at the first LU
+
                 lu, piv = lu_factor(np.ascontiguousarray(a))
                 a[:, :] = lu
                 ipiv[:] = (piv + 1).astype(np.int32)  # LAPACK is 1-based
@@ -127,6 +128,8 @@ class CusolverContext:
             ipiv = self.device.allocator.view(int(ipiv_ptr), 4 * n).view(np.int32)
             info = self.device.allocator.view(int(info_ptr), 4).view(np.int32)
             if self.device.execute:
+                from scipy.linalg import lu_solve
+
                 piv = ipiv.astype(np.int64) - 1
                 solution = lu_solve(
                     (np.ascontiguousarray(lu), piv),

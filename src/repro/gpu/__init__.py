@@ -21,85 +21,28 @@ Components:
 * :mod:`repro.gpu.device` -- the device facade, with checkpoint/restore.
 """
 
-from repro.gpu.catalog import A100, CATALOG, P40, T4, V100, GpuSpec, by_name
-from repro.gpu.device import GpuDevice, LaunchResult
-from repro.gpu.errors import (
-    AllocationOverlapError,
-    DeviceFaultError,
-    DeviceMismatchError,
-    DoubleFreeError,
-    GpuError,
-    InvalidDevicePointerError,
-    InvalidSizeError,
-    InvalidStreamError,
-    KernelHangError,
-    KernelParamError,
-    OutOfBoundsError,
-    OutOfMemoryError,
-    QuarantineDoubleFreeError,
-    RedzoneCorruptionError,
-    SanitizerError,
-    UnknownKernelError,
-    UseAfterFreeError,
-)
-from repro.gpu.kernels import (
-    DEFAULT_REGISTRY,
-    Kernel,
-    KernelCost,
-    KernelRegistry,
-    LaunchContext,
-    build_default_registry,
-)
-from repro.gpu.memory import DEVICE_VA_BASE, DeviceAllocator
-from repro.gpu.sanitizer import CANARY, POISON, Sanitizer, SanitizerConfig
-from repro.gpu.stream import DEFAULT_STREAM, Event, Stream, StreamTable
-from repro.gpu.timing import GpuTimingModel
-from repro.gpu.watchdog import DEFAULT_BUDGET_NS, KernelWatchdog
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "GpuDevice",
-    "LaunchResult",
-    "GpuSpec",
-    "A100",
-    "T4",
-    "P40",
-    "V100",
-    "CATALOG",
-    "by_name",
-    "DeviceAllocator",
-    "DEVICE_VA_BASE",
-    "Kernel",
-    "KernelCost",
-    "KernelRegistry",
-    "LaunchContext",
-    "DEFAULT_REGISTRY",
-    "build_default_registry",
-    "GpuTimingModel",
-    "Stream",
-    "Event",
-    "StreamTable",
-    "DEFAULT_STREAM",
-    "Sanitizer",
-    "SanitizerConfig",
-    "CANARY",
-    "POISON",
-    "KernelWatchdog",
-    "DEFAULT_BUDGET_NS",
-    "GpuError",
-    "OutOfMemoryError",
-    "InvalidDevicePointerError",
-    "InvalidSizeError",
-    "DoubleFreeError",
-    "AllocationOverlapError",
-    "UnknownKernelError",
-    "KernelParamError",
-    "InvalidStreamError",
-    "DeviceMismatchError",
-    "DeviceFaultError",
-    "SanitizerError",
-    "OutOfBoundsError",
-    "UseAfterFreeError",
-    "QuarantineDoubleFreeError",
-    "RedzoneCorruptionError",
-    "KernelHangError",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(
+    __name__,
+    {
+        "device": ("GpuDevice", "LaunchResult"),
+        "catalog": ("GpuSpec", "A100", "T4", "P40", "V100", "CATALOG", "by_name"),
+        "memory": ("DeviceAllocator", "DEVICE_VA_BASE"),
+        "kernels": (
+            "Kernel", "KernelCost", "KernelRegistry", "LaunchContext", "DEFAULT_REGISTRY",
+            "build_default_registry",
+        ),
+        "timing": ("GpuTimingModel",),
+        "stream": ("Stream", "Event", "StreamTable", "DEFAULT_STREAM"),
+        "sanitizer": ("Sanitizer", "SanitizerConfig", "CANARY", "POISON"),
+        "watchdog": ("KernelWatchdog", "DEFAULT_BUDGET_NS"),
+        "errors": (
+            "GpuError", "OutOfMemoryError", "InvalidDevicePointerError", "InvalidSizeError",
+            "DoubleFreeError", "AllocationOverlapError", "UnknownKernelError", "KernelParamError",
+            "InvalidStreamError", "DeviceMismatchError", "DeviceFaultError", "SanitizerError",
+            "OutOfBoundsError", "UseAfterFreeError", "QuarantineDoubleFreeError",
+            "RedzoneCorruptionError", "KernelHangError",
+        ),
+    },
+)

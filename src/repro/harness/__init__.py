@@ -13,58 +13,24 @@ produces the paper-style text table; the benchmark suite asserts the
 *shape* criteria from DESIGN.md on these results.
 """
 
-from repro.harness.ablation import (
-    OffloadAblationResult,
-    TransferMethodResult,
-    run_offload_ablation,
-    run_transfer_method_comparison,
-)
-from repro.harness.configs import (
-    PAPER_TABLE1,
-    eval_platforms,
-    table1,
-    table1_rows,
-    workload_scale,
-)
-from repro.harness.breakdown import (
-    CostBreakdown,
-    bulk_upload_workload,
-    chatty_workload,
-    measure_breakdown,
-)
-from repro.harness.figure5 import Figure5Result, run_figure5
-from repro.harness.figure6 import Figure6Result, run_figure6
-from repro.harness.figure7 import Figure7Result, run_figure7
-from repro.harness.outlook import OutlookResult, run_outlook
-from repro.harness.scaling import ScalingResult, TenantLoad, run_scaling
-from repro.harness.report import render_table, results_path, save_and_print
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "table1",
-    "table1_rows",
-    "PAPER_TABLE1",
-    "eval_platforms",
-    "workload_scale",
-    "run_figure5",
-    "Figure5Result",
-    "run_figure6",
-    "Figure6Result",
-    "run_figure7",
-    "Figure7Result",
-    "run_offload_ablation",
-    "OffloadAblationResult",
-    "run_transfer_method_comparison",
-    "TransferMethodResult",
-    "run_outlook",
-    "OutlookResult",
-    "run_scaling",
-    "ScalingResult",
-    "TenantLoad",
-    "measure_breakdown",
-    "CostBreakdown",
-    "bulk_upload_workload",
-    "chatty_workload",
-    "render_table",
-    "results_path",
-    "save_and_print",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(
+    __name__,
+    {
+        "configs": ("table1", "table1_rows", "PAPER_TABLE1", "eval_platforms", "workload_scale"),
+        "figure5": ("run_figure5", "Figure5Result"),
+        "figure6": ("run_figure6", "Figure6Result"),
+        "figure7": ("run_figure7", "Figure7Result"),
+        "ablation": (
+            "run_offload_ablation", "OffloadAblationResult", "run_transfer_method_comparison",
+            "TransferMethodResult",
+        ),
+        "outlook": ("run_outlook", "OutlookResult"),
+        "scaling": ("run_scaling", "ScalingResult", "TenantLoad"),
+        "breakdown": (
+            "measure_breakdown", "CostBreakdown", "bulk_upload_workload", "chatty_workload",
+        ),
+        "report": ("render_table", "results_path", "save_and_print"),
+    },
+)

@@ -16,8 +16,13 @@ testbed with:
   experiments with several application nodes sharing one GPU node.
 """
 
-from repro.net.fabric import Fabric, Node
-from repro.net.link import LinkModel, TETHER_100G
-from repro.net.simclock import SimClock, WallClock
+from repro._lazy import lazy_namespace
 
-__all__ = ["SimClock", "WallClock", "LinkModel", "TETHER_100G", "Fabric", "Node"]
+__getattr__, __dir__, __all__ = lazy_namespace(
+    __name__,
+    {
+        "simclock": ("SimClock", "WallClock"),
+        "link": ("LinkModel", "TETHER_100G"),
+        "fabric": ("Fabric", "Node"),
+    },
+)

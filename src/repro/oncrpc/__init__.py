@@ -17,106 +17,34 @@ Only the (Python) standard library is used, mirroring RPC-Lib's
 std-only dependency policy that makes it portable to unikernels.
 """
 
-from repro.oncrpc.auth import (
-    AUTH_CLIENT_TOKEN,
-    AUTH_NONE,
-    AUTH_SYS,
-    AuthSysParams,
-    NULL_AUTH,
-    OpaqueAuth,
-    client_token_auth,
-    client_token_from,
-)
-from repro.oncrpc.client import RpcClient
-from repro.oncrpc.errors import (
-    RpcBusyError,
-    RpcCircuitOpenError,
-    RpcDeadlineExceeded,
-    RpcDenied,
-    RpcError,
-    RpcGarbageArgs,
-    RpcProcUnavailable,
-    RpcProgMismatch,
-    RpcProgUnavailable,
-    RpcProtocolError,
-    RpcReplyError,
-    RpcRetryExhausted,
-    RpcSystemError,
-    RpcTimeoutError,
-    RpcTransportError,
-)
-from repro.oncrpc.portmap import (
-    PMAP_PORT,
-    PMAP_PROG,
-    PMAP_VERS,
-    Mapping,
-    PortMapper,
-    PortMapperClient,
-    connect_via_portmap,
-)
-from repro.oncrpc.udp import MAX_UDP_PAYLOAD, UdpTransport, serve_udp
-from repro.oncrpc.record import (
-    DEFAULT_FRAGMENT_SIZE,
-    LAST_FRAGMENT,
-    RecordReader,
-    encode_record,
-    iter_fragments,
-)
-from repro.oncrpc.server import CallContext, GarbageArgumentsError, RpcServer
-from repro.oncrpc.transport import (
-    LoopbackTransport,
-    NullMeter,
-    TcpTransport,
-    Transport,
-    TransportMeter,
-)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "PortMapper",
-    "PortMapperClient",
-    "Mapping",
-    "connect_via_portmap",
-    "PMAP_PROG",
-    "PMAP_VERS",
-    "PMAP_PORT",
-    "UdpTransport",
-    "serve_udp",
-    "MAX_UDP_PAYLOAD",
-    "OpaqueAuth",
-    "AuthSysParams",
-    "NULL_AUTH",
-    "AUTH_NONE",
-    "AUTH_SYS",
-    "AUTH_CLIENT_TOKEN",
-    "client_token_auth",
-    "client_token_from",
-    "RpcClient",
-    "RpcServer",
-    "CallContext",
-    "GarbageArgumentsError",
-    "RecordReader",
-    "encode_record",
-    "iter_fragments",
-    "DEFAULT_FRAGMENT_SIZE",
-    "LAST_FRAGMENT",
-    "TcpTransport",
-    "LoopbackTransport",
-    "Transport",
-    "TransportMeter",
-    "NullMeter",
-    "RpcError",
-    "RpcTransportError",
-    "RpcTimeoutError",
-    "RpcDeadlineExceeded",
-    "RpcRetryExhausted",
-    "RpcBusyError",
-    "RpcCircuitOpenError",
-    "RpcProtocolError",
-    "RpcReplyError",
-    "RpcProgUnavailable",
-    "RpcProgMismatch",
-    "RpcProcUnavailable",
-    "RpcGarbageArgs",
-    "RpcSystemError",
-    "RpcDenied",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(
+    __name__,
+    {
+        "portmap": (
+            "PortMapper", "PortMapperClient", "Mapping", "connect_via_portmap", "PMAP_PROG",
+            "PMAP_VERS", "PMAP_PORT",
+        ),
+        "udp": ("UdpTransport", "serve_udp", "MAX_UDP_PAYLOAD"),
+        "auth": (
+            "OpaqueAuth", "AuthSysParams", "NULL_AUTH", "AUTH_NONE", "AUTH_SYS",
+            "AUTH_CLIENT_TOKEN", "client_token_auth", "client_token_from",
+        ),
+        "client": ("RpcClient",),
+        "server": ("RpcServer", "CallContext", "GarbageArgumentsError"),
+        "record": (
+            "RecordReader", "encode_record", "iter_fragments", "DEFAULT_FRAGMENT_SIZE",
+            "LAST_FRAGMENT",
+        ),
+        "transport": (
+            "TcpTransport", "LoopbackTransport", "Transport", "TransportMeter", "NullMeter",
+        ),
+        "errors": (
+            "RpcError", "RpcTransportError", "RpcTimeoutError", "RpcDeadlineExceeded",
+            "RpcRetryExhausted", "RpcBusyError", "RpcCircuitOpenError", "RpcProtocolError",
+            "RpcReplyError", "RpcProgUnavailable", "RpcProgMismatch", "RpcProcUnavailable",
+            "RpcGarbageArgs", "RpcSystemError", "RpcDenied",
+        ),
+    },
+)

@@ -37,131 +37,35 @@ non-idempotent call (``cuMemAlloc``, ``cuLaunchKernel``) is answered from
 the cache instead of being executed twice.
 """
 
-from repro.resilience.failover import (
-    FailoverTransport,
-    LoopbackEndpoint,
-    TcpEndpoint,
-)
-from repro.resilience.faults import (
-    FaultInjectingTransport,
-    FaultPlan,
-    FaultyEndpoint,
-    FaultyStorage,
-    PartitionPlan,
-    PartitionState,
-    PartitionWindow,
-    SlowFaultPlan,
-    SlowTransport,
-    StorageFaultPlan,
-)
-from repro.resilience.health import (
-    BrownoutConfig,
-    BrownoutController,
-    EjectionDecision,
-    HealthTracker,
-    LatencyHistogram,
-    LatencySLO,
-    OutlierEjector,
-)
-from repro.resilience.overload import (
-    REJECT_LOWEST_PRIORITY,
-    REJECT_NEWEST,
-    REJECT_OLDEST,
-    CallCancelledError,
-    CancelToken,
-    OverloadConfig,
-    OverloadController,
-    OverloadQueue,
-    Refusal,
-    TokenBucket,
-)
-from repro.resilience.reconnect import CircuitBreaker, ReconnectingTransport, null_probe
-from repro.resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy, is_retryable
-from repro.resilience.seeds import (
-    CHAOS_SEED_ENV,
-    CHAOS_SEEDS_ENV,
-    chaos_seeds,
-    parse_chaos_seeds,
-)
-from repro.resilience.simulation import (
-    PROFILES,
-    HistoryChecker,
-    HistoryEvent,
-    HistoryRecorder,
-    NemesisEvent,
-    SimulationPlan,
-    SimulationResult,
-    Violation,
-    classify_outcome,
-    generate_schedule,
-    load_trace,
-    replay_trace,
-    run_profile,
-    run_simulation,
-    save_trace,
-    shrink_schedule,
-)
-from repro.resilience.stats import ResilienceStats, ServerStats
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "FaultPlan",
-    "FaultInjectingTransport",
-    "RetryPolicy",
-    "DEFAULT_RETRY_POLICY",
-    "is_retryable",
-    "CircuitBreaker",
-    "ReconnectingTransport",
-    "null_probe",
-    "FailoverTransport",
-    "LoopbackEndpoint",
-    "TcpEndpoint",
-    "ResilienceStats",
-    "ServerStats",
-    "OverloadConfig",
-    "OverloadQueue",
-    "OverloadController",
-    "Refusal",
-    "TokenBucket",
-    "CancelToken",
-    "CallCancelledError",
-    "REJECT_NEWEST",
-    "REJECT_OLDEST",
-    "REJECT_LOWEST_PRIORITY",
-    "PartitionWindow",
-    "PartitionPlan",
-    "PartitionState",
-    "SlowFaultPlan",
-    "SlowTransport",
-    "StorageFaultPlan",
-    "FaultyStorage",
-    "LatencyHistogram",
-    "HealthTracker",
-    "LatencySLO",
-    "EjectionDecision",
-    "OutlierEjector",
-    "BrownoutConfig",
-    "BrownoutController",
-    "FaultyEndpoint",
-    # seed parsing
-    "CHAOS_SEEDS_ENV",
-    "CHAOS_SEED_ENV",
-    "chaos_seeds",
-    "parse_chaos_seeds",
-    # deterministic simulation
-    "NemesisEvent",
-    "generate_schedule",
-    "HistoryEvent",
-    "HistoryRecorder",
-    "classify_outcome",
-    "HistoryChecker",
-    "Violation",
-    "SimulationPlan",
-    "SimulationResult",
-    "run_simulation",
-    "PROFILES",
-    "run_profile",
-    "shrink_schedule",
-    "save_trace",
-    "load_trace",
-    "replay_trace",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(
+    __name__,
+    {
+        "faults": (
+            "FaultPlan", "FaultInjectingTransport", "PartitionWindow", "PartitionPlan",
+            "PartitionState", "SlowFaultPlan", "SlowTransport", "StorageFaultPlan", "FaultyStorage",
+            "FaultyEndpoint",
+        ),
+        "retry": ("RetryPolicy", "DEFAULT_RETRY_POLICY", "is_retryable"),
+        "reconnect": ("CircuitBreaker", "ReconnectingTransport", "null_probe"),
+        "failover": ("FailoverTransport", "LoopbackEndpoint", "TcpEndpoint"),
+        "stats": ("ResilienceStats", "ServerStats"),
+        "overload": (
+            "OverloadConfig", "OverloadQueue", "OverloadController", "Refusal", "TokenBucket",
+            "CancelToken", "CallCancelledError", "REJECT_NEWEST", "REJECT_OLDEST",
+            "REJECT_LOWEST_PRIORITY",
+        ),
+        "health": (
+            "LatencyHistogram", "HealthTracker", "LatencySLO", "EjectionDecision", "OutlierEjector",
+            "BrownoutConfig", "BrownoutController",
+        ),
+        "seeds": ("CHAOS_SEEDS_ENV", "CHAOS_SEED_ENV", "chaos_seeds", "parse_chaos_seeds"),
+        "simulation": (
+            "NemesisEvent", "generate_schedule", "HistoryEvent", "HistoryRecorder",
+            "classify_outcome", "HistoryChecker", "Violation", "SimulationPlan", "SimulationResult",
+            "run_simulation", "PROFILES", "run_profile", "shrink_schedule", "save_trace",
+            "load_trace", "replay_trace",
+        ),
+    },
+)

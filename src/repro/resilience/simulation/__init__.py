@@ -21,136 +21,34 @@ Jepsen-style testing, compressed into one process over virtual time:
   schedule down to a minimal replayable repro trace.
 """
 
-from repro.resilience.simulation.checker import (
-    BYTES_UNACCOUNTED,
-    DOUBLE_EXECUTION,
-    EPOCH_REGRESSION,
-    FACT_RULES,
-    LOST_ACKED_WRITE,
-    POINTER_REUSE,
-    USE_AFTER_FREE,
-    VIOLATION_KINDS,
-    HistoryChecker,
-    Violation,
-)
-from repro.resilience.simulation.events import (
-    BUG_DOUBLE_EXECUTE,
-    DRAIN_RESTORE,
-    GPU_FAULT,
-    GPU_THROTTLE,
-    HA_PAIR_KINDS,
-    KILL_CLIENT,
-    KILL_PRIMARY,
-    LIMP_ENDPOINT,
-    LIMP_STANDBY,
-    MIGRATE,
-    OVERLOAD_STORM,
-    PARTITION,
-    PARTITION_SHAPES,
-    SINGLE_KINDS,
-    STORAGE_SLOW,
-    STORAGE_TORN,
-    TENANT_BUG,
-    TENANT_BUG_KINDS,
-    TRANSPORT_FAULTS,
-    NemesisEvent,
-    events_from_jsonable,
-    events_to_jsonable,
-)
-from repro.resilience.simulation.harness import (
-    TOPOLOGIES,
-    SimulationPlan,
-    SimulationResult,
-    profile_plan,
-    run_profile,
-    run_simulation,
-)
-from repro.resilience.simulation.history import (
-    EVENT_KINDS,
-    OUTCOME_AMBIGUOUS,
-    OUTCOME_BUSY,
-    OUTCOME_CANCELLED,
-    OUTCOME_CUDA_ERROR,
-    OUTCOME_EXPIRED,
-    OUTCOME_NOT_LEADER,
-    OUTCOME_OK,
-    HistoryEvent,
-    HistoryRecorder,
-    classify_outcome,
-)
-from repro.resilience.simulation.nemesis import generate_schedule
-from repro.resilience.simulation.profiles import COMPOSED, PROFILES, Profile
-from repro.resilience.simulation.shrink import (
-    load_trace,
-    replay_trace,
-    save_trace,
-    shrink_schedule,
-    trace_jsonable,
-)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    # events / nemesis
-    "NemesisEvent",
-    "generate_schedule",
-    "events_to_jsonable",
-    "events_from_jsonable",
-    "PARTITION",
-    "KILL_PRIMARY",
-    "GPU_FAULT",
-    "GPU_THROTTLE",
-    "TRANSPORT_FAULTS",
-    "LIMP_ENDPOINT",
-    "STORAGE_TORN",
-    "STORAGE_SLOW",
-    "DRAIN_RESTORE",
-    "MIGRATE",
-    "BUG_DOUBLE_EXECUTE",
-    "KILL_CLIENT",
-    "TENANT_BUG",
-    "OVERLOAD_STORM",
-    "LIMP_STANDBY",
-    "HA_PAIR_KINDS",
-    "SINGLE_KINDS",
-    "PARTITION_SHAPES",
-    "TENANT_BUG_KINDS",
-    # history
-    "HistoryEvent",
-    "HistoryRecorder",
-    "classify_outcome",
-    "EVENT_KINDS",
-    "OUTCOME_OK",
-    "OUTCOME_BUSY",
-    "OUTCOME_NOT_LEADER",
-    "OUTCOME_EXPIRED",
-    "OUTCOME_CANCELLED",
-    "OUTCOME_CUDA_ERROR",
-    "OUTCOME_AMBIGUOUS",
-    # checker
-    "HistoryChecker",
-    "Violation",
-    "VIOLATION_KINDS",
-    "FACT_RULES",
-    "DOUBLE_EXECUTION",
-    "LOST_ACKED_WRITE",
-    "USE_AFTER_FREE",
-    "POINTER_REUSE",
-    "EPOCH_REGRESSION",
-    "BYTES_UNACCOUNTED",
-    # harness
-    "SimulationPlan",
-    "SimulationResult",
-    "run_simulation",
-    "TOPOLOGIES",
-    # profiles
-    "Profile",
-    "PROFILES",
-    "COMPOSED",
-    "profile_plan",
-    "run_profile",
-    # shrinking / traces
-    "shrink_schedule",
-    "save_trace",
-    "load_trace",
-    "replay_trace",
-    "trace_jsonable",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(
+    __name__,
+    {
+        "events": (
+            "NemesisEvent", "events_to_jsonable", "events_from_jsonable", "PARTITION",
+            "KILL_PRIMARY", "GPU_FAULT", "GPU_THROTTLE", "TRANSPORT_FAULTS", "LIMP_ENDPOINT",
+            "STORAGE_TORN", "STORAGE_SLOW", "DRAIN_RESTORE", "MIGRATE", "BUG_DOUBLE_EXECUTE",
+            "KILL_CLIENT", "TENANT_BUG", "OVERLOAD_STORM", "LIMP_STANDBY", "HA_PAIR_KINDS",
+            "SINGLE_KINDS", "PARTITION_SHAPES", "TENANT_BUG_KINDS",
+        ),
+        "nemesis": ("generate_schedule",),
+        "history": (
+            "HistoryEvent", "HistoryRecorder", "classify_outcome", "EVENT_KINDS", "OUTCOME_OK",
+            "OUTCOME_BUSY", "OUTCOME_NOT_LEADER", "OUTCOME_EXPIRED", "OUTCOME_CANCELLED",
+            "OUTCOME_CUDA_ERROR", "OUTCOME_AMBIGUOUS",
+        ),
+        "checker": (
+            "HistoryChecker", "Violation", "VIOLATION_KINDS", "FACT_RULES", "DOUBLE_EXECUTION",
+            "LOST_ACKED_WRITE", "USE_AFTER_FREE", "POINTER_REUSE", "EPOCH_REGRESSION",
+            "BYTES_UNACCOUNTED",
+        ),
+        "harness": (
+            "SimulationPlan", "SimulationResult", "run_simulation", "TOPOLOGIES", "profile_plan",
+            "run_profile",
+        ),
+        "profiles": ("Profile", "PROFILES", "COMPOSED"),
+        "shrink": ("shrink_schedule", "save_trace", "load_trace", "replay_trace", "trace_jsonable"),
+    },
+)

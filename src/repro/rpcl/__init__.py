@@ -15,21 +15,15 @@ Pipeline::
       -> codegen (repro.rpcl.codegen)   -> standalone Python source (rpcgen)
 """
 
-from repro.rpcl.codegen import generate_module
-from repro.rpcl.compiler import ProcedureSignature, SpecCompiler
-from repro.rpcl.errors import RpclError, RpclSemanticError, RpclSyntaxError
-from repro.rpcl.parser import parse
-from repro.rpcl.stubgen import ClientStub, ProgramInterface, bind_client
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "parse",
-    "generate_module",
-    "SpecCompiler",
-    "ProcedureSignature",
-    "ProgramInterface",
-    "ClientStub",
-    "bind_client",
-    "RpclError",
-    "RpclSyntaxError",
-    "RpclSemanticError",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(
+    __name__,
+    {
+        "parser": ("parse",),
+        "codegen": ("generate_module",),
+        "compiler": ("SpecCompiler", "ProcedureSignature"),
+        "stubgen": ("ProgramInterface", "ClientStub", "bind_client"),
+        "errors": ("RpclError", "RpclSyntaxError", "RpclSemanticError"),
+    },
+)

@@ -9,49 +9,19 @@ RPC path timing (:mod:`repro.unikernel.platform`).  Calibrated presets for
 the paper's five configurations live in :mod:`repro.unikernel.presets`.
 """
 
-from repro.unikernel.language import C_PROFILE, PROFILES, RUST_PROFILE, LanguageProfile
-from repro.unikernel.netstack import CSUM_RATE_BPS, NetstackModel
-from repro.unikernel.platform import Platform, PlatformMeter, RpcPathModel
-from repro.unikernel.presets import (
-    CRICKET_SERVER_DISPATCH_S,
-    EVAL_LINK,
-    HERMIT_STACK,
-    LINUX_VM_STACK,
-    NATIVE_STACK,
-    UNIKRAFT_STACK,
-    linux_vm,
-    native_c,
-    native_rust,
-    path_for,
-    rustyhermit,
-    table1_platforms,
-    unikraft,
-)
-from repro.unikernel.virtio import VirtioCosts, VirtioFeatures
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "Platform",
-    "PlatformMeter",
-    "RpcPathModel",
-    "NetstackModel",
-    "VirtioFeatures",
-    "VirtioCosts",
-    "LanguageProfile",
-    "C_PROFILE",
-    "RUST_PROFILE",
-    "PROFILES",
-    "CSUM_RATE_BPS",
-    "EVAL_LINK",
-    "NATIVE_STACK",
-    "LINUX_VM_STACK",
-    "UNIKRAFT_STACK",
-    "HERMIT_STACK",
-    "native_c",
-    "native_rust",
-    "linux_vm",
-    "unikraft",
-    "rustyhermit",
-    "table1_platforms",
-    "path_for",
-    "CRICKET_SERVER_DISPATCH_S",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(
+    __name__,
+    {
+        "platform": ("Platform", "PlatformMeter", "RpcPathModel"),
+        "netstack": ("NetstackModel", "CSUM_RATE_BPS"),
+        "virtio": ("VirtioFeatures", "VirtioCosts"),
+        "language": ("LanguageProfile", "C_PROFILE", "RUST_PROFILE", "PROFILES"),
+        "presets": (
+            "EVAL_LINK", "NATIVE_STACK", "LINUX_VM_STACK", "UNIKRAFT_STACK", "HERMIT_STACK",
+            "native_c", "native_rust", "linux_vm", "unikraft", "rustyhermit", "table1_platforms",
+            "path_for", "CRICKET_SERVER_DISPATCH_S",
+        ),
+    },
+)

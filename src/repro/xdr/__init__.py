@@ -15,57 +15,18 @@ All quantities are encoded big-endian and padded to 4-byte alignment as the
 RFC requires.
 """
 
-from repro.xdr.decoder import XdrDecoder
-from repro.xdr.encoder import XdrEncoder
-from repro.xdr.errors import XdrDecodeError, XdrEncodeError, XdrError, XdrLimitError
-from repro.xdr.types import (
-    BOOL,
-    DOUBLE,
-    FLOAT,
-    HYPER,
-    INT,
-    UHYPER,
-    UINT,
-    VOID,
-    EnumType,
-    FixedArray,
-    FixedOpaque,
-    OptionalType,
-    StringType,
-    StructField,
-    StructType,
-    UnionArm,
-    UnionType,
-    VarArray,
-    VarOpaque,
-    XdrType,
-)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "XdrEncoder",
-    "XdrDecoder",
-    "XdrError",
-    "XdrEncodeError",
-    "XdrDecodeError",
-    "XdrLimitError",
-    "XdrType",
-    "INT",
-    "UINT",
-    "HYPER",
-    "UHYPER",
-    "FLOAT",
-    "DOUBLE",
-    "BOOL",
-    "VOID",
-    "StringType",
-    "VarOpaque",
-    "FixedOpaque",
-    "FixedArray",
-    "VarArray",
-    "OptionalType",
-    "EnumType",
-    "StructField",
-    "StructType",
-    "UnionArm",
-    "UnionType",
-]
+__getattr__, __dir__, __all__ = lazy_namespace(
+    __name__,
+    {
+        "encoder": ("XdrEncoder",),
+        "decoder": ("XdrDecoder",),
+        "errors": ("XdrError", "XdrEncodeError", "XdrDecodeError", "XdrLimitError"),
+        "types": (
+            "XdrType", "INT", "UINT", "HYPER", "UHYPER", "FLOAT", "DOUBLE", "BOOL", "VOID",
+            "StringType", "VarOpaque", "FixedOpaque", "FixedArray", "VarArray", "OptionalType",
+            "EnumType", "StructField", "StructType", "UnionArm", "UnionType",
+        ),
+    },
+)

@@ -274,8 +274,7 @@ class TestLiveMigration:
             data_server.close()
 
 
-# (the class keeps its legacy name: the tier-1 floor pins these test ids)
-class TestMigrationChaosHarness:
+class TestMigrationProfile:
     """The ``migration`` nemesis profile on the simulator."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -580,11 +580,10 @@ class TestClientEpochAwareness:
         assert "server.fencing_not_leader_sheds" in tracer.summary()
 
 
-# -- the partition chaos harness ------------------------------------------
+# -- the partition profiles -----------------------------------------------
 
 
-# (the class keeps its legacy name: the tier-1 floor pins these test ids)
-class TestPartitionChaosHarness:
+class TestPartitionProfiles:
     """The ``partition_*`` nemesis profiles on the simulator."""
 
     def test_plan_validation(self):

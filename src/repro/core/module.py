@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
+from repro.core.buffer import DeviceBuffer
 from repro.cubin.loader import load_cubin
 from repro.cubin.metadata import KernelMeta
 
@@ -42,11 +43,7 @@ class Function:
         stream: int = 0,
     ) -> None:
         """Launch with positional arguments (DeviceBuffers accepted)."""
-        from repro.core.buffer import DeviceBuffer
-
-        values = tuple(
-            a.ptr if isinstance(a, DeviceBuffer) else a for a in args
-        )
+        values = tuple([a.ptr if isinstance(a, DeviceBuffer) else a for a in args])
         self._session.client.launch_kernel(
             self.handle, grid, block, values, shared_mem=shared_mem, stream=stream
         )

@@ -45,7 +45,7 @@ from repro.resilience.retry import RetryPolicy
 from repro.resilience.stats import ResilienceStats
 from repro.rpcl.stubgen import ClientStub
 from repro.unikernel.platform import Platform, PlatformMeter, RpcPathModel
-from repro.unikernel.presets import EVAL_LINK, NATIVE_STACK
+from repro.unikernel.presets import CRICKET_SERVER_DISPATCH_S, EVAL_LINK, NATIVE_STACK
 from repro.xdr import INT
 
 
@@ -712,8 +712,6 @@ class CricketClient:
         pending = self.stub.client.pending_batched
         results = self.stub.client.flush_batch()
         if pending and self.meter is not None:
-            from repro.unikernel.presets import CRICKET_SERVER_DISPATCH_S
-
             self.clock.advance_s(
                 2 * self.meter.path.link.latency_s + CRICKET_SERVER_DISPATCH_S
             )

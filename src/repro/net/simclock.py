@@ -23,9 +23,13 @@ class SimClock:
 
     @property
     def now_ns(self) -> int:
-        """Current virtual time in nanoseconds."""
-        with self._lock:
-            return self._now_ns
+        """Current virtual time in nanoseconds.
+
+        Read without the lock: loading one attribute is atomic, and the
+        lock serialises the advances, each of which stores its new time
+        in one assignment.
+        """
+        return self._now_ns
 
     @property
     def now_s(self) -> float:

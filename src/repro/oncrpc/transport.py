@@ -5,11 +5,12 @@ Two transports are provided:
 * :class:`TcpTransport` -- a real TCP connection, the same wire path
   RPC-Lib uses via the Rust standard library.
 * :class:`LoopbackTransport` -- an in-process connection to a server's
-  dispatcher.  It still frames each request and reassembles it through
-  :class:`~repro.oncrpc.record.RecordReader`, so the byte-exact wire path
-  is exercised, but without kernel sockets.  The simulation harness uses
-  it to run the paper's 100 000-call workloads quickly and
-  deterministically.
+  dispatcher, without kernel sockets.  A contiguous request is handed to
+  the server as one copy of its own, the copy a socket makes; a
+  :class:`~repro.xdr.encoder.GatherRecord` (a bulk request) is framed and
+  reassembled through :class:`~repro.oncrpc.record.RecordReader`, so its
+  payload lands as it would over TCP.  The simulation harness uses it to
+  run the paper's 100 000-call workloads quickly and deterministically.
 
 A record to send is one contiguous ``bytes`` or ``bytearray``, or a
 :class:`~repro.xdr.encoder.GatherRecord` that references its bulk payload
@@ -36,7 +37,7 @@ from collections import deque
 from typing import Any, Callable, Iterator, Protocol
 
 from repro.oncrpc import message as msg
-from repro.oncrpc.errors import RpcTimeoutError, RpcTransportError
+from repro.oncrpc.errors import RpcProtocolError, RpcTimeoutError, RpcTransportError
 from repro.oncrpc.record import (
     DEFAULT_FRAGMENT_SIZE,
     Buffer,
@@ -339,16 +340,22 @@ class LoopbackTransport:
 
     ``dispatch`` receives one record's payload (an encoded ``rpc_msg``) and
     returns the reply record payload, or ``None`` for one-way calls.  The
-    request is framed and reassembled exactly as over TCP -- same gather
-    list, same :class:`~repro.oncrpc.record.RecordReader`, given the
-    server's landing provider as ``land`` (:meth:`RpcServer.land
-    <repro.oncrpc.server.RpcServer.land>`) -- so the server works on its
-    own copy of the record, as it would behind a socket.  The
-    reply is queued flattened: a gather reply is copied out once (the copy
-    a socket makes) and released, so what waits here owns its bytes and
-    pins nothing; a plain reply is queued as the server encoded it.  It is
-    charged to the meter at its framed size: this transport *is* the
-    sender of both directions, so both fragment at ``fragment_size``.
+    server works on its own copy of the request, as it would behind a
+    socket.  A contiguous request is handed over as that copy, one
+    ``bytearray``; a :class:`~repro.xdr.encoder.GatherRecord` is framed
+    and reassembled exactly as over TCP -- same gather list, same
+    :class:`~repro.oncrpc.record.RecordReader`, given the server's landing
+    provider as ``land`` (:meth:`RpcServer.land
+    <repro.oncrpc.server.RpcServer.land>`) -- so its bulk payload lands
+    where the server uses it.  The reader's limits hold for both: a
+    ``fragment_size`` it would refuse is refused here, and a contiguous
+    record it would refuse raises the error it would raise.  The reply is
+    queued flattened: a gather reply is copied out once (the copy a
+    socket makes) and released, so what waits here owns its bytes and
+    pins nothing; a plain reply is queued as the server encoded it.  Both
+    directions are charged to the meter at their framed size: this
+    transport *is* the sender of both, so both fragment at
+    ``fragment_size``.
     """
 
     def __init__(
@@ -359,23 +366,43 @@ class LoopbackTransport:
         meter: TransportMeter | None = None,
         land: LandingProvider | None = None,
     ) -> None:
+        self._wire = _GatherStream()
+        self._reader = RecordReader(recv_into=self._wire.recv_into, land=land)
+        limit = self._reader._max_fragment_size
+        if not 0 < fragment_size <= limit:
+            raise ValueError(
+                f"fragment size {fragment_size} out of range: the reader takes "
+                f"fragments of 1 to {limit} bytes"
+            )
         self._dispatch = dispatch
         self.fragment_size = fragment_size
         self.meter = meter or NullMeter()
         self._pending: deque[Buffer] = deque()
-        self._wire = _GatherStream()
-        self._reader = RecordReader(recv_into=self._wire.recv_into, land=land)
         self._lock = threading.Lock()
         self._closed = False
+
+    def _refusal(self, size: int) -> RpcProtocolError:
+        """What the reader raises for a contiguous record of ``size`` bytes,
+        over its record limit: the fragment that crosses it is refused."""
+        fragment_size = self.fragment_size
+        start = self._reader._max_record_size // fragment_size * fragment_size
+        return self._reader._refusal(min(fragment_size, size - start), start)
 
     def send_record(self, record: Buffer | GatherRecord) -> None:
         if self._closed:
             raise RpcTransportError("transport is closed")
-        with self._lock:
-            self._wire.feed(gather_fragments(record, self.fragment_size))
-            request = self._reader.read_record()
-            wire_bytes = self._reader.wire_bytes
-        assert request is not None
+        if type(record) is GatherRecord:
+            with self._lock:
+                self._wire.feed(gather_fragments(record, self.fragment_size))
+                request = self._reader.read_record()
+                wire_bytes = self._reader.wire_bytes
+            assert request is not None
+        else:
+            size = len(record)
+            if size > self._reader._max_record_size:
+                raise self._refusal(size)
+            request = bytearray(record)
+            wire_bytes = _framed_size(size, self.fragment_size)
         self.meter.on_send(wire_bytes)
         reply = self._dispatch(request)
         if reply is not None:

@@ -22,6 +22,7 @@ import itertools
 from typing import Callable
 
 from repro.net.simclock import SimClock, WallClock
+from repro.oncrpc import message as msg
 from repro.oncrpc.errors import RpcCircuitOpenError, RpcTransportError
 from repro.oncrpc.transport import Transport
 from repro.resilience.stats import ResilienceStats
@@ -42,8 +43,6 @@ def null_probe(prog: int, vers: int) -> Callable[[Transport], None]:
     """
 
     def probe(transport: Transport) -> None:
-        from repro.oncrpc import message as msg
-
         xid = next(_PROBE_XIDS)
         call = msg.RpcMessage(xid, msg.CallBody(prog, vers, 0, args=b""))
         transport.send_record(call.encode())

@@ -131,6 +131,54 @@ class NetstackModel:
             cost += max(1, segments // 8) * self.virtio_costs.descriptor_s
         return cost
 
+    # -- compiled costs -----------------------------------------------------------
+    #
+    # The lines below are tx_time_s / rx_time_s with every term that does not
+    # depend on ``nbytes`` worked out once: the same expressions in the same
+    # order, so the same float.  ``max(1, c)`` becomes ``c or 1``, which is
+    # the same for the counts here (``nbytes`` has been checked not to be
+    # negative, so a count is 0 only for an empty message).
+
+    def tx_source(self, link: LinkModel, out: str) -> list[str]:
+        """Source lines assigning ``tx_time_s(nbytes, link)`` to ``out``."""
+        copies = self.tx_copies + (0.0 if self._sg() else 0.6)
+        per_byte = copies / self.copy_rate_Bps
+        if not self._tx_csum_offload():
+            per_byte += 1.0 / CSUM_RATE_BPS
+        chunk = self.tx_chunk_bytes(link)
+        free = max(1, self.bulk_threshold_bytes // chunk)
+        chunks = f"{out}_chunks"
+        lines = [
+            f"{chunks} = -(-nbytes // {chunk!r}) or 1",
+            f"{out} = {self.tx_entry_s!r} + nbytes * {per_byte!r}"
+            f" + ({chunks} - {free!r} if {chunks} > {free!r} else 0) * {self.tx_segment_s!r}",
+        ]
+        if self.virtio is not None:
+            lines.append(f"{out} += {self.virtio_costs.kick_s!r}")
+            lines.append(f"{out} += {chunks} * {self.virtio_costs.descriptor_s!r}")
+        return lines
+
+    def rx_source(self, link: LinkModel, out: str) -> list[str]:
+        """Source lines assigning ``rx_time_s(nbytes, link)`` to ``out``."""
+        per_byte = self.rx_copies / self.copy_rate_Bps
+        if not self._rx_csum_offload():
+            per_byte += 1.0 / CSUM_RATE_BPS
+        per_byte *= self.rx_inefficiency
+        segment_cost = self.rx_segment_s
+        if self.virtio is not None and not self.virtio.mrg_rxbuf:
+            segment_cost *= 2.0
+        free = max(1, self.bulk_threshold_bytes // max(1, link.mtu - 40))
+        segments = f"{out}_segments"
+        lines = [
+            f"{segments} = -(-nbytes // {link.mtu - 40!r}) or 1",  # link.segments
+            f"{out} = {self.rx_entry_s!r} + nbytes * {per_byte!r}"
+            f" + ({segments} - {free!r} if {segments} > {free!r} else 0) * {segment_cost!r}",
+        ]
+        if self.virtio is not None:
+            lines.append(f"{out} += {self.virtio_costs.irq_s!r}")
+            lines.append(f"{out} += ({segments} // 8 or 1) * {self.virtio_costs.descriptor_s!r}")
+        return lines
+
     def effective_tx_rate_Bps(self, link: LinkModel, nbytes: int = 64 << 20) -> float:
         """Asymptotic transmit throughput of this stack (ignoring the wire)."""
         return nbytes / self.tx_time_s(nbytes, link)

@@ -7,11 +7,17 @@ physical link and the (always native-Linux) GPU-node server into per-message
 latency charges, and :class:`PlatformMeter` plugs that model into the
 transport layer so every record crossing the wire advances the experiment's
 virtual clock.
+
+The meter is on the path of every forwarded call, so it does not walk the
+model per record: it compiles its charges once (:func:`compile_charges`)
+into straight-line functions of the record size, whose results are the
+model's bit for bit (``tests/test_compiled_charges.py`` holds them to it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 from repro.net.link import LinkModel
 from repro.net.simclock import SimClock
@@ -97,6 +103,73 @@ class RpcPathModel:
         return self.request_time_s(request_bytes) + self.reply_time_s(reply_bytes)
 
 
+class PathCharges(NamedTuple):
+    """The charges of one :class:`RpcPathModel`, compiled.
+
+    ``request(n)`` and ``reply(n)`` return the components of
+    :meth:`RpcPathModel.request_components_s` /
+    :meth:`~RpcPathModel.reply_components_s` as a tuple in the same order;
+    ``send_stack(n)`` is the client's transmit time alone (a batched send)
+    and ``recv_copies(n)`` the client's receive entry plus copies (a
+    batched reply).  All but ``recv_copies`` refuse a negative ``n`` with
+    the model's :class:`ValueError`.
+    """
+
+    request: Callable[[int], tuple[float, float, float]]
+    reply: Callable[[int], tuple[float, float, float]]
+    send_stack: Callable[[int], float]
+    recv_copies: Callable[[int], float]
+    #: the generated code, for reading
+    source: str
+
+
+_NEGATIVE = ("if nbytes < 0:", '    raise ValueError("nbytes cannot be negative")')
+
+
+def compile_charges(path: RpcPathModel) -> PathCharges:
+    """Compile ``path``'s charges into functions of the record size.
+
+    Each is the model's arithmetic with every term that does not depend on
+    the size worked out here, in the model's order, so it returns the
+    model's floats exactly.  (The meter adds the components left to right,
+    as ``sum`` does; ``sum``'s start, 0, adds nothing to a cost.)
+    """
+    client, server, link = path.client.netstack, path.server_stack, path.link
+    wire = f"wire = {link.latency_s!r} + nbytes / {link.line_rate_Bps!r}"
+    bodies = {
+        "request": [
+            *_NEGATIVE,
+            *client.tx_source(link, "client_stack"),
+            wire,
+            *server.rx_source(link, "server_stack"),
+            "return client_stack, wire, server_stack",
+        ],
+        "reply": [
+            *_NEGATIVE,
+            *server.tx_source(link, "server_stack"),
+            wire,
+            *client.rx_source(link, "client_stack"),
+            "return server_stack, wire, client_stack",
+        ],
+        "send_stack": [
+            *_NEGATIVE,
+            *client.tx_source(link, "client_stack"),
+            "return client_stack",
+        ],
+        "recv_copies": [
+            f"return {client.rx_entry_s!r} + nbytes * {client.rx_copies!r}"
+            f" / {client.copy_rate_Bps!r}",
+        ],
+    }
+    source = "".join(
+        f"def {name}(nbytes):\n" + "".join(f"    {line}\n" for line in body) + "\n"
+        for name, body in bodies.items()
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<charges of {path.client.name}>", "exec"), namespace)
+    return PathCharges(*(namespace[name] for name in bodies), source)
+
+
 class PlatformMeter:
     """Transport meter charging RPC path time to a virtual clock.
 
@@ -125,6 +198,8 @@ class PlatformMeter:
             "wire": 0.0,
             "server_stack": 0.0,
         }
+        self._call_overhead_s = path.client.language.call_overhead_s
+        self._charges = compile_charges(path)
 
     def add_client_cpu_s(self, seconds: float) -> None:
         """Charge additional client CPU before the next message (launch
@@ -144,34 +219,37 @@ class PlatformMeter:
     def on_send(self, nbytes: int) -> None:
         """Charge the request path for one outbound record."""
         extra, self._pending_extra_s = self._pending_extra_s, 0.0
-        cpu = self.path.client.language.call_overhead_s + extra
-        self.breakdown_s["client_cpu"] += cpu
+        cpu = self._call_overhead_s + extra
+        breakdown = self.breakdown_s
+        breakdown["client_cpu"] += cpu
         if self._batched_sends > 0:
             self._batched_sends -= 1
-            stack = self.path.client.netstack.tx_time_s(nbytes, self.path.link)
-            self.breakdown_s["client_stack"] += stack
+            stack = self._charges.send_stack(nbytes)
+            breakdown["client_stack"] += stack
             cost = cpu + stack
         else:
-            components = self.path.request_components_s(nbytes)
-            for key, value in components.items():
-                self.breakdown_s[key] += value
-            cost = cpu + sum(components.values())
-        self.clock.advance_s(cost)
+            stack, wire, server = self._charges.request(nbytes)
+            breakdown["client_stack"] += stack
+            breakdown["wire"] += wire
+            breakdown["server_stack"] += server
+            cost = cpu + (stack + wire + server)
+        self.clock.advance_ns(cost * 1e9)
         self.bytes_sent += nbytes
 
     def on_recv(self, nbytes: int) -> None:
         """Charge the reply path for one inbound record."""
+        breakdown = self.breakdown_s
         if self._batched_recvs > 0:
             self._batched_recvs -= 1
             # Pipelined replies arrive back to back: interrupts coalesce and
             # per-segment work overlaps, leaving entry cost plus copies.
-            stack = self.path.client.netstack
-            cost = stack.rx_entry_s + nbytes * stack.rx_copies / stack.copy_rate_Bps
-            self.breakdown_s["client_stack"] += cost
+            cost = self._charges.recv_copies(nbytes)
+            breakdown["client_stack"] += cost
         else:
-            components = self.path.reply_components_s(nbytes)
-            for key, value in components.items():
-                self.breakdown_s[key] += value
-            cost = sum(components.values())
-        self.clock.advance_s(cost)
+            server, wire, stack = self._charges.reply(nbytes)
+            breakdown["server_stack"] += server
+            breakdown["wire"] += wire
+            breakdown["client_stack"] += stack
+            cost = server + wire + stack
+        self.clock.advance_ns(cost * 1e9)
         self.bytes_received += nbytes

@@ -111,11 +111,17 @@ FAULTS = {
 }
 
 
-@pytest.mark.parametrize("crc", [False, True], ids=["crc-off", "crc-on"])
-@pytest.mark.parametrize("fault", list(FAULTS))
-def test_handover_matches_reassembled_reference(monkeypatch, crc, fault):
-    if fault == "corrupt-request" and not crc:
-        pytest.skip("a corrupted request is only caught with CRC trailers")
+#: (fault, crc): a corrupted request is only caught with CRC trailers
+CASES = [
+    (fault, crc) for fault in FAULTS for crc in (False, True)
+    if crc or fault != "corrupt-request"
+]
+
+
+@pytest.mark.parametrize(
+    "fault, crc", CASES, ids=[f"{f}-crc-{'on' if c else 'off'}" for f, c in CASES]
+)
+def test_handover_matches_reassembled_reference(monkeypatch, fault, crc):
     got, observed, made = _session(monkeypatch, SpyLoopback, crc=crc, faults=FAULTS[fault])
     want, _, _ = _session(monkeypatch, ReassemblingLoopback, crc=crc, faults=FAULTS[fault])
     assert got == want

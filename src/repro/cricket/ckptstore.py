@@ -14,6 +14,8 @@ checkpoint/restart needs in production:
 * **Atomic persistence** -- containers land in a same-directory temp file,
   are fsynced, and are moved into place with ``os.replace``.  A crash
   leaves either the previous generation or the new one, never a hybrid.
+  :class:`MemoryStorage` is the same interface over a dict, for scratch
+  stores (the deterministic simulator's) that must outlive no process.
 * **Generations with fallback** -- each save produces a new numbered
   generation; :meth:`CheckpointStore.load_state` walks newest-to-oldest
   past any torn or corrupt generation to the last verifiable one.
@@ -27,6 +29,7 @@ checkpoint/restart needs in production:
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import pickle
@@ -274,6 +277,44 @@ class FileStorage:
         return sorted(os.listdir(self.root))
 
 
+class MemoryStorage:
+    """:class:`FileStorage`'s interface over a dict: scratch storage.
+
+    Every write is atomic by construction (one dict assignment), so the
+    crash and tear shapes a test needs come from a
+    :class:`~repro.resilience.faults.FaultyStorage` wrapper, exactly as
+    over a directory.  A missing name reads as ``FileNotFoundError``.
+    """
+
+    def __init__(self) -> None:
+        self._files: dict[str, bytes] = {}
+
+    def read(self, name: str) -> bytes:
+        try:
+            return self._files[name]
+        except KeyError:
+            raise FileNotFoundError(errno.ENOENT, "no such file", name) from None
+
+    def write_atomic(self, name: str, data: bytes) -> None:
+        self._files[name] = bytes(data)
+
+    def append(self, name: str, data: bytes) -> None:
+        self._files[name] = self._files.get(name, b"") + data
+
+    def exists(self, name: str) -> bool:
+        return name in self._files
+
+    def remove(self, name: str) -> None:
+        self._files.pop(name, None)
+
+    def listdir(self) -> list[str]:
+        return sorted(self._files)
+
+    def clear(self) -> None:
+        """Drop every file (the scratch store's end of life)."""
+        self._files.clear()
+
+
 # -- the store ---------------------------------------------------------------
 
 
@@ -288,7 +329,7 @@ class CheckpointStore:
         self,
         directory: str | None = None,
         *,
-        storage: FileStorage | None = None,
+        storage: FileStorage | MemoryStorage | None = None,
         retain: int = 3,
         stats: "ServerStats | None" = None,
         clock=None,
@@ -311,6 +352,10 @@ class CheckpointStore:
         #: generation of the last *successful* save; deltas chain to the
         #: generation that last advanced the dirty-page epoch.
         self.last_generation = max(self.generations(), default=0)
+        #: base generation (0 for a full) of every container this store
+        #: wrote and still retains: retention's record, so it reads back
+        #: only generations someone else wrote.
+        self._bases: dict[int, int] = {}
 
     def _timed_write(self, name: str, blob: bytes) -> None:
         """``write_atomic`` with the container write timed on the clock."""
@@ -350,6 +395,7 @@ class CheckpointStore:
         # ships changes relative to *this* baseline.
         server.device.allocator.clear_dirty()
         self.last_generation = generation
+        self._bases[generation] = 0
         if self.stats is not None:
             self.stats.checkpoint_generations_written += 1
             self.stats.checkpoint_bytes_written += len(blob)
@@ -389,6 +435,7 @@ class CheckpointStore:
         except BaseException:
             allocator._dirty.update(pages)
             raise
+        self._bases[generation] = self.last_generation
         self.last_generation = generation
         if self.stats is not None:
             self.stats.checkpoint_generations_written += 1
@@ -490,29 +537,53 @@ class CheckpointStore:
         for old in self.generations():
             if old < generation:
                 self.storage.remove(_generation_name(old))
+        self._bases = {generation: 0}
         return generation
 
     def _apply_retention(self) -> None:
         """Drop old generations, never orphaning a kept delta's base chain."""
         generations = self.generations()
-        keep = set(generations[-self.retain :])
-        # A kept delta needs its transitive bases even when they fall
-        # outside the retention window.
-        frontier = list(keep)
-        while frontier:
-            generation = frontier.pop()
-            try:
-                container = decode_container(
-                    self.storage.read(_generation_name(generation))
-                )
-            except (CheckpointFormatError, OSError):
-                continue
-            if container.is_delta and container.base_generation not in keep:
-                keep.add(container.base_generation)
-                frontier.append(container.base_generation)
+        keep = self._retained(generations)
         for generation in generations:
             if generation not in keep:
                 self.storage.remove(_generation_name(generation))
+        # What left the store leaves the record, whoever removed it.
+        self._bases = {g: b for g, b in self._bases.items() if g in keep}
+
+    def _retained(self, generations: list[int]) -> set[int]:
+        """The generations retention keeps out of ``generations`` (ascending).
+
+        The newest ``retain``, plus the transitive bases of any kept
+        delta even when they fall outside that window.
+        """
+        present = set(generations)
+        keep = set(generations[-self.retain :])
+        frontier = list(keep)
+        while frontier:
+            base = self._base_of(frontier.pop())
+            if base in present and base not in keep:
+                keep.add(base)
+                frontier.append(base)
+        return keep
+
+    def _base_of(self, generation: int) -> int:
+        """``generation``'s base, 0 for a full or a container that pins none.
+
+        A container this store wrote answers from the record, so a read
+        fault cannot orphan the chain it needs.  Any other (another
+        instance's, or a torn one) is read and decoded: one that does not
+        decode cannot be restored, so it keeps no base alive.
+        """
+        base = self._bases.get(generation)
+        if base is not None:
+            return base
+        try:
+            container = decode_container(
+                self.storage.read(_generation_name(generation))
+            )
+        except (CheckpointFormatError, OSError):
+            return 0
+        return container.base_generation if container.is_delta else 0
 
 
 def _apply_delta(

@@ -33,8 +33,6 @@ without the Cricket stack.
 from __future__ import annotations
 
 import random
-import shutil
-import tempfile
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Any
@@ -247,7 +245,8 @@ class _Cluster:
         self.link = None
         self.store = None  # CheckpointStore over FaultyStorage
         self.store_faults = None  # the FaultyStorage wrapper
-        self.tmpdir = ""  # scratch directory, removed when the run ends
+        #: every MemoryStorage the run built, emptied when it ends
+        self.storages: list[Any] = []
         #: (heal_at_s, wrapper-kind, client) for open windowed faults
         self.pending_heals: list[tuple[float, str, str]] = []
         self.checkpoints_taken = 0
@@ -708,7 +707,7 @@ def _payload_bytes(server) -> int:
 def _build_cluster(
     plan: SimulationPlan, recorder: HistoryRecorder, clock
 ) -> _Cluster:
-    from repro.cricket.ckptstore import CheckpointStore, FileStorage
+    from repro.cricket.ckptstore import CheckpointStore, MemoryStorage
     from repro.cricket.client import CricketClient
     from repro.cricket.replication import ReplicationLink, promote_with_witness
     from repro.cricket.witness import LeadershipFence, Witness
@@ -776,9 +775,9 @@ def _build_cluster(
         ]
 
     # checkpoint store behind injectable storage (torn / slow-fsync events)
-    cluster.tmpdir = tempfile.mkdtemp(prefix="sim-ckpt-")
+    cluster.storages.append(MemoryStorage())
     faulty_storage = FaultyStorage(
-        FileStorage(cluster.tmpdir),
+        cluster.storages[0],
         StorageFaultPlan(seed=plan.seed),
         clock=clock,
     )
@@ -907,8 +906,10 @@ def run_simulation(
     try:
         return _run(plan, schedule, workload, cluster)
     finally:
-        # the checkpoint store's scratch directory dies with the run
-        shutil.rmtree(cluster.tmpdir, ignore_errors=True)
+        # Checkpoint bytes die with the run, not with the cycle collector
+        # that frees its servers (and the stores they reference) later.
+        for storage in cluster.storages:
+            storage.clear()
 
 
 def _run(

@@ -227,7 +227,9 @@ def torn_generation(cluster) -> None:
     except StorageCrashError:
         torn = True
     scratch = cluster.make_server()
-    recovery = CheckpointStore(cluster.tmpdir, stats=scratch.server_stats)
+    recovery = CheckpointStore(
+        storage=cluster.store_faults.inner, stats=scratch.server_stats
+    )
     try:
         restored = recovery.restore_latest(scratch)
     except CheckpointError:
@@ -314,7 +316,7 @@ def migrate(cluster, old, event: NemesisEvent) -> None:
     cutover: the migrated reply cache must answer it (a re-execution is
     the checker's ``double-execution``).
     """
-    from repro.cricket.ckptstore import FileStorage
+    from repro.cricket.ckptstore import MemoryStorage
     from repro.cricket.migration import (
         FaultyMigrationChannel,
         LoopbackMigrationChannel,
@@ -341,9 +343,9 @@ def migrate(cluster, old, event: NemesisEvent) -> None:
             record = rpc._encode_call(xid, proc, size.to_bytes(8, "big"), None)
             resend = lambda: rpc._call_once(xid, record)  # noqa: E731
     if params:
+        cluster.storages.append(MemoryStorage())
         journal = FaultyStorage(
-            FileStorage(f"{cluster.tmpdir}/migration-{event.at_s}"),
-            StorageFaultPlan(seed=cluster.plan.seed),
+            cluster.storages[-1], StorageFaultPlan(seed=cluster.plan.seed)
         )
     target = _TargetProcess(
         lambda: MigrationTarget(cluster.make_server(), storage=journal)

@@ -2,6 +2,7 @@
 
 import os
 import pickle
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,6 +28,7 @@ from repro.cricket.checkpoint import (
 from repro.cricket.ckptstore import (
     KIND_DELTA,
     KIND_FULL,
+    MemoryStorage,
     decode_container,
     encode_container,
     _generation_name,
@@ -34,6 +36,7 @@ from repro.cricket.ckptstore import (
 from repro.cricket.errors import CheckpointError
 from repro.cricket.replication import state_fingerprint
 from repro.gpu import A100, GpuDevice
+from repro.net.simclock import SimClock
 from repro.resilience.faults import (
     FaultyStorage,
     StorageCrashError,
@@ -342,8 +345,6 @@ class TestStorageFaults:
         assert torn == b"A" * len(torn)
 
     def test_arming_mid_run_faults_exactly_the_next_writes(self, tmp_path):
-        from repro.net.simclock import SimClock
-
         clock = SimClock()
         faulty = FaultyStorage(
             FileStorage(str(tmp_path)), StorageFaultPlan(seed=3), clock=clock
@@ -478,3 +479,179 @@ class TestSnapshotProperty:
         else:
             restore_server(restored, snapshot_server(server))
         assert state_fingerprint(restored) == fingerprint
+
+
+# -- retention from the store's own record -------------------------------------
+#
+# Two differential references: MemoryStorage against FileStorage under the
+# same storage faults, and the kept set a store computes from its record
+# against the one a fresh store (empty record, so the read-and-decode walk)
+# computes over the same storage.
+
+
+class TestReadFaultDuringRetention:
+    def test_short_reads_do_not_orphan_a_kept_delta(self, tmp_path):
+        server, client, ptr = populated_server()
+        faulty = FaultyStorage(FileStorage(str(tmp_path)), StorageFaultPlan(seed=1))
+        store = CheckpointStore(storage=faulty, retain=3)
+        for i in range(5):
+            client.memset(ptr, i + 1, 64)
+            store.save(server)
+        client.memset(ptr, 0x66, 64)
+        faulty._short_left = 3  # the disk answers the next three reads short
+        assert store.save(server) == 6
+        # generation 6 is a delta chained down to the full at 1
+        assert store.generations() == [1, 2, 3, 4, 5, 6]
+        restored = small_server()
+        assert CheckpointStore(str(tmp_path)).restore_latest(restored) == 6
+        assert state_fingerprint(restored) == state_fingerprint(server)
+
+    def test_record_forgets_what_the_store_dropped(self):
+        server, client, ptr = populated_server()
+        store = CheckpointStore(storage=MemoryStorage(), retain=2)
+        for i in range(6):
+            client.memset(ptr, i, 64)
+            store.save(server)
+        assert store._bases == {g: g - 1 for g in range(2, 7)} | {1: 0}
+        generation = store.compact()
+        assert store.generations() == [generation]
+        assert store._bases == {generation: 0}
+        for i in range(4):
+            client.memset(ptr, i, 64)
+            store.save_full(server)
+        assert sorted(store._bases) == store.generations() == [
+            generation + 3, generation + 4
+        ]
+
+
+# -- (a) MemoryStorage against FileStorage -------------------------------------
+
+_NAMES = ("ckpt-00000001.ckpt", "ckpt-00000002.ckpt", "journal")
+_TRIGGERS = ("torn", "crash", "enospc", "flip", "short", "slow")
+
+
+def _storage_script(seed: int, steps: int = 200) -> list[tuple]:
+    rng = random.Random(seed)
+    script = []
+    for _ in range(steps):
+        op = rng.choice(
+            ("write", "write", "append", "read", "read", "exists", "remove",
+             "listdir", "arm")
+        )
+        if op in ("write", "append"):
+            payload = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 64)))
+            script.append((op, rng.choice(_NAMES), payload))
+        elif op == "arm":
+            script.append((op, rng.choice(_TRIGGERS), rng.randrange(1, 3)))
+        else:
+            script.append((op, rng.choice(_NAMES), None))
+    return script
+
+
+def _arm(faulty: FaultyStorage, trigger: str, count: int) -> None:
+    if trigger == "torn":
+        faulty.arm_torn(count)
+    elif trigger == "slow":
+        faulty.arm_slow_fsync(count, 0.05)
+    else:
+        attr = {"crash": "_crash_left", "enospc": "_enospc_left",
+                "flip": "_flip_left", "short": "_short_left"}[trigger]
+        setattr(faulty, attr, getattr(faulty, attr) + count)
+
+
+def _replay(inner, seed: int, script: list[tuple]):
+    clock = SimClock()
+    plan = StorageFaultPlan(
+        seed=seed, torn_write_rate=0.05, bit_flip_rate=0.05, partial_read_rate=0.05
+    )
+    faulty = FaultyStorage(inner, plan, clock=clock)
+    outcomes = []
+    for op, name, arg in script:
+        try:
+            if op == "arm":
+                _arm(faulty, name, arg)
+                result = None
+            elif op == "write":
+                result = faulty.write_atomic(name, arg)
+            elif op == "append":
+                result = faulty.append(name, arg)
+            elif op == "read":
+                result = bytes(faulty.read(name))
+            elif op == "exists":
+                result = faulty.exists(name)
+            elif op == "remove":
+                result = faulty.remove(name)
+            else:
+                result = faulty.listdir()
+            outcomes.append(("ok", result))
+        except OSError as exc:  # StorageCrashError, ENOSPC, a missing file
+            outcomes.append((type(exc), exc.errno))
+    return outcomes, faulty.listdir(), clock.now_ns, faulty.stats.faults_injected
+
+
+class TestMemoryStorageMatchesFileStorage:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_faults_same_story(self, tmp_path, seed):
+        script = _storage_script(seed)
+        memory = _replay(MemoryStorage(), seed, script)
+        disk = _replay(FileStorage(str(tmp_path)), seed, script)
+        assert memory == disk
+        kinds = {kind for kind, _ in memory[0]}
+        assert StorageCrashError in kinds and FileNotFoundError in kinds
+
+
+# -- (b) the record's kept set against the read-and-decode walk ---------------
+
+
+def _checked(store: CheckpointStore, inner, compared: list[tuple[int, set[int]]]):
+    """Make ``store`` check each kept set against a fresh store's walk."""
+    retained = store._retained
+
+    def check(generations):
+        kept = retained(generations)
+        walk = CheckpointStore(storage=inner, retain=store.retain)
+        assert walk._bases == {}
+        assert kept == walk._retained(generations), generations
+        compared.append((store.retain, kept))
+        return kept
+
+    store._retained = check
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_record_keeps_what_the_walk_keeps(seed):
+    rng = random.Random(seed)
+    inner = MemoryStorage()
+    faulty = FaultyStorage(inner, StorageFaultPlan(seed=seed))
+    compared: list[tuple[int, set[int]]] = []
+    instances = []
+    for _ in range(2):  # a second instance writes to the same storage
+        server, client, ptr = populated_server()
+        store = CheckpointStore(storage=faulty, retain=rng.randrange(1, 4))
+        _checked(store, inner, compared)
+        instances.append((store, server, client, ptr))
+    for _ in range(40):
+        store, server, client, ptr = rng.choice(instances)
+        client.memset(ptr + rng.randrange(0, 64) * 4096, rng.randrange(256), 32)
+        action = rng.choices(
+            ("save", "full", "torn", "crash", "enospc", "compact"),
+            (10, 2, 2, 1, 1, 1),
+        )[0]
+        if action == "torn":
+            faulty.arm_torn(1)
+        elif action == "crash":
+            faulty._crash_left += 1
+        elif action == "enospc":
+            faulty._enospc_left += 1
+        try:
+            if action == "compact":
+                store.compact()
+            elif action == "full":
+                store.save_full(server)
+            else:
+                store.save(server)
+        except (StorageCrashError, OSError, CheckpointError):
+            pass
+    assert len(compared) >= 20
+    # the window alone would have dropped a base some kept delta needed
+    assert any(len(kept) > retain for retain, kept in compared)

@@ -7,6 +7,7 @@ double-execution bug is caught by the checker and shrunk to a minimal
 replayable trace, and the trace replays byte-for-byte.
 """
 
+import errno
 import json
 import os
 import random
@@ -15,11 +16,15 @@ from pathlib import Path
 
 import pytest
 
+from repro.cricket.ckptstore import MemoryStorage
 from repro.resilience.simulation import (
     BUG_DOUBLE_EXECUTE,
     DOUBLE_EXECUTION,
+    DRAIN_RESTORE,
     HA_PAIR_KINDS,
+    MIGRATE,
     SINGLE_KINDS,
+    STORAGE_TORN,
     TOPOLOGIES,
     NemesisEvent,
     SimulationPlan,
@@ -168,6 +173,38 @@ class TestCleanSeeds:
         with pytest.raises(KeyError):
             run_simulation(plan, schedule=[NemesisEvent(1.0, "no_such_event")])
         assert os.listdir(tmp_path) == []
+
+    def test_runs_touch_no_disk_and_keep_no_checkpoint_bytes(
+        self, tmp_path, monkeypatch
+    ):
+        fsyncs = []
+
+        def no_fsync(fd):
+            fsyncs.append(fd)
+            raise OSError(errno.EIO, "a simulated store reached a real disk")
+
+        built = []
+        init = MemoryStorage.__init__
+
+        def spy(storage):
+            init(storage)
+            built.append(storage)
+
+        monkeypatch.setattr(os, "fsync", no_fsync)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(MemoryStorage, "__init__", spy)
+        plan = SimulationPlan(topology="single", seed=4, steps=60, horizon_s=6.0)
+        result = run_simulation(plan, schedule=[
+            NemesisEvent(1.0, STORAGE_TORN, {"restore": True}),
+            NemesisEvent(2.5, DRAIN_RESTORE, {}),
+            NemesisEvent(4.0, MIGRATE, {"disconnect_at": [3], "torn_journal": True}),
+        ])
+        assert result.clean, result.violations
+        assert {"torn-fallback", "migration-restarted"} <= set(result.evaluated)
+        assert fsyncs == [] and os.listdir(tmp_path) == []
+        # the checkpoint store and the migration journal, emptied at the end
+        assert len(built) == 2
+        assert all(storage.listdir() == [] for storage in built)
 
     def test_workload_outcomes_are_typed(self):
         result = run_simulation(SimulationPlan(topology="ha_pair", seed=7))

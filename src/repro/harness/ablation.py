@@ -1,4 +1,4 @@
-"""Ablation experiments from §4.2's discussion.
+"""Ablation experiments from §4.2's discussion and §5's outlook.
 
 Two studies the paper describes in text rather than figures:
 
@@ -9,6 +9,11 @@ Two studies the paper describes in text rather than figures:
 * **Transfer-method comparison** -- Cricket's four memory-transfer methods
   (RPC arguments, parallel sockets, InfiniBand/GPUDirect, shared memory)
   have very different ceilings; unikernels can only use the slowest.
+
+And one answer to the conclusion's "to reduce the overhead found in this
+paper": **launch batching** -- ONC RPC batching streams kernel launches
+without waiting for replies; :func:`run_launch_batching` measures how much
+of each platform's per-launch latency that recovers.
 """
 
 from __future__ import annotations
@@ -17,9 +22,12 @@ from dataclasses import dataclass, field
 
 from repro.apps import bandwidth
 from repro.cricket.transfer import TransferMethod, TransferTimingModel, supported_on
+from repro.cubin import build_cubin_for_registry
+from repro.cubin.metadata import KernelMeta
 from repro.harness.report import render_table
 from repro.harness.runner import make_session
-from repro.unikernel.presets import EVAL_LINK, linux_vm, rustyhermit, unikraft
+from repro.unikernel.platform import Platform
+from repro.unikernel.presets import EVAL_LINK, linux_vm, native_rust, rustyhermit, unikraft
 
 MIB = 1 << 20
 
@@ -89,8 +97,6 @@ def run_transfer_method_comparison(nbytes: int = 512 * MIB) -> TransferMethodRes
     result = TransferMethodResult()
 
     # RPC arguments: measure through the real path on the native platform.
-    from repro.unikernel.presets import native_rust
-
     with make_session(native_rust(), device_mem=nbytes + 64 * MIB) as session:
         run = bandwidth.run(session, transfer_bytes=nbytes, verify=False)
     times = {
@@ -105,5 +111,55 @@ def run_transfer_method_comparison(nbytes: int = 512 * MIB) -> TransferMethodRes
         result.bandwidth_MiBps[method.value] = nbytes / MIB / seconds
         result.supported_by_unikernels[method.value] = all(
             supported_on(method, p) for p in (rustyhermit(), unikraft())
+        )
+    return result
+
+
+@dataclass
+class BatchingResult:
+    """Per-launch latency, synchronous vs batched, per platform (us)."""
+
+    calls: int
+    #: platform name -> (synchronous us, batched us)
+    latency_us: dict[str, tuple[float, float]] = field(default_factory=dict)
+
+    def render(self) -> str:
+        """Render the result as a text table."""
+        return render_table(
+            f"Launch batching -- per-launch latency over {self.calls} launches (us)",
+            ["platform", "synchronous [us]", "batched [us]", "reduction"],
+            [
+                (name, sync, batched, f"{100 * (1 - batched / sync):.0f}%")
+                for name, (sync, batched) in self.latency_us.items()
+            ],
+            floatfmt="{:.2f}",
+        )
+
+
+def _launch_time_us(platform: Platform, calls: int, *, batched: bool) -> float:
+    with make_session(platform) as session:
+        cubin = build_cubin_for_registry(session.server.device.registry, ["_Z9nopKernelv"])
+        module = session.client.module_load(cubin)
+        meta = KernelMeta.from_kinds("_Z9nopKernelv", ())
+        fn = session.client.get_function(module, "_Z9nopKernelv", meta)
+        start = session.clock.now_ns
+        for _ in range(calls):
+            if batched:
+                session.client.launch_kernel_batched(fn, (1, 1, 1), (1, 1, 1), ())
+            else:
+                session.client.launch_kernel(fn, (1, 1, 1), (1, 1, 1), ())
+        if batched:
+            session.client.flush()
+        return (session.clock.now_ns - start) / calls / 1e3
+
+
+def run_launch_batching(calls: int = 2_000) -> BatchingResult:
+    """Synchronous vs batched nop launches on native, VM and unikernels."""
+    result = BatchingResult(calls=calls)
+    for factory in (native_rust, linux_vm, unikraft, rustyhermit):
+        platform = factory()
+        result.latency_us[platform.name] = (
+            _launch_time_us(platform, calls, batched=False),
+            _launch_time_us(platform, calls, batched=True),
         )
     return result

@@ -13,9 +13,10 @@ attributions first-class: every run decomposes its virtual time into
 * ``cuda``           -- PCIe copies, GPU waits, allocator bookkeeping,
 * ``host_app``       -- client-side time outside any RPC (input generation).
 
-The benchmark suite asserts the paper's §4.2 attributions on these
-decompositions, e.g. that RustyHermit's bandwidth collapse lives almost
-entirely in ``client_stack``.
+:func:`run_breakdown` decomposes a bulk and a chatty workload on native,
+the Linux VM and RustyHermit; the claims table (:mod:`repro.harness.claims`)
+checks the paper's §4.2 attributions on them, e.g. that RustyHermit's
+bandwidth collapse lives almost entirely in ``client_stack``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.core.session import GpuSession
 from repro.harness.report import render_table
 from repro.harness.runner import make_session
 from repro.unikernel.platform import Platform
+from repro.unikernel.presets import linux_vm, native_rust, rustyhermit
 
 MIB = 1 << 20
 
@@ -104,7 +106,7 @@ def measure_breakdown(
     )
 
 
-# -- canned workloads used by the analysis benches ---------------------------
+# -- canned workloads of the analysis ------------------------------------------
 
 
 def bulk_upload_workload(nbytes: int = 128 * MIB) -> Callable[[GpuSession], None]:
@@ -126,3 +128,29 @@ def chatty_workload(calls: int = 2000) -> Callable[[GpuSession], None]:
             session.client.get_device_count()
 
     return run
+
+
+@dataclass
+class BreakdownResult:
+    """Cost breakdowns keyed by ``(regime, platform name)``."""
+
+    runs: dict[tuple[str, str], CostBreakdown] = field(default_factory=dict)
+
+    def render(self) -> str:
+        """Render every breakdown under its workload's heading."""
+        return "\n\n".join(
+            f"[{regime} workload]\n" + bd.render() for (regime, _), bd in self.runs.items()
+        )
+
+
+def run_breakdown() -> BreakdownResult:
+    """The bulk (Figure 7) and chatty (Figure 6) regimes on three platforms."""
+    result = BreakdownResult()
+    for regime, workload in (
+        ("bulk", bulk_upload_workload()),
+        ("chatty", chatty_workload()),
+    ):
+        for factory in (native_rust, linux_vm, rustyhermit):
+            platform = factory()
+            result.runs[(regime, platform.name)] = measure_breakdown(platform, workload)
+    return result

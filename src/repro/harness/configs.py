@@ -8,8 +8,9 @@ objects themselves come from :mod:`repro.unikernel.presets`.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from repro.harness.runner import make_session
 from repro.unikernel.platform import Platform
 from repro.unikernel.presets import table1_platforms
 
@@ -39,9 +40,9 @@ def table1_rows() -> list[Table1Row]:
     ]
 
 
-def table1() -> str:
+def table1(rows: list[Table1Row] | None = None) -> str:
     """Render Table 1 as text."""
-    rows = table1_rows()
+    rows = table1_rows() if rows is None else rows
     header = f"{'Name':<10} {'app.':<6} {'OS':<12} {'Hypervisor':<10} {'Network':<8}"
     lines = [header, "-" * len(header)]
     for r in rows:
@@ -50,6 +51,28 @@ def table1() -> str:
             f"{r.hypervisor:<10} {r.network:<8}"
         )
     return "\n".join(lines)
+
+
+@dataclass
+class Table1Result:
+    """Table 1's rows, and how many GPUs each configuration sees."""
+
+    rows: list[Table1Row] = field(default_factory=list)
+    #: configuration name -> ``cudaGetDeviceCount`` through its session
+    device_counts: dict[str, int] = field(default_factory=dict)
+
+    def render(self) -> str:
+        """Render the table (the device counts feed the claims only)."""
+        return table1(self.rows)
+
+
+def run_table1() -> Table1Result:
+    """Table 1, with every configuration completing a call to the GPU."""
+    result = Table1Result(rows=table1_rows())
+    for platform in table1_platforms():
+        with make_session(platform) as session:
+            result.device_counts[platform.name] = session.client.get_device_count()
+    return result
 
 
 #: Paper values of Table 1 for verification.

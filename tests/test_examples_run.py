@@ -2,13 +2,12 @@
 
 The heavy sweep examples (platform_comparison, bandwidth_survey) are
 exercised at reduced scale elsewhere; here we run the fast ones end to end
-as real subprocesses, the way a user would.
+as ``__main__`` in the test process (that a fresh interpreter imports the
+package is covered by ``test_package_surface.py``'s fresh-process tests).
 """
 
-import os
 import pathlib
-import subprocess
-import sys
+import runpy
 
 import pytest
 
@@ -33,29 +32,15 @@ FAST_EXAMPLES = [
 ]
 
 
-def _example_env() -> dict:
-    """Subprocesses must find ``repro`` regardless of how pytest was run."""
-    env = dict(os.environ)
-    src = str(REPO_ROOT / "src")
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src if not existing else f"{src}{os.pathsep}{existing}"
-    return env
-
-
 @pytest.mark.parametrize("script", FAST_EXAMPLES)
-def test_example_runs(script, tmp_path):
-    result = subprocess.run(
-        [sys.executable, str(EXAMPLES_DIR / script)],
-        capture_output=True,
-        text=True,
-        timeout=180,
-        cwd=tmp_path,  # examples may write artifacts (trace.json)
-        env=_example_env(),
-    )
-    assert result.returncode == 0, (
-        f"{script} failed\nstdout:\n{result.stdout}\nstderr:\n{result.stderr}"
-    )
-    assert result.stdout.strip(), f"{script} produced no output"
+def test_example_runs(script, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # examples may write artifacts (trace.json)
+    monkeypatch.setattr("sys.argv", [script])
+    try:
+        runpy.run_path(str(EXAMPLES_DIR / script), run_name="__main__")
+    except SystemExit as stop:
+        assert stop.code in (None, 0), f"{script} exited with {stop.code}"
+    assert capsys.readouterr().out.strip(), f"{script} produced no output"
 
 
 def test_all_examples_exist_and_have_docstrings():

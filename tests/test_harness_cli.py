@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.harness import claims
 from repro.harness.__main__ import ARTIFACTS, main
 
 
@@ -25,7 +26,9 @@ class TestCli:
     def test_artifact_registry_complete(self):
         assert set(ARTIFACTS) == {
             "table1", "fig5", "fig6", "fig7", "offloads", "methods", "outlook",
+            "batching", "breakdown", "shmoo", "scaling", "compute_bound",
         }
+        assert {claim.artifact for claim in claims.CLAIMS} == set(ARTIFACTS)
 
     def test_outlook_artifact_runs(self, capsys, monkeypatch, tmp_path):
         # Same CLI path and rendering at 1/16 of the transfer and 1/10 of
@@ -33,9 +36,10 @@ class TestCli:
         # full-scale results/ablation_outlook.txt.
         from repro.harness import outlook, report
 
-        monkeypatch.setattr(
-            "repro.harness.__main__.run_outlook",
-            lambda: outlook.run_outlook(nbytes=16 << 20, calls=200),
+        title, filename, _run, render = ARTIFACTS["outlook"]
+        monkeypatch.setitem(
+            ARTIFACTS, "outlook",
+            (title, filename, lambda: outlook.run_outlook(nbytes=16 << 20, calls=200), render),
         )
         monkeypatch.setattr(report, "RESULTS_DIR", str(tmp_path))
         assert main(["outlook"]) == 0

@@ -8,6 +8,8 @@ nothing until a name is read.  Checked mechanically for all of them:
 * every name that tests/ or examples/ import *from* a package is declared
   in its ``__all__`` (or is one of its submodules) -- the consumers in
   this repo define the supported surface;
+* the simulator's entry points are reachable at :mod:`repro.resilience`
+  without knowing the subpackage layout;
 * submodules stay reachable as attributes, and a fresh
   ``from repro.cricket import CricketClient, CricketServer`` -- what a
   client or a server process imports -- loads neither SciPy nor any
@@ -94,6 +96,15 @@ def test_every_package_is_covered():
     for package in NAMESPACES:
         module = import_module(package)
         assert callable(getattr(module, "__getattr__", None)), f"{package} is not lazy"
+
+
+def test_simulation_api_reexported_at_package_level():
+    exported = import_module("repro.resilience").__all__
+    for name in (
+        "SimulationPlan", "run_simulation", "shrink_schedule", "save_trace", "load_trace",
+        "replay_trace", "HistoryChecker", "NemesisEvent", "generate_schedule",
+    ):
+        assert name in exported, name
 
 
 @pytest.mark.parametrize("package", NAMESPACES)

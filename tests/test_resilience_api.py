@@ -52,16 +52,6 @@ class TestPackageSurface:
         assert len(resilience.__all__) == len(set(resilience.__all__))
         assert len(simulation.__all__) == len(set(simulation.__all__))
 
-    def test_simulation_api_reexported_at_package_level(self):
-        # The core simulation entry points are reachable without knowing
-        # the subpackage layout.
-        for name in (
-            "SimulationPlan", "run_simulation", "shrink_schedule",
-            "save_trace", "load_trace", "replay_trace", "HistoryChecker",
-            "NemesisEvent", "generate_schedule",
-        ):
-            assert name in resilience.__all__, name
-
 
 class TestConsumersCovered:
     def test_package_imports_are_declared(self):

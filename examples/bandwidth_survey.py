@@ -10,8 +10,8 @@ Run:  python examples/bandwidth_survey.py
 
 from repro import GpuSession, SessionConfig
 from repro.apps import bandwidth
-from repro.cricket import TransferMethod, TransferTimingModel, supported_on
-from repro.unikernel import EVAL_LINK, rustyhermit, table1_platforms, unikraft
+from repro.harness.ablation import run_transfer_method_comparison
+from repro.unikernel import table1_platforms
 
 MIB = 1 << 20
 SIZE = 128 * MIB
@@ -31,19 +31,8 @@ def main() -> None:
         print(f"  {platform.name:<10} D2H {result.d2h_MiBps:8.1f} MiB/s   "
               f"H2D {result.h2d_MiBps:8.1f} MiB/s  ({rel_h2d:5.1%} of native)")
 
-    print("\n=== Cricket transfer methods (analytic, H2D) ===")
-    timing = TransferTimingModel(link=EVAL_LINK)
-    methods = {
-        TransferMethod.PARALLEL_SOCKETS: timing.parallel_sockets_s(SIZE, 5e9, threads=4),
-        TransferMethod.IB_GPUDIRECT: timing.ib_gpudirect_s(SIZE),
-        TransferMethod.SHARED_MEMORY: timing.shared_memory_s(SIZE),
-    }
-    for method, seconds in methods.items():
-        unikernel_ok = all(
-            supported_on(method, p) for p in (rustyhermit(), unikraft())
-        )
-        note = "" if unikernel_ok else "   (unavailable from unikernels)"
-        print(f"  {method.value:<18} {SIZE / MIB / seconds:8.1f} MiB/s{note}")
+    print()
+    print(run_transfer_method_comparison(nbytes=SIZE).render())
     print("\nunikernels lack InfiniBand drivers and host shared memory, so the")
     print("whole evaluation runs over single-threaded RPC-argument transfers.")
 

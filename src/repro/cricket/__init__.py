@@ -6,7 +6,8 @@
 * :mod:`repro.cricket.client` -- the application-side virtualization layer
   (Figure 3's left half), built entirely from the generated RPCL stubs,
 * :mod:`repro.cricket.params` -- CUDA-ABI kernel parameter packing,
-* :mod:`repro.cricket.transfer` -- the four memory-transfer methods,
+* :mod:`repro.cricket.transfer` -- the four memory-transfer methods' support
+  matrix and timing model,
 * :mod:`repro.cricket.checkpoint` -- checkpoint/restart of server state,
 * :mod:`repro.cricket.scheduler` -- GPU-sharing scheduling policies,
 * :mod:`repro.cricket.sessions` -- per-client leases, resource ledgers and
@@ -28,8 +29,7 @@ __getattr__, __dir__, __all__ = lazy_namespace(
         "client": ("CricketClient", "cricket_interface"),
         "spec": ("CRICKET_SPEC", "CRICKET_PROG_NAME", "CRICKET_VERS", "MUTATING_PROC_NAMES"),
         "params": ("pack_params", "unpack_params"),
-        "transfer": ("TransferMethod", "TransferEngine", "TransferTimingModel", "supported_on"),
-        "data_channel": ("DataChannelServer", "DataChannelClient"),
+        "transfer": ("TransferMethod", "TransferTimingModel", "supported_on"),
         "checkpoint": (
             "snapshot_server", "restore_server", "capture_server_state", "restore_server_state",
             "save_checkpoint", "load_checkpoint",
@@ -37,8 +37,7 @@ __getattr__, __dir__, __all__ = lazy_namespace(
         "ckptstore": ("CheckpointStore", "FileStorage"),
         "migration": (
             "MigrationSource", "MigrationTarget", "MigrationConfig", "MigrationReport",
-            "LoopbackMigrationChannel", "FaultyMigrationChannel", "SocketMigrationChannel",
-            "migrate_live",
+            "LoopbackMigrationChannel", "FaultyMigrationChannel", "migrate_live",
         ),
         "replication": (
             "ReplicationLink", "make_ha_pair", "promote", "promote_with_witness",
@@ -55,7 +54,7 @@ __getattr__, __dir__, __all__ = lazy_namespace(
         "sessions": ("SessionManager", "Session", "ResourceLedger", "LEASE_FOREVER"),
         "errors": (
             "CricketError", "CheckpointError", "CheckpointFormatError", "MigrationError",
-            "MigrationChannelError", "ChunkRejectedError", "TransferUnsupportedError",
+            "MigrationChannelError", "ChunkRejectedError",
         ),
     },
 )

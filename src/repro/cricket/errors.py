@@ -35,7 +35,3 @@ class MigrationChannelError(MigrationError):
 
 class ChunkRejectedError(MigrationError):
     """The receiver refused a chunk whose CRC32 trailer mismatched."""
-
-
-class TransferUnsupportedError(CricketError):
-    """Requested memory-transfer method unavailable on this platform."""

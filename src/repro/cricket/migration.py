@@ -181,23 +181,6 @@ class FaultyMigrationChannel:
         return self.inner.send(blob)
 
 
-class SocketMigrationChannel:
-    """Chunks over the data channel's blob lane (real TCP sockets)."""
-
-    def __init__(self, data_client) -> None:
-        self.data_client = data_client
-
-    def send(self, blob: bytes) -> int:
-        try:
-            ack = self.data_client.send_blob(0, blob)
-        except OSError as exc:
-            raise MigrationChannelError(f"data channel broke: {exc}") from exc
-        if ack is None:
-            raise ChunkRejectedError("receiver NAKed chunk (wire corruption)")
-        (seq,) = struct.unpack(">Q", ack)
-        return seq
-
-
 # -- the receiving side ------------------------------------------------------
 
 
@@ -577,15 +560,6 @@ class MigrationSource:
             # A lost cursor write costs resume precision, never correctness:
             # the receiver de-duplicates anything resent from an older ack.
             pass
-
-    def load_cursor(self) -> dict | None:
-        """The persisted cursor, or ``None`` when absent/corrupt."""
-        if self.storage is None or not self.storage.exists(self.cursor_name):
-            return None
-        try:
-            return json.loads(bytes(verify_crc(self.storage.read(self.cursor_name))))
-        except (RpcIntegrityError, ValueError, OSError):
-            return None
 
     # -- phases --------------------------------------------------------------
 

@@ -763,11 +763,6 @@ class CricketServer(RpcServer):
             self._dispatches_since_sweep = self.sanitizer_sweep_every
             self._maybe_sweep()
 
-    def recover_now(self) -> None:
-        """Run the recovery ladder immediately (tests/operators)."""
-        with self.implementation._lock:
-            self.recovery.heal()
-
     # -- brownout (staged degraded mode) -------------------------------------
 
     #: throttle multiplier treated as "ratio 1.0" by the brownout signal --

@@ -13,10 +13,12 @@ applications and devices --
    memory, eliminating the staging buffer; highest bandwidth.
 4. **Shared memory** -- for a client on the GPU node itself.
 
-Every method implements the same interface: functionally move bytes into
-or out of device memory, and charge the virtual clock with its own timing
-model.  ``supported_on`` encodes the paper's support matrix (unikernels:
-RPC arguments only).
+Only RPC arguments move real bytes here: that is
+:class:`~repro.cricket.client.CricketClient`'s memcpy path.  The other
+three methods are priced by :class:`TransferTimingModel` alone, which is
+what the §4.2 ablation (:mod:`repro.harness.ablation`) compares.
+``supported_on`` encodes the paper's support matrix (unikernels: RPC
+arguments only).
 """
 
 from __future__ import annotations
@@ -24,12 +26,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.cricket.client import CricketClient
-from repro.gpu.device import GpuDevice
 from repro.net.link import LinkModel
-from repro.net.simclock import SimClock
 from repro.unikernel.platform import Platform
-from repro.xdr.encoder import Buffer
 
 
 class TransferMethod(enum.Enum):
@@ -97,81 +95,3 @@ class TransferTimingModel:
         """Same-host transfer through a shared segment plus PCIe."""
         return nbytes / self.shm_rate_Bps + nbytes / self.pcie_Bps
 
-
-class TransferEngine:
-    """Functionally moves memory with per-method virtual-time charging.
-
-    The RPC-argument method delegates to a live :class:`CricketClient`
-    (real wire path, time charged by the platform meter).  The other
-    methods write directly into the device (they bypass the RPC data path
-    by design) and charge their analytic models.
-    """
-
-    def __init__(
-        self,
-        client: CricketClient,
-        device: GpuDevice,
-        clock: SimClock,
-        timing: TransferTimingModel,
-        *,
-        client_rate_Bps: float = 5.0e9,
-    ) -> None:
-        self.client = client
-        self.device = device
-        self.clock = clock
-        self.timing = timing
-        self.client_rate_Bps = client_rate_Bps
-
-    def h2d(
-        self,
-        method: TransferMethod,
-        dst: int,
-        data: Buffer,
-        *,
-        threads: int = 4,
-    ) -> None:
-        """Host-to-device transfer of the bytes of ``data`` (any buffer)
-        with the chosen method."""
-        platform = self.client.platform
-        if platform is not None and not supported_on(method, platform):
-            raise NotImplementedError(
-                f"{method.value} transfers are not supported on {platform.name}"
-            )
-        if method is TransferMethod.RPC_ARGS:
-            self.client.memcpy_h2d(dst, data)
-            return
-        nbytes = memoryview(data).nbytes
-        if method is TransferMethod.PARALLEL_SOCKETS:
-            seconds = self.timing.parallel_sockets_s(nbytes, self.client_rate_Bps, threads)
-        elif method is TransferMethod.IB_GPUDIRECT:
-            seconds = self.timing.ib_gpudirect_s(nbytes)
-        else:
-            seconds = self.timing.shared_memory_s(nbytes)
-        self.device.allocator.write(dst, data)
-        self.clock.advance_s(seconds)
-
-    def d2h(
-        self,
-        method: TransferMethod,
-        src: int,
-        size: int,
-        *,
-        threads: int = 4,
-    ) -> bytes:
-        """Device-to-host transfer with the chosen method."""
-        platform = self.client.platform
-        if platform is not None and not supported_on(method, platform):
-            raise NotImplementedError(
-                f"{method.value} transfers are not supported on {platform.name}"
-            )
-        if method is TransferMethod.RPC_ARGS:
-            return self.client.memcpy_d2h(src, size)
-        if method is TransferMethod.PARALLEL_SOCKETS:
-            seconds = self.timing.parallel_sockets_s(size, self.client_rate_Bps, threads)
-        elif method is TransferMethod.IB_GPUDIRECT:
-            seconds = self.timing.ib_gpudirect_s(size)
-        else:
-            seconds = self.timing.shared_memory_s(size)
-        data = self.device.allocator.read(src, size)
-        self.clock.advance_s(seconds)
-        return data

@@ -28,8 +28,6 @@ from repro.gpu.errors import KernelParamError, UnknownKernelError
 #: Parameter kinds understood by the launch marshaller.
 PARAM_KINDS = ("ptr", "u32", "i32", "u64", "f32", "f64")
 
-_PARAM_SIZES = {"ptr": 8, "u64": 8, "f64": 8, "u32": 4, "i32": 4, "f32": 4}
-
 _INTEGER = (int, np.integer)
 _NUMBER = (int, float, np.floating)
 #: what a launch value of each kind must be an instance of
@@ -116,11 +114,6 @@ class Kernel:
         object.__setattr__(
             self, "_accepted", tuple(_ACCEPTED[kind] for kind in self.param_kinds)
         )
-
-    @property
-    def param_sizes(self) -> tuple[int, ...]:
-        """Byte size of each parameter, in order."""
-        return tuple(_PARAM_SIZES[k] for k in self.param_kinds)
 
     def check_params(self, params: tuple[Any, ...]) -> None:
         """Validate launch parameters against the specification.

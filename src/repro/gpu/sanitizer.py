@@ -274,8 +274,3 @@ class Sanitizer:
         if self.on_violation is not None:
             self.on_violation(err)
         return err
-
-    @property
-    def total_violations(self) -> int:
-        """Total violations detected across all kinds."""
-        return sum(self.violations.values())

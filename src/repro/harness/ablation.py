@@ -70,6 +70,7 @@ def run_offload_ablation(nbytes: int = 512 * MIB) -> OffloadAblationResult:
 class TransferMethodResult:
     """Analytic bandwidth of each Cricket transfer method (MiB/s)."""
 
+    nbytes: int
     bandwidth_MiBps: dict[str, float] = field(default_factory=dict)
     supported_by_unikernels: dict[str, bool] = field(default_factory=dict)
 
@@ -84,7 +85,7 @@ class TransferMethodResult:
             for method in self.bandwidth_MiBps
         ]
         return render_table(
-            "Transfer-method comparison -- 512 MiB host-to-device (MiB/s)",
+            f"Transfer-method comparison -- {self.nbytes // MIB} MiB host-to-device (MiB/s)",
             ["method", "bandwidth [MiB/s]", "usable from unikernels"],
             rows,
             floatfmt="{:.1f}",
@@ -94,7 +95,7 @@ class TransferMethodResult:
 def run_transfer_method_comparison(nbytes: int = 512 * MIB) -> TransferMethodResult:
     """Compare the four methods' H2D bandwidth on the evaluation link."""
     timing = TransferTimingModel(link=EVAL_LINK)
-    result = TransferMethodResult()
+    result = TransferMethodResult(nbytes)
 
     # RPC arguments: measure through the real path on the native platform.
     with make_session(native_rust(), device_mem=nbytes + 64 * MIB) as session:

@@ -184,6 +184,12 @@ _claim("fig5c.rust_faster_total", "fig5", "histogram: C / Rust - 1",
 _claim("fig5c.rust_faster_ex_init", "fig5", "histogram ex-init: C / Rust - 1",
        lambda r: _ex_init(r, "C") / _ex_init(r, "Rust") - 1, "in", (0.20, 0.35),
        "Rust histogram is 27.3 % faster than C excluding initialization")
+_claim("fig5c.ex_init_gap", "fig5", "histogram ex-init: C / Rust - 1",
+       lambda r: _ex_init(r, "C") / _ex_init(r, "Rust") - 1, "~", (0.228, 0.05),
+       "Deviation 5: ex-init gap 22.8 % vs the paper's 27.3 % -- measured on the scaled run "
+       "(1/10 of the launch loop), where the unscaled setup (module load, 64 MiB upload) "
+       "dilutes the C launch-path cost; at the paper's iteration count it is 27.25 %",
+       kind="deviation")
 
 # -- Figure 6 ------------------------------------------------------------------
 

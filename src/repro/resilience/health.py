@@ -402,17 +402,6 @@ class BrownoutController:
                 worst = ratio
         return worst
 
-    def worst_signal(self) -> tuple[str, float]:
-        worst_name, worst = "", 0.0
-        for name, fn in sorted(self.signals.items()):
-            try:
-                ratio = float(fn())
-            except Exception:
-                continue
-            if ratio > worst:
-                worst_name, worst = name, ratio
-        return worst_name, worst
-
     def update(self) -> int:
         """Re-evaluate signals; returns the (possibly new) stage."""
         cfg = self.config

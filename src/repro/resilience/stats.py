@@ -110,9 +110,6 @@ class ServerStats:
     cancelled_in_queue: int = 0  #: queued calls aborted by rpc_cancel before execution started
     cancelled_in_flight: int = 0  #: in-flight calls that saw their cancel token at a safe point
     queue_peak_depth: int = 0  #: high-water mark of the overload queue depth (gauge)
-    slow_readers_throttled: int = 0  #: data-channel stripes that hit the slow-reader throttle
-    slow_readers_disconnected: int = 0  #: data-channel peers disconnected for never draining
-    data_backpressure_rejected: int = 0  #: data-channel writes refused: staging memory exhausted
     paused_rejections: int = 0  #: calls shed with RPC_BUSY while serving was paused (stop-and-copy)
     checkpoint_generations_written: int = 0  #: checkpoint generations written (full + delta)
     checkpoint_deltas_written: int = 0  #: delta generations among those (the rest are fulls)

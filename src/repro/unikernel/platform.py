@@ -48,9 +48,6 @@ class Platform:
         """Copy of this platform with a different application language."""
         return replace(self, language=language)
 
-    def with_netstack(self, netstack: NetstackModel) -> "Platform":
-        """Copy of this platform with a different network stack model."""
-        return replace(self, netstack=netstack)
 
 
 @dataclass(frozen=True)

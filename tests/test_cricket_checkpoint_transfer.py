@@ -6,7 +6,6 @@ import pytest
 from repro.cricket import (
     CricketClient,
     CricketServer,
-    TransferEngine,
     TransferMethod,
     TransferTimingModel,
     load_checkpoint,
@@ -20,7 +19,7 @@ from repro.cuda.cufft import CUFFT_C2C
 from repro.gpu import A100, GpuDevice
 from repro.net.simclock import SimClock
 from repro.resilience import RetryPolicy
-from repro.unikernel import EVAL_LINK, linux_vm, native_c, native_rust, rustyhermit, unikraft
+from repro.unikernel import EVAL_LINK, linux_vm, native_c, rustyhermit, unikraft
 
 MIB = 1 << 20
 
@@ -196,64 +195,6 @@ class TestSupportMatrix:
 
 
 class TestTransferEngine:
-    def make_engine(self, platform):
-        server = small_server()
-        client = CricketClient.loopback(server, platform=platform)
-        timing = TransferTimingModel(link=EVAL_LINK)
-        return (
-            TransferEngine(client, server.device, server.clock, timing),
-            server,
-            client,
-        )
-
-    def test_rpc_args_functional(self):
-        engine, _server, client = self.make_engine(native_rust())
-        dst = client.malloc(MIB)
-        payload = bytes(range(256)) * (MIB // 256)
-        engine.h2d(TransferMethod.RPC_ARGS, dst, payload)
-        assert engine.d2h(TransferMethod.RPC_ARGS, dst, MIB) == payload
-
-    def test_gpudirect_faster_than_rpc_args(self):
-        engine, server, client = self.make_engine(native_rust())
-        dst = client.malloc(8 * MIB)
-        payload = b"\x01" * (8 * MIB)
-
-        t0 = server.clock.now_ns
-        engine.h2d(TransferMethod.RPC_ARGS, dst, payload)
-        rpc_time = server.clock.now_ns - t0
-
-        t0 = server.clock.now_ns
-        engine.h2d(TransferMethod.IB_GPUDIRECT, dst, payload)
-        ib_time = server.clock.now_ns - t0
-        assert ib_time < rpc_time
-
-    def test_gpudirect_moves_data(self):
-        engine, server, client = self.make_engine(native_rust())
-        dst = client.malloc(1024)
-        engine.h2d(TransferMethod.IB_GPUDIRECT, dst, b"\x77" * 1024)
-        assert server.device.allocator.read(dst, 1024) == b"\x77" * 1024
-        assert engine.d2h(TransferMethod.SHARED_MEMORY, dst, 1024) == b"\x77" * 1024
-
-    def test_a_typed_array_moves_and_is_charged_as_bytes(self):
-        engine, server, client = self.make_engine(native_rust())
-        values = np.arange(1024, dtype=np.float32)
-        dst = client.malloc(values.nbytes)
-        t0 = server.clock.now_ns
-        engine.h2d(TransferMethod.IB_GPUDIRECT, dst, values)
-        charged = server.clock.now_ns - t0
-        assert server.device.allocator.read(dst, values.nbytes) == values.tobytes()
-        t0 = server.clock.now_ns
-        engine.h2d(TransferMethod.IB_GPUDIRECT, dst, values.tobytes())
-        assert server.clock.now_ns - t0 == charged
-
-    def test_unsupported_method_raises_on_unikernel(self):
-        engine, _server, client = self.make_engine(rustyhermit())
-        dst = client.malloc(1024)
-        with pytest.raises(NotImplementedError):
-            engine.h2d(TransferMethod.IB_GPUDIRECT, dst, b"\x00" * 1024)
-        with pytest.raises(NotImplementedError):
-            engine.d2h(TransferMethod.PARALLEL_SOCKETS, dst, 1024)
-
     def test_parallel_sockets_scale_with_threads(self):
         timing = TransferTimingModel(link=EVAL_LINK)
         one = timing.parallel_sockets_s(64 * MIB, 5e9, threads=1)

@@ -13,11 +13,17 @@ class TestCli:
         for key in ARTIFACTS:
             assert key in out
 
-    def test_single_artifact(self, capsys):
+    def test_single_artifact(self, capsys, monkeypatch, tmp_path):
+        # Written to a scratch directory, not over the checked-in
+        # results/table1.txt.
+        from repro.harness import report
+
+        monkeypatch.setattr(report, "RESULTS_DIR", str(tmp_path))
         assert main(["table1"]) == 0
         out = capsys.readouterr().out
         assert "Hermit" in out
         assert "regenerated" in out
+        assert (tmp_path / "table1.txt").exists()
 
     def test_unknown_artifact_rejected(self, capsys):
         with pytest.raises(SystemExit):

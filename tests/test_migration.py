@@ -12,10 +12,8 @@ from repro.cricket import (
     MigrationConfig,
     MigrationSource,
     MigrationTarget,
-    SocketMigrationChannel,
     migrate_live,
 )
-from repro.cricket.data_channel import DataChannelClient, DataChannelServer
 from repro.cricket.errors import (
     ChunkRejectedError,
     MigrationChannelError,
@@ -253,25 +251,6 @@ class TestLiveMigration:
         assert target.aborted
         assert not source.serving_paused
         assert client.malloc(1024) > 0
-
-    def test_socket_channel_over_data_channel_blob_lane(self):
-        source, _client, _ptrs = populated(allocs=4)
-        fingerprint = state_fingerprint(source)
-        target = MigrationTarget(small_server())
-        data_server = DataChannelServer(
-            target.server.device,
-            blob_sink=lambda _tag, payload: struct.pack(
-                ">Q", target.receive(payload)
-            ),
-        )
-        try:
-            data_client = DataChannelClient(data_server.address, sockets=1)
-            channel = SocketMigrationChannel(data_client)
-            report = migrate_live(MigrationSource(source), target, channel)
-            assert report.completed
-            assert state_fingerprint(target.server) == fingerprint
-        finally:
-            data_server.close()
 
 
 class TestMigrationProfile:

@@ -44,7 +44,6 @@ NOT_SERVED = (
     "repro.resilience.simulation",
     "repro.resilience.seeds",
     "repro.cricket.migration",
-    "repro.cricket.data_channel",
     "repro.cricket.ckptstore",
     "repro.cricket.replication",
     "repro.cricket.scheduler",

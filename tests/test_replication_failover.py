@@ -1,7 +1,7 @@
 """High availability: replication, failover, sticky faults, CRC integrity.
 
 Covers the HA stack top to bottom: the sticky device-fault model and
-server-side device failover, CRC32 record/stripe integrity with
+server-side device failover, CRC32 record integrity with
 transparent retransmission, hot-standby replication (full sync + op-log),
 transparent client failover with at-most-once intact across the
 execute-then-crash window, reply-cache survival through drain
@@ -16,7 +16,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cricket import CricketClient, CricketServer, restore_server, snapshot_server
-from repro.cricket.data_channel import DataChannelClient, DataChannelServer
 from repro.cricket.replication import (
     ReplicationLink,
     make_ha_pair,
@@ -193,49 +192,6 @@ class TestRecordCrc:
         client = CricketClient.loopback(server)
         assert client.malloc(1024) > 0
         assert server.server_stats.crc_rejected == 0
-
-
-class TestDataChannelCrc:
-    def test_write_corruption_refused_and_retransmitted(self):
-        device = GpuDevice(A100)
-        ptr = device.alloc(1 * MB)
-        server = DataChannelServer(device)
-        try:
-            client = DataChannelClient(server.address, sockets=4, chunk=64 * 1024)
-            client.corrupt_next_writes = 2
-            payload = bytes(range(256)) * 4096
-            client.write(ptr, payload)
-            assert device.allocator.read(ptr, len(payload)) == payload
-            assert server.crc_rejected == 2
-            assert client.stripe_retransmits == 2
-        finally:
-            server.close()
-
-    def test_read_corruption_detected_and_refetched(self):
-        device = GpuDevice(A100)
-        ptr = device.alloc(1 * MB)
-        payload = bytes(reversed(range(256))) * 4096
-        device.memcpy_h2d(ptr, payload)
-        server = DataChannelServer(device)
-        try:
-            client = DataChannelClient(server.address, sockets=4, chunk=64 * 1024)
-            server.corrupt_next_reads = 2
-            assert client.read(ptr, len(payload)) == payload
-            assert client.stripe_retransmits == 2
-        finally:
-            server.close()
-
-    def test_persistent_corruption_finally_raises(self):
-        device = GpuDevice(A100)
-        ptr = device.alloc(64 * 1024)
-        server = DataChannelServer(device)
-        try:
-            client = DataChannelClient(server.address, sockets=1)
-            client.corrupt_next_writes = DataChannelClient.MAX_STRIPE_ATTEMPTS
-            with pytest.raises(ConnectionError):
-                client.write(ptr, b"\xff" * 1024)
-        finally:
-            server.close()
 
 
 # -- replication ----------------------------------------------------------

@@ -172,20 +172,3 @@ class GpuScheduler:
         if squares == 0:
             return 1.0
         return (total * total) / (len(usages) * squares)
-
-
-def merge_timelines(per_client: dict[str, list[int]]) -> list[WorkItem]:
-    """Build a batch of work items from per-client duration lists.
-
-    Durations are submitted back-to-back per client starting at time zero;
-    a helper for scheduler experiments and tests.
-    """
-    items: list[WorkItem] = []
-    seq = 0
-    for client, durations in per_client.items():
-        submit = 0
-        for duration in durations:
-            seq += 1
-            items.append(WorkItem(client, duration, submit, seq))
-            submit += duration
-    return items

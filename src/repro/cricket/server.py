@@ -544,7 +544,6 @@ class CricketServer(RpcServer):
         devices: list[GpuDevice] | None = None,
         *,
         clock: SimClock | None = None,
-        execute: bool = True,
         lease_s: float | None = None,
         grace_s: float = 5.0,
         max_sessions: int | None = None,
@@ -570,12 +569,7 @@ class CricketServer(RpcServer):
         )
         if devices is None:
             devices = [
-                GpuDevice(
-                    A100,
-                    execute=execute,
-                    sanitizer=self.sanitizer_config,
-                    watchdog=self.watchdog,
-                )
+                GpuDevice(A100, sanitizer=self.sanitizer_config, watchdog=self.watchdog)
             ]
         else:
             # Caller-provided devices: arm any that are not already
@@ -643,11 +637,9 @@ class CricketServer(RpcServer):
                 config=self.brownout_config,
                 server_stats=self.server_stats,
             )
-            # Worst-ratio-wins signals.  Throttle is always available; queue
-            # depth and the checkpoint SLO join when configured.
+            # Worst-ratio-wins signals.  Throttle is always available; the
+            # checkpoint SLO joins when configured.
             controller.add_signal("device_throttle", self._throttle_ratio)
-            if self.overload is not None:
-                controller.add_signal("queue_depth", self._queue_depth_ratio)
             if checkpoint_slo is not None:
                 controller.add_signal("checkpoint_fsync", self._ckpt_ratio)
             self.brownout = controller
@@ -776,13 +768,6 @@ class CricketServer(RpcServer):
         worst = max(d.throttle_multiplier for d in self.devices)
         return worst / self.BROWNOUT_THROTTLE_SLO
 
-    def _queue_depth_ratio(self) -> float:
-        """Admission-queue occupancy as a fraction of the configured bound."""
-        cfg = self.overload.queue.config
-        if cfg.max_queue_depth <= 0:
-            return 0.0
-        return len(self.overload.queue) / cfg.max_queue_depth
-
     def _ckpt_ratio(self) -> float:
         """Checkpoint write (fsync) p99 against the configured SLO."""
         if self.ckpt_health is None:
@@ -793,25 +778,10 @@ class CricketServer(RpcServer):
         """Feed a CheckpointStore's write-latency tracker into the brownout."""
         self.ckpt_health = tracker
 
-    @property
-    def checkpoint_interval_factor(self) -> int:
-        """Multiply the checkpoint cadence by this while browned out."""
-        if self.brownout is None:
-            return 1
-        return self.brownout.checkpoint_interval_factor
-
     def _update_brownout(self) -> None:
-        """Re-evaluate the brownout signals; apply/clear the queue clamp."""
-        controller = self.brownout
-        if controller is None:
-            return
-        before = controller.stage
-        stage = controller.update()
-        if stage != before and self.overload is not None:
-            base = self.overload.queue.config.max_queue_depth
-            self.overload.set_depth_override(
-                controller.queue_depth_override(base)
-            )
+        """Re-evaluate the brownout signals."""
+        if self.brownout is not None:
+            self.brownout.update()
 
     # -- session lifecycle --------------------------------------------------
 

@@ -12,8 +12,8 @@ testbed with:
   of one network link, including a serialization (CPU-bound) component that
   reproduces the paper's observation that single-threaded RPC transfers are
   bound by single-core copy performance rather than line rate.
-* :class:`~repro.net.fabric.Fabric` -- a named-node topology for
-  experiments with several application nodes sharing one GPU node.
+* :class:`~repro.net.fabric.Node` -- one machine: whether it holds a GPU
+  and its single-core copy rate.
 """
 
 from repro._lazy import lazy_namespace
@@ -23,6 +23,6 @@ __getattr__, __dir__, __all__ = lazy_namespace(
     {
         "simclock": ("SimClock", "WallClock"),
         "link": ("LinkModel", "TETHER_100G"),
-        "fabric": ("Fabric", "Node"),
+        "fabric": ("Node",),
     },
 )

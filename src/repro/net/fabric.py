@@ -1,16 +1,12 @@
-"""Cluster topology: named nodes joined by links.
+"""Cluster nodes: one machine's GPU presence and host copy rate.
 
-Models the paper's Figure 2 scenario -- several application nodes (A-D)
-without GPUs reaching a dedicated GPU node through the cluster fabric.  The
-harness uses a two-node fabric (application node + GPU node); scheduler
-tests use wider ones.
+The platform presets (:mod:`repro.unikernel.presets`) describe the
+paper's application and GPU nodes with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.net.link import LinkModel
+from dataclasses import dataclass
 
 
 @dataclass
@@ -26,59 +22,3 @@ class Node:
     def __post_init__(self) -> None:
         if self.core_copy_rate_Bps <= 0:
             raise ValueError("core copy rate must be positive")
-
-
-class Fabric:
-    """A set of nodes and the links between them."""
-
-    def __init__(self) -> None:
-        self._nodes: dict[str, Node] = {}
-        self._links: dict[frozenset[str], LinkModel] = {}
-
-    def add_node(self, node: Node) -> Node:
-        """Register a node; names must be unique."""
-        if node.name in self._nodes:
-            raise ValueError(f"duplicate node name {node.name!r}")
-        self._nodes[node.name] = node
-        return node
-
-    def connect(self, a: str, b: str, link: LinkModel) -> None:
-        """Join two registered nodes with a link."""
-        if a not in self._nodes or b not in self._nodes:
-            missing = a if a not in self._nodes else b
-            raise KeyError(f"unknown node {missing!r}")
-        if a == b:
-            raise ValueError("cannot link a node to itself")
-        self._links[frozenset((a, b))] = link
-
-    def node(self, name: str) -> Node:
-        """Look up a node by name."""
-        return self._nodes[name]
-
-    def nodes(self) -> tuple[Node, ...]:
-        """All registered nodes."""
-        return tuple(self._nodes.values())
-
-    def link_between(self, a: str, b: str) -> LinkModel:
-        """The direct link joining ``a`` and ``b``."""
-        try:
-            return self._links[frozenset((a, b))]
-        except KeyError:
-            raise KeyError(f"no link between {a!r} and {b!r}") from None
-
-    def gpu_nodes(self) -> tuple[Node, ...]:
-        """Nodes with physical GPUs installed."""
-        return tuple(n for n in self._nodes.values() if n.has_gpu)
-
-
-def two_node_testbed(link: LinkModel) -> Fabric:
-    """The paper's evaluation setup: one app node, one GPU node, one link.
-
-    The GPU node models the dual EPYC 7313 machine; the application node
-    the dual EPYC 7301 machine.
-    """
-    fabric = Fabric()
-    fabric.add_node(Node("app-node", has_gpu=False, core_copy_rate_Bps=3.0e9))
-    fabric.add_node(Node("gpu-node", has_gpu=True, core_copy_rate_Bps=3.4e9))
-    fabric.connect("app-node", "gpu-node", link)
-    return fabric

@@ -208,8 +208,6 @@ class RpcServer:
         self._shutdown = threading.Event()
         #: count of successfully dispatched calls (all programs)
         self.calls_served = 0
-        #: retransmitted calls answered from the reply cache, not re-executed
-        self.duplicate_hits = 0
         self.reply_cache_size = reply_cache_size
         self.reply_cache_bytes = reply_cache_bytes
         self.reply_cache_entry_bytes = reply_cache_entry_bytes
@@ -414,7 +412,6 @@ class RpcServer:
                 reply = self._reply_cache.get(cache_key)
                 if reply is not None:
                     self._reply_cache.move_to_end(cache_key)
-                    self.duplicate_hits += 1
                     self.server_stats.reply_cache_hits += 1
         if reply is None:
             ctx = self._context(
@@ -544,10 +541,7 @@ class RpcServer:
 
     def _check_overload(self, call: msg.CallBody, ctx: CallContext) -> int | None:
         outcome, token = self._overload.acquire(
-            ctx.identity,
-            ctx.xid,
-            priority=ctx.priority,
-            expires_at_ns=ctx.deadline_ns,
+            ctx.identity, ctx.xid, expires_at_ns=ctx.deadline_ns
         )
         if outcome != OverloadController.ADMITTED:
             return _QUEUE_REFUSAL_STAT[outcome]

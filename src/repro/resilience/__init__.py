@@ -22,9 +22,9 @@ makes that boundary survivable and, crucially, *measurable*:
 * :mod:`repro.resilience.stats` -- :class:`ResilienceStats` counters
   surfaced through :mod:`repro.core.tracing`,
 * :mod:`repro.resilience.overload` -- server-side overload control:
-  bounded admission queues with configurable shedding
-  (:class:`OverloadConfig`), weighted fair queueing, per-client token
-  buckets, deadline-aware dequeue and cooperative cancellation
+  bounded admission queues that refuse the newest arrival when full
+  (:class:`OverloadConfig`), weighted fair queueing, deadline-aware
+  dequeue and cooperative cancellation
   (:class:`CancelToken` / :class:`CallCancelledError`),
 * :mod:`repro.resilience.simulation` -- the one reliability oracle: a
   deterministic cluster simulation whose nemesis profiles
@@ -52,9 +52,8 @@ __getattr__, __dir__, __all__ = lazy_namespace(
         "failover": ("FailoverTransport", "LoopbackEndpoint", "TcpEndpoint"),
         "stats": ("ResilienceStats", "ServerStats"),
         "overload": (
-            "OverloadConfig", "OverloadQueue", "OverloadController", "Refusal", "TokenBucket",
-            "CancelToken", "CallCancelledError", "REJECT_NEWEST", "REJECT_OLDEST",
-            "REJECT_LOWEST_PRIORITY",
+            "OverloadConfig", "OverloadQueue", "OverloadController", "Refusal", "CancelToken",
+            "CallCancelledError",
         ),
         "health": (
             "LatencyHistogram", "HealthTracker", "LatencySLO", "EjectionDecision", "OutlierEjector",

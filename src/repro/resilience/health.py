@@ -33,8 +33,7 @@ virtual time so chaos runs are bit-reproducible:
     Staged degraded mode for the server with hysteretic entry/exit:
     stage rises immediately with the worst signal ratio, falls only
     after the score stays low for a minimum dwell.  Stage >= 1 sheds
-    low-priority work as ``RPC_BUSY``, stretches checkpoint cadence and
-    suspends sanitizer sweeps.
+    low-priority work as ``RPC_BUSY`` and suspends sanitizer sweeps.
 
 Nothing here imports oncrpc/cricket — the heavy layers import *us*.
 """
@@ -339,8 +338,6 @@ class BrownoutConfig:
     stage2_ratio: float = 3.0
     min_dwell_s: float = 0.25
     shed_priority_below: int = 2
-    queue_depth_factor: float = 0.25
-    checkpoint_stretch: int = 2
 
     def __post_init__(self) -> None:
         if self.exit_ratio >= self.enter_ratio:
@@ -357,8 +354,7 @@ class BrownoutController:
 
     * 0 — healthy, no intervention.
     * 1 — brownout: shed priorities below ``shed_priority_below`` with
-      ``RPC_BUSY``, tighten the overload queue, stretch checkpoint
-      cadence, suspend sanitizer sweeps.
+      ``RPC_BUSY``, suspend sanitizer sweeps.
     * 2 — heavy brownout: shed everything but the highest priority.
 
     Stage *rises* the moment the score crosses a threshold; it *falls*
@@ -458,17 +454,3 @@ class BrownoutController:
         if self.stage >= 2 and priority >= 3:
             return None
         return 100  # RPC_BUSY
-
-    @property
-    def checkpoint_interval_factor(self) -> int:
-        """Multiply checkpoint cadence by this while degraded."""
-        if self.stage <= 0:
-            return 1
-        return self.config.checkpoint_stretch ** self.stage
-
-    def queue_depth_override(self, base_depth: int) -> int | None:
-        """Tightened queue depth for the overload controller, if any."""
-        if self.stage <= 0:
-            return None
-        depth = int(base_depth * self.config.queue_depth_factor)
-        return max(1, depth)

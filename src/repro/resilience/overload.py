@@ -1,4 +1,4 @@
-"""Overload control: bounded queues, fair shedding, rate limits, cancellation.
+"""Overload control: bounded queues, fair shedding, cancellation.
 
 A healthy Cricket server facing more traffic than it can execute must
 *degrade gracefully*: refuse cheap and early, never queue unboundedly, never
@@ -9,11 +9,11 @@ and the threaded TCP server can share one implementation:
 
 :class:`OverloadQueue`
     A *pure data structure* (no threads, no clocks of its own) that decides
-    admission: bounded per-server/per-client depth with a configurable shed
-    policy, per-client token-bucket rate limiting, weighted fair queueing
-    over client identities, and deadline-aware dequeue.  Deterministic given
-    a deterministic caller, which is what lets the simulator's
-    ``overload_storm`` nemesis event replay schedules bit-for-bit.
+    admission: bounded per-server/per-client depth (a full queue refuses
+    the newest arrival), weighted fair queueing over client identities,
+    and deadline-aware dequeue.  Deterministic given a deterministic
+    caller, which is what lets the simulator's ``overload_storm`` nemesis
+    event replay schedules bit-for-bit.
 
 :class:`OverloadController`
     A small :class:`threading.Condition` wrapper around the queue providing
@@ -36,13 +36,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from repro.resilience.stats import ServerStats
-
-#: Shed policies for a full queue.
-REJECT_NEWEST = "reject-newest"
-REJECT_OLDEST = "reject-oldest"
-REJECT_LOWEST_PRIORITY = "reject-lowest-priority"
-
-_SHED_POLICIES = (REJECT_NEWEST, REJECT_OLDEST, REJECT_LOWEST_PRIORITY)
 
 
 class CallCancelledError(Exception):
@@ -97,61 +90,19 @@ class OverloadConfig:
     max_queue_depth: int = 64
     #: queued calls per client identity (0 disables the per-client bound)
     max_queue_depth_per_client: int = 0
-    #: what to do when a bound is hit
-    shed_policy: str = REJECT_NEWEST
-    #: token-bucket sustained rate per client, calls/second (0 disables)
-    rate_limit_per_client: float = 0.0
-    #: token-bucket burst size per client
-    rate_limit_burst: float = 8.0
-    #: WFQ weight per identity; identities absent here get ``default_weight``
+    #: WFQ weight per identity; identities absent here weigh 1.0
     weights: dict[str, float] = field(default_factory=dict)
-    default_weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.shed_policy not in _SHED_POLICIES:
-            raise ValueError(
-                f"unknown shed policy {self.shed_policy!r}; "
-                f"expected one of {_SHED_POLICIES}"
-            )
         if self.max_concurrency < 1:
             raise ValueError("max_concurrency must be >= 1")
         if self.max_queue_depth < 0:
             raise ValueError("max_queue_depth must be >= 0")
-        if self.default_weight <= 0:
-            raise ValueError("default_weight must be > 0")
 
     def weight_of(self, identity: str) -> float:
         """Fair-queueing weight for ``identity``."""
-        weight = self.weights.get(identity, self.default_weight)
-        return weight if weight > 0 else self.default_weight
-
-
-class TokenBucket:
-    """Classic token bucket: ``rate`` tokens/second, ``burst`` capacity.
-
-    Time is supplied by the caller in nanoseconds so the bucket works under
-    both :class:`~repro.net.simclock.SimClock` and wall time.
-    """
-
-    __slots__ = ("rate", "burst", "_tokens", "_last_ns")
-
-    def __init__(self, rate: float, burst: float, now_ns: int) -> None:
-        self.rate = float(rate)
-        self.burst = max(1.0, float(burst))
-        self._tokens = self.burst
-        self._last_ns = now_ns
-
-    def try_take(self, now_ns: int, cost: float = 1.0) -> bool:
-        """Refill to ``now_ns`` and take ``cost`` tokens if available."""
-        if now_ns > self._last_ns:
-            self._tokens = min(
-                self.burst, self._tokens + (now_ns - self._last_ns) * self.rate / 1e9
-            )
-            self._last_ns = now_ns
-        if self._tokens >= cost:
-            self._tokens -= cost
-            return True
-        return False
+        weight = self.weights.get(identity, 1.0)
+        return weight if weight > 0 else 1.0
 
 
 @dataclass
@@ -160,7 +111,6 @@ class Ticket:
 
     identity: str
     xid: int
-    priority: int = 0
     #: absolute expiry in the server clock domain; None = no deadline
     expires_at_ns: int | None = None
     #: shared with the executing handler via ``CallContext.cancel``
@@ -169,9 +119,6 @@ class Ticket:
     vft: float = 0.0
     #: monotonically increasing admission sequence (arrival order tiebreak)
     seq: int = 0
-    #: evicted by the shed policy to make room (surface as RPC_BUSY, not
-    #: CALL_CANCELLED -- the client should retry, not give up)
-    shed: bool = False
 
     def expired(self, now_ns: int) -> bool:
         """True when the propagated deadline has already passed."""
@@ -182,13 +129,13 @@ class Ticket:
 class Refusal:
     """Why :meth:`OverloadQueue.offer` turned a call away."""
 
-    #: "busy" (shed/rate-limited -> RPC_BUSY) or "expired" (-> CALL_EXPIRED)
+    #: "busy" (shed -> RPC_BUSY) or "expired" (-> CALL_EXPIRED)
     kind: str
     detail: str
 
 
 class OverloadQueue:
-    """Deterministic admission queue: bounds, shedding, WFQ, rate limits.
+    """Deterministic admission queue: bounds, shedding, WFQ, deadlines.
 
     Not thread-safe by itself -- :class:`OverloadController` provides the
     locking for threaded servers, and the ``overload_storm`` nemesis event drives it from a
@@ -198,13 +145,8 @@ class OverloadQueue:
     def __init__(self, config: OverloadConfig, stats: ServerStats | None = None) -> None:
         self.config = config
         self.stats = stats if stats is not None else ServerStats()
-        #: temporary queue bound tighter than ``config.max_queue_depth``;
-        #: set by the brownout controller while degraded, None when healthy
-        self.depth_override: int | None = None
         self._queue: list[Ticket] = []
         self._seq = itertools.count()
-        self._evicted: list[Ticket] = []
-        self._buckets: dict[str, TokenBucket] = {}
         #: per-identity last virtual finish time (WFQ state)
         self._last_vft: dict[str, float] = {}
         #: global virtual clock = vft of the most recently dequeued ticket
@@ -223,15 +165,6 @@ class OverloadQueue:
         """Snapshot of queued tickets (dequeue order not implied)."""
         return tuple(self._queue)
 
-    def take_evicted(self) -> list[Ticket]:
-        """Drain tickets evicted by the shed policy since the last call.
-
-        Each owes its caller an RPC_BUSY reply; the threaded controller and
-        the ``overload_storm`` nemesis event both poll this after every :meth:`offer`.
-        """
-        evicted, self._evicted = self._evicted, []
-        return evicted
-
     # -- admission ---------------------------------------------------------
 
     def offer(
@@ -240,30 +173,18 @@ class OverloadQueue:
         xid: int,
         now_ns: int,
         *,
-        priority: int = 0,
         expires_at_ns: int | None = None,
     ) -> Ticket | Refusal:
         """Admit a call into the queue, or explain why not.
 
-        Order of checks mirrors the cost of each refusal: expired work is
-        refused first (executing it helps nobody), then the rate limiter,
-        then the queue bounds with the configured shed policy.
+        Expired work is refused first (executing it helps nobody), then
+        the per-client bound, then the server bound, which refuses the
+        newest arrival: the call being offered.
         """
         cfg = self.config
         if expires_at_ns is not None and now_ns >= expires_at_ns:
             self.stats.deadline_expired_in_queue += 1
             return Refusal("expired", "deadline passed before admission")
-
-        if cfg.rate_limit_per_client > 0:
-            bucket = self._buckets.get(identity)
-            if bucket is None:
-                bucket = self._buckets[identity] = TokenBucket(
-                    cfg.rate_limit_per_client, cfg.rate_limit_burst, now_ns
-                )
-            if not bucket.try_take(now_ns):
-                self.stats.rate_limited += 1
-                self.stats.overload_shed += 1
-                return Refusal("busy", f"rate limit for {identity}")
 
         if (
             cfg.max_queue_depth_per_client > 0
@@ -272,30 +193,17 @@ class OverloadQueue:
             self.stats.overload_shed += 1
             return Refusal("busy", f"per-client queue bound for {identity}")
 
-        depth_limit = (
-            min(self.depth_override, cfg.max_queue_depth)
-            if self.depth_override is not None
-            else cfg.max_queue_depth
-        )
-        ticket = self._make_ticket(identity, xid, priority, expires_at_ns)
-        if len(self._queue) >= depth_limit:
-            shed = self._shed(ticket)
-            if shed is ticket:
-                self.stats.overload_shed += 1
-                return Refusal("busy", "server queue full")
-            # An older/lower-priority ticket was evicted to make room; its
-            # waiter learns via the cancel token but is answered RPC_BUSY.
-            shed.shed = True
-            shed.cancel.cancel()
-            self._evicted.append(shed)
+        # Ticket first: a call the full queue refuses still advances its
+        # tenant's fair-share clock.
+        ticket = self._make_ticket(identity, xid, expires_at_ns)
+        if len(self._queue) >= cfg.max_queue_depth:
             self.stats.overload_shed += 1
+            return Refusal("busy", "server queue full")
         self._queue.append(ticket)
         self.stats.queue_peak_depth = max(self.stats.queue_peak_depth, len(self._queue))
         return ticket
 
-    def _make_ticket(
-        self, identity: str, xid: int, priority: int, expires_at_ns: int | None
-    ) -> Ticket:
+    def _make_ticket(self, identity: str, xid: int, expires_at_ns: int | None) -> Ticket:
         weight = self.config.weight_of(identity)
         start = max(self._last_vft.get(identity, 0.0), self._vclock)
         vft = start + 1.0 / weight
@@ -303,32 +211,10 @@ class OverloadQueue:
         return Ticket(
             identity=identity,
             xid=xid,
-            priority=priority,
             expires_at_ns=expires_at_ns,
             vft=vft,
             seq=next(self._seq),
         )
-
-    def _shed(self, incoming: Ticket) -> Ticket:
-        """Pick the ticket to reject when the queue is full.
-
-        Returns ``incoming`` itself for reject-newest, otherwise removes and
-        returns a queued victim.  Reject-oldest evicts the earliest arrival;
-        reject-lowest-priority evicts the lowest (priority, then newest
-        within that priority) ticket -- but never one strictly more
-        important than the incoming call.
-        """
-        policy = self.config.shed_policy
-        if policy == REJECT_NEWEST or not self._queue:
-            return incoming
-        if policy == REJECT_OLDEST:
-            victim = min(self._queue, key=lambda t: t.seq)
-        else:  # REJECT_LOWEST_PRIORITY
-            victim = min(self._queue, key=lambda t: (t.priority, -t.seq))
-            if victim.priority > incoming.priority:
-                return incoming
-        self._queue.remove(victim)
-        return victim
 
     # -- dequeue -----------------------------------------------------------
 
@@ -343,9 +229,6 @@ class OverloadQueue:
         while self._queue:
             best = min(self._queue, key=lambda t: (t.vft, t.seq))
             self._queue.remove(best)
-            if best.shed:
-                dropped.append(best)  # counted as overload_shed at eviction
-                continue
             if best.cancel.requested:
                 self.stats.cancelled_in_queue += 1
                 dropped.append(best)
@@ -414,25 +297,11 @@ class OverloadController:
         with self._cond:
             return self._active
 
-    def set_depth_override(self, depth: int | None) -> None:
-        """Tighten (or restore) the queue bound -- the brownout lever.
-
-        A browned-out server stops *accumulating* backlog it cannot digest:
-        a smaller bound sheds earlier, keeping queue age (and therefore
-        every admitted call's latency) proportional to what the degraded
-        server can actually sustain.  ``None`` restores the configured
-        bound.  Already-queued tickets are not evicted; the bound applies
-        to new offers.
-        """
-        with self._cond:
-            self.queue.depth_override = depth
-
     def acquire(
         self,
         identity: str,
         xid: int,
         *,
-        priority: int = 0,
         expires_at_ns: int | None = None,
         cancel: CancelToken | None = None,
     ) -> tuple[str, CancelToken | None]:
@@ -451,9 +320,7 @@ class OverloadController:
                 return self.EXPIRED, None
             # Fast path: free slot and nobody queued ahead of us.
             if self._active < self.queue.config.max_concurrency and not len(self.queue):
-                outcome = self.queue.offer(
-                    identity, xid, now, priority=priority, expires_at_ns=expires_at_ns
-                )
+                outcome = self.queue.offer(identity, xid, now, expires_at_ns=expires_at_ns)
                 if isinstance(outcome, Refusal):
                     return self._refusal_outcome(outcome), None
                 if cancel is not None and cancel.requested:
@@ -464,10 +331,7 @@ class OverloadController:
                     return self._drop_outcome(outcome), None
                 self._active += 1
                 return self.ADMITTED, ticket.cancel
-            outcome = self.queue.offer(
-                identity, xid, now, priority=priority, expires_at_ns=expires_at_ns
-            )
-            self._note_evicted_locked()
+            outcome = self.queue.offer(identity, xid, now, expires_at_ns=expires_at_ns)
             if isinstance(outcome, Refusal):
                 return self._refusal_outcome(outcome), None
             ticket = outcome
@@ -480,11 +344,9 @@ class OverloadController:
                 reason = self._dropped.pop(ticket.seq, None)
                 if reason is not None:
                     return reason, None
-                if ticket.shed:
-                    return self.BUSY, None
-                # A shed-policy eviction or rpc_cancel fires our token while
-                # we wait; pop_next will classify us on the next pump, but
-                # when no pump is coming (no active calls) classify here.
+                # An rpc_cancel fires our token while we wait; pop_next will
+                # classify us on the next pump, but when no pump is coming
+                # (no active calls) classify here.
                 if self._active == 0:
                     self._pump_locked()
                     continue
@@ -547,18 +409,9 @@ class OverloadController:
         if moved:
             self._cond.notify_all()
 
-    def _note_evicted_locked(self) -> None:
-        evicted = self.queue.take_evicted()
-        for t in evicted:
-            self._dropped[t.seq] = self.BUSY
-        if evicted:
-            self._cond.notify_all()
-
     def _note_dropped(self, dropped: list[Ticket]) -> None:
         for t in dropped:
-            if t.shed:
-                self._dropped[t.seq] = self.BUSY
-            elif t.cancel.requested:
+            if t.cancel.requested:
                 self._dropped[t.seq] = self.CANCELLED
             else:
                 self._dropped[t.seq] = self.EXPIRED
@@ -570,6 +423,4 @@ class OverloadController:
         reason = self._dropped.pop(ticket.seq, None)
         if reason is not None:
             return reason
-        if ticket.shed:
-            return self.BUSY
         return self.CANCELLED if ticket.cancel.requested else self.EXPIRED

@@ -68,25 +68,18 @@ class CircuitBreaker:
         failure_threshold: int = 5,
         reset_timeout_s: float = 0.05,
         clock: SimClock | WallClock | None = None,
-        slow_after_s: float | None = None,
     ) -> None:
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
         self.failure_threshold = failure_threshold
         self.reset_timeout_s = reset_timeout_s
         self.clock = clock if clock is not None else SimClock()
-        #: probe RTT above this marks the target *suspect* even though
-        #: the probe succeeded (gray failure: slow is the new down);
-        #: None disables the check
-        self.slow_after_s = slow_after_s
         self._consecutive_failures = 0
         self._open_until_ns: int | None = None
         #: lifetime count of transitions to the open state
         self.times_opened = 0
         #: round-trip time of the most recent successful probe, in ns
         self.last_probe_rtt_ns: int | None = None
-        #: probe successes that exceeded ``slow_after_s``
-        self.slow_probes = 0
 
     @property
     def state(self) -> str:
@@ -121,15 +114,6 @@ class CircuitBreaker:
         layer's health scoring) tell them apart.
         """
         self.last_probe_rtt_ns = rtt_ns
-        if self.slow_after_s is not None and rtt_ns > int(self.slow_after_s * 1e9):
-            self.slow_probes += 1
-
-    @property
-    def suspect(self) -> bool:
-        """Closed, but the last probe was suspiciously slow."""
-        if self.slow_after_s is None or self.last_probe_rtt_ns is None:
-            return False
-        return self.last_probe_rtt_ns > int(self.slow_after_s * 1e9)
 
 
 class ReconnectingTransport:
@@ -262,8 +246,6 @@ class ReconnectingTransport:
         rtt_ns = self.breaker.clock.now_ns - started_ns
         self.breaker.note_probe_rtt(rtt_ns)
         self.stats.probe_rtt_last_ns = rtt_ns
-        if self.breaker.suspect:
-            self.stats.slow_probes += 1
 
     def close(self) -> None:
         """Close the live connection, if any."""

@@ -116,7 +116,7 @@ def overload_storm(cluster, event: NemesisEvent) -> None:
             busy_until = clock.now_ns + STORM_SERVICE_NS
             dispatch(ticket.xid)
 
-    for arrival, xid, tenant, priority, deadline in calls:
+    for arrival, xid, tenant, _, deadline in calls:
         serve_until(arrival)
         clock.advance_to_ns(max(clock.now_ns, arrival))
         offered[tenant] += 1
@@ -124,11 +124,7 @@ def overload_storm(cluster, event: NemesisEvent) -> None:
             busy_until = arrival + STORM_SERVICE_NS
             dispatch(xid)
             continue
-        queue.offer(
-            identity[tenant], xid, clock.now_ns,
-            priority=priority, expires_at_ns=deadline,
-        )
-        queue.take_evicted()
+        queue.offer(identity[tenant], xid, clock.now_ns, expires_at_ns=deadline)
     serve_until(None)  # drain the backlog
 
     cluster.recorder.observe(

@@ -43,7 +43,6 @@ class ResilienceStats:
     not_leader_rejections: int = 0  #: calls refused with RPC_NOT_LEADER by a fenced server
     leader_redirects: int = 0  #: endpoint rotations triggered by a not-leader refusal or redirect
     probe_rtt_last_ns: int = 0  #: round-trip time of the most recent reconnect probe (gauge, ns)
-    slow_probes: int = 0  #: probe successes whose RTT exceeded the breaker's slow threshold
     hedged_probes: int = 0  #: hedged health-probe rounds raced across all endpoints
     endpoints_ejected: int = 0  #: endpoints ejected from rotation as statistical latency outliers
     endpoints_readmitted: int = 0  #: ejected endpoints re-admitted on probation after the hold
@@ -103,8 +102,7 @@ class ServerStats:
     standby_promotions: int = 0  #: standbys promoted to primary after a failure
     device_failovers: int = 0  #: sessions migrated off a faulted GPU onto a healthy spare
     crc_rejected: int = 0  #: records rejected server-side because their CRC32 trailer mismatched
-    overload_shed: int = 0  #: calls shed with RPC_BUSY by queue bound, policy or concurrency limit
-    rate_limited: int = 0  #: calls shed specifically by a per-client token-bucket refusal
+    overload_shed: int = 0  #: calls shed with RPC_BUSY by the server or per-client queue bound
     deadline_expired_in_queue: int = 0  #: calls refused/dropped: deadline expired before execution
     deadline_expired_in_execution: int = 0  #: deadline expired *while executing* (ran for nobody)
     cancelled_in_queue: int = 0  #: queued calls aborted by rpc_cancel before execution started

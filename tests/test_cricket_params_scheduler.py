@@ -11,7 +11,6 @@ from repro.cricket.scheduler import (
     GpuScheduler,
     RoundRobinPolicy,
     WorkItem,
-    merge_timelines,
 )
 from repro.cubin.metadata import KernelMeta
 from repro.gpu.errors import KernelParamError
@@ -146,12 +145,6 @@ class TestFairShare:
 
 
 class TestHelpers:
-    def test_merge_timelines(self):
-        items = merge_timelines({"a": [10, 20], "b": [5]})
-        assert len(items) == 3
-        a_items = [i for i in items if i.client == "a"]
-        assert a_items[1].submit_ns == 10  # back-to-back submission
-
     def test_usage_accumulates(self):
         sched = GpuScheduler()
         sched.schedule([WorkItem("a", 10, 0, 1), WorkItem("a", 15, 0, 2)])

@@ -295,9 +295,9 @@ class TestWhatIsKeptOwnsItsBytes:
         assert _owns_its_bytes(server, first)
         assert server.devices[0].allocator.pinned_spans == 0
         client.memcpy_h2d(buffer, payload_of(size, 2))
-        hits = server.duplicate_hits
+        hits = server.server_stats.reply_cache_hits
         again = server.dispatch_record(call)
-        assert server.duplicate_hits == hits + 1
+        assert server.server_stats.reply_cache_hits == hits + 1
         assert payload_of_reply(again) == payload_of(size, 1)
         assert all(_owns_its_bytes(server, r) for r in server._reply_cache.values())
 

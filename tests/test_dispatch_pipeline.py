@@ -334,7 +334,7 @@ def test_double_execute_wrapper_doubles_a_client_call_not_a_replica_apply():
     assert [xid for xid, _, _ in rig.executed].count(doubled) == 2
     assert [xid for xid, _, _ in rig.executed].count(after) == 1
     assert len(rig.executed) == 5
-    assert rig.server.duplicate_hits == 0  # the cache was bypassed, not hit
+    assert rig.server.server_stats.reply_cache_hits == 0  # the cache was bypassed, not hit
 
 
 @pytest.mark.parametrize("topology", ["single", "ha_pair"])

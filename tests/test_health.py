@@ -248,17 +248,6 @@ class TestBrownoutController:
         assert c.shed_stat(2) == 100
         assert c.shed_stat(3) is None
 
-    def test_knobs_scale_with_stage(self):
-        c = BrownoutController(clock=SimClock())
-        assert c.checkpoint_interval_factor == 1
-        assert c.queue_depth_override(64) is None
-        c.stage = 1
-        assert c.checkpoint_interval_factor == 2
-        assert c.queue_depth_override(64) == 16
-        c.stage = 2
-        assert c.checkpoint_interval_factor == 4
-        assert c.queue_depth_override(2) == 1  # never below 1
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BrownoutConfig(enter_ratio=1.0, exit_ratio=1.0)
@@ -361,7 +350,7 @@ class TestProbeRtt:
         from repro.cricket import cricket_interface
 
         iface = cricket_interface()
-        breaker = CircuitBreaker(clock=clock, slow_after_s=0.002)
+        breaker = CircuitBreaker(clock=clock)
         transport = ReconnectingTransport(
             factory,
             breaker=breaker,
@@ -374,29 +363,6 @@ class TestProbeRtt:
         # (plus the server's fixed dispatch cost)
         assert transport.stats.probe_rtt_last_ns >= int(0.01 * 1e9)
         assert breaker.last_probe_rtt_ns == transport.stats.probe_rtt_last_ns
-        assert breaker.suspect
-        assert breaker.slow_probes == 1
-        assert transport.stats.slow_probes == 1
-
-    def test_fast_probe_is_not_suspect(self):
-        clock = SimClock()
-        server = self._server(clock)
-        from repro.cricket import cricket_interface
-
-        iface = cricket_interface()
-        breaker = CircuitBreaker(clock=clock, slow_after_s=0.002)
-        transport = ReconnectingTransport(
-            lambda: LoopbackTransport(server.dispatch_record),
-            breaker=breaker,
-            clock=clock,
-            probe=null_probe(iface.prog_number, iface.vers_number),
-            connect_now=False,
-        )
-        transport.reconnect()
-        assert breaker.last_probe_rtt_ns is not None
-        assert breaker.last_probe_rtt_ns < int(0.002 * 1e9)
-        assert not breaker.suspect
-        assert transport.stats.slow_probes == 0
 
 
 class TestSlowProbesAndDeadlines:
@@ -568,7 +534,6 @@ class TestServerBrownout:
             low.get_device_count()
         assert high.get_device_count() >= 1  # high priority still admitted
         assert server.server_stats.brownout_sheds == 1
-        assert server.checkpoint_interval_factor > 1
 
     def test_brownout_suspends_sanitizer_sweeps(self):
         clock = SimClock()
@@ -597,7 +562,6 @@ class TestServerBrownout:
         assert not server.brownout.active
         assert server.server_stats.brownout_entries == 1
         assert server.server_stats.brownout_exits == 1
-        assert server.checkpoint_interval_factor == 1
 
 
 class TestReplicationDemotion:

@@ -188,7 +188,7 @@ class Twin:
             ],
             "faults": [repr(d.fault) for d in server.devices],
             "stats": asdict(server.server_stats),
-            "served": (server.calls_served, server.duplicate_hits),
+            "served": server.calls_served,
             "runtime": (
                 runtime.api_call_count, runtime.time_charged_ns, runtime._current,
                 runtime._last_error,
@@ -258,9 +258,9 @@ class TestServerTwins:
         first = twin.record("rpc_cudaMemcpyH2D", ptr, payload_of(SIZE, 1))
         twin.dispatch(first)
         twin.upload(ptr, payload_of(SIZE, 2))
-        hits = twin.landed.duplicate_hits
+        hits = twin.landed.server_stats.reply_cache_hits
         assert status(twin.dispatch(first)) == 0  # landed, then dropped
-        assert twin.landed.duplicate_hits == hits + 1 and twin.adopted() == 2
+        assert twin.landed.server_stats.reply_cache_hits == hits + 1 and twin.adopted() == 2
         assert twin.on_both("rpc_cudaMemcpyD2H", ptr, SIZE)["data"] == payload_of(SIZE, 2)
 
     REFUSALS = {
@@ -271,8 +271,14 @@ class TestServerTwins:
             {}, msg.RPC_BUSY,
         ),
         "expired": (lambda s: None, {"remaining_ns": 0}, msg.CALL_EXPIRED),
-        # the token bucket's one token goes to the cudaMalloc before
-        "overloaded": (lambda s: None, {}, msg.RPC_BUSY),
+        # one call holds the only slot and one waits in the only queue seat
+        "overloaded": (
+            lambda s: (
+                s.overload.acquire("token:holder", 1),
+                s.overload.queue.offer("token:waiter", 2, s.clock.now_ns),
+            ),
+            {}, msg.RPC_BUSY,
+        ),
     }
 
     @pytest.mark.parametrize("row", REFUSALS)
@@ -281,8 +287,7 @@ class TestServerTwins:
         twin = Twin(
             fence=row == "fenced",
             brownout=row == "browned-out",
-            overload=OverloadConfig(rate_limit_per_client=1e-9, rate_limit_burst=1.0)
-            if row == "overloaded" else None,
+            overload=OverloadConfig(max_queue_depth=1) if row == "overloaded" else None,
         )
         ptr = twin.on_both("rpc_cudaMalloc", SIZE)["ptr"]
         for server in twin.servers:

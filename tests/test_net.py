@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.net import Fabric, LinkModel, Node, SimClock, TETHER_100G
-from repro.net.fabric import two_node_testbed
+from repro.net import LinkModel, Node, SimClock, TETHER_100G
 from repro.net.simclock import Stopwatch
 
 
@@ -79,39 +78,6 @@ class TestLinkModel:
 
 
 class TestFabric:
-    def test_two_node_testbed(self):
-        fabric = two_node_testbed(TETHER_100G)
-        assert {n.name for n in fabric.nodes()} == {"app-node", "gpu-node"}
-        assert fabric.gpu_nodes() == (fabric.node("gpu-node"),)
-        assert fabric.link_between("app-node", "gpu-node") is TETHER_100G
-        # link lookup is symmetric
-        assert fabric.link_between("gpu-node", "app-node") is TETHER_100G
-
-    def test_duplicate_node_rejected(self):
-        fabric = Fabric()
-        fabric.add_node(Node("a"))
-        with pytest.raises(ValueError):
-            fabric.add_node(Node("a"))
-
-    def test_link_unknown_node(self):
-        fabric = Fabric()
-        fabric.add_node(Node("a"))
-        with pytest.raises(KeyError):
-            fabric.connect("a", "b", TETHER_100G)
-
-    def test_self_link_rejected(self):
-        fabric = Fabric()
-        fabric.add_node(Node("a"))
-        with pytest.raises(ValueError):
-            fabric.connect("a", "a", TETHER_100G)
-
-    def test_missing_link(self):
-        fabric = Fabric()
-        fabric.add_node(Node("a"))
-        fabric.add_node(Node("b"))
-        with pytest.raises(KeyError):
-            fabric.link_between("a", "b")
-
     def test_invalid_copy_rate(self):
         with pytest.raises(ValueError):
             Node("bad", core_copy_rate_Bps=0)

@@ -1,7 +1,7 @@
 """Overload control: bounded queues, deadlines, fair shedding, cancellation.
 
-The deterministic pieces (queue policies, WFQ, token buckets, the
-overload nemesis profiles) run in virtual time; the threaded controller tests use real
+The deterministic pieces (queue bounds, WFQ, the overload nemesis
+profiles) run in virtual time; the threaded controller tests use real
 threads against a saturated server, bounded by short timeouts.
 """
 
@@ -23,15 +23,12 @@ from repro.oncrpc.errors import (
 )
 from repro.oncrpc.server import CallContext, RpcServer
 from repro.resilience import (
-    REJECT_LOWEST_PRIORITY,
-    REJECT_OLDEST,
     CallCancelledError,
     OverloadConfig,
     OverloadController,
     OverloadQueue,
     Refusal,
     RetryPolicy,
-    TokenBucket,
     is_retryable,
 )
 
@@ -59,29 +56,6 @@ class TestShedPolicies:
         refusal = q.offer("a", 3, 0)
         assert isinstance(refusal, Refusal) and refusal.kind == "busy"
         assert [t.xid for t in q.tickets()] == [1, 2]
-
-    def test_reject_oldest_evicts_earliest_arrival(self):
-        q = make_queue(max_queue_depth=2, shed_policy=REJECT_OLDEST)
-        q.offer("a", 1, 0)
-        q.offer("b", 2, 0)
-        admitted = q.offer("c", 3, 0)
-        assert not isinstance(admitted, Refusal)
-        evicted = q.take_evicted()
-        assert [t.xid for t in evicted] == [1]
-        assert evicted[0].shed and evicted[0].cancel.requested
-        assert sorted(t.xid for t in q.tickets()) == [2, 3]
-
-    def test_reject_lowest_priority_spares_the_important(self):
-        q = make_queue(max_queue_depth=2, shed_policy=REJECT_LOWEST_PRIORITY)
-        q.offer("a", 1, 0, priority=5)
-        q.offer("b", 2, 0, priority=1)
-        q.offer("c", 3, 0, priority=3)
-        assert [t.xid for t in q.take_evicted()] == [2]
-        # An incoming call less important than everything queued is the
-        # victim itself, not the queue.
-        refusal = q.offer("d", 4, 0, priority=0)
-        assert isinstance(refusal, Refusal) and refusal.kind == "busy"
-        assert sorted(t.xid for t in q.tickets()) == [1, 3]
 
     def test_per_client_bound_does_not_evict_others(self):
         q = make_queue(max_queue_depth=8, max_queue_depth_per_client=1)
@@ -157,27 +131,6 @@ class TestWeightedFairQueueing:
             order.append(ticket.identity)
         # b arrived later but must not starve behind a's backlog
         assert "b" in order[:3]
-
-
-class TestTokenBucket:
-    def test_burst_then_refusal_then_refill(self):
-        bucket = TokenBucket(rate=2.0, burst=3.0, now_ns=0)
-        assert all(bucket.try_take(0) for _ in range(3))
-        assert not bucket.try_take(0)
-        # 0.5 virtual seconds refills one token at 2/s
-        assert bucket.try_take(500 * MS)
-        assert not bucket.try_take(500 * MS)
-
-    def test_queue_rate_limit_counts_and_refuses(self):
-        q = make_queue(rate_limit_per_client=1.0, rate_limit_burst=1.0)
-        assert not isinstance(q.offer("a", 1, 0), Refusal)
-        refusal = q.offer("a", 2, 0)
-        assert isinstance(refusal, Refusal) and refusal.kind == "busy"
-        assert q.stats.rate_limited == 1
-        # other identities have their own bucket
-        assert not isinstance(q.offer("b", 3, 0), Refusal)
-        # a full virtual second later the bucket refilled
-        assert not isinstance(q.offer("a", 4, 1_000 * MS), Refusal)
 
 
 class TestOverloadController:

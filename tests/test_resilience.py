@@ -223,7 +223,7 @@ class TestAtMostOnce:
         second = server.dispatch_record(record)  # retransmission, same xid
         assert first == second
         assert len(executions) == 1
-        assert server.duplicate_hits == 1
+        assert server.server_stats.reply_cache_hits == 1
         client.close()
 
     def test_reply_cache_evicts_lru(self):
@@ -258,7 +258,7 @@ class TestAtMostOnce:
         second = server.dispatch_record(record, client_id="10.0.0.7:41002")
         assert first == second
         assert len(executions) == 1
-        assert server.duplicate_hits == 1
+        assert server.server_stats.reply_cache_hits == 1
 
     def test_client_autogenerates_distinct_tokens(self):
         """Default clients carry a generated token cred; explicit creds win."""
@@ -305,7 +305,7 @@ class TestAtMostOnce:
         )
         before = server.device.allocator.used_bytes
         ptr = client.malloc(1 << 16)
-        assert server.duplicate_hits == 1  # retransmit answered from cache
+        assert server.server_stats.reply_cache_hits == 1  # retransmit answered from cache
         after = server.device.allocator.used_bytes
         assert after - before == 1 << 16  # exactly one allocation
         assert client.memcpy_d2h(ptr, 16) == b"\x00" * 16

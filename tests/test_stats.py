@@ -12,7 +12,7 @@ CLIENT_KEYS = """
     retries timeouts reconnects recoveries stale_replies_discarded
     deadlines_exceeded retries_exhausted failovers crc_rejected
     busy_rejections not_leader_rejections leader_redirects probe_rtt_last_ns
-    slow_probes hedged_probes endpoints_ejected endpoints_readmitted
+    hedged_probes endpoints_ejected endpoints_readmitted
 """.split()
 
 SERVER_KEYS = """
@@ -21,7 +21,7 @@ SERVER_KEYS = """
     admission_denied quota_denied drains_completed replication_ops_shipped
     replication_ops_applied replication_full_syncs replication_lag
     standby_promotions device_failovers crc_rejected overload_shed
-    rate_limited deadline_expired_in_queue deadline_expired_in_execution
+    deadline_expired_in_queue deadline_expired_in_execution
     cancelled_in_queue cancelled_in_flight queue_peak_depth paused_rejections
     checkpoint_generations_written checkpoint_deltas_written
     checkpoint_bytes_written checkpoint_fallbacks migration_rounds
@@ -42,7 +42,7 @@ SERVER_KEYS = """
 def test_as_dict_keys_and_order_are_the_hand_written_ones():
     assert list(ResilienceStats().as_dict()) == CLIENT_KEYS
     assert list(ServerStats().as_dict()) == ["server." + key for key in SERVER_KEYS]
-    assert len(CLIENT_KEYS) == 17 and len(SERVER_KEYS) == 63
+    assert len(CLIENT_KEYS) == 16 and len(SERVER_KEYS) == 62
 
 
 def test_as_dict_reports_values_and_sorted_fault_kinds():

@@ -567,9 +567,9 @@ class TestRetainedBuffersAreNeverReused:
         assert (bytes(record), bytes(call.args), bytes(reply)) == kept
         assert payload_a in kept[0] and payload_b not in kept[0]
         # the reply cache answers a retransmission with that same reply
-        hits = server.duplicate_hits
+        hits = server.server_stats.reply_cache_hits
         assert server.dispatch_record(record) == kept[2]
-        assert server.duplicate_hits == hits + 1
+        assert server.server_stats.reply_cache_hits == hits + 1
         # the module loaded in between still resolves and launches
         x, y = client.malloc(1024), client.malloc(1024)
         client.memcpy_h2d(x, np.ones(256, dtype=np.float32))
@@ -843,7 +843,7 @@ class TestCrcInPlace:
         first = server.dispatch_record(append_crc(bytes(call)))
         size = len(replies[0])
         again = server.dispatch_record(append_crc(bytes(call)))  # reply-cache hit
-        assert bytes(first) == bytes(again) and server.duplicate_hits == 1
+        assert bytes(first) == bytes(again) and server.server_stats.reply_cache_hits == 1
         assert len(replies[0]) == size and verify_crc(first) == replies[0]
 
     def test_checksummed_16mib_over_tcp(self):

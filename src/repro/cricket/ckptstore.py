@@ -364,7 +364,8 @@ class CheckpointStore:
             return
         started_ns = self.clock.now_ns
         self.storage.write_atomic(name, blob)
-        self.write_latency.record(self.clock.now_ns - started_ns)
+        now_ns = self.clock.now_ns
+        self.write_latency.record(now_ns - started_ns, now_ns)
 
     # -- enumeration ---------------------------------------------------------
 

@@ -768,11 +768,18 @@ class CricketServer(RpcServer):
         worst = max(d.throttle_multiplier for d in self.devices)
         return worst / self.BROWNOUT_THROTTLE_SLO
 
+    #: only checkpoint writes this recent (virtual seconds) count for the
+    #: brownout: one slow fsync must not hold the server in brownout for
+    #: the rest of a run
+    CHECKPOINT_RECENT_S = 1.0
+
     def _ckpt_ratio(self) -> float:
-        """Checkpoint write (fsync) p99 against the configured SLO."""
+        """The worst recent checkpoint write (fsync) against the SLO."""
         if self.ckpt_health is None:
             return 0.0
-        return self.checkpoint_slo.ratio(self.ckpt_health)
+        return self.checkpoint_slo.recent_ratio(
+            self.ckpt_health, self.clock.now_ns, int(self.CHECKPOINT_RECENT_S * 1e9)
+        )
 
     def attach_checkpoint_health(self, tracker) -> None:
         """Feed a CheckpointStore's write-latency tracker into the brownout."""

@@ -16,8 +16,9 @@ lease-plus-epoch construction:
 * A :class:`LeadershipFence` is the server-side state machine.  It
   installs itself as ``RpcServer.fencing`` and is consulted before every
   non-exempt call: a non-leader (or a leader whose lease expired and
-  whose renewal failed) sheds *mutating* procedures with
-  ``RPC_NOT_LEADER`` while reads drain.  Every reply verf carries the
+  whose renewal failed) sheds every procedure, reads included, with
+  ``RPC_NOT_LEADER`` -- only the lease holder answers, so no client reads
+  a deposed primary's stale state.  Every reply verf carries the
   server's epoch, leadership claim and a redirect hint
   (``AUTH_LEADER_EPOCH``), so failover clients learn the newest epoch
   from normal traffic and refuse to rotate back to a fenced ex-primary.
@@ -201,9 +202,9 @@ class LeadershipFence:
         leader --observe_epoch(M > N)--> fenced
         fenced --lead()/witness grant--> leader(epoch M > N)
 
-    While fenced, mutating procedures are shed with ``RPC_NOT_LEADER``
-    (reads drain, retransmits of already-executed calls still replay from
-    the at-most-once reply cache), session reaping is paused so client
+    While fenced, every non-exempt procedure, reads included, is shed with
+    ``RPC_NOT_LEADER`` (retransmits of already-executed calls still replay
+    from the at-most-once reply cache), session reaping is paused so client
     resources survive the migration window, and every reply verf
     advertises the newest known epoch plus a redirect hint.  Which
     procedures mutate is the procedure table's
@@ -332,7 +333,7 @@ class LeadershipFence:
         """Decide a non-exempt call's fate *before* execution.
 
         Returns ``None`` to let the call through, or the accept-stat to
-        shed it with (``RPC_NOT_LEADER`` for mutations on a non-leader,
+        shed it with (``RPC_NOT_LEADER`` for any call on a non-leader,
         ``RPC_BUSY`` for mutations that cannot safely be acknowledged).
         Called from :meth:`RpcServer.dispatch_record` after the reply-
         cache lookup -- retransmits of executed calls always replay.
@@ -343,11 +344,13 @@ class LeadershipFence:
                 # may already have granted our epoch away.  Self-fence.
                 self._count("fencing_leases_expired")
                 self.fence("lease expired and witness unreachable")
-        if proc not in MUTATING_PROCS:
-            return None  # reads drain on a fenced server
         if not self.is_leader:
+            # Reads too: a deposed primary's state may predate writes the
+            # new leader acknowledged, so only the lease holder answers.
             self._count("fencing_not_leader_sheds")
             return msg.RPC_NOT_LEADER
+        if proc not in MUTATING_PROCS:
+            return None
         link = self.link
         if (
             link is not None

@@ -7,6 +7,7 @@ credential path.  Opaque bodies are capped at 400 bytes as the RFC requires.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -220,8 +221,13 @@ class LeaderVerf:
     hint: str = ""  # endpoint name of the actual leader, if known
 
 
+@functools.lru_cache(maxsize=64)
 def leader_epoch_auth(epoch: int, leader: bool, hint: str = "") -> OpaqueAuth:
-    """Encode leadership state as an ``AUTH_LEADER_EPOCH`` reply verifier."""
+    """Encode leadership state as an ``AUTH_LEADER_EPOCH`` reply verifier.
+
+    Encoded once per distinct state: a fenced server stamps every reply,
+    and its (epoch, leader, hint) changes only at a leadership transition.
+    """
     enc = XdrEncoder()
     enc.pack_uhyper(max(0, int(epoch)))
     enc.pack_bool(bool(leader))
@@ -238,8 +244,14 @@ def leader_epoch_from(auth: OpaqueAuth) -> LeaderVerf | None:
     """
     if auth.flavor != AUTH_LEADER_EPOCH:
         return None
+    return _leader_verf(bytes(auth.body))
+
+
+@functools.lru_cache(maxsize=64)
+def _leader_verf(body: bytes) -> LeaderVerf | None:
+    """The :class:`LeaderVerf` a verifier body encodes, decoded once per body."""
     try:
-        dec = XdrDecoder(auth.body)
+        dec = XdrDecoder(body)
         epoch = dec.unpack_uhyper()
         leader = dec.unpack_bool()
         hint = dec.unpack_string(64)

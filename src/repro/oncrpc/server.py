@@ -524,7 +524,13 @@ class RpcServer:
         # server digs itself out.
         if ctx.replica_apply:
             return None
-        shed = self._brownout.shed_stat(ctx.priority)
+        brownout = self._brownout
+        if brownout.shed_stat(ctx.priority) is None:
+            return None
+        # Re-judge before shedding: when only executed calls re-evaluate,
+        # a brownout that sheds every tenant can never end.
+        brownout.update()
+        shed = brownout.shed_stat(ctx.priority)
         if shed is not None:
             with self._stats_lock:
                 self.server_stats.brownout_sheds += 1

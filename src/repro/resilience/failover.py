@@ -173,7 +173,8 @@ class FailoverTransport(ReconnectingTransport):
 
     On every (re)connect the endpoint list is walked starting from the
     active endpoint; the first one that connects and passes ``probe``
-    wins.  The probe runs *per endpoint inside the walk* (unlike the base
+    wins (one that refused the last call as a non-leader skips the
+    probe: it just answered).  The probe runs *per endpoint inside the walk* (unlike the base
     class's post-factory probe) so a reachable-but-dead server rotates to
     the next endpoint instead of failing the whole reconnect.
 
@@ -218,6 +219,10 @@ class FailoverTransport(ReconnectingTransport):
         self.health: dict[str, HealthTracker] = {}
         #: statistical outlier ejection over :attr:`health`; None disables
         self.ejector = ejector
+        #: endpoint index whose ``RPC_NOT_LEADER`` refused the last call: it
+        #: answered one attempt ago, so the next walk reconnects to it
+        #: without a probe
+        self._refused: int | None = None
         super().__init__(self._connect_some_endpoint, clock=clock, stats=stats)
 
     @property
@@ -251,6 +256,7 @@ class FailoverTransport(ReconnectingTransport):
         if info is not None and info.epoch > self.known_epoch:
             self.known_epoch = info.epoch
         self._stale[self._active] = self.known_epoch
+        self._refused = self._active
         self.stats.leader_redirects += 1
         self._drop()
         hint = info.hint if info is not None else ""
@@ -298,7 +304,7 @@ class FailoverTransport(ReconnectingTransport):
             tracker = self.endpoint_health(idx)
             started_ns = clock.now_ns
             try:
-                transport = self._open(endpoint.connect, self._endpoint_probe)
+                transport = self._probed(endpoint.connect(), self._endpoint_probe)
             except Exception:
                 continue
             with contextlib.suppress(Exception):
@@ -322,22 +328,34 @@ class FailoverTransport(ReconnectingTransport):
         unreachable: availability wins then -- a limping server beats no
         server, and a formerly fenced one may have re-acquired leadership
         (if it is still fenced its RPC_NOT_LEADER answer re-marks it).
+        An endpoint whose connect failed is not dialled again in the same
+        walk, and the one that just refused a call as a non-leader is
+        reconnected without a probe: it answered one attempt ago.
         """
+        refused, self._refused = self._refused, None
         unfit = self._stale or (self.ejector is not None and self.ejector.ejected_names)
         count = len(self.endpoints)
+        dead: set[int] = set()
         last_exc: Exception | None = None
         for skip_unfit in (True, False) if unfit else (False,):
             for step in range(count):
                 idx = (self._active + step) % count
-                if skip_unfit and (idx in self._stale or self._is_ejected(idx)):
+                if idx in dead or (
+                    skip_unfit and (idx in self._stale or self._is_ejected(idx))
+                ):
                     continue
                 try:
-                    transport = self._open(
-                        self.endpoints[idx].connect, self._endpoint_probe
-                    )
+                    transport = self.endpoints[idx].connect()
                 except Exception as exc:
+                    dead.add(idx)
                     last_exc = exc
                     continue
+                if idx != refused:
+                    try:
+                        self._probed(transport, self._endpoint_probe)
+                    except Exception as exc:
+                        last_exc = exc
+                        continue
                 if idx != self._active:
                     self._active = idx
                     self.stats.failovers += 1

@@ -43,6 +43,7 @@ Fault taxonomy (the names used in counters and docs):
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass, replace
 
 from repro.net.simclock import SimClock
@@ -420,8 +421,11 @@ class FaultyEndpoint:
     replies, disconnects), a :class:`SlowFaultPlan` a :class:`SlowTransport`
     (limplock).  Connection ``n`` draws from its own stream, seeded
     ``plan.seed + n``, and one :meth:`set_active` switch opens or heals the
-    fault window on the endpoint and every transport it has handed out --
-    how the simulation nemesis turns faults on and off over virtual time.
+    fault window on the endpoint and every transport it has handed out that
+    is still in use -- how the simulation nemesis turns faults on and off
+    over virtual time.  The endpoint holds its transports weakly: a
+    connection its client dropped is freed with its RNG streams and receive
+    arena, so a retry storm's thousands of connections do not outlive it.
     Everything else (``name``, ``kill``, partition links, ...) is delegated
     to the wrapped endpoint.
     """
@@ -440,7 +444,9 @@ class FaultyEndpoint:
         self.clock = clock
         self.stats = stats
         self.active = active
-        self._transports: list[FaultInjectingTransport | SlowTransport] = []
+        self._transports: weakref.WeakSet[FaultInjectingTransport | SlowTransport] = (
+            weakref.WeakSet()
+        )
         self._next_seed = plan.seed
 
     def connect(self) -> FaultInjectingTransport | SlowTransport:
@@ -450,11 +456,11 @@ class FaultyEndpoint:
         faulty = plan.wrap(
             transport, clock=self.clock, stats=self.stats, active=self.active
         )
-        self._transports.append(faulty)
+        self._transports.add(faulty)
         return faulty
 
     def set_active(self, active: bool) -> None:
-        """Open (True) or heal (False) the fault window on every pipe."""
+        """Open (True) or heal (False) the fault window on every live pipe."""
         self.active = active
         for transport in self._transports:
             transport.active = active

@@ -40,6 +40,7 @@ Nothing here imports oncrpc/cricket — the heavy layers import *us*.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -148,10 +149,16 @@ class HealthTracker:
     Combines the histogram (tail quantiles) with TCP SRTT/RTTVAR-style
     smoothing (alpha=1/8, beta=1/4).  ``deviation_score`` is the last
     sample's distance from the smoothed mean in units of the smoothed
-    deviation — a cheap "is this sample anomalous" signal.
+    deviation — a cheap "is this sample anomalous" signal.  ``recent``
+    keeps the last :attr:`RECENT` samples with the virtual time each
+    landed, for signals that judge recent samples only
+    (:meth:`LatencySLO.recent_ratio`).
     """
 
-    __slots__ = ("name", "histogram", "srtt_ns", "rttvar_ns", "last_ns")
+    __slots__ = ("name", "histogram", "srtt_ns", "rttvar_ns", "last_ns", "recent")
+
+    #: how many timestamped samples :attr:`recent` keeps
+    RECENT = 16
 
     ALPHA = 0.125
     BETA = 0.25
@@ -162,10 +169,14 @@ class HealthTracker:
         self.srtt_ns = 0.0
         self.rttvar_ns = 0.0
         self.last_ns = 0
+        #: ``(at_ns, latency_ns)`` of the latest samples, oldest first
+        self.recent: deque[tuple[int, int]] = deque(maxlen=self.RECENT)
 
-    def record(self, latency_ns: int) -> None:
+    def record(self, latency_ns: int, at_ns: int = 0) -> None:
+        """Add one sample that completed at virtual time ``at_ns``."""
         self.histogram.record(latency_ns)
         self.last_ns = latency_ns
+        self.recent.append((at_ns, latency_ns))
         if self.histogram.count == 1:
             self.srtt_ns = float(latency_ns)
             self.rttvar_ns = latency_ns / 2.0
@@ -198,6 +209,7 @@ class HealthTracker:
         self.srtt_ns = 0.0
         self.rttvar_ns = 0.0
         self.last_ns = 0
+        self.recent.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -223,6 +235,22 @@ class LatencySLO:
         if tracker.count < self.min_samples:
             return 0.0
         return tracker.p99 / self.target_p99_ns
+
+    def recent_ratio(self, tracker: HealthTracker, now_ns: int, window_ns: int) -> float:
+        """Worst sample of the last ``window_ns`` / target; 0.0 if none.
+
+        Unlike :meth:`ratio`, one slow sample cannot pin the signal for the
+        rest of a run: it stops counting ``window_ns`` after it landed.
+        An undersampled tracker reads 0.0 too.
+        """
+        if tracker.count < self.min_samples:
+            return 0.0
+        since_ns = now_ns - window_ns
+        worst = max(
+            (latency for at_ns, latency in tracker.recent if at_ns >= since_ns),
+            default=0,
+        )
+        return worst / self.target_p99_ns
 
 
 @dataclass(frozen=True)
@@ -326,24 +354,12 @@ class OutlierEjector:
 class BrownoutConfig:
     """Tuning for staged degraded-mode operation.
 
-    ``enter_ratio`` is the health-score threshold (worst signal ratio,
-    1.0 == exactly at SLO) above which the stage rises; the score must
-    fall below ``exit_ratio`` *and* stay there for ``min_dwell_s`` of
-    virtual time before the stage drops — the hysteresis that prevents
-    flapping.  ``stage2_ratio`` promotes straight to heavy shedding.
+    The score must stay below :attr:`BrownoutController.EXIT_RATIO` for
+    ``min_dwell_s`` of virtual time before the stage drops — the
+    hysteresis that prevents flapping.
     """
 
-    enter_ratio: float = 1.0
-    exit_ratio: float = 0.7
-    stage2_ratio: float = 3.0
     min_dwell_s: float = 0.25
-    shed_priority_below: int = 2
-
-    def __post_init__(self) -> None:
-        if self.exit_ratio >= self.enter_ratio:
-            raise ValueError("exit_ratio must sit below enter_ratio (hysteresis)")
-        if self.stage2_ratio <= self.enter_ratio:
-            raise ValueError("stage2_ratio must exceed enter_ratio")
 
 
 class BrownoutController:
@@ -353,14 +369,24 @@ class BrownoutController:
     controller's score is the worst ratio.  Stages:
 
     * 0 — healthy, no intervention.
-    * 1 — brownout: shed priorities below ``shed_priority_below`` with
+    * 1 — brownout: shed priorities below ``SHED_PRIORITY_BELOW`` with
       ``RPC_BUSY``, suspend sanitizer sweeps.
     * 2 — heavy brownout: shed everything but the highest priority.
 
-    Stage *rises* the moment the score crosses a threshold; it *falls*
-    only after the score has stayed below ``exit_ratio`` for
-    ``min_dwell_s`` — and drops one stage at a time.
+    Stage *rises* the moment the score crosses ``ENTER_RATIO`` (straight
+    to 2 past ``STAGE2_RATIO``); it *falls* only after the score has
+    stayed below ``EXIT_RATIO`` for ``min_dwell_s`` — and drops one stage
+    at a time.
     """
+
+    #: score (worst signal ratio, 1.0 == exactly at SLO) that enters stage 1
+    ENTER_RATIO = 1.0
+    #: score the signals must stay under, for the dwell, to leave a stage
+    EXIT_RATIO = 0.7
+    #: score that promotes straight to stage 2
+    STAGE2_RATIO = 3.0
+    #: stage 1 sheds the priorities below this one
+    SHED_PRIORITY_BELOW = 2
 
     def __init__(
         self,
@@ -400,15 +426,14 @@ class BrownoutController:
 
     def update(self) -> int:
         """Re-evaluate signals; returns the (possibly new) stage."""
-        cfg = self.config
         now = self.clock.now_ns
         score = self.score()
         self.last_score = score
 
         target = 0
-        if score >= cfg.stage2_ratio:
+        if score >= self.STAGE2_RATIO:
             target = 2
-        elif score >= cfg.enter_ratio:
+        elif score >= self.ENTER_RATIO:
             target = 1
 
         if target > self.stage:
@@ -422,12 +447,12 @@ class BrownoutController:
             return self.stage
 
         if self.stage > 0:
-            if score < cfg.exit_ratio:
+            if score < self.EXIT_RATIO:
                 if self._calm_since_ns is None:
                     self._calm_since_ns = now
                 calm_ns = now - self._calm_since_ns
                 dwell_ns = now - self._stage_changed_ns
-                min_ns = int(cfg.min_dwell_s * 1e9)
+                min_ns = int(self.config.min_dwell_s * 1e9)
                 if calm_ns >= min_ns and dwell_ns >= min_ns:
                     self.stage -= 1
                     self._stage_changed_ns = now
@@ -444,12 +469,12 @@ class BrownoutController:
         """RPC accept-stat to shed with, or None to admit.
 
         Returns 100 (``RPC_BUSY``) for work the current stage refuses:
-        stage 1 sheds priorities below ``shed_priority_below``; stage 2
+        stage 1 sheds priorities below ``SHED_PRIORITY_BELOW``; stage 2
         sheds everything except the top priority class (>= 3).
         """
         if self.stage <= 0:
             return None
-        if self.stage == 1 and priority >= self.config.shed_priority_below:
+        if self.stage == 1 and priority >= self.SHED_PRIORITY_BELOW:
             return None
         if self.stage >= 2 and priority >= 3:
             return None

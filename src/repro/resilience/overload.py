@@ -193,12 +193,10 @@ class OverloadQueue:
             self.stats.overload_shed += 1
             return Refusal("busy", f"per-client queue bound for {identity}")
 
-        # Ticket first: a call the full queue refuses still advances its
-        # tenant's fair-share clock.
-        ticket = self._make_ticket(identity, xid, expires_at_ns)
         if len(self._queue) >= cfg.max_queue_depth:
             self.stats.overload_shed += 1
             return Refusal("busy", "server queue full")
+        ticket = self._make_ticket(identity, xid, expires_at_ns)
         self._queue.append(ticket)
         self.stats.queue_peak_depth = max(self.stats.queue_peak_depth, len(self._queue))
         return ticket

@@ -166,13 +166,12 @@ class ReconnectingTransport:
         self.breaker.record_failure()
         self._drop()
 
-    def _open(self, connect: Callable[[], Transport], probe) -> Transport:
-        """Connect, then ``probe`` the fresh transport (closed if that fails).
+    def _probed(self, transport: Transport, probe) -> Transport:
+        """``probe`` a fresh transport; it is closed if the probe fails.
 
-        The one connect-then-probe sequence of reconnects, endpoint walks
-        and hedged probe rounds; errors propagate unchanged.
+        The one probe-after-connect step of reconnects, endpoint walks and
+        hedged probe rounds; errors propagate unchanged.
         """
-        transport = connect()
         if probe is not None:
             try:
                 probe(transport)
@@ -220,7 +219,7 @@ class ReconnectingTransport:
                 f"(state {self.breaker.state!r})"
             )
         try:
-            inner = self._open(self._factory, self._checked_probe)
+            inner = self._probed(self._factory(), self._checked_probe)
         except RpcTransportError:
             self.breaker.record_failure()
             raise

@@ -115,6 +115,8 @@ FACT_RULES: tuple[tuple[str, Callable[[dict[str, Any]], bool]], ...] = (
     ("undetected-in-budget", lambda f: 0 <= f["detect_ns"] <= f["detect_budget_ns"]),
     ("false-ejection", lambda f: not f["false_ejections"]),
     ("brownout-flap", lambda f: f["brownout_entries"] <= 1 and f["brownout_exits"] <= 1),
+    # every brownout the run entered has ended by the audit
+    ("brownout-stuck", lambda f: f["brownout_exits"] == f["brownout_entries"]),
     ("tail-unrecovered", lambda f: f["recovery_p99_ns"] <= 2 * max(f["baseline_p99_ns"], 1)),
     ("state-divergence", lambda f: not f["diverged"]),
 )

@@ -492,11 +492,12 @@ class _Cluster:
             int(event.params.get("count", 1)),
             float(event.params.get("delay_s", 0.1)),
         )
-        if "duration_s" in event.params:
-            # a limping disk: stalls until replaced, not for a count
+        # a limping disk stalls until replaced; else for ``count`` writes
+        windowed = "duration_s" in event.params
+        if windowed:
             self._heal_later(float(event.params["duration_s"]), "fsync")
-            _, server = self.leader()
-            self.watch(lambda: server.brownout.active, healed=False)
+        _, server = self.leader()
+        self.watch(lambda: server.brownout.active, healed=not windowed)
 
     def _apply_bug_double_execute(self, event: NemesisEvent) -> None:
         """The injected bug: the leader's next ``count`` fresh executions
@@ -585,8 +586,12 @@ class _Cluster:
             "healed": healed,
         }
 
-    def measure(self, latency_ns: int) -> None:
-        """File one step's latency under the phase it ran in."""
+    def measure(self, latency_ns: int, browned_at_start: bool) -> None:
+        """File one step's latency under the phase it ran in.
+
+        A step is a recovered one only if no brownout held it at either
+        end: a step the brownout shed until it ended ran in the brownout.
+        """
         limp = self.limp
         if limp is None:
             self.baseline.record(latency_ns)
@@ -594,7 +599,11 @@ class _Cluster:
         if limp["detected_ns"] < 0:
             if limp["detector"]():
                 limp["detected_ns"] = self.clock.now_ns
-        elif limp["healed"] and not self.leader()[1].brownout.active:
+        elif (
+            limp["healed"]
+            and not browned_at_start
+            and not self.leader()[1].brownout.active
+        ):
             self.recovery.record(latency_ns)
 
     # -- end-of-run facts -----------------------------------------------------
@@ -1079,10 +1088,11 @@ def _run(
 
         def step(index, op_r, pick_r):
             started = clock.now_ns
+            browned = cluster.leader()[1].brownout.active
             inner(index, op_r, pick_r)
             if shape == "checkpointing":
                 do_checkpoint()
-            cluster.measure(clock.now_ns - started)
+            cluster.measure(clock.now_ns - started, browned)
             if shape == "probing":
                 # one hedged probe round per step feeds the ejector
                 decision = cluster.clients[index].failover_transport.probe_endpoints()

@@ -68,9 +68,11 @@ class Profile:
     #: client->server network paths (single topology); with more than one,
     #: clients run outlier ejection over them
     paths: int = 1
-    #: call priority of workload client ``i`` (cycled); brownout sheds
-    #: low priorities and is only re-evaluated by calls that execute, so
-    #: a profile that must see it *exit* keeps one client above the shed line
+    #: call priority of workload client ``i`` (cycled).  A brownout sheds
+    #: every client below its line, and a shed step retries for seconds of
+    #: virtual time while the nemesis events behind it wait: a story that
+    #: needs its events on time through a brownout keeps a client above
+    #: the line
     priorities: tuple[int, ...] = (0,)
 
 
@@ -124,6 +126,12 @@ PROFILES: dict[str, Profile] = {
     },
     "overload_hot_tenant": Profile(
         schedule=(_at(1.0, OVERLOAD_STORM, load=5.0, hot=3.0),), **_OVERLOAD
+    ),
+    # at twenty times capacity the server bound refuses calls all the
+    # time: a refused call must not cost its tenant its fair share
+    "overload_hot_20x": Profile(
+        schedule=(_at(1.0, OVERLOAD_STORM, load=20.0, hot=3.0),),
+        **{**_OVERLOAD, "seeds": (1, 2, 5, 7)},
     ),
     # the per-tenant bound is what binds, so the weight shows in goodput
     "overload_weighted": Profile(
@@ -197,7 +205,6 @@ PROFILES: dict[str, Profile] = {
         schedule=(_at(4.0, GPU_THROTTLE, severity=4.0),),
         invariants=_LIMPLOCK,
         server={"auto_recover": True},
-        priorities=(3, 0),
     ),
     # the checkpoint disk stalls twice in quick succession: brownout
     # enters once and leaves once (its dwell rides out the gap)
@@ -213,7 +220,22 @@ PROFILES: dict[str, Profile] = {
             "checkpoint_slo": LatencySLO(target_p99_ns=int(50e6), min_samples=1),
             "brownout": BrownoutConfig(min_dwell_s=1.0),
         },
+        # shed, the first stall's steps would hold the second stall back
+        # until the brownout had left
         priorities=(3,),
+    ),
+    # two slow checkpoint writes, then the disk is fine again: every
+    # client is below the shed line, so the brownout sheds them all and no
+    # call of theirs executes, and it must still end (the signal judges
+    # recent writes only, and the shed path re-judges it)
+    "brownout_shed_all": Profile(
+        topology="single",
+        workload="checkpointing",
+        schedule=(_at(3.0, STORAGE_SLOW, count=2, delay_s=0.3),),
+        invariants=(*_LIMPLOCK, "brownout-stuck"),
+        server={
+            "checkpoint_slo": LatencySLO(target_p99_ns=int(50e6), min_samples=1),
+        },
     ),
     # the standby acknowledges slowly: the ship-RTT SLO demotes the sync
     # link to async-lagged, which may cost lag but never state

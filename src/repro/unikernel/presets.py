@@ -19,8 +19,9 @@ DESIGN.md §5):
   streaming -- reproducing the ~10 % bulk bandwidth of Figure 7.
 
 Absolute values are plausible for EPYC-7301-class cores; only the resulting
-*ratios* carry scientific weight, and those are asserted by the benchmark
-suite.
+*ratios* carry scientific weight.  The ones the paper reports are rows of
+the claims table (:mod:`repro.harness.claims`), which ``python -m
+repro.harness`` checks and writes to ``results/claims.txt``.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ contract on the recovery path, and the one fault-window endpoint wrapper.
 """
 
 import dataclasses
+import weakref
 
 import pytest
 
@@ -281,6 +282,21 @@ class TestFaultyEndpoint:
         for client in clients:
             client.ping()  # healed without a reconnect
         assert not any(pipe.active for pipe in endpoint._transports)
+
+    def test_dropped_pipes_are_released(self):
+        # the endpoint holds its pipes weakly: a dropped connection is
+        # freed with its RNG streams, and the window still reaches the rest
+        endpoint = FaultyEndpoint(LoopbackEndpoint(CricketServer()), FaultPlan(seed=1))
+        kept = endpoint.connect()
+        dropped = endpoint.connect()
+        dropped.close()
+        released = weakref.ref(dropped)
+        del dropped
+        assert released() is None
+        assert list(endpoint._transports) == [kept]
+        endpoint.set_active(False)
+        assert not kept.active
+        assert endpoint.connect().plan.seed == 3  # seeds count every pipe
 
     def test_every_slow_plan_field_reaches_the_connection(self):
         plan = SlowFaultPlan(

@@ -14,7 +14,7 @@ from repro.cricket import (
     ReplicationLink,
     state_fingerprint,
 )
-from repro.cricket.ckptstore import CheckpointStore, FileStorage
+from repro.cricket.ckptstore import CheckpointStore, FileStorage, MemoryStorage
 from repro.cubin import build_cubin_for_registry
 from repro.cubin.metadata import KernelMeta
 from repro.gpu.catalog import A100
@@ -247,12 +247,6 @@ class TestBrownoutController:
         c.stage = 2
         assert c.shed_stat(2) == 100
         assert c.shed_stat(3) is None
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            BrownoutConfig(enter_ratio=1.0, exit_ratio=1.0)
-        with pytest.raises(ValueError):
-            BrownoutConfig(enter_ratio=1.0, stage2_ratio=0.9)
 
 
 class TestSlowFaults:
@@ -562,6 +556,70 @@ class TestServerBrownout:
         assert not server.brownout.active
         assert server.server_stats.brownout_entries == 1
         assert server.server_stats.brownout_exits == 1
+
+
+class TestBrownoutEnds:
+    """One slow checkpoint write browns the server out for a while only.
+
+    The client sits below every shed line, so none of its calls executes
+    while the brownout lasts: the stage falls because the signal judges
+    recent writes only and a call about to be shed re-judges it first.
+    """
+
+    def _browned(self):
+        clock = SimClock()
+        slo = LatencySLO(target_p99_ns=50 * MS, min_samples=1)
+        server = CricketServer(clock=clock, brownout=True, checkpoint_slo=slo)
+        storage = FaultyStorage(MemoryStorage(), StorageFaultPlan(), clock=clock)
+        store = CheckpointStore(storage=storage, clock=clock)
+        server.attach_checkpoint_health(store.write_latency)
+        storage.arm_slow_fsync(1, 0.2)
+        store.save(server)  # the one slow write, 4x the SLO
+        low = CricketClient.loopback(server, priority=0)
+        low.get_device_count()  # admitted on stage 0; executing, it judges
+        assert server.brownout.stage == 2
+        with pytest.raises(RpcBusyError):
+            low.get_device_count()
+        return clock, server, store, low
+
+    def _until_admitted(self, clock, low, between=lambda: None) -> float:
+        started_ns = clock.now_ns
+        for _ in range(100):
+            clock.advance_s(0.1)
+            between()
+            try:
+                low.get_device_count()
+            except RpcBusyError:
+                continue
+            return (clock.now_ns - started_ns) / 1e9
+        raise AssertionError("the brownout never ended")
+
+    def test_ends_when_fast_writes_follow(self):
+        clock, server, store, low = self._browned()
+        waited = self._until_admitted(clock, low, lambda: store.save(server))
+        # the slow write leaves the window, then a dwell per stage (each
+        # started by the 0.1 s polls)
+        assert waited <= CricketServer.CHECKPOINT_RECENT_S + 1.0
+        assert server.brownout.stage == 0
+        assert server.server_stats.brownout_exits == 1
+
+    def test_ends_when_no_writes_follow(self):
+        clock, server, store, low = self._browned()
+        self._until_admitted(clock, low)
+        assert server.brownout.stage == 0
+        assert server.server_stats.brownout_entries == 1
+        assert server.server_stats.brownout_exits == 1
+
+    def test_recent_ratio_forgets_old_samples(self):
+        slo = LatencySLO(target_p99_ns=10 * MS, min_samples=1)
+        tracker = HealthTracker()
+        assert slo.recent_ratio(tracker, 0, MS) == 0.0  # no sample yet
+        tracker.record(40 * MS, at_ns=100 * MS)
+        tracker.record(5 * MS, at_ns=200 * MS)
+        assert slo.recent_ratio(tracker, 200 * MS, 150 * MS) == 4.0  # worst recent
+        assert slo.recent_ratio(tracker, 200 * MS, 50 * MS) == 0.5
+        assert slo.recent_ratio(tracker, 400 * MS, 50 * MS) == 0.0  # none recent
+        assert slo.ratio(tracker) > 1.0  # the cumulative p99 never forgets
 
 
 class TestReplicationDemotion:

@@ -40,20 +40,22 @@ NAMED = sorted(set(PROFILES) - {COMPOSED})
 #: which pins ``composed`` at seed 0 (its ``ha_pair`` entry).  A change that
 #: moves one of these moves a history: it needs a reason, not a new value.
 FIRST_SEED_FINGERPRINTS = {
+    "brownout_shed_all": "c308dc1ec28c3df9362f359050f2f07f1423759dbfb5468edf72e04824711250",
     "buggy_tenant": "4945cf7ac4fb561e5daa6842f68228d594cdf86061614f91e2c57728e3033746",
     "client_kill": "1f78dfb4516a2e8511ca5c1e14316fa0f04509983b641b139076c64227d1f444",
     "failover": "ab48cc109c89c01f46230050384dedac540eb3503b693fef7f61dc80efb83261",
     "limplock_endpoint": "790344f7751804e2f1987d83f14b429995fb4239aa7f2445c1a25caef6ceaff2",
     "limplock_fsync": "f784af4afd3522fa2bfbc346b7ecda4464a4594b081956d4493a76a03c1e3f21",
-    "limplock_gpu": "b45ae88fd3157fc0153bc24c95a0d0e675094f2adc462500f0a7f35ba0055b5c",
+    "limplock_gpu": "d1538917cff66f71fc757164c87b363fb13a37358f3aa3c99ad203c8beeff65d",
     "limplock_standby": "e73f14709899ec2b5994be542d87b1104b009bcf9f6c051da9caeb62acdcaa4f",
     "migration": "b34bd47afed58a9fed9952a53bef94a280a3ac34a9e6b98dcd1e796266aafe80",
     "overload_1x": "169dbf565530ffc9102b07098736054c6b0cb32c009658e5f760f922f45849a4",
-    "overload_2x": "913eceda4520ee0221337d94f5942baf57495d5b6880bcf0bdb87bb74cdeabda",
-    "overload_5x": "6be0b2cdd44fad270630ff2594338d12d57ead74a24882e33633be6edb06d734",
-    "overload_hot_tenant": "cb6fd43c6e93a30f3092f658836d62fbf47794e6cfd6831eabb9f300037afea9",
+    "overload_2x": "bbb124c62f8b844cbcd5dc1696096ab12b80fcd4beac43514754ba122c1f385e",
+    "overload_5x": "3b6e928135e1ac897f9eac5cdfb6c988632ac9c17fa5fb46de442a2e6ca56321",
+    "overload_hot_20x": "7ac8281b0a499c81fb0aa3c49808ed70e890a493ae166b852de955ab686a7c03",
+    "overload_hot_tenant": "a636df7f8929a5f7bf937d4d3883f161303790e28c09931e7c589d2d3808643c",
     "overload_weighted": "15376773fe9481562c0a3e355757d79bb9fab3ec3176028172b84f426809ecb0",
-    "partition_heal_divergence": "99b09780b31b9f22797f420008fbc6e62e43d789d4f1ba128cbe4aeb17ce1795",
+    "partition_heal_divergence": "e47f7e41d0fa55c2a1f3674079eb1d12ce78d7a12b2a9e5b357814961ab23db5",
     "partition_primary_isolated": "507e512730845ef0187c91da2b86d5a47e87d3869999e67039f17f4ee0998d68",
     "partition_standby_isolated": "5d489914578f8e77e15db776d06ea6de7c649979fd3166a3bdd8fad5209b8912",
     "partition_witness_isolated": "6d8b3acdd5168af2007b910e6d0db5cbdb22fcf4030c28907ed5602b72278dd1",
@@ -65,6 +67,7 @@ class TestProfileTable:
         assert set(NAMED) == {
             "client_kill", "failover", "migration", "buggy_tenant",
             *(f"overload_{v}" for v in ("1x", "2x", "5x", "hot_tenant", "weighted")),
+            "overload_hot_20x", "brownout_shed_all",
             *(f"partition_{s}_isolated" for s in ("primary", "standby", "witness")),
             "partition_heal_divergence",
             *(f"limplock_{w}" for w in ("endpoint", "gpu", "fsync", "standby")),
@@ -200,12 +203,38 @@ def _eject_everything(_real):
 
 def _no_hysteresis(_real):
     def update(self):
-        target = 1 if self.score() >= self.config.enter_ratio else 0
+        target = 1 if self.score() >= self.ENTER_RATIO else 0
         self.stats.brownout_entries += bool(target and not self.stage)
         self.stats.brownout_exits += bool(self.stage and not target)
         self.stage = target
         return target
     return update
+
+
+def _cumulative_ckpt_signal(_real):
+    def ratio(self):  # p99 of every write the store ever made
+        return 0.0 if self.ckpt_health is None else self.checkpoint_slo.ratio(self.ckpt_health)
+    return ratio
+
+
+def _brownout_judged_only_on_execute(_real):
+    def check(self, call, ctx):  # sheds on the stage the last executed call left
+        if ctx.replica_apply:
+            return None
+        shed = self._brownout.shed_stat(ctx.priority)
+        if shed is not None:
+            self.server_stats.brownout_sheds += 1
+        return shed
+    return check
+
+
+def _refusal_charges_wfq(real):
+    def offer(self, identity, xid, now_ns, *, expires_at_ns=None):
+        verdict = real(self, identity, xid, now_ns, expires_at_ns=expires_at_ns)
+        if getattr(verdict, "detail", "") == "server queue full":
+            self._make_ticket(identity, xid, expires_at_ns)  # the refused call pays
+        return verdict
+    return offer
 
 
 def _lose_newest_lagged_ship(real):
@@ -246,6 +275,9 @@ MUTATIONS = {
         "overload_hot_tenant", {"unfair-share"}),
     "queue-bound-ignored": (
         _queue_config(max_queue_depth=10_000), "overload_5x", {"queue-unbounded"}),
+    "wfq-charges-refusals": (
+        _break("repro.resilience.overload:OverloadQueue.offer", _refusal_charges_wfq),
+        "overload_hot_20x", {"unfair-share"}),
     "sanitizer-off": (
         _break("repro.cricket.server:CricketServer.__init__",
                lambda real: lambda self, *a, **kw: real(
@@ -282,6 +314,13 @@ MUTATIONS = {
     "brownout-no-hysteresis": (
         _break("repro.resilience.health:BrownoutController.update", _no_hysteresis),
         "limplock_fsync", {"brownout-flap"}),
+    "brownout-cumulative-signal": (
+        _break("repro.cricket.server:CricketServer._ckpt_ratio", _cumulative_ckpt_signal),
+        "brownout_shed_all", {"brownout-stuck"}),
+    "brownout-judged-only-on-execute": (
+        _break("repro.oncrpc.server:RpcServer._check_brownout",
+               _brownout_judged_only_on_execute),
+        "brownout_shed_all", {"brownout-stuck"}),
     "demoted-link-lossy": (
         _break("repro.cricket.replication:ReplicationLink._apply_pending",
                _lose_newest_lagged_ship),

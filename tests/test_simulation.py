@@ -46,17 +46,21 @@ pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptio
 #: extra RNG draw, one reordered op -- fails here, on every CI python.
 GOLDEN_FINGERPRINTS = {
     ("single", 0): "e6c380e903fd6a95c16a19f8a9374459dcd373245870d3029bc94cb6f5f7a0be",
-    ("single", 1): "79a3e1b79eff7940270a81f9e8a34d05d44d3a847458ab8213c76b47604b93d5",
+    ("single", 1): "098be4c1e303e3fc2c7b6c9961fe1a901091d2587d0a5402b23b6bc7049aa05d",
     ("single", 7): "5d33cd1cf8a329e0f24dae51772d3a7850239868b1b436a820048de4279b52b7",
-    ("ha_pair", 0): "bc326dcc8bfb03ecbf4ead82b2089dd8f65e8682b73cfd312fd8d6d9562e706a",
-    ("ha_pair", 1): "ffdf899b676a20253c125ae925c44e9419cdc18bec6c9a306cfe8ff4cfe04f5c",
+    ("ha_pair", 0): "35fb9e446da2089812f074ae970faa62f6c967fa8a9a64149016b0ff5aa52bf9",
+    ("ha_pair", 1): "df4e37e55063a4f3807865bf9575b84a14df754792134c80c7aeea73cab319f9",
     ("ha_pair", 7): "eee74c06ad30c676b4903cacea4fb95772c2e3b000a84f416ba952e76208fc66",
 }
 
-#: the shrunk repro of the one known-red composed schedule (see
-#: ``TestKnownRed``), checked in so the bug cannot be forgotten
+#: the shrunk repro of the once known-red composed schedule (see
+#: ``TestKnownRed``), checked in so the bug cannot come back
 KNOWN_RED_TRACE = str(
     Path(__file__).parent / "data" / "stale-read-on-deposed-primary.trace.json"
+)
+#: its replay's fingerprint now that a fenced server refuses reads
+KNOWN_RED_REPLAY_FINGERPRINT = (
+    "5a0db8593597e553f132c088a91b69c3b63b7dbf164a52c0c84fe6ddedfd75fb"
 )
 
 
@@ -296,23 +300,21 @@ class TestShrinker:
             load_trace(str(trace))
 
 
-# -- the one known-red schedule ------------------------------------------------
+# -- the once known-red schedule ----------------------------------------------
 
 
 class TestKnownRed:
-    """A fenced ex-primary serves stale reads (pinned here, not yet fixed).
+    """A fenced ex-primary served stale reads; now it refuses them.
 
     The trace: ``ha_pair``, seed 3041, 300 steps, one
     ``transport_faults(client=0, duration_s=0.8)`` at 1.2 s.  Client0 has
     failed over and seen epoch 2 when an injected disconnect rotates it
-    back to the deposed primary, whose ``LeadershipFence.shed_stat``
-    returns ``None`` for non-mutating procs *before* it checks
-    ``is_leader`` ("reads drain on a fenced server"): the ``d2h`` (proc
-    13) executes on ``primary`` at epoch 1 and returns the zeros from
-    before the write the standby acknowledged -- ``lost-acked-write``.
-    Checking ``is_leader`` first clears it, but moves 4 of the
-    benchmark's 16 pinned fingerprints and costs about a quarter of
-    ``nemesis_sim`` throughput: a trade that needs its own issue.
+    back to the deposed primary.  When ``LeadershipFence.shed_stat``
+    passed non-mutating procs before it checked ``is_leader``, the ``d2h``
+    (proc 13) executed on ``primary`` at epoch 1 and returned the zeros
+    from before the write the standby acknowledged: ``lost-acked-write``.
+    The trace file keeps that run's fingerprint and verdict; the replay
+    now runs clean, the read refused with ``RPC_NOT_LEADER``.
     """
 
     @pytest.fixture(scope="class")
@@ -322,14 +324,23 @@ class TestKnownRed:
 
     def test_trace_still_reproduces_byte_for_byte(self, replayed):
         result, recorded = replayed
-        assert result.fingerprint == recorded["fingerprint"]
-        assert result.violation_kinds() == ("lost-acked-write",)
-        stale = result.events[result.violations[0].index - 1]
-        assert (stale.kind, stale.node, stale.proc) == ("execute", "primary", 13)
+        assert recorded["violation_kinds"] == ["lost-acked-write"]
+        assert result.fingerprint == KNOWN_RED_REPLAY_FINGERPRINT
+        assert result.violation_kinds() == ()
 
-    @pytest.mark.xfail(strict=True, reason="reads drain on a fenced ex-primary")
     def test_reads_are_never_served_by_a_deposed_primary(self, replayed):
-        assert replayed[0].clean, replayed[0].violations
+        result = replayed[0]
+        assert result.clean, result.violations
+        executed = [event for event in result.events if event.kind == "execute"]
+        promoted = next(
+            event.index for event in executed
+            if event.node == "standby" and not event.replica
+        )
+        # once the standby leads, the deposed primary answers NULL pings only
+        assert {
+            event.proc for event in executed
+            if event.node == "primary" and event.index > promoted
+        } == {0}
 
 
 # -- the nightly matrix, opt-in via `-m soak` ---------------------------------

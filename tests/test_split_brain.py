@@ -31,6 +31,7 @@ from repro.oncrpc import message as msg
 from repro.oncrpc.auth import leader_epoch_auth, leader_epoch_from
 from repro.oncrpc.errors import RpcNotLeaderError, RpcTransportError
 from repro.resilience import (
+    FailoverTransport,
     LoopbackEndpoint,
     PartitionPlan,
     PartitionState,
@@ -158,13 +159,17 @@ class TestLeadershipFence:
         assert server.fencing is fence
 
     def test_follower_sheds_mutations_reads_drain(self):
+        # (an old name) a follower refuses reads as it refuses mutations
         clock, server, _witness, fence = self.make_fence()
         assert (
             fence.shed_stat(self.mutating_proc(server), clock.now_ns)
             == msg.RPC_NOT_LEADER
         )
-        assert fence.shed_stat(self.reading_proc(server), clock.now_ns) is None
-        assert server.server_stats.fencing_not_leader_sheds == 1
+        assert (
+            fence.shed_stat(self.reading_proc(server), clock.now_ns)
+            == msg.RPC_NOT_LEADER
+        )
+        assert server.server_stats.fencing_not_leader_sheds == 2
 
     def test_leader_serves_and_records_epoch(self):
         clock, server, _witness, fence = self.make_fence()
@@ -550,6 +555,41 @@ class TestClientEpochAwareness:
         client.malloc(4096)
         assert client.active_endpoint_name == "standby"
 
+    def test_not_leader_retry_dials_dead_endpoint_once_and_skips_probe(self):
+        # Leaderless: the promoted standby died and the fenced ex-primary
+        # refuses every call, hinting at the dead standby.  One retry is
+        # one dial of the dead hint and one unprobed reconnect to the
+        # refuser, which answered a moment ago.
+        clock, primary, standby, link, (first, second) = fenced_pair(lease_s=0.1)
+        dials = {"primary": 0, "standby": 0}
+
+        class Counted:
+            def __init__(self, inner):
+                self.inner, self.name = inner, inner.name
+
+            def connect(self):
+                dials[self.name] += 1
+                return self.inner.connect()
+
+        probes = []
+        transport = FailoverTransport(
+            [Counted(first), Counted(second)],
+            clock=clock,
+            probe=lambda pipe: probes.append(pipe),
+        )
+        client = CricketClient(transport, clock=clock)
+        clock.advance_s(0.5)
+        promote_with_witness(link, link.standby_fence)
+        standby.kill()
+        dials.update(primary=0, standby=0)
+        probes.clear()
+        with pytest.raises(RpcNotLeaderError):
+            client.get_device_count()  # a read: refused by the fenced primary
+        transport.reconnect()
+        assert dials == {"primary": 1, "standby": 1}
+        assert probes == []
+        assert transport.active_endpoint is transport.endpoints[0]
+
     def test_not_leader_replies_are_not_cached(self):
         _clock, primary, standby, _link, _eps = fenced_pair()
         probe = CricketClient.loopback(standby)
@@ -562,9 +602,13 @@ class TestClientEpochAwareness:
         assert len(standby._reply_cache) == 0
 
     def test_reads_drain_on_fenced_server(self):
+        # (an old name) a fenced server refuses reads with the redirect a
+        # mutation gets, so no client reads its stale state
         _clock, _primary, standby, _link, _eps = fenced_pair()
         probe = CricketClient.loopback(standby)
-        assert probe.get_device_count() >= 1  # read passes the fence
+        with pytest.raises(RpcNotLeaderError) as refused:
+            probe.get_device_count()
+        assert refused.value.leader_hint == "primary"
 
     def test_fencing_counters_surface_in_tracer(self):
         from repro.core.tracing import Tracer

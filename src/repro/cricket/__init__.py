@@ -36,7 +36,7 @@ __getattr__, __dir__, __all__ = lazy_namespace(
         ),
         "ckptstore": ("CheckpointStore", "FileStorage"),
         "migration": (
-            "MigrationSource", "MigrationTarget", "MigrationConfig", "MigrationReport",
+            "MigrationSource", "MigrationTarget", "MigrationReport",
             "LoopbackMigrationChannel", "FaultyMigrationChannel", "migrate_live",
         ),
         "replication": (

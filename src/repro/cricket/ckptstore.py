@@ -325,12 +325,14 @@ def _generation_name(generation: int) -> str:
 class CheckpointStore:
     """Generation-numbered checkpoint store with corruption fallback."""
 
+    #: newest generations retention keeps (plus the bases they chain to)
+    RETAIN = 3
+
     def __init__(
         self,
         directory: str | None = None,
         *,
         storage: FileStorage | MemoryStorage | None = None,
-        retain: int = 3,
         stats: "ServerStats | None" = None,
         clock=None,
     ) -> None:
@@ -339,7 +341,6 @@ class CheckpointStore:
                 raise ValueError("CheckpointStore needs a directory or a storage")
             storage = FileStorage(directory)
         self.storage = storage
-        self.retain = max(1, retain)
         self.stats = stats
         #: virtual clock for write-latency tracking (None = untracked).
         #: Sits *above* any FaultyStorage wrapper, so injected slow-fsync
@@ -554,11 +555,11 @@ class CheckpointStore:
     def _retained(self, generations: list[int]) -> set[int]:
         """The generations retention keeps out of ``generations`` (ascending).
 
-        The newest ``retain``, plus the transitive bases of any kept
+        The newest :attr:`RETAIN`, plus the transitive bases of any kept
         delta even when they fall outside that window.
         """
         present = set(generations)
-        keep = set(generations[-self.retain :])
+        keep = set(generations[-self.RETAIN :])
         frontier = list(keep)
         while frontier:
             base = self._base_of(frontier.pop())

@@ -369,36 +369,6 @@ def _assemble_state(meta: dict, fragments: list[tuple[int, bytes]]) -> dict:
 # -- the sending side --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MigrationConfig:
-    """Tunables for the pre-copy loop and the stop-and-copy budget."""
-
-    #: pre-copy rounds before forcing stop-and-copy
-    max_rounds: int = 8
-    #: stop iterating once the dirty set is at or below this
-    dirty_floor_bytes: int = 256 * 1024
-    #: fragment bytes per FRAGS chunk (bounds loss per disconnect)
-    chunk_bytes: int = 256 * 1024
-    #: virtual-time budget for the stop-and-copy pause, nanoseconds
-    pause_budget_ns: int = 200_000_000
-    #: modeled migration-link bandwidth for the paused final copy
-    bandwidth_bytes_per_s: float = 10e9
-    #: delivery attempts per chunk before the migration fails
-    max_chunk_attempts: int = 3
-
-    def __post_init__(self) -> None:
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
-        if self.chunk_bytes < 1:
-            raise ValueError("chunk_bytes must be >= 1")
-        if self.pause_budget_ns < 0:
-            raise ValueError("pause_budget_ns must be >= 0")
-        if self.bandwidth_bytes_per_s <= 0:
-            raise ValueError("bandwidth_bytes_per_s must be > 0")
-        if self.max_chunk_attempts < 1:
-            raise ValueError("max_chunk_attempts must be >= 1")
-
-
 @dataclass
 class MigrationReport:
     """What one migration did (returned by :func:`migrate_live`)."""
@@ -425,20 +395,31 @@ class MigrationSource:
     :meth:`resume` to resend.
     """
 
+    #: pre-copy rounds before forcing stop-and-copy
+    MAX_ROUNDS = 8
+    #: stop iterating once the dirty set is at or below this
+    DIRTY_FLOOR_BYTES = 256 * 1024
+    #: fragment bytes per FRAGS chunk (bounds loss per disconnect)
+    CHUNK_BYTES = 256 * 1024
+    #: virtual-time budget for the stop-and-copy pause, nanoseconds
+    PAUSE_BUDGET_NS = 200_000_000
+    #: modeled migration-link bandwidth for the paused final copy
+    BANDWIDTH_BYTES_PER_S = 10e9
+    #: delivery attempts per chunk before the migration fails
+    MAX_CHUNK_ATTEMPTS = 3
+    #: storage name of the persisted resume cursor
+    CURSOR_NAME = "migration.cursor"
+
     def __init__(
         self,
         server: "CricketServer",
         *,
-        config: MigrationConfig | None = None,
         storage=None,
-        cursor_name: str = "migration.cursor",
         migration_id: str = "mig-1",
         stats: "ServerStats | None" = None,
     ) -> None:
         self.server = server
-        self.config = config if config is not None else MigrationConfig()
         self.storage = _coerce_storage(storage)
-        self.cursor_name = cursor_name
         self.migration_id = migration_id
         self.stats = stats if stats is not None else server.server_stats
         self.phase = "idle"
@@ -467,7 +448,7 @@ class MigrationSource:
             except ChunkRejectedError:
                 self.report.chunks_resent += 1
                 self.stats.migration_chunks_resent += 1
-                if attempts >= self.config.max_chunk_attempts:
+                if attempts >= self.MAX_CHUNK_ATTEMPTS:
                     raise MigrationError(
                         f"chunk {seq} rejected {attempts} times; giving up"
                     ) from None
@@ -512,7 +493,7 @@ class MigrationSource:
         total = 0
         batch: list[tuple[int, bytes]] = []
         batch_bytes = 0
-        limit = self.config.chunk_bytes
+        limit = self.CHUNK_BYTES
         queued: list[tuple[int, bytes]] = []
 
         def flush() -> None:
@@ -555,7 +536,7 @@ class MigrationSource:
         }
         framed = append_crc(json.dumps(cursor, sort_keys=True).encode())
         try:
-            self.storage.write_atomic(self.cursor_name, framed)
+            self.storage.write_atomic(self.CURSOR_NAME, framed)
         except OSError:
             # A lost cursor write costs resume precision, never correctness:
             # the receiver de-duplicates anything resent from an older ack.
@@ -602,8 +583,8 @@ class MigrationSource:
             raise MigrationError(f"cannot pre-copy from phase {self.phase!r}")
         device = self.server.device
         while (
-            self.round + 1 < self.config.max_rounds
-            and device.dirty_bytes > self.config.dirty_floor_bytes
+            self.round + 1 < self.MAX_ROUNDS
+            and device.dirty_bytes > self.DIRTY_FLOOR_BYTES
         ):
             self.round += 1
             self._send_fragments(
@@ -636,13 +617,11 @@ class MigrationSource:
             meta = capture_server_state(self.server, include_device_data=False)
             commit_payload = pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL)
             final_bytes += len(commit_payload)
-            pause_ns = int(
-                final_bytes / self.config.bandwidth_bytes_per_s * 1e9
-            )
-            if pause_ns > self.config.pause_budget_ns:
+            pause_ns = int(final_bytes / self.BANDWIDTH_BYTES_PER_S * 1e9)
+            if pause_ns > self.PAUSE_BUDGET_NS:
                 raise MigrationError(
                     f"stop-and-copy pause {pause_ns}ns exceeds budget "
-                    f"{self.config.pause_budget_ns}ns"
+                    f"{self.PAUSE_BUDGET_NS}ns"
                 )
             self._send(channel, KIND_COMMIT, commit_payload)
             self.server.clock.advance_s(pause_ns / 1e9)
@@ -674,7 +653,7 @@ class MigrationSource:
         self.stats.migrations_completed += 1
         self._save_cursor()
         if self.storage is not None:
-            self.storage.remove(self.cursor_name)
+            self.storage.remove(self.CURSOR_NAME)
 
     def abort(self, channel=None) -> None:
         """Abandon the migration; the source serves again immediately."""

@@ -64,23 +64,19 @@ AUTO_HEAL_ORIGINS = frozenset({"sanitizer", "watchdog"})
 class RecoveryLadder:
     """Climbs the escalation ladder for one Cricket server's devices.
 
-    ``preempt_throttle`` / ``preempt_ecc_events`` set the soft-telemetry
-    thresholds for the preemptive rung: a device throttled beyond the
+    ``PREEMPT_THROTTLE`` / ``PREEMPT_ECC_EVENTS`` are the soft-telemetry
+    thresholds of the preemptive rung: a device throttled to at least the
     multiplier, or with that many accrued correctable ECC events, is
-    failed over to a spare before it hard-fails.  Either threshold can
-    be disabled by setting it to ``None``.
+    failed over to a spare before it hard-fails.
     """
 
-    def __init__(
-        self,
-        server: "CricketServer",
-        *,
-        preempt_throttle: float | None = 2.0,
-        preempt_ecc_events: int | None = 32,
-    ) -> None:
+    #: throttle multiplier at which a device is preempted
+    PREEMPT_THROTTLE = 2.0
+    #: accrued correctable ECC events at which a device is preempted
+    PREEMPT_ECC_EVENTS = 32
+
+    def __init__(self, server: "CricketServer") -> None:
         self._server = server
-        self.preempt_throttle = preempt_throttle
-        self.preempt_ecc_events = preempt_ecc_events
 
     # -- entry points --------------------------------------------------------
 
@@ -108,17 +104,10 @@ class RecoveryLadder:
     # -- rung 0: preemptive failover off degraded silicon --------------------
 
     def _degraded_past_threshold(self, device: GpuDevice) -> bool:
-        if (
-            self.preempt_throttle is not None
-            and device.throttle_multiplier >= self.preempt_throttle
-        ):
-            return True
-        if (
-            self.preempt_ecc_events is not None
-            and device.correctable_ecc_events >= self.preempt_ecc_events
-        ):
-            return True
-        return False
+        return (
+            device.throttle_multiplier >= self.PREEMPT_THROTTLE
+            or device.correctable_ecc_events >= self.PREEMPT_ECC_EVENTS
+        )
 
     def _should_preempt(self, ordinal: int, device: GpuDevice) -> bool:
         """Degraded past thresholds *and* somewhere clean to go?

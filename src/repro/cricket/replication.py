@@ -27,11 +27,12 @@ table's ``mutating`` fact (:data:`~repro.cricket.spec.PROCEDURES`).
 
 Sequence numbers and lag: each shipped op gets a monotonically increasing
 ``primary_seq``; the standby acknowledges ``applied_seq`` after replay.
-``max_lag`` bounds ``primary_seq - applied_seq``: with the default 0 the
-link is synchronous (each mutating call is applied on the standby before
+``max_lag`` bounds ``primary_seq - applied_seq``: it starts at 0, a
+synchronous link (each mutating call is applied on the standby before
 the primary replies -- the op is shipped from inside the dispatch path);
-a positive value batches ops and flushes whenever the bound is exceeded
-(or on :func:`promote`).
+a demoted link (see :meth:`ReplicationLink._maybe_demote`) raises it to
+``demoted_max_lag``, batching ops and flushing whenever the bound is
+exceeded (or on :func:`promote`).
 
 Known limitation (shared with the checkpoint format): the initial full
 sync covers the *current* device and carries no cuFFT plan table, so a
@@ -80,18 +81,10 @@ class ReplicationLink:
         primary: "CricketServer",
         standby: "CricketServer",
         *,
-        max_lag: int = 0,
         reachability=None,
-        ship_delay_s: float = 0.0,
         ship_slo: "LatencySLO | None" = None,
         demoted_max_lag: int = 64,
     ) -> None:
-        if max_lag < 0:
-            raise ValueError("max_lag must be >= 0")
-        if ship_delay_s < 0:
-            raise ValueError("ship_delay_s must be >= 0")
-        if demoted_max_lag <= max_lag:
-            demoted_max_lag = max(max_lag + 1, demoted_max_lag)
         if primary.on_executed is not None:
             raise RuntimeError("primary already has a replication observer")
         # Epoch guard: a standby that has seen a *newer* epoch than this
@@ -108,18 +101,19 @@ class ReplicationLink:
             )
         self.primary = primary
         self.standby = standby
-        self.max_lag = max_lag
+        #: bound on ``lag``; 0 (synchronous) until the link is demoted
+        self.max_lag = 0
         #: per-batch ship round-trip charged to the *primary's* clock (the
         #: synchronous link blocks the dispatching call for this long);
         #: the ``limp_standby`` nemesis event raises it mid-run
-        self.ship_delay_s = ship_delay_s
+        self.ship_delay_s = 0.0
         #: round-trip latency tracker, one sample per shipped batch
         self.ship_health = HealthTracker("replication-ship")
         #: SLO on the ship round-trip; breach demotes the link to async
         self.ship_slo = ship_slo
         #: lag bound adopted on demotion -- one round trip then amortises
         #: the limp across this many mutations instead of stalling each one
-        self.demoted_max_lag = demoted_max_lag
+        self.demoted_max_lag = max(1, demoted_max_lag)
         #: True once the gray-failure demotion fired (one-way; a repaired
         #: standby rejoins sync via a fresh link / full_sync)
         self.demoted = False
@@ -341,12 +335,10 @@ def make_ha_pair(
     primary: "CricketServer",
     standby: "CricketServer",
     *,
-    max_lag: int = 0,
     witness=None,
     lease_s: float = 0.25,
     unfenced: bool = False,
     reachability=None,
-    ship_delay_s: float = 0.0,
     ship_slo: "LatencySLO | None" = None,
 ) -> tuple[ReplicationLink, list]:
     """Wire a primary/standby pair for transparent client failover.
@@ -378,8 +370,7 @@ def make_ha_pair(
 
     if unfenced:
         link = ReplicationLink(
-            primary, standby, max_lag=max_lag, reachability=reachability,
-            ship_delay_s=ship_delay_s, ship_slo=ship_slo,
+            primary, standby, reachability=reachability, ship_slo=ship_slo
         )
         endpoints = [
             LoopbackEndpoint(primary, name="primary"),
@@ -401,8 +392,7 @@ def make_ha_pair(
     )
     primary_fence.lead()  # epoch 1
     link = ReplicationLink(
-        primary, standby, max_lag=max_lag, reachability=reachability,
-        ship_delay_s=ship_delay_s, ship_slo=ship_slo,
+        primary, standby, reachability=reachability, ship_slo=ship_slo
     )
     primary_fence.link = link
     link.witness = witness

@@ -39,7 +39,6 @@ from repro.cuda.runtime import CudaRuntime
 from repro.gpu.catalog import A100
 from repro.gpu.device import GpuDevice
 from repro.gpu.errors import SanitizerError
-from repro.gpu.sanitizer import SanitizerConfig
 from repro.gpu.stream import StreamTable
 from repro.gpu.watchdog import KernelWatchdog
 from repro.net.simclock import SimClock
@@ -550,8 +549,8 @@ class CricketServer(RpcServer):
         memory_quota_bytes: int | None = None,
         crc_records: bool = False,
         overload: OverloadConfig | None = None,
-        sanitizer: SanitizerConfig | bool | None = None,
-        watchdog: KernelWatchdog | bool | None = None,
+        sanitizer: bool = False,
+        watchdog: bool = False,
         auto_recover: bool | None = None,
         brownout: BrownoutConfig | bool | None = None,
         checkpoint_slo: LatencySLO | None = None,
@@ -559,17 +558,13 @@ class CricketServer(RpcServer):
         clock = clock if clock is not None else SimClock()
         super().__init__(crc_records=crc_records, clock=clock, overload=overload)
         self.overload_exempt_procs |= OVERLOAD_EXEMPT_PROCS
-        #: sanitizer configuration (None = unsanitized, the historical default)
-        self.sanitizer_config = (
-            SanitizerConfig() if sanitizer is True else (sanitizer or None)
-        )
+        #: whether device memory is sanitized (off by default)
+        self.sanitized = bool(sanitizer)
         #: kernel watchdog shared by every device on this node, or None
-        self.watchdog = (
-            KernelWatchdog() if watchdog is True else (watchdog or None)
-        )
+        self.watchdog = KernelWatchdog() if watchdog else None
         if devices is None:
             devices = [
-                GpuDevice(A100, sanitizer=self.sanitizer_config, watchdog=self.watchdog)
+                GpuDevice(A100, sanitizer=self.sanitized, watchdog=self.watchdog)
             ]
         else:
             # Caller-provided devices: arm any that are not already
@@ -577,11 +572,11 @@ class CricketServer(RpcServer):
             # it is empty (redzones change the address layout).
             for device in devices:
                 if (
-                    self.sanitizer_config is not None
-                    and device.sanitizer_config is None
+                    self.sanitized
+                    and not device.sanitized
                     and device.allocator.used_bytes == 0
                 ):
-                    device.sanitizer_config = self.sanitizer_config
+                    device.sanitized = True
                     device.allocator = device._new_allocator(device.allocator.capacity)
                 if self.watchdog is not None and device.watchdog is None:
                     device.watchdog = self.watchdog
@@ -593,7 +588,7 @@ class CricketServer(RpcServer):
         self.auto_recover = (
             auto_recover
             if auto_recover is not None
-            else (self.sanitizer_config is not None or self.watchdog is not None)
+            else (self.sanitized or self.watchdog is not None)
         )
         self.recovery = RecoveryLadder(self)
         #: violation log: (kind, owner, site, addr) per detected violation
@@ -730,7 +725,7 @@ class CricketServer(RpcServer):
         dispatching call -- the recovery ladder, running right after in
         ``_charge_dispatch``, heals the device before the call proceeds.
         """
-        if self.sanitizer_config is None:
+        if not self.sanitized:
             return
         self._dispatches_since_sweep += 1
         if self._dispatches_since_sweep < self.sanitizer_sweep_every:

@@ -35,8 +35,8 @@ __getattr__, __dir__, __all__ = lazy_namespace(
         ),
         "timing": ("GpuTimingModel",),
         "stream": ("Stream", "Event", "StreamTable", "DEFAULT_STREAM"),
-        "sanitizer": ("Sanitizer", "SanitizerConfig", "CANARY", "POISON"),
-        "watchdog": ("KernelWatchdog", "DEFAULT_BUDGET_NS"),
+        "sanitizer": ("Sanitizer", "CANARY", "POISON"),
+        "watchdog": ("KernelWatchdog",),
         "errors": (
             "GpuError", "OutOfMemoryError", "InvalidDevicePointerError", "InvalidSizeError",
             "DoubleFreeError", "AllocationOverlapError", "UnknownKernelError", "KernelParamError",

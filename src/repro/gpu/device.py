@@ -26,7 +26,6 @@ from repro.gpu.kernels import (
     LaunchContext,
 )
 from repro.gpu.memory import DeviceAllocator, PinnedSpan
-from repro.gpu.sanitizer import SanitizerConfig
 from repro.gpu.stream import DEFAULT_STREAM, StreamTable
 from repro.gpu.timing import GpuTimingModel
 from repro.gpu.watchdog import KernelWatchdog
@@ -74,16 +73,16 @@ class GpuDevice:
         registry: KernelRegistry | None = None,
         execute: bool = True,
         mem_bytes: int | None = None,
-        sanitizer: SanitizerConfig | None = None,
+        sanitizer: bool = False,
         watchdog: KernelWatchdog | None = None,
     ) -> None:
         self.spec = spec
         self.ordinal = ordinal
         self.execute = execute
         self.registry = registry if registry is not None else DEFAULT_REGISTRY.clone()
-        #: sanitizer configuration threaded through reset/restore so a
-        #: rebuilt allocator stays sanitized (or stays plain)
-        self.sanitizer_config = sanitizer
+        #: whether allocators are sanitized, threaded through reset/restore
+        #: so a rebuilt allocator stays sanitized (or stays plain)
+        self.sanitized = sanitizer
         #: kernel watchdog (may be shared across a node's devices), or None
         self.watchdog = watchdog
         #: external violation observer (the Cricket server hooks this to
@@ -108,7 +107,7 @@ class GpuDevice:
 
     def _new_allocator(self, capacity: int) -> DeviceAllocator:
         """A fresh allocator carrying this device's sanitizer wiring."""
-        allocator = DeviceAllocator(capacity, sanitizer=self.sanitizer_config)
+        allocator = DeviceAllocator(capacity, sanitizer=self.sanitized)
         if allocator.sanitizer is not None:
             allocator.sanitizer.on_violation = self._note_violation
         return allocator

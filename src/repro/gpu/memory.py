@@ -42,7 +42,7 @@ from repro.gpu.errors import (
     QuarantineDoubleFreeError,
     UseAfterFreeError,
 )
-from repro.gpu.sanitizer import POISON, Sanitizer, SanitizerConfig
+from repro.gpu.sanitizer import POISON, Sanitizer
 from repro.xdr.encoder import Buffer, flat_view
 
 #: env flag: verify allocator invariants after every mutating operation
@@ -140,7 +140,7 @@ class DeviceAllocator:
     fragments and state fingerprints are format-compatible either way.
     """
 
-    def __init__(self, capacity: int, *, sanitizer: SanitizerConfig | None = None) -> None:
+    def __init__(self, capacity: int, *, sanitizer: bool = False) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
@@ -159,7 +159,7 @@ class DeviceAllocator:
         #: lifetime count of page-dirtying operations (instrumentation)
         self.dirty_marks = 0
         #: compute-sanitizer state, or None when running unsanitized
-        self.sanitizer = Sanitizer(sanitizer) if sanitizer is not None else None
+        self.sanitizer = Sanitizer() if sanitizer else None
         self._debug_invariants = os.environ.get(DEBUG_ALLOCATOR_ENV, "") not in ("", "0")
         #: the allocator's lock.  Pins are taken under the server's dispatch
         #: lock and let go from whichever thread sent the reply, and a
@@ -204,7 +204,7 @@ class DeviceAllocator:
 
     def _alloc(self, size: int) -> int:
         span = _align_up(max(size, 1))
-        redzone = self.sanitizer.config.redzone_bytes if self.sanitizer else 0
+        redzone = Sanitizer.REDZONE_BYTES if self.sanitizer else 0
         total = span + 2 * redzone
         index = self._find_hole(total)
         if index is None and self.sanitizer is not None:
@@ -260,7 +260,7 @@ class DeviceAllocator:
         if addr in self._allocs:
             raise AllocationOverlapError(f"address {addr:#x} is already live")
         span = _align_up(max(size, 1))
-        redzone = self.sanitizer.config.redzone_bytes if self.sanitizer else 0
+        redzone = Sanitizer.REDZONE_BYTES if self.sanitizer else 0
         base = addr - redzone
         total = span + 2 * redzone
         index = next(

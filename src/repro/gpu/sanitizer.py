@@ -45,27 +45,6 @@ CANARY = 0xA5
 POISON = 0xDD
 
 
-@dataclass(frozen=True)
-class SanitizerConfig:
-    """Tunables for the device-memory sanitizer.
-
-    ``redzone_bytes`` must stay a multiple of the allocator alignment so
-    sanitized user pointers keep ``cudaMalloc``'s 256-byte alignment.  The
-    quarantine bounds cap how much freed memory is withheld from reuse;
-    within those bounds use-after-free detection is deterministic.
-    """
-
-    redzone_bytes: int = 256
-    quarantine_max_bytes: int = 16 * 1024 * 1024
-    quarantine_max_entries: int = 512
-
-    def __post_init__(self) -> None:
-        if self.redzone_bytes <= 0 or self.redzone_bytes % 256:
-            raise ValueError("redzone_bytes must be a positive multiple of 256")
-        if self.quarantine_max_bytes < 0 or self.quarantine_max_entries < 0:
-            raise ValueError("quarantine bounds cannot be negative")
-
-
 @dataclass
 class _Guard:
     """Guard-band bookkeeping for one sanitized allocation.
@@ -110,10 +89,22 @@ class _Quarantined:
 
 
 class Sanitizer:
-    """Redzone, quarantine and attribution state for one allocator."""
+    """Redzone, quarantine and attribution state for one allocator.
 
-    def __init__(self, config: SanitizerConfig | None = None) -> None:
-        self.config = config if config is not None else SanitizerConfig()
+    :attr:`REDZONE_BYTES` is a multiple of the allocator alignment so
+    sanitized user pointers keep ``cudaMalloc``'s 256-byte alignment.  The
+    quarantine bounds cap how much freed memory is withheld from reuse;
+    within them use-after-free detection is deterministic.
+    """
+
+    #: guard band on each side of an allocation
+    REDZONE_BYTES = 256
+    #: freed bytes the quarantine withholds from reuse, at most
+    QUARANTINE_MAX_BYTES = 16 * 1024 * 1024
+    #: freed spans the quarantine holds, at most
+    QUARANTINE_MAX_ENTRIES = 512
+
+    def __init__(self) -> None:
         #: user address -> guard bands
         self._guards: dict[int, _Guard] = {}
         self._quarantine: deque[_Quarantined] = deque()
@@ -140,7 +131,7 @@ class Sanitizer:
         aligned payload span (``user_addr + user_span + redzone`` ends the
         footprint).
         """
-        rz = self.config.redzone_bytes
+        rz = self.REDZONE_BYTES
         self._guards[user_addr] = _Guard(
             base=base,
             user_addr=user_addr,
@@ -205,11 +196,10 @@ class Sanitizer:
             _Quarantined(g.user_addr, g.base, g.span, g.owner, g.site)
         )
         self.quarantined_bytes += g.span
-        cfg = self.config
         evicted: list[_Quarantined] = []
         while self._quarantine and (
-            len(self._quarantine) > cfg.quarantine_max_entries
-            or self.quarantined_bytes > cfg.quarantine_max_bytes
+            len(self._quarantine) > self.QUARANTINE_MAX_ENTRIES
+            or self.quarantined_bytes > self.QUARANTINE_MAX_BYTES
         ):
             entry = self._quarantine.popleft()
             self.quarantined_bytes -= entry.span
@@ -253,7 +243,6 @@ class Sanitizer:
         end = addr + data.size
         hit = 0
         for g in self._guards.values():
-            rz = self.config.redzone_bytes
             for band, start in ((g.front, g.base), (g.back, g.user_addr + g.user_size)):
                 lo, hi = max(addr, start), min(end, start + band.size)
                 if lo < hi:

@@ -24,8 +24,6 @@ Hang kinds (the ``Stream.hang`` verdict):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.gpu.stream import Stream
 
 #: valid ``Stream.hang`` verdicts
@@ -34,24 +32,23 @@ HANG_KINDS = ("spin", "budget", "fused")
 #: hang kinds that respond to ladder rung 1 (cooperative cancellation)
 COOPERATIVE_HANGS = frozenset({"spin", "budget"})
 
-#: default per-stream execution budget: 10 virtual milliseconds -- generous
-#: for the paper's kernels (microseconds to low milliseconds on an A100)
-#: yet far below the multi-second real-world TDR, keeping tests fast
-DEFAULT_BUDGET_NS = 10_000_000
 
-
-@dataclass
 class KernelWatchdog:
     """Per-stream execution budget enforcement.
 
     One instance may be shared by every device on a node (the counters
-    then aggregate node-wide, matching ``ServerStats``).  A budget of 0
-    disables enforcement while keeping the injection hooks usable.
+    then aggregate node-wide, matching ``ServerStats``).
     """
 
-    budget_ns: int = DEFAULT_BUDGET_NS
-    #: launches flagged as hung over the watchdog's lifetime
-    hangs_flagged: int = 0
+    #: per-stream execution budget: 10 virtual milliseconds -- generous
+    #: for the paper's kernels (microseconds to low milliseconds on an
+    #: A100) yet far below the multi-second real-world TDR, keeping tests
+    #: fast
+    BUDGET_NS = 10_000_000
+
+    def __init__(self) -> None:
+        #: launches flagged as hung over the watchdog's lifetime
+        self.hangs_flagged = 0
 
     def observe_launch(self, stream: Stream, duration_ns: int) -> bool:
         """Inspect one launch; flags the stream hung when over budget.
@@ -60,7 +57,7 @@ class KernelWatchdog:
         itself still returns success -- launches are asynchronous, exactly
         like real CUDA, so the timeout surfaces at the next sync.
         """
-        if self.budget_ns > 0 and duration_ns > self.budget_ns and stream.hang is None:
+        if duration_ns > self.BUDGET_NS and stream.hang is None:
             stream.hang = "budget"
             self.hangs_flagged += 1
             return True

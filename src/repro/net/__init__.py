@@ -12,8 +12,6 @@ testbed with:
   of one network link, including a serialization (CPU-bound) component that
   reproduces the paper's observation that single-threaded RPC transfers are
   bound by single-core copy performance rather than line rate.
-* :class:`~repro.net.fabric.Node` -- one machine: whether it holds a GPU
-  and its single-core copy rate.
 """
 
 from repro._lazy import lazy_namespace
@@ -23,6 +21,5 @@ __getattr__, __dir__, __all__ = lazy_namespace(
     {
         "simclock": ("SimClock", "WallClock"),
         "link": ("LinkModel", "TETHER_100G"),
-        "fabric": ("Node",),
     },
 )

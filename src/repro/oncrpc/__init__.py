@@ -26,7 +26,6 @@ __getattr__, __dir__, __all__ = lazy_namespace(
             "PortMapper", "PortMapperClient", "Mapping", "connect_via_portmap", "PMAP_PROG",
             "PMAP_VERS", "PMAP_PORT",
         ),
-        "udp": ("UdpTransport", "serve_udp", "MAX_UDP_PAYLOAD"),
         "auth": (
             "OpaqueAuth", "AuthSysParams", "NULL_AUTH", "AUTH_NONE", "AUTH_SYS",
             "AUTH_CLIENT_TOKEN", "client_token_auth", "client_token_from",

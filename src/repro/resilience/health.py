@@ -15,9 +15,8 @@ virtual time so chaos runs are bit-reproducible:
     tracer's per-procedure percentiles.
 
 ``HealthTracker``
-    Histogram plus TCP-style smoothed mean/deviation (SRTT/RTTVAR with
-    alpha=1/8, beta=1/4).  One tracker per target: endpoint, device,
-    replication link, storage backend, dispatch path.
+    Histogram plus the latest timestamped samples.  One tracker per
+    target: endpoint, device, replication link, storage backend.
 
 ``LatencySLO``
     A p99 target with a minimum sample count; ``breached(tracker)`` is
@@ -25,7 +24,7 @@ virtual time so chaos runs are bit-reproducible:
 
 ``OutlierEjector``
     Envoy-style statistical ejection: a target whose p50 exceeds the
-    median of its peers' p50s by ``outlier_factor`` is ejected, subject
+    median of its peers' p50s by ``OUTLIER_FACTOR`` is ejected, subject
     to a capped ejection fraction, and re-admitted on probation after a
     virtual-time hold.
 
@@ -55,7 +54,7 @@ __all__ = [
 ]
 
 
-def _default_bounds() -> tuple[int, ...]:
+def _log_bounds() -> tuple[int, ...]:
     """Log-spaced bucket upper bounds, 1 us .. ~69 s, 4 buckets/decade."""
     bounds: list[int] = []
     value = 1_000  # 1 us in ns
@@ -63,9 +62,6 @@ def _default_bounds() -> tuple[int, ...]:
         bounds.append(int(value))
         value = value * 10 ** 0.25
     return tuple(bounds)
-
-
-_BOUNDS = _default_bounds()
 
 
 class LatencyHistogram:
@@ -78,11 +74,13 @@ class LatencyHistogram:
     for SLO checks.
     """
 
-    __slots__ = ("_bounds", "_counts", "count", "total_ns", "max_ns")
+    __slots__ = ("_counts", "count", "total_ns", "max_ns")
 
-    def __init__(self, bounds: tuple[int, ...] = _BOUNDS) -> None:
-        self._bounds = bounds
-        self._counts = [0] * (len(bounds) + 1)
+    #: bucket upper bounds, nanoseconds (one overflow bucket past the last)
+    BOUNDS = _log_bounds()
+
+    def __init__(self) -> None:
+        self._counts = [0] * (len(self.BOUNDS) + 1)
         self.count = 0
         self.total_ns = 0
         self.max_ns = 0
@@ -90,10 +88,11 @@ class LatencyHistogram:
     def record(self, latency_ns: int) -> None:
         if latency_ns < 0:
             raise ValueError("latency must be non-negative")
-        lo, hi = 0, len(self._bounds)
+        bounds = self.BOUNDS
+        lo, hi = 0, len(bounds)
         while lo < hi:
             mid = (lo + hi) // 2
-            if latency_ns <= self._bounds[mid]:
+            if latency_ns <= bounds[mid]:
                 hi = mid
             else:
                 lo = mid + 1
@@ -114,8 +113,8 @@ class LatencyHistogram:
         for i, c in enumerate(self._counts):
             seen += c
             if seen >= rank:
-                if i < len(self._bounds):
-                    return self._bounds[i]
+                if i < len(self.BOUNDS):
+                    return self.BOUNDS[i]
                 return self.max_ns
         return self.max_ns
 
@@ -146,44 +145,27 @@ class LatencyHistogram:
 class HealthTracker:
     """Streaming latency estimator for one target.
 
-    Combines the histogram (tail quantiles) with TCP SRTT/RTTVAR-style
-    smoothing (alpha=1/8, beta=1/4).  ``deviation_score`` is the last
-    sample's distance from the smoothed mean in units of the smoothed
-    deviation — a cheap "is this sample anomalous" signal.  ``recent``
+    The histogram answers tail quantiles over every sample; ``recent``
     keeps the last :attr:`RECENT` samples with the virtual time each
     landed, for signals that judge recent samples only
     (:meth:`LatencySLO.recent_ratio`).
     """
 
-    __slots__ = ("name", "histogram", "srtt_ns", "rttvar_ns", "last_ns", "recent")
+    __slots__ = ("name", "histogram", "recent")
 
     #: how many timestamped samples :attr:`recent` keeps
     RECENT = 16
 
-    ALPHA = 0.125
-    BETA = 0.25
-
     def __init__(self, name: str = "") -> None:
         self.name = name
         self.histogram = LatencyHistogram()
-        self.srtt_ns = 0.0
-        self.rttvar_ns = 0.0
-        self.last_ns = 0
         #: ``(at_ns, latency_ns)`` of the latest samples, oldest first
         self.recent: deque[tuple[int, int]] = deque(maxlen=self.RECENT)
 
     def record(self, latency_ns: int, at_ns: int = 0) -> None:
         """Add one sample that completed at virtual time ``at_ns``."""
         self.histogram.record(latency_ns)
-        self.last_ns = latency_ns
         self.recent.append((at_ns, latency_ns))
-        if self.histogram.count == 1:
-            self.srtt_ns = float(latency_ns)
-            self.rttvar_ns = latency_ns / 2.0
-            return
-        err = latency_ns - self.srtt_ns
-        self.rttvar_ns += self.BETA * (abs(err) - self.rttvar_ns)
-        self.srtt_ns += self.ALPHA * err
 
     @property
     def count(self) -> int:
@@ -197,18 +179,8 @@ class HealthTracker:
     def p99(self) -> int:
         return self.histogram.p99
 
-    @property
-    def deviation_score(self) -> float:
-        """|last - srtt| / rttvar; 0 when too few samples to judge."""
-        if self.histogram.count < 2 or self.rttvar_ns <= 0.0:
-            return 0.0
-        return abs(self.last_ns - self.srtt_ns) / self.rttvar_ns
-
     def reset(self) -> None:
         self.histogram.reset()
-        self.srtt_ns = 0.0
-        self.rttvar_ns = 0.0
-        self.last_ns = 0
         self.recent.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -230,17 +202,11 @@ class LatencySLO:
             return False
         return tracker.p99 > self.target_p99_ns
 
-    def ratio(self, tracker: HealthTracker) -> float:
-        """Observed p99 / target; < 1.0 while healthy or undersampled."""
-        if tracker.count < self.min_samples:
-            return 0.0
-        return tracker.p99 / self.target_p99_ns
-
     def recent_ratio(self, tracker: HealthTracker, now_ns: int, window_ns: int) -> float:
         """Worst sample of the last ``window_ns`` / target; 0.0 if none.
 
-        Unlike :meth:`ratio`, one slow sample cannot pin the signal for the
-        rest of a run: it stops counting ``window_ns`` after it landed.
+        Unlike a cumulative p99, one slow sample cannot pin the signal for
+        the rest of a run: it stops counting ``window_ns`` after it landed.
         An undersampled tracker reads 0.0 too.
         """
         if tracker.count < self.min_samples:
@@ -266,28 +232,25 @@ class OutlierEjector:
 
     Each evaluation compares every candidate's p50 against the median
     of all candidates' p50s.  A candidate whose p50 exceeds
-    ``median * outlier_factor`` is an outlier; outliers are ejected
-    worst-first until ``max_eject_fraction`` of the pool is out.  An
+    ``median * OUTLIER_FACTOR`` is an outlier; outliers are ejected
+    worst-first until ``MAX_EJECT_FRACTION`` of the pool is out.  An
     ejected target is re-admitted after ``probation_s`` of virtual
     time, with its history cleared so it is judged on fresh samples.
     """
+
+    #: a p50 this many times the pool's median p50 is an outlier
+    OUTLIER_FACTOR = 3.0
+    #: at most this fraction of the pool is ejected at once
+    MAX_EJECT_FRACTION = 0.4
 
     def __init__(
         self,
         *,
         clock,
-        outlier_factor: float = 3.0,
-        max_eject_fraction: float = 0.4,
         probation_s: float = 0.5,
         min_samples: int = 4,
     ) -> None:
-        if outlier_factor <= 1.0:
-            raise ValueError("outlier_factor must exceed 1.0")
-        if not 0.0 < max_eject_fraction <= 1.0:
-            raise ValueError("max_eject_fraction must be in (0, 1]")
         self.clock = clock
-        self.outlier_factor = outlier_factor
-        self.max_eject_fraction = max_eject_fraction
         self.probation_ns = int(probation_s * 1e9)
         self.min_samples = min_samples
         self._ejected: dict[str, int] = {}  # name -> readmit_at_ns
@@ -334,11 +297,11 @@ class OutlierEjector:
                 median = (p50s[mid - 1] + p50s[mid]) / 2.0
             if median > 0:
                 total = len(trackers)
-                budget = int(total * self.max_eject_fraction) - len(self._ejected)
+                budget = int(total * self.MAX_EJECT_FRACTION) - len(self._ejected)
                 outliers = [
                     (t.p50 / median, name)
                     for name, t in pool.items()
-                    if t.p50 > median * self.outlier_factor
+                    if t.p50 > median * self.OUTLIER_FACTOR
                 ]
                 # Worst offender first; name-ordered tie-break keeps
                 # the schedule deterministic across runs.

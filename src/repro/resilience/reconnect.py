@@ -56,23 +56,18 @@ def null_probe(prog: int, vers: int) -> Callable[[Transport], None]:
 class CircuitBreaker:
     """Classic closed / open / half-open breaker over a virtual clock.
 
-    ``failure_threshold`` consecutive failures open the circuit; while
-    open, :meth:`allow` refuses until ``reset_timeout_s`` of clock time
+    ``FAILURE_THRESHOLD`` consecutive failures open the circuit; while
+    open, :meth:`allow` refuses until ``RESET_TIMEOUT_S`` of clock time
     has passed, after which one trial (half-open) is allowed.  A success
     closes the circuit and zeroes the failure count.
     """
 
-    def __init__(
-        self,
-        *,
-        failure_threshold: int = 5,
-        reset_timeout_s: float = 0.05,
-        clock: SimClock | WallClock | None = None,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        self.failure_threshold = failure_threshold
-        self.reset_timeout_s = reset_timeout_s
+    #: consecutive failures that open the circuit
+    FAILURE_THRESHOLD = 5
+    #: clock time the circuit stays open before a half-open trial
+    RESET_TIMEOUT_S = 0.05
+
+    def __init__(self, *, clock: SimClock | WallClock | None = None) -> None:
         self.clock = clock if clock is not None else SimClock()
         self._consecutive_failures = 0
         self._open_until_ns: int | None = None
@@ -97,8 +92,8 @@ class CircuitBreaker:
     def record_failure(self) -> None:
         """Note a failed attempt; may open the circuit."""
         self._consecutive_failures += 1
-        if self._consecutive_failures >= self.failure_threshold:
-            self._open_until_ns = self.clock.now_ns + int(self.reset_timeout_s * 1e9)
+        if self._consecutive_failures >= self.FAILURE_THRESHOLD:
+            self._open_until_ns = self.clock.now_ns + int(self.RESET_TIMEOUT_S * 1e9)
             self.times_opened += 1
 
     def record_success(self) -> None:
@@ -124,26 +119,25 @@ class ReconnectingTransport:
     current connection is declared dead and closed; the retry loop in
     :class:`~repro.oncrpc.client.RpcClient` then calls :meth:`reconnect`
     before its next attempt.  The circuit breaker gates those attempts.
+    The first connection is made when the transport is built.
     """
 
     def __init__(
         self,
         factory: Callable[[], Transport],
         *,
-        breaker: CircuitBreaker | None = None,
         clock: SimClock | WallClock | None = None,
         stats: ResilienceStats | None = None,
-        connect_now: bool = True,
         probe: Callable[[Transport], None] | None = None,
     ) -> None:
         self._factory = factory
-        self.breaker = breaker if breaker is not None else CircuitBreaker(clock=clock)
+        self.breaker = CircuitBreaker(clock=clock)
         self.stats = stats if stats is not None else ResilienceStats()
         #: half-open trial run against a fresh connection before the
         #: breaker closes (see :func:`null_probe`); None accepts a bare
         #: TCP connect as proof of life
         self._probe = probe
-        self._inner: Transport | None = self._factory() if connect_now else None
+        self._inner: Transport | None = self._factory()
 
     @property
     def connected(self) -> bool:

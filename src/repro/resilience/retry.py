@@ -44,8 +44,8 @@ class RetryPolicy:
     """Exponential backoff with bounded, seed-reproducible jitter.
 
     The ``attempt``-th retry (1-based) waits
-    ``min(base_delay_s * multiplier**(attempt-1), max_delay_s)`` scaled by
-    a jitter factor drawn uniformly from ``[1-jitter, 1+jitter]`` out of a
+    ``min(base_delay_s * MULTIPLIER**(attempt-1), MAX_DELAY_S)`` scaled by
+    a jitter factor drawn uniformly from ``[1-JITTER, 1+JITTER]`` out of a
     :class:`random.Random` seeded with :attr:`seed` -- the same seed always
     produces the same backoff schedule, keeping experiments repeatable.
 
@@ -55,16 +55,17 @@ class RetryPolicy:
     of sleeping further.
     """
 
+    #: exponential growth factor between retries
+    MULTIPLIER = 2.0
+    #: ceiling on a single backoff delay, seconds
+    MAX_DELAY_S = 0.1
+    #: jitter fraction: each delay is scaled by U[0.9, 1.1]
+    JITTER = 0.1
+
     #: total send attempts per call (first try + retries)
     max_attempts: int = 5
     #: delay before the first retry, seconds of virtual time
     base_delay_s: float = 0.0005
-    #: exponential growth factor between retries
-    multiplier: float = 2.0
-    #: ceiling on a single backoff delay
-    max_delay_s: float = 0.1
-    #: jitter fraction; 0.1 means each delay is scaled by U[0.9, 1.1]
-    jitter: float = 0.1
     #: per-call virtual-time budget (None = unbounded)
     deadline_s: float | None = 5.0
     #: seed for the jitter stream (determinism across runs)
@@ -73,10 +74,8 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.base_delay_s < 0 or self.max_delay_s < 0:
-            raise ValueError("delays must be non-negative")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
+        if self.base_delay_s < 0:
+            raise ValueError("base_delay_s must be non-negative")
 
     def make_rng(self) -> random.Random:
         """A fresh jitter stream; one per client keeps runs reproducible."""
@@ -86,9 +85,9 @@ class RetryPolicy:
         """Delay before retry number ``attempt`` (1-based), jittered via ``rng``."""
         if attempt < 1:
             raise ValueError("attempt is 1-based")
-        raw = min(self.base_delay_s * self.multiplier ** (attempt - 1), self.max_delay_s)
-        if rng is not None and self.jitter > 0.0:
-            raw *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
+        raw = min(self.base_delay_s * self.MULTIPLIER ** (attempt - 1), self.MAX_DELAY_S)
+        if rng is not None:
+            raw *= 1.0 + self.JITTER * (2.0 * rng.random() - 1.0)
         return raw
 
     def schedule(self) -> tuple[float, ...]:

@@ -618,7 +618,7 @@ class _Cluster:
                 final_server.bytes_owned_by(f"token:{name.encode().hex()}")
                 for name in sorted(self.dead)
             )
-        if final_server.sanitizer_config is not None:
+        if final_server.sanitized:
             facts["healthy_errors"] = self.workload.outcomes.get("cuda_error", 0)
             facts["devices_healthy"] = all(d.healthy for d in final_server.devices)
         if self.limp is not None:
@@ -708,7 +708,7 @@ def _payload_bytes(server) -> int:
         allocator = device.allocator
         total += allocator.used_bytes
         if allocator.sanitizer:
-            redzone = allocator.sanitizer.config.redzone_bytes
+            redzone = allocator.sanitizer.REDZONE_BYTES
             total -= 2 * redzone * len(allocator.live_allocations())
     return total
 

@@ -240,10 +240,6 @@ def torn_generation(cluster) -> None:
 
 # -- live migration -----------------------------------------------------------
 
-#: stop-and-copy pause a faulted migration must stay within (virtual ns)
-MIGRATION_PAUSE_BUDGET_NS = 200_000_000
-
-
 class _TargetProcess:
     """The migration target as a killable process over durable storage.
 
@@ -382,7 +378,7 @@ def migrate(cluster, old, event: NemesisEvent) -> None:
             resumes=source.report.resumes,
             target_recoveries=target.recoveries,
             pause_ns=source.report.pause_ns,
-            pause_budget_ns=MIGRATION_PAUSE_BUDGET_NS,
+            pause_budget_ns=MigrationSource.PAUSE_BUDGET_NS,
         )
         if new_server is not None:
             # CRAC's criterion: the moved state is indistinguishable

@@ -26,7 +26,6 @@ repro.harness`` checks and writes to ``results/claims.txt``.
 
 from __future__ import annotations
 
-from repro.net.fabric import Node
 from repro.net.link import LinkModel
 from repro.unikernel.language import C_PROFILE, RUST_PROFILE, LanguageProfile
 from repro.unikernel.netstack import NetstackModel
@@ -162,11 +161,6 @@ def path_for(platform: Platform, link: LinkModel = EVAL_LINK) -> RpcPathModel:
 #: Per-RPC CPU cost of the Cricket server's dispatch loop (rpcgen skeleton,
 #: argument demarshalling, CUDA call issue) on a GPU-node core.
 CRICKET_SERVER_DISPATCH_S = 2.0e-6
-
-#: The application node of the testbed (dual EPYC 7301).
-APP_NODE = Node("app-node", has_gpu=False, core_copy_rate_Bps=3.0e9)
-#: The GPU node of the testbed (dual EPYC 7313, A100 + 2xT4 + P40).
-GPU_NODE = Node("gpu-node", has_gpu=True, core_copy_rate_Bps=3.4e9)
 
 
 # ---------------------------------------------------------------------------

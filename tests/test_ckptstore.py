@@ -298,14 +298,14 @@ class TestCheckpointStore:
 
     def test_retention_keeps_delta_bases(self, tmp_path):
         server, client, ptr = populated_server()
-        store = CheckpointStore(str(tmp_path), retain=2)
+        store = CheckpointStore(str(tmp_path))
         base = store.save_full(server)
-        for i in range(4):
+        for i in range(2 * store.RETAIN):
             client.memset(ptr + i * 4096, i + 1, 32)
             store.save_delta(server)
         kept = store.generations()
-        # the newest two plus the transitive bases of any kept delta
-        assert len(kept) >= 2
+        # the newest RETAIN plus the transitive bases of any kept delta
+        assert len(kept) > store.RETAIN
         assert base in kept  # every delta chains back to the only full
         restored = small_server()
         CheckpointStore(str(tmp_path)).restore_latest(restored)
@@ -493,7 +493,7 @@ class TestReadFaultDuringRetention:
     def test_short_reads_do_not_orphan_a_kept_delta(self, tmp_path):
         server, client, ptr = populated_server()
         faulty = FaultyStorage(FileStorage(str(tmp_path)), StorageFaultPlan(seed=1))
-        store = CheckpointStore(storage=faulty, retain=3)
+        store = CheckpointStore(storage=faulty)
         for i in range(5):
             client.memset(ptr, i + 1, 64)
             store.save(server)
@@ -508,7 +508,7 @@ class TestReadFaultDuringRetention:
 
     def test_record_forgets_what_the_store_dropped(self):
         server, client, ptr = populated_server()
-        store = CheckpointStore(storage=MemoryStorage(), retain=2)
+        store = CheckpointStore(storage=MemoryStorage())
         for i in range(6):
             client.memset(ptr, i, 64)
             store.save(server)
@@ -520,7 +520,7 @@ class TestReadFaultDuringRetention:
             client.memset(ptr, i, 64)
             store.save_full(server)
         assert sorted(store._bases) == store.generations() == [
-            generation + 3, generation + 4
+            generation + 2, generation + 3, generation + 4
         ]
 
 
@@ -603,16 +603,16 @@ class TestMemoryStorageMatchesFileStorage:
 # -- (b) the record's kept set against the read-and-decode walk ---------------
 
 
-def _checked(store: CheckpointStore, inner, compared: list[tuple[int, set[int]]]):
+def _checked(store: CheckpointStore, inner, compared: list[set[int]]):
     """Make ``store`` check each kept set against a fresh store's walk."""
     retained = store._retained
 
     def check(generations):
         kept = retained(generations)
-        walk = CheckpointStore(storage=inner, retain=store.retain)
+        walk = CheckpointStore(storage=inner)
         assert walk._bases == {}
         assert kept == walk._retained(generations), generations
-        compared.append((store.retain, kept))
+        compared.append(kept)
         return kept
 
     store._retained = check
@@ -623,11 +623,11 @@ def test_record_keeps_what_the_walk_keeps(seed):
     rng = random.Random(seed)
     inner = MemoryStorage()
     faulty = FaultyStorage(inner, StorageFaultPlan(seed=seed))
-    compared: list[tuple[int, set[int]]] = []
+    compared: list[set[int]] = []
     instances = []
     for _ in range(2):  # a second instance writes to the same storage
         server, client, ptr = populated_server()
-        store = CheckpointStore(storage=faulty, retain=rng.randrange(1, 4))
+        store = CheckpointStore(storage=faulty)
         _checked(store, inner, compared)
         instances.append((store, server, client, ptr))
     for _ in range(40):
@@ -654,4 +654,4 @@ def test_record_keeps_what_the_walk_keeps(seed):
             pass
     assert len(compared) >= 20
     # the window alone would have dropped a base some kept delta needed
-    assert any(len(kept) > retain for retain, kept in compared)
+    assert any(len(kept) > CheckpointStore.RETAIN for kept in compared)

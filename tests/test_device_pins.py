@@ -167,7 +167,7 @@ class TestRaceTable:
     @pytest.mark.parametrize("mutation, node", ROWS, indirect=["node"])
     def test_reader_gets_the_bytes_of_its_call(self, node, mutation):
         server, address, helper, buffer = node
-        sanitized = server.sanitizer_config is not None
+        sanitized = server.sanitized
         allocator = server.devices[0].allocator  # the pinned one, even after failover
         allocation = allocator._allocs[buffer]
         reader = StalledReader(address, buffer, SIZE)

@@ -9,7 +9,6 @@ from repro.cricket import (
     CricketServer,
     FaultyMigrationChannel,
     LoopbackMigrationChannel,
-    MigrationConfig,
     MigrationSource,
     MigrationTarget,
     migrate_live,
@@ -84,7 +83,7 @@ class TestLiveMigration:
         assert report.completed and not report.aborted
         assert state_fingerprint(target.server) == fingerprint
         assert source.killed  # cutover kills the source
-        assert report.pause_ns <= MigrationConfig().pause_budget_ns
+        assert report.pause_ns <= MigrationSource.PAUSE_BUDGET_NS
 
     def test_precopy_rounds_shrink_the_pause(self):
         source, client, ptrs = populated(allocs=8, size=256 * 1024)
@@ -180,9 +179,8 @@ class TestLiveMigration:
     def test_pause_budget_exceeded_aborts_and_source_serves(self):
         source, client, ptrs = populated(allocs=4, size=MIB)
         target = MigrationTarget(small_server())
-        mig = MigrationSource(
-            source, config=MigrationConfig(pause_budget_ns=1)
-        )
+        mig = MigrationSource(source)
+        mig.PAUSE_BUDGET_NS = 1  # any pause is over budget
         with pytest.raises(MigrationError):
             migrate_live(mig, target)
         assert mig.report.aborted

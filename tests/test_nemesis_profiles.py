@@ -192,6 +192,14 @@ def _restart_from_begin(_real):
     return resume
 
 
+def _unbudgeted_pause(real):
+    def init(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        self.BANDWIDTH_BYTES_PER_S = 1e3  # a pause far past the budget...
+        self.PAUSE_BUDGET_NS = 10**18  # ...that this source lets through
+    return init
+
+
 def _eject_everything(_real):
     def evaluate(self, trackers):
         fresh = tuple(sorted(set(trackers) - set(self._ejected)))
@@ -213,7 +221,10 @@ def _no_hysteresis(_real):
 
 def _cumulative_ckpt_signal(_real):
     def ratio(self):  # p99 of every write the store ever made
-        return 0.0 if self.ckpt_health is None else self.checkpoint_slo.ratio(self.ckpt_health)
+        tracker, slo = self.ckpt_health, self.checkpoint_slo
+        if tracker is None or tracker.count < slo.min_samples:
+            return 0.0
+        return tracker.p99 / slo.target_p99_ns
     return ratio
 
 
@@ -300,9 +311,7 @@ MUTATIONS = {
         "migration", {"torn-fallback"}),
     # (stop_and_copy aborts on an over-budget pause; remove that guard)
     "pause-budget-unenforced": (
-        _break("repro.cricket.migration:MigrationConfig",
-               lambda real: lambda: real(bandwidth_bytes_per_s=1e3,
-                                         pause_budget_ns=10**18)),
+        _break("repro.cricket.migration:MigrationSource.__init__", _unbudgeted_pause),
         "migration", {"pause-over-budget"}),
     "ejector-never": (
         _break("repro.resilience.health:OutlierEjector.evaluate",

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import LinkModel, Node, SimClock, TETHER_100G
+from repro.net import LinkModel, SimClock, TETHER_100G
 from repro.net.simclock import Stopwatch
 
 
@@ -75,9 +75,3 @@ class TestLinkModel:
     def test_custom_link(self):
         link = LinkModel("10GbE", 10e9, 50e-6, mtu=1500)
         assert link.one_way_s(12500) == pytest.approx(50e-6 + 10e-6)
-
-
-class TestFabric:
-    def test_invalid_copy_rate(self):
-        with pytest.raises(ValueError):
-            Node("bad", core_copy_rate_Bps=0)

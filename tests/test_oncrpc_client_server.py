@@ -1,6 +1,7 @@
 """Integration tests: RPC client against server over loopback and real TCP."""
 
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -156,11 +157,22 @@ class TestTcp:
             assert result == "TCP PATH"
 
     def test_tcp_large_transfer_multi_fragment(self, tcp_server):
+        """A GPU-sized (1 MiB) argument crosses TCP in 64 KiB fragments.
+
+        This is the capability RPC-Lib added over the ``onc_rpc`` crate: a
+        datagram transport caps a call near 64 KiB.
+        """
         _, host, port = tcp_server
-        transport = TcpTransport(host, port, fragment_size=64 * 1024)
+        sent: list[int] = []
+        meter = SimpleNamespace(on_send=sent.append, on_recv=lambda nbytes: None)
+        transport = TcpTransport(host, port, fragment_size=64 * 1024, meter=meter)
         with RpcClient(transport, PROG, VERS) as client:
-            payload = bytes(i % 256 for i in range(1_000_000))
+            payload = bytes(i % 256 for i in range(1 << 20))
             assert client.call_raw(PROC_ECHO, payload) == payload
+        (wire,) = sent  # the framed call record
+        fragments = -(-wire // (64 * 1024 + 4))  # each 64 KiB at most, plus its mark
+        assert fragments == 17  # 16 full ones carry the argument, one the rest
+        assert 0 < wire - 4 * fragments - (1 << 20) < 100  # the call header
 
     def test_tcp_concurrent_clients(self, tcp_server):
         _, host, port = tcp_server

@@ -430,7 +430,7 @@ class TestDeadlineAccounting:
                 pass
 
         policy = RetryPolicy(
-            max_attempts=10, base_delay_s=0.01, jitter=0.0, deadline_s=0.4
+            max_attempts=10, base_delay_s=0.01, deadline_s=0.4
         )
         client = RpcClient(
             FailingTransport(), PROG, VERS, retry_policy=policy, clock=clock

@@ -49,7 +49,6 @@ NOT_SERVED = (
     "repro.cricket.scheduler",
     "repro.cricket.transfer",
     "repro.oncrpc.portmap",
-    "repro.oncrpc.udp",
     "repro.rpcl.codegen",
     "repro.cubin.ptx",
 )

@@ -235,7 +235,8 @@ class TestReplication:
 
     def test_bounded_lag_batches_then_flushes(self):
         primary, standby = ha_pair()
-        link = ReplicationLink(primary, standby, max_lag=3)
+        link = ReplicationLink(primary, standby)
+        link.max_lag = 3  # as a demotion to a lag bound of 3 would
         client = CricketClient.loopback(primary)
         client.malloc(4096)
         client.malloc(4096)
@@ -279,7 +280,8 @@ class TestReplication:
 
     def test_promote_flushes_and_detaches(self):
         primary, standby = ha_pair()
-        link = ReplicationLink(primary, standby, max_lag=10)
+        link = ReplicationLink(primary, standby)
+        link.max_lag = 10  # as a demotion to a lag bound of 10 would
         client = CricketClient.loopback(primary)
         ptr = client.malloc(1 * MB)
         client.memcpy_h2d(ptr, b"\x99" * 128)

@@ -58,20 +58,20 @@ def make_client(server, plan=None, policy=None, clock=None):
 
 class TestRetryPolicy:
     def test_backoff_schedule_jitterless(self):
-        policy = RetryPolicy(
-            max_attempts=5, base_delay_s=0.001, multiplier=2.0,
-            max_delay_s=0.005, jitter=0.0,
+        # doubling from 1 ms until MAX_DELAY_S caps it
+        policy = RetryPolicy(max_attempts=9, base_delay_s=0.001)
+        assert policy.schedule() == (
+            0.001, 0.002, 0.004, 0.008, 0.016, 0.032, 0.064, 0.1
         )
-        assert policy.schedule() == (0.001, 0.002, 0.004, 0.005)
 
     def test_jitter_reproducible_from_seed(self):
-        policy = RetryPolicy(jitter=0.2, seed=99)
+        policy = RetryPolicy(seed=99)
         a = [policy.backoff_s(i, policy.make_rng()) for i in range(1, 5)]
         b = [policy.backoff_s(i, policy.make_rng()) for i in range(1, 5)]
         assert a == b
 
     def test_jitter_stays_within_band(self):
-        policy = RetryPolicy(base_delay_s=0.01, multiplier=1.0, jitter=0.1)
+        policy = RetryPolicy(base_delay_s=0.01)
         rng = policy.make_rng()
         for _ in range(100):
             delay = policy.backoff_s(1, rng)
@@ -81,47 +81,45 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.5)
-        with pytest.raises(ValueError):
             RetryPolicy(base_delay_s=-1)
 
 
 class TestRetryTiming:
     def test_backoff_charges_virtual_time_exactly(self):
-        """Two lost requests cost exactly base + 2*base of clock time."""
+        """Two lost requests cost exactly the seeded 1 ms and 2 ms backoffs."""
         clock = SimClock()
         server = echo_server()
-        policy = RetryPolicy(base_delay_s=0.001, multiplier=2.0, jitter=0.0)
+        policy = RetryPolicy(base_delay_s=0.001)
         client = make_client(
             server, FaultPlan(drop_request_first=2), policy, clock
         )
+        rng = policy.make_rng()
+        expected_ns = sum(round(policy.backoff_s(i, rng) * 1e9) for i in (1, 2))
         assert client.call_raw(1, b"ping") == b"ping"
-        assert clock.now_ns == int(0.003 * 1e9)  # 1 ms + 2 ms
+        assert clock.now_ns == expected_ns  # ~1 ms + ~2 ms
         assert client.stats.retries == 2
         # subsequent clean calls charge nothing
         assert client.call_raw(1, b"pong") == b"pong"
-        assert clock.now_ns == int(0.003 * 1e9)
+        assert clock.now_ns == expected_ns
 
     def test_deadline_exhaustion(self):
         """When backoff would overrun the budget, the call fails fast."""
         clock = SimClock()
         server = echo_server()
-        policy = RetryPolicy(
-            max_attempts=50, base_delay_s=0.010, multiplier=2.0,
-            jitter=0.0, deadline_s=0.025,
-        )
+        policy = RetryPolicy(max_attempts=50, base_delay_s=0.010, deadline_s=0.025)
         client = make_client(
             server, FaultPlan(drop_request_rate=1.0), policy, clock
         )
         with pytest.raises(RpcDeadlineExceeded):
             client.call_raw(1, b"doomed\x00\x00")
-        # charged 10ms + (20ms refused: it would cross the 25ms deadline)
-        assert clock.now_ns == int(0.010 * 1e9)
+        # charged ~10ms + (~20ms refused: it would cross the 25ms deadline)
+        first_ns = round(policy.backoff_s(1, policy.make_rng()) * 1e9)
+        assert clock.now_ns == first_ns
         assert client.stats.deadlines_exceeded == 1
 
     def test_retries_exhausted(self):
         server = echo_server()
-        policy = RetryPolicy(max_attempts=3, jitter=0.0, deadline_s=None)
+        policy = RetryPolicy(max_attempts=3, deadline_s=None)
         client = make_client(server, FaultPlan(drop_request_rate=1.0), policy)
         with pytest.raises(RpcRetryExhausted):
             client.call_raw(1, b"doomed\x00\x00")
@@ -131,7 +129,7 @@ class TestRetryTiming:
     def test_fatal_errors_not_retried(self):
         """A decoded server verdict must not burn retry budget."""
         server = echo_server()
-        policy = RetryPolicy(jitter=0.0)
+        policy = RetryPolicy()
         clock = SimClock()
         client = make_client(server, None, policy, clock)
         from repro.oncrpc import RpcProcUnavailable
@@ -152,7 +150,7 @@ class TestFaultDeterminism:
             )
             client = make_client(
                 server, plan,
-                RetryPolicy(max_attempts=16, deadline_s=None, jitter=0.0, seed=5),
+                RetryPolicy(max_attempts=16, deadline_s=None, seed=5),
             )
             for i in range(50):
                 assert client.call_raw(1, i.to_bytes(4, "big")) == i.to_bytes(4, "big")
@@ -301,7 +299,7 @@ class TestAtMostOnce:
         client = CricketClient.loopback(
             server,
             faults=FaultPlan(drop_reply_first=1),
-            retry_policy=RetryPolicy(jitter=0.0),
+            retry_policy=RetryPolicy(),
         )
         before = server.device.allocator.used_bytes
         ptr = client.malloc(1 << 16)
@@ -315,7 +313,7 @@ class TestStaleReplies:
     def test_duplicated_replies_discarded(self):
         server = echo_server()
         plan = FaultPlan(duplicate_rate=1.0, seed=0)
-        client = make_client(server, plan, RetryPolicy(jitter=0.0))
+        client = make_client(server, plan, RetryPolicy())
         for i in range(20):
             assert client.call_raw(1, i.to_bytes(4, "big")) == i.to_bytes(4, "big")
         assert client.stats.stale_replies_discarded > 0
@@ -324,15 +322,15 @@ class TestStaleReplies:
 class TestCircuitBreaker:
     def test_open_halfopen_closed_cycle(self):
         clock = SimClock()
-        breaker = CircuitBreaker(
-            failure_threshold=3, reset_timeout_s=0.1, clock=clock
-        )
+        breaker = CircuitBreaker(clock=clock)
         assert breaker.state == "closed"
-        for _ in range(3):
+        for _ in range(CircuitBreaker.FAILURE_THRESHOLD - 1):
             breaker.record_failure()
+        assert breaker.state == "closed"
+        breaker.record_failure()
         assert breaker.state == "open"
         assert not breaker.allow()
-        clock.advance_s(0.1)
+        clock.advance_s(CircuitBreaker.RESET_TIMEOUT_S)
         assert breaker.state == "half-open"
         assert breaker.allow()
         breaker.record_success()
@@ -344,24 +342,24 @@ class TestCircuitBreaker:
 
         def factory():
             attempts.append(1)
+            if len(attempts) == 1:
+                return LoopbackTransport(echo_server().dispatch_record)
             raise RpcTransportError("nobody home")
 
-        transport = ReconnectingTransport(
-            factory,
-            breaker=CircuitBreaker(failure_threshold=2, reset_timeout_s=1.0, clock=clock),
-            connect_now=False,
-        )
-        for _ in range(2):
+        transport = ReconnectingTransport(factory, clock=clock)
+        transport.close()  # the server went away after the first connect
+        threshold = CircuitBreaker.FAILURE_THRESHOLD
+        for _ in range(threshold):
             with pytest.raises(RpcTransportError):
                 transport.reconnect()
         # breaker now open: factory must NOT be called again
         with pytest.raises(RpcCircuitOpenError):
             transport.reconnect()
-        assert len(attempts) == 2
+        assert len(attempts) == 1 + threshold
         # force bypasses the breaker (explicit operator recovery)
         with pytest.raises(RpcTransportError):
             transport.reconnect(force=True)
-        assert len(attempts) == 3
+        assert len(attempts) == 2 + threshold
 
 
 class TestTcpTimeouts:
@@ -429,26 +427,24 @@ class TestWallClock:
 
     def test_tcp_retry_backoff_takes_wall_time(self):
         """Against a dead server, retries must actually pace themselves."""
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        host, port = probe.getsockname()
-        probe.close()  # nothing listens here now
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        host, port = listener.getsockname()
         transport = ReconnectingTransport(
             lambda: TcpTransport(host, port, connect_timeout=0.2),
             clock=WallClock(),
-            connect_now=False,
         )
-        policy = RetryPolicy(
-            max_attempts=3, base_delay_s=0.02, multiplier=1.0,
-            jitter=0.0, deadline_s=None,
-        )
+        transport.close()
+        listener.close()  # nothing listens here now
+        policy = RetryPolicy(max_attempts=3, base_delay_s=0.02, deadline_s=None)
         client = RpcClient(
             transport, PROG, VERS, retry_policy=policy, clock=WallClock()
         )
         t0 = time.monotonic()
         with pytest.raises(RpcRetryExhausted):
             client.call_raw(1, b"dead")
-        # two backoffs of 20 ms each must have really elapsed
+        # backoffs of ~20 ms and ~40 ms must have really elapsed
         assert time.monotonic() - t0 >= 0.04
 
 
@@ -462,7 +458,7 @@ class TestRecovery:
     def test_loopback_server_swap_recovery(self):
         """Kill the loopback server mid-workload; recover on a fresh one."""
         node_a = CricketServer()
-        client = CricketClient.loopback(node_a, retry_policy=RetryPolicy(jitter=0.0))
+        client = CricketClient.loopback(node_a, retry_policy=RetryPolicy())
         ptr = client.malloc(256)
         payload = bytes(range(256))
         client.memcpy_h2d(ptr, payload)
@@ -480,7 +476,7 @@ class TestRecovery:
         client = CricketClient.connect_tcp(
             host, port,
             io_timeout=2.0,
-            retry_policy=RetryPolicy(max_attempts=3, jitter=0.0, deadline_s=None),
+            retry_policy=RetryPolicy(max_attempts=3, deadline_s=None),
         )
         ptr = client.malloc(64)
         payload = bytes(range(64))

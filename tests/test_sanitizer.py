@@ -20,27 +20,15 @@ from repro.gpu.errors import (
     UseAfterFreeError,
 )
 from repro.gpu.memory import ALIGNMENT, DEBUG_ALLOCATOR_ENV, DeviceAllocator
-from repro.gpu.sanitizer import POISON, SanitizerConfig
-from repro.gpu.watchdog import DEFAULT_BUDGET_NS, KernelWatchdog
+from repro.gpu.sanitizer import POISON, Sanitizer
+from repro.gpu.watchdog import KernelWatchdog
 from repro.net import SimClock
 
 MIB = 1024 * 1024
 
 
-def sanitized(capacity=4 * MIB, **cfg) -> DeviceAllocator:
-    return DeviceAllocator(capacity, sanitizer=SanitizerConfig(**cfg))
-
-
-class TestSanitizerConfig:
-    def test_redzone_must_be_aligned_multiple(self):
-        with pytest.raises(ValueError):
-            SanitizerConfig(redzone_bytes=100)
-        with pytest.raises(ValueError):
-            SanitizerConfig(redzone_bytes=0)
-
-    def test_quarantine_bounds_validated(self):
-        with pytest.raises(ValueError):
-            SanitizerConfig(quarantine_max_bytes=-1)
+def sanitized(capacity=4 * MIB) -> DeviceAllocator:
+    return DeviceAllocator(capacity, sanitizer=True)
 
 
 class TestRedzones:
@@ -147,11 +135,15 @@ class TestQuarantine:
         assert second != first
 
     def test_eviction_honours_entry_bound(self):
-        alloc = sanitized(quarantine_max_entries=2)
-        ptrs = [alloc.alloc(64) for _ in range(4)]
+        alloc = sanitized()
+        bound = Sanitizer.QUARANTINE_MAX_ENTRIES
+        ptrs = [alloc.alloc(64) for _ in range(bound + 2)]
         for ptr in ptrs:
             alloc.free(ptr)
-        assert len(alloc.sanitizer.quarantine_entries()) == 2
+        assert len(alloc.sanitizer.quarantine_entries()) == bound
+        # the two oldest were evicted
+        assert not alloc.sanitizer.is_quarantined_base(ptrs[1])
+        assert alloc.sanitizer.is_quarantined_base(ptrs[2])
         # evicted spans are usable again; detection is kept for the rest
         with pytest.raises(UseAfterFreeError):
             alloc.read(ptrs[-1], 8)
@@ -195,7 +187,7 @@ class TestZeroByteEdgeCases:
 
     def test_runtime_zero_byte_paths(self):
         rt = CudaRuntime(
-            [GpuDevice(A100, mem_bytes=4 * MIB, sanitizer=SanitizerConfig())],
+            [GpuDevice(A100, mem_bytes=4 * MIB, sanitizer=True)],
             SimClock(),
         )
         err, a = rt.cudaMalloc(0)
@@ -274,10 +266,12 @@ class TestInvariantsAndAllocAt:
 
 class TestWatchdog:
     def test_budget_verdict_flagged_on_launch(self):
-        device = GpuDevice(
-            A100, mem_bytes=4 * MIB, watchdog=KernelWatchdog(budget_ns=1)
-        )
-        device.launch("vectorAdd", (1, 1, 1), (64, 1, 1), self._va_params(device))
+        device = GpuDevice(A100, mem_bytes=4 * MIB, watchdog=KernelWatchdog())
+        device.inject_soft_fault("throttle", 1e5)  # ~0.6 us of roofline -> ~60 ms
+        n = 1 << 16
+        bufs = tuple(device.alloc(4 * n) for _ in range(3))
+        result = device.launch("vectorAdd", (n // 256, 1, 1), (256, 1, 1), (*bufs, n))
+        assert result.duration_ns > KernelWatchdog.BUDGET_NS
         (stream,) = device.streams.hung_streams()
         assert stream.hang == "budget"
         assert device.watchdog.hangs_flagged == 1
@@ -329,7 +323,7 @@ class TestWatchdog:
         )
 
     def test_default_budget_is_10ms(self):
-        assert KernelWatchdog().budget_ns == DEFAULT_BUDGET_NS
+        assert KernelWatchdog.BUDGET_NS == 10_000_000
 
     @staticmethod
     def _va_params(device):
@@ -341,7 +335,7 @@ class TestWatchdog:
 
 class TestDeviceSanitizerIntegration:
     def device(self):
-        return GpuDevice(A100, mem_bytes=4 * MIB, sanitizer=SanitizerConfig())
+        return GpuDevice(A100, mem_bytes=4 * MIB, sanitizer=True)
 
     def test_sticky_violation_poisons_context(self):
         device = self.device()

@@ -395,9 +395,8 @@ class TestPingAndProbe:
                 pass
 
         probe = null_probe(0x20000099, 1)
-        transport = ReconnectingTransport(
-            DeadTransport, probe=probe, connect_now=False
-        )
+        transport = ReconnectingTransport(DeadTransport, probe=probe)
+        transport.close()  # the connection died before any call
         failures_before = transport.breaker._consecutive_failures
         with pytest.raises(RpcTransportError):
             transport.reconnect()

@@ -12,18 +12,13 @@ from repro.cuda import constants as C
 from repro.cuda.runtime import CudaRuntime
 from repro.gpu import A100, GpuDevice
 from repro.gpu.errors import OutOfBoundsError
-from repro.gpu.sanitizer import SanitizerConfig
 from repro.net import SimClock
 
 MIB = 1024 * 1024
 
 
 def make_runtime(sanitizer=False):
-    device = GpuDevice(
-        A100,
-        mem_bytes=16 * MIB,
-        sanitizer=SanitizerConfig() if sanitizer else None,
-    )
+    device = GpuDevice(A100, mem_bytes=16 * MIB, sanitizer=sanitizer)
     return CudaRuntime([device], SimClock()), device
 
 

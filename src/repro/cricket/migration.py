@@ -409,18 +409,18 @@ class MigrationSource:
     MAX_CHUNK_ATTEMPTS = 3
     #: storage name of the persisted resume cursor
     CURSOR_NAME = "migration.cursor"
+    #: the id BEGIN and the resume cursor carry
+    MIGRATION_ID = "mig-1"
 
     def __init__(
         self,
         server: "CricketServer",
         *,
         storage=None,
-        migration_id: str = "mig-1",
         stats: "ServerStats | None" = None,
     ) -> None:
         self.server = server
         self.storage = _coerce_storage(storage)
-        self.migration_id = migration_id
         self.stats = stats if stats is not None else server.server_stats
         self.phase = "idle"
         self.round = 0
@@ -428,7 +428,7 @@ class MigrationSource:
         self.acked = 0
         #: unacknowledged chunks by seq (pruned as acks advance)
         self._outbox: dict[int, bytes] = {}
-        self.report = MigrationReport(migration_id=migration_id)
+        self.report = MigrationReport(migration_id=self.MIGRATION_ID)
 
     # -- chunk plumbing ------------------------------------------------------
 
@@ -528,7 +528,7 @@ class MigrationSource:
         if self.storage is None:
             return
         cursor = {
-            "migration_id": self.migration_id,
+            "migration_id": self.MIGRATION_ID,
             "phase": self.phase,
             "round": self.round,
             "acked": self.acked,
@@ -562,7 +562,7 @@ class MigrationSource:
         self.round = 0
         device = self.server.device
         begin = {
-            "migration_id": self.migration_id,
+            "migration_id": self.MIGRATION_ID,
             "spec_name": device.spec.name,
             "capacity": device.allocator.capacity,
         }

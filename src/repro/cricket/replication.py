@@ -335,11 +335,7 @@ def make_ha_pair(
     primary: "CricketServer",
     standby: "CricketServer",
     *,
-    witness=None,
-    lease_s: float = 0.25,
     unfenced: bool = False,
-    reachability=None,
-    ship_slo: "LatencySLO | None" = None,
 ) -> tuple[ReplicationLink, list]:
     """Wire a primary/standby pair for transparent client failover.
 
@@ -349,8 +345,8 @@ def make_ha_pair(
     arrives.
 
     By default the pair is **fenced**: a :class:`~repro.cricket.witness.
-    Witness` (created on the primary's clock unless one is passed in)
-    grants the primary epoch 1, and the standby's connect hook promotes
+    Witness` on the primary's clock, with its default lease, grants the
+    primary epoch 1, and the standby's connect hook promotes
     through :func:`promote_with_witness` -- a partitioned-but-alive
     primary can therefore never end up serving mutations concurrently
     with a promoted standby.  The witness and both fences ride on the
@@ -362,16 +358,11 @@ def make_ha_pair(
     the standby promotes it unconditionally).  Only crash-stop failover
     is safe under it; partitions split-brain, which is exactly what the
     default now prevents.
-
-    ``reachability`` is the primary->standby partition gate forwarded to
-    the :class:`ReplicationLink`.
     """
     from repro.resilience.failover import LoopbackEndpoint
 
     if unfenced:
-        link = ReplicationLink(
-            primary, standby, reachability=reachability, ship_slo=ship_slo
-        )
+        link = ReplicationLink(primary, standby)
         endpoints = [
             LoopbackEndpoint(primary, name="primary"),
             LoopbackEndpoint(
@@ -382,8 +373,7 @@ def make_ha_pair(
 
     from repro.cricket.witness import LeadershipFence, Witness
 
-    if witness is None:
-        witness = Witness(primary.clock, lease_s=lease_s)
+    witness = Witness(primary.clock)
     primary_fence = LeadershipFence(
         primary, witness, name="primary", peer_hint="standby"
     )
@@ -391,9 +381,7 @@ def make_ha_pair(
         standby, witness, name="standby", peer_hint="primary"
     )
     primary_fence.lead()  # epoch 1
-    link = ReplicationLink(
-        primary, standby, reachability=reachability, ship_slo=ship_slo
-    )
+    link = ReplicationLink(primary, standby)
     primary_fence.link = link
     link.witness = witness
     link.primary_fence = primary_fence

@@ -5,7 +5,10 @@ and perturbs traffic according to a :class:`FaultPlan`.  All randomness
 comes from one ``random.Random`` seeded by the plan, and decisions are
 drawn in a fixed order per operation, so a given (plan, workload) pair
 always injects the same fault sequence -- failures are replayable, which
-is what makes resilience *testable*.
+is what makes resilience *testable*.  A wrapper whose fault window is
+shut builds no stream: it counts the draws each operation would make,
+and the first decision that can fire replays them (see
+:attr:`FaultInjectingTransport.active`).
 
 Fault taxonomy (the names used in counters and docs):
 
@@ -51,6 +54,12 @@ from repro.oncrpc.transport import Transport, reconnect_if_supported
 from repro.oncrpc.errors import RpcTransportError
 from repro.resilience.stats import ResilienceStats
 from repro.xdr.encoder import Buffer, GatherRecord, flatten
+
+
+def _replay(rng: random.Random, draws: int) -> None:
+    """Advance ``rng`` past ``draws`` uniform draws a shut window counted."""
+    for _ in range(draws):
+        rng.random()
 
 
 @dataclass(frozen=True)
@@ -128,6 +137,9 @@ class FaultInjectingTransport:
     the difference.
     """
 
+    #: main-stream draws per send or receive (plus one corrupt draw)
+    DRAWS_PER_OP = 3
+
     def __init__(
         self,
         inner: Transport,
@@ -136,17 +148,25 @@ class FaultInjectingTransport:
         clock: SimClock | None = None,
         stats: ResilienceStats | None = None,
         active: bool = True,
+        seed: int | None = None,
     ) -> None:
         self.inner = inner
         self.plan = plan
         self.clock = clock
         self.stats = stats if stats is not None else ResilienceStats()
         self._active = active
-        self._rng = random.Random(plan.seed)
-        # Corruption decisions come from their own stream: adding the
-        # corrupt fault must not shift the draws (and therefore the fault
-        # schedules) of plans written before it existed.
-        self._corrupt_rng = random.Random(plan.seed ^ 0xC0FFEE)
+        #: seed of this connection's decision streams (``plan.seed`` unless
+        #: a :class:`FaultyEndpoint` hands out connection ``n``)
+        self.seed = plan.seed if seed is None else seed
+        # Both streams are built by _catch_up, on the first decision that
+        # can fire.  Corruption decisions come from their own stream:
+        # adding the corrupt fault must not shift the draws (and therefore
+        # the fault schedules) of plans written before it existed.
+        self._rng: random.Random | None = None
+        self._corrupt_rng: random.Random | None = None
+        #: operations made while the window was shut, whose draws the
+        #: streams still owe
+        self._shut_ops = 0
         self._broken = False
         self._bytes_sent = 0
         self._byte_trip_armed = plan.disconnect_after_bytes is not None
@@ -159,12 +179,16 @@ class FaultInjectingTransport:
     def active(self) -> bool:
         """Whether faults fire (the fault window is open).
 
-        When False the wrapper passes records through untouched but still
-        draws every decision, so (like :class:`SlowTransport`) a nemesis
-        can open and close a fault window mid-run without shifting the
-        decision stream of later operations.  Closing the window also
-        heals an injected disconnect, so the next retry gets through
-        without a reconnect round trip.
+        When False the wrapper passes records through untouched and only
+        counts the draws each operation would make (:data:`DRAWS_PER_OP`
+        main, one corrupt); the first operation of an open window builds
+        the streams if need be and replays the counted draws first, so
+        (like :class:`SlowTransport`) a nemesis can open and close a fault
+        window mid-run without shifting the decision stream of later
+        operations, and a connection whose window never opens never
+        builds a ``random.Random``.  Closing the window also heals an
+        injected disconnect, so the next retry gets through without a
+        reconnect round trip.
         """
         return self._active
 
@@ -176,8 +200,20 @@ class FaultInjectingTransport:
 
     # -- helpers -----------------------------------------------------------
 
+    def _catch_up(self) -> None:
+        """Build the decision streams if need be and replay every draw a
+        shut window counted, so the next draw is the one an eagerly built
+        stream would give."""
+        if self._rng is None:
+            self._rng = random.Random(self.seed)
+            self._corrupt_rng = random.Random(self.seed ^ 0xC0FFEE)
+        if self._shut_ops:
+            _replay(self._rng, self.DRAWS_PER_OP * self._shut_ops)
+            _replay(self._corrupt_rng, self._shut_ops)
+            self._shut_ops = 0
+
     def _hit(self, rate: float) -> bool:
-        """Draw one decision; always draws so the stream stays aligned."""
+        """Draw one decision from the main stream (caught up first)."""
         return self._rng.random() < rate
 
     def _corrupt_hit(self) -> bool:
@@ -190,6 +226,7 @@ class FaultInjectingTransport:
         The result is a new buffer; a gather record is flattened first,
         which draws the same position (it has the same length).
         """
+        self._catch_up()
         if not len(record):
             return record
         record = flatten(record)
@@ -221,11 +258,14 @@ class FaultInjectingTransport:
         self._check_broken()
         plan = self.plan
         self._requests_seen += 1
-        delay_hit = self._hit(plan.delay_rate)
-        disconnect_hit = self._hit(plan.disconnect_rate)
-        drop_hit = self._hit(plan.drop_request_rate)
-        corrupt_hit = self._corrupt_hit()
-        if self._active:
+        if not self._active:
+            self._shut_ops += 1
+        else:
+            self._catch_up()
+            delay_hit = self._hit(plan.delay_rate)
+            disconnect_hit = self._hit(plan.disconnect_rate)
+            drop_hit = self._hit(plan.drop_request_rate)
+            corrupt_hit = self._corrupt_hit()
             if delay_hit:
                 self._charge_delay()
             if disconnect_hit:
@@ -265,11 +305,14 @@ class FaultInjectingTransport:
             return self._stash.pop(0)
         record = self.inner.recv_record()
         self._replies_seen += 1
-        drop_hit = self._hit(plan.drop_reply_rate)
-        truncate_hit = self._hit(plan.truncate_rate)
-        duplicate_hit = self._hit(plan.duplicate_rate)
-        corrupt_hit = self._corrupt_hit()
-        if self._active:
+        if not self._active:
+            self._shut_ops += 1
+        else:
+            self._catch_up()
+            drop_hit = self._hit(plan.drop_reply_rate)
+            truncate_hit = self._hit(plan.truncate_rate)
+            duplicate_hit = self._hit(plan.duplicate_rate)
+            corrupt_hit = self._corrupt_hit()
             if self._replies_seen <= plan.drop_reply_first or drop_hit:
                 self._fault("drop_reply")
                 # The reply is gone; behave like a loss the caller can retry.
@@ -341,6 +384,9 @@ class SlowFaultPlan:
                 f"throughput_Bps must be positive, got {self.throughput_Bps}"
             )
 
+    #: uniform draws :meth:`delay_s` makes per operation
+    DRAWS_PER_OP = 2
+
     def delay_s(self, rng: random.Random, nbytes: int) -> float:
         """Draw this operation's total delay (fixed draw order)."""
         delay = self.base_delay_s
@@ -365,7 +411,9 @@ class SlowTransport:
     Like :class:`FaultInjectingTransport` this is itself a valid
     transport; unlike it, every record is delivered intact.  ``active``
     can be flipped at runtime so a nemesis can turn a healthy
-    endpoint into a limping one mid-run without reconnecting.
+    endpoint into a limping one mid-run without reconnecting.  As there,
+    an inactive operation only counts its draws and the first active one
+    builds the stream and replays them.
     """
 
     def __init__(
@@ -376,21 +424,35 @@ class SlowTransport:
         clock: SimClock | None = None,
         stats: ResilienceStats | None = None,
         active: bool = True,
+        seed: int | None = None,
     ) -> None:
         self.inner = inner
         self.plan = plan
         self.clock = clock
         self.stats = stats if stats is not None else ResilienceStats()
         self.active = active
-        self._rng = random.Random(plan.seed)
+        #: seed of this connection's delay stream (see FaultInjectingTransport)
+        self.seed = plan.seed if seed is None else seed
+        self._rng: random.Random | None = None
+        #: inactive operations whose draws the stream still owes
+        self._shut_ops = 0
         #: total virtual seconds of limplock charged so far
         self.charged_s = 0.0
 
     def _charge(self, nbytes: int) -> None:
-        # Always draw, so toggling ``active`` mid-run does not shift the
-        # delay schedule of later operations.
+        # Count the draws an inactive operation skips and replay them
+        # before the next active one, so toggling ``active`` mid-run does
+        # not shift the delay schedule of later operations.
+        if not self.active:
+            self._shut_ops += 1
+            return
+        if self._rng is None:
+            self._rng = random.Random(self.seed)
+        if self._shut_ops:
+            _replay(self._rng, self.plan.DRAWS_PER_OP * self._shut_ops)
+            self._shut_ops = 0
         delay = self.plan.delay_s(self._rng, nbytes)
-        if not self.active or delay <= 0.0:
+        if delay <= 0.0:
             return
         self.stats.note_fault("slow")
         self.charged_s += delay
@@ -419,12 +481,15 @@ class FaultyEndpoint:
     ``plan`` builds the transport each connection is wrapped in: a
     :class:`FaultPlan` a :class:`FaultInjectingTransport` (drops, duplicate
     replies, disconnects), a :class:`SlowFaultPlan` a :class:`SlowTransport`
-    (limplock).  Connection ``n`` draws from its own stream, seeded
-    ``plan.seed + n``, and one :meth:`set_active` switch opens or heals the
+    (limplock).  The plan is validated once, when it is built; connection
+    ``n`` gets the same plan and draws from its own stream, seeded
+    ``plan.seed + n``.  One :meth:`set_active` switch opens or heals the
     fault window on the endpoint and every transport it has handed out that
     is still in use -- how the simulation nemesis turns faults on and off
-    over virtual time.  The endpoint holds its transports weakly: a
-    connection its client dropped is freed with its RNG streams and receive
+    over virtual time.  A connection made and used while the window is
+    shut only counts its draws, so it builds no RNG stream unless the
+    window opens on it.  The endpoint holds its transports weakly: a
+    connection its client dropped is freed with its streams and receive
     arena, so a retry storm's thousands of connections do not outlive it.
     Everything else (``name``, ``kill``, partition links, ...) is delegated
     to the wrapped endpoint.
@@ -451,11 +516,14 @@ class FaultyEndpoint:
 
     def connect(self) -> FaultInjectingTransport | SlowTransport:
         transport = self.inner.connect()
-        plan = replace(self.plan, seed=self._next_seed)
-        self._next_seed += 1
-        faulty = plan.wrap(
-            transport, clock=self.clock, stats=self.stats, active=self.active
+        faulty = self.plan.wrap(
+            transport,
+            clock=self.clock,
+            stats=self.stats,
+            active=self.active,
+            seed=self._next_seed,
         )
+        self._next_seed += 1
         self._transports.add(faulty)
         return faulty
 

@@ -247,7 +247,8 @@ class TestFaultyEndpoint:
         endpoint = FaultyEndpoint(LoopbackEndpoint(CricketServer()), plan)
         pipes = [endpoint.connect() for _ in range(3)]
         assert all(type(pipe) is transport_type for pipe in pipes)
-        assert [pipe.plan.seed for pipe in pipes] == [7, 8, 9]
+        assert [pipe.seed for pipe in pipes] == [7, 8, 9]
+        assert all(pipe.plan is plan for pipe in pipes)  # validated once
         assert all(pipe.active for pipe in pipes)  # active by default
 
     def test_failed_connect_does_not_consume_a_seed(self):
@@ -263,7 +264,7 @@ class TestFaultyEndpoint:
         endpoint = FaultyEndpoint(Flaky(), FaultPlan(seed=3))
         with pytest.raises(RpcTransportError, match="refused"):
             endpoint.connect()
-        assert endpoint.connect().plan.seed == 3
+        assert endpoint.connect().seed == 3
 
     def test_closing_the_window_heals_every_pipe(self):
         clock = SimClock()
@@ -296,7 +297,7 @@ class TestFaultyEndpoint:
         assert list(endpoint._transports) == [kept]
         endpoint.set_active(False)
         assert not kept.active
-        assert endpoint.connect().plan.seed == 3  # seeds count every pipe
+        assert endpoint.connect().seed == 3  # seeds count every pipe
 
     def test_every_slow_plan_field_reaches_the_connection(self):
         plan = SlowFaultPlan(
@@ -311,5 +312,5 @@ class TestFaultyEndpoint:
             assert getattr(plan, field.name) != field.default, field.name
         endpoint = FaultyEndpoint(LoopbackEndpoint(CricketServer()), plan)
         first, second = endpoint.connect(), endpoint.connect()
-        assert first.plan == plan
-        assert second.plan == dataclasses.replace(plan, seed=12)
+        assert first.plan is second.plan is plan
+        assert (first.seed, second.seed) == (11, 12)

@@ -53,6 +53,23 @@ GOLDEN_FINGERPRINTS = {
     ("ha_pair", 7): "eee74c06ad30c676b4903cacea4fb95772c2e3b000a84f416ba952e76208fc66",
 }
 
+#: the benchmark's third ``ha_pair`` schedule, kill at 90 % of the horizon
+#: (shares of ``horizon_s``): the killed node is the promoted standby and
+#: the fenced ex-primary refuses every later call, so each op after the
+#: kill is a retry storm of NOT_LEADER refusals and reconnects
+KILL_LATE_SCHEDULE = [
+    (0.10, "partition", {"shape": "primary_isolated", "duration_s": 0.5}),
+    (0.25, "storage_slow", {"count": 1, "delay_s": 0.3}),
+    (0.40, "gpu_fault", {"fault": "ecc"}),
+    (0.55, "limp_endpoint", {"client": 1, "duration_s": 0.4}),
+    (0.70, "partition", {"shape": "heal_divergence", "duration_s": 0.7}),
+    (0.90, "kill_primary", {"dangerous": False}),
+]
+#: its fingerprint at seed 10 and steps=3, the fewest steps that reach the storm
+KILL_LATE_FINGERPRINT = (
+    "10fd17773bb2054cbb7ef25dcf78a2da03bc6f28753e1731b60b474094262624"
+)
+
 #: the shrunk repro of the once known-red composed schedule (see
 #: ``TestKnownRed``), checked in so the bug cannot come back
 KNOWN_RED_TRACE = str(
@@ -165,6 +182,19 @@ class TestCleanSeeds:
         assert result.applied, "nemesis applied no events"
         assert result.outcomes.get("ok", 0) > 0
         assert result.fingerprint == GOLDEN_FINGERPRINTS[topology, seed]
+
+    def test_post_kill_retry_storm(self):
+        plan = SimulationPlan(topology="ha_pair", seed=10, steps=3)
+        schedule = [
+            NemesisEvent(round(at * plan.horizon_s, 6), kind, dict(params))
+            for at, kind, params in KILL_LATE_SCHEDULE
+        ]
+        result = run_simulation(plan, schedule)
+        assert result.clean, result.violations
+        assert result.applied[-1] == "kill_primary"
+        # every op after the kill exhausts its retries on refusals
+        assert result.outcomes == {"ok": 6, "ambiguous": 5}
+        assert result.fingerprint == KILL_LATE_FINGERPRINT
 
     def test_runs_leave_no_temp_directories_behind(self, tmp_path, monkeypatch):
         # the checkpoint store's scratch directory dies with the run --

@@ -43,12 +43,19 @@ from repro.resilience.simulation import PARTITION_SHAPES, SimulationPlan
 MB = 1 << 20
 
 
-def fenced_pair(lease_s=0.25, **kwargs):
-    """A fenced HA pair sharing ONE clock (as real deployments share time)."""
+def fenced_pair(lease_s=None, **kwargs):
+    """A fenced HA pair sharing ONE clock (as real deployments share time).
+
+    ``lease_s`` shortens the witness's lease; the primary's epoch-1 lease
+    is then renewed on it.
+    """
     clock = SimClock()
     primary = CricketServer(clock=clock, **kwargs)
     standby = CricketServer(clock=clock, **kwargs)
-    link, endpoints = make_ha_pair(primary, standby, lease_s=lease_s)
+    link, endpoints = make_ha_pair(primary, standby)
+    if lease_s is not None:
+        link.witness.lease_s = lease_s
+        link.primary_fence.lead()
     return clock, primary, standby, link, endpoints
 
 

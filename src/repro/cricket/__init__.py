@@ -8,14 +8,16 @@
 * :mod:`repro.cricket.params` -- CUDA-ABI kernel parameter packing,
 * :mod:`repro.cricket.transfer` -- the four memory-transfer methods' support
   matrix and timing model,
-* :mod:`repro.cricket.checkpoint` -- checkpoint/restart of server state,
+* :mod:`repro.cricket.checkpoint` -- checkpoint/restart of server state and
+  its one format (CRC-framed containers, delta materialization),
 * :mod:`repro.cricket.scheduler` -- GPU-sharing scheduling policies,
 * :mod:`repro.cricket.sessions` -- per-client leases, resource ledgers and
   orphan reclamation,
 * :mod:`repro.cricket.replication` -- hot-standby replication (full sync +
   op-log) backing transparent client failover,
 * :mod:`repro.cricket.ckptstore` -- crash-consistent, generation-numbered
-  checkpoint store with delta checkpoints and corruption fallback,
+  storage of those containers, with delta generations and corruption
+  fallback,
 * :mod:`repro.cricket.migration` -- resumable iterative pre-copy live
   migration over CRC'd chunks with a persistent cursor.
 """
@@ -32,7 +34,6 @@ __getattr__, __dir__, __all__ = lazy_namespace(
         "transfer": ("TransferMethod", "TransferTimingModel", "supported_on"),
         "checkpoint": (
             "snapshot_server", "restore_server", "capture_server_state", "restore_server_state",
-            "save_checkpoint", "load_checkpoint",
         ),
         "ckptstore": ("CheckpointStore", "FileStorage"),
         "migration": (

@@ -1,16 +1,11 @@
 """Crash-consistent, generation-numbered checkpoint store.
 
-The raw blob :func:`~repro.cricket.checkpoint.save_checkpoint` writes is a
-single point of failure: one torn write and the only checkpoint is gone.
-This module gives checkpoints the durability story CRAC-style
-checkpoint/restart needs in production:
+Storage, generations and retention for the CRKT containers
+:mod:`repro.cricket.checkpoint` frames (that module owns the format: the
+container, its CRCs, the serializer and delta materialization).  This
+module gives checkpoints the durability story CRAC-style checkpoint/restart
+needs in production:
 
-* **Framed container** -- magic, format version, and named sections, each
-  protected by the same CRC32 trailer the RPC transport uses
-  (:func:`~repro.oncrpc.record.append_crc`), plus a whole-file trailer CRC.
-  Corruption is detected *and located*: every failure raises
-  :class:`~repro.cricket.errors.CheckpointFormatError` with the offending
-  byte offset.
 * **Atomic persistence** -- containers land in a same-directory temp file,
   are fsynced, and are moved into place with ``os.replace``.  A crash
   leaves either the previous generation or the new one, never a hybrid.
@@ -18,7 +13,9 @@ checkpoint/restart needs in production:
   stores (the deterministic simulator's) that must outlive no process.
 * **Generations with fallback** -- each save produces a new numbered
   generation; :meth:`CheckpointStore.load_state` walks newest-to-oldest
-  past any torn or corrupt generation to the last verifiable one.
+  past any torn or corrupt generation (a
+  :class:`~repro.cricket.errors.CheckpointFormatError` naming the offending
+  byte offset) to the last verifiable one.
 * **Incremental (delta) checkpoints** -- a delta generation carries only
   the allocation table plus the pages dirtied since the previous save
   (tracked by :class:`~repro.gpu.memory.DeviceAllocator`), chained to a
@@ -30,191 +27,31 @@ checkpoint/restart needs in production:
 from __future__ import annotations
 
 import errno
-import json
 import os
-import pickle
 import re
-import struct
 import tempfile
-import zlib
-from bisect import bisect_right
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.cricket.checkpoint import (
-    FORMAT_VERSION,
+    KIND_DELTA,
     capture_server_state,
+    decode_container,
+    decode_full,
+    decode_state,
+    encode_container,
+    encode_full,
+    encode_state,
+    materialize,
     restore_server_state,
 )
 from repro.cricket.errors import CheckpointError, CheckpointFormatError
-from repro.oncrpc.errors import RpcIntegrityError
-from repro.oncrpc.record import append_crc, verify_crc
 from repro.resilience.health import HealthTracker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cricket.server import CricketServer
     from repro.resilience.stats import ServerStats
 
-MAGIC = b"CRKT"
-STORE_VERSION = 1
-
-KIND_FULL = 1
-KIND_DELTA = 2
-
-#: container header: magic, store version, kind, reserved, generation,
-#: base generation (0 for full checkpoints), section count.
-_HEADER = struct.Struct(">4sBBHQQI")
-#: per-section prefix: name length; the name and a u64 payload length follow.
-_NAME_LEN = struct.Struct(">H")
-_PAYLOAD_LEN = struct.Struct(">Q")
-_TRAILER_MAGIC = b"CEND"
-_TRAILER = struct.Struct(">4sI")
-
 _CKPT_NAME = re.compile(r"^ckpt-(\d{8})\.ckpt$")
-
-
-# -- container encoding ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Container:
-    """One decoded checkpoint container."""
-
-    kind: int
-    generation: int
-    base_generation: int
-    sections: dict[str, bytes] = field(repr=False)
-    manifest: dict
-
-    @property
-    def is_delta(self) -> bool:
-        return self.kind == KIND_DELTA
-
-
-def encode_container(
-    kind: int,
-    generation: int,
-    base_generation: int,
-    sections: list[tuple[str, bytes]],
-    *,
-    epoch: int = 0,
-) -> bytes:
-    """Serialize a checkpoint container with per-section and file CRCs.
-
-    ``epoch`` is the leadership epoch the state was captured under (0 for
-    unfenced servers).  It rides in the manifest so tooling -- and a
-    restore deciding between two stores -- can rank containers by
-    leadership recency without unpickling the state section.
-    """
-    manifest = {
-        "store_version": STORE_VERSION,
-        "kind": kind,
-        "generation": generation,
-        "base_generation": base_generation,
-        "state_version": FORMAT_VERSION,
-        "leader_epoch": epoch,
-        "sections": {name: len(payload) for name, payload in sections},
-    }
-    framed = [("manifest", json.dumps(manifest, sort_keys=True).encode())]
-    framed.extend(sections)
-    out = bytearray(
-        _HEADER.pack(
-            MAGIC, STORE_VERSION, kind, 0, generation, base_generation, len(framed)
-        )
-    )
-    for name, payload in framed:
-        name_bytes = name.encode()
-        protected = append_crc(payload)
-        out += _NAME_LEN.pack(len(name_bytes))
-        out += name_bytes
-        out += _PAYLOAD_LEN.pack(len(protected))
-        out += protected
-    out += _TRAILER.pack(_TRAILER_MAGIC, zlib.crc32(bytes(out)) & 0xFFFFFFFF)
-    return bytes(out)
-
-
-def decode_container(blob: bytes) -> Container:
-    """Parse and verify a container; raises :class:`CheckpointFormatError`.
-
-    Every structural failure carries the byte offset of the first bad
-    structure, so a torn tail (offset near ``len(blob)``) is
-    distinguishable from a flipped bit mid-file.
-    """
-    if len(blob) < _HEADER.size:
-        raise CheckpointFormatError(
-            f"container truncated in header ({len(blob)} bytes)", offset=len(blob)
-        )
-    magic, version, kind, _reserved, generation, base_generation, n_sections = (
-        _HEADER.unpack_from(blob, 0)
-    )
-    if magic != MAGIC:
-        raise CheckpointFormatError(f"bad container magic {magic!r}", offset=0)
-    if version != STORE_VERSION:
-        raise CheckpointFormatError(
-            f"unsupported store version {version}", offset=4
-        )
-    if kind not in (KIND_FULL, KIND_DELTA):
-        raise CheckpointFormatError(f"unknown container kind {kind}", offset=5)
-    # Whole-file CRC first: cheap, and it localizes torn tails precisely.
-    trailer_at = len(blob) - _TRAILER.size
-    if trailer_at < _HEADER.size:
-        raise CheckpointFormatError("container truncated before trailer", offset=len(blob))
-    t_magic, t_crc = _TRAILER.unpack_from(blob, trailer_at)
-    if t_magic != _TRAILER_MAGIC:
-        raise CheckpointFormatError(
-            f"bad trailer magic {t_magic!r} (torn write?)", offset=trailer_at
-        )
-    if zlib.crc32(blob[:trailer_at]) & 0xFFFFFFFF != t_crc:
-        raise CheckpointFormatError("file CRC mismatch", offset=trailer_at + 4)
-    pos = _HEADER.size
-    sections: dict[str, bytes] = {}
-    for _ in range(n_sections):
-        if pos + _NAME_LEN.size > trailer_at:
-            raise CheckpointFormatError("section table truncated", offset=pos)
-        (name_len,) = _NAME_LEN.unpack_from(blob, pos)
-        pos += _NAME_LEN.size
-        if pos + name_len + _PAYLOAD_LEN.size > trailer_at:
-            raise CheckpointFormatError("section name truncated", offset=pos)
-        name = blob[pos : pos + name_len].decode()
-        pos += name_len
-        (payload_len,) = _PAYLOAD_LEN.unpack_from(blob, pos)
-        pos += _PAYLOAD_LEN.size
-        if pos + payload_len > trailer_at:
-            raise CheckpointFormatError(
-                f"section {name!r} payload truncated", offset=pos
-            )
-        try:
-            sections[name] = bytes(
-                verify_crc(memoryview(blob)[pos : pos + payload_len])
-            )
-        except RpcIntegrityError as exc:
-            raise CheckpointFormatError(
-                f"section {name!r} CRC mismatch: {exc}", offset=pos
-            ) from exc
-        pos += payload_len
-    if pos != trailer_at:
-        raise CheckpointFormatError(
-            f"{trailer_at - pos} trailing bytes after last section", offset=pos
-        )
-    if "manifest" not in sections:
-        raise CheckpointFormatError("container has no manifest section", offset=_HEADER.size)
-    try:
-        manifest = json.loads(sections["manifest"])
-    except ValueError as exc:
-        raise CheckpointFormatError(
-            f"manifest is not valid JSON: {exc}", offset=_HEADER.size
-        ) from exc
-    if manifest.get("generation") != generation:
-        raise CheckpointFormatError(
-            "manifest/header generation mismatch", offset=_HEADER.size
-        )
-    return Container(
-        kind=kind,
-        generation=generation,
-        base_generation=base_generation,
-        sections=sections,
-        manifest=manifest,
-    )
 
 
 # -- storage abstraction -----------------------------------------------------
@@ -383,15 +220,8 @@ class CheckpointStore:
 
     def save_full(self, server: "CricketServer") -> int:
         """Write a full checkpoint generation; returns its number."""
-        state = capture_server_state(server)
         generation = self._next_generation()
-        blob = encode_container(
-            KIND_FULL,
-            generation,
-            0,
-            [("state", pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))],
-            epoch=state.get("leader_epoch", 0),
-        )
+        blob = encode_full(capture_server_state(server), generation)
         self._timed_write(_generation_name(generation), blob)
         # Only a persisted full advances the dirty epoch: the next delta
         # ships changes relative to *this* baseline.
@@ -424,13 +254,7 @@ class CheckpointStore:
                 KIND_DELTA,
                 generation,
                 self.last_generation,
-                [
-                    ("meta", pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL)),
-                    (
-                        "pages",
-                        pickle.dumps(fragments, protocol=pickle.HIGHEST_PROTOCOL),
-                    ),
-                ],
+                [("meta", encode_state(meta)), ("pages", encode_state(fragments))],
                 epoch=meta.get("leader_epoch", 0),
             )
             self._timed_write(_generation_name(generation), blob)
@@ -503,16 +327,19 @@ class CheckpointStore:
                 f"file {name} holds generation {container.generation}", offset=10
             )
         if not container.is_delta:
-            state = pickle.loads(container.sections["state"])
-            if not isinstance(state, dict) or "device" not in state:
-                raise CheckpointFormatError(
-                    "full container state section malformed", offset=_HEADER.size
-                )
-            return state
+            return decode_full(container)
         base = self._materialize(container.base_generation, seen=seen)
-        meta = pickle.loads(container.sections["meta"])
-        fragments = pickle.loads(container.sections["pages"])
-        return _apply_delta(base, meta, fragments)
+        state, dropped = materialize(
+            decode_state(container.sections["meta"]),
+            decode_state(container.sections["pages"]),
+            base,
+        )
+        if dropped:
+            raise CheckpointFormatError(
+                f"{dropped} delta fragment bytes outside the allocation table",
+                offset=0,
+            )
+        return state
 
     # -- compaction and retention -------------------------------------------
 
@@ -524,13 +351,7 @@ class CheckpointStore:
         """
         _, state = self.load_state()
         generation = self._next_generation()
-        blob = encode_container(
-            KIND_FULL,
-            generation,
-            0,
-            [("state", pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))],
-            epoch=state.get("leader_epoch", 0),
-        )
+        blob = encode_full(state, generation)
         self._timed_write(_generation_name(generation), blob)
         self.last_generation = generation
         if self.stats is not None:
@@ -587,55 +408,3 @@ class CheckpointStore:
             return 0
         return container.base_generation if container.is_delta else 0
 
-
-def _apply_delta(
-    base: dict, meta: dict, fragments: list[tuple[int, bytes]]
-) -> dict:
-    """Materialize a delta over a full base state.
-
-    The delta's metadata (modules, streams, sessions, reply cache, ...)
-    replaces the base's outright -- it is a complete capture minus device
-    contents.  Device memory is reconciled: allocations surviving from
-    the base keep their bytes, new allocations start zeroed, freed ones
-    drop, and dirty-page fragments overwrite in place.
-    """
-    device_meta = meta.get("device_meta")
-    if device_meta is None:
-        raise CheckpointFormatError("delta meta lacks device_meta", offset=_HEADER.size)
-    base_payload = pickle.loads(base["device"])
-    base_allocs = {
-        addr: (size, data) for addr, size, data in base_payload["allocations"]
-    }
-    buffers: dict[int, tuple[int, bytearray]] = {}
-    for addr, size in device_meta["allocations"]:
-        if addr in base_allocs and base_allocs[addr][0] == size:
-            buffers[addr] = (size, bytearray(base_allocs[addr][1]))
-        else:
-            buffers[addr] = (size, bytearray(size))
-    addrs = sorted(buffers)
-    for frag_addr, frag_data in fragments:
-        index = bisect_right(addrs, frag_addr) - 1
-        if index < 0:
-            raise CheckpointFormatError(
-                f"fragment at {frag_addr:#x} outside any allocation", offset=0
-            )
-        addr = addrs[index]
-        size, buffer = buffers[addr]
-        offset = frag_addr - addr
-        if offset + len(frag_data) > size:
-            raise CheckpointFormatError(
-                f"fragment at {frag_addr:#x} overruns allocation", offset=0
-            )
-        buffer[offset : offset + len(frag_data)] = frag_data
-    payload = {
-        "spec_name": device_meta["spec_name"],
-        "capacity": device_meta["capacity"],
-        "allocations": [
-            (addr, buffers[addr][0], bytes(buffers[addr][1])) for addr in addrs
-        ],
-        "launch_count": device_meta["launch_count"],
-    }
-    state = dict(meta)
-    state.pop("device_meta", None)
-    state["device"] = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    return state

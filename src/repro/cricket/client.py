@@ -812,9 +812,7 @@ class CricketClient:
         """Restore a snapshot onto the (possibly new) server."""
         self._check(self.stub.rpc_restore(blob), "restore")
 
-    def recover(
-        self, blob: bytes | None = None, *, server: Any = None, store: Any = None
-    ) -> None:
+    def recover(self, blob: bytes | None = None, *, server: Any = None) -> None:
         """Recover the session after unrecoverable transport loss.
 
         Re-establishes the connection (bypassing the circuit breaker --
@@ -824,26 +822,14 @@ class CricketClient:
         allocations and library handles come back at their old values, so
         the application resumes as if the failure never happened.
 
-        ``store`` recovers from a
-        :class:`~repro.cricket.ckptstore.CheckpointStore` instead of a raw
-        blob: the newest *verifiable* generation is materialized (falling
-        back past torn or corrupt ones), so a crash during the last save
-        costs at most one checkpoint interval, never the session.
-
         For loopback clients, ``server`` redirects the transport to a
         replacement :class:`~repro.cricket.server.CricketServer` (the old
         one is presumed dead).
         """
-        if store is not None:
-            import pickle
-
-            _generation, state = store.load_state()
-            blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
         blob = blob if blob is not None else self._last_checkpoint
         if blob is None:
             raise CheckpointError(
-                "no recovery point: call checkpoint() first, pass blob=, "
-                "or pass store="
+                "no recovery point: call checkpoint() first or pass blob="
             )
         if server is not None:
             if self._server_ref is None:

@@ -35,14 +35,15 @@ checkpoints), built for faults:
 from __future__ import annotations
 
 import json
-import pickle
 import struct
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.cricket.checkpoint import (
     capture_server_state,
+    decode_state,
+    encode_state,
+    materialize,
     restore_server_state,
 )
 from repro.cricket.ckptstore import FileStorage
@@ -270,9 +271,9 @@ class MigrationTarget:
             self.fragments.clear()
             self.commit_state = None
         elif chunk.kind == KIND_FRAGS:
-            self.fragments.extend(pickle.loads(chunk.payload))
+            self.fragments.extend(decode_state(chunk.payload))
         elif chunk.kind == KIND_COMMIT:
-            self.commit_state = pickle.loads(chunk.payload)
+            self.commit_state = decode_state(chunk.payload)
         elif chunk.kind == KIND_ABORT:
             self.aborted = True
             self.fragments.clear()
@@ -323,47 +324,13 @@ class MigrationTarget:
         """Assemble the received state and restore it onto the target server."""
         if self.commit_state is None:
             raise MigrationError("cannot finalize before the COMMIT chunk")
-        state = _assemble_state(self.commit_state, self.fragments)
+        # The COMMIT allocation table is authoritative: bytes of an
+        # allocation freed after they were shipped have nowhere to land.
+        state, _dropped = materialize(self.commit_state, self.fragments)
         restore_server_state(self.server, state)
         if self.storage is not None:
             self.storage.remove(self.journal_name)
         return self.server
-
-
-def _assemble_state(meta: dict, fragments: list[tuple[int, bytes]]) -> dict:
-    """Materialize a full state dict from COMMIT metadata plus fragments.
-
-    The final allocation table is authoritative; fragments are applied in
-    arrival order (last write wins) and clipped to it -- bytes of an
-    allocation freed after being shipped simply have nowhere to land.
-    """
-    device_meta = meta.get("device_meta")
-    if device_meta is None:
-        raise MigrationError("COMMIT state lacks device_meta")
-    buffers = {addr: bytearray(size) for addr, size in device_meta["allocations"]}
-    sizes = dict(device_meta["allocations"])
-    addrs = sorted(buffers)
-    for frag_addr, frag_data in fragments:
-        index = bisect_right(addrs, frag_addr) - 1
-        if index < 0:
-            continue
-        addr = addrs[index]
-        size = sizes[addr]
-        offset = frag_addr - addr
-        if offset >= size:
-            continue
-        usable = min(len(frag_data), size - offset)
-        buffers[addr][offset : offset + usable] = frag_data[:usable]
-    payload = {
-        "spec_name": device_meta["spec_name"],
-        "capacity": device_meta["capacity"],
-        "allocations": [(addr, sizes[addr], bytes(buffers[addr])) for addr in addrs],
-        "launch_count": device_meta["launch_count"],
-    }
-    state = dict(meta)
-    state.pop("device_meta", None)
-    state["device"] = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    return state
 
 
 # -- the sending side --------------------------------------------------------
@@ -500,12 +467,7 @@ class MigrationSource:
             nonlocal batch, batch_bytes
             if not batch:
                 return
-            queued.append(
-                self._next_chunk(
-                    KIND_FRAGS,
-                    pickle.dumps(batch, protocol=pickle.HIGHEST_PROTOCOL),
-                )
-            )
+            queued.append(self._next_chunk(KIND_FRAGS, encode_state(batch)))
             batch = []
             batch_bytes = 0
 
@@ -566,9 +528,7 @@ class MigrationSource:
             "spec_name": device.spec.name,
             "capacity": device.allocator.capacity,
         }
-        self._send(
-            channel, KIND_BEGIN, pickle.dumps(begin, protocol=pickle.HIGHEST_PROTOCOL)
-        )
+        self._send(channel, KIND_BEGIN, encode_state(begin))
         # Round 0 is the full copy: everything live is "dirty".
         device.allocator.mark_all_dirty()
         self._send_fragments(
@@ -615,7 +575,7 @@ class MigrationSource:
             self.report.rounds += 1
             self.stats.migration_rounds += 1
             meta = capture_server_state(self.server, include_device_data=False)
-            commit_payload = pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL)
+            commit_payload = encode_state(meta)
             final_bytes += len(commit_payload)
             pause_ns = int(final_bytes / self.BANDWIDTH_BYTES_PER_S * 1e9)
             if pause_ns > self.PAUSE_BUDGET_NS:

@@ -4,8 +4,8 @@ High availability for the Cricket server role.  A primary keeps a warm
 standby in lock-step by two mechanisms:
 
 1. **Initial full sync** -- the standby is seeded with a full checkpoint
-   (:func:`~repro.cricket.checkpoint.snapshot_server`), including the
-   at-most-once reply cache (format version 2).
+   (:func:`~repro.cricket.checkpoint.capture_server_state`), including the
+   at-most-once reply cache.
 
 2. **Incremental op-log** -- every *state-mutating* RPC that executes on
    the primary is shipped as its original verified request record and
@@ -147,9 +147,9 @@ class ReplicationLink:
     def full_sync(self) -> None:
         """Seed (or re-seed) the standby with a full primary checkpoint.
 
-        Ships the captured state dict directly (every value is already an
-        independent copy) -- the pickle round-trip a wire link would pay
-        adds nothing in-process.
+        Ships the captured state dict directly (every value, the device
+        image included, is already an independent copy) -- the container
+        a wire link would pay adds nothing in-process.
         """
         from repro.cricket.checkpoint import (
             capture_server_state,

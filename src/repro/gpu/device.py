@@ -14,7 +14,6 @@ both modes.
 
 from __future__ import annotations
 
-import pickle
 from typing import Any, NamedTuple
 
 from repro.gpu.catalog import A100, GpuSpec
@@ -382,8 +381,8 @@ class GpuDevice:
         pages = self.allocator.clear_dirty() if clear else self.allocator.dirty_pages()
         return self.allocator.dirty_fragments(pages)
 
-    def snapshot(self) -> bytes:
-        """Serialize the device's mutable state (allocations + contents).
+    def snapshot(self) -> dict:
+        """The device's mutable state (allocations + contents), as plain data.
 
         This is Cricket's checkpoint primitive: enough state to re-create
         the GPU side of an application on another device of the same model.
@@ -419,11 +418,10 @@ class GpuDevice:
             payload["sites"] = {
                 addr: pair for addr, pair in sites.items() if pair != ("", "")
             }
-        return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        return payload
 
-    def restore(self, blob: bytes) -> None:
+    def restore(self, payload: dict) -> None:
         """Restore state produced by :meth:`snapshot` onto this device."""
-        payload = pickle.loads(blob)
         if payload["spec_name"] != self.spec.name:
             raise GpuError(
                 "checkpoint was taken on a different GPU model "

@@ -1,7 +1,6 @@
-"""Tests for the crash-consistent checkpoint store and blob validation."""
+"""Tests for the checkpoint container format and the crash-consistent store."""
 
 import os
-import pickle
 import random
 
 import pytest
@@ -14,25 +13,19 @@ from repro.cricket import (
     CricketClient,
     CricketServer,
     FileStorage,
-    load_checkpoint,
-    save_checkpoint,
 )
 from repro.cricket.checkpoint import (
     FORMAT_VERSION,
+    KIND_DELTA,
+    KIND_FULL,
     capture_server_state,
+    decode_container,
+    encode_container,
     restore_server,
     restore_server_state,
     snapshot_server,
-    validate_checkpoint_blob,
 )
-from repro.cricket.ckptstore import (
-    KIND_DELTA,
-    KIND_FULL,
-    MemoryStorage,
-    decode_container,
-    encode_container,
-    _generation_name,
-)
+from repro.cricket.ckptstore import MemoryStorage, _generation_name
 from repro.cricket.errors import CheckpointError
 from repro.cricket.replication import state_fingerprint
 from repro.gpu import A100, GpuDevice
@@ -113,33 +106,39 @@ class TestContainerFormat:
 
 
 class TestBlobValidation:
-    def test_empty_blob(self):
+    """A checkpoint blob is a container: bad input fails typed, before any load."""
+
+    def assert_refused(self, blob: bytes) -> None:
+        restored = small_server()
         with pytest.raises(CheckpointFormatError) as err:
-            validate_checkpoint_blob(b"")
-        assert err.value.offset == 0
+            restore_server(restored, blob)
+        assert 0 <= err.value.offset <= len(blob)
+        assert restored.device.allocator.used_bytes == 0  # nothing touched
+
+    def test_empty_blob(self):
+        self.assert_refused(b"")
 
     def test_garbage_magic(self):
-        with pytest.raises(CheckpointFormatError) as err:
-            validate_checkpoint_blob(b"not a checkpoint")
-        assert err.value.offset == 0
+        self.assert_refused(b"not a checkpoint")
 
-    def test_truncated_pickle_offset_is_length(self):
+    def test_truncated_blob_offset_near_length(self):
         server, _client, _ptr = populated_server()
         blob = snapshot_server(server)
         torn = blob[: len(blob) // 2]
         with pytest.raises(CheckpointFormatError) as err:
-            validate_checkpoint_blob(torn)
-        assert err.value.offset == len(torn)
+            restore_server(small_server(), torn)
+        # the torn tail is located at the end of what remains
+        assert len(torn) - 8 <= err.value.offset <= len(torn)
 
     def test_restore_server_rejects_torn_blob_typed(self):
         server, _client, _ptr = populated_server()
-        blob = snapshot_server(server)
-        with pytest.raises(CheckpointFormatError):
-            restore_server(small_server(), blob[:-10])
+        self.assert_refused(snapshot_server(server)[:-10])
 
     def test_valid_blob_passes(self):
         server, _client, _ptr = populated_server()
-        validate_checkpoint_blob(snapshot_server(server))
+        restored = small_server()
+        restore_server(restored, snapshot_server(server))
+        assert state_fingerprint(restored) == state_fingerprint(server)
 
 
 class TestBlobVersions:
@@ -151,19 +150,6 @@ class TestBlobVersions:
         restore_server_state(restored, state)
         assert state_fingerprint(restored) == state_fingerprint(server)
 
-    def test_v1_blob_still_restores(self):
-        server, _client, ptr = populated_server()
-        state = capture_server_state(server)
-        # a version-1 blob predates the reply cache and session table
-        state["version"] = 1
-        state.pop("reply_cache", None)
-        state.pop("sessions", None)
-        blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-        restored = small_server()
-        restore_server(restored, blob)
-        client = CricketClient.loopback(restored)
-        assert client.memcpy_d2h(ptr, 4096) == b"\x42" * 4096
-
     def test_unknown_version_rejected(self):
         server, _client, _ptr = populated_server()
         state = capture_server_state(server)
@@ -174,17 +160,18 @@ class TestBlobVersions:
 
 
 class TestAtomicSave:
+    """``FileStorage.write_atomic``: the one path a checkpoint file takes."""
+
     def test_no_temp_files_left_behind(self, tmp_path):
         server, _client, _ptr = populated_server()
-        path = str(tmp_path / "cricket.ckpt")
-        save_checkpoint(server, path)
+        FileStorage(str(tmp_path)).write_atomic("cricket.ckpt", snapshot_server(server))
         assert sorted(os.listdir(tmp_path)) == ["cricket.ckpt"]
 
     def test_failed_replace_preserves_old_checkpoint(self, tmp_path, monkeypatch):
         server, client, ptr = populated_server()
-        path = str(tmp_path / "cricket.ckpt")
-        save_checkpoint(server, path)
-        good = open(path, "rb").read()
+        storage = FileStorage(str(tmp_path))
+        storage.write_atomic("cricket.ckpt", snapshot_server(server))
+        good = storage.read("cricket.ckpt")
         client.memcpy_h2d(ptr, b"\x99" * 4096)
 
         def exploding_replace(src, dst):
@@ -192,13 +179,13 @@ class TestAtomicSave:
 
         monkeypatch.setattr(os, "replace", exploding_replace)
         with pytest.raises(OSError):
-            save_checkpoint(server, path)
+            storage.write_atomic("cricket.ckpt", snapshot_server(server))
         monkeypatch.undo()
         # the old checkpoint is untouched and no temp files linger
-        assert open(path, "rb").read() == good
+        assert storage.read("cricket.ckpt") == good
         assert sorted(os.listdir(tmp_path)) == ["cricket.ckpt"]
         restored = small_server()
-        load_checkpoint(restored, path)
+        restore_server(restored, storage.read("cricket.ckpt"))
         client2 = CricketClient.loopback(restored)
         assert client2.memcpy_d2h(ptr, 4096) == b"\x42" * 4096
 
@@ -271,6 +258,32 @@ class TestCheckpointStore:
         assert recovery.restore_latest(restored) == g1
         assert state_fingerprint(restored) == fingerprint
         assert restored.server_stats.checkpoint_fallbacks == 1
+
+    @pytest.mark.parametrize(
+        "where", ["below-every-allocation", "overruns-its-allocation"]
+    )
+    def test_stray_delta_fragment_is_refused(self, tmp_path, monkeypatch, where):
+        server, client, ptr = populated_server()
+        store = CheckpointStore(str(tmp_path))
+        g1 = store.save_full(server)
+        fingerprint = state_fingerprint(server)
+        client.memset(ptr, 0x33, 64)
+        stray_addr = ptr - 4096 if where == "below-every-allocation" else ptr + 256 * 1024 - 8
+        allocator = server.device.allocator
+        real = allocator.dirty_fragments
+        monkeypatch.setattr(
+            allocator,
+            "dirty_fragments",
+            lambda pages: real(pages) + [(stray_addr, b"\x01" * 16)],
+        )
+        g2 = store.save_delta(server)
+        recovery = CheckpointStore(str(tmp_path))
+        with pytest.raises(CheckpointError, match="fragment"):
+            recovery.load_state(g2)
+        assert recovery.load_state()[0] == g1
+        restored = small_server()
+        assert recovery.restore_latest(restored) == g1
+        assert state_fingerprint(restored) == fingerprint
 
     def test_all_generations_corrupt_raises(self, tmp_path):
         server, _client, _ptr = populated_server()

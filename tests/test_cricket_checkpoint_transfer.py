@@ -5,12 +5,11 @@ import pytest
 
 from repro.cricket import (
     CricketClient,
+    CheckpointStore,
     CricketServer,
     TransferMethod,
     TransferTimingModel,
-    load_checkpoint,
     make_ha_pair,
-    save_checkpoint,
     supported_on,
 )
 from repro.cubin import build_cubin_for_registry
@@ -83,12 +82,10 @@ class TestCheckpointRestart:
         client = CricketClient.loopback(server)
         ptr = client.malloc(1024)
         client.memcpy_h2d(ptr, b"\x42" * 1024)
-        path = str(tmp_path / "cricket.ckpt")
-        size = save_checkpoint(server, path)
-        assert size > 0
+        generation = CheckpointStore(directory=str(tmp_path)).save_full(server)
 
         server2 = small_server()
-        load_checkpoint(server2, path)
+        assert CheckpointStore(directory=str(tmp_path)).restore_latest(server2) == generation
         client2 = CricketClient.loopback(server2)
         assert client2.memcpy_d2h(ptr, 1024) == b"\x42" * 1024
 

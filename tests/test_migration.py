@@ -239,6 +239,22 @@ class TestLiveMigration:
         assert replay == original  # cached, byte-identical
         assert used_after == used_before  # no re-execution
 
+    def test_allocation_freed_after_shipping_is_dropped(self):
+        source, client, ptrs = populated(allocs=3)
+        target = MigrationTarget(small_server())
+        channel = LoopbackMigrationChannel(target)
+        mig = MigrationSource(source)
+        mig.start(channel)  # round 0 ships every allocation's pages
+        assert any(addr == ptrs[1] for addr, _data in target.fragments)
+        client.free(ptrs[1])  # freed after its pages were shipped
+        mig.stop_and_copy(channel)
+        target.finalize()
+        mig.cutover()
+        live = [a.addr for a in target.server.device.allocator.live_allocations()]
+        assert ptrs[1] not in live
+        assert live == [ptrs[0], ptrs[2]]
+        assert state_fingerprint(target.server) == state_fingerprint(source)
+
     def test_abort_sends_abort_chunk_and_resumes_serving(self):
         source, client, _ptrs = populated(allocs=1)
         target = MigrationTarget(small_server())

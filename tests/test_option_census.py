@@ -13,6 +13,7 @@ and profiles speak.
 from __future__ import annotations
 
 import ast
+from functools import cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -94,7 +95,9 @@ class _Sites(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def unselected() -> list[str]:
+@cache
+def unselected() -> tuple[str, ...]:
+    """Every covered option no site selects (parses the tree once per run)."""
     table = {}
     for module, names in COVERED.items():
         for node in ast.parse((ROOT / "src" / "repro" / module).read_text()).body:
@@ -107,12 +110,12 @@ def unselected() -> list[str]:
     for root in ("src", "bench", "examples"):
         for path in sorted((ROOT / root).rglob("*.py")):
             sites.visit(ast.parse(path.read_text()))
-    return [
+    return tuple(
         f"{name}.{option}"
         for name, (_, options) in table.items()
         for option in options
         if option not in sites.names
-    ]
+    )
 
 
 def test_every_option_is_selected_outside_the_tests():

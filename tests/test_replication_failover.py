@@ -9,8 +9,6 @@ checkpoints, and a property test that op-log replay reproduces exactly
 the state a full checkpoint carries.
 """
 
-import pickle
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -90,8 +88,8 @@ class TestStickyDeviceFaults:
         ptr = device.alloc(256)
         device.memcpy_h2d(ptr, b"\x11" * 256)
         device.inject_fault("ecc")
-        blob = device.snapshot()  # must not raise
-        assert pickle.loads(blob)["allocations"]
+        image = device.snapshot()  # must not raise
+        assert image["allocations"]
 
 
 class TestDeviceFailover:
@@ -437,17 +435,6 @@ class TestReplyCacheSurvivesRestore:
             replacement.server_stats.reply_cache_bytes
             == server.server_stats.reply_cache_bytes
         )
-
-    def test_version1_blob_still_restores(self):
-        server = CricketServer(clock=SimClock())
-        client = CricketClient.loopback(server)
-        client.malloc(4096)
-        state = pickle.loads(snapshot_server(server))
-        state["version"] = 1
-        del state["reply_cache"]
-        replacement = CricketServer(clock=SimClock())
-        restore_server(replacement, pickle.dumps(state))
-        assert replacement.device.allocator.used_bytes == 4096
 
     def test_retransmit_across_drain_restore_not_reexecuted(self):
         server = CricketServer(clock=SimClock(), lease_s=30.0)

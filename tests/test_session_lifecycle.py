@@ -476,17 +476,3 @@ class TestCheckpointCarriesSessions:
         # session is immediately healthy rather than instantly orphaned.
         session = replacement.sessions.lookup(identity)
         assert session.state == "active"
-
-    def test_pre_session_checkpoints_still_restore(self):
-        import pickle
-
-        server = make_server()
-        client = CricketClient.loopback(server)
-        client.malloc(4096)
-        blob = client.checkpoint()
-        state = pickle.loads(blob)
-        state.pop("sessions")  # a blob from before session tracking
-        old_blob = pickle.dumps(state)
-        replacement = make_server()
-        client.recover(old_blob, server=replacement)
-        assert client.get_device_count() >= 1

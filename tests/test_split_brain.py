@@ -12,8 +12,12 @@ mutation-accepting server per epoch, and a provably fenced ex-primary.
 import pytest
 
 from repro.cricket import CricketClient, CricketServer
-from repro.cricket.ckptstore import CheckpointStore, decode_container
-from repro.cricket.checkpoint import capture_server_state, restore_server_state
+from repro.cricket.ckptstore import CheckpointStore
+from repro.cricket.checkpoint import (
+    capture_server_state,
+    decode_container,
+    restore_server_state,
+)
 from repro.cricket.replication import (
     ReplicationLink,
     make_ha_pair,
@@ -43,19 +47,12 @@ from repro.resilience.simulation import PARTITION_SHAPES, SimulationPlan
 MB = 1 << 20
 
 
-def fenced_pair(lease_s=None, **kwargs):
-    """A fenced HA pair sharing ONE clock (as real deployments share time).
-
-    ``lease_s`` shortens the witness's lease; the primary's epoch-1 lease
-    is then renewed on it.
-    """
+def fenced_pair():
+    """A fenced HA pair sharing ONE clock (as real deployments share time)."""
     clock = SimClock()
-    primary = CricketServer(clock=clock, **kwargs)
-    standby = CricketServer(clock=clock, **kwargs)
+    primary = CricketServer(clock=clock)
+    standby = CricketServer(clock=clock)
     link, endpoints = make_ha_pair(primary, standby)
-    if lease_s is not None:
-        link.witness.lease_s = lease_s
-        link.primary_fence.lead()
     return clock, primary, standby, link, endpoints
 
 
@@ -444,11 +441,15 @@ class TestEpochFencedReplication:
         assert not standby.fencing.is_leader
 
     def test_witness_gated_promotion_after_lease_lapse(self):
-        clock, primary, standby, link, _eps = fenced_pair(lease_s=0.1)
+        clock, primary, standby, link, _eps = fenced_pair()
         fence = link.standby_fence
+        lease = link.witness.lease
+        # the pair runs on the witness's default lease
+        assert lease.duration_s == Witness(SimClock()).lease_s
+        clock.advance_to_ns(lease.expires_ns - 1)
         promote_with_witness(link, fence)
-        assert not fence.is_leader  # refused: primary's lease is live
-        clock.advance_s(0.5)
+        assert not fence.is_leader  # refused: primary's lease is still live
+        clock.advance_ns(1)
         promote_with_witness(link, fence)
         assert fence.is_leader and fence.epoch == 2
         assert standby.server_stats.standby_promotions == 1
@@ -521,7 +522,7 @@ class TestClientEpochAwareness:
         # primary goes dark; the retransmit lands on the epoch-2 standby
         # and must be answered from the replicated reply cache -- exactly
         # once, never re-executed.
-        clock, primary, standby, _link, endpoints = fenced_pair(lease_s=0.1)
+        clock, primary, standby, _link, endpoints = fenced_pair()
         client = CricketClient.failover(
             endpoints,
             clock=clock,
@@ -542,7 +543,7 @@ class TestClientEpochAwareness:
         assert client.active_endpoint_name == "standby"
 
     def test_client_refuses_rotation_back_to_stale_primary(self):
-        clock, primary, standby, link, endpoints = fenced_pair(lease_s=0.1)
+        clock, primary, standby, link, endpoints = fenced_pair()
         client = CricketClient.failover(
             endpoints,
             clock=clock,
@@ -567,7 +568,7 @@ class TestClientEpochAwareness:
         # refuses every call, hinting at the dead standby.  One retry is
         # one dial of the dead hint and one unprobed reconnect to the
         # refuser, which answered a moment ago.
-        clock, primary, standby, link, (first, second) = fenced_pair(lease_s=0.1)
+        clock, primary, standby, link, (first, second) = fenced_pair()
         dials = {"primary": 0, "standby": 0}
 
         class Counted:

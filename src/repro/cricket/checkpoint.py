@@ -50,8 +50,7 @@ from repro.cubin.loader import CubinImage
 from repro.cubin.metadata import decode_metadata, encode_metadata
 from repro.cuda.driver import LoadedModule
 from repro.gpu.stream import Event, Stream
-from repro.oncrpc.errors import RpcIntegrityError
-from repro.oncrpc.record import CRC_TRAILER_BYTES, verify_crc
+from repro.oncrpc.record import CRC_TRAILER_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cricket.server import CricketServer
@@ -98,7 +97,9 @@ class Container:
     kind: int
     generation: int
     base_generation: int
-    sections: dict[str, bytes] = field(repr=False)
+    #: section payloads: read-only views of the decoded blob (copy what
+    #: is kept past the blob)
+    sections: dict[str, memoryview] = field(repr=False)
     manifest: dict
 
     @property
@@ -162,7 +163,9 @@ def decode_container(blob: bytes) -> Container:
 
     Every structural failure carries the byte offset of the first bad
     structure, so a torn tail (offset near ``len(blob)``) is
-    distinguishable from a flipped bit mid-file.
+    distinguishable from a flipped bit mid-file.  Each byte is checked
+    once: the whole-file CRC covers every section, so a section's own
+    trailer is not checked again, and its payload is not copied.
     """
     if len(blob) < _HEADER.size:
         raise CheckpointFormatError(
@@ -188,11 +191,11 @@ def decode_container(blob: bytes) -> Container:
         raise CheckpointFormatError(
             f"bad trailer magic {t_magic!r} (torn write?)", offset=trailer_at
         )
-    view = memoryview(blob)
+    view = memoryview(blob).toreadonly()
     if zlib.crc32(view[:trailer_at]) & 0xFFFFFFFF != t_crc:
         raise CheckpointFormatError("file CRC mismatch", offset=trailer_at + 4)
     pos = _HEADER.size
-    sections: dict[str, bytes] = {}
+    sections: dict[str, memoryview] = {}
     for _ in range(n_sections):
         if pos + _NAME_LEN.size > trailer_at:
             raise CheckpointFormatError("section table truncated", offset=pos)
@@ -208,12 +211,10 @@ def decode_container(blob: bytes) -> Container:
             raise CheckpointFormatError(
                 f"section {name!r} payload truncated", offset=pos
             )
-        try:
-            sections[name] = bytes(verify_crc(view[pos : pos + payload_len]))
-        except RpcIntegrityError as exc:
-            raise CheckpointFormatError(
-                f"section {name!r} CRC mismatch: {exc}", offset=pos
-            ) from exc
+        if payload_len < CRC_TRAILER_BYTES:
+            raise CheckpointFormatError(f"section {name!r} has no CRC trailer", offset=pos)
+        # The file CRC covered every byte of it, its own trailer included.
+        sections[name] = view[pos : pos + payload_len - CRC_TRAILER_BYTES]
         pos += payload_len
     if pos != trailer_at:
         raise CheckpointFormatError(
@@ -222,7 +223,7 @@ def decode_container(blob: bytes) -> Container:
     if "manifest" not in sections:
         raise CheckpointFormatError("container has no manifest section", offset=_HEADER.size)
     try:
-        manifest = json.loads(sections["manifest"])
+        manifest = json.loads(bytes(sections["manifest"]))
     except ValueError as exc:
         raise CheckpointFormatError(
             f"manifest is not valid JSON: {exc}", offset=_HEADER.size

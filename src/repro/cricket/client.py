@@ -26,7 +26,7 @@ from typing import Any, Callable, Iterator
 
 from repro.cricket import params as kparams
 from repro.cricket.errors import CheckpointError
-from repro.cricket.spec import cricket_interface
+from repro.cricket.spec import PROCEDURES, client_method, cricket_interface, result_fields
 from repro.cubin.metadata import KernelMeta
 from repro.cuda.errors import CudaError
 from repro.net.link import LinkModel
@@ -53,6 +53,53 @@ from repro.xdr import INT
 def _dim3(v: tuple[int, int, int]) -> dict[str, int]:
     # Shared between launches of the same geometry: the encoder only reads it.
     return {"x": int(v[0]), "y": int(v[1]), "z": int(v[2])}
+
+
+_FORWARDER = """\
+def {method}({params}):
+    res = self.stub.{name}({args})
+    if {err}:
+        raise CudaError({err}, f{call!r})
+    return {result}
+"""
+
+
+def _forwarder(name: str):
+    """The client method :data:`~repro.cricket.spec.PROCEDURES` describes
+    for procedure ``name``: the stub call, one ``err`` check raising
+    :class:`CudaError` with the CUDA call's name, and the result struct's
+    remaining field (or fields, as a tuple)."""
+    proc = PROCEDURES[name]
+    method, _, params = proc.client.removesuffix(")").partition("(")
+    fields = result_fields(name)
+    names = [p.split("=")[0].strip(" *") for p in params.split(",")]
+    source = _FORWARDER.format(
+        method=method,
+        params=", ".join(["self", params]) if params else "self",
+        name=name,
+        args=", ".join(filter(None, names)),
+        err='res["err"]' if fields else "res",
+        call=proc.call or name.removeprefix("rpc_"),
+        result=", ".join(f'res["{f}"]' for f in fields[1:]) if fields else "None",
+    )
+    namespace = {"CudaError": CudaError}
+    exec(compile(source, f"<{name} forwarder>", "exec"), namespace)
+    fn = namespace[method]
+    fn.__module__ = __name__
+    fn.__qualname__ = f"CricketClient.{method}"
+    returns = f"; returns its {', '.join(fields[1:])}" if fields else ""
+    fn.__doc__ = f"Forward ``{name}``: raises :class:`CudaError` on failure{returns}."
+    fn.source = source
+    return fn
+
+
+def _table_methods(cls):
+    """Give ``cls`` the table's forwarder for every procedure whose client
+    method it does not write itself."""
+    for name, proc in PROCEDURES.items():
+        if client_method(proc) not in vars(cls):
+            setattr(cls, client_method(proc), _forwarder(name))
+    return cls
 
 
 class CancelScope:
@@ -82,8 +129,19 @@ class CancelScope:
         return hits
 
 
+@_table_methods
 class CricketClient:
-    """CUDA-over-RPC client used by applications and the harness."""
+    """CUDA-over-RPC client used by applications and the harness.
+
+    Each procedure of :data:`~repro.cricket.spec.PROCEDURES` has one public
+    method here.  The plain forwarders (``malloc``, ``memcpy_h2d``,
+    ``stream_create``, ``cublas_sgemm(**kwargs)``, ...) are built from the
+    table and ``cricket.x`` (:func:`_forwarder`); the class body writes only
+    the methods with real logic.  A bulk argument (``memcpy_h2d``'s
+    ``data``, any C-contiguous buffer) is not copied: the request record
+    references it and the socket gathers it from where it lives, so it
+    must not change until the call returns.
+    """
 
     def __init__(
         self,
@@ -471,37 +529,7 @@ class CricketClient:
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-    # -- runtime API ------------------------------------------------------------
-
-    def get_device_count(self) -> int:
-        """Forward ``cudaGetDeviceCount`` over RPC."""
-        res = self.stub.rpc_cudaGetDeviceCount()
-        self._check(res["err"], "cudaGetDeviceCount")
-        return res["value"]
-
-    def set_device(self, ordinal: int) -> None:
-        """Forward ``cudaSetDevice`` over RPC."""
-        self._check(self.stub.rpc_cudaSetDevice(ordinal), "cudaSetDevice")
-
-    def get_device(self) -> int:
-        """Forward ``cudaGetDevice`` over RPC."""
-        res = self.stub.rpc_cudaGetDevice()
-        self._check(res["err"], "cudaGetDevice")
-        return res["value"]
-
-    def device_synchronize(self) -> None:
-        """Forward ``cudaDeviceSynchronize`` over RPC."""
-        self._check(self.stub.rpc_cudaDeviceSynchronize(), "cudaDeviceSynchronize")
-
-    def device_reset(self) -> None:
-        """Forward ``cudaDeviceReset`` over RPC."""
-        self._check(self.stub.rpc_cudaDeviceReset(), "cudaDeviceReset")
-
-    def get_device_properties(self, ordinal: int) -> dict[str, Any]:
-        """Forward ``cudaGetDeviceProperties`` over RPC."""
-        res = self.stub.rpc_cudaGetDeviceProperties(ordinal)
-        self._check(res["err"], "cudaGetDeviceProperties")
-        return res["prop"]
+    # -- runtime and driver API: what the table does not build ------------------
 
     def get_last_error(self) -> int:
         """Fetch and clear the device-side sticky error (cudaGetLastError).
@@ -514,25 +542,6 @@ class CricketClient:
     def peek_last_error(self) -> int:
         """Read the sticky error without clearing it."""
         return self.stub.rpc_cudaPeekAtLastError()
-
-    def malloc(self, size: int) -> int:
-        """Forward ``cudaMalloc`` over RPC; returns the device pointer."""
-        res = self.stub.rpc_cudaMalloc(size)
-        self._check(res["err"], f"cudaMalloc({size})")
-        return res["ptr"]
-
-    def free(self, ptr: int) -> None:
-        """Forward ``cudaFree`` over RPC."""
-        self._check(self.stub.rpc_cudaFree(ptr), "cudaFree")
-
-    def memcpy_h2d(self, dst: int, data: bytes) -> None:
-        """Forward a host-to-device ``cudaMemcpy`` (payload in the message).
-
-        ``data`` is any C-contiguous buffer.  A bulk one is not copied: the
-        request record references it and the socket gathers it from where
-        it lives, so it must not change until the call returns.
-        """
-        self._check(self.stub.rpc_cudaMemcpyH2D(dst, data), "cudaMemcpy H2D")
 
     def memcpy_d2h(self, src: int, size: int) -> bytes:
         """Forward a device-to-host ``cudaMemcpy``; returns the payload.
@@ -548,87 +557,16 @@ class CricketClient:
         self._check(res["err"], "cudaMemcpy D2H")
         return bytes(res["data"])
 
-    def memcpy_d2d(self, dst: int, src: int, size: int) -> None:
-        """Forward a device-to-device ``cudaMemcpy``."""
-        self._check(self.stub.rpc_cudaMemcpyD2D(dst, src, size), "cudaMemcpy D2D")
-
-    def memcpy_h2d_async(self, dst: int, data: bytes, stream: int) -> None:
-        """Stream-ordered upload (cudaMemcpyAsync semantics)."""
-        self._check(
-            self.stub.rpc_cudaMemcpyH2DAsync(dst, data, stream),
-            "cudaMemcpyAsync H2D",
-        )
-
     def memcpy_d2h_async(self, src: int, size: int, stream: int) -> bytes:
         """Stream-ordered download into (modelled) pinned host memory."""
         res = self.stub.call_landing("rpc_cudaMemcpyD2HAsync", size, src, size, stream)
         self._check(res["err"], "cudaMemcpyAsync D2H")
         return bytes(res["data"])
 
-    def memset(self, ptr: int, value: int, size: int) -> None:
-        """Forward ``cudaMemset`` over RPC."""
-        self._check(self.stub.rpc_cudaMemset(ptr, value, size), "cudaMemset")
-
-    def stream_create(self) -> int:
-        """Forward ``cudaStreamCreate``; returns the stream handle."""
-        res = self.stub.rpc_cudaStreamCreate()
-        self._check(res["err"], "cudaStreamCreate")
-        return res["value"]
-
-    def stream_destroy(self, handle: int) -> None:
-        """Forward ``cudaStreamDestroy``."""
-        self._check(self.stub.rpc_cudaStreamDestroy(handle), "cudaStreamDestroy")
-
-    def stream_synchronize(self, handle: int) -> None:
-        """Forward ``cudaStreamSynchronize``."""
-        self._check(self.stub.rpc_cudaStreamSynchronize(handle), "cudaStreamSynchronize")
-
-    def event_create(self) -> int:
-        """Forward ``cudaEventCreate``; returns the event handle."""
-        res = self.stub.rpc_cudaEventCreate()
-        self._check(res["err"], "cudaEventCreate")
-        return res["value"]
-
-    def event_destroy(self, handle: int) -> None:
-        """Forward ``cudaEventDestroy``."""
-        self._check(self.stub.rpc_cudaEventDestroy(handle), "cudaEventDestroy")
-
-    def event_record(self, event: int, stream: int = 0) -> None:
-        """Forward ``cudaEventRecord``."""
-        self._check(self.stub.rpc_cudaEventRecord(event, stream), "cudaEventRecord")
-
-    def event_synchronize(self, event: int) -> None:
-        """Forward ``cudaEventSynchronize``."""
-        self._check(self.stub.rpc_cudaEventSynchronize(event), "cudaEventSynchronize")
-
-    def stream_wait_event(self, stream: int, event: int) -> None:
-        """Order a stream behind a recorded event (cudaStreamWaitEvent)."""
-        self._check(
-            self.stub.rpc_cudaStreamWaitEvent(stream, event), "cudaStreamWaitEvent"
-        )
-
-    def event_elapsed_ms(self, start: int, stop: int) -> float:
-        """Forward ``cudaEventElapsedTime``; returns milliseconds."""
-        res = self.stub.rpc_cudaEventElapsedTime(start, stop)
-        self._check(res["err"], "cudaEventElapsedTime")
-        return res["value"]
-
-    # -- driver API ------------------------------------------------------------
-
-    def module_load(self, image: bytes) -> int:
-        """Ship a cubin to the server and load it (cuModuleLoadData)."""
-        res = self.stub.rpc_cuModuleLoadData(image)
-        self._check(res["err"], "cuModuleLoadData")
-        return res["value"]
-
     def module_load_file(self, path: str) -> int:
         """Read a cubin file and load it -- the paper's client-side flow."""
         with open(path, "rb") as fh:
             return self.module_load(fh.read())
-
-    def module_unload(self, module: int) -> None:
-        """Forward ``cuModuleUnload``."""
-        self._check(self.stub.rpc_cuModuleUnload(module), "cuModuleUnload")
 
     def get_function(self, module: int, name: str, meta: KernelMeta) -> int:
         """Resolve a kernel entry point; remembers its parameter layout."""
@@ -637,12 +575,6 @@ class CricketClient:
         handle = res["value"]
         self._function_meta[handle] = meta
         return handle
-
-    def get_global(self, module: int, name: str) -> tuple[int, int]:
-        """Forward ``cuModuleGetGlobal``; returns (pointer, size)."""
-        res = self.stub.rpc_cuModuleGetGlobal(module, name)
-        self._check(res["err"], f"cuModuleGetGlobal({name})")
-        return res["ptr"], res["size"]
 
     def launch_kernel(
         self,
@@ -730,70 +662,6 @@ class CricketClient:
             if err != 0:
                 self._drained_error = err
                 return
-
-    # -- cuBLAS / cuSOLVER ----------------------------------------------------
-
-    def cublas_create(self) -> int:
-        """Forward ``cublasCreate``; returns the handle."""
-        res = self.stub.rpc_cublasCreate()
-        self._check(res["err"], "cublasCreate")
-        return res["value"]
-
-    def cublas_destroy(self, handle: int) -> None:
-        """Forward ``cublasDestroy``."""
-        self._check(self.stub.rpc_cublasDestroy(handle), "cublasDestroy")
-
-    def cublas_sgemm(self, **kwargs: Any) -> None:
-        """Forward ``cublasSgemm`` (kwargs match rpc_gemm_args)."""
-        self._check(self.stub.rpc_cublasSgemm(kwargs), "cublasSgemm")
-
-    def cublas_dgemm(self, **kwargs: Any) -> None:
-        """Forward ``cublasDgemm`` (kwargs match rpc_gemm_args)."""
-        self._check(self.stub.rpc_cublasDgemm(kwargs), "cublasDgemm")
-
-    def cufft_plan1d(self, nx: int, fft_type: int, batch: int = 1) -> int:
-        """Create a 1-D FFT plan (cufftPlan1d)."""
-        res = self.stub.rpc_cufftPlan1d(nx, fft_type, batch)
-        self._check(res["err"], "cufftPlan1d")
-        return res["value"]
-
-    def cufft_destroy(self, plan: int) -> None:
-        """Forward ``cufftDestroy``."""
-        self._check(self.stub.rpc_cufftDestroy(plan), "cufftDestroy")
-
-    def cufft_exec_c2c(self, plan: int, idata: int, odata: int, direction: int) -> None:
-        """Forward ``cufftExecC2C``."""
-        self._check(
-            self.stub.rpc_cufftExecC2C(plan, idata, odata, direction), "cufftExecC2C"
-        )
-
-    def cufft_exec_r2c(self, plan: int, idata: int, odata: int) -> None:
-        """Forward ``cufftExecR2C``."""
-        self._check(self.stub.rpc_cufftExecR2C(plan, idata, odata), "cufftExecR2C")
-
-    def cusolver_create(self) -> int:
-        """Forward ``cusolverDnCreate``; returns the handle."""
-        res = self.stub.rpc_cusolverDnCreate()
-        self._check(res["err"], "cusolverDnCreate")
-        return res["value"]
-
-    def cusolver_destroy(self, handle: int) -> None:
-        """Forward ``cusolverDnDestroy``."""
-        self._check(self.stub.rpc_cusolverDnDestroy(handle), "cusolverDnDestroy")
-
-    def cusolver_getrf_buffer_size(self, handle: int, n: int, a_ptr: int, lda: int) -> int:
-        """Forward ``cusolverDnDgetrf_bufferSize``."""
-        res = self.stub.rpc_cusolverDnDgetrfBufferSize(handle, n, a_ptr, lda)
-        self._check(res["err"], "cusolverDnDgetrf_bufferSize")
-        return res["value"]
-
-    def cusolver_getrf(self, **kwargs: Any) -> None:
-        """Forward ``cusolverDnDgetrf`` (kwargs match rpc_dgetrf_args)."""
-        self._check(self.stub.rpc_cusolverDnDgetrf(kwargs), "cusolverDnDgetrf")
-
-    def cusolver_getrs(self, **kwargs: Any) -> None:
-        """Forward ``cusolverDnDgetrs`` (kwargs match rpc_dgetrs_args)."""
-        self._check(self.stub.rpc_cusolverDnDgetrs(kwargs), "cusolverDnDgetrs")
 
     # -- checkpoint / restart / recovery -----------------------------------------
 

@@ -28,7 +28,7 @@ import threading
 from repro.cricket import params as kparams
 from repro.cricket.recovery import RecoveryLadder
 from repro.cricket.sessions import LEASE_FOREVER, SessionManager
-from repro.cricket.spec import OVERLOAD_EXEMPT_PROCS, PROCEDURES, Procedure, cricket_interface
+from repro.cricket.spec import OVERLOAD_EXEMPT_PROCS, PROCEDURES, cricket_interface, result_fields
 from repro.cuda import constants as C
 from repro.cuda.errors import code_for_exception
 from repro.cuda.cublas import CublasContext
@@ -57,26 +57,51 @@ _OK_PROP = {
 }
 
 
-def _serialised(body, proc: Procedure | None = None):
-    """``body`` as a dispatched procedure: one call at a time, each charged.
+def _serialised(body, name: str | None = None):
+    """``body`` as dispatched procedure ``name``: one call at a time, each
+    charged, its ledger entry kept and its result struct built.
 
     The wrapper takes the dispatch lock and runs
     :meth:`CricketImplementation._charge_dispatch`, leaving the caller's
     ``ctx``, session and admission verdict in ``_ctx`` / ``_session`` /
-    ``_deny`` (and the procedure's table entry in ``_proc``) for the body,
-    which keeps only the executor call.
+    ``_deny`` for the body.  The body keeps only the executor call and
+    returns what the executor does: the CUDA error code, or ``(err,
+    value...)`` when the ``cricket.x`` result is a struct.  The wrapper
+    then does, from :data:`~repro.cricket.spec.PROCEDURES` and
+    ``cricket.x``, for every procedure:
+
+    * the ledger: a successful create records the result's handle in the
+      caller's ledger on the current device; a successful destroy forgets
+      its first argument in every session's ledger (so a later reclaim does
+      not free it twice);
+    * the result struct: the tuple's values under the struct's fields.
+
+    The raw body stays reachable as the wrapper's ``body``.
     """
+    proc = PROCEDURES.get(name)  # None for NULLPROC's heartbeat
+    fields = result_fields(name) if proc is not None else None
+    creates, destroys = getattr(proc, "creates", None), getattr(proc, "destroys", None)
+    if creates == "allocations":
+        # rpc_cudaMalloc records its own entry: it carries the size, and
+        # goes in after the call's cancel safe point
+        creates = None
 
     def procedure(self, *args, ctx=None):
         with self._lock:
             self._session, self._deny = self._charge_dispatch(ctx)
-            self._ctx, self._proc = ctx, proc
-            return body(self, *args)
+            self._ctx = ctx
+            result = body(self, *args)
+            if creates is not None and result[0] == 0:
+                self._record(creates, result[1])
+            elif destroys is not None and result == 0:
+                self.sessions.forget(destroys, int(args[0]))
+        return result if fields is None else dict(zip(fields, result))
 
     functools.update_wrapper(procedure, body)
     # stubgen hands ``ctx`` only to callables whose signature names it, and
     # inspect.signature would follow __wrapped__ to the body, which does not.
     del procedure.__wrapped__
+    procedure.body = body
     return procedure
 
 
@@ -85,7 +110,7 @@ def _serialise_procedures(cls):
     mark ``unlocked``."""
     for name, proc in PROCEDURES.items():
         if not proc.unlocked:
-            setattr(cls, name, _serialised(vars(cls)[name], proc))
+            setattr(cls, name, _serialised(vars(cls)[name], name))
     return cls
 
 
@@ -94,11 +119,11 @@ class CricketImplementation:
     """Procedure implementations for the Cricket program.
 
     Each ``rpc_*`` body is just the executor call: the lock, the dispatch
-    charge and the caller's session come from :func:`_serialised`.
-    Driver and library contexts follow the runtime's current device
-    (``self._server.driver`` and friends), so a client that calls
-    cudaSetDevice(1) loads modules onto / launches on that device (the
-    paper's GPU node hosts A100 + 2x T4 + P40).
+    charge, the caller's session, the ledger and the result struct come
+    from :func:`_serialised`.  Driver and library contexts follow the
+    runtime's current device (``self._server.driver`` and friends), so a
+    client that calls cudaSetDevice(1) loads modules onto / launches on
+    that device (the paper's GPU node hosts A100 + 2x T4 + P40).
     """
 
     def __init__(self, server: "CricketServer") -> None:
@@ -108,7 +133,7 @@ class CricketImplementation:
         self.sessions = server.sessions
         self._lock = threading.Lock()
         # the call in progress, set by _serialised under the lock
-        self._ctx = self._session = self._proc = None
+        self._ctx = self._session = None
         self._deny = 0
 
     def _charge_dispatch(self, ctx=None):
@@ -143,21 +168,12 @@ class CricketImplementation:
         """Index of the current device (where a resource is being created)."""
         return self.runtime._current
 
-    def _track(self, err, key, size=None) -> None:
-        """Record (create) or forget (destroy) this call's ledger entry.
-
-        The kind is the procedure table's; a failed call tracks nothing.
-        A destroy forgets the key in every session's ledger, so a later
-        reclaim does not double-free it.
-        """
-        if err != 0:
-            return
-        proc = self._proc
-        if proc.destroys:
-            self.sessions.forget(proc.destroys, int(key))
-        elif self._session is not None:
+    def _record(self, kind, key, size=None) -> None:
+        """Record a created resource in the caller's ledger, on the current
+        device (nothing for a call without a session)."""
+        if self._session is not None:
             ordinal = self._ordinal()
-            self._session.ledger.tables[proc.creates][int(key)] = (
+            self._session.ledger.tables[kind][int(key)] = (
                 ordinal if size is None else (ordinal, int(size))
             )
 
@@ -169,25 +185,18 @@ class CricketImplementation:
     # -- runtime: device management ---------------------------------------------
 
     def rpc_cudaGetDeviceCount(self):
-        """Cricket procedure ``rpc_cudaGetDeviceCount`` (forwards to the CUDA executor)."""
-        err, value = self.runtime.cudaGetDeviceCount()
-        return {"err": err, "value": value}
+        return self.runtime.cudaGetDeviceCount()
 
     def rpc_cudaSetDevice(self, ordinal):
-        """Cricket procedure ``rpc_cudaSetDevice`` (forwards to the CUDA executor)."""
         return self.runtime.cudaSetDevice(ordinal)
 
     def rpc_cudaGetDevice(self):
-        """Cricket procedure ``rpc_cudaGetDevice`` (forwards to the CUDA executor)."""
-        err, value = self.runtime.cudaGetDevice()
-        return {"err": err, "value": value}
+        return self.runtime.cudaGetDevice()
 
     def rpc_cudaDeviceSynchronize(self):
-        """Cricket procedure ``rpc_cudaDeviceSynchronize`` (forwards to the CUDA executor)."""
         return self.runtime.cudaDeviceSynchronize()
 
     def rpc_cudaDeviceReset(self):
-        """Cricket procedure ``rpc_cudaDeviceReset`` (forwards to the CUDA executor)."""
         ordinal = self._ordinal()
         err = self.runtime.cudaDeviceReset()
         if err == C.cudaSuccess:
@@ -196,45 +205,37 @@ class CricketImplementation:
         return err
 
     def rpc_cudaGetDeviceProperties(self, ordinal):
-        """Cricket procedure ``rpc_cudaGetDeviceProperties`` (forwards to the CUDA executor)."""
         err, props = self.runtime.cudaGetDeviceProperties(ordinal)
         if err != C.cudaSuccess or props is None:
-            return {"err": err, "prop": dict(_OK_PROP)}
-        return {
-            "err": err,
-            "prop": {
-                "name": props.name,
-                "total_global_mem": props.total_global_mem,
-                "multi_processor_count": props.multi_processor_count,
-                "clock_rate_khz": props.clock_rate_khz,
-            },
+            return err, dict(_OK_PROP)
+        return err, {
+            "name": props.name,
+            "total_global_mem": props.total_global_mem,
+            "multi_processor_count": props.multi_processor_count,
+            "clock_rate_khz": props.clock_rate_khz,
         }
 
     def rpc_cudaGetLastError(self):
-        """Cricket procedure ``rpc_cudaGetLastError`` (forwards to the CUDA executor)."""
         return self.runtime.cudaGetLastError()
 
     def rpc_cudaPeekAtLastError(self):
-        """Cricket procedure ``rpc_cudaPeekAtLastError`` (forwards to the CUDA executor)."""
         return self.runtime.cudaPeekAtLastError()
 
     # -- runtime: memory ------------------------------------------------------
 
     def rpc_cudaMalloc(self, size):
-        """Cricket procedure ``rpc_cudaMalloc`` (forwards to the CUDA executor).
-
-        Admission control and the per-client memory quota are enforced
+        """Admission control and the per-client memory quota are enforced
         here: a refused tenant sees a proper CUDA error on its own call
         instead of silently exhausting the device for everyone else.
         """
         if self._deny != 0:
-            return {"err": self._deny, "ptr": 0}
+            return self._deny, 0
         quota_err = self.sessions.check_quota(self._session, size)
         if quota_err != 0:
-            return {"err": quota_err, "ptr": 0}
+            return quota_err, 0
         err, ptr = self.runtime.cudaMalloc(size)
         if err != C.cudaSuccess:
-            return {"err": err, "ptr": ptr}
+            return err, ptr
         ctx = self._ctx
         if ctx is not None and ctx.cancel.requested:
             # Cooperative cancellation safe point: the allocation has
@@ -242,7 +243,7 @@ class CricketImplementation:
             # yet, so undoing it leaves no trace to reclaim later.
             self.runtime.cudaFree(ptr)
             raise CallCancelledError("rpc_cudaMalloc cancelled; allocation undone")
-        self._track(err, ptr, size)
+        self._record("allocations", ptr, size)
         # Allocation-site attribution for the sanitizer: every later
         # violation or leak involving this memory names the tenant and
         # the call that created it.
@@ -252,127 +253,84 @@ class CricketImplementation:
             owner=owner,
             site=f"cudaMalloc#{self.runtime.api_call_count}",
         )
-        return {"err": err, "ptr": ptr}
+        return err, ptr
 
     def rpc_cudaFree(self, ptr):
-        """Cricket procedure ``rpc_cudaFree`` (forwards to the CUDA executor)."""
-        err = self.runtime.cudaFree(ptr)
-        self._track(err, ptr)
-        return err
+        return self.runtime.cudaFree(ptr)
 
     def rpc_cudaMemcpyH2D(self, dst, data):
-        """Cricket procedure ``rpc_cudaMemcpyH2D`` (forwards to the CUDA executor)."""
-        err, _ = self.runtime.cudaMemcpy(dst, data, len(data), C.cudaMemcpyHostToDevice)
-        return err
+        return self.runtime.cudaMemcpy(dst, data, len(data), C.cudaMemcpyHostToDevice)[0]
 
     def rpc_cudaMemcpyD2H(self, src, size):
-        """Cricket procedure ``rpc_cudaMemcpyD2H`` (forwards to the CUDA executor).
-
-        The payload is a pinned span of device memory, not a copy: the
+        """The payload is a pinned span of device memory, not a copy: the
         reply references it and is sent from it, and the pin goes with the
         reply (see :class:`~repro.gpu.memory.PinnedSpan`).
         """
         err, span = self.runtime.memcpy_d2h_pinned(src, size)
-        return {"err": err, "data": span if span is not None else b""}
+        return err, span if span is not None else b""
 
     def rpc_cudaMemcpyD2D(self, dst, src, size):
-        """Cricket procedure ``rpc_cudaMemcpyD2D`` (forwards to the CUDA executor)."""
-        err, _ = self.runtime.cudaMemcpy(dst, src, size, C.cudaMemcpyDeviceToDevice)
-        return err
+        return self.runtime.cudaMemcpy(dst, src, size, C.cudaMemcpyDeviceToDevice)[0]
 
     def rpc_cudaMemcpyH2DAsync(self, dst, data, stream):
-        """Cricket procedure ``rpc_cudaMemcpyH2DAsync`` (forwards to the CUDA executor)."""
-        err, _ = self.runtime.cudaMemcpyAsync(
+        return self.runtime.cudaMemcpyAsync(
             dst, data, len(data), C.cudaMemcpyHostToDevice, stream
-        )
-        return err
+        )[0]
 
     def rpc_cudaMemcpyD2HAsync(self, src, size, stream):
-        """Cricket procedure ``rpc_cudaMemcpyD2HAsync``: as ``rpc_cudaMemcpyD2H``,
-        queued on ``stream``."""
+        """As ``rpc_cudaMemcpyD2H``, queued on ``stream``."""
         err, span = self.runtime.memcpy_d2h_pinned(src, size, stream)
-        return {"err": err, "data": span if span is not None else b""}
+        return err, span if span is not None else b""
 
     def rpc_cudaMemset(self, ptr, value, size):
-        """Cricket procedure ``rpc_cudaMemset`` (forwards to the CUDA executor)."""
         return self.runtime.cudaMemset(ptr, value, size)
 
     # -- runtime: streams and events ----------------------------------------------
 
     def rpc_cudaStreamCreate(self):
-        """Cricket procedure ``rpc_cudaStreamCreate`` (forwards to the CUDA executor)."""
-        err, handle = self.runtime.cudaStreamCreate()
-        self._track(err, handle)
-        return {"err": err, "value": handle}
+        return self.runtime.cudaStreamCreate()
 
     def rpc_cudaStreamDestroy(self, handle):
-        """Cricket procedure ``rpc_cudaStreamDestroy`` (forwards to the CUDA executor)."""
-        err = self.runtime.cudaStreamDestroy(handle)
-        self._track(err, handle)
-        return err
+        return self.runtime.cudaStreamDestroy(handle)
 
     def rpc_cudaStreamSynchronize(self, handle):
-        """Cricket procedure ``rpc_cudaStreamSynchronize`` (forwards to the CUDA executor)."""
         return self.runtime.cudaStreamSynchronize(handle)
 
     def rpc_cudaEventCreate(self):
-        """Cricket procedure ``rpc_cudaEventCreate`` (forwards to the CUDA executor)."""
-        err, handle = self.runtime.cudaEventCreate()
-        self._track(err, handle)
-        return {"err": err, "value": handle}
+        return self.runtime.cudaEventCreate()
 
     def rpc_cudaEventDestroy(self, handle):
-        """Cricket procedure ``rpc_cudaEventDestroy`` (forwards to the CUDA executor)."""
-        err = self.runtime.cudaEventDestroy(handle)
-        self._track(err, handle)
-        return err
+        return self.runtime.cudaEventDestroy(handle)
 
     def rpc_cudaEventRecord(self, event, stream):
-        """Cricket procedure ``rpc_cudaEventRecord`` (forwards to the CUDA executor)."""
         return self.runtime.cudaEventRecord(event, stream)
 
     def rpc_cudaEventSynchronize(self, event):
-        """Cricket procedure ``rpc_cudaEventSynchronize`` (forwards to the CUDA executor)."""
         return self.runtime.cudaEventSynchronize(event)
 
     def rpc_cudaStreamWaitEvent(self, stream, event):
-        """Cricket procedure ``rpc_cudaStreamWaitEvent`` (forwards to the CUDA executor)."""
         return self.runtime.cudaStreamWaitEvent(stream, event)
 
     def rpc_cudaEventElapsedTime(self, start, stop):
-        """Cricket procedure ``rpc_cudaEventElapsedTime`` (forwards to the CUDA executor)."""
-        err, ms = self.runtime.cudaEventElapsedTime(start, stop)
-        return {"err": err, "value": ms}
+        return self.runtime.cudaEventElapsedTime(start, stop)
 
     # -- driver: modules and launches ----------------------------------------------
 
     def rpc_cuModuleLoadData(self, image):
-        """Cricket procedure ``rpc_cuModuleLoadData`` (forwards to the CUDA executor)."""
         # The loaded module outlives the request record: detach it.
-        err, handle = self._server.driver.cuModuleLoadData(bytes(image))
-        self._track(err, handle)
-        return {"err": err, "value": handle}
+        return self._server.driver.cuModuleLoadData(bytes(image))
 
     def rpc_cuModuleUnload(self, handle):
-        """Cricket procedure ``rpc_cuModuleUnload`` (forwards to the CUDA executor)."""
-        err = self._server.driver.cuModuleUnload(handle)
-        self._track(err, handle)
-        return err
+        return self._server.driver.cuModuleUnload(handle)
 
     def rpc_cuModuleGetFunction(self, module, name):
-        """Cricket procedure ``rpc_cuModuleGetFunction`` (forwards to the CUDA executor)."""
-        err, handle = self._server.driver.cuModuleGetFunction(module, name)
-        return {"err": err, "value": handle}
+        return self._server.driver.cuModuleGetFunction(module, name)
 
     def rpc_cuModuleGetGlobal(self, module, name):
-        """Cricket procedure ``rpc_cuModuleGetGlobal`` (forwards to the CUDA executor)."""
-        err, ptr, size = self._server.driver.cuModuleGetGlobal(module, name)
-        return {"err": err, "ptr": ptr, "size": size}
+        return self._server.driver.cuModuleGetGlobal(module, name)
 
     def rpc_cuLaunchKernel(self, fhandle, grid, block, param_block, shared_mem, stream):
-        """Cricket procedure ``rpc_cuLaunchKernel`` (forwards to the CUDA executor).
-
-        The handle's :class:`~repro.cuda.driver.LaunchPlan` unpacks the
+        """The handle's :class:`~repro.cuda.driver.LaunchPlan` unpacks the
         parameter block; the driver launches what it resolved.
         """
         driver = self._server.driver
@@ -395,16 +353,10 @@ class CricketImplementation:
     # -- cuBLAS ------------------------------------------------------------
 
     def rpc_cublasCreate(self):
-        """Cricket procedure ``rpc_cublasCreate`` (forwards to the CUDA executor)."""
-        err, handle = self._server.blas.cublasCreate()
-        self._track(err, handle)
-        return {"err": err, "value": handle}
+        return self._server.blas.cublasCreate()
 
     def rpc_cublasDestroy(self, handle):
-        """Cricket procedure ``rpc_cublasDestroy`` (forwards to the CUDA executor)."""
-        err = self._server.blas.cublasDestroy(handle)
-        self._track(err, handle)
-        return err
+        return self._server.blas.cublasDestroy(handle)
 
     @staticmethod
     def _gemm(fn, a):
@@ -415,63 +367,43 @@ class CricketImplementation:
         )
 
     def rpc_cublasSgemm(self, args):
-        """Cricket procedure ``rpc_cublasSgemm`` (forwards to the CUDA executor)."""
         return self._gemm(self._server.blas.cublasSgemm, args)
 
     def rpc_cublasDgemm(self, args):
-        """Cricket procedure ``rpc_cublasDgemm`` (forwards to the CUDA executor)."""
         return self._gemm(self._server.blas.cublasDgemm, args)
 
     # -- cuFFT ------------------------------------------------------------
 
     def rpc_cufftPlan1d(self, nx, fft_type, batch):
-        """Cricket procedure ``rpc_cufftPlan1d`` (forwards to the CUDA executor)."""
-        err, handle = self._server.fft.cufftPlan1d(nx, fft_type, batch)
-        self._track(err, handle)
-        return {"err": err, "value": handle}
+        return self._server.fft.cufftPlan1d(nx, fft_type, batch)
 
     def rpc_cufftDestroy(self, handle):
-        """Cricket procedure ``rpc_cufftDestroy`` (forwards to the CUDA executor)."""
-        err = self._server.fft.cufftDestroy(handle)
-        self._track(err, handle)
-        return err
+        return self._server.fft.cufftDestroy(handle)
 
     def rpc_cufftExecC2C(self, handle, idata, odata, direction):
-        """Cricket procedure ``rpc_cufftExecC2C`` (forwards to the CUDA executor)."""
         return self._server.fft.cufftExecC2C(handle, idata, odata, direction)
 
     def rpc_cufftExecR2C(self, handle, idata, odata):
-        """Cricket procedure ``rpc_cufftExecR2C`` (forwards to the CUDA executor)."""
         return self._server.fft.cufftExecR2C(handle, idata, odata)
 
     # -- cuSOLVER ------------------------------------------------------------
 
     def rpc_cusolverDnCreate(self):
-        """Cricket procedure ``rpc_cusolverDnCreate`` (forwards to the CUDA executor)."""
-        err, handle = self._server.solver.cusolverDnCreate()
-        self._track(err, handle)
-        return {"err": err, "value": handle}
+        return self._server.solver.cusolverDnCreate()
 
     def rpc_cusolverDnDestroy(self, handle):
-        """Cricket procedure ``rpc_cusolverDnDestroy`` (forwards to the CUDA executor)."""
-        err = self._server.solver.cusolverDnDestroy(handle)
-        self._track(err, handle)
-        return err
+        return self._server.solver.cusolverDnDestroy(handle)
 
     def rpc_cusolverDnDgetrfBufferSize(self, handle, n, a_ptr, lda):
-        """Cricket procedure ``rpc_cusolverDnDgetrfBufferSize`` (forwards to the CUDA executor)."""
-        err, lwork = self._server.solver.cusolverDnDgetrf_bufferSize(handle, n, n, a_ptr, lda)
-        return {"err": err, "value": lwork}
+        return self._server.solver.cusolverDnDgetrf_bufferSize(handle, n, n, a_ptr, lda)
 
     def rpc_cusolverDnDgetrf(self, a):
-        """Cricket procedure ``rpc_cusolverDnDgetrf`` (forwards to the CUDA executor)."""
         return self._server.solver.cusolverDnDgetrf(
             a["handle"], a["n"], a["n"], a["a_ptr"], a["lda"],
             a["workspace"], a["ipiv"], a["info"],
         )
 
     def rpc_cusolverDnDgetrs(self, a):
-        """Cricket procedure ``rpc_cusolverDnDgetrs`` (forwards to the CUDA executor)."""
         return self._server.solver.cusolverDnDgetrs(
             a["handle"], a["trans"], a["n"], a["nrhs"], a["a_ptr"], a["lda"],
             a["ipiv"], a["b_ptr"], a["ldb"], a["info"],
@@ -480,18 +412,16 @@ class CricketImplementation:
     # -- checkpoint / restart ------------------------------------------------------
 
     def rpc_checkpoint(self):
-        """Cricket procedure ``rpc_checkpoint`` (forwards to the CUDA executor)."""
         from repro.cricket.checkpoint import snapshot_server
 
         try:
-            return {"err": 0, "data": snapshot_server(self._server)}
+            return 0, snapshot_server(self._server)
         except Exception as exc:
             # A canary failure at snapshot time surfaces as its typed
             # CUDA error (illegal address), not a generic unknown.
-            return {"err": code_for_exception(exc), "data": b""}
+            return code_for_exception(exc), b""
 
     def rpc_restore(self, blob):
-        """Cricket procedure ``rpc_restore`` (forwards to the CUDA executor)."""
         from repro.cricket.checkpoint import restore_server
 
         try:
@@ -504,31 +434,32 @@ class CricketImplementation:
     # -- session lifecycle -----------------------------------------------------
 
     def rpc_ping(self):
-        """Cricket procedure ``rpc_ping``: lease heartbeat.
+        """Lease heartbeat: the remaining lease in nanoseconds
+        (``LEASE_FOREVER`` when leases are disabled).
 
-        Returns the remaining lease in nanoseconds (``LEASE_FOREVER`` when
-        leases are disabled).  The heartbeat itself happens inside
-        ``_charge_dispatch`` -- like every other procedure -- so a client
-        that is busy with real calls never needs to ping; this procedure
-        exists for *idle* clients and for cheap liveness probes.
+        The heartbeat itself happens inside ``_charge_dispatch`` -- like
+        every other procedure -- so a client that is busy with real calls
+        never needs to ping; this procedure exists for *idle* clients and
+        for cheap liveness probes.
         """
         if self._deny != 0:
-            return {"err": self._deny, "value": 0}
+            return self._deny, 0
         if self._session is None:
-            return {"err": 0, "value": LEASE_FOREVER}
-        return {"err": 0, "value": self._session.lease_remaining_ns(self.clock.now_ns)}
+            return 0, LEASE_FOREVER
+        return 0, self._session.lease_remaining_ns(self.clock.now_ns)
 
     # -- overload control -------------------------------------------------------
 
     def rpc_cancel(self, xid, ctx=None):
-        """Cricket procedure ``rpc_cancel``: abort a queued/in-flight call.
+        """Abort a queued/in-flight call.
 
         The one ``unlocked`` procedure: it neither takes ``self._lock`` nor
         charges dispatch, because the call being cancelled may be executing
         right now *holding that lock*, and a cancel that queued behind its
         target would be useless (and, under overload admission, could
-        deadlock).  Cancellation is keyed on the caller's own identity, so
-        one tenant cannot cancel another's work.
+        deadlock).  So it builds its own result struct.  Cancellation is
+        keyed on the caller's own identity, so one tenant cannot cancel
+        another's work.
         """
         identity = ctx.identity if ctx is not None else ""
         ok = self._server.cancel_call(identity, int(xid))

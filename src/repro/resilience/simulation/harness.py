@@ -153,6 +153,11 @@ class SimulationPlan:
         )
 
 
+def _browned(server) -> bool:
+    """Whether ``server`` is in brownout (never, with the plane off)."""
+    return server.brownout is not None and server.brownout.active
+
+
 def profile_plan(name: str, seed: int = 0) -> SimulationPlan:
     """The plan of nemesis profile ``name`` at ``seed``."""
     profile = PROFILES.get(name, PROFILES[COMPOSED])  # the plan rejects unknowns
@@ -497,7 +502,7 @@ class _Cluster:
         if windowed:
             self._heal_later(float(event.params["duration_s"]), "fsync")
         _, server = self.leader()
-        self.watch(lambda: server.brownout.active, healed=not windowed)
+        self.watch(lambda: _browned(server), healed=not windowed)
 
     def _apply_bug_double_execute(self, event: NemesisEvent) -> None:
         """The injected bug: the leader's next ``count`` fresh executions
@@ -602,7 +607,7 @@ class _Cluster:
         elif (
             limp["healed"]
             and not browned_at_start
-            and not self.leader()[1].brownout.active
+            and not _browned(self.leader()[1])
         ):
             self.recovery.record(latency_ns)
 
@@ -1088,7 +1093,7 @@ def _run(
 
         def step(index, op_r, pick_r):
             started = clock.now_ns
-            browned = cluster.leader()[1].brownout.active
+            browned = _browned(cluster.leader()[1])
             inner(index, op_r, pick_r)
             if shape == "checkpointing":
                 do_checkpoint()

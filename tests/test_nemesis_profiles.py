@@ -347,6 +347,18 @@ def test_broken_guard_is_caught(monkeypatch, profile_run, row):
     assert set(result.violation_kinds()) == expected, result.violations
 
 
+@pytest.mark.parametrize("name", ["limplock_fsync", "brownout_shed_all"])
+def test_profile_runs_with_the_brownout_plane_off(monkeypatch, name):
+    # the harness reads the leader's brownout on every step; with the
+    # plane off the run still completes, and nothing detects the limp
+    profile = PROFILES[name]
+    monkeypatch.setitem(
+        PROFILES, name, replace(profile, server={**profile.server, "brownout": False})
+    )
+    result = run_profile(name, profile.seeds[0])
+    assert result.violation_kinds() == ("undetected-in-budget",)
+
+
 # -- a profile failure shrinks and replays like any other ----------------------
 
 

@@ -36,8 +36,8 @@ COVERED = {
 
 #: options that stay although only tests set them, and why
 ALLOWED = {
-    "CricketServer.max_sessions": "ROADMAP item 14: TenantLease takes it over",
-    "CricketServer.memory_quota_bytes": "ROADMAP item 14: TenantLease takes it over",
+    "CricketServer.max_sessions": "ROADMAP item 17: TenantLease takes it over",
+    "CricketServer.memory_quota_bytes": "ROADMAP item 17: TenantLease takes it over",
     "RpcServer.reply_cache_size": "ROADMAP item 4: per-identity reply windows",
     "RpcServer.reply_cache_bytes": "ROADMAP item 4: per-identity reply windows",
     "RpcServer.reply_cache_entry_bytes": "ROADMAP item 4: per-identity reply windows",

@@ -1,29 +1,39 @@
 """Contracts of the procedure table (``repro.cricket.spec.PROCEDURES``).
 
-The table says what ``cricket.x`` cannot: which procedures mutate, which
-skip the overload queue, which one runs outside the dispatch lock, and
-which ledger kind each create/destroy procedure touches.  These tests pin
-what the server does with it: the table and the interface agree, every
-dispatched call is charged exactly once, and each of the seven ledger
-kinds is recorded, forgotten, reclaimed and dropped on device reset.
+The table says what ``cricket.x`` cannot: each procedure's client method,
+which procedures mutate, which skip the overload queue, which one runs
+outside the dispatch lock, and which ledger kind each create/destroy
+procedure touches.  These tests pin what the client and server derive
+from it: the table, the interface, the client's methods and the server's
+procedures name the same set; every dispatched call is charged exactly
+once; each of the seven ledger kinds is recorded, forgotten, reclaimed and
+dropped on device reset; a built forwarder passes its arguments, returns
+its result fields and names its CUDA call.  And each fact the generic
+paths derive is caught by a named test when its table entry is corrupted.
 """
 
 import inspect
+from dataclasses import replace
 
 import pytest
 
 from repro.cricket import CricketClient, CricketServer
-from repro.cricket.server import CricketImplementation
+from repro.cricket.client import _forwarder
+from repro.cricket.server import CricketImplementation, _serialised
 from repro.cricket.spec import (
     LEDGER_KINDS,
     MUTATING_PROCS,
     OVERLOAD_EXEMPT_PROCS,
     PROCEDURES,
     _check_table,
+    client_method,
     cricket_interface,
+    result_fields,
 )
-from repro.cubin import build_cubin_for_registry
+from repro.cubin import GlobalMeta, KernelMeta, build_cubin, build_cubin_for_registry
+from repro.cuda import constants as C
 from repro.cuda.cufft import CUFFT_C2C
+from repro.cuda.errors import CudaError
 from repro.gpu.catalog import A100
 from repro.gpu.device import GpuDevice
 from repro.xdr import types as xt
@@ -219,3 +229,192 @@ def test_expiry_reclaims_all_seven_kinds():
         assert not KINDS[kind][2](server, 0, key), kind
     assert server._blas[0]._handles == server._solvers[0]._handles == set()
     assert server._ffts[0]._plans == server._drivers[0]._modules == {}
+
+
+# -- one description: the table, cricket.x, the client and the server ---------
+
+#: client methods with real logic around their one stub call, written by hand
+HAND_WRITTEN = {
+    "get_last_error", "peek_last_error", "memcpy_d2h", "memcpy_d2h_async", "get_function",
+    "launch_kernel", "checkpoint", "restore", "renew_lease", "cancel",
+}
+BUILT = sorted(n for n, p in PROCEDURES.items() if client_method(p) not in HAND_WRITTEN)
+
+
+def shape(fn):
+    """Parameters as a caller sees them: names, kinds and defaults."""
+    return [(p.name, p.kind, p.default) for p in inspect.signature(fn).parameters.values()]
+
+
+class TestOneDescription:
+    def test_every_procedure_has_its_public_client_method(self):
+        public = {
+            n for n, v in vars(CricketClient).items()
+            if not n.startswith("_") and inspect.isfunction(v)
+        }
+        assert {client_method(p) for p in PROCEDURES.values()} <= public
+
+    def test_the_table_builds_every_plain_forwarder_and_nothing_else(self):
+        built = {n for n, v in vars(CricketClient).items() if hasattr(v, "source")}
+        assert built == {client_method(PROCEDURES[n]) for n in BUILT}
+        assert len(built) == 37
+
+    @pytest.mark.parametrize(
+        "name", sorted(set(PROCEDURES) - set(BUILT)), ids=lambda n: n.removeprefix("rpc_")
+    )
+    def test_a_hand_written_method_has_its_table_signature(self, name):
+        written = vars(CricketClient)[client_method(PROCEDURES[name])]
+        assert shape(written) == shape(_forwarder(name))
+
+    def test_every_procedure_is_implemented_once(self):
+        implemented = {n for n in vars(CricketImplementation) if n.startswith("rpc_")}
+        assert implemented == set(PROCEDURES) == set(SIGNATURES)
+
+
+class FakeStub:
+    """Answers its one procedure with ``reply`` and records the arguments."""
+
+    def __init__(self, name, reply):
+        self.name, self.reply, self.args = name, reply, None
+
+    def __getattr__(self, attr):
+        assert attr == self.name
+
+        def call(*args):
+            self.args = args
+            return self.reply
+
+        return call
+
+
+def forward(name, err):
+    """Call procedure ``name``'s built client method against a stub that
+    answers ``err`` (and ``<field>`` for each other result field).
+
+    The method gets ``<parameter>`` for each parameter, or ``handle=7``
+    when it takes keywords.  Returns ``(the arguments that gives the stub,
+    the arguments the stub saw, the method's return value)``.
+    """
+    fields = result_fields(name)
+    reply = err if fields is None else {f: err if f == "err" else f"<{f}>" for f in fields}
+    client = CricketClient.__new__(CricketClient)
+    client.stub = FakeStub(name, reply)
+    method = getattr(client, client_method(PROCEDURES[name]))
+    params = inspect.signature(method).parameters.values()
+    if any(p.kind is p.VAR_KEYWORD for p in params):
+        sent, returned = ({"handle": 7},), method(handle=7)
+    else:
+        sent = tuple(f"<{p.name}>" for p in params)
+        returned = method(*sent)
+    return sent, client.stub.args, returned
+
+
+#: the CUDA call a failure names, where it is not the procedure's own name
+#: without ``rpc_`` (with ``<parameter>`` for each argument)
+CALL_NAMES = {
+    "rpc_cudaMalloc": "cudaMalloc(<size>)",
+    "rpc_cudaMemcpyH2D": "cudaMemcpy H2D",
+    "rpc_cudaMemcpyD2D": "cudaMemcpy D2D",
+    "rpc_cudaMemcpyH2DAsync": "cudaMemcpyAsync H2D",
+    "rpc_cuModuleGetGlobal": "cuModuleGetGlobal(<name>)",
+    "rpc_cusolverDnDgetrfBufferSize": "cusolverDnDgetrf_bufferSize",
+}
+
+
+@pytest.mark.parametrize("name", BUILT, ids=lambda n: n.removeprefix("rpc_"))
+class TestBuiltForwarders:
+    def test_arguments_go_to_the_stub_in_order(self, name):
+        sent, seen, _ = forward(name, 0)
+        assert seen == sent
+
+    def test_a_successful_call_returns_the_other_result_fields(self, name):
+        _, _, returned = forward(name, 0)
+        fields = result_fields(name)
+        if fields is None:
+            assert returned is None
+        elif len(fields) == 2:
+            assert returned == f"<{fields[1]}>"
+        else:
+            assert returned == tuple(f"<{f}>" for f in fields[1:])
+
+    def test_a_failed_call_names_its_cuda_call(self, name):
+        with pytest.raises(CudaError) as err:
+            forward(name, C.cudaErrorInvalidValue)
+        assert err.value.code == C.cudaErrorInvalidValue
+        call = CALL_NAMES.get(name, name.removeprefix("rpc_"))
+        assert str(err.value) == f"cudaErrorInvalidValue: {call}"
+
+
+def test_get_global_returns_pointer_and_size():
+    server = CricketServer()
+    client = CricketClient.loopback(server)
+    lut = bytes(range(1, 25))
+    module = client.module_load(build_cubin(
+        [KernelMeta.from_kinds("_Z9nopKernelv", ())], globals_=[GlobalMeta("lut", 24, lut)]
+    ))
+    ptr, size = client.get_global(module, "lut")
+    assert size == 24
+    assert client.memcpy_d2h(ptr, size) == lut
+
+
+# -- a corrupted description fails a named test ---------------------------------
+
+
+def reordered(sig):
+    """``sig`` with its result struct's last two fields swapped."""
+    struct = sig.result_type
+    *head, a, b = struct.fields
+    return replace(sig, result_type=xt.StructType(struct.name, [*head, b, a]))
+
+
+def rebuild(monkeypatch, name, side, corruption):
+    """Rebuild one side's code for procedure ``name`` from a corrupted
+    description: ``corruption`` replaces table facts, or is ``reordered``
+    for its ``cricket.x`` result struct.  The description itself is
+    restored right away; only the rebuilt code stays patched in."""
+    with monkeypatch.context() as patch:
+        if corruption is reordered:
+            patch.setitem(SIGNATURES, name, reordered(SIGNATURES[name]))
+        else:
+            patch.setitem(PROCEDURES, name, replace(PROCEDURES[name], **corruption))
+        if side == "server":
+            owner, attr = CricketImplementation, name
+            built = _serialised(vars(CricketImplementation)[name].body, name)
+        else:
+            owner, attr = CricketClient, client_method(PROCEDURES[name])
+            built = _forwarder(name)
+    monkeypatch.setattr(owner, attr, built)
+
+
+#: fact the generic paths derive -> (procedure, side rebuilt, corruption,
+#: the named test that must fail)
+CORRUPTIONS = {
+    "ledger-create": (
+        "rpc_cudaStreamCreate", "server", {"creates": None},
+        lambda: TestLedgerKinds().test_create_records_one_entry_on_the_current_device(
+            "streams", 1),
+    ),
+    "ledger-forget": (
+        "rpc_cuModuleUnload", "server", {"destroys": None},
+        lambda: TestLedgerKinds().test_destroy_forgets_the_entry("modules", 0),
+    ),
+    "result-struct": (
+        "rpc_cuModuleGetGlobal", "server", reordered, test_get_global_returns_pointer_and_size,
+    ),
+    "result-unpacking": (
+        "rpc_cuModuleGetGlobal", "client", reordered, test_get_global_returns_pointer_and_size,
+    ),
+    "error-name": (
+        "rpc_cudaMalloc", "client", {"call": "cudaFree"},
+        lambda: TestBuiltForwarders().test_a_failed_call_names_its_cuda_call("rpc_cudaMalloc"),
+    ),
+}
+
+
+@pytest.mark.parametrize("row", CORRUPTIONS)
+def test_a_corrupted_table_entry_fails_its_named_test(monkeypatch, row):
+    name, side, corruption, named_test = CORRUPTIONS[row]
+    named_test()  # the control: the true description passes
+    rebuild(monkeypatch, name, side, corruption)
+    with pytest.raises(AssertionError):
+        named_test()

@@ -46,6 +46,8 @@ class GpuSession:
         server: CricketServer | None = None,
     ) -> None:
         self.config = config if config is not None else SessionConfig()
+        #: whether this session built its server (and so closes it)
+        self._owns_server = server is None
         if server is None:
             device = GpuDevice(
                 self.config.gpu,
@@ -161,8 +163,12 @@ class GpuSession:
         self.client.device_synchronize()
 
     def close(self) -> None:
-        """Tear down the client connection."""
+        """Tear down the client connection, and close the server if this
+        session built it (:meth:`CricketServer.close`: freed as soon as the
+        session is, its counters still readable)."""
         self.client.close()
+        if self._owns_server:
+            self.server.close()
 
     def __enter__(self) -> "GpuSession":
         return self

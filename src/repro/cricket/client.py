@@ -520,8 +520,10 @@ class CricketClient:
             self.clock.advance_s(seconds)
 
     def close(self) -> None:
-        """Close the RPC connection."""
+        """Close the RPC connection; a loopback client lets go of its server."""
         self.stub.close()
+        if self._server_ref is not None:
+            self._server_ref[0] = None
 
     def __enter__(self) -> "CricketClient":
         return self

@@ -4,7 +4,11 @@ One :class:`CricketServer` owns the GPU node's devices and exposes the
 Cricket program (:mod:`repro.cricket.spec`) over ONC RPC.  It is the
 counterpart of upstream Cricket's rpcgen-generated C server: each procedure
 demarshals its arguments, invokes the CUDA runtime/driver/library executor,
-and returns the error code plus results.
+and returns the error code plus results.  As rpcgen does, the server is
+generated from the specification where it can be: a procedure whose body
+would only call the executor method of its own name is built from the
+procedure table (:func:`_pass_through`), and only the bodies with logic of
+their own are written here.
 
 Timing: the server shares the experiment's virtual clock with the CUDA
 executors.  Every dispatched call charges a fixed server CPU cost
@@ -23,6 +27,7 @@ only moves when work does.  See :mod:`repro.cricket.sessions`.
 from __future__ import annotations
 
 import functools
+import inspect
 import threading
 
 from repro.cricket import params as kparams
@@ -105,12 +110,63 @@ def _serialised(body, name: str | None = None):
     return procedure
 
 
+#: Where a procedure body finds each executor class: the runtime, and the
+#: current device's driver and library contexts.
+_EXECUTORS = {
+    CudaRuntime: "self.runtime",
+    CudaDriver: "self._server.driver",
+    CublasContext: "self._server.blas",
+    CufftContext: "self._server.fft",
+    CusolverContext: "self._server.solver",
+}
+
+_PASS_THROUGH = """\
+def {name}({params}):
+    return {executor}.{method}({args})
+"""
+
+
+def _pass_through(name: str):
+    """The body of procedure ``name`` that only calls the executor method of
+    the same name (without ``rpc_``) with the procedure's arguments.
+
+    The one executor class that defines that method is the one called; a
+    name no executor, or more than one, defines is refused.
+    """
+    method = name.removeprefix("rpc_")
+    owners = [cls for cls in _EXECUTORS if callable(vars(cls).get(method))]
+    if len(owners) != 1:
+        raise RuntimeError(
+            f"{name} is not written by hand and {len(owners)} executors define "
+            f"{method} ({', '.join(cls.__name__ for cls in owners) or 'none'})"
+        )
+    (owner,) = owners
+    n_args = len(cricket_interface().signatures[name].arg_types)
+    params = list(inspect.signature(vars(owner)[method]).parameters)[1 : 1 + n_args]
+    source = _PASS_THROUGH.format(
+        name=name,
+        params=", ".join(["self", *params]),
+        executor=_EXECUTORS[owner],
+        method=method,
+        args=", ".join(params),
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<{name} pass-through>", "exec"), namespace)
+    fn = namespace[name]
+    fn.__module__ = __name__
+    fn.__qualname__ = f"CricketImplementation.{name}"
+    fn.__doc__ = f"Pass ``{name}`` through to ``{owner.__name__}.{method}``."
+    fn.source = source
+    return fn
+
+
 def _serialise_procedures(cls):
-    """Apply :func:`_serialised` to every procedure the table does not
-    mark ``unlocked``."""
+    """Give ``cls`` every procedure of the table: the body it writes, or
+    else the :func:`_pass_through` body; each one the table does not mark
+    ``unlocked`` wrapped by :func:`_serialised`."""
     for name, proc in PROCEDURES.items():
-        if not proc.unlocked:
-            setattr(cls, name, _serialised(vars(cls)[name], name))
+        body = vars(cls).get(name) or _pass_through(name)
+        setattr(cls, name, body if proc.unlocked else _serialised(body, name))
     return cls
 
 
@@ -120,9 +176,11 @@ class CricketImplementation:
 
     Each ``rpc_*`` body is just the executor call: the lock, the dispatch
     charge, the caller's session, the ledger and the result struct come
-    from :func:`_serialised`.  Driver and library contexts follow the
-    runtime's current device (``self._server.driver`` and friends), so a
-    client that calls cudaSetDevice(1) loads modules onto / launches on
+    from :func:`_serialised`.  The class body writes only the procedures
+    with logic of their own; every other one is the :func:`_pass_through`
+    to the executor method of its name.  Driver and library contexts follow
+    the runtime's current device (``self._server.driver`` and friends), so
+    a client that calls cudaSetDevice(1) loads modules onto / launches on
     that device (the paper's GPU node hosts A100 + 2x T4 + P40).
     """
 
@@ -182,19 +240,7 @@ class CricketImplementation:
         """NULLPROC: the dispatch charge is the whole call (a lease heartbeat)."""
         return b""
 
-    # -- runtime: device management ---------------------------------------------
-
-    def rpc_cudaGetDeviceCount(self):
-        return self.runtime.cudaGetDeviceCount()
-
-    def rpc_cudaSetDevice(self, ordinal):
-        return self.runtime.cudaSetDevice(ordinal)
-
-    def rpc_cudaGetDevice(self):
-        return self.runtime.cudaGetDevice()
-
-    def rpc_cudaDeviceSynchronize(self):
-        return self.runtime.cudaDeviceSynchronize()
+    # -- runtime -------------------------------------------------------------
 
     def rpc_cudaDeviceReset(self):
         ordinal = self._ordinal()
@@ -214,14 +260,6 @@ class CricketImplementation:
             "multi_processor_count": props.multi_processor_count,
             "clock_rate_khz": props.clock_rate_khz,
         }
-
-    def rpc_cudaGetLastError(self):
-        return self.runtime.cudaGetLastError()
-
-    def rpc_cudaPeekAtLastError(self):
-        return self.runtime.cudaPeekAtLastError()
-
-    # -- runtime: memory ------------------------------------------------------
 
     def rpc_cudaMalloc(self, size):
         """Admission control and the per-client memory quota are enforced
@@ -255,79 +293,33 @@ class CricketImplementation:
         )
         return err, ptr
 
-    def rpc_cudaFree(self, ptr):
-        return self.runtime.cudaFree(ptr)
-
     def rpc_cudaMemcpyH2D(self, dst, data):
-        return self.runtime.cudaMemcpy(dst, data, len(data), C.cudaMemcpyHostToDevice)[0]
+        return self.runtime.memcpy(dst, data, len(data), C.cudaMemcpyHostToDevice)[0]
 
     def rpc_cudaMemcpyD2H(self, src, size):
         """The payload is a pinned span of device memory, not a copy: the
         reply references it and is sent from it, and the pin goes with the
         reply (see :class:`~repro.gpu.memory.PinnedSpan`).
         """
-        err, span = self.runtime.memcpy_d2h_pinned(src, size)
+        err, span = self.runtime.memcpy(0, src, size, C.cudaMemcpyDeviceToHost)
         return err, span if span is not None else b""
 
     def rpc_cudaMemcpyD2D(self, dst, src, size):
-        return self.runtime.cudaMemcpy(dst, src, size, C.cudaMemcpyDeviceToDevice)[0]
+        return self.runtime.memcpy(dst, src, size, C.cudaMemcpyDeviceToDevice)[0]
 
     def rpc_cudaMemcpyH2DAsync(self, dst, data, stream):
-        return self.runtime.cudaMemcpyAsync(
-            dst, data, len(data), C.cudaMemcpyHostToDevice, stream
-        )[0]
+        return self.runtime.memcpy(dst, data, len(data), C.cudaMemcpyHostToDevice, stream)[0]
 
     def rpc_cudaMemcpyD2HAsync(self, src, size, stream):
         """As ``rpc_cudaMemcpyD2H``, queued on ``stream``."""
-        err, span = self.runtime.memcpy_d2h_pinned(src, size, stream)
+        err, span = self.runtime.memcpy(0, src, size, C.cudaMemcpyDeviceToHost, stream)
         return err, span if span is not None else b""
 
-    def rpc_cudaMemset(self, ptr, value, size):
-        return self.runtime.cudaMemset(ptr, value, size)
-
-    # -- runtime: streams and events ----------------------------------------------
-
-    def rpc_cudaStreamCreate(self):
-        return self.runtime.cudaStreamCreate()
-
-    def rpc_cudaStreamDestroy(self, handle):
-        return self.runtime.cudaStreamDestroy(handle)
-
-    def rpc_cudaStreamSynchronize(self, handle):
-        return self.runtime.cudaStreamSynchronize(handle)
-
-    def rpc_cudaEventCreate(self):
-        return self.runtime.cudaEventCreate()
-
-    def rpc_cudaEventDestroy(self, handle):
-        return self.runtime.cudaEventDestroy(handle)
-
-    def rpc_cudaEventRecord(self, event, stream):
-        return self.runtime.cudaEventRecord(event, stream)
-
-    def rpc_cudaEventSynchronize(self, event):
-        return self.runtime.cudaEventSynchronize(event)
-
-    def rpc_cudaStreamWaitEvent(self, stream, event):
-        return self.runtime.cudaStreamWaitEvent(stream, event)
-
-    def rpc_cudaEventElapsedTime(self, start, stop):
-        return self.runtime.cudaEventElapsedTime(start, stop)
-
-    # -- driver: modules and launches ----------------------------------------------
+    # -- driver --------------------------------------------------------------
 
     def rpc_cuModuleLoadData(self, image):
         # The loaded module outlives the request record: detach it.
         return self._server.driver.cuModuleLoadData(bytes(image))
-
-    def rpc_cuModuleUnload(self, handle):
-        return self._server.driver.cuModuleUnload(handle)
-
-    def rpc_cuModuleGetFunction(self, module, name):
-        return self._server.driver.cuModuleGetFunction(module, name)
-
-    def rpc_cuModuleGetGlobal(self, module, name):
-        return self._server.driver.cuModuleGetGlobal(module, name)
 
     def rpc_cuLaunchKernel(self, fhandle, grid, block, param_block, shared_mem, stream):
         """The handle's :class:`~repro.cuda.driver.LaunchPlan` unpacks the
@@ -350,13 +342,7 @@ class CricketImplementation:
             stream=stream,
         )
 
-    # -- cuBLAS ------------------------------------------------------------
-
-    def rpc_cublasCreate(self):
-        return self._server.blas.cublasCreate()
-
-    def rpc_cublasDestroy(self, handle):
-        return self._server.blas.cublasDestroy(handle)
+    # -- libraries -------------------------------------------------------------
 
     @staticmethod
     def _gemm(fn, a):
@@ -371,28 +357,6 @@ class CricketImplementation:
 
     def rpc_cublasDgemm(self, args):
         return self._gemm(self._server.blas.cublasDgemm, args)
-
-    # -- cuFFT ------------------------------------------------------------
-
-    def rpc_cufftPlan1d(self, nx, fft_type, batch):
-        return self._server.fft.cufftPlan1d(nx, fft_type, batch)
-
-    def rpc_cufftDestroy(self, handle):
-        return self._server.fft.cufftDestroy(handle)
-
-    def rpc_cufftExecC2C(self, handle, idata, odata, direction):
-        return self._server.fft.cufftExecC2C(handle, idata, odata, direction)
-
-    def rpc_cufftExecR2C(self, handle, idata, odata):
-        return self._server.fft.cufftExecR2C(handle, idata, odata)
-
-    # -- cuSOLVER ------------------------------------------------------------
-
-    def rpc_cusolverDnCreate(self):
-        return self._server.solver.cusolverDnCreate()
-
-    def rpc_cusolverDnDestroy(self, handle):
-        return self._server.solver.cusolverDnDestroy(handle)
 
     def rpc_cusolverDnDgetrfBufferSize(self, handle, n, a_ptr, lda):
         return self._server.solver.cusolverDnDgetrf_bufferSize(handle, n, n, a_ptr, lda)
@@ -425,8 +389,9 @@ class CricketImplementation:
         from repro.cricket.checkpoint import restore_server
 
         try:
-            # Parsed and retained piecewise: detach it from the record.
-            restore_server(self._server, bytes(blob))
+            # The restored state owns its bytes (decode_state copies every
+            # value out of the blob), so the record's view is not copied.
+            restore_server(self._server, blob)
             return 0
         except Exception as exc:
             return code_for_exception(exc)
@@ -890,6 +855,27 @@ class CricketServer(RpcServer):
         faulted.reset()  # clears the sticky fault; card becomes the new spare
         self.server_stats.device_failovers += 1
         return spare_ordinal
+
+    def close(self) -> None:
+        """Let go of every reference the server holds to itself, so it is
+        freed as soon as nothing else holds it instead of waiting for the
+        cycle collector.
+
+        Its dispatch table, landers and admission chain (bound methods of
+        the server), its procedure implementation and recovery ladder (which
+        point back at it) and its devices' violation observers go: it serves
+        no call afterwards, while its counters (``server_stats``,
+        ``dispatch_time_charged_ns``, ``runtime.time_charged_ns``) stay
+        readable.  The :class:`~repro.core.session.GpuSession` that built
+        the server calls this when it closes.
+        """
+        self._programs.clear()
+        self.landers.clear()
+        self._admission = ()
+        self.implementation._server = None
+        self.recovery._server = None
+        for device in self.devices:
+            device.on_violation = None
 
     # -- RpcServer hooks ----------------------------------------------------
 

@@ -20,7 +20,9 @@ creates or destroys, and whether its bulk argument goes to device memory.
 :class:`~repro.cricket.client.CricketClient` builds every plain forwarder
 from the two; the server's dispatch wrapper keeps each call's ledger entry
 and builds its result struct, so an ``rpc_*`` body keeps only its executor
-call; replication and the leadership fence read which procedures mutate.
+call, and the server generates every body that is nothing but the call of
+the executor method of its name; replication and the leadership fence read
+which procedures mutate.
 Importing this module checks that the table and the compiled interface
 agree.
 """

@@ -26,21 +26,15 @@ class CublasContext:
         self.clock = clock if clock is not None else SimClock()
         self._handles: set[int] = set()
         self._next = count(1)
-        self.api_call_count = 0
-
-    def _count(self) -> None:
-        self.api_call_count += 1
 
     def cublasCreate(self) -> tuple[int, int]:
         """Return (status, handle)."""
-        self._count()
         handle = next(self._next)
         self._handles.add(handle)
         return C.CUBLAS_STATUS_SUCCESS, handle
 
     def cublasDestroy(self, handle: int) -> int:
         """Release a cuBLAS handle."""
-        self._count()
         if handle not in self._handles:
             return C.CUBLAS_STATUS_NOT_INITIALIZED
         self._handles.remove(handle)
@@ -107,10 +101,8 @@ class CublasContext:
 
     def cublasSgemm(self, handle, transa, transb, m, n, k, alpha, a_ptr, lda, b_ptr, ldb, beta, c_ptr, ldc) -> int:
         """Single-precision GEMM: C = alpha*op(A)@op(B) + beta*C."""
-        self._count()
         return self._gemm(handle, transa, transb, m, n, k, alpha, a_ptr, lda, b_ptr, ldb, beta, c_ptr, ldc, np.float32)
 
     def cublasDgemm(self, handle, transa, transb, m, n, k, alpha, a_ptr, lda, b_ptr, ldb, beta, c_ptr, ldc) -> int:
         """Double-precision GEMM."""
-        self._count()
         return self._gemm(handle, transa, transb, m, n, k, alpha, a_ptr, lda, b_ptr, ldb, beta, c_ptr, ldc, np.float64)

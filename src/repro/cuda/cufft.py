@@ -52,10 +52,6 @@ class CufftContext:
         self.clock = clock if clock is not None else SimClock()
         self._plans: dict[int, FftPlan] = {}
         self._next = count(1)
-        self.api_call_count = 0
-
-    def _count(self) -> None:
-        self.api_call_count += 1
 
     def _charge(self, nx: int, batch: int) -> None:
         cost = KernelCost(
@@ -70,7 +66,6 @@ class CufftContext:
 
     def cufftPlan1d(self, nx: int, fft_type: int, batch: int) -> tuple[int, int]:
         """Create a 1-D plan; returns (status, plan handle)."""
-        self._count()
         if nx <= 0 or batch <= 0:
             return CUFFT_INVALID_VALUE, 0
         if fft_type not in (CUFFT_C2C, CUFFT_R2C, CUFFT_C2R):
@@ -81,7 +76,6 @@ class CufftContext:
 
     def cufftDestroy(self, handle: int) -> int:
         """Release an FFT plan."""
-        self._count()
         if self._plans.pop(handle, None) is None:
             return CUFFT_INVALID_PLAN
         return CUFFT_SUCCESS
@@ -90,7 +84,6 @@ class CufftContext:
 
     def cufftExecC2C(self, handle: int, idata: int, odata: int, direction: int) -> int:
         """complex64 -> complex64 transform (in place allowed)."""
-        self._count()
         plan = self._plans.get(handle)
         if plan is None:
             return CUFFT_INVALID_PLAN
@@ -115,7 +108,6 @@ class CufftContext:
 
     def cufftExecR2C(self, handle: int, idata: int, odata: int) -> int:
         """float32 -> complex64 forward transform (nx/2+1 outputs per batch)."""
-        self._count()
         plan = self._plans.get(handle)
         if plan is None:
             return CUFFT_INVALID_PLAN

@@ -28,21 +28,15 @@ class CusolverContext:
         self.clock = clock if clock is not None else SimClock()
         self._handles: set[int] = set()
         self._next = count(1)
-        self.api_call_count = 0
-
-    def _count(self) -> None:
-        self.api_call_count += 1
 
     def cusolverDnCreate(self) -> tuple[int, int]:
         """Return (status, handle)."""
-        self._count()
         handle = next(self._next)
         self._handles.add(handle)
         return C.CUSOLVER_STATUS_SUCCESS, handle
 
     def cusolverDnDestroy(self, handle: int) -> int:
         """Release a cusolverDn handle."""
-        self._count()
         if handle not in self._handles:
             return C.CUSOLVER_STATUS_NOT_INITIALIZED
         self._handles.remove(handle)
@@ -54,7 +48,6 @@ class CusolverContext:
 
     def cusolverDnDgetrf_bufferSize(self, handle: int, m: int, n: int, a_ptr: int, lda: int) -> tuple[int, int]:
         """Return (status, workspace size in elements)."""
-        self._count()
         if handle not in self._handles:
             return C.CUSOLVER_STATUS_NOT_INITIALIZED, 0
         if m < 0 or n < 0 or lda < max(1, m):
@@ -78,7 +71,6 @@ class CusolverContext:
         ``ipiv`` receives 1-based pivot indices (int32), ``info`` one int32
         status, both written to device memory like the real API.
         """
-        self._count()
         if handle not in self._handles:
             return C.CUSOLVER_STATUS_NOT_INITIALIZED
         if m != n:
@@ -119,7 +111,6 @@ class CusolverContext:
         info_ptr: int,
     ) -> int:
         """Solve ``A x = b`` using a prior ``Dgetrf`` factorization."""
-        self._count()
         if handle not in self._handles:
             return C.CUSOLVER_STATUS_NOT_INITIALIZED
         try:

@@ -63,10 +63,6 @@ class CudaDriver:
         self._functions: dict[int, LaunchPlan] = {}
         self._next_module = count(1)
         self._next_function = count(1)
-        self.api_call_count = 0
-
-    def _count(self) -> None:
-        self.api_call_count += 1
 
     # -- module management ----------------------------------------------------
 
@@ -77,7 +73,6 @@ class CudaDriver:
         and bound against the device's kernel registry.  Globals declared
         in cubin metadata are materialized in device memory and initialized.
         """
-        self._count()
         try:
             from repro.cubin.ptx import looks_like_ptx, parse_ptx
 
@@ -92,7 +87,6 @@ class CudaDriver:
 
     def cuModuleLoadFatBinary(self, fatbin_bytes: bytes) -> tuple[int, int]:
         """Load the best-matching cubin from a fat binary."""
-        self._count()
         try:
             image = load_fatbin(fatbin_bytes, arch=self.device.spec.arch)
             return C.CUDA_SUCCESS, self._register_module(image)
@@ -121,7 +115,6 @@ class CudaDriver:
 
     def cuModuleUnload(self, handle: int) -> int:
         """Unload a module, freeing its globals and invalidating functions."""
-        self._count()
         module = self._modules.pop(int(handle), None)
         if module is None:
             return C.CUDA_ERROR_INVALID_HANDLE
@@ -133,7 +126,6 @@ class CudaDriver:
 
     def cuModuleGetFunction(self, handle: int, name: str) -> tuple[int, int]:
         """Return (err, function handle) for a kernel in a module."""
-        self._count()
         module = self._modules.get(int(handle))
         if module is None:
             return C.CUDA_ERROR_INVALID_HANDLE, 0
@@ -158,7 +150,6 @@ class CudaDriver:
 
     def cuModuleGetGlobal(self, handle: int, name: str) -> tuple[int, int, int]:
         """Return (err, device pointer, size) of a module global."""
-        self._count()
         module = self._modules.get(int(handle))
         if module is None:
             return C.CUDA_ERROR_INVALID_HANDLE, 0, 0
@@ -180,7 +171,6 @@ class CudaDriver:
         stream: int = DEFAULT_STREAM,
     ) -> int:
         """Launch a function handle (asynchronous)."""
-        self.api_call_count += 1
         plan = self._functions.get(int(fhandle))
         if plan is None:
             return C.CUDA_ERROR_INVALID_HANDLE

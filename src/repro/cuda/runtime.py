@@ -6,10 +6,13 @@ the C API:
 
 * every call returns a ``cudaError_t`` first (plus out-values),
 * memcpy/memset are synchronous -- the experiment clock advances by the
-  PCIe/device time before the call returns,
+  PCIe/device time before the call returns -- and ``cudaMemcpyAsync`` is
+  the same copy queued on a stream (one primitive, :meth:`CudaRuntime.memcpy`),
 * kernel launches are asynchronous -- work is queued on a stream and the
   clock only advances at synchronization points,
-* errors are sticky per call but never raise into the RPC layer.
+* errors are sticky per call but never raise into the RPC layer: every
+  entry point runs in one call shell (:func:`_api`) that counts the call
+  and turns an exception into its CUDA code.
 
 The runtime owns the mapping of handles (streams, events) to device
 resources, exactly the state the real Cricket server keeps per context.
@@ -17,10 +20,11 @@ resources, exactly the state the real Cricket server keeps per context.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.cuda import constants as C
-from repro.cuda.errors import CudaError, code_for_exception
+from repro.cuda.errors import code_for_exception
 from repro.gpu.device import GpuDevice
 from repro.gpu.memory import PinnedSpan
 from repro.gpu.stream import DEFAULT_STREAM
@@ -40,6 +44,39 @@ def _host_bytes(src: object, count: int) -> memoryview | None:
         return None
     payload = flat_view(view)[:count]
     return payload if len(payload) == count else None
+
+
+def _api(*out, sticky: bool = False):
+    """The call shell every runtime entry point runs in.
+
+    Each call steps ``api_call_count`` once, and an exception from the body
+    becomes its CUDA code (:func:`~repro.cuda.errors.code_for_exception`),
+    recorded as the sticky error and returned -- followed by ``out``, the
+    out-values a failed call returns, when the call returns a tuple.  With
+    ``sticky`` the device's sticky fault answers before the body runs: on a
+    poisoned context every stream and event call reports the same fault
+    until ``cudaDeviceReset`` -- real CUDA sticky semantics.  Device
+    management, property queries and the error peeks stay answerable, as on
+    real hardware; memory calls and launches reach the device, which raises
+    its fault itself.
+    """
+
+    def shell(body):
+        @functools.wraps(body)
+        def entry(self, *args, **kwargs):
+            self.api_call_count += 1
+            fault = self.devices[self._current].fault if sticky else None
+            if fault is None:
+                try:
+                    return body(self, *args, **kwargs)
+                except Exception as exc:
+                    fault = exc
+            err = self._record(code_for_exception(fault))
+            return (err, *out) if out else err
+
+        return entry
+
+    return shell
 
 
 @dataclass(frozen=True)
@@ -76,9 +113,6 @@ class CudaRuntime:
     def _device(self) -> GpuDevice:
         return self.devices[self._current]
 
-    def _count(self) -> None:
-        self.api_call_count += 1
-
     def _advance(self, seconds: float) -> None:
         self.clock.advance_s(seconds)
         self.time_charged_ns += int(seconds * 1e9)
@@ -94,54 +128,42 @@ class CudaRuntime:
             self._last_error = err
         return err
 
-    def _fault_code(self) -> int:
-        """The current device's sticky fault code, or ``cudaSuccess``.
-
-        Entry points that touch device state (streams, events, memory,
-        launches) check this first: on a poisoned context *every* such
-        call reports the same fault until ``cudaDeviceReset`` -- real CUDA
-        sticky semantics.  Device management, property queries and the
-        error peeks stay answerable, as on real hardware.
-        """
-        fault = self._device().fault
-        return fault.code if fault is not None else C.cudaSuccess
-
     # -- error state -----------------------------------------------------------
 
+    @_api()
     def cudaGetLastError(self) -> int:
         """Return and clear the sticky error (cudaGetLastError)."""
-        self._count()
         err, self._last_error = self._last_error, C.cudaSuccess
         return err
 
+    @_api()
     def cudaPeekAtLastError(self) -> int:
         """Return the sticky error without clearing it."""
-        self._count()
         return self._last_error
 
     # -- device management ----------------------------------------------------
 
+    @_api(0)
     def cudaGetDeviceCount(self) -> tuple[int, int]:
         """Return (err, device count)."""
-        self._count()
         return C.cudaSuccess, len(self.devices)
 
+    @_api()
     def cudaSetDevice(self, ordinal: int) -> int:
         """Select the current device."""
-        self._count()
         if not 0 <= ordinal < len(self.devices):
             return C.cudaErrorInvalidDevice
         self._current = ordinal
         return C.cudaSuccess
 
+    @_api(0)
     def cudaGetDevice(self) -> tuple[int, int]:
         """Return (err, current device ordinal)."""
-        self._count()
         return C.cudaSuccess, self._current
 
+    @_api(None)
     def cudaGetDeviceProperties(self, ordinal: int) -> tuple[int, DeviceProperties | None]:
         """Return (err, properties) for a device."""
-        self._count()
         if not 0 <= ordinal < len(self.devices):
             return C.cudaErrorInvalidDevice, None
         spec = self.devices[ordinal].spec
@@ -154,6 +176,7 @@ class CudaRuntime:
         )
         return C.cudaSuccess, props
 
+    @_api()
     def cudaDeviceSynchronize(self) -> int:
         """Block until all device work completes (advances virtual time).
 
@@ -163,7 +186,6 @@ class CudaRuntime:
         ``cudaErrorLaunchTimeout`` *without* advancing virtual time -- the
         device never reaches its queued tail.
         """
-        self._count()
         device = self._device()
         if device.streams.hung_streams():
             return self._record(C.cudaErrorLaunchTimeout)
@@ -172,9 +194,9 @@ class CudaRuntime:
             return self._record(device.fault.code)
         return C.cudaSuccess
 
+    @_api()
     def cudaDeviceReset(self) -> int:
         """Destroy all device state."""
-        self._count()
         self._device().reset()
         return C.cudaSuccess
 
@@ -184,255 +206,159 @@ class CudaRuntime:
     #: Figure 6b sits above the trivial cudaGetDeviceCount of Figure 6a
     ALLOC_BOOKKEEPING_S = 1.0e-6
 
+    @_api(0)
     def cudaMalloc(self, size: int) -> tuple[int, int]:
         """Return (err, device pointer)."""
-        self._count()
         self._advance(self.ALLOC_BOOKKEEPING_S)
-        try:
-            return C.cudaSuccess, self._device().alloc(int(size))
-        except Exception as exc:
-            return self._record(code_for_exception(exc)), 0
+        return C.cudaSuccess, self._device().alloc(int(size))
 
+    @_api()
     def cudaFree(self, ptr: int) -> int:
         """Free a device pointer."""
-        self._count()
         self._advance(self.ALLOC_BOOKKEEPING_S)
-        try:
-            self._device().free(int(ptr))
-            return C.cudaSuccess
-        except Exception as exc:
-            return self._record(code_for_exception(exc))
+        self._device().free(int(ptr))
+        return C.cudaSuccess
 
-    def memcpy_d2h_pinned(
-        self, src: int, count: int, stream: int | None = None
+    @_api(None)
+    def memcpy(
+        self, dst: int, src: int | Buffer, count: int, kind: int, stream: int | None = None
     ) -> tuple[int, PinnedSpan | None]:
-        """The one device-to-host copy: ``(err, span)``, ``span`` pinned device memory.
+        """The one memcpy: ``(err, span)``, ``span`` the pinned device memory
+        a D2H copy reads (None for H2D and D2D).
 
-        With ``stream`` None it is ``cudaMemcpy``: default-stream semantics,
-        so the copy waits for all launched work (a hung stream times it out
-        before any data moves) and the clock advances by the copy.  With a
-        stream it is ``cudaMemcpyAsync``: queued on that stream, the clock
-        left alone.  Every check -- sticky fault, hung stream, bounds and
-        sanitizer -- and every charge -- the API call, virtual time -- is
-        made here, once, before the span exists.  :meth:`cudaMemcpy` and
-        :meth:`cudaMemcpyAsync` copy the span out for in-process callers;
-        the Cricket server sends it as it is.
+        For H2D, ``src`` is the host payload, any C-contiguous buffer of at
+        least ``count`` bytes; D2H and D2D read the device pointer ``src``.
+        With ``stream`` None the copy is synchronous (``cudaMemcpy``):
+        default-stream semantics, so it waits for all launched work (a hung
+        stream times it out before any data moves) and the clock advances
+        by the copy.  With a stream it is ``cudaMemcpyAsync``: queued on
+        that stream, the clock left alone; the data moves eagerly -- stream
+        ordering affects only virtual time, which is what the evaluation
+        measures.  :meth:`cudaMemcpy` and :meth:`cudaMemcpyAsync` copy a
+        D2H span out for in-process callers; the Cricket server sends it as
+        it is.
         """
-        self._count()
         device = self._device()
         if stream is None:
             if device.streams.hung_streams():
                 return self._record(C.cudaErrorLaunchTimeout), None
             self._advance_to(device.synchronize_ns())
-        try:
-            submit_ns = self.clock.now_ns
+        span = None
+        if kind == C.cudaMemcpyHostToDevice:
+            payload = _host_bytes(src, count)
+            if payload is None:
+                return C.cudaErrorInvalidValue, None
+            seconds = device.memcpy_h2d(int(dst), payload)
+        elif kind == C.cudaMemcpyDeviceToHost or kind == C.cudaMemcpyDeviceToDevice:
             if not isinstance(src, int):
                 return C.cudaErrorInvalidValue, None
-            span, seconds = device.memcpy_d2h_pinned(int(src), int(count))
-            if stream is None:
-                self._advance(seconds)
+            if kind == C.cudaMemcpyDeviceToHost:
+                span, seconds = device.memcpy_d2h_pinned(int(src), int(count))
             else:
-                device.streams.stream(int(stream)).submit(submit_ns, seconds * 1e9)
-            return C.cudaSuccess, span
-        except Exception as exc:
-            return self._record(code_for_exception(exc)), None
+                seconds = device.memcpy_d2d(int(dst), int(src), int(count))
+        else:
+            return C.cudaErrorInvalidMemcpyDirection, None
+        if stream is None:
+            self._advance(seconds)
+        else:
+            device.streams.stream(int(stream)).submit(self.clock.now_ns, seconds * 1e9)
+        return C.cudaSuccess, span
 
     def cudaMemcpy(
         self, dst: int, src: int | Buffer, count: int, kind: int
     ) -> tuple[int, bytes | None]:
-        """Synchronous memcpy.
+        """Synchronous :meth:`memcpy`; a D2H copy returns its payload.
 
-        For H2D, ``src`` is the host payload, any C-contiguous buffer; for
-        D2H the return carries the payload.  D2D copies between device
-        pointers.  This is exactly the shape of Cricket's memcpy RPCs, where
-        host memory lives on the client and travels inside the message.
+        This is exactly the shape of Cricket's memcpy RPCs, where host
+        memory lives on the client and travels inside the message.
         """
-        if kind == C.cudaMemcpyDeviceToHost:
-            err, span = self.memcpy_d2h_pinned(src, count)
-            return err, None if span is None else span.take()
-        self._count()
-        device = self._device()
-        # Default-stream semantics: a synchronous memcpy waits for all
-        # previously launched work before the copy begins -- so a hung
-        # stream times the copy out before any data moves.
-        if device.streams.hung_streams():
-            return self._record(C.cudaErrorLaunchTimeout), None
-        self._advance_to(device.synchronize_ns())
-        try:
-            if kind == C.cudaMemcpyHostToDevice:
-                payload = _host_bytes(src, count)
-                if payload is None:
-                    return C.cudaErrorInvalidValue, None
-                self._advance(device.memcpy_h2d(int(dst), payload))
-                return C.cudaSuccess, None
-            if kind == C.cudaMemcpyDeviceToDevice:
-                if not isinstance(src, int):
-                    return C.cudaErrorInvalidValue, None
-                self._advance(device.memcpy_d2d(int(dst), int(src), int(count)))
-                return C.cudaSuccess, None
-            return C.cudaErrorInvalidMemcpyDirection, None
-        except Exception as exc:
-            return self._record(code_for_exception(exc)), None
+        err, span = self.memcpy(dst, src, count, kind)
+        return err, None if span is None else span.take()
 
+    def cudaMemcpyAsync(
+        self, dst: int, src: int | Buffer, count: int, kind: int, stream: int
+    ) -> tuple[int, bytes | None]:
+        """Stream-ordered :meth:`memcpy`; the caller does not wait.
+
+        For D2H the payload is returned immediately, modelling a copy into
+        pinned host memory that the application will not touch before
+        synchronizing.
+        """
+        err, span = self.memcpy(dst, src, count, kind, stream)
+        return err, None if span is None else span.take()
+
+    @_api()
     def cudaMemset(self, ptr: int, value: int, count: int) -> int:
         """Fill device memory (synchronous)."""
-        self._count()
-        try:
-            self._advance(self._device().memset(int(ptr), int(value), int(count)))
-            return C.cudaSuccess
-        except Exception as exc:
-            return self._record(code_for_exception(exc))
+        self._advance(self._device().memset(int(ptr), int(value), int(count)))
+        return C.cudaSuccess
 
     # -- streams and events -------------------------------------------------------
 
+    @_api(0, sticky=True)
     def cudaStreamCreate(self) -> tuple[int, int]:
         """Return (err, stream handle)."""
-        self._count()
-        fault = self._fault_code()
-        if fault:
-            return self._record(fault), 0
         return C.cudaSuccess, self._device().streams.create_stream()
 
+    @_api(sticky=True)
     def cudaStreamDestroy(self, handle: int) -> int:
         """Destroy a stream (cudaStreamDestroy)."""
-        self._count()
-        fault = self._fault_code()
-        if fault:
-            return self._record(fault)
-        try:
-            self._device().streams.destroy_stream(int(handle))
-            return C.cudaSuccess
-        except Exception as exc:
-            return self._record(code_for_exception(exc))
+        self._device().streams.destroy_stream(int(handle))
+        return C.cudaSuccess
 
+    @_api(sticky=True)
     def cudaStreamSynchronize(self, handle: int) -> int:
         """Wait for one stream's work (advances virtual time).
 
         A hung stream reports ``cudaErrorLaunchTimeout`` without the clock
         ever reaching the (unreachable) queued tail.
         """
-        self._count()
-        fault = self._fault_code()
-        if fault:
-            return self._record(fault)
-        try:
-            stream = self._device().streams.stream(int(handle))
-            if stream.hang is not None:
-                return self._record(C.cudaErrorLaunchTimeout)
-            self._advance_to(stream.tail_ns)
-            return C.cudaSuccess
-        except Exception as exc:
-            return self._record(code_for_exception(exc))
+        stream = self._device().streams.stream(int(handle))
+        if stream.hang is not None:
+            return self._record(C.cudaErrorLaunchTimeout)
+        self._advance_to(stream.tail_ns)
+        return C.cudaSuccess
 
+    @_api(sticky=True)
     def cudaStreamWaitEvent(self, stream: int, event: int) -> int:
         """Make a stream wait for an event (asynchronous, no clock charge)."""
-        self._count()
-        fault = self._fault_code()
-        if fault:
-            return self._record(fault)
-        try:
-            self._device().streams.wait_event(int(stream), int(event))
-            return C.cudaSuccess
-        except Exception as exc:
-            return self._record(code_for_exception(exc))
+        self._device().streams.wait_event(int(stream), int(event))
+        return C.cudaSuccess
 
+    @_api(0, sticky=True)
     def cudaEventCreate(self) -> tuple[int, int]:
         """Create an event; returns (err, handle)."""
-        self._count()
-        fault = self._fault_code()
-        if fault:
-            return self._record(fault), 0
         return C.cudaSuccess, self._device().streams.create_event()
 
+    @_api(sticky=True)
     def cudaEventDestroy(self, handle: int) -> int:
         """Destroy an event."""
-        self._count()
-        fault = self._fault_code()
-        if fault:
-            return self._record(fault)
-        try:
-            self._device().streams.destroy_event(int(handle))
-            return C.cudaSuccess
-        except Exception as exc:
-            return self._record(code_for_exception(exc))
+        self._device().streams.destroy_event(int(handle))
+        return C.cudaSuccess
 
+    @_api(sticky=True)
     def cudaEventRecord(self, event: int, stream: int = DEFAULT_STREAM) -> int:
         """Record an event on a stream."""
-        self._count()
-        fault = self._fault_code()
-        if fault:
-            return self._record(fault)
-        try:
-            self._device().streams.record_event(int(event), int(stream))
-            return C.cudaSuccess
-        except Exception as exc:
-            return self._record(code_for_exception(exc))
+        self._device().streams.record_event(int(event), int(stream))
+        return C.cudaSuccess
 
+    @_api(sticky=True)
     def cudaEventSynchronize(self, event: int) -> int:
         """Wait for a recorded event (advances virtual time)."""
-        self._count()
-        fault = self._fault_code()
-        if fault:
-            return self._record(fault)
-        try:
-            ev = self._device().streams.event(int(event))
-            if not ev.recorded:
-                return self._record(C.cudaErrorInvalidResourceHandle)
-            self._advance_to(ev.timestamp_ns)
-            return C.cudaSuccess
-        except Exception as exc:
-            return self._record(code_for_exception(exc))
+        ev = self._device().streams.event(int(event))
+        if not ev.recorded:
+            return self._record(C.cudaErrorInvalidResourceHandle)
+        self._advance_to(ev.timestamp_ns)
+        return C.cudaSuccess
 
+    @_api(0.0, sticky=True)
     def cudaEventElapsedTime(self, start: int, stop: int) -> tuple[int, float]:
         """Return (err, milliseconds between events)."""
-        self._count()
-        fault = self._fault_code()
-        if fault:
-            return self._record(fault), 0.0
-        try:
-            return C.cudaSuccess, self._device().streams.elapsed_ms(int(start), int(stop))
-        except Exception as exc:
-            return self._record(code_for_exception(exc)), 0.0
-
-    # -- asynchronous memcpy ------------------------------------------------------
-
-    def cudaMemcpyAsync(
-        self, dst: int, src: int | Buffer, count: int, kind: int, stream: int
-    ) -> tuple[int, bytes | None]:
-        """Stream-ordered memcpy: the copy is queued on ``stream`` and the
-        caller does not wait (the clock is not advanced).
-
-        Numerically the data moves eagerly -- stream ordering affects only
-        virtual time, which is what the evaluation measures.  For D2H the
-        payload is returned immediately, modelling a copy into pinned host
-        memory that the application will not touch before synchronizing.
-        """
-        if kind == C.cudaMemcpyDeviceToHost:
-            err, span = self.memcpy_d2h_pinned(src, count, stream)
-            return err, None if span is None else span.take()
-        self._count()
-        device = self._device()
-        try:
-            submit_ns = self.clock.now_ns
-            if kind == C.cudaMemcpyHostToDevice:
-                payload = _host_bytes(src, count)
-                if payload is None:
-                    return C.cudaErrorInvalidValue, None
-                seconds = device.memcpy_h2d(int(dst), payload)
-                device.streams.stream(int(stream)).submit(submit_ns, seconds * 1e9)
-                return C.cudaSuccess, None
-            if kind == C.cudaMemcpyDeviceToDevice:
-                if not isinstance(src, int):
-                    return C.cudaErrorInvalidValue, None
-                seconds = device.memcpy_d2d(int(dst), int(src), int(count))
-                device.streams.stream(int(stream)).submit(submit_ns, seconds * 1e9)
-                return C.cudaSuccess, None
-            return C.cudaErrorInvalidMemcpyDirection, None
-        except Exception as exc:
-            return self._record(code_for_exception(exc)), None
+        return C.cudaSuccess, self._device().streams.elapsed_ms(int(start), int(stop))
 
     # -- launching (runtime-style, by kernel name) ---------------------------------
 
+    @_api()
     def cudaLaunchKernel(
         self,
         kernel_name: str,
@@ -443,23 +369,13 @@ class CudaRuntime:
         stream: int = DEFAULT_STREAM,
     ) -> int:
         """Queue a kernel launch on a stream (asynchronous)."""
-        self._count()
-        device = self._device()
-        try:
-            device.launch(
-                kernel_name,
-                grid,
-                block,
-                tuple(params),
-                shared_mem=shared_mem,
-                stream=int(stream),
-                submit_ns=self.clock.now_ns,
-            )
-            return C.cudaSuccess
-        except Exception as exc:
-            return self._record(code_for_exception(exc))
-
-    def raise_on_error(self, code: int, what: str = "") -> None:
-        """Convenience for tests/examples: raise if ``code`` is an error."""
-        if code != C.cudaSuccess:
-            raise CudaError(code, what)
+        self._device().launch(
+            kernel_name,
+            grid,
+            block,
+            tuple(params),
+            shared_mem=shared_mem,
+            stream=int(stream),
+            submit_ns=self.clock.now_ns,
+        )
+        return C.cudaSuccess

@@ -1,5 +1,8 @@
 """Unit and integration tests for the core public API (GpuSession)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -59,6 +62,36 @@ class TestSessionBasics:
                 s.generate_input(64 * MIB)
                 times[platform.language.name] = s.clock.now_ns - before
         assert times["C"] > 3 * times["Rust"]
+
+
+class TestClose:
+    def test_a_closed_session_frees_its_server_without_the_cycle_collector(self):
+        gc.collect()
+        gc.disable()
+        try:
+            session = GpuSession(SessionConfig(platform=rustyhermit(), device_mem_bytes=MIB))
+            session.upload(b"x" * 1024)
+            session.load_builtin_module(["vectorAdd"])
+            session.close()
+            server = weakref.ref(session.server)
+            del session
+            assert server() is None
+        finally:
+            gc.enable()
+
+    def test_the_counters_stay_readable_after_close(self):
+        with GpuSession(SessionConfig(platform=rustyhermit(), device_mem_bytes=MIB)) as s:
+            s.upload(b"x" * 1024)
+        assert s.server.dispatch_time_charged_ns > 0
+        assert s.server.runtime.time_charged_ns > 0
+        assert s.server.server_stats.reply_cache_bytes > 0
+
+    def test_a_server_passed_in_outlives_the_session(self):
+        server = GpuSession(SessionConfig(device_mem_bytes=MIB)).server
+        with GpuSession(server=server) as s:
+            s.client.get_device_count()
+        with GpuSession(server=server) as s:
+            assert s.client.get_device_count() == 1
 
 
 class TestDeviceBufferLifetimes:

@@ -12,11 +12,13 @@ from repro.cricket import (
     make_ha_pair,
     supported_on,
 )
+from repro.cricket.spec import cricket_interface
 from repro.cubin import build_cubin_for_registry
 from repro.cubin.metadata import KernelMeta
 from repro.cuda.cufft import CUFFT_C2C
 from repro.gpu import A100, GpuDevice
 from repro.net.simclock import SimClock
+from repro.oncrpc import message as msg
 from repro.resilience import RetryPolicy
 from repro.unikernel import EVAL_LINK, linux_vm, native_c, rustyhermit, unikraft
 
@@ -107,6 +109,29 @@ class TestCheckpointRestart:
 
         with pytest.raises(CudaError):
             client.restore(b"not a checkpoint")
+
+    def test_a_restore_keeps_nothing_of_its_request_record(self):
+        """The restored device memory and reply cache own their bytes:
+        overwriting the request record afterwards changes neither."""
+        source = small_server()
+        client = CricketClient.loopback(source)
+        ptr = client.malloc(MIB)
+        client.memcpy_h2d(ptr, b"\xab" * MIB)
+        blob = client.checkpoint()
+        target = small_server()
+        iface = cricket_interface()
+        sig = iface.signatures["rpc_restore"]
+        record = msg.RpcMessage(9, msg.CallBody(
+            iface.prog_number, iface.vers_number, sig.number,
+            args=bytes(sig.encode_args((blob,))),
+        )).encode()
+        reply = target.dispatch_record(record)
+        assert sig.decode_result(msg.RpcMessage.decode(reply).body.results) == 0
+        cache = {key: bytes(reply) for key, reply in target._reply_cache.items()}
+        assert len(cache) > 1  # the source's replies came with the state
+        record[:] = bytes(len(record))
+        assert {key: bytes(reply) for key, reply in target._reply_cache.items()} == cache
+        assert bytes(target.device.allocator.view(ptr, MIB)) == b"\xab" * MIB
 
     def test_library_handles_after_restore_dont_collide(self):
         server = small_server()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.cuda import constants as C
-from repro.cuda.errors import CudaError
 from repro.cuda.runtime import CudaRuntime
 from repro.gpu import A100, T4, GpuDevice
 from repro.net import SimClock
@@ -245,8 +244,3 @@ class TestLaunchAndSync:
         rt.cudaMalloc(4096)
         assert rt.cudaDeviceReset() == C.cudaSuccess
         assert rt.devices[0].allocator.used_bytes == 0
-
-    def test_raise_on_error(self, rt):
-        rt.raise_on_error(C.cudaSuccess)
-        with pytest.raises(CudaError):
-            rt.raise_on_error(C.cudaErrorInvalidValue, "ctx")

@@ -8,18 +8,21 @@ from it: the table, the interface, the client's methods and the server's
 procedures name the same set; every dispatched call is charged exactly
 once; each of the seven ledger kinds is recorded, forgotten, reclaimed and
 dropped on device reset; a built forwarder passes its arguments, returns
-its result fields and names its CUDA call.  And each fact the generic
-paths derive is caught by a named test when its table entry is corrupted.
+its result fields and names its CUDA call; a derived server body calls the
+executor method of its name, and only an executor method defined once can
+be derived.  And each fact the generic paths derive is caught by a named
+test when its table entry is corrupted.
 """
 
 import inspect
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from repro.cricket import CricketClient, CricketServer
 from repro.cricket.client import _forwarder
-from repro.cricket.server import CricketImplementation, _serialised
+from repro.cricket.server import CricketImplementation, _pass_through, _serialised
 from repro.cricket.spec import (
     LEDGER_KINDS,
     MUTATING_PROCS,
@@ -33,6 +36,7 @@ from repro.cricket.spec import (
 from repro.cubin import GlobalMeta, KernelMeta, build_cubin, build_cubin_for_registry
 from repro.cuda import constants as C
 from repro.cuda.cufft import CUFFT_C2C
+from repro.cuda.driver import CudaDriver
 from repro.cuda.errors import CudaError
 from repro.gpu.catalog import A100
 from repro.gpu.device import GpuDevice
@@ -271,6 +275,77 @@ class TestOneDescription:
         assert implemented == set(PROCEDURES) == set(SIGNATURES)
 
 
+#: server procedures whose body only calls the executor method of its name
+DERIVED = sorted(
+    ["rpc_cudaGetDeviceCount", "rpc_cudaSetDevice", "rpc_cudaGetDevice",
+     "rpc_cudaDeviceSynchronize", "rpc_cudaGetLastError", "rpc_cudaPeekAtLastError",
+     "rpc_cudaFree", "rpc_cudaMemset"]
+    + ["rpc_cudaStream" + n for n in ("Create", "Destroy", "Synchronize", "WaitEvent")]
+    + ["rpc_cudaEvent" + n for n in ("Create", "Destroy", "Record", "Synchronize", "ElapsedTime")]
+    + ["rpc_cuModule" + n for n in ("Unload", "GetFunction", "GetGlobal")]
+    + ["rpc_cublasCreate", "rpc_cublasDestroy", "rpc_cusolverDnCreate", "rpc_cusolverDnDestroy"]
+    + ["rpc_cufft" + n for n in ("Plan1d", "Destroy", "ExecC2C", "ExecR2C")]
+)
+
+
+#: (method name prefix, the executor its procedures reach), first match wins
+OWNERS = (
+    ("cuModule", "driver"), ("cublas", "blas"), ("cufft", "fft"), ("cusolver", "solver"),
+    ("cuda", "runtime"),
+)
+
+
+class Executor:
+    """Records the one call a procedure body makes on it."""
+
+    def __init__(self, label, calls):
+        self.label, self.calls = label, calls
+
+    def __getattr__(self, method):
+        def call(*args):
+            self.calls.append((self.label, method, args))
+            return f"<{method} result>"
+
+        return call
+
+
+class TestPassThroughBodies:
+    def test_the_table_derives_every_pass_through_and_nothing_else(self):
+        derived = {
+            name for name, fn in vars(CricketImplementation).items()
+            if hasattr(getattr(fn, "body", None), "source")
+        }
+        assert sorted(derived) == DERIVED
+        assert len(DERIVED) == 28
+
+    @pytest.mark.parametrize("name", DERIVED, ids=lambda n: n.removeprefix("rpc_"))
+    def test_a_derived_body_calls_its_namesake(self, name):
+        """The body calls the method of its name, on the one executor that
+        defines it, with its arguments in order, and returns what it returns."""
+        calls = []
+        impl = CricketImplementation.__new__(CricketImplementation)
+        impl.runtime = Executor("runtime", calls)
+        impl._server = SimpleNamespace(**{
+            context: Executor(context, calls) for context in ("driver", "blas", "fft", "solver")
+        })
+        method = name.removeprefix("rpc_")
+        executor = next(e for prefix, e in OWNERS if method.startswith(prefix))
+        args = tuple(f"<arg{i}>" for i in range(len(SIGNATURES[name].arg_types)))
+        returned = vars(CricketImplementation)[name].body(impl, *args)
+        assert calls == [(executor, method, args)]
+        assert returned == f"<{method} result>"
+
+    def test_a_procedure_no_executor_defines_is_refused(self, monkeypatch):
+        monkeypatch.setitem(SIGNATURES, "rpc_cudaNoSuchCall", SIGNATURES["rpc_cudaFree"])
+        with pytest.raises(RuntimeError, match="0 executors define cudaNoSuchCall"):
+            _pass_through("rpc_cudaNoSuchCall")
+
+    def test_a_procedure_two_executors_define_is_refused(self, monkeypatch):
+        monkeypatch.setattr(CudaDriver, "cudaFree", lambda self, ptr: 0, raising=False)
+        with pytest.raises(RuntimeError, match="2 executors define cudaFree"):
+            _pass_through("rpc_cudaFree")
+
+
 class FakeStub:
     """Answers its one procedure with ``reply`` and records the arguments."""
 
@@ -369,15 +444,19 @@ def reordered(sig):
 
 def rebuild(monkeypatch, name, side, corruption):
     """Rebuild one side's code for procedure ``name`` from a corrupted
-    description: ``corruption`` replaces table facts, or is ``reordered``
-    for its ``cricket.x`` result struct.  The description itself is
+    description: ``corruption`` replaces table facts, is ``reordered`` for
+    its ``cricket.x`` result struct, or (``side`` "body") names the wrong
+    executor method for its derived body.  The description itself is
     restored right away; only the rebuilt code stays patched in."""
     with monkeypatch.context() as patch:
         if corruption is reordered:
             patch.setitem(SIGNATURES, name, reordered(SIGNATURES[name]))
-        else:
+        elif side != "body":
             patch.setitem(PROCEDURES, name, replace(PROCEDURES[name], **corruption))
-        if side == "server":
+        if side == "body":
+            owner, attr = CricketImplementation, name
+            built = _serialised(_pass_through(f"rpc_{corruption}"), name)
+        elif side == "server":
             owner, attr = CricketImplementation, name
             built = _serialised(vars(CricketImplementation)[name].body, name)
         else:
@@ -403,6 +482,11 @@ CORRUPTIONS = {
     ),
     "result-unpacking": (
         "rpc_cuModuleGetGlobal", "client", reordered, test_get_global_returns_pointer_and_size,
+    ),
+    "executor-method": (
+        "rpc_cudaStreamDestroy", "body", "cudaEventDestroy",
+        lambda: TestPassThroughBodies().test_a_derived_body_calls_its_namesake(
+            "rpc_cudaStreamDestroy"),
     ),
     "error-name": (
         "rpc_cudaMalloc", "client", {"call": "cudaFree"},

@@ -11,7 +11,7 @@
 * :mod:`repro.cricket.checkpoint` -- checkpoint/restart of server state and
   its one format (CRC-framed containers, delta materialization),
 * :mod:`repro.cricket.scheduler` -- GPU-sharing scheduling policies,
-* :mod:`repro.cricket.sessions` -- per-client leases, resource ledgers and
+* :mod:`repro.cricket.sessions` -- per-client leases, the resource ledger and
   orphan reclamation,
 * :mod:`repro.cricket.replication` -- hot-standby replication (full sync +
   op-log) backing transparent client failover,

@@ -318,8 +318,9 @@ def capture_server_state(
     else:
         state["device_meta"] = server.device.snapshot_meta()
     # Session ownership travels with the state it owns, so a restored
-    # server can keep enforcing quotas and reclaiming orphans.
-    state["sessions"] = server.sessions.snapshot_state()
+    # server can keep enforcing quotas and reclaiming orphans: the entries
+    # on the device this state captures.
+    state["sessions"] = server.sessions.snapshot_state(server.runtime._current)
     fencing = getattr(server, "fencing", None)
     if fencing is not None:
         # The leadership epoch travels with the state it protects: a

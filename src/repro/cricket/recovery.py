@@ -161,7 +161,9 @@ class RecoveryLadder:
                         "context",
                         FAULT_KINDS["context"],
                         origin="watchdog",
-                        culprit=self._stream_owner(ordinal, stream.handle),
+                        culprit=self._server.sessions.ledger.owner_of(
+                            "streams", ordinal, stream.handle
+                        ),
                     )
 
     # -- rungs 3-5: context-level recovery -----------------------------------
@@ -172,11 +174,12 @@ class RecoveryLadder:
         server = self._server
         stats = server.server_stats
         culprit = fault.culprit
-        bystanders = self._owners_on(ordinal) - ({culprit} if culprit else set())
+        ledger = server.sessions.ledger
+        bystanders = ledger.owners_on(ordinal) - ({culprit} if culprit else set())
         if not bystanders:
             # Rung 3: nobody to protect -- reset the context outright.
             device.reset()
-            server.sessions.drop_device(ordinal)
+            ledger.drop_device(ordinal)
             stats.ladder_context_resets += 1
             return
         spare = server._find_spare(ordinal)
@@ -192,13 +195,9 @@ class RecoveryLadder:
         # With no culprit attributed (e.g. a fused hang on the ownerless
         # default stream), everyone is a bystander: the salvage runs
         # without evicting anyone and counts as a context-level recovery.
-        reclaimed = False
-        if culprit:
-            session = server.sessions.lookup(culprit)
-            if session is not None:
-                server.release_ledger(session.ledger)
-                server.sessions.evict(culprit)
-                reclaimed = True
+        reclaimed = bool(culprit) and server.sessions.evict(culprit) is not None
+        if reclaimed:
+            server._reclaim(culprit)
         saved_streams = device.streams
         device.restore(device.snapshot())
         device.streams = saved_streams
@@ -206,20 +205,3 @@ class RecoveryLadder:
             stats.ladder_session_reclaims += 1
         else:
             stats.ladder_context_resets += 1
-
-    # -- attribution helpers -------------------------------------------------
-
-    def _owners_on(self, ordinal: int) -> set[str]:
-        """Identities holding any ledger resource on device ``ordinal``."""
-        return {
-            session.identity
-            for session in self._server.sessions.sessions()
-            if session.ledger.entries_on(ordinal)
-        }
-
-    def _stream_owner(self, ordinal: int, handle: int) -> str:
-        """Identity owning stream ``handle`` on ``ordinal`` ("" if unknown)."""
-        for session in self._server.sessions.sessions():
-            if session.ledger.tables["streams"].get(handle) == ordinal:
-                return session.identity
-        return ""

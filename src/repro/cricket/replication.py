@@ -430,17 +430,12 @@ def state_fingerprint(server: "CricketServer") -> str:
                 sorted(module.globals.items()),
             )
         )
-    sessions = getattr(server, "sessions", None)
-    ledgers = []
-    if sessions is not None:
-        for identity, session in sorted(sessions._sessions.items()):
-            state = session.ledger.as_state()
-            if any(state.values()):
-                canonical = sorted(
-                    (table, sorted(entries.items()))
-                    for table, entries in state.items()
-                )
-                ledgers.append((identity, canonical))
+    sessions = server.sessions.snapshot_state(server.runtime._current)
+    ledgers = [
+        (identity, sorted((kind, sorted(held.items())) for kind, held in entry["ledger"].items()))
+        for identity, entry in sorted(sessions.items())
+        if any(entry["ledger"].values())
+    ]
     state = (
         ("spec", device.spec.name),
         ("capacity", device.allocator.capacity),

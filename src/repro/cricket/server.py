@@ -16,8 +16,10 @@ executors.  Every dispatched call charges a fixed server CPU cost
 CUDA work (memcpy, synchronize) advances the clock inside the executors.
 
 Session governance: every procedure is attributed to the caller's
-``AUTH_CLIENT_TOKEN`` identity (:class:`~repro.oncrpc.server.CallContext`)
-and recorded in that session's :class:`~repro.cricket.sessions.ResourceLedger`.
+``AUTH_CLIENT_TOKEN`` identity (:class:`~repro.oncrpc.server.CallContext`),
+and every resource it creates is entered under that identity in the
+server's one :class:`~repro.cricket.sessions.ResourceLedger`, keyed by kind,
+device and handle.
 Each dispatched call doubles as a lease heartbeat and opportunistically runs
 the expiry reaper, so orphaned state is reclaimed without a background
 thread -- essential under :class:`~repro.net.simclock.SimClock`, where time
@@ -75,10 +77,13 @@ def _serialised(body, name: str | None = None):
     then does, from :data:`~repro.cricket.spec.PROCEDURES` and
     ``cricket.x``, for every procedure:
 
-    * the ledger: a successful create records the result's handle in the
-      caller's ledger on the current device; a successful destroy forgets
-      its first argument in every session's ledger (so a later reclaim does
-      not free it twice);
+    * admission: a caller refused admission gets the refusal from every
+      create, its other result fields zero, and the body does not run;
+    * the ledger: a successful create enters the result's handle on the
+      current device under the caller's identity (an allocation with its
+      size, the call's argument); a successful destroy forgets its first
+      argument on the current device, whoever owned it (so a later reclaim
+      does not free it twice);
     * the result struct: the tuple's values under the struct's fields.
 
     The raw body stays reachable as the wrapper's ``body``.
@@ -86,20 +91,24 @@ def _serialised(body, name: str | None = None):
     proc = PROCEDURES.get(name)  # None for NULLPROC's heartbeat
     fields = result_fields(name) if proc is not None else None
     creates, destroys = getattr(proc, "creates", None), getattr(proc, "destroys", None)
-    if creates == "allocations":
-        # rpc_cudaMalloc records its own entry: it carries the size, and
-        # goes in after the call's cancel safe point
-        creates = None
+    sized = creates == "allocations"
+    refused = (0,) * (len(fields) - 1) if creates is not None else ()
 
     def procedure(self, *args, ctx=None):
         with self._lock:
             self._session, self._deny = self._charge_dispatch(ctx)
             self._ctx = ctx
-            result = body(self, *args)
-            if creates is not None and result[0] == 0:
-                self._record(creates, result[1])
+            if creates is not None and self._deny != 0:
+                result = (self._deny, *refused)
+            else:
+                result = body(self, *args)
+            if creates is not None and result[0] == 0 and self._session is not None:
+                self.sessions.ledger.record(
+                    self._session.identity, creates, self.runtime._current,
+                    int(result[1]), int(args[0]) if sized else 0,
+                )
             elif destroys is not None and result == 0:
-                self.sessions.forget(destroys, int(args[0]))
+                self.sessions.ledger.forget(destroys, self.runtime._current, int(args[0]))
         return result if fields is None else dict(zip(fields, result))
 
     functools.update_wrapper(procedure, body)
@@ -175,10 +184,10 @@ class CricketImplementation:
     """Procedure implementations for the Cricket program.
 
     Each ``rpc_*`` body is just the executor call: the lock, the dispatch
-    charge, the caller's session, the ledger and the result struct come
-    from :func:`_serialised`.  The class body writes only the procedures
-    with logic of their own; every other one is the :func:`_pass_through`
-    to the executor method of its name.  Driver and library contexts follow
+    charge, the caller's session and admission, the ledger and the result
+    struct come from :func:`_serialised`.  The class body writes only the
+    procedures with logic of their own; every other one is the
+    :func:`_pass_through` to the executor method of its name.  Driver and library contexts follow
     the runtime's current device (``self._server.driver`` and friends), so
     a client that calls cudaSetDevice(1) loads modules onto / launches on
     that device (the paper's GPU node hosts A100 + 2x T4 + P40).
@@ -215,25 +224,12 @@ class CricketImplementation:
         session, deny = None, 0
         if ctx is not None and ctx.identity:
             session, deny = self.sessions.open(ctx.identity, now)
-        self.sessions.reap(now, self._server.release_ledger)
+        self.sessions.reap(now, self._server._reclaim)
         self._server._update_brownout()
         self._server._maybe_sweep()
         if self._server.auto_recover and self._server.recovery.needs_heal():
             self._server.recovery.heal()
         return session, deny
-
-    def _ordinal(self) -> int:
-        """Index of the current device (where a resource is being created)."""
-        return self.runtime._current
-
-    def _record(self, kind, key, size=None) -> None:
-        """Record a created resource in the caller's ledger, on the current
-        device (nothing for a call without a session)."""
-        if self._session is not None:
-            ordinal = self._ordinal()
-            self._session.ledger.tables[kind][int(key)] = (
-                ordinal if size is None else (ordinal, int(size))
-            )
 
     @_serialised
     def heartbeat(self):
@@ -243,11 +239,10 @@ class CricketImplementation:
     # -- runtime -------------------------------------------------------------
 
     def rpc_cudaDeviceReset(self):
-        ordinal = self._ordinal()
         err = self.runtime.cudaDeviceReset()
         if err == C.cudaSuccess:
             # Every ledger entry on this device is now dangling.
-            self.sessions.drop_device(ordinal)
+            self.sessions.ledger.drop_device(self.runtime._current)
         return err
 
     def rpc_cudaGetDeviceProperties(self, ordinal):
@@ -262,12 +257,10 @@ class CricketImplementation:
         }
 
     def rpc_cudaMalloc(self, size):
-        """Admission control and the per-client memory quota are enforced
-        here: a refused tenant sees a proper CUDA error on its own call
-        instead of silently exhausting the device for everyone else.
+        """The per-client memory quota is enforced here: a tenant over it
+        sees a proper CUDA error on its own call instead of silently
+        exhausting the device for everyone else.
         """
-        if self._deny != 0:
-            return self._deny, 0
         quota_err = self.sessions.check_quota(self._session, size)
         if quota_err != 0:
             return quota_err, 0
@@ -277,16 +270,16 @@ class CricketImplementation:
         ctx = self._ctx
         if ctx is not None and ctx.cancel.requested:
             # Cooperative cancellation safe point: the allocation has
-            # not been recorded in the ledger or revealed to the client
-            # yet, so undoing it leaves no trace to reclaim later.
+            # not been entered in the ledger (the wrapper does that on
+            # return) or revealed to the client yet, so undoing it leaves
+            # no trace to reclaim later.
             self.runtime.cudaFree(ptr)
             raise CallCancelledError("rpc_cudaMalloc cancelled; allocation undone")
-        self._record("allocations", ptr, size)
         # Allocation-site attribution for the sanitizer: every later
         # violation or leak involving this memory names the tenant and
         # the call that created it.
         owner = (ctx.identity or ctx.client_id) if ctx is not None else ""
-        self._server.devices[self._ordinal()].allocator.annotate(
+        self._server.device.allocator.annotate(
             int(ptr),
             owner=owner,
             site=f"cudaMalloc#{self.runtime.api_call_count}",
@@ -683,41 +676,37 @@ class CricketServer(RpcServer):
 
     # -- session lifecycle --------------------------------------------------
 
-    def release_ledger(self, ledger) -> int:
-        """Free every resource in ``ledger``; returns device bytes reclaimed.
+    def _reclaim(self, identity: str) -> int:
+        """Free every resource ``identity`` holds, on every device; returns
+        device bytes reclaimed.
 
         Called by the reaper when an orphaned session's grace period
-        lapses.  Each release is individually guarded: a ledger entry may
-        already be gone (explicitly destroyed, device reset, restored
+        lapses, and by the recovery ladder's last rung.  Each release is
+        individually guarded: a resource may already be gone (a restored
         checkpoint), and reclamation must never fail halfway because of a
         stale handle.
         """
+        entries = self.sessions.ledger.release(identity)
         before = sum(d.allocator.used_bytes for d in self.devices)
         # Leak report: allocations still live at release time never met a
         # cudaFree -- attribute each to its recorded allocation site before
         # the memory is reclaimed below.
-        for ptr, (ordinal, size) in ledger.allocations.items():
+        for (kind, ordinal, ptr), size in entries.items():
             allocator = self.devices[ordinal].allocator
-            if allocator.sanitizer is None or not allocator.is_live(int(ptr)):
+            if kind != "allocations" or allocator.sanitizer is None or not allocator.is_live(ptr):
                 continue
-            owner, site = allocator.site_of(int(ptr))
+            owner, site = allocator.site_of(ptr)
             self.leak_reports.append(
-                {
-                    "ptr": int(ptr),
-                    "ordinal": ordinal,
-                    "size": size,
-                    "owner": owner,
-                    "site": site,
-                }
+                {"ptr": ptr, "ordinal": ordinal, "size": size, "owner": owner, "site": site}
             )
             self.server_stats.sanitizer_leaks_reported += 1
         for kind, release in self._RELEASE.items():
-            for key, entry in list(ledger.tables[kind].items()):
-                try:
-                    release(self, key, entry)
-                except Exception:
-                    pass
-        ledger.clear()
+            for held, ordinal, key in entries:
+                if held == kind:
+                    try:
+                        release(self, key, ordinal)
+                    except Exception:
+                        pass
         after = sum(d.allocator.used_bytes for d in self.devices)
         return max(before - after, 0)
 
@@ -726,29 +715,18 @@ class CricketServer(RpcServer):
         if allocator.is_live(ptr):
             allocator.free(ptr)
 
-    #: How :meth:`release_ledger` frees one entry ``(key, ordinal)`` of each
-    #: ledger kind, in release order: modules first (unloading frees their
-    #: globals' device memory too), allocations last.
+    #: How :meth:`_reclaim` frees one resource ``key`` on device ``ordinal``
+    #: of each ledger kind, in release order: modules first (unloading frees
+    #: their globals' device memory too), allocations last.
     _RELEASE = {
         "modules": lambda s, h, o: s._drivers[o].cuModuleUnload(h),
         "blas_handles": lambda s, h, o: s._blas[o].cublasDestroy(h),
         "solver_handles": lambda s, h, o: s._solvers[o].cusolverDnDestroy(h),
         "fft_plans": lambda s, h, o: s._ffts[o].cufftDestroy(h),
-        "streams": lambda s, h, o: s.devices[o].streams.destroy_stream(int(h)),
-        "events": lambda s, h, o: s.devices[o].streams.destroy_event(int(h)),
-        "allocations": lambda s, ptr, entry: s._free_if_live(int(ptr), entry[0]),
+        "streams": lambda s, h, o: s.devices[o].streams.destroy_stream(h),
+        "events": lambda s, h, o: s.devices[o].streams.destroy_event(h),
+        "allocations": lambda s, ptr, o: s._free_if_live(ptr, o),
     }
-
-    def bytes_owned_by(self, identity: str) -> int:
-        """Live device bytes attributed to ``identity``'s session (0 if gone)."""
-        session = self.sessions.lookup(identity)
-        if session is None:
-            return 0
-        total = 0
-        for ptr, (ordinal, size) in session.ledger.allocations.items():
-            if self.devices[ordinal].allocator.is_live(int(ptr)):
-                total += size
-        return total
 
     def reap_sessions(self) -> int:
         """Run the lease reaper now; returns device bytes reclaimed.
@@ -758,7 +736,7 @@ class CricketServer(RpcServer):
         after advancing the clock without issuing a client RPC.
         """
         with self.implementation._lock:
-            return self.sessions.reap(self.clock.now_ns, self.release_ledger)
+            return self.sessions.reap(self.clock.now_ns, self._reclaim)
 
     # -- live migration -------------------------------------------------------
 

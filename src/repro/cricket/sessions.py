@@ -8,17 +8,19 @@ that crashes mid-run would otherwise leak its GPU state forever.
 
 Three cooperating pieces:
 
-* :class:`ResourceLedger` -- per-session record of every server-side
-  resource a client created, precise enough to free all of it.
+* :class:`ResourceLedger` -- the server's one record of every server-side
+  resource a client created, keyed ``(kind, device, handle)`` and naming
+  its owner: precise enough to free all of one tenant's resources, on
+  every device.
 * :class:`Session` -- one client identity (the PR-1 ``AUTH_CLIENT_TOKEN``)
   with a renewable lease.  The state machine is
   ``active -> orphaned -> reclaimed``: an expired lease orphans the
   session; a returning client (``CricketClient.recover()`` / ``ping``)
-  within the grace period *reattaches* and keeps its ledger; once grace
-  lapses the ledger is released back to the device.
-* :class:`SessionManager` -- the table plus the reaper, admission control
-  (max concurrent sessions, refusal while draining) and the per-client
-  device-memory quota enforced by ``rpc_cudaMalloc``.
+  within the grace period *reattaches* and keeps its resources; once grace
+  lapses everything the identity holds is released back to the devices.
+* :class:`SessionManager` -- the table and the ledger, plus the reaper,
+  admission control (max concurrent sessions, refusal while draining) and
+  the per-client device-memory quota enforced by ``rpc_cudaMalloc``.
 
 Time comes from the server's clock (:class:`~repro.net.simclock.SimClock`
 in experiments, :class:`~repro.net.simclock.WallClock` for real serving),
@@ -29,7 +31,7 @@ semantics every pre-existing workload was written against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from repro.cricket.spec import LEDGER_KINDS
@@ -46,68 +48,95 @@ LEASE_FOREVER = 0xFFFF_FFFF_FFFF_FFFF
 
 
 class ResourceLedger:
-    """Everything one session owns on the server, one table per kind.
-
-    ``tables[kind]`` (kinds: :data:`~repro.cricket.spec.LEDGER_KINDS`)
-    maps a handle or device pointer to the ordinal of the device it lives
-    on -- resources are per-device, and a client may have called
-    ``cudaSetDevice`` between creations.  Allocations map to
-    ``(ordinal, requested size)`` instead, for quota accounting.
+    """One entry per live server-side resource, keyed the way CUDA keys it:
+    ``(kind, ordinal, key)`` -- the ledger kind
+    (:data:`~repro.cricket.spec.LEDGER_KINDS`), the device and the handle or
+    device pointer, since every device hands out the same first ones.  An
+    entry names its owner identity and, for an allocation, the requested
+    size (the quota measure).  Entries are indexed by device, then owner, in
+    creation order, so no question the server asks walks the sessions.
     """
 
-    def __init__(self, state: dict[str, Any] | None = None) -> None:
-        state = state or {}
-        self.tables: dict[str, dict] = {
-            kind: dict(state.get(kind, {})) for kind in LEDGER_KINDS
+    def __init__(self) -> None:
+        #: (kind, ordinal, key) -> owner identity
+        self._owner: dict[tuple[str, int, int], str] = {}
+        #: ordinal -> owner -> {(kind, key): requested size, 0 unless an
+        #: allocation}, in creation order
+        self._held: dict[int, dict[str, dict[tuple[str, int], int]]] = {}
+
+    def record(self, owner: str, kind: str, ordinal: int, key: int, size: int) -> None:
+        """Enter a created resource under ``owner`` (``size`` 0 unless an
+        allocation)."""
+        if self._owner.get((kind, ordinal, key), owner) != owner:
+            self.forget(kind, ordinal, key)
+        self._owner[kind, ordinal, key] = owner
+        self._held.setdefault(ordinal, {}).setdefault(owner, {})[kind, key] = size
+
+    def forget(self, kind: str, ordinal: int, key: int) -> None:
+        """Remove the entry of a destroyed resource, whoever owned it."""
+        owner = self._owner.pop((kind, ordinal, key), None)
+        if owner is not None:
+            held = self._held[ordinal]
+            del held[owner][kind, key]
+            if not held[owner]:
+                del held[owner]
+
+    def owner_of(self, kind: str, ordinal: int, key: int) -> str:
+        """The identity that created the resource ("" if none did)."""
+        return self._owner.get((kind, ordinal, key), "")
+
+    def owners_on(self, ordinal: int) -> set[str]:
+        """Identities holding any resource on device ``ordinal``."""
+        return set(self._held.get(ordinal, ()))
+
+    def held_by(self, owner: str) -> dict[tuple[str, int, int], int]:
+        """``owner``'s entries: ``(kind, ordinal, key)`` -> requested size."""
+        return {
+            (kind, ordinal, key): size
+            for ordinal, held in self._held.items()
+            for (kind, key), size in held.get(owner, {}).items()
         }
 
-    @property
-    def allocations(self) -> dict[int, tuple[int, int]]:
-        """Device pointer -> (device ordinal, requested size)."""
-        return self.tables["allocations"]
-
-    @property
-    def allocated_bytes(self) -> int:
-        """Sum of requested allocation sizes (the quota measure)."""
-        return sum(size for _, size in self.allocations.values())
-
-    @property
-    def total_entries(self) -> int:
-        """Number of resources of any kind in the ledger."""
-        return sum(map(len, self.tables.values()))
-
-    def entries_on(self, ordinal: int) -> list[tuple[str, int]]:
-        """``(kind, key)`` of every entry on device ``ordinal``."""
-        return [
-            (kind, key)
-            for kind, table in self.tables.items()
-            for key, value in table.items()
-            if (value[0] if isinstance(value, tuple) else value) == ordinal
-        ]
+    def bytes_held(self, owner: str) -> int:
+        """Sum of ``owner``'s requested allocation sizes."""
+        return sum(sum(held.get(owner, {}).values()) for held in self._held.values())
 
     def drop_device(self, ordinal: int) -> None:
-        """Forget every entry on ``ordinal`` (after ``cudaDeviceReset``)."""
-        for kind, key in self.entries_on(ordinal):
-            del self.tables[kind][key]
+        """Forget every entry on ``ordinal`` (after a device reset)."""
+        for held in self._held.pop(ordinal, {}).values():
+            for kind, key in held:
+                del self._owner[kind, ordinal, key]
 
-    def clear(self) -> None:
-        """Forget every entry (the resources were released)."""
-        for table in self.tables.values():
-            table.clear()
+    def release(self, owner: str) -> dict[tuple[str, int, int], int]:
+        """Forget and return all of ``owner``'s entries (as :meth:`held_by`)."""
+        entries = self.held_by(owner)
+        for kind, ordinal, key in entries:
+            self.forget(kind, ordinal, key)
+        return entries
 
-    def as_state(self) -> dict[str, Any]:
-        """Plain-dict form for the checkpoint blob; ``ResourceLedger(state)``
-        rebuilds the ledger."""
-        return {kind: dict(table) for kind, table in self.tables.items()}
+    def state_of(self, owner: str, ordinal: int) -> dict[str, dict]:
+        """``owner``'s entries on ``ordinal`` in the checkpoint's shape:
+        ``{kind: {key: ordinal}}`` in creation order, an allocation's value
+        ``(ordinal, size)``."""
+        state: dict[str, dict] = {kind: {} for kind in LEDGER_KINDS}
+        for (kind, key), size in self._held.get(ordinal, {}).get(owner, {}).items():
+            state[kind][key] = (ordinal, size) if kind == "allocations" else ordinal
+        return state
+
+    def restore(self, owner: str, state: dict[str, dict]) -> None:
+        """Enter the entries of a :meth:`state_of` under ``owner``."""
+        for kind, table in state.items():
+            for key, value in table.items():
+                ordinal, size = value if kind == "allocations" else (value, 0)
+                self.record(owner, kind, ordinal, key, size)
 
 
 @dataclass
 class Session:
-    """One client identity's lease and resource ownership."""
+    """One client identity's lease."""
 
     identity: str
     state: str = ACTIVE
-    ledger: ResourceLedger = field(default_factory=ResourceLedger)
     created_ns: int = 0
     renewed_ns: int = 0
     #: absolute expiry of the current lease (None = leases disabled)
@@ -123,7 +152,8 @@ class Session:
 
 
 class SessionManager:
-    """Session table, lease reaper, admission control and quotas.
+    """Session table, resource ledger, lease reaper, admission control and
+    quotas.
 
     Not internally locked: the Cricket implementation serializes every
     procedure (and therefore every call into this manager) behind its own
@@ -160,16 +190,14 @@ class SessionManager:
         #: new leader.  Heartbeats still renew; only reaping stops.
         self.reaping_paused = False
         self._sessions: dict[str, Session] = {}
+        #: every live resource any session created
+        self.ledger = ResourceLedger()
 
     # -- inspection --------------------------------------------------------
 
     def lookup(self, identity: str) -> Session | None:
         """The session for ``identity``, if one exists (any state)."""
         return self._sessions.get(identity)
-
-    def sessions(self) -> tuple[Session, ...]:
-        """All live sessions (active and orphaned)."""
-        return tuple(self._sessions.values())
 
     @property
     def session_count(self) -> int:
@@ -250,15 +278,13 @@ class SessionManager:
         session.grace_expires_ns = now_ns + int(self.grace_s * 1e9)
         self.stats.sessions_expired += 1
 
-    def reap(
-        self, now_ns: int, release: Callable[[ResourceLedger], int] | None = None
-    ) -> int:
+    def reap(self, now_ns: int, release: Callable[[str], int] | None = None) -> int:
         """Advance the lease state machine; returns bytes reclaimed.
 
         Active sessions whose lease expired become *orphaned* (grace
         countdown starts).  Orphaned sessions whose grace lapsed are
-        *reclaimed*: ``release(ledger)`` frees every resource and reports
-        how many device bytes came back.
+        *reclaimed*: ``release(identity)`` frees every resource the identity
+        holds and reports how many device bytes came back.
         """
         if self.lease_s is None or self.reaping_paused:
             return 0
@@ -276,7 +302,7 @@ class SessionManager:
                 and session.grace_expires_ns is not None
                 and now_ns >= session.grace_expires_ns
             ):
-                freed = release(session.ledger) if release is not None else 0
+                freed = release(identity) if release is not None else 0
                 reclaimed_bytes += freed
                 self.stats.bytes_reclaimed += freed
                 self.stats.sessions_reclaimed += 1
@@ -294,7 +320,8 @@ class SessionManager:
         """
         if session is None or self.memory_quota_bytes is None:
             return 0
-        if session.ledger.allocated_bytes + max(int(size), 0) > self.memory_quota_bytes:
+        held = self.ledger.bytes_held(session.identity)
+        if held + max(int(size), 0) > self.memory_quota_bytes:
             self.stats.quota_denied += 1
             return C.cudaErrorMemoryAllocation
         return 0
@@ -304,7 +331,7 @@ class SessionManager:
 
         Used by the recovery ladder's last rung: the culprit tenant's
         session is expelled so the device can be rebuilt for everyone
-        else.  The caller is responsible for releasing the ledger first.
+        else.  The caller frees what the identity holds in the ledger.
         Returns the evicted session, or None if the identity was unknown.
         """
         session = self._sessions.pop(identity, None)
@@ -312,33 +339,17 @@ class SessionManager:
             self.stats.sessions_reclaimed += 1
         return session
 
-    # -- cross-session bookkeeping ----------------------------------------
-
-    def forget(self, kind: str, key: int) -> None:
-        """Remove ``key`` from every session's ``kind`` table.
-
-        Used when a resource is explicitly destroyed through the API, so
-        a later reclaim does not double-free it.  Scanning all sessions
-        (rather than only the caller's) keeps the ledgers honest even if
-        clients share handles out of band.
-        """
-        for session in self._sessions.values():
-            session.ledger.tables[kind].pop(key, None)
-
-    def drop_device(self, ordinal: int) -> None:
-        """Purge every ledger's entries for one device (device reset)."""
-        for session in self._sessions.values():
-            session.ledger.drop_device(ordinal)
-
     # -- checkpoint integration --------------------------------------------
 
-    def snapshot_state(self) -> dict[str, Any]:
-        """Serializable session table for the server checkpoint blob."""
+    def snapshot_state(self, ordinal: int) -> dict[str, Any]:
+        """Serializable session table for the server checkpoint blob, with
+        each session's ledger entries on device ``ordinal`` (the device a
+        checkpoint captures)."""
         return {
             identity: {
                 "state": session.state,
                 "created_ns": session.created_ns,
-                "ledger": session.ledger.as_state(),
+                "ledger": self.ledger.state_of(identity, ordinal),
             }
             for identity, session in self._sessions.items()
         }
@@ -349,14 +360,15 @@ class SessionManager:
         Every restored session comes back *active* with a fresh lease
         anchored at ``now_ns`` -- the checkpoint's absolute expiry times
         belong to the old server's timeline and would orphan everyone
-        immediately.
+        immediately.  The ledger is replaced by the checkpoint's.
         """
         self._sessions.clear()
+        self.ledger = ResourceLedger()
         for identity, entry in state.items():
+            self.ledger.restore(identity, entry.get("ledger", {}))
             self._sessions[identity] = Session(
                 identity=identity,
                 state=ACTIVE,
-                ledger=ResourceLedger(entry.get("ledger")),
                 created_ns=entry.get("created_ns", now_ns),
                 renewed_ns=now_ns,
                 lease_expires_ns=self._lease_expiry(now_ns),

@@ -232,7 +232,8 @@ class CudaRuntime:
         default-stream semantics, so it waits for all launched work (a hung
         stream times it out before any data moves) and the clock advances
         by the copy.  With a stream it is ``cudaMemcpyAsync``: queued on
-        that stream, the clock left alone; the data moves eagerly -- stream
+        that stream (an unknown one refuses the copy before any data
+        moves), the clock left alone; the data moves eagerly -- stream
         ordering affects only virtual time, which is what the evaluation
         measures.  :meth:`cudaMemcpy` and :meth:`cudaMemcpyAsync` copy a
         D2H span out for in-process callers; the Cricket server sends it as
@@ -243,6 +244,8 @@ class CudaRuntime:
             if device.streams.hung_streams():
                 return self._record(C.cudaErrorLaunchTimeout), None
             self._advance_to(device.synchronize_ns())
+        else:
+            queue = device.streams.stream(int(stream))
         span = None
         if kind == C.cudaMemcpyHostToDevice:
             payload = _host_bytes(src, count)
@@ -261,7 +264,7 @@ class CudaRuntime:
         if stream is None:
             self._advance(seconds)
         else:
-            device.streams.stream(int(stream)).submit(self.clock.now_ns, seconds * 1e9)
+            queue.submit(self.clock.now_ns, seconds * 1e9)
         return C.cudaSuccess, span
 
     def cudaMemcpy(

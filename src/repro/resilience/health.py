@@ -254,8 +254,6 @@ class OutlierEjector:
         self.probation_ns = int(probation_s * 1e9)
         self.min_samples = min_samples
         self._ejected: dict[str, int] = {}  # name -> readmit_at_ns
-        self.ejections = 0
-        self.readmissions = 0
 
     def is_ejected(self, name: str) -> bool:
         return name in self._ejected
@@ -280,7 +278,6 @@ class OutlierEjector:
                 if tracker is not None:
                     tracker.reset()
                 readmitted.append(name)
-                self.readmissions += 1
 
         pool = {
             name: t
@@ -309,7 +306,6 @@ class OutlierEjector:
                 for _ratio, name in outliers[: max(0, budget)]:
                     self._ejected[name] = now + self.probation_ns
                     ejected.append(name)
-                    self.ejections += 1
         return EjectionDecision(ejected=tuple(ejected), readmitted=tuple(readmitted))
 
 
@@ -364,8 +360,6 @@ class BrownoutController:
         self.signals: dict[str, Callable[[], float]] = {}
         self.stage = 0
         self.last_score = 0.0
-        self.entries = 0
-        self.exits = 0
         self._calm_since_ns: int | None = None
         self._stage_changed_ns = 0
 
@@ -400,10 +394,8 @@ class BrownoutController:
             target = 1
 
         if target > self.stage:
-            if self.stage == 0:
-                self.entries += 1
-                if self.stats is not None:
-                    self.stats.brownout_entries += 1
+            if self.stage == 0 and self.stats is not None:
+                self.stats.brownout_entries += 1
             self.stage = target
             self._stage_changed_ns = now
             self._calm_since_ns = None
@@ -420,10 +412,8 @@ class BrownoutController:
                     self.stage -= 1
                     self._stage_changed_ns = now
                     self._calm_since_ns = None
-                    if self.stage == 0:
-                        self.exits += 1
-                        if self.stats is not None:
-                            self.stats.brownout_exits += 1
+                    if self.stage == 0 and self.stats is not None:
+                        self.stats.brownout_exits += 1
             else:
                 self._calm_since_ns = None
         return self.stage

@@ -71,10 +71,6 @@ class CircuitBreaker:
         self.clock = clock if clock is not None else SimClock()
         self._consecutive_failures = 0
         self._open_until_ns: int | None = None
-        #: lifetime count of transitions to the open state
-        self.times_opened = 0
-        #: round-trip time of the most recent successful probe, in ns
-        self.last_probe_rtt_ns: int | None = None
 
     @property
     def state(self) -> str:
@@ -94,21 +90,11 @@ class CircuitBreaker:
         self._consecutive_failures += 1
         if self._consecutive_failures >= self.FAILURE_THRESHOLD:
             self._open_until_ns = self.clock.now_ns + int(self.RESET_TIMEOUT_S * 1e9)
-            self.times_opened += 1
 
     def record_success(self) -> None:
         """Note a success; closes the circuit."""
         self._consecutive_failures = 0
         self._open_until_ns = None
-
-    def note_probe_rtt(self, rtt_ns: int) -> None:
-        """Record the measured RTT of a successful probe.
-
-        A breaker that closed on a 10-second probe success is not the
-        same as a healthy one; the RTT lets callers (and the failover
-        layer's health scoring) tell them apart.
-        """
-        self.last_probe_rtt_ns = rtt_ns
 
 
 class ReconnectingTransport:
@@ -233,12 +219,10 @@ class ReconnectingTransport:
             # breaker purposes, and the half-open trial stays cheap
             # instead of sacrificing a real (non-idempotent) call.
             raise RpcTransportError(f"reconnect probe failed: {exc}") from exc
-        # A successful probe still carries information: its RTT.
-        # Feed it to the breaker and stats so a breaker that closed
-        # on a crawling probe is distinguishable from a healthy one.
-        rtt_ns = self.breaker.clock.now_ns - started_ns
-        self.breaker.note_probe_rtt(rtt_ns)
-        self.stats.probe_rtt_last_ns = rtt_ns
+        # A successful probe still carries information: its RTT.  The
+        # stats keep it, so a breaker that closed on a crawling probe is
+        # distinguishable from a healthy one.
+        self.stats.probe_rtt_last_ns = self.breaker.clock.now_ns - started_ns
 
     def close(self) -> None:
         """Close the live connection, if any."""

@@ -620,7 +620,7 @@ class _Cluster:
         facts: dict[str, Any] = {}
         if final_server.sessions.lease_s is not None:
             facts["orphan_bytes"] = sum(
-                final_server.bytes_owned_by(f"token:{name.encode().hex()}")
+                final_server.sessions.ledger.bytes_held(f"token:{name.encode().hex()}")
                 for name in sorted(self.dead)
             )
         if final_server.sanitized:

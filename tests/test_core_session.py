@@ -79,6 +79,20 @@ class TestClose:
         finally:
             gc.enable()
 
+    def test_a_closed_session_frees_its_client_without_the_cycle_collector(self):
+        gc.collect()
+        gc.disable()
+        try:
+            session = GpuSession(SessionConfig(platform=rustyhermit(), device_mem_bytes=MIB))
+            session.upload(b"x" * 1024)
+            session.close()
+            rpc = session.client.stub.client
+            held = [weakref.ref(o) for o in (session.client, rpc, rpc.transport)]
+            del session, rpc
+            assert [ref() for ref in held] == [None, None, None]
+        finally:
+            gc.enable()
+
     def test_the_counters_stay_readable_after_close(self):
         with GpuSession(SessionConfig(platform=rustyhermit(), device_mem_bytes=MIB)) as s:
             s.upload(b"x" * 1024)

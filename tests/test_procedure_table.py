@@ -185,25 +185,24 @@ class TestLedgerKinds:
         if ordinal:
             client.set_device(ordinal)
         key = KINDS[kind][0](client, server)
-        session = server.sessions.lookup(client.session_identity)
-        return server, client, session, key
+        return server, client, client.session_identity, key
 
     def test_create_records_one_entry_on_the_current_device(self, kind, ordinal):
-        server, _client, session, key = self.created(kind, ordinal)
-        table = session.ledger.tables[kind]
+        server, _client, identity, key = self.created(kind, ordinal)
+        table = server.sessions.ledger.state_of(identity, ordinal)[kind]
         entry = (ordinal, MB) if kind == "allocations" else ordinal
         assert table == {key: entry}
-        assert session.ledger.total_entries == 1
+        assert len(server.sessions.ledger.held_by(identity)) == 1
         assert KINDS[kind][2](server, ordinal, key)
 
     def test_destroy_forgets_the_entry(self, kind, ordinal):
-        server, client, session, key = self.created(kind, ordinal)
+        server, client, identity, key = self.created(kind, ordinal)
         KINDS[kind][1](client, key)
-        assert session.ledger.total_entries == 0
+        assert len(server.sessions.ledger.held_by(identity)) == 0
         assert not KINDS[kind][2](server, ordinal, key)
 
     def test_orphan_and_grace_reclaim_the_entry(self, kind, ordinal):
-        server, client, _session, key = self.created(kind, ordinal)
+        server, client, _identity, key = self.created(kind, ordinal)
         server.clock.advance_s(1.5)
         server.reap_sessions()  # orphaned
         server.clock.advance_s(1.0)
@@ -214,17 +213,16 @@ class TestLedgerKinds:
         assert sum(d.allocator.used_bytes for d in server.devices) == 0
 
     def test_device_reset_drops_the_entry(self, kind, ordinal):
-        _server, client, session, _key = self.created(kind, ordinal)
+        server, client, identity, _key = self.created(kind, ordinal)
         client.device_reset()
-        assert session.ledger.total_entries == 0
+        assert len(server.sessions.ledger.held_by(identity)) == 0
 
 
 def test_expiry_reclaims_all_seven_kinds():
     server = two_device_server(lease_s=1.0, grace_s=0.5)
     client = CricketClient.loopback(server)
     keys = {kind: create(client, server) for kind, (create, _, _) in KINDS.items()}
-    session = server.sessions.lookup(client.session_identity)
-    assert session.ledger.total_entries == 7
+    assert len(server.sessions.ledger.held_by(client.session_identity)) == 7
     server.clock.advance_s(1.5)
     server.reap_sessions()
     server.clock.advance_s(1.0)

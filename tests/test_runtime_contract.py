@@ -17,8 +17,8 @@ error (``cudaPeekAtLastError()`` afterwards), and how far the call moved the
 clock, ``time_charged_ns`` and ``api_call_count``.  Today's quirks are
 pinned as they are (an H2D payload shorter than ``count`` returns
 ``cudaErrorInvalidValue`` without setting the sticky error, a failed
-``cudaSetDevice`` leaves it alone, an async copy moves its data before the
-stream is looked up).
+``cudaSetDevice`` leaves it alone).  What a row cannot show is pinned
+beside the table: an async copy on an unknown stream moves no data.
 """
 
 import pytest
@@ -346,3 +346,12 @@ def test_the_setup_is_pinned():
 @pytest.mark.parametrize("row", CALLS)
 def test_contract(row, condition):
     assert observe(row, condition) == EXPECTED[row, condition]
+
+
+@pytest.mark.parametrize("kind", [H2D, D2D])
+def test_an_async_copy_on_an_unknown_stream_moves_no_data(kind):
+    rt, world = build("healthy")
+    before = rt.devices[0].allocator.read(world.b, 64)
+    src = b"\x07" * 16 if kind == H2D else world.a
+    assert rt.cudaMemcpyAsync(world.b, src, 16, kind, 99) == (HANDLE, None)
+    assert rt.devices[0].allocator.read(world.b, 64) == before

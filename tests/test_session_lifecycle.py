@@ -71,7 +71,7 @@ class TestLeaseLifecycle:
         client.event_create()
         client.cublas_create()
         identity = client.session_identity
-        assert server.bytes_owned_by(identity) == MB
+        assert server.sessions.ledger.bytes_held(identity) == MB
 
         server.clock.advance_s(1.5)  # lease gone, grace running
         server.reap_sessions()
@@ -83,7 +83,7 @@ class TestLeaseLifecycle:
         freed = server.reap_sessions()
         assert freed == MB
         assert server.sessions.lookup(identity) is None
-        assert server.bytes_owned_by(identity) == 0
+        assert server.sessions.ledger.bytes_held(identity) == 0
         assert server.device.allocator.used_bytes == 0
         assert len(server.device.streams.streams()) == 1  # default stream only
         assert server.blas._handles == set()
@@ -101,14 +101,14 @@ class TestLeaseLifecycle:
             victim.malloc(MB)
         identity = victim.session_identity
         del victim  # crashed unikernel: no frees, no goodbye
-        assert server.bytes_owned_by(identity) == 5 * MB
+        assert server.sessions.ledger.bytes_held(identity) == 5 * MB
 
         # Survivor keeps heartbeating while the victim's lease lapses.
         for _ in range(4):
             server.clock.advance_s(0.5)
             survivor.renew_lease()
         server.reap_sessions()
-        assert server.bytes_owned_by(identity) == 0
+        assert server.sessions.ledger.bytes_held(identity) == 0
         assert server.device.allocator.used_bytes == MB  # survivor's byte
         assert survivor.memcpy_d2h(survivor_ptr, 4) is not None
 
@@ -131,7 +131,7 @@ class TestLeaseLifecycle:
         assert session.state == "active"
         assert server.server_stats.sessions_reattached == 1
         assert client.memcpy_d2h(ptr, len(data)) == data
-        assert server.bytes_owned_by(identity) == len(data)
+        assert server.sessions.ledger.bytes_held(identity) == len(data)
 
     def test_post_grace_identity_gets_fresh_session(self):
         server = make_server(lease_s=1.0, grace_s=0.5)
@@ -148,7 +148,7 @@ class TestLeaseLifecycle:
         client.renew_lease()  # same token, brand-new session
         session = server.sessions.lookup(identity)
         assert session is not None and session.state == "active"
-        assert session.ledger.total_entries == 0
+        assert len(server.sessions.ledger.held_by(identity)) == 0
         assert server.server_stats.sessions_opened == 2
         assert server.server_stats.sessions_reattached == 0
 
@@ -171,8 +171,7 @@ class TestLeaseLifecycle:
         client = CricketClient.loopback(server)
         client.malloc(MB)
         client.device_reset()
-        session = server.sessions.lookup(client.session_identity)
-        assert session.ledger.total_entries == 0
+        assert len(server.sessions.ledger.held_by(client.session_identity)) == 0
         # Reclaiming the session later must not double-free reset memory.
         server.clock.advance_s(5.0)
         server.reap_sessions()
@@ -209,9 +208,9 @@ class TestSessionManagerUnit:
     def test_snapshot_restore_rebases_leases(self):
         stats = ServerStats()
         manager = SessionManager(lease_s=1.0, grace_s=1.0, stats=stats)
-        session, _ = manager.open("token:aa", now_ns=0)
-        session.ledger.allocations[0x1000] = (0, 4096)
-        state = manager.snapshot_state()
+        manager.open("token:aa", now_ns=0)
+        manager.ledger.record("token:aa", "allocations", 0, 0x1000, 4096)
+        state = manager.snapshot_state(0)
 
         fresh = SessionManager(lease_s=1.0, grace_s=1.0)
         late = int(100e9)  # restore long after the original lease expired
@@ -219,7 +218,7 @@ class TestSessionManagerUnit:
         restored = fresh.lookup("token:aa")
         assert restored.state == "active"
         assert restored.lease_expires_ns == late + int(1e9)
-        assert restored.ledger.allocations == {0x1000: (0, 4096)}
+        assert fresh.ledger.state_of("token:aa", 0)["allocations"] == {0x1000: (0, 4096)}
 
 
 class TestAdmissionControl:
@@ -288,7 +287,7 @@ class TestGracefulDrain:
 
         replacement = make_server()
         client.recover(server.drain_checkpoint, server=replacement)
-        assert replacement.bytes_owned_by(client.session_identity) == len(data)
+        assert replacement.sessions.ledger.bytes_held(client.session_identity) == len(data)
         assert client.memcpy_d2h(ptr, len(data)) == data
 
     def test_drain_completes_inflight_tcp_calls(self):
@@ -470,7 +469,7 @@ class TestCheckpointCarriesSessions:
         replacement = make_server(lease_s=30.0)
         client.recover(blob, server=replacement)
         identity = client.session_identity
-        assert replacement.bytes_owned_by(identity) == len(data)
+        assert replacement.sessions.ledger.bytes_held(identity) == len(data)
         assert client.memcpy_d2h(ptr, len(data)) == data
         # The restored lease is anchored at the new server's clock, so the
         # session is immediately healthy rather than instantly orphaned.

@@ -19,7 +19,7 @@
   storage of those containers, with delta generations and corruption
   fallback,
 * :mod:`repro.cricket.migration` -- resumable iterative pre-copy live
-  migration over CRC'd chunks with a persistent cursor.
+  migration over CRC'd chunks, resumed from the last acknowledged one.
 """
 
 from repro._lazy import lazy_namespace

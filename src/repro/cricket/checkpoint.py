@@ -35,21 +35,15 @@ container with a valid CRC still reaches ``pickle.loads``.
 
 from __future__ import annotations
 
-import itertools
 import json
 import pickle
 import struct
 import zlib
 from bisect import bisect_right
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.cricket.errors import CheckpointFormatError
-from repro.cubin.loader import CubinImage
-from repro.cubin.metadata import decode_metadata, encode_metadata
-from repro.cuda.driver import LoadedModule
-from repro.gpu.stream import Event, Stream
 from repro.oncrpc.record import CRC_TRAILER_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -274,6 +268,10 @@ def capture_server_state(
 ) -> dict:
     """The full recoverable state of a Cricket server, as a plain dict.
 
+    Each component captures its own part -- the driver its module and
+    function tables, the current device's stream table, the cuBLAS and
+    cuSOLVER contexts their handles, the session manager the ledger, the
+    RPC server its reply cache -- and this function only composes them.
     Every value is an independent copy (device contents are copied out,
     the session/ledger snapshots deep-copy) so the dict stays valid after
     the server mutates.  :func:`snapshot_server` frames this; the
@@ -285,42 +283,23 @@ def capture_server_state(
     the shape a delta checkpoint or a stop-and-copy metadata chunk wants,
     with contents shipped separately as dirty-page fragments.
     """
-    driver = server.driver
-    modules = []
-    for module in driver.loaded_modules():
-        modules.append(
-            {
-                "handle": module.handle,
-                "arch": module.image.arch,
-                "metadata": encode_metadata(module.image.metadata),
-                "functions": {
-                    fh: meta.name for fh, meta in module.functions.items()
-                },
-                "globals": dict(module.globals),
-            }
-        )
-    streams = server.device.streams
+    device = server.device
     state = {
         "version": FORMAT_VERSION,
-        "modules": modules,
-        "next_module": driver._next_module.__reduce__()[1][0],
-        "next_function": driver._next_function.__reduce__()[1][0],
-        "blas_handles": sorted(server.blas._handles),
-        "solver_handles": sorted(server.solver._handles),
-        "streams": {s.handle: (s.tail_ns, s.ops_submitted) for s in streams.streams()},
-        "events": {
-            e.handle: e.timestamp_ns for e in streams._events.values()
-        },
+        **server.driver.capture_state(),
+        "blas_handles": server.blas.capture_state(),
+        "solver_handles": server.solver.capture_state(),
+        **device.streams.capture_state(),
         "clock_ns": server.clock.now_ns,
     }
     if include_device_data:
-        state["device"] = server.device.snapshot()
+        state["device"] = device.snapshot()
     else:
-        state["device_meta"] = server.device.snapshot_meta()
+        state["device_meta"] = device.snapshot_meta()
     # Session ownership travels with the state it owns, so a restored
     # server can keep enforcing quotas and reclaiming orphans: the entries
     # on the device this state captures.
-    state["sessions"] = server.sessions.snapshot_state(server.runtime._current)
+    state["sessions"] = server.sessions.snapshot_state(server.current_ordinal)
     fencing = getattr(server, "fencing", None)
     if fencing is not None:
         # The leadership epoch travels with the state it protects: a
@@ -332,8 +311,7 @@ def capture_server_state(
     # whose call executed just before the drain/failure would retransmit
     # against the restored server and re-execute a non-idempotent call.
     # The cache is already budget-bounded, so the state stays bounded too.
-    with server._stats_lock:
-        state["reply_cache"] = list(server._reply_cache.items())
+    state["reply_cache"] = server.capture_reply_cache()
     return state
 
 
@@ -343,45 +321,21 @@ def snapshot_server(server: "CricketServer") -> bytes:
 
 
 def restore_server_state(server: "CricketServer", state: dict) -> None:
-    """Restore a captured state dict onto ``server`` (same GPU model)."""
+    """Restore a captured state dict onto ``server`` (same GPU model).
+
+    Each component restores the part it captured; the stream table goes
+    after the device image, whose restore resets the device."""
     if state.get("version") != FORMAT_VERSION:
         raise CheckpointFormatError(
             f"unsupported checkpoint version {state.get('version')!r}", offset=1
         )
     # Device memory (allocations at exact addresses).
     server.device.restore(state["device"])
-    # Driver module/function tables.
-    driver = server.driver
-    driver._modules.clear()
-    driver._functions.clear()
-    for entry in state["modules"]:
-        metadata = decode_metadata(entry["metadata"])
-        image = CubinImage(arch=entry["arch"], metadata=metadata)
-        module = LoadedModule(entry["handle"], image)
-        module.globals = dict(entry["globals"])
-        for fhandle, kernel_name in entry["functions"].items():
-            driver._bind(fhandle, module, metadata.kernel(kernel_name))
-        driver._modules[module.handle] = module
-    driver._next_module = itertools.count(state["next_module"])
-    driver._next_function = itertools.count(state["next_function"])
-    # Library handle tables; like streams and events below, the counter
-    # restarts after the largest restored handle, never at a live one.
-    for context, handles in (
-        (server.blas, state["blas_handles"]),
-        (server.solver, state["solver_handles"]),
-    ):
-        context._handles = set(handles)
-        context._next = itertools.count(max(handles, default=0) + 1)
+    server.driver.restore_state(state)
+    server.blas.restore_state(state["blas_handles"])
+    server.solver.restore_state(state["solver_handles"])
     # Streams and events (virtual-time tails survive the checkpoint).
-    streams = server.device.streams
-    streams._streams.clear()
-    for handle, (tail_ns, ops) in state["streams"].items():
-        streams._streams[handle] = Stream(handle, tail_ns, ops)
-    streams._next_stream = itertools.count(max(state["streams"], default=0) + 1)
-    streams._events.clear()
-    for handle, timestamp in state["events"].items():
-        streams._events[handle] = Event(handle, timestamp)
-    streams._next_event = itertools.count(max(state["events"], default=0) + 1)
+    server.device.streams.restore_state(state)
     # Session table.  Leases are re-anchored at the restoring server's
     # current time: the state's absolute expiry times belong to the old
     # server's timeline.
@@ -392,12 +346,7 @@ def restore_server_state(server: "CricketServer", state: dict) -> None:
     fencing = getattr(server, "fencing", None)
     if fencing is not None and "leader_epoch" in state:
         fencing.observe_epoch(state["leader_epoch"])
-    with server._stats_lock:
-        server._reply_cache = OrderedDict(state["reply_cache"])
-        server._reply_cache_total = sum(
-            len(reply) for reply in server._reply_cache.values()
-        )
-        server.server_stats.reply_cache_bytes = server._reply_cache_total
+    server.restore_reply_cache(state["reply_cache"])
 
 
 def restore_server(server: "CricketServer", blob: bytes) -> None:

@@ -60,11 +60,12 @@ _CKPT_NAME = re.compile(r"^ckpt-(\d{8})\.ckpt$")
 class FileStorage:
     """Durable byte storage over a directory, with atomic replace.
 
-    The seam storage fault injection plugs into: the checkpoint store,
-    migration cursor and receiver journal all talk to this interface, so
-    :class:`~repro.resilience.faults.FaultyStorage` can wrap it and model
-    torn writes, bit flips, short reads, ENOSPC and crash-before-rename
-    without touching the callers.
+    The seam storage fault injection plugs into: the checkpoint store and
+    the migration receiver's journal talk to this interface -- ``read``,
+    ``write_atomic``, ``exists``, ``remove``, ``listdir``; every write is
+    an atomic replace -- so :class:`~repro.resilience.faults.FaultyStorage`
+    can wrap it and model torn writes, bit flips, short reads, ENOSPC and
+    crash-before-rename without touching the callers.
     """
 
     def __init__(self, root: str) -> None:
@@ -93,13 +94,6 @@ class FileStorage:
             except OSError:
                 pass
             raise
-
-    def append(self, name: str, data: bytes) -> None:
-        """Append ``data`` durably (journal writes)."""
-        with open(self._path(name), "ab") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
 
     def exists(self, name: str) -> bool:
         return os.path.exists(self._path(name))
@@ -134,9 +128,6 @@ class MemoryStorage:
 
     def write_atomic(self, name: str, data: bytes) -> None:
         self._files[name] = bytes(data)
-
-    def append(self, name: str, data: bytes) -> None:
-        self._files[name] = self._files.get(name, b"") + data
 
     def exists(self, name: str) -> bool:
         return name in self._files
@@ -259,7 +250,7 @@ class CheckpointStore:
             )
             self._timed_write(_generation_name(generation), blob)
         except BaseException:
-            allocator._dirty.update(pages)
+            allocator.remark_dirty(pages)
             raise
         self._bases[generation] = self.last_generation
         self.last_generation = generation

@@ -13,15 +13,16 @@ checkpoints), built for faults:
   to the target in CRC'd chunks.  Each round ships only what changed
   since the previous one, so the final pause covers the residual dirty
   set, not the whole device.
-* **Resume cursor** -- every acknowledged chunk advances a persistent
-  cursor; the sender's outbox holds unacknowledged chunks.  A channel
-  disconnect (or a target kill) resumes from the last acknowledged chunk:
-  the counters prove no full restart.
-* **Receiver journal** -- the target appends every applied chunk to a
-  CRC-framed journal *before* acknowledging it, so a killed target
-  process recovers its staging state (torn tail dropped) and the sender
-  resends only the genuinely unacknowledged suffix.  Sequence numbers
-  de-duplicate redelivery, so resends are idempotent.
+* **Resume from the last ack** -- the sender's in-memory outbox holds
+  every unacknowledged chunk.  A channel disconnect (or a target kill)
+  resends from the last chunk the target acknowledged: the counters
+  prove no full restart.
+* **Receiver journal** -- the target writes every chunk as one
+  atomically written record (the chunk's own CRC trailer covers it)
+  *before* acknowledging it, so a killed target process recovers its
+  staging state (a torn record is dropped) and the sender resends only
+  the genuinely unacknowledged suffix.  Sequence numbers de-duplicate
+  redelivery, so resends are idempotent.
 * **Bounded stop-and-copy** -- the source pauses serving (RPC_BUSY to
   non-exempt calls), ships the final dirty set plus the metadata state,
   and charges the modeled pause to virtual time.  A pause over budget
@@ -34,7 +35,6 @@ checkpoints), built for faults:
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -46,7 +46,6 @@ from repro.cricket.checkpoint import (
     materialize,
     restore_server_state,
 )
-from repro.cricket.ckptstore import FileStorage
 from repro.cricket.errors import (
     ChunkRejectedError,
     MigrationChannelError,
@@ -77,15 +76,12 @@ _KIND_NAMES = {
     KIND_ABORT: "abort",
 }
 
-#: journal record length prefix
-_JOURNAL_LEN = struct.Struct(">I")
+#: the receiver journal's records: this prefix, then the chunk's seq
+JOURNAL_PREFIX = "migration.journal."
 
 
-def _coerce_storage(storage):
-    """Accept a storage object, a directory path, or ``None``."""
-    if storage is None or hasattr(storage, "write_atomic"):
-        return storage
-    return FileStorage(storage)
+def _record_name(seq: int) -> str:
+    return f"{JOURNAL_PREFIX}{seq:08d}"
 
 
 @dataclass(frozen=True)
@@ -188,13 +184,15 @@ class FaultyMigrationChannel:
 class MigrationTarget:
     """Receives, journals and finally applies a migration's chunks.
 
-    The journal is the receiver's crash story: every chunk is appended
-    (CRC-framed, length-prefixed) *before* it is acknowledged.  A killed
-    target process is modeled by building a fresh ``MigrationTarget`` over
-    the same storage and calling :meth:`recover` -- the journal replays,
-    a torn tail (the append the crash interrupted) is dropped, and
-    ``last_acked`` lands exactly on the last chunk the sender may believe
-    delivered.
+    The journal is the receiver's crash story: every chunk is written to
+    ``storage`` (a :class:`~repro.cricket.ckptstore.FileStorage`-shaped
+    object, or ``None`` for no journal) as its own atomically written
+    record (:data:`JOURNAL_PREFIX` and its seq) *before* it is
+    acknowledged.  A killed target process is modeled by building a fresh
+    ``MigrationTarget`` over the same storage and calling :meth:`recover`
+    -- the records replay, a torn one (the write the crash interrupted)
+    is dropped, and ``last_acked`` lands exactly on the last chunk the
+    sender may believe delivered.
     """
 
     def __init__(
@@ -202,12 +200,10 @@ class MigrationTarget:
         server: "CricketServer",
         *,
         storage=None,
-        journal_name: str = "migration.journal",
         stats: "ServerStats | None" = None,
     ) -> None:
         self.server = server
-        self.storage = _coerce_storage(storage)
-        self.journal_name = journal_name
+        self.storage = storage
         self.stats = stats if stats is not None else server.server_stats
         self.last_acked = 0
         self.began = False
@@ -215,12 +211,6 @@ class MigrationTarget:
         #: staged (addr, data) fragments in arrival order
         self.fragments: list[tuple[int, bytes]] = []
         self.commit_state: dict | None = None
-        # In-memory mirror of the journal.  A torn *append* (storage
-        # fault) leaves partial bytes mid-file that would strand every
-        # later record at recovery; the mirror lets the next receive
-        # rewrite the journal atomically from known-good records.
-        self._journal_records: list[bytes] = []
-        self._journal_dirty = False
 
     # -- receive path --------------------------------------------------------
 
@@ -229,7 +219,7 @@ class MigrationTarget:
 
         Duplicates (seq <= last ack) are acknowledged again without
         re-applying -- redelivery after a resume is idempotent.  The
-        journal append happens before the ack: an acked chunk is always
+        journal record is written before the ack: an acked chunk is always
         recoverable.
         """
         chunk = decode_chunk(blob)  # ChunkRejectedError -> sender resends
@@ -242,24 +232,13 @@ class MigrationTarget:
                 f"chunk gap: got seq {chunk.seq}, expected {self.last_acked + 1}"
             )
         if self.storage is not None:
-            framed = append_crc(blob)
-            record = _JOURNAL_LEN.pack(len(framed)) + framed
             try:
-                if self._journal_dirty:
-                    # Scrub the partial bytes a torn append left behind
-                    # before appending after them.
-                    self.storage.write_atomic(
-                        self.journal_name, b"".join(self._journal_records)
-                    )
-                    self._journal_dirty = False
-                self.storage.append(self.journal_name, record)
+                self.storage.write_atomic(_record_name(chunk.seq), blob)
             except OSError as exc:
                 # Not journaled -> must not be acked; the sender retries.
-                self._journal_dirty = True
                 raise MigrationChannelError(
                     f"receiver journal write failed: {exc}"
                 ) from exc
-            self._journal_records.append(record)
         self._apply(chunk)
         self.last_acked = chunk.seq
         return self.last_acked
@@ -284,39 +263,33 @@ class MigrationTarget:
     def recover(self) -> int:
         """Rebuild staging state from the journal; returns ``last_acked``.
 
-        Walks length-prefixed records until the bytes run out or a record
-        fails its CRC -- both are the torn tail of the append a crash
-        interrupted, and both are safely dropped: an interrupted append
-        was by construction never acknowledged.
+        Applies records in seq order from 1.  The first one that is
+        missing or does not decode ends the walk -- it is the write a
+        crash interrupted, by construction never acknowledged -- and it is
+        removed with every record after it.
         """
-        if self.storage is None or not self.storage.exists(self.journal_name):
+        if self.storage is None:
             return self.last_acked
-        data = self.storage.read(self.journal_name)
         self.last_acked = 0
         self.began = False
         self.fragments.clear()
         self.commit_state = None
-        self._journal_records.clear()
-        self._journal_dirty = False
-        pos = 0
-        while pos + _JOURNAL_LEN.size <= len(data):
-            (length,) = _JOURNAL_LEN.unpack_from(data, pos)
-            start = pos + _JOURNAL_LEN.size
-            if start + length > len(data):
-                self._journal_dirty = True
-                break  # torn tail
+        records = set(self._journal())
+        while (name := _record_name(self.last_acked + 1)) in records:
             try:
-                blob = verify_crc(data[start : start + length])
-                chunk = decode_chunk(blob)
-            except (RpcIntegrityError, ChunkRejectedError):
-                self._journal_dirty = True
-                break  # torn/corrupt tail
-            if chunk.seq == self.last_acked + 1:
-                self._apply(chunk)
-                self.last_acked = chunk.seq
-            self._journal_records.append(data[pos : start + length])
-            pos = start + length
+                chunk = decode_chunk(self.storage.read(name))
+            except (ChunkRejectedError, OSError):
+                break
+            self._apply(chunk)
+            self.last_acked = chunk.seq
+            records.discard(name)
+        for name in records:  # the first bad record and everything after it
+            self.storage.remove(name)
         return self.last_acked
+
+    def _journal(self) -> list[str]:
+        """Names of the journal records on storage."""
+        return [n for n in self.storage.listdir() if n.startswith(JOURNAL_PREFIX)]
 
     # -- finalization --------------------------------------------------------
 
@@ -329,7 +302,8 @@ class MigrationTarget:
         state, _dropped = materialize(self.commit_state, self.fragments)
         restore_server_state(self.server, state)
         if self.storage is not None:
-            self.storage.remove(self.journal_name)
+            for name in self._journal():
+                self.storage.remove(name)
         return self.server
 
 
@@ -356,8 +330,7 @@ class MigrationSource:
     """Drives a migration from the source server's side.
 
     Phases: ``idle -> precopy -> paused -> cutover-ready -> done`` (or
-    ``aborted``).  The phase plus the acknowledged-chunk cursor is
-    persisted after every ack, so progress is observable and resumable;
+    ``aborted``).  ``acked`` is the last chunk the target acknowledged;
     unacknowledged chunks wait in the in-memory outbox for
     :meth:`resume` to resend.
     """
@@ -374,20 +347,16 @@ class MigrationSource:
     BANDWIDTH_BYTES_PER_S = 10e9
     #: delivery attempts per chunk before the migration fails
     MAX_CHUNK_ATTEMPTS = 3
-    #: storage name of the persisted resume cursor
-    CURSOR_NAME = "migration.cursor"
-    #: the id BEGIN and the resume cursor carry
+    #: the id BEGIN carries
     MIGRATION_ID = "mig-1"
 
     def __init__(
         self,
         server: "CricketServer",
         *,
-        storage=None,
         stats: "ServerStats | None" = None,
     ) -> None:
         self.server = server
-        self.storage = _coerce_storage(storage)
         self.stats = stats if stats is not None else server.server_stats
         self.phase = "idle"
         self.round = 0
@@ -434,7 +403,6 @@ class MigrationSource:
             self.acked = ack
             for seq in [s for s in self._outbox if s <= ack]:
                 del self._outbox[seq]
-            self._save_cursor()
 
     def _send(self, channel, kind: int, payload: bytes) -> None:
         seq, blob = self._next_chunk(kind, payload)
@@ -483,26 +451,6 @@ class MigrationSource:
         for seq, blob in queued:
             self._deliver(channel, seq, blob)
         return total
-
-    # -- cursor persistence --------------------------------------------------
-
-    def _save_cursor(self) -> None:
-        if self.storage is None:
-            return
-        cursor = {
-            "migration_id": self.MIGRATION_ID,
-            "phase": self.phase,
-            "round": self.round,
-            "acked": self.acked,
-            "seq": self._seq,
-        }
-        framed = append_crc(json.dumps(cursor, sort_keys=True).encode())
-        try:
-            self.storage.write_atomic(self.CURSOR_NAME, framed)
-        except OSError:
-            # A lost cursor write costs resume precision, never correctness:
-            # the receiver de-duplicates anything resent from an older ack.
-            pass
 
     # -- phases --------------------------------------------------------------
 
@@ -567,7 +515,6 @@ class MigrationSource:
         # COMMIT supersedes any partial one on the receiver.
         self.phase = "paused"
         self.server.pause_serving()
-        self._save_cursor()
         try:
             device = self.server.device
             final_bytes = self._send_fragments(channel, device.delta_fragments())
@@ -589,7 +536,6 @@ class MigrationSource:
             self.report.pause_ns += pause_ns
             self.stats.migration_pause_ns += pause_ns
             self.phase = "cutover-ready"
-            self._save_cursor()
         except MigrationChannelError:
             # Still paused: resume() will finish the stop-and-copy.
             raise
@@ -611,9 +557,6 @@ class MigrationSource:
         self.phase = "done"
         self.report.completed = True
         self.stats.migrations_completed += 1
-        self._save_cursor()
-        if self.storage is not None:
-            self.storage.remove(self.CURSOR_NAME)
 
     def abort(self, channel=None) -> None:
         """Abandon the migration; the source serves again immediately."""
@@ -629,15 +572,14 @@ class MigrationSource:
         self.phase = "aborted"
         self.report.aborted = True
         self.stats.migrations_aborted += 1
-        self._save_cursor()
 
     # -- resume after a fault ------------------------------------------------
 
     def resume(self, channel, *, receiver_acked: int | None = None) -> None:
         """Resend the unacknowledged suffix after a disconnect or target kill.
 
-        ``receiver_acked`` is the target's recovered cursor (from
-        :meth:`MigrationTarget.recover`); ``None`` trusts our own cursor.
+        ``receiver_acked`` is the target's recovered ack (from
+        :meth:`MigrationTarget.recover`); ``None`` trusts our own.
         Everything after ``min(ours, theirs)`` is redelivered from the
         outbox -- duplicates are absorbed by the receiver's seq check, so
         resuming is idempotent and never restarts from chunk one.
@@ -648,7 +590,7 @@ class MigrationSource:
         self.stats.migration_resumes += 1
         if receiver_acked is not None and receiver_acked < self.acked:
             # The target lost acked-but-unjournaled state?  Impossible by
-            # construction (journal before ack) -- but a recovered cursor
+            # construction (journal before ack) -- but a recovered ack
             # behind ours means resending from theirs; dedupe absorbs it.
             self.acked = receiver_acked
         for seq in sorted(self._outbox):
@@ -670,7 +612,7 @@ def migrate_live(
     """Run a full migration, transparently resuming across channel faults.
 
     Drives ``start -> run_precopy -> stop_and_copy -> finalize -> cutover``
-    and, on any :class:`MigrationChannelError`, resumes from the cursor
+    and, on any :class:`MigrationChannelError`, resumes from the last ack
     (up to ``max_resumes`` times) instead of restarting.  Returns the
     source's :class:`MigrationReport`.
     """

@@ -48,6 +48,7 @@ import threading
 from collections import deque
 from typing import TYPE_CHECKING
 
+from repro.cricket.checkpoint import capture_server_state, restore_server_state
 from repro.oncrpc import message as msg
 from repro.oncrpc.record import append_crc
 from repro.cricket.spec import MUTATING_PROCS
@@ -92,8 +93,6 @@ class ReplicationLink:
         # leader.  A demoted primary rejoins as the standby of a fresh
         # link instead (its __init__ full-syncs, adopting the new epoch).
         if _fence_epoch(standby) > _fence_epoch(primary):
-            from repro.cricket.witness import StaleEpochError
-
             raise StaleEpochError(
                 f"standby at epoch {_fence_epoch(standby)} outranks "
                 f"primary at epoch {_fence_epoch(primary)}; full sync "
@@ -151,11 +150,6 @@ class ReplicationLink:
         image included, is already an independent copy) -- the container
         a wire link would pay adds nothing in-process.
         """
-        from repro.cricket.checkpoint import (
-            capture_server_state,
-            restore_server_state,
-        )
-
         with self._lock:
             restore_server_state(self.standby, capture_server_state(self.primary))
             self._pending.clear()
@@ -411,42 +405,37 @@ def state_fingerprint(server: "CricketServer") -> str:
     clock legitimately differs from its primary's, and time never feeds
     back into handle or pointer allocation.
 
-    Coverage matches the checkpoint format: the *current* device plus the
-    per-device handle tables the checkpoint carries (cuFFT plans excluded).
+    A view of the checkpoint capture (without device contents, so a
+    sanitized device's canaries are not checked), plus one digest per live
+    allocation: the coverage is the checkpoint's -- the *current* device
+    plus its handle tables, cuFFT plans excluded.
     """
-    device = server.device
+    state = capture_server_state(server, include_device_data=False)
+    device = state["device_meta"]
     allocations = sorted(
         (a.addr, a.size, hashlib.sha256(a.data.tobytes()).hexdigest())
-        for a in device.allocator.live_allocations()
+        for a in server.device.allocator.live_allocations()
     )
-    driver = server.driver
-    modules = []
-    for module in sorted(driver.loaded_modules(), key=lambda m: m.handle):
-        modules.append(
-            (
-                module.handle,
-                module.image.arch,
-                sorted((fh, meta.name) for fh, meta in module.functions.items()),
-                sorted(module.globals.items()),
-            )
-        )
-    sessions = server.sessions.snapshot_state(server.runtime._current)
+    modules = sorted(
+        (m["handle"], m["arch"], sorted(m["functions"].items()), sorted(m["globals"].items()))
+        for m in state["modules"]
+    )
     ledgers = [
         (identity, sorted((kind, sorted(held.items())) for kind, held in entry["ledger"].items()))
-        for identity, entry in sorted(sessions.items())
+        for identity, entry in sorted(state["sessions"].items())
         if any(entry["ledger"].values())
     ]
-    state = (
-        ("spec", device.spec.name),
-        ("capacity", device.allocator.capacity),
+    view = (
+        ("spec", device["spec_name"]),
+        ("capacity", device["capacity"]),
         ("allocations", allocations),
         ("modules", modules),
-        ("next_module", driver._next_module.__reduce__()[1][0]),
-        ("next_function", driver._next_function.__reduce__()[1][0]),
-        ("blas", sorted(server.blas._handles)),
-        ("solver", sorted(server.solver._handles)),
-        ("streams", sorted(s.handle for s in device.streams.streams())),
-        ("events", sorted(device.streams._events)),
+        ("next_module", state["next_module"]),
+        ("next_function", state["next_function"]),
+        ("blas", state["blas_handles"]),
+        ("solver", state["solver_handles"]),
+        ("streams", sorted(state["streams"])),
+        ("events", sorted(state["events"])),
         ("ledgers", ledgers),
     )
-    return hashlib.sha256(repr(state).encode()).hexdigest()
+    return hashlib.sha256(repr(view).encode()).hexdigest()

@@ -319,7 +319,7 @@ class CricketImplementation:
         parameter block; the driver launches what it resolved.
         """
         driver = self._server.driver
-        plan = driver._functions.get(fhandle)
+        plan = driver.launch_plans.get(fhandle)
         if plan is None:
             return C.CUDA_ERROR_INVALID_HANDLE
         try:
@@ -562,6 +562,11 @@ class CricketServer(RpcServer):
         return None if landing is None else (split.offset, landing)
 
     @property
+    def current_ordinal(self) -> int:
+        """Ordinal of the current device: the one a checkpoint captures."""
+        return self.runtime._current
+
+    @property
     def device(self) -> GpuDevice:
         """The *current* device (the evaluation uses a single A100)."""
         return self.devices[self.runtime._current]
@@ -767,6 +772,8 @@ class CricketServer(RpcServer):
     def _find_spare(self, ordinal: int) -> int | None:
         """A healthy, idle, same-model device to absorb ``ordinal``'s state.
 
+        Idle means no allocation and no ledger entry: the swap resets the
+        spare's slot, so a stream or event a tenant holds there would die.
         Degraded silicon (throttled, accruing correctable ECC) is skipped:
         migrating onto a limping spare would trade a gray failure for the
         same gray failure plus a migration.
@@ -777,7 +784,7 @@ class CricketServer(RpcServer):
                 continue
             if d.spec.name != faulted.spec.name:
                 continue
-            if d.allocator.used_bytes == 0:
+            if d.allocator.used_bytes == 0 and not self.sessions.ledger.owners_on(i):
                 return i
         return None
 

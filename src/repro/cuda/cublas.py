@@ -40,6 +40,16 @@ class CublasContext:
         self._handles.remove(handle)
         return C.CUBLAS_STATUS_SUCCESS
 
+    def capture_state(self) -> list[int]:
+        """The live handles, ascending (a checkpoint's part)."""
+        return sorted(self._handles)
+
+    def restore_state(self, handles: list[int]) -> None:
+        """Make ``handles`` the live set; the counter restarts after the
+        largest, never at a live one."""
+        self._handles = set(handles)
+        self._next = count(max(handles, default=0) + 1)
+
     def _matrix(self, ptr: int, rows: int, cols: int, ld: int, dtype) -> np.ndarray:
         """Column-major (rows x cols) matrix view with leading dimension ld."""
         itemsize = np.dtype(dtype).itemsize

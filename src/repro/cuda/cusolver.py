@@ -42,6 +42,16 @@ class CusolverContext:
         self._handles.remove(handle)
         return C.CUSOLVER_STATUS_SUCCESS
 
+    def capture_state(self) -> list[int]:
+        """The live handles, ascending (a checkpoint's part)."""
+        return sorted(self._handles)
+
+    def restore_state(self, handles: list[int]) -> None:
+        """Make ``handles`` the live set; the counter restarts after the
+        largest, never at a live one."""
+        self._handles = set(handles)
+        self._next = count(max(handles, default=0) + 1)
+
     def _matrix(self, ptr: int, rows: int, cols: int, ld: int) -> np.ndarray:
         raw = self.device.allocator.view(int(ptr), 8 * ld * cols)
         return raw.view(np.float64).reshape(cols, ld)[:, :rows].T

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import count
 
 from repro.cubin.loader import CubinImage, load_cubin, load_fatbin
-from repro.cubin.metadata import GlobalMeta, KernelMeta
+from repro.cubin.metadata import KernelMeta, decode_metadata, encode_metadata
 from repro.cuda import constants as C
 from repro.cuda.errors import code_for_exception
 from repro.gpu.device import GpuDevice
@@ -60,7 +60,9 @@ class CudaDriver:
         self.device = device
         self.clock = clock if clock is not None else SimClock()
         self._modules: dict[int, LoadedModule] = {}
-        self._functions: dict[int, LaunchPlan] = {}
+        #: function handle -> what it launches (the server's launch path
+        #: reads it to unpack a parameter block before the launch)
+        self.launch_plans: dict[int, LaunchPlan] = {}
         self._next_module = count(1)
         self._next_function = count(1)
 
@@ -121,7 +123,7 @@ class CudaDriver:
         for ptr, _size in module.globals.values():
             self.device.free(ptr)
         for fhandle in list(module.functions):
-            self._functions.pop(fhandle, None)
+            self.launch_plans.pop(fhandle, None)
         return C.CUDA_SUCCESS
 
     def cuModuleGetFunction(self, handle: int, name: str) -> tuple[int, int]:
@@ -146,7 +148,7 @@ class CudaDriver:
         module.functions[fhandle] = meta
         registry = self.device.registry
         kernel = registry.get(meta.name) if meta.name in registry else meta.name
-        self._functions[fhandle] = LaunchPlan(meta, kernel)
+        self.launch_plans[fhandle] = LaunchPlan(meta, kernel)
 
     def cuModuleGetGlobal(self, handle: int, name: str) -> tuple[int, int, int]:
         """Return (err, device pointer, size) of a module global."""
@@ -171,7 +173,7 @@ class CudaDriver:
         stream: int = DEFAULT_STREAM,
     ) -> int:
         """Launch a function handle (asynchronous)."""
-        plan = self._functions.get(int(fhandle))
+        plan = self.launch_plans.get(int(fhandle))
         if plan is None:
             return C.CUDA_ERROR_INVALID_HANDLE
         try:
@@ -197,6 +199,46 @@ class CudaDriver:
     def loaded_modules(self) -> tuple[LoadedModule, ...]:
         """All currently loaded modules."""
         return tuple(self._modules.values())
+
+    # -- checkpoint ------------------------------------------------------------
+
+    def capture_state(self) -> dict:
+        """The module and function tables as plain data: a checkpoint's
+        ``modules``, ``next_module`` and ``next_function`` keys."""
+        modules = [
+            {
+                "handle": module.handle,
+                "arch": module.image.arch,
+                "metadata": encode_metadata(module.image.metadata),
+                "functions": {fh: meta.name for fh, meta in module.functions.items()},
+                "globals": dict(module.globals),
+            }
+            for module in self._modules.values()
+        ]
+        return {
+            "modules": modules,
+            "next_module": self._next_module.__reduce__()[1][0],
+            "next_function": self._next_function.__reduce__()[1][0],
+        }
+
+    def restore_state(self, state: dict) -> None:
+        """Replace both tables with the ones :meth:`capture_state` took
+        (``state`` may be a whole server state: only those keys are read).
+        Each restored function handle is bound again, as at
+        ``cuModuleGetFunction``."""
+        self._modules.clear()
+        self.launch_plans.clear()
+        for entry in state["modules"]:
+            metadata = decode_metadata(entry["metadata"])
+            module = LoadedModule(
+                entry["handle"], CubinImage(arch=entry["arch"], metadata=metadata)
+            )
+            module.globals = dict(entry["globals"])
+            for fhandle, kernel_name in entry["functions"].items():
+                self._bind(fhandle, module, metadata.kernel(kernel_name))
+            self._modules[module.handle] = module
+        self._next_module = count(state["next_module"])
+        self._next_function = count(state["next_function"])
 
 
 #: 64-bit parameter kinds indistinguishable on the wire: PTX declares

@@ -632,6 +632,11 @@ class DeviceAllocator:
         self._dirty.clear()
         return pages
 
+    def remark_dirty(self, pages: frozenset[int]) -> None:
+        """Put back pages a :meth:`clear_dirty` took whose checkpoint then
+        failed: the next capture must still ship them."""
+        self._dirty.update(pages)
+
     def mark_all_dirty(self) -> None:
         """Mark every live allocation dirty (after restore: baseline unknown)."""
         for allocation in self._allocs.values():

@@ -138,6 +138,30 @@ class StreamTable:
         if event.recorded and event.timestamp_ns > stream.tail_ns:
             stream.tail_ns = event.timestamp_ns
 
+    # -- checkpoint ------------------------------------------------------------
+
+    def capture_state(self) -> dict:
+        """Both tables with their virtual-time tails, as plain data: a
+        checkpoint's ``streams`` and ``events`` keys."""
+        return {
+            "streams": {s.handle: (s.tail_ns, s.ops_submitted) for s in self._streams.values()},
+            "events": {e.handle: e.timestamp_ns for e in self._events.values()},
+        }
+
+    def restore_state(self, state: dict) -> None:
+        """Replace both tables with the ones :meth:`capture_state` took
+        (``state`` may be a whole server state: only those keys are read).
+        Each counter restarts after the largest restored handle."""
+        self._streams = {
+            handle: Stream(handle, tail_ns, ops)
+            for handle, (tail_ns, ops) in state["streams"].items()
+        }
+        self._next_stream = count(max(state["streams"], default=0) + 1)
+        self._events = {
+            handle: Event(handle, timestamp) for handle, timestamp in state["events"].items()
+        }
+        self._next_event = count(max(state["events"], default=0) + 1)
+
     def elapsed_ms(self, start_handle: int, stop_handle: int) -> float:
         """Milliseconds between two recorded events (cudaEventElapsedTime)."""
         start = self.event(start_handle)

@@ -689,6 +689,18 @@ class RpcServer:
             self.server_stats.reply_cache_bytes = self._reply_cache_total
         return reply
 
+    def capture_reply_cache(self) -> list[tuple[tuple[str, int], Buffer]]:
+        """The at-most-once reply cache, oldest first: a checkpoint's part."""
+        with self._stats_lock:
+            return list(self._reply_cache.items())
+
+    def restore_reply_cache(self, entries: list[tuple[tuple[str, int], Buffer]]) -> None:
+        """Make ``entries`` (a :meth:`capture_reply_cache`) the cache."""
+        with self._stats_lock:
+            self._reply_cache = OrderedDict(entries)
+            self._reply_cache_total = sum(len(reply) for reply in self._reply_cache.values())
+            self.server_stats.reply_cache_bytes = self._reply_cache_total
+
     def _execute(
         self, call: msg.CallBody, ctx: CallContext
     ) -> tuple[int, bytearray | GatherRecord]:

@@ -45,6 +45,7 @@ Fault taxonomy (the names used in counters and docs):
 
 from __future__ import annotations
 
+import errno
 import random
 import weakref
 from dataclasses import dataclass, replace
@@ -561,7 +562,8 @@ class StorageFaultPlan:
         An atomic write crashes with only a seeded prefix of the data at
         the target path -- the disk state a crash leaves on a filesystem
         (or code path) without atomic replace.  This is exactly what
-        generation fallback must survive.
+        generation fallback, and the migration receiver's recovery of a
+        torn journal record, must survive.
     ``crash_before_rename``
         The temp file was written and fsynced but the crash lands before
         ``os.replace``: the target keeps its *old* content.  No data is
@@ -625,8 +627,8 @@ class StorageFaultPlan:
 class FaultyStorage:
     """Wraps a :class:`~repro.cricket.ckptstore.FileStorage`-shaped object.
 
-    Presents the same interface, so the checkpoint store, migration
-    cursor and receiver journal get storage faults without code changes.
+    Presents the same interface, so the checkpoint store and the migration
+    receiver's journal get storage faults without code changes.
     Scripted ``*_next`` counters are mutable state here (the plan stays
     frozen): each consumes one trigger per matching operation.
     """
@@ -707,8 +709,6 @@ class FaultyStorage:
         if self._enospc_left > 0 or enospc_hit:
             self._enospc_left = max(0, self._enospc_left - 1)
             self._fault("enospc")
-            import errno
-
             raise OSError(errno.ENOSPC, f"no space left writing {name}")
         if self._torn_left > 0 or torn_hit:
             self._torn_left = max(0, self._torn_left - 1)
@@ -729,27 +729,6 @@ class FaultyStorage:
             data = self._flip_bit(data)
         self._charge_slow_fsync(slow_hit)
         self.inner.write_atomic(name, data)
-
-    def append(self, name: str, data: bytes) -> None:
-        """Append, possibly torn (prefix lands) or refused with ENOSPC."""
-        plan = self.plan
-        torn_hit = self._hit(plan.torn_write_rate)
-        enospc_hit = self._hit(plan.enospc_rate)
-        slow_hit = self._slow_hit()
-        if self._enospc_left > 0 or enospc_hit:
-            self._enospc_left = max(0, self._enospc_left - 1)
-            self._fault("enospc")
-            import errno
-
-            raise OSError(errno.ENOSPC, f"no space left appending {name}")
-        if self._torn_left > 0 or torn_hit:
-            self._torn_left = max(0, self._torn_left - 1)
-            self._fault("torn_write")
-            cut = self._rng.randrange(1, max(2, len(data)))
-            self.inner.append(name, data[:cut])
-            raise StorageCrashError(f"simulated crash mid-append to {name}")
-        self._charge_slow_fsync(slow_hit)
-        self.inner.append(name, data)
 
     def read(self, name: str) -> bytes:
         """Read, possibly shortened or bit-flipped."""

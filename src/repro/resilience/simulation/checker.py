@@ -99,7 +99,7 @@ FACT_RULES: tuple[tuple[str, Callable[[dict[str, Any]], bool]], ...] = (
     ("bug-undetected", lambda f: f["bug_detected"]),
     ("cross-tenant-impact", lambda f: f["healthy_errors"] == 0 and f["devices_healthy"]),
     (
-        # resumed from the cursor to completion: BEGIN crossed the wire
+        # resumed from the last ack to completion: BEGIN crossed the wire
         # once and the receiver absorbed no redelivery of an acked chunk
         "migration-restarted",
         lambda f: f["completed"]

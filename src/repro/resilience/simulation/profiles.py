@@ -144,8 +144,8 @@ PROFILES: dict[str, Profile] = {
         **{**_OVERLOAD, "seeds": (1, 4, 8, 13)},
     ),
     # a torn newest generation falls back to the previous one; a live
-    # migration resumes from its cursor across two disconnects, a
-    # corrupted chunk, a target kill and a torn journal append, and a
+    # migration resumes from its last ack across two disconnects, a
+    # corrupted chunk, a target kill and a torn journal record, and a
     # call retransmitted after cutover is answered from the migrated cache
     "migration": Profile(
         topology="single",

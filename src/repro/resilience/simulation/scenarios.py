@@ -245,7 +245,7 @@ class _TargetProcess:
 
     ``kill()`` rebuilds it over the same journal and recovers it, as a
     supervisor would.  It counts the BEGIN chunks that reach it: a second
-    one means the sender restarted instead of resuming from its cursor.
+    one means the sender restarted instead of resuming from its last ack.
     """
 
     def __init__(self, spawn) -> None:
@@ -276,7 +276,7 @@ class _TargetProcess:
 
 class _FaultyWire:
     """A channel whose first fault takes the scripted extras with it:
-    the target process dies and/or its next journal append tears."""
+    the target process dies and/or its next journal record tears."""
 
     def __init__(self, inner, extras) -> None:
         self.inner = inner
@@ -302,7 +302,7 @@ def migrate(cluster, old, event: NemesisEvent) -> None:
     one aborts and the source resumes serving).  With them, the wire and
     the target's journal misbehave on schedule -- ``disconnect_at`` /
     ``corrupt_at`` are send ordinals, ``kill_target`` and ``torn_journal``
-    ride on the first fault -- every fault is resumed from the cursor,
+    ride on the first fault -- every fault is resumed from the last ack,
     and the run leaves a ``migration`` observation behind.
     ``retransmit`` re-sends a pre-migration malloc, same xid, after
     cutover: the migrated reply cache must answer it (a re-execution is
@@ -359,7 +359,7 @@ def migrate(cluster, old, event: NemesisEvent) -> None:
                 if params.get(name)
             ],
         )
-    source = MigrationSource(old, storage=journal)
+    source = MigrationSource(old)
     before = state_fingerprint(old) if params else None
     try:
         migrate_live(source, target, channel)

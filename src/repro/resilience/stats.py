@@ -117,7 +117,7 @@ class ServerStats:
     migration_chunks_sent: int = 0  #: migration chunks shipped (first transmissions)
     migration_chunks_resent: int = 0  #: chunks re-shipped after a disconnect resume or CRC NAK
     migration_chunks_duplicate: int = 0  #: duplicate chunks the receiver dropped (idempotent)
-    migration_resumes: int = 0  #: times a migration resumed from its cursor instead of restarting
+    migration_resumes: int = 0  #: times a migration resumed from its last ack instead of restarting
     migration_pause_ns: int = 0  #: virtual nanoseconds spent paused in stop-and-copy windows
     migrations_completed: int = 0  #: migrations that reached cutover
     migrations_aborted: int = 0  #: migrations aborted with the source left serving

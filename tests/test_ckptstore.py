@@ -548,10 +548,9 @@ def _storage_script(seed: int, steps: int = 200) -> list[tuple]:
     script = []
     for _ in range(steps):
         op = rng.choice(
-            ("write", "write", "append", "read", "read", "exists", "remove",
-             "listdir", "arm")
+            ("write", "write", "read", "read", "exists", "remove", "listdir", "arm")
         )
-        if op in ("write", "append"):
+        if op == "write":
             payload = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 64)))
             script.append((op, rng.choice(_NAMES), payload))
         elif op == "arm":
@@ -586,8 +585,6 @@ def _replay(inner, seed: int, script: list[tuple]):
                 result = None
             elif op == "write":
                 result = faulty.write_atomic(name, arg)
-            elif op == "append":
-                result = faulty.append(name, arg)
             elif op == "read":
                 result = bytes(faulty.read(name))
             elif op == "exists":

@@ -1,13 +1,12 @@
 """Tests for resumable live migration and the ``migration`` nemesis profile."""
 
-import struct
-
 import pytest
 
 from repro.cricket import (
     CricketClient,
     CricketServer,
     FaultyMigrationChannel,
+    FileStorage,
     LoopbackMigrationChannel,
     MigrationSource,
     MigrationTarget,
@@ -19,6 +18,7 @@ from repro.cricket.errors import (
     MigrationError,
 )
 from repro.cricket.migration import (
+    JOURNAL_PREFIX,
     KIND_BEGIN,
     KIND_FRAGS,
     decode_chunk,
@@ -27,6 +27,7 @@ from repro.cricket.migration import (
 from repro.cricket.replication import state_fingerprint
 from repro.gpu import A100, GpuDevice
 from repro.resilience.failover import LoopbackEndpoint
+from repro.resilience.faults import FaultyStorage, StorageFaultPlan
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.simulation import (
     MIGRATE,
@@ -96,11 +97,11 @@ class TestLiveMigration:
     def test_disconnect_resumes_from_cursor(self, tmp_path):
         source, _client, _ptrs = populated()
         fingerprint = state_fingerprint(source)
-        target = MigrationTarget(small_server(), storage=str(tmp_path))
+        target = MigrationTarget(small_server(), storage=FileStorage(str(tmp_path)))
         channel = FaultyMigrationChannel(
             LoopbackMigrationChannel(target), disconnect_before={3}
         )
-        mig = MigrationSource(source, storage=str(tmp_path))
+        mig = MigrationSource(source)
         report = migrate_live(mig, target, channel)
         assert report.completed
         assert report.resumes == 1
@@ -125,8 +126,8 @@ class TestLiveMigration:
     def test_target_kill_recovers_from_journal(self, tmp_path):
         source, _client, _ptrs = populated(allocs=6, size=192 * 1024)
         fingerprint = state_fingerprint(source)
-        mig = MigrationSource(source, storage=str(tmp_path))
-        first = MigrationTarget(small_server(), storage=str(tmp_path))
+        mig = MigrationSource(source)
+        first = MigrationTarget(small_server(), storage=FileStorage(str(tmp_path)))
         channel = FaultyMigrationChannel(
             LoopbackMigrationChannel(first), disconnect_before={4}
         )
@@ -135,7 +136,7 @@ class TestLiveMigration:
             mig.run_precopy(channel)
             mig.stop_and_copy(channel)
         # the target process dies; a fresh one recovers from the journal
-        second = MigrationTarget(small_server(), storage=str(tmp_path))
+        second = MigrationTarget(small_server(), storage=FileStorage(str(tmp_path)))
         acked = second.recover()
         assert acked == mig.acked  # journal-before-ack: nothing acked is lost
         channel2 = LoopbackMigrationChannel(second)
@@ -150,16 +151,29 @@ class TestLiveMigration:
 
     def test_journal_recovery_drops_torn_tail(self, tmp_path):
         source, _client, _ptrs = populated()
+        fingerprint = state_fingerprint(source)
+        storage = FaultyStorage(FileStorage(str(tmp_path)), StorageFaultPlan())
         mig = MigrationSource(source)
-        target = MigrationTarget(small_server(), storage=str(tmp_path))
-        channel = LoopbackMigrationChannel(target)
-        mig.start(channel)
+        target = MigrationTarget(small_server(), storage=storage)
+        mig.start(LoopbackMigrationChannel(target))
         acked = target.last_acked
-        # simulate the append a crash interrupted: a torn trailing record
-        with open(tmp_path / "migration.journal", "ab") as fh:
-            fh.write(struct.pack(">I", 500) + b"torn")
-        recovered = MigrationTarget(small_server(), storage=str(tmp_path))
+        # the target's next record write crashes with a prefix on disk
+        storage.arm_torn(1)
+        with pytest.raises(MigrationChannelError):
+            mig.stop_and_copy(LoopbackMigrationChannel(target))
+        assert mig.acked == acked  # a torn record is never acknowledged
+        torn = f"{JOURNAL_PREFIX}{acked + 1:08d}"
+        assert storage.exists(torn)
+        recovered = MigrationTarget(small_server(), storage=storage)
         assert recovered.recover() == acked
+        assert not storage.exists(torn)
+        channel = LoopbackMigrationChannel(recovered)
+        mig.resume(channel, receiver_acked=acked)
+        mig.stop_and_copy(channel)
+        recovered.finalize()
+        mig.cutover()
+        assert state_fingerprint(recovered.server) == fingerprint
+        assert not [n for n in storage.listdir() if n.startswith(JOURNAL_PREFIX)]
 
     def test_duplicate_chunks_are_absorbed(self):
         source, _client, _ptrs = populated(allocs=2)
@@ -276,7 +290,7 @@ class TestMigrationProfile:
         assert result.clean, result.violations
         move = result.facts("migration")
         assert move["completed"] and not move["diverged"]
-        assert move["faults"] >= 3  # two disconnects and the torn journal append
+        assert move["faults"] >= 3  # two disconnects and the torn journal record
         assert move["resumes"] > 0
         assert move["target_recoveries"] == 1
         assert move["begin_deliveries"] == 1  # never restarted from chunk one

@@ -128,6 +128,29 @@ class TestDeviceFailover:
         # and the workload keeps running
         client.malloc(1 * MB)
 
+    def test_a_spare_holding_a_tenant_stream_is_not_taken(self):
+        server = self.make_server()
+        client = CricketClient.loopback(server)
+        ptr = client.malloc(1 * MB)
+        client.set_device(1)
+        stream = client.stream_create()  # the spare slot is no longer idle
+        with pytest.raises(RuntimeError):
+            server.failover_device(0)
+        client.stream_synchronize(stream)  # the tenant's stream still works
+        assert server.sessions.ledger.owner_of("streams", 1, stream)
+        client.set_device(0)
+        assert client.memcpy_d2h(ptr, 16) == bytes(16)
+        assert server.server_stats.device_failovers == 0
+
+    def test_a_spare_whose_stream_was_destroyed_is_idle_again(self):
+        server = self.make_server()
+        client = CricketClient.loopback(server)
+        client.malloc(1 * MB)
+        client.set_device(1)
+        client.stream_destroy(client.stream_create())
+        client.set_device(0)
+        assert server.failover_device(0) == 1
+
     def test_no_spare_raises(self):
         server = CricketServer([GpuDevice(A100)], clock=SimClock())
         server.inject_device_fault(0, "ecc")

@@ -508,6 +508,26 @@ class TestRecoveryLadder:
         assert stats.sessions_reclaimed == 1
         assert server.devices[0].healthy
 
+    def test_rung4_falls_back_to_rung5_when_the_spare_holds_a_stream(self):
+        server = self.make_server(devices=2)
+        good, bad, other = (self.loopback(server) for _ in range(3))
+        other.set_device(1)
+        stream = other.stream_create()  # device 1 is not an idle spare
+        other.set_device(0)
+        keep = good.malloc(256)
+        good.memcpy_h2d(keep, b"g" * 256)
+        ptr = bad.malloc(64)
+        bad.free(ptr)
+        with pytest.raises(CudaError):
+            bad.memcpy_h2d(ptr, b"x" * 16)
+        assert good.memcpy_d2h(keep, 256) == b"g" * 256
+        stats = server.server_stats
+        assert stats.ladder_device_failovers == 0
+        assert stats.ladder_session_reclaims == 1
+        assert all(d.healthy for d in server.devices)
+        other.set_device(1)
+        other.stream_synchronize(stream)
+
     def test_operator_injected_faults_are_not_auto_healed(self):
         server = self.make_server(devices=2)
         client = self.loopback(server)

@@ -41,7 +41,7 @@ __getattr__, __dir__, __all__ = lazy_namespace(
             "LoopbackMigrationChannel", "FaultyMigrationChannel", "migrate_live",
         ),
         "replication": (
-            "ReplicationLink", "make_ha_pair", "promote", "promote_with_witness",
+            "ReplicationLink", "HaPair", "make_ha_pair", "promote", "promote_with_witness",
             "state_fingerprint",
         ),
         "witness": (

@@ -233,6 +233,8 @@ class MigrationTarget:
             )
         if self.storage is not None:
             try:
+                if chunk.seq == 1:  # an earlier migration's records are not this one's
+                    self._clear_journal()
                 self.storage.write_atomic(_record_name(chunk.seq), blob)
             except OSError as exc:
                 # Not journaled -> must not be acked; the sender retries.
@@ -274,7 +276,7 @@ class MigrationTarget:
         self.began = False
         self.fragments.clear()
         self.commit_state = None
-        records = set(self._journal())
+        records = {n for n in self.storage.listdir() if n.startswith(JOURNAL_PREFIX)}
         while (name := _record_name(self.last_acked + 1)) in records:
             try:
                 chunk = decode_chunk(self.storage.read(name))
@@ -287,9 +289,10 @@ class MigrationTarget:
             self.storage.remove(name)
         return self.last_acked
 
-    def _journal(self) -> list[str]:
-        """Names of the journal records on storage."""
-        return [n for n in self.storage.listdir() if n.startswith(JOURNAL_PREFIX)]
+    def _clear_journal(self) -> None:
+        for name in self.storage.listdir():
+            if name.startswith(JOURNAL_PREFIX):
+                self.storage.remove(name)
 
     # -- finalization --------------------------------------------------------
 
@@ -302,8 +305,7 @@ class MigrationTarget:
         state, _dropped = materialize(self.commit_state, self.fragments)
         restore_server_state(self.server, state)
         if self.storage is not None:
-            for name in self._journal():
-                self.storage.remove(name)
+            self._clear_journal()
         return self.server
 
 

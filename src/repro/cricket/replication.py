@@ -52,7 +52,13 @@ from repro.cricket.checkpoint import capture_server_state, restore_server_state
 from repro.oncrpc import message as msg
 from repro.oncrpc.record import append_crc
 from repro.cricket.spec import MUTATING_PROCS
-from repro.cricket.witness import StaleEpochError
+from repro.cricket.witness import (
+    LeadershipFence,
+    LeadershipRefused,
+    StaleEpochError,
+    Witness,
+    WitnessUnreachableError,
+)
 from repro.resilience.health import HealthTracker, LatencySLO
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -61,15 +67,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 def _fence_epoch(server) -> int:
     """A server's current leadership epoch (0 when unfenced)."""
-    fencing = getattr(server, "fencing", None)
-    return getattr(fencing, "epoch", 0) if fencing is not None else 0
+    return getattr(server.fencing, "epoch", 0)
 
 
 class ReplicationLink:
     """Ships state-mutating ops from a primary to a hot standby.
 
-    Attaching installs the primary's ``on_executed`` observer (full sync
-    first).  Detaching (or :func:`promote`) removes it.  The link itself
+    Building it full-syncs the standby and installs the primary's
+    ``on_executed`` observer; detaching (or :func:`promote`) removes it for
+    good -- a heal builds a fresh link (:meth:`HaPair.relink`).  The link itself
     is the "network": in-process by construction, but the unit shipped --
     the original request record bytes -- is exactly what a wire protocol
     would carry.
@@ -89,7 +95,7 @@ class ReplicationLink:
         if primary.on_executed is not None:
             raise RuntimeError("primary already has a replication observer")
         # Epoch guard: a standby that has seen a *newer* epoch than this
-        # primary outranks it -- attaching would replicate from a stale
+        # primary outranks it -- linking would replicate from a stale
         # leader.  A demoted primary rejoins as the standby of a fresh
         # link instead (its __init__ full-syncs, adopting the new epoch).
         if _fence_epoch(standby) > _fence_epoch(primary):
@@ -263,34 +269,13 @@ class ReplicationLink:
             self.primary.on_executed = None
             self.attached = False
 
-    def attach(self) -> None:
-        """Re-attach a detached link: full sync, then resume shipping.
-
-        The operator's post-heal move.  A link detached while the standby
-        was unreachable (the witness-blessed go-solo path) has an
-        arbitrary gap in its op-log, so re-attachment re-seeds the
-        standby from the current primary state before shipping resumes.
-        A promoted link stays severed -- the demoted ex-primary must be
-        rebuilt as a standby of the new leader, not the other way round.
-        """
-        with self._lock:
-            if self.attached:
-                return
-            if self.promoted:
-                raise ValueError("cannot re-attach a promoted link")
-            self.full_sync()
-            self.primary.on_executed = self._on_executed
-            self.attached = True
-
 
 def promote(link: ReplicationLink) -> "CricketServer":
     """Promote the standby: flush the op-log, detach, return the standby.
 
-    Idempotent -- a second promotion (two clients racing to the standby)
-    is a no-op.  After promotion the standby is a fully independent
-    primary holding every acknowledged *and* pending op, with the reply
-    cache the replay built, so retransmitted in-flight calls from failing-
-    over clients hit at-most-once instead of re-executing.
+    Idempotent (two clients may race to the standby).  The promoted node
+    holds every acknowledged *and* pending op, with the reply cache the
+    replay built, so retransmitted in-flight calls hit at-most-once.
     """
     with link._lock:
         if link.promoted:
@@ -303,19 +288,14 @@ def promote(link: ReplicationLink) -> "CricketServer":
 
 
 def promote_with_witness(link: ReplicationLink, fence) -> "CricketServer":
-    """Witness-gated promotion hook: acquire the next epoch, then promote.
+    """Witness-gated promotion: acquire the next epoch, then promote.
 
-    Unlike :func:`promote`, promotion is *conditional*: the standby first
-    has to win the leadership lease from the witness.  While the old
-    primary's lease is live (or the witness is unreachable from the
-    standby), acquisition fails and the standby stays a follower -- it
-    keeps shedding mutations with ``RPC_NOT_LEADER``, and the failing-
-    over client's backoff burns virtual time until the stale lease
-    lapses.  That wait *is* the split-brain protection: promotion can
-    only happen under an epoch the old primary provably no longer holds.
+    While the old primary's lease is live (or the witness is unreachable)
+    the standby stays a follower that sheds with ``RPC_NOT_LEADER``, and
+    the failing-over client's backoff burns virtual time until the lease
+    lapses: promotion only happens under an epoch the old primary
+    provably no longer holds.
     """
-    from repro.cricket.witness import LeadershipRefused, WitnessUnreachableError
-
     if fence.is_leader:
         return link.standby  # already promoted (idempotent, like promote)
     try:
@@ -323,6 +303,82 @@ def promote_with_witness(link: ReplicationLink, fence) -> "CricketServer":
     except (LeadershipRefused, WitnessUnreachableError):
         return link.standby  # stays a follower; mutations shed
     return promote(link)
+
+
+class HaPair:
+    """A fenced pair of servers, built once and addressed by role.
+
+    The two named nodes (the first leads, at epoch 1), the witness between
+    them, a :class:`LeadershipFence` each and the current
+    :class:`ReplicationLink`, from the leader to the other node.  No node
+    is special: every endpoint's connect hook is :meth:`on_connect`, and
+    every heal runs :meth:`relink`.  Only the standby of the current link,
+    which that link full-synced and ships to, may promote: a node leads
+    only once it has caught up (Raft's up-to-date rule).
+    """
+
+    def __init__(self, servers: dict, witness: Witness, *, reachability=None, **link_options):
+        self.servers = dict(servers)
+        self.witness = witness
+        #: ``reachability(src, dst)``: the link gate of that direction (None:
+        #: always reachable)
+        self.reachability = reachability or (lambda source, target: None)
+        self._link_options = link_options
+        first, second = self.servers
+        self.fences = {
+            name: LeadershipFence(server, witness, name=name, peer_hint=peer)
+            for (name, server), peer in zip(self.servers.items(), (second, first))
+        }
+        self.fences[first].lead()  # epoch 1
+        self._link(first, second)
+
+    def _link(self, source: str, target: str) -> None:
+        """Ship ``source -> target``: the new link full-syncs ``target``,
+        which adopts the leader's epoch."""
+        gate = self.reachability(source, target)
+        self.link = ReplicationLink(
+            self.servers[source], self.servers[target], reachability=gate, **self._link_options
+        )
+        self.fences[source].link, self.fences[target].link = self.link, None
+        #: names of the current link's primary and standby
+        self.ends = (source, target)
+
+    def _roles(self) -> tuple[str, str]:
+        """The current link's leading and following node."""
+        return self.ends[::-1] if self.link.promoted else self.ends
+
+    def leader(self) -> str:
+        """The live node accepting mutations ("" when none is).
+
+        A deposed leader believes it leads until its next call: the newer
+        epoch wins, then the current link's leading node.
+        """
+        head = self._roles()[0]
+        live = [n for n, f in self.fences.items() if f.is_leader and not self.servers[n].killed]
+        return max(live, key=lambda name: (self.fences[name].epoch, name == head), default="")
+
+    def on_connect(self, endpoint) -> None:
+        """Promote the current link's standby when a client connects to it."""
+        if endpoint.server is self.link.standby:
+            promote_with_witness(self.link, self.fences[self.ends[1]])
+
+    def relink(self) -> None:
+        """After a heal, make the leader's peer its standby again.
+
+        A link that no longer ships -- detached by a leader that went
+        solo, or promoted -- is replaced by a fresh one from the leader.
+        Nothing happens while a node is dead, the leader is fenced or the
+        peer is unreachable.
+        """
+        source, target = self._roles()
+        gate = self.reachability(source, target)
+        if not (
+            self.link.attached
+            or any(self.servers[name].killed for name in self.ends)
+            or not self.fences[source].is_leader
+            or (gate is not None and not gate())
+        ):
+            self._link(source, target)
 
 
 def make_ha_pair(
@@ -333,60 +389,33 @@ def make_ha_pair(
 ) -> tuple[ReplicationLink, list]:
     """Wire a primary/standby pair for transparent client failover.
 
-    Returns ``(link, endpoints)`` where ``endpoints`` feeds
-    :meth:`CricketClient.failover`: primary first, then the standby with
-    a connect hook that promotes it the moment a failing-over client
-    arrives.
-
-    By default the pair is **fenced**: a :class:`~repro.cricket.witness.
-    Witness` on the primary's clock, with its default lease, grants the
-    primary epoch 1, and the standby's connect hook promotes
-    through :func:`promote_with_witness` -- a partitioned-but-alive
-    primary can therefore never end up serving mutations concurrently
-    with a promoted standby.  The witness and both fences ride on the
-    returned link as ``link.witness`` / ``link.primary_fence`` /
+    Returns ``(link, endpoints)``: ``endpoints`` (primary first) feeds
+    :meth:`CricketClient.failover`.  By default the pair is a fenced
+    :class:`HaPair` under a :class:`~repro.cricket.witness.Witness` on the
+    primary's clock, with its default lease; the witness and both fences
+    ride on the link as ``link.witness`` / ``link.primary_fence`` /
     ``link.standby_fence``.
 
     ``unfenced=True`` is the legacy escape hatch: no witness, no epochs,
-    and the PR-4 promote-on-connect behavior (any client connecting to
-    the standby promotes it unconditionally).  Only crash-stop failover
-    is safe under it; partitions split-brain, which is exactly what the
-    default now prevents.
+    and any client connecting to the standby promotes it unconditionally.
+    Only crash-stop failover is safe under it; partitions split-brain.
     """
     from repro.resilience.failover import LoopbackEndpoint
 
     if unfenced:
         link = ReplicationLink(primary, standby)
-        endpoints = [
-            LoopbackEndpoint(primary, name="primary"),
-            LoopbackEndpoint(
-                standby, name="standby", on_connect=lambda _ep: promote(link)
-            ),
-        ]
-        return link, endpoints
 
-    from repro.cricket.witness import LeadershipFence, Witness
-
-    witness = Witness(primary.clock)
-    primary_fence = LeadershipFence(
-        primary, witness, name="primary", peer_hint="standby"
-    )
-    standby_fence = LeadershipFence(
-        standby, witness, name="standby", peer_hint="primary"
-    )
-    primary_fence.lead()  # epoch 1
-    link = ReplicationLink(primary, standby)
-    primary_fence.link = link
-    link.witness = witness
-    link.primary_fence = primary_fence
-    link.standby_fence = standby_fence
+        def hook(endpoint) -> None:  # any client reaching the standby promotes it
+            if endpoint.server is standby:
+                promote(link)
+    else:
+        pair = HaPair({"primary": primary, "standby": standby}, Witness(primary.clock))
+        link, hook = pair.link, pair.on_connect
+        link.witness = pair.witness
+        link.primary_fence, link.standby_fence = pair.fences.values()
     endpoints = [
-        LoopbackEndpoint(primary, name="primary"),
-        LoopbackEndpoint(
-            standby,
-            name="standby",
-            on_connect=lambda _ep: promote_with_witness(link, standby_fence),
-        ),
+        LoopbackEndpoint(server, name=name, on_connect=hook)
+        for name, server in (("primary", primary), ("standby", standby))
     ]
     return link, endpoints
 

@@ -74,11 +74,11 @@ class LeadershipRefused(Exception):
 
 
 class StaleEpochError(Exception):
-    """An op-log ship (or attach) carried an epoch older than the receiver's.
+    """An op-log ship (or a new link) carried an epoch older than the receiver's.
 
     Raised by :class:`~repro.cricket.replication.ReplicationLink` when a
-    demoted primary tries to keep shipping, or to re-attach, without a
-    fresh full sync under the current epoch.
+    demoted primary tries to keep shipping, or to link to a node that has
+    seen a newer epoch, without a fresh full sync under the current epoch.
     """
 
 
@@ -235,28 +235,18 @@ class LeadershipFence:
         #: across servers (at most one mutation-accepting server per epoch)
         self.epochs_served: set[int] = set()
         #: replication link to the standby while leading (set by
-        #: ``make_ha_pair``); its reachability gates solo acknowledgment
+        #: ``HaPair``); its reachability gates solo acknowledgment
         self.link = None
-        self.fenced_reason = ""
         server.fencing = self
 
     # -- bookkeeping -------------------------------------------------------
 
-    def _count(self, field: str, delta: int = 1) -> None:
-        stats = getattr(self.server, "server_stats", None)
-        if stats is not None:
-            setattr(stats, field, getattr(stats, field) + delta)
+    def _count(self, field: str) -> None:
+        stats = self.server.server_stats
+        setattr(stats, field, getattr(stats, field) + 1)
 
     def _set_epoch(self, epoch: int) -> None:
-        self.epoch = epoch
-        stats = getattr(self.server, "server_stats", None)
-        if stats is not None:
-            stats.fencing_epoch = epoch
-
-    def _pause_reaping(self, paused: bool) -> None:
-        sessions = getattr(self.server, "sessions", None)
-        if sessions is not None:
-            sessions.reaping_paused = paused
+        self.epoch = self.server.server_stats.fencing_epoch = epoch
 
     # -- transitions -------------------------------------------------------
 
@@ -271,25 +261,21 @@ class LeadershipFence:
         fresh = lease.epoch != self.epoch or not self.is_leader
         self._set_epoch(lease.epoch)
         self.is_leader = True
-        self.fenced_reason = ""
         self.lease_expires_ns = self.server.clock.now_ns + int(
             lease.duration_s * 1e9
         )
         if fresh:
             self._count("fencing_leases_acquired")
-        self._pause_reaping(False)
+        self.server.sessions.reaping_paused = False
 
-    def fence(self, reason: str) -> None:
+    def fence(self) -> None:
         """Stop accepting mutations (lease lost, superseded, or demoted)."""
         if self.is_leader:
             self.is_leader = False
             self._count("fencing_self_fences")
-        self.fenced_reason = reason
-        self._pause_reaping(True)
-        link = self.link
-        if link is not None and getattr(link, "attached", False):
-            # A fenced ex-primary must not keep shipping its (stale) ops.
-            link.detach()
+        self.server.sessions.reaping_paused = True
+        if self.link is not None:
+            self.link.detach()  # a fenced ex-primary must not ship its (stale) ops
 
     def observe_epoch(self, epoch: int, hint: str = "") -> None:
         """Adopt a higher epoch seen elsewhere (ship, checkpoint, restore).
@@ -302,7 +288,7 @@ class LeadershipFence:
             if hint:
                 self.peer_hint = hint
             if self.is_leader:
-                self.fence(f"superseded by epoch {epoch}")
+                self.fence()  # provably superseded
 
     def _try_renew(self, now_ns: int) -> bool:
         """Renew the lease at the witness; fences on refusal.
@@ -321,7 +307,7 @@ class LeadershipFence:
                 self._set_epoch(exc.epoch)
             if exc.holder:
                 self.peer_hint = exc.holder
-            self.fence("lease superseded at the witness")
+            self.fence()
             return False
         self.lease_expires_ns = now_ns + int(lease.duration_s * 1e9)
         self._count("fencing_leases_renewed")
@@ -343,7 +329,7 @@ class LeadershipFence:
                 # Witness unreachable with an expired lease: the witness
                 # may already have granted our epoch away.  Self-fence.
                 self._count("fencing_leases_expired")
-                self.fence("lease expired and witness unreachable")
+                self.fence()
         if not self.is_leader:
             # Reads too: a deposed primary's state may predate writes the
             # new leader acknowledged, so only the lease holder answers.
@@ -352,11 +338,7 @@ class LeadershipFence:
         if proc not in MUTATING_PROCS:
             return None
         link = self.link
-        if (
-            link is not None
-            and getattr(link, "attached", False)
-            and not link.reachable()
-        ):
+        if link is not None and link.attached and not link.reachable():
             # The standby is unreachable.  Acknowledging a mutation that
             # cannot replicate risks losing an acked write, so either get
             # the witness's blessing to go solo (while we keep renewing,

@@ -18,7 +18,7 @@ from repro.cubin.metadata import KernelMeta, decode_metadata, encode_metadata
 from repro.cuda import constants as C
 from repro.cuda.errors import code_for_exception
 from repro.gpu.device import GpuDevice
-from repro.gpu.errors import KernelParamError, UnknownKernelError
+from repro.gpu.errors import KernelParamError
 from repro.gpu.kernels import Kernel
 from repro.gpu.stream import DEFAULT_STREAM
 from repro.net.simclock import SimClock

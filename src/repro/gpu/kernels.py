@@ -18,8 +18,8 @@ GPU time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, NamedTuple
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 

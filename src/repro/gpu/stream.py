@@ -9,7 +9,7 @@ virtual durations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 
 from repro.gpu.errors import InvalidStreamError

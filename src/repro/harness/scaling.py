@@ -26,7 +26,6 @@ from repro.cricket.scheduler import (
     FifoPolicy,
     GpuScheduler,
     RoundRobinPolicy,
-    SchedulingPolicy,
     WorkItem,
 )
 from repro.harness.report import render_table

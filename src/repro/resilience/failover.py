@@ -15,10 +15,10 @@ primary crash mid-call (even *after* executing a non-idempotent
 procedure) is absorbed without double execution.
 
 :class:`LoopbackEndpoint` adapts an in-process server for deterministic
-failover tests, including the dangerous crash window: ``kill()`` models
-an immediate crash, ``kill_after_next_execute()`` executes (and
-replicates) the next call, then crashes *before the reply leaves* -- the
-worst case for at-most-once.
+failover tests, including the dangerous crash window:
+``kill_after_next_execute()`` executes (and replicates) the next call,
+then crashes *before the reply leaves* -- the worst case for
+at-most-once (``server.kill()`` is an immediate crash).
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ class LoopbackEndpoint:
         self.fragment_size = fragment_size
         self.meter = meter
         #: called on every successful :meth:`connect` -- the promotion
-        #: hook: a standby promotes itself when a failing-over client
-        #: arrives (see :func:`make_ha_pair`)
+        #: hook: the current standby of an HA pair promotes itself when a
+        #: failing-over client arrives (:meth:`HaPair.on_connect`)
         self.on_connect = on_connect
         #: connectivity oracle with ``allowed(src, dst)`` (a
         #: :class:`~repro.resilience.faults.PartitionState`); ``None``
@@ -74,10 +74,6 @@ class LoopbackEndpoint:
         #: connections handed out (first connect vs failover is visible)
         self.connects = 0
 
-    def kill(self) -> None:
-        """Crash the server now: every dispatch (and connect) fails."""
-        self.server.kill()
-
     def kill_after_next_execute(self) -> None:
         """Crash *after* executing the next call but before replying.
 
@@ -86,10 +82,6 @@ class LoopbackEndpoint:
         sees a dead connection and must retransmit -- to whoever answers.
         """
         self._die_after_next_execute = True
-
-    @property
-    def alive(self) -> bool:
-        return not self.server.killed
 
     def _request_reachable(self) -> bool:
         return self.link is None or self.link.allowed(self.client_name, self.name)

@@ -112,6 +112,7 @@ FACT_RULES: tuple[tuple[str, Callable[[dict[str, Any]], bool]], ...] = (
     ("split-epoch", lambda f: not f["split_epochs"]),
     ("stale-primary-executed", lambda f: f["stale_executions"] == 0),
     ("unconverged", lambda f: f["converged"]),
+    ("stuck-after-failover", lambda f: f["stuck_ops"] == 0),
     ("undetected-in-budget", lambda f: 0 <= f["detect_ns"] <= f["detect_budget_ns"]),
     ("false-ejection", lambda f: not f["false_ejections"]),
     ("brownout-flap", lambda f: f["brownout_entries"] <= 1 and f["brownout_exits"] <= 1),

@@ -72,6 +72,9 @@ TOPOLOGIES = ("single", "ha_pair")
 
 #: virtual seconds from injection within which a limplock must be detected
 DETECT_BUDGET_S = 10.0
+#: virtual seconds past the witness lease within which a kill's failover
+#: must be over: an op started later than that may not end ambiguous
+FAILOVER_BUDGET_S = 1.0
 
 #: derivation constants separating the nemesis and workload RNG streams
 _NEMESIS_STREAM = 0x4E656D65
@@ -245,9 +248,7 @@ class _Cluster:
         self.slow: dict[str, list[Any]] = {}
         self.servers: dict[str, Any] = {}
         self.state = None  # PartitionState (ha_pair)
-        self.witness = None
-        self.fences: dict[str, Any] = {}
-        self.link = None
+        self.pair = None  # HaPair (ha_pair)
         self.store = None  # CheckpointStore over FaultyStorage
         self.store_faults = None  # the FaultyStorage wrapper
         #: every MemoryStorage the run built, emptied when it ends
@@ -268,14 +269,12 @@ class _Cluster:
     # -- leadership ---------------------------------------------------------
 
     def leader(self) -> tuple[str, Any]:
-        """Name and server of the node currently accepting mutations."""
-        if self.plan.topology == "single":
+        """Name and server of the live node accepting mutations (or ``""``
+        and the first node)."""
+        if self.pair is None:
             return "server", self.servers["server"]
-        for name in ("standby", "primary"):
-            fence = self.fences.get(name)
-            if fence is not None and fence.is_leader:
-                return name, self.servers[name]
-        return "", self.servers["primary"]
+        name = self.pair.leader()
+        return name, self.servers[name or next(iter(self.servers))]
 
     def make_server(self):
         """A fresh server process: the simulator's defaults, overridden
@@ -344,23 +343,21 @@ class _Cluster:
             start_s=now_s, end_s=now_s + duration, groups=groups
         )
         self.state.plan = PartitionPlan(windows=(window,))
-        # the operator's post-heal move: re-attach a link the go-solo
-        # path detached during the cut (full sync, then resume shipping)
+        # the operator's post-heal move: put the leader's standby back
+        # in sync (see HaPair.relink)
         self._heal_later(duration, "relink")
         # march into the window far enough for the lease to expire while
         # the cut is open -- the moment the fencing machinery must act
         self.clock.advance_s(min(self.plan.lease_s * 1.5, duration / 2))
 
     def _apply_kill_primary(self, event: NemesisEvent) -> None:
-        if self.plan.topology == "single":
-            return
         name, server = self.leader()
-        if not name or server.killed:
+        if self.pair is None or not name:
             return
         if event.params.get("dangerous"):
             # Crash after executing (and replicating) the next call but
             # before its reply leaves -- the at-most-once worst case.
-            slot = 0 if name == "primary" else 1
+            slot = list(self.servers).index(name)
             self.loopbacks[self.client_names[0]][slot].kill_after_next_execute()
         else:
             server.kill()
@@ -434,7 +431,7 @@ class _Cluster:
 
     def _heal(self, label: str, client: str) -> None:
         if label == "relink":
-            self._relink()
+            self.pair.relink()
             return
         if label == "fsync":
             # the disk is replaced: no stall left armed, and fresh
@@ -448,26 +445,6 @@ class _Cluster:
         if self.limp is not None and label != "faulty":
             self.limp["healed"] = True
 
-    def _relink(self) -> None:
-        """Re-attach a detached, unpromoted replication link post-heal.
-
-        Only when the original primary still leads and both processes
-        are alive: after a promotion the demoted ex-primary stays
-        fenced and solo (re-seeding it as a standby of the new leader
-        is an operation this harness deliberately does not model).
-        """
-        link = self.link
-        if link is None or link.attached or link.promoted:
-            return
-        primary_fence = self.fences.get("primary")
-        if primary_fence is None or not primary_fence.is_leader:
-            return
-        if self.servers["primary"].killed or self.servers["standby"].killed:
-            return
-        if not link.reachable():
-            return
-        link.attach()
-
     def heal_all(self) -> None:
         """End-of-run: close every open fault so convergence can happen."""
         from repro.resilience.faults import PartitionPlan
@@ -476,9 +453,9 @@ class _Cluster:
             if label != "relink":
                 self._heal(label, client)
         self.pending_heals.clear()
-        if self.state is not None:
+        if self.pair is not None:
             self.state.plan = PartitionPlan()
-        self._relink()
+            self.pair.relink()
         if self.buggy_alive:
             self.lapse_and_reap()  # the buggy tenant finally crashes
 
@@ -529,7 +506,7 @@ class _Cluster:
         server._execute = doubled
 
     def _apply_limp_standby(self, event: NemesisEvent) -> None:
-        link = self.link
+        link = self.pair and self.pair.link
         if link is None or not link.attached:
             return
         link.ship_delay_s = float(event.params.get("delay_s", 0.02))
@@ -637,33 +614,51 @@ class _Cluster:
                 brownout_entries=final_server.server_stats.brownout_entries,
                 brownout_exits=final_server.server_stats.brownout_exits,
             )
-        if self.plan.topology == "ha_pair":
-            primary, standby = self.servers["primary"], self.servers["standby"]
-            if not (primary.killed and standby.killed):
+        if self.pair is not None:
+            alive = [server for server in self.servers.values() if not server.killed]
+            if alive:
                 facts["converged"] = converged
-            facts["split_epochs"] = sorted(
-                self.fences["primary"].epochs_served
-                & self.fences["standby"].epochs_served
-            )
-            facts["stale_executions"] = self._probe_stale_primary(final_name)
-            link = self.link
-            if link.attached and not (link.promoted or primary.killed or standby.killed):
+            if 0 < len(alive) < len(self.servers):  # a node outlived a kill
+                facts["stuck_ops"] = self._stuck_ops()
+            served = [fence.epochs_served for fence in self.pair.fences.values()]
+            facts["split_epochs"] = sorted(set.intersection(*served))
+            facts["stale_executions"] = self._probe_follower(final_name)
+            link = self.pair.link
+            if link.attached and len(alive) == len(self.servers):
                 link.flush()  # a demoted link lags by design; drain it first
+                primary, standby = link.primary, link.standby
                 facts["diverged"] = state_fingerprint(primary) != state_fingerprint(standby)
         return facts
 
-    def _probe_stale_primary(self, final_name: str) -> int:
-        """Mutations a demoted, still-alive primary executes (must be 0)."""
+    def _stuck_ops(self) -> int:
+        """Ops started over lease + failover budget after the latest kill
+        before them that still ended ambiguous."""
+        budget_ns = (self.plan.lease_s + FAILOVER_BUDGET_S) * 1e9
+        killed_ns, late, stuck = None, set(), 0
+        for event in self.recorder.events:
+            if event.kind == "crash" and event.node in self.servers:
+                killed_ns = event.t_ns
+            elif event.kind == "invoke" and killed_ns is not None:
+                if event.t_ns - killed_ns > budget_ns:
+                    late.add(event.op_id)
+            elif event.kind == "return":
+                stuck += event.ambiguous and event.op_id in late
+        return stuck
+
+    def _probe_follower(self, final_name: str) -> int:
+        """Mutations the node beside the final leader executes (must be 0)."""
         from repro.cricket.client import CricketClient
         from repro.oncrpc.auth import client_token_auth
         from repro.oncrpc.errors import RpcNotLeaderError
 
-        primary = self.servers["primary"]
-        if final_name != "standby" or primary.killed:
+        if not final_name:
             return 0
-        probe = CricketClient.loopback(primary)
+        (other,) = [server for name, server in self.servers.items() if name != final_name]
+        if other.killed:
+            return 0
+        probe = CricketClient.loopback(other)
         probe.stub.client.cred = client_token_auth(b"stale-probe")
-        used_before = _payload_bytes(primary)
+        used_before = _payload_bytes(other)
         executed = 0
         for _ in range(3):
             try:
@@ -671,7 +666,7 @@ class _Cluster:
             except RpcNotLeaderError:
                 continue
             executed += 1
-        return executed + (_payload_bytes(primary) != used_before)
+        return executed + (_payload_bytes(other) != used_before)
 
     # -- operational events (single topology) --------------------------------
 
@@ -723,8 +718,8 @@ def _build_cluster(
 ) -> _Cluster:
     from repro.cricket.ckptstore import CheckpointStore, MemoryStorage
     from repro.cricket.client import CricketClient
-    from repro.cricket.replication import ReplicationLink, promote_with_witness
-    from repro.cricket.witness import LeadershipFence, Witness
+    from repro.cricket.replication import HaPair
+    from repro.cricket.witness import Witness
     from repro.oncrpc.auth import client_token_auth
     from repro.resilience.failover import LoopbackEndpoint
     from repro.resilience.faults import (
@@ -745,38 +740,26 @@ def _build_cluster(
     retry = RetryPolicy(max_attempts=30, deadline_s=None)
 
     if plan.topology == "ha_pair":
-        primary = cluster.make_server()
-        standby = cluster.make_server()
         witness = Witness(clock, lease_s=plan.lease_s)
         state = PartitionState(PartitionPlan(), clock)
         witness.link_filter = state.link_filter()
-        primary_fence = LeadershipFence(
-            primary, witness, name="primary", peer_hint="standby"
-        )
-        standby_fence = LeadershipFence(
-            standby, witness, name="standby", peer_hint="primary"
-        )
-        primary_fence.lead()  # epoch 1
-        link = ReplicationLink(
-            primary, standby,
-            reachability=state.reachability("primary", "standby"),
+        pair = HaPair(
+            {"primary": cluster.make_server(), "standby": cluster.make_server()},
+            witness,
+            reachability=state.reachability,
             **profile.link,
         )
-        primary_fence.link = link
-        cluster.servers = {"primary": primary, "standby": standby}
+        cluster.pair = pair
+        cluster.servers = pair.servers
         cluster.state = state
-        cluster.witness = witness
-        cluster.fences = {"primary": primary_fence, "standby": standby_fence}
-        cluster.link = link
-        primary.execution_taps.append(recorder.execution_tap("primary"))
-        standby.execution_taps.append(recorder.execution_tap("standby"))
-        # Crash evidence for the checker: fires inside kill(), i.e. after
-        # the doomed server's last execution and before failover traffic,
-        # so uncovered acks are forgiven at exactly the right point.
-        primary.on_kill = lambda: recorder.crash("primary")
-        standby.on_kill = lambda: recorder.crash("standby")
-        store_server = primary
-        endpoint_names = [("primary", "primary"), ("standby", "standby")]
+        for name, server in pair.servers.items():
+            server.execution_taps.append(recorder.execution_tap(name))
+            # Crash evidence for the checker: fires inside kill(), i.e.
+            # after the doomed server's last execution and before failover
+            # traffic, so uncovered acks are forgiven at exactly the right point.
+            server.on_kill = lambda name=name: recorder.crash(name)
+        store_server = next(iter(pair.servers.values()))
+        endpoint_names = [(name, name) for name in pair.servers]
     else:
         server = cluster.make_server()
         cluster.servers = {"server": server}
@@ -808,20 +791,12 @@ def _build_cluster(
         slow_eps = []
         endpoints = []
         for sname, ename in endpoint_names:
-            on_connect = None
-            if plan.topology == "ha_pair" and sname == "standby":
-                def on_connect(
-                    _ep,
-                    _link=cluster.link,
-                    _fence=cluster.fences["standby"],
-                ):
-                    promote_with_witness(_link, _fence)
             loopback = LoopbackEndpoint(
                 cluster.servers[sname],
                 name=ename,
                 link=cluster.state,
                 client_name=cname,
-                on_connect=on_connect,
+                on_connect=cluster.pair and cluster.pair.on_connect,
             )
             loopbacks.append(loopback)
             slow = FaultyEndpoint(
@@ -920,10 +895,16 @@ def run_simulation(
     try:
         return _run(plan, schedule, workload, cluster)
     finally:
-        # Checkpoint bytes die with the run, not with the cycle collector
-        # that frees its servers (and the stores they reference) later.
+        # A run's bytes -- checkpoints, device memory, the history -- die
+        # with it, not with the cycle collector that frees its servers (and
+        # what they reference) later: how much garbage waits for it varies
+        # with how many objects a run makes, so peak memory would too.
         for storage in cluster.storages:
             storage.clear()
+        for server in cluster.servers.values():
+            for device in server.devices:
+                device.reset()
+        recorder.events.clear()
 
 
 def _run(
@@ -1143,7 +1124,7 @@ def _run(
     final_name, final_server = cluster.leader()
     converged = bool(final_name)
     if plan.topology == "ha_pair" and final_name:
-        fence = cluster.fences[final_name]
+        fence = cluster.pair.fences[final_name]
         converged = all(
             cluster.clients[index].leader_epoch == fence.epoch
             and cluster.clients[index].active_endpoint_name == final_name

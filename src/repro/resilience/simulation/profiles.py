@@ -188,6 +188,14 @@ PROFILES: dict[str, Profile] = {
         )
         for shape in PARTITION_SHAPES
     },
+    # the cut promotes the standby, the healed ex-primary rejoins as its
+    # standby, and when the new leader dies it leads again
+    "second_failover": Profile(
+        schedule=(
+            _at(4.0, PARTITION, shape="primary_isolated", duration_s=0.8), _at(6.0, KILL_PRIMARY)
+        ),
+        **{**_PARTITION, "invariants": (*_PARTITION["invariants"], "stuck-after-failover")},
+    ),
     # limplocks -- nothing fails, something just gets slow -- must be
     # detected within budget, with no false alarm and a recovered tail:
     # one of three paths limps until the outlier ejector drops it

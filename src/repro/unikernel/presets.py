@@ -27,7 +27,7 @@ repro.harness`` checks and writes to ``results/claims.txt``.
 from __future__ import annotations
 
 from repro.net.link import LinkModel
-from repro.unikernel.language import C_PROFILE, RUST_PROFILE, LanguageProfile
+from repro.unikernel.language import C_PROFILE, RUST_PROFILE
 from repro.unikernel.netstack import NetstackModel
 from repro.unikernel.platform import Platform, RpcPathModel
 from repro.unikernel.virtio import VirtioCosts, VirtioFeatures

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.gpu import A100, GpuDevice
-from repro.gpu.kernels import DEFAULT_REGISTRY, Kernel, KernelCost, build_default_registry
+from repro.gpu.kernels import DEFAULT_REGISTRY, Kernel, build_default_registry
 from repro.oncrpc import LoopbackTransport, RpcServer
-from repro.oncrpc.auth import AUTH_SYS, AuthSysParams
+from repro.oncrpc.auth import AuthSysParams
 from repro.oncrpc.client import RpcClient
 from repro.rpcl import ProgramInterface, generate_module, parse
 from repro.rpcl.errors import RpclSemanticError

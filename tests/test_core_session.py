@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro import (
-    DeviceBuffer,
     DoubleFreeClientError,
     GpuSession,
     SessionConfig,

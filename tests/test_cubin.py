@@ -23,7 +23,6 @@ from repro.cubin import (
     load_cubin,
     load_fatbin,
 )
-from repro.cubin.metadata import ParamInfo
 from repro.gpu.kernels import build_default_registry
 
 

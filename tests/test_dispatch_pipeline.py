@@ -101,7 +101,7 @@ class Rig:
         self.server.pause_serving()
 
     def depose(self):
-        self.fence.fence("deposed by the test")
+        self.fence.fence()  # deposed by the test
 
     def brown_out(self, stage=1):
         ratio = {1: 1.5, 2: 5.0}[stage]

@@ -265,7 +265,7 @@ class TestServerTwins:
 
     REFUSALS = {
         "paused": (lambda s: s.pause_serving(), {}, msg.RPC_BUSY),
-        "fenced": (lambda s: s.test_fence.fence("deposed"), {}, msg.RPC_NOT_LEADER),
+        "fenced": (lambda s: s.test_fence.fence(), {}, msg.RPC_NOT_LEADER),
         "browned-out": (
             lambda s: (s.brownout.add_signal("test", lambda: 1.5), s.brownout.update()),
             {}, msg.RPC_BUSY,

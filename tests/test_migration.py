@@ -17,8 +17,11 @@ from repro.cricket.errors import (
     MigrationChannelError,
     MigrationError,
 )
+from repro.cricket.checkpoint import encode_state
+from repro.cricket.ckptstore import MemoryStorage
 from repro.cricket.migration import (
     JOURNAL_PREFIX,
+    KIND_ABORT,
     KIND_BEGIN,
     KIND_FRAGS,
     decode_chunk,
@@ -174,6 +177,21 @@ class TestLiveMigration:
         mig.cutover()
         assert state_fingerprint(recovered.server) == fingerprint
         assert not [n for n in storage.listdir() if n.startswith(JOURNAL_PREFIX)]
+
+    def test_a_new_migration_does_not_recover_an_aborted_ones_records(self):
+        storage = MemoryStorage()
+        frags = [encode_chunk(KIND_FRAGS, seq, 0, encode_state([])) for seq in (2, 3, 4)]
+        begin = encode_chunk(KIND_BEGIN, 1, 0, b"")
+        aborted = MigrationTarget(small_server(), storage=storage)
+        for blob in (begin, *frags, encode_chunk(KIND_ABORT, 5, 0, b"")):
+            aborted.receive(blob)
+        second = MigrationTarget(small_server(), storage=storage)
+        for blob in (begin, *frags):
+            second.receive(blob)
+        # the second target dies after acking seq 4; its successor recovers
+        recovered = MigrationTarget(small_server(), storage=storage)
+        assert recovered.recover() == 4
+        assert not recovered.aborted
 
     def test_duplicate_chunks_are_absorbed(self):
         source, _client, _ptrs = populated(allocs=2)

@@ -8,6 +8,7 @@ only) and names the profile and the violations that must catch it.
 """
 
 import importlib
+import itertools
 import json
 from dataclasses import replace
 
@@ -19,6 +20,8 @@ from repro.resilience.simulation import (
     COMPOSED,
     FACT_RULES,
     KILL_CLIENT,
+    KILL_PRIMARY,
+    PARTITION,
     PROFILES,
     NemesisEvent,
     SimulationPlan,
@@ -30,6 +33,7 @@ from repro.resilience.simulation import (
     save_trace,
     shrink_schedule,
 )
+from repro.resilience.simulation.harness import FAILOVER_BUDGET_S
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
 
@@ -55,10 +59,13 @@ FIRST_SEED_FINGERPRINTS = {
     "overload_hot_20x": "7ac8281b0a499c81fb0aa3c49808ed70e890a493ae166b852de955ab686a7c03",
     "overload_hot_tenant": "a636df7f8929a5f7bf937d4d3883f161303790e28c09931e7c589d2d3808643c",
     "overload_weighted": "15376773fe9481562c0a3e355757d79bb9fab3ec3176028172b84f426809ecb0",
-    "partition_heal_divergence": "e47f7e41d0fa55c2a1f3674079eb1d12ce78d7a12b2a9e5b357814961ab23db5",
-    "partition_primary_isolated": "507e512730845ef0187c91da2b86d5a47e87d3869999e67039f17f4ee0998d68",
+    # (the three cuts that promote the standby moved when the deposed
+    # primary began to rejoin as its standby after the heal)
+    "partition_heal_divergence": "eac3d4f5f92d2eb18eedde74a2d980c253f8cc546082e015a868869dd416cde2",
+    "partition_primary_isolated": "a4e8fdd055c141555e76c370ec69c17f2e9ead35d640eee7c9b85cc4a3390aed",
     "partition_standby_isolated": "5d489914578f8e77e15db776d06ea6de7c649979fd3166a3bdd8fad5209b8912",
-    "partition_witness_isolated": "6d8b3acdd5168af2007b910e6d0db5cbdb22fcf4030c28907ed5602b72278dd1",
+    "partition_witness_isolated": "a2e48561dcc56e0bffeda884092bd95e1b47dd1f6091b39b102cbef0c845b950",
+    "second_failover": "98e3c15c267f96020b7915c7bef4b00e9dce72e058277230af4ccf409a17e802",
 }
 
 
@@ -69,7 +76,7 @@ class TestProfileTable:
             *(f"overload_{v}" for v in ("1x", "2x", "5x", "hot_tenant", "weighted")),
             "overload_hot_20x", "brownout_shed_all",
             *(f"partition_{s}_isolated" for s in ("primary", "standby", "witness")),
-            "partition_heal_divergence",
+            "partition_heal_divergence", "second_failover",
             *(f"limplock_{w}" for w in ("endpoint", "gpu", "fsync", "standby")),
         }
 
@@ -256,6 +263,13 @@ def _lose_newest_lagged_ship(real):
     return apply_pending
 
 
+def _skip_rejoin(real):
+    def relink(self):  # a promoted link stays severed
+        if not self.link.promoted:
+            real(self)
+    return relink
+
+
 def _both(*mutants):
     return lambda mp: [mutate(mp) for mutate in mutants]
 
@@ -268,11 +282,13 @@ MUTATIONS = {
                lambda _: lambda self, now_ns, release: 0),
         "client_kill", {"orphan-bytes"}),
     # (partition_heal_divergence would not notice: its clients ride with
-    # the cut-off primary, so no second leader is ever promoted)
+    # the cut-off primary, so no second leader is ever promoted; and the
+    # probe's writes, which the open fence lets the rejoined ex-primary
+    # execute, part it from the leader it now follows)
     "fence-open": (
         _break("repro.cricket.witness:LeadershipFence.shed_stat",
                lambda _: lambda self, proc, now_ns: None),
-        "partition_primary_isolated", {"stale-primary-executed"}),
+        "partition_primary_isolated", {"stale-primary-executed", "state-divergence"}),
     "witness-regrants-epoch": (
         _break("repro.cricket.witness:Witness.acquire", _regrant_old_epoch),
         "partition_primary_isolated", {"split-epoch"}),
@@ -334,6 +350,10 @@ MUTATIONS = {
         _break("repro.cricket.replication:ReplicationLink._apply_pending",
                _lose_newest_lagged_ship),
         "limplock_standby", {"state-divergence"}),
+    # the deposed primary never rejoins, so nobody leads after the kill
+    "skip-rejoin": (
+        _break("repro.cricket.replication:HaPair.relink", _skip_rejoin),
+        "second_failover", {"stuck-after-failover", "unconverged"}),
 }
 
 
@@ -388,3 +408,73 @@ def test_fact_rule_violation_shrinks_too(monkeypatch):
     minimal, shrunk = shrink_schedule(plan, schedule, kinds=["orphan-bytes"])
     assert [event.kind for event in minimal] == [KILL_CLIENT]
     assert shrunk.violation_kinds() == ("orphan-bytes",)
+
+
+# -- small scope: every schedule of at most two HA faults -----------------------
+
+#: the HA alphabet at its boundaries: a kill before and one after the
+#: reply leaves, and each one-node cut, longer than the witness lease
+SWEEP_EVENTS = (
+    (KILL_PRIMARY, {"dangerous": False}),
+    (KILL_PRIMARY, {"dangerous": True}),
+    *(
+        (PARTITION, {"shape": f"{node}_isolated", "duration_s": 0.5})
+        for node in ("primary", "standby", "witness")
+    ),
+)
+#: a coarse grid, its steps longer than the lease plus the failover budget
+SWEEP_TIMES = (0.5, 1.5, 2.5)
+#: judged as ``second_failover`` runs are, so the end-of-run facts count
+SWEEP_PLAN = SimulationPlan(
+    topology="ha_pair", seed=0, clients=2, steps=16, horizon_s=4.0,
+    profile="second_failover",
+)
+
+
+def _sweep():
+    """Every schedule of one event, or of two at distinct grid times, run."""
+    moves = [[(at, event)] for at in SWEEP_TIMES for event in SWEEP_EVENTS] + [
+        [(first, one), (then, other)]
+        for first, then in itertools.combinations(SWEEP_TIMES, 2)
+        for one, other in itertools.product(SWEEP_EVENTS, repeat=2)
+    ]
+    for move in moves:
+        schedule = [NemesisEvent(at, kind, dict(params)) for at, (kind, params) in move]
+        yield schedule, run_simulation(SWEEP_PLAN, schedule)
+
+
+def _stuck(result) -> bool:
+    """Whether an op started over lease + failover budget after the last
+    kill before it, and ended ambiguous."""
+    budget_ns = (SWEEP_PLAN.lease_s + FAILOVER_BUDGET_S) * 1e9
+    kills = [event.t_ns for event in result.events if event.kind == "crash"]
+    started = {e.op_id: e.t_ns for e in result.events if e.kind == "invoke"}
+    for event in result.events:
+        if event.kind == "return" and event.ambiguous:
+            start = started[event.op_id]
+            if start - max((k for k in kills if k <= start), default=start) > budget_ns:
+                return True
+    return False
+
+
+def test_small_scope_sweep_is_clean_and_only_a_double_kill_is_stuck():
+    stuck, judged, runs = set(), set(), 0
+    for schedule, result in _sweep():
+        runs += 1
+        assert result.clean, (schedule, result.violations)
+        judged.update(result.evaluated)
+        if _stuck(result):
+            stuck.add(tuple(event.kind for event in schedule))
+    assert runs == 90
+    assert "stuck-after-failover" in judged
+    # with both nodes dead nobody can serve; every other story fails over
+    assert stuck == {(KILL_PRIMARY, KILL_PRIMARY)}
+
+
+def test_small_scope_sweep_catches_a_skipped_rejoin(monkeypatch):
+    MUTATIONS["skip-rejoin"][0](monkeypatch)
+    schedule, result = next(
+        (schedule, result) for schedule, result in _sweep() if not result.clean
+    )
+    assert [event.kind for event in schedule] == [PARTITION, KILL_PRIMARY]
+    assert result.violation_kinds() == ("stuck-after-failover", "unconverged")

@@ -18,7 +18,7 @@ from repro.oncrpc import (
     RpcTransportError,
     TcpTransport,
 )
-from repro.xdr import INT, StringType, VarOpaque, XdrDecoder, XdrEncoder
+from repro.xdr import INT, StringType, XdrDecoder, XdrEncoder
 
 PROG = 0x20000001
 VERS = 1

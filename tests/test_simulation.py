@@ -48,15 +48,17 @@ GOLDEN_FINGERPRINTS = {
     ("single", 0): "e6c380e903fd6a95c16a19f8a9374459dcd373245870d3029bc94cb6f5f7a0be",
     ("single", 1): "098be4c1e303e3fc2c7b6c9961fe1a901091d2587d0a5402b23b6bc7049aa05d",
     ("single", 7): "5d33cd1cf8a329e0f24dae51772d3a7850239868b1b436a820048de4279b52b7",
-    ("ha_pair", 0): "35fb9e446da2089812f074ae970faa62f6c967fa8a9a64149016b0ff5aa52bf9",
+    # (its second kill leaves no node alive: no final leader since the
+    # harness stopped reporting a dead one)
+    ("ha_pair", 0): "252b65dede448cb540e39c59905495faee463561546fd75ee628a0c2def7f474",
     ("ha_pair", 1): "df4e37e55063a4f3807865bf9575b84a14df754792134c80c7aeea73cab319f9",
     ("ha_pair", 7): "eee74c06ad30c676b4903cacea4fb95772c2e3b000a84f416ba952e76208fc66",
 }
 
 #: the benchmark's third ``ha_pair`` schedule, kill at 90 % of the horizon
-#: (shares of ``horizon_s``): the killed node is the promoted standby and
-#: the fenced ex-primary refuses every later call, so each op after the
-#: kill is a retry storm of NOT_LEADER refusals and reconnects
+#: (shares of ``horizon_s``): the killed node is the promoted standby, and
+#: the ex-primary, which rejoined as its standby when the cut healed,
+#: takes over
 KILL_LATE_SCHEDULE = [
     (0.10, "partition", {"shape": "primary_isolated", "duration_s": 0.5}),
     (0.25, "storage_slow", {"count": 1, "delay_s": 0.3}),
@@ -65,9 +67,10 @@ KILL_LATE_SCHEDULE = [
     (0.70, "partition", {"shape": "heal_divergence", "duration_s": 0.7}),
     (0.90, "kill_primary", {"dangerous": False}),
 ]
-#: its fingerprint at seed 10 and steps=3, the fewest steps that reach the storm
+#: its fingerprint at seed 10 and steps=3, the fewest steps that once
+#: reached a retry storm after the kill
 KILL_LATE_FINGERPRINT = (
-    "10fd17773bb2054cbb7ef25dcf78a2da03bc6f28753e1731b60b474094262624"
+    "85b393b24309be3823f41068943e6922b40bf5436475076b94eb10b9348b4cd7"
 )
 
 #: the shrunk repro of the once known-red composed schedule (see
@@ -75,9 +78,10 @@ KILL_LATE_FINGERPRINT = (
 KNOWN_RED_TRACE = str(
     Path(__file__).parent / "data" / "stale-read-on-deposed-primary.trace.json"
 )
-#: its replay's fingerprint now that a fenced server refuses reads
+#: its replay's fingerprint now that a fenced server refuses reads and
+#: the deposed primary rejoins as the new leader's standby at the end
 KNOWN_RED_REPLAY_FINGERPRINT = (
-    "5a0db8593597e553f132c088a91b69c3b63b7dbf164a52c0c84fe6ddedfd75fb"
+    "dd1826dfe214d8fbdd3c31c320a5e5c9d2255e943a8288ff5ad72445e33dfdf3"
 )
 
 
@@ -178,7 +182,9 @@ class TestCleanSeeds:
     def test_composed_nemesis_run_is_clean(self, topology, seed):
         result = run_simulation(SimulationPlan(topology=topology, seed=seed))
         assert result.clean, result.violations
-        assert result.converged
+        # (ha_pair, 0) kills both nodes: nobody is left to converge on
+        assert result.converged == ((topology, seed) != ("ha_pair", 0))
+        assert result.converged == bool(result.final_leader)
         assert result.applied, "nemesis applied no events"
         assert result.outcomes.get("ok", 0) > 0
         assert result.fingerprint == GOLDEN_FINGERPRINTS[topology, seed]
@@ -192,8 +198,9 @@ class TestCleanSeeds:
         result = run_simulation(plan, schedule)
         assert result.clean, result.violations
         assert result.applied[-1] == "kill_primary"
-        # every op after the kill exhausts its retries on refusals
-        assert result.outcomes == {"ok": 6, "ambiguous": 5}
+        # the rejoined ex-primary leads again: no op after the kill is lost
+        assert result.outcomes == {"ok": 15}
+        assert result.final_leader == "primary" and result.converged
         assert result.fingerprint == KILL_LATE_FINGERPRINT
 
     def test_runs_leave_no_temp_directories_behind(self, tmp_path, monkeypatch):
@@ -366,10 +373,11 @@ class TestKnownRed:
             event.index for event in executed
             if event.node == "standby" and not event.replica
         )
-        # once the standby leads, the deposed primary answers NULL pings only
+        # once the standby leads, the deposed primary answers NULL pings
+        # only; rejoined as the standby, it also applies shipped ops
         assert {
             event.proc for event in executed
-            if event.node == "primary" and event.index > promoted
+            if event.node == "primary" and event.index > promoted and not event.replica
         } == {0}
 
 

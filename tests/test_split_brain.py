@@ -270,7 +270,7 @@ class TestLeadershipFence:
         _clock, server, _witness, fence = self.make_fence()
         fence.lead()
         assert not server.sessions.reaping_paused
-        fence.fence("test")
+        fence.fence()
         assert server.sessions.reaping_paused
         fence.lead()
         assert not server.sessions.reaping_paused
@@ -280,7 +280,7 @@ class TestLeadershipFence:
         fence.lead()
         info = leader_epoch_from(fence.reply_verf())
         assert info.epoch == 1 and info.leader and info.hint == "primary"
-        fence.fence("demoted")
+        fence.fence()
         info = leader_epoch_from(fence.reply_verf())
         assert not info.leader and info.hint == "standby"
 

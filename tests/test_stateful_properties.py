@@ -5,14 +5,12 @@ arbitrary interleavings of operations, maintaining a shadow model and
 checking the allocator invariants after every step.
 """
 
-import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     Bundle,
     RuleBasedStateMachine,
     invariant,
-    precondition,
     rule,
 )
 

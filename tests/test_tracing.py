@@ -2,11 +2,10 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from repro import GpuSession, SessionConfig
-from repro.core.tracing import TraceEvent, Tracer
+from repro.core.tracing import Tracer
 from repro.net import SimClock
 from repro.unikernel import rustyhermit
 
